@@ -260,12 +260,16 @@ def search(
 
     log_fh = None
     if config.output.log_path is not None:
-        mode = "a" if resume_from is not None else "w"
         directory = os.path.dirname(config.output.log_path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        log_fh = open(config.output.log_path, mode, encoding="utf-8")
-        if resume_from is None:
+        # A resumed log keeps only the steps before the checkpoint, since the
+        # run repeats the rest; a fresh or empty log starts with its header.
+        kept = 0
+        if resume_from is not None and os.path.exists(config.output.log_path):
+            kept = persist.truncate_events(config.output.log_path, start_step)
+        log_fh = open(config.output.log_path, "a" if kept else "w", encoding="utf-8")
+        if not kept:
             log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")
 
     def save_checkpoint_now(step_done: int) -> None:

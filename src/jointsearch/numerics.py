@@ -20,7 +20,6 @@ __all__ = [
     "Node",
     "RngStream",
     "as_tensor",
-    "set_debug_checks",
     "fnv1a64",
     "matmul",
     "add_bias",
@@ -40,16 +39,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# When enabled, every op re-checks its output for NaN/Inf. Construction-time
-# finiteness checks are always on; this flag adds the per-op sweep.
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
-
 def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
     """Coerce ``values`` to a float64 array, validating shape and finiteness."""
     arr = np.array(values, dtype=np.float64, copy=True)
@@ -60,12 +49,6 @@ def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor entries must be finite")
     return arr
-
-
-def _post_check(value: np.ndarray) -> np.ndarray:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(value)):
-        raise FloatingPointError("non-finite value produced by op")
-    return value
 
 
 class Node:
@@ -105,7 +88,7 @@ class Tape:
         return node
 
     def _record(self, value: np.ndarray, parents: tuple, rule) -> Node:
-        node = Node(_post_check(value), parents, rule)
+        node = Node(value, parents, rule)
         self._nodes.append(node)
         return node
 

@@ -4,9 +4,26 @@ Everything is JSON with a fixed key order and shortest-round-trip decimal
 floats, so identical in-memory state always serializes to identical bytes and
 a save/load/save cycle is byte-stable. Files are written to a temp path and
 renamed into place.
+
+Digests are 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``), written as
+16 hex characters. ``store_digest`` walks the store in sorted key order and
+hashes each key's text, its shape, and its values as little-endian float64
+bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
+same values under a different shape. A checkpoint carries that store digest
+plus a whole-checkpoint digest over every field (config echo, meta-step,
+controller logits, baseline and its flag, controller step and slots, store,
+head, commit slots, RNG counters); arrays enter it as shape plus float64
+bytes and small fields as canonical JSON. ``load_checkpoint`` verifies both,
+so editing any value of a saved checkpoint makes it raise ``ValueError``.
+
+Checkpoints and event logs are format version 2 (version 1 used a 64-bit
+FNV-1a over decimal text, so its digest strings differ). A checkpoint of any
+other version is rejected with a "format version" error; there is no
+migration.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -15,32 +32,33 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .numerics import fnv1a64
 from .supernet import ParamKey, SuperModelWeights
 from .trainstep import SlotStore
 
-CHECKPOINT_FORMAT_VERSION = 1
-EVENT_LOG_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+EVENT_LOG_FORMAT_VERSION = 2
 
 
 def _float_list(arr: np.ndarray) -> list[float]:
-    return [float(v) for v in np.asarray(arr, dtype=np.float64).reshape(-1)]
+    return np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
+
+
+def _hash_array(h, label: str, arr: np.ndarray) -> None:
+    shape = ",".join(str(d) for d in arr.shape)
+    h.update(f"{label}:{shape}:".encode())
+    h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _hash_store(h, store: Mapping[ParamKey, np.ndarray]) -> None:
+    for key in sorted(store):
+        _hash_array(h, key.text(), store[key])
 
 
 def store_digest(store: Mapping[ParamKey, np.ndarray]) -> str:
-    """64-bit FNV-1a over the sorted-key canonical store serialization."""
-    h = None
-    for key in sorted(store):
-        text = (
-            key.text()
-            + ":"
-            + ",".join(repr(v) for v in store[key].reshape(-1).tolist())
-            + ";"
-        )
-        h = fnv1a64(text) if h is None else fnv1a64(text, h)
-    if h is None:
-        h = fnv1a64(b"")
-    return f"{h:016x}"
+    """BLAKE2b-64 over sorted keys, shapes and little-endian float64 bytes."""
+    h = hashlib.blake2b(digest_size=8)
+    _hash_store(h, store)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +104,29 @@ def event_header(labels: Iterable[str], cardinalities: Iterable[int]) -> str:
 def write_event(fh, record: EventRecord) -> None:
     fh.write(record.to_json() + "\n")
     fh.flush()
+
+
+def truncate_events(path: str, meta_step: int) -> int:
+    """Cut the log at ``path`` back to its header and the records of steps
+    before ``meta_step``, leaving the kept lines byte-identical; returns the
+    number of bytes kept.
+
+    Records are written in step order, so the cut is at the first line that is
+    neither the header nor an earlier step; that also drops a torn final line.
+    """
+    offset = 0
+    with open(path, "r+b") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError:
+                    break
+                if "decisions" not in doc and doc.get("meta_step", meta_step) >= meta_step:
+                    break
+            offset += len(line)
+        fh.truncate(offset)
+    return offset
 
 
 def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
@@ -179,6 +220,40 @@ def _param_key_parse(text: str) -> ParamKey:
     return ParamKey(int(layer), int(op), name)
 
 
+def _hash_slots(h, label: str, slots: SlotStore, key_text) -> None:
+    for (family, key), slot in sorted(slots.items(), key=lambda kv: (kv[0][0], key_text(kv[0][1]))):
+        for name, value in sorted(slot.items()):
+            entry = f"{label}/{family}|{key_text(key)}/{name}"
+            if isinstance(value, int):
+                h.update(f"{entry}={value};".encode())
+            else:
+                _hash_array(h, entry, value)
+
+
+def checkpoint_digest(ckpt: Checkpoint) -> str:
+    """BLAKE2b-64 over every field of ``ckpt``: small fields as canonical
+    JSON, arrays as label, shape and little-endian float64 bytes."""
+    h = hashlib.blake2b(digest_size=8)
+    small = {
+        "config": ckpt.config_echo,
+        "meta_step": ckpt.meta_step,
+        "baseline": ckpt.baseline,
+        "baseline_initialized": ckpt.baseline_initialized,
+        "controller_step": ckpt.controller_step,
+        "rng": ckpt.rng_counters,
+    }
+    h.update(json.dumps(small, sort_keys=True).encode())
+    for i, z in enumerate(ckpt.logits):
+        _hash_array(h, f"logits/{i}", z)
+    _hash_store(h, ckpt.store)
+    if ckpt.head_weight is not None:
+        _hash_array(h, "head/weight", ckpt.head_weight)
+        _hash_array(h, "head/bias", ckpt.head_bias)
+    _hash_slots(h, "controller_slots", ckpt.controller_slots, str)
+    _hash_slots(h, "commit_slots", ckpt.commit_slots, _param_key_text)
+    return h.hexdigest()
+
+
 def checkpoint_to_document(ckpt: Checkpoint) -> dict:
     store_doc = {
         key.text(): _tensor_doc(ckpt.store[key]) for key in sorted(ckpt.store)
@@ -203,6 +278,7 @@ def checkpoint_to_document(ckpt: Checkpoint) -> dict:
         "commit_slots": _slot_doc(ckpt.commit_slots, _param_key_text),
         "rng": dict(sorted(ckpt.rng_counters.items())),
         "store_digest": store_digest(ckpt.store),
+        "checkpoint_digest": checkpoint_digest(ckpt),
     }
 
 
@@ -240,7 +316,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     head = doc.get("head")
     controller = doc["controller"]
-    return Checkpoint(
+    ckpt = Checkpoint(
         config_echo=doc["config"],
         meta_step=doc["meta_step"],
         logits=[np.asarray(z, dtype=np.float64) for z in controller["logits"]],
@@ -254,6 +330,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         commit_slots=_slots_from_doc(doc["commit_slots"], _param_key_parse),
         rng_counters={k: int(v) for k, v in doc.get("rng", {}).items()},
     )
+    if checkpoint_digest(ckpt) != doc.get("checkpoint_digest"):
+        raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
+    return ckpt
 
 
 def weights_digest(weights: SuperModelWeights | None) -> str:

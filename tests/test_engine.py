@@ -370,6 +370,36 @@ def test_interrupted_run_resumes_to_identical_results(tmp_path):
         assert np.array_equal(p, q)
 
 
+def test_resumed_event_log_has_no_duplicate_steps(tmp_path):
+    def output_for(tag):
+        return {
+            "log_path": str(tmp_path / f"{tag}.jsonl"),
+            "checkpoint_path": str(tmp_path / f"{tag}.ckpt.json"),
+            "checkpoint_interval": 4,
+        }
+
+    total = 10
+    search(parse_config(moons_doc(total=total, output=output_for("ref"))))
+
+    def crash_at_six(phase, step, weights):
+        if phase == "commit" and step == 6:
+            raise RuntimeError("simulated crash")
+
+    run_config = parse_config(moons_doc(total=total, output=output_for("run")))
+    with pytest.raises(RuntimeError):
+        search(run_config, audit=crash_at_six)
+    _, crashed = read_events(str(tmp_path / "run.jsonl"))
+    assert [e.meta_step for e in crashed] == list(range(6))  # past the step-4 checkpoint
+    search(run_config, resume_from=str(tmp_path / "run.ckpt.json"))
+
+    ref_header, ref_events = read_events(str(tmp_path / "ref.jsonl"))
+    run_header, run_events = read_events(str(tmp_path / "run.jsonl"))
+    assert run_header == ref_header
+    assert [e.meta_step for e in run_events] == list(range(total))
+    for a, b in zip(ref_events, run_events):
+        assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
+
+
 def test_resume_with_changed_search_section_is_rejected(tmp_path):
     output = {"checkpoint_path": str(tmp_path / "ck.json"), "checkpoint_interval": 2}
     search(parse_config(moons_doc(total=4, output=output)))

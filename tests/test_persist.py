@@ -1,21 +1,24 @@
 """Digest, event log, and checkpoint round-trip tests."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from jointsearch.numerics import RngStream, fnv1a64
+from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
     EventRecord,
+    _float_list,
     checkpoint_to_document,
     event_header,
     load_checkpoint,
     read_events,
     save_checkpoint,
     store_digest,
+    truncate_events,
     write_event,
 )
 from jointsearch.supernet import ParamKey
@@ -51,14 +54,46 @@ def test_digest_ignores_insertion_order():
     assert store_digest(a) == store_digest(reordered)
 
 
-def test_digest_of_empty_store_is_fnv_offset():
-    assert store_digest({}) == format(fnv1a64(b""), "016x")
+def test_digest_of_empty_store_is_blake2b_of_nothing():
+    assert store_digest({}) == hashlib.blake2b(b"", digest_size=8).hexdigest()
+
+
+def test_digest_known_answer():
+    store = {
+        ParamKey(0, 1, "weight"): np.array([[1.0, -2.5], [0.0, 3.25]]),
+        ParamKey(0, 1, "bias"): np.array([0.5, -0.0]),
+    }
+    assert store_digest(store) == "c2b717e59fd36966"
+
+
+def test_digest_distinguishes_shape():
+    values = np.array([1.0, 2.0, 3.0, 4.0])
+    digests = {
+        store_digest({ParamKey(0, 0, "weight"): values.reshape(shape)})
+        for shape in ((4,), (2, 2), (1, 4), (4, 1))
+    }
+    assert len(digests) == 4
 
 
 def test_digest_distinguishes_negative_zero():
     a = {ParamKey(0, 0, "weight"): np.array([0.0])}
     b = {ParamKey(0, 0, "weight"): np.array([-0.0])}
     assert store_digest(a) != store_digest(b)
+
+
+def test_float_list_matches_per_element_conversion():
+    tiny = 2.0**-1074
+    nasty = np.array(
+        [
+            [0.0, -0.0, tiny, -tiny, 2.0**-1022, np.nextafter(2.0**-1022, 0.0)],
+            [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, 1e308, -1e308, 1e-300],
+        ]
+    )
+    fast = _float_list(nasty)
+    slow = [float(v) for v in nasty.reshape(-1)]
+    assert all(type(v) is float for v in fast)
+    assert [v.hex() for v in fast] == [v.hex() for v in slow]
+    assert json.dumps(fast) == json.dumps(slow)
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +273,86 @@ def test_checkpoint_allows_no_network(tmp_path):
     loaded = load_checkpoint(str(path))
     assert loaded.head_weight is None
     assert loaded.store == {}
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _edited(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return float(np.nextafter(value, np.inf))
+    if isinstance(value, str):
+        return value + "x"
+    raise AssertionError(f"no edit for {value!r}")
+
+
+def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), sample_checkpoint())
+    pristine = json.loads(path.read_text())
+    leaves = [
+        p for p in _leaf_paths(pristine) if p[0] not in ("store_digest", "checkpoint_digest")
+    ]
+    assert ("controller", "logits", 0, 1) in leaves
+    assert ("rng", "controller") in leaves
+    assert len(leaves) > 50
+    for leaf in leaves:
+        doc = json.loads(json.dumps(pristine))
+        parent = doc
+        for part in leaf[:-1]:
+            parent = parent[part]
+        parent[leaf[-1]] = _edited(parent[leaf[-1]])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), sample_checkpoint())
+    doc = json.loads(path.read_text())
+    doc["controller"]["logits"][1][2] = 5.0
+    doc["rng"]["controller"] = 0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert "checkpoint digest" in str(err.value)
+
+
+def test_checkpoint_rejects_version_one(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), sample_checkpoint())
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert "format version 1" in str(err.value)
+
+
+def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        fh.write(event_header(["layer0"], [2]) + "\n")
+        for event in sample_events(6):
+            write_event(fh, event)
+        fh.write('{"meta_step": 6, "mean_re')  # torn by a crash mid-write
+    full = path.read_bytes()
+    kept = truncate_events(str(path), 4)
+    assert kept == len(path.read_bytes())
+    assert full.startswith(path.read_bytes())
+    header, records = read_events(str(path))
+    assert header is not None
+    assert [r.meta_step for r in records] == [0, 1, 2, 3]
