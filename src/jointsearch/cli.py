@@ -14,7 +14,6 @@ import numpy as np
 
 from . import engine
 from .config import ConfigError, load_config
-from .data import split
 from .persist import read_events
 from .space import build_space
 
@@ -65,17 +64,7 @@ def _result_document(space, result: engine.SearchResult) -> dict:
         "derived": _derived_to_doc(space, result.derived),
         "final_probabilities": [p.tolist() for p in result.final_probabilities],
         "wall_steps": result.wall_steps,
-        "reward_history": [
-            {
-                "meta_step": r.meta_step,
-                "selection": list(r.selection),
-                "accuracy": r.accuracy,
-                "cost": r.cost,
-                "reward": r.reward,
-                "baseline": r.baseline,
-            }
-            for r in result.reward_history
-        ],
+        "reward_history": [vars(r) for r in result.reward_history],
     }
 
 
@@ -119,19 +108,14 @@ def _cmd_retrain(args) -> int:
     config = load_config(args.config)
     space = build_space(config.space)
     derived = _load_derived(space, args.from_result)
-    dataset = engine._build_dataset(config)
-    engine._check_dataset_shapes(space, dataset)
-    splits = split(dataset, config.data.fractions, config.data.seed)
+    splits, defaults = engine.setup_run(config, space)
     result = engine.retrain(
         space,
         derived,
         splits,
         config.retrain.epochs,
         batch_size=config.retrain.batch_size,
-        defaults=engine.TrainerDefaults(
-            learning_rate=config.search.default_learning_rate,
-            inner_steps=config.search.inner_steps,
-        ),
+        defaults=defaults,
         seed=config.data.seed,
     )
     _emit(
@@ -152,9 +136,7 @@ def _cmd_baseline(args) -> int:
         raise ConfigError("--budget must be a positive integer")
     config = load_config(args.config)
     space = build_space(config.space)
-    dataset = engine._build_dataset(config)
-    engine._check_dataset_shapes(space, dataset)
-    splits = split(dataset, config.data.fractions, config.data.seed)
+    splits, defaults = engine.setup_run(config, space)
     result = engine.random_search_baseline(
         space,
         splits,
@@ -162,10 +144,7 @@ def _cmd_baseline(args) -> int:
         config.retrain.epochs,
         config.data.seed,
         batch_size=config.retrain.batch_size,
-        defaults=engine.TrainerDefaults(
-            learning_rate=config.search.default_learning_rate,
-            inner_steps=config.search.inner_steps,
-        ),
+        defaults=defaults,
     )
     _emit(
         {

@@ -1,15 +1,15 @@
 """Engine configuration: one JSON document, strictly validated.
 
 Every section rejects unknown keys so typos fail loudly instead of silently
-falling back to defaults. ``parse_config`` works on an in-memory dict;
-``load_config`` reads a JSON file. The original dict is kept on the parsed
-config so checkpoints can echo it back verbatim.
+falling back to defaults. ``parse_config`` works on an in-memory dict and
+does not modify it; ``load_config`` reads a JSON file. ``config_to_dict``
+echoes a parsed config back as a document, defaults included, which is what
+checkpoints store.
 """
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .space import (
     HyperConfig,
@@ -352,61 +352,7 @@ def parse_config(document: dict) -> EngineConfig:
 
 def config_to_dict(config: EngineConfig) -> dict:
     """Serializable echo of a parsed config, defaults included."""
-    space = {
-        "input_dim": config.space.input_dim,
-        "num_classes": config.space.num_classes,
-        "layers": [
-            {"candidates": list(l.candidates), "width": l.width} for l in config.space.layers
-        ],
-        "hyperparameters": [
-            {
-                "name": h.name,
-                "kind": h.kind,
-                "basis": list(h.basis),
-                "default_index": h.default_index,
-            }
-            for h in config.space.hyperparameters
-        ],
-    }
-    return {
-        "space": space,
-        "data": {
-            "generator": config.data.generator,
-            "csv_path": config.data.csv_path,
-            "n": config.data.n,
-            "noise_sd": config.data.noise_sd,
-            "turns": config.data.turns,
-            "fractions": list(config.data.fractions),
-            "seed": config.data.seed,
-        },
-        "search": {
-            "total_meta_steps": config.search.total_meta_steps,
-            "pairs_per_step": config.search.pairs_per_step,
-            "warmup_fraction": config.search.warmup_fraction,
-            "meta_lr": config.search.meta_lr,
-            "baseline_momentum": config.search.baseline_momentum,
-            "entropy_weight": config.search.entropy_weight,
-            "reward": {
-                "mode": config.search.reward.mode,
-                "beta": config.search.reward.beta,
-                "target_cost": config.search.reward.target_cost,
-            },
-            "inner_steps": config.search.inner_steps,
-            "val_batch_size": config.search.val_batch_size,
-            "train_batch_size": config.search.train_batch_size,
-            "default_learning_rate": config.search.default_learning_rate,
-        },
-        "retrain": {
-            "epochs": config.retrain.epochs,
-            "batch_size": config.retrain.batch_size,
-        },
-        "output": {
-            "result_path": config.output.result_path,
-            "log_path": config.output.log_path,
-            "checkpoint_path": config.output.checkpoint_path,
-            "checkpoint_interval": config.output.checkpoint_interval,
-        },
-    }
+    return json.loads(json.dumps(asdict(config)))
 
 
 def load_config(path: str) -> EngineConfig:
@@ -417,4 +363,4 @@ def load_config(path: str) -> EngineConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: malformed JSON ({exc})") from None
-    return parse_config(copy.deepcopy(document))
+    return parse_config(document)

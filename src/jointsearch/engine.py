@@ -24,7 +24,7 @@ from . import controller as ctrl
 from . import persist, supernet, trainstep
 from .config import ConfigError, EngineConfig, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
-from .numerics import RngStream, softmax
+from .numerics import RngStream
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SuperModelWeights
 from .trainstep import SlotStore, TrainerDefaults, TrainerSpec
@@ -148,18 +148,21 @@ def evaluate_candidate(
     return RewardRecord(meta_step, tuple(selection), accuracy, cost, reward)
 
 
-def _build_dataset(config: EngineConfig) -> Dataset:
+def setup_run(config: EngineConfig, space: SearchSpace) -> tuple[DataSplit, TrainerDefaults]:
+    """The dataset split and trainer defaults of a run that trains networks.
+
+    Raises ``ConfigError`` when the config names no dataset or the dataset's
+    feature or class count does not match ``space``.
+    """
     data = config.data
     if data.csv_path is not None:
-        return load_csv(data.csv_path)
-    if data.generator == "two_moons":
-        return two_moons(data.n, data.noise_sd, data.seed)
-    if data.generator == "spirals":
-        return spirals(data.n, data.turns, data.noise_sd, data.seed)
-    raise ConfigError("data.generator is 'none' but the run needs a dataset")
-
-
-def _check_dataset_shapes(space: SearchSpace, dataset: Dataset) -> None:
+        dataset = load_csv(data.csv_path)
+    elif data.generator == "two_moons":
+        dataset = two_moons(data.n, data.noise_sd, data.seed)
+    elif data.generator == "spirals":
+        dataset = spirals(data.n, data.turns, data.noise_sd, data.seed)
+    else:
+        raise ConfigError("data.generator is 'none' but the run needs a dataset")
     if dataset.features.shape[1] != space.input_dim:
         raise ConfigError(
             f"dataset has {dataset.features.shape[1]} features but space.input_dim "
@@ -170,6 +173,11 @@ def _check_dataset_shapes(space: SearchSpace, dataset: Dataset) -> None:
             f"dataset has {dataset.labels.shape[1]} classes but space.num_classes "
             f"is {space.num_classes}"
         )
+    defaults = TrainerDefaults(
+        learning_rate=config.search.default_learning_rate,
+        inner_steps=config.search.inner_steps,
+    )
+    return split(dataset, data.fractions, data.seed), defaults
 
 
 def _draw_batch(
@@ -209,10 +217,6 @@ def search(
         beta=config.search.reward.beta,
         target_cost=config.search.reward.target_cost,
     )
-    defaults = TrainerDefaults(
-        learning_rate=config.search.default_learning_rate,
-        inner_steps=config.search.inner_steps,
-    )
     seed = config.data.seed
     k = config.search.pairs_per_step
     total = config.search.total_meta_steps
@@ -220,18 +224,14 @@ def search(
     uses_network = evaluate_override is None
     weights: SuperModelWeights | None = None
     commit_slots = SlotStore()
-    splits: DataSplit | None = None
     if uses_network:
-        if config.data.generator == "none" and config.data.csv_path is None:
-            raise ConfigError("data.generator 'none' requires an evaluate override")
-        dataset = _build_dataset(config)
-        _check_dataset_shapes(space, dataset)
-        splits = split(dataset, config.data.fractions, seed)
+        splits, defaults = setup_run(config, space)
         weights = supernet.init_weights(space, RngStream(seed, "init"))
 
     state = ctrl.init_controller(space)
     ctrl_stream = RngStream(seed, "controller")
     start_step = 0
+    history: list[RewardRecord] = []
 
     if resume_from is not None:
         ckpt = persist.load_checkpoint(resume_from)
@@ -257,6 +257,10 @@ def search(
             weights.head_bias = ckpt.head_bias
         ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters.get("controller", 0))
         start_step = ckpt.meta_step
+        history = [
+            RewardRecord(**{**r, "selection": tuple(r["selection"])})
+            for r in ckpt.reward_history
+        ]
 
     log_fh = None
     if config.output.log_path is not None:
@@ -272,11 +276,13 @@ def search(
         if not kept:
             log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")
 
+    config_echo = config_to_dict(config)
+
     def save_checkpoint_now(step_done: int) -> None:
         if config.output.checkpoint_path is None:
             return
         ckpt = persist.Checkpoint(
-            config_echo=config_to_dict(config),
+            config_echo=config_echo,
             meta_step=step_done,
             logits=[z.copy() for z in state.logits],
             baseline=state.baseline,
@@ -288,10 +294,10 @@ def search(
             head_bias=None if weights is None else weights.head_bias,
             commit_slots=commit_slots,
             rng_counters={"controller": ctrl_stream.counter},
+            reward_history=[dict(vars(r)) for r in history],
         )
         persist.save_checkpoint(config.output.checkpoint_path, ckpt)
 
-    history: list[RewardRecord] = []
     try:
         for step in range(start_step, total):
             t0 = time.monotonic()

@@ -17,6 +17,7 @@ from scipy import special
 
 __all__ = [
     "Tape",
+    "EvalTape",
     "Node",
     "RngStream",
     "as_tensor",
@@ -93,6 +94,23 @@ class Tape:
         return node
 
 
+class EvalTape(Tape):
+    """A tape that records nothing: ops compute their values only.
+
+    Tensors are taken as given (no copy, no finiteness check) and no node
+    keeps its parents or gradient rule, so intermediates are freed as soon as
+    the pass moves on. ``backward`` on this tape has no leaves to report.
+    """
+
+    def leaf(self, values) -> Node:
+        return Node(values)
+
+    constant = leaf
+
+    def _record(self, value: np.ndarray, parents: tuple, rule) -> Node:
+        return Node(value)
+
+
 def _accum(node: Node, delta: np.ndarray) -> None:
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
@@ -154,10 +172,9 @@ def mul(tape: Tape, a: Node, b: Node) -> Node:
 
 def relu(tape: Tape, x: Node) -> Node:
     out = np.maximum(x.value, 0.0)
-    mask = x.value > 0.0
 
     def rule(g: np.ndarray) -> None:
-        _accum(x, g * mask)
+        _accum(x, g * (x.value > 0.0))
 
     return tape._record(out, (x,), rule)
 

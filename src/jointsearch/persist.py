@@ -12,14 +12,16 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. A checkpoint carries that store digest
 plus a whole-checkpoint digest over every field (config echo, meta-step,
 controller logits, baseline and its flag, controller step and slots, store,
-head, commit slots, RNG counters); arrays enter it as shape plus float64
-bytes and small fields as canonical JSON. ``load_checkpoint`` verifies both,
-so editing any value of a saved checkpoint makes it raise ``ValueError``.
+head, commit slots, RNG counters, reward history); arrays enter it as shape
+plus float64 bytes and small fields as canonical JSON. ``load_checkpoint``
+verifies both, so editing any value of a saved checkpoint makes it raise
+``ValueError``.
 
-Checkpoints and event logs are format version 2 (version 1 used a 64-bit
-FNV-1a over decimal text, so its digest strings differ). A checkpoint of any
-other version is rejected with a "format version" error; there is no
-migration.
+Checkpoints are format version 3 and event logs format version 2. Version 1
+used a 64-bit FNV-1a over decimal text, so its digest strings differ;
+version-2 checkpoints lack the reward history, so a run resumed from one
+would return a truncated history. A checkpoint of any other version is
+rejected with a "format version" error; there is no migration.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ import numpy as np
 from .supernet import ParamKey, SuperModelWeights
 from .trainstep import SlotStore
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 EVENT_LOG_FORMAT_VERSION = 2
 
 
@@ -178,6 +180,7 @@ class Checkpoint:
     head_weight: np.ndarray | None
     head_bias: np.ndarray | None
     commit_slots: SlotStore
+    reward_history: list[dict]  # one document per reward record before meta_step
     rng_counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -241,6 +244,7 @@ def checkpoint_digest(ckpt: Checkpoint) -> str:
         "baseline_initialized": ckpt.baseline_initialized,
         "controller_step": ckpt.controller_step,
         "rng": ckpt.rng_counters,
+        "reward_history": ckpt.reward_history,
     }
     h.update(json.dumps(small, sort_keys=True).encode())
     for i, z in enumerate(ckpt.logits):
@@ -277,6 +281,7 @@ def checkpoint_to_document(ckpt: Checkpoint) -> dict:
         ),
         "commit_slots": _slot_doc(ckpt.commit_slots, _param_key_text),
         "rng": dict(sorted(ckpt.rng_counters.items())),
+        "reward_history": ckpt.reward_history,
         "store_digest": store_digest(ckpt.store),
         "checkpoint_digest": checkpoint_digest(ckpt),
     }
@@ -329,6 +334,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         head_bias=None if head is None else _tensor_from_doc(head["bias"]),
         commit_slots=_slots_from_doc(doc["commit_slots"], _param_key_parse),
         rng_counters={k: int(v) for k, v in doc.get("rng", {}).items()},
+        reward_history=doc["reward_history"],
     )
     if checkpoint_digest(ckpt) != doc.get("checkpoint_digest"):
         raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics
-from .numerics import Node, RngStream, Tape
+from .numerics import EvalTape, Node, RngStream, Tape
 from .space import (
     OP_AFFINE_RELU,
     OP_AFFINE_TANH,
@@ -122,8 +122,10 @@ def forward(
 
     Eval mode returns a logits array. Train mode records the pass on ``tape``
     and returns ``(logits_node, leaves)`` where ``leaves`` maps each selected
-    ParamKey to its tape leaf, ready for ``numerics.backward``. ``overrides``
-    substitutes tensors for store entries without touching the store itself.
+    ParamKey to its tape leaf, ready for ``numerics.backward``. Both modes run
+    the same ops; eval mode runs them on a tape that records nothing and
+    applies no dropout. ``overrides`` substitutes tensors for store entries
+    without touching the store itself.
     """
     space = weights.space
     sel = validate_selection(space, selection)
@@ -137,35 +139,16 @@ def forward(
         return weights.store[key]
 
     if mode == EVAL:
-        h = x
-        for decision, op_index in zip(space.arch_decisions, sel):
-            op = decision.candidates[op_index]
-            if op.has_params:
-                w = param(ParamKey(decision.layer_id, op_index, "weight"))
-                b = param(ParamKey(decision.layer_id, op_index, "bias"))
-                z = h @ w + b
-                if op.kind == OP_AFFINE_RELU:
-                    z = np.maximum(z, 0.0)
-                elif op.kind == OP_AFFINE_TANH:
-                    z = np.tanh(z)
-            else:
-                z = h
-            if z.shape[1] < decision.out_width:
-                padded = np.zeros((z.shape[0], decision.out_width))
-                padded[:, : z.shape[1]] = z
-                z = padded
-            elif z.shape[1] > decision.out_width:
-                z = z[:, : decision.out_width].copy()
-            h = z
-        return h @ weights.head_weight + weights.head_bias
-
-    if mode != TRAIN:
+        tape = EvalTape()
+        keeps = (1.0,) * len(space.arch_decisions)
+    elif mode == TRAIN:
+        if tape is None:
+            raise ValueError("train mode requires a tape")
+        keeps = _resolve_keep(dropout_keep, len(space.arch_decisions))
+        if any(k < 1.0 for k in keeps) and rng is None:
+            raise ValueError("dropout requires an rng stream")
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if tape is None:
-        raise ValueError("train mode requires a tape")
-    keeps = _resolve_keep(dropout_keep, len(space.arch_decisions))
-    if any(k < 1.0 for k in keeps) and rng is None:
-        raise ValueError("dropout requires an rng stream")
 
     leaves: dict[ParamKey, Node] = {}
     h_node = tape.constant(x)
@@ -176,8 +159,9 @@ def forward(
             bk = ParamKey(decision.layer_id, op_index, "bias")
             w_node = tape.leaf(param(wk))
             b_node = tape.leaf(param(bk))
-            leaves[wk] = w_node
-            leaves[bk] = b_node
+            if mode == TRAIN:
+                leaves[wk] = w_node
+                leaves[bk] = b_node
             z = numerics.add_bias(tape, numerics.matmul(tape, h_node, w_node), b_node)
             if op.kind == OP_AFFINE_RELU:
                 z = numerics.relu(tape, z)
@@ -195,6 +179,8 @@ def forward(
     head_w = tape.constant(weights.head_weight)
     head_b = tape.constant(weights.head_bias)
     logits = numerics.add_bias(tape, numerics.matmul(tape, h_node, head_w), head_b)
+    if mode == EVAL:
+        return logits.value
     return logits, leaves
 
 

@@ -95,10 +95,9 @@ class SlotStore:
 
 @dataclass
 class TemporaryWeights:
-    """Discardable copies of one sub-model's tensors plus fresh slot state."""
+    """Discardable copies of one sub-model's tensors."""
 
     overrides: dict[ParamKey, np.ndarray]
-    slots: SlotStore
 
 
 def build_trainer(
@@ -107,17 +106,7 @@ def build_trainer(
     defaults: TrainerDefaults = TrainerDefaults(),
 ) -> TrainerSpec:
     """TrainerSpec for a selection; unsearched fields fall back to defaults."""
-    derived = selection_to_config(space, selection)
-    fields = {
-        "optimizer": "sgd",
-        "learning_rate": defaults.learning_rate,
-        "weight_decay": 0.0,
-        "mixup_ratio": 0.0,
-        "dropout_keep": 1.0,
-    }
-    for decision, value in zip(space.hyper_decisions, derived.hyper_values):
-        fields[decision.name] = value
-    return TrainerSpec(inner_steps=defaults.inner_steps, **fields)
+    return trainer_from_derived(space, selection_to_config(space, selection), defaults)
 
 
 def trainer_from_derived(
@@ -125,16 +114,13 @@ def trainer_from_derived(
     derived,
     defaults: TrainerDefaults = TrainerDefaults(),
 ) -> TrainerSpec:
-    """TrainerSpec from a derived configuration, continuous values as-is."""
-    fields = {
-        "optimizer": "sgd",
-        "learning_rate": defaults.learning_rate,
-        "weight_decay": 0.0,
-        "mixup_ratio": 0.0,
-        "dropout_keep": 1.0,
-    }
-    for decision, value in zip(space.hyper_decisions, derived.hyper_values):
-        fields[decision.name] = value
+    """TrainerSpec from a derived configuration, continuous values as-is.
+
+    Unsearched fields keep the TrainerSpec defaults, except the learning rate
+    and inner steps, which come from ``defaults``.
+    """
+    fields = {d.name: v for d, v in zip(space.hyper_decisions, derived.hyper_values)}
+    fields.setdefault("learning_rate", defaults.learning_rate)
     return TrainerSpec(inner_steps=defaults.inner_steps, **fields)
 
 
@@ -256,7 +242,7 @@ def make_temporary(
     slots = SlotStore()
     for step in range(spec.inner_steps):
         _train_step(weights, view, overrides, spec, train_batches[step], slots, rng)
-    return TemporaryWeights(overrides, slots)
+    return TemporaryWeights(overrides)
 
 
 def commit_step(

@@ -41,7 +41,7 @@ from jointsearch.numerics import (
     take_cols,
     tanh,
 )
-from jointsearch.persist import store_digest, weights_digest
+from jointsearch.persist import read_events, store_digest, weights_digest
 from jointsearch.space import (
     HyperConfig,
     LayerConfig,
@@ -493,10 +493,17 @@ def a8_doc(tag, tmp_path, total=6):
         "search": {"total_meta_steps": total, "pairs_per_step": 2},
         "output": {
             "result_path": str(tmp_path / f"{tag}.result.json"),
+            "log_path": str(tmp_path / f"{tag}.events.jsonl"),
             "checkpoint_path": str(tmp_path / f"{tag}.ckpt.json"),
             "checkpoint_interval": 1,
         },
     }
+
+
+def a8_events(path):
+    """Header and records of an event log, every field but ``wall_ms``."""
+    header, records = read_events(str(path))
+    return header, [{**vars(r), "wall_ms": None} for r in records]
 
 
 def test_a8_determinism_and_resume(tmp_path):
@@ -505,9 +512,9 @@ def test_a8_determinism_and_resume(tmp_path):
         cfg_path = tmp_path / f"{tag}.cfg.json"
         cfg_path.write_text(json.dumps(a8_doc(tag, tmp_path)))
         assert main(["search", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "a.result.json").read_bytes() == (
-        tmp_path / "b.result.json"
-    ).read_bytes()
+    uninterrupted = (tmp_path / "a.result.json").read_bytes()
+    assert uninterrupted == (tmp_path / "b.result.json").read_bytes()
+    uninterrupted_events = a8_events(tmp_path / "a.events.jsonl")
 
     # resume from an interruption at every interior meta-step
     reference = {}
@@ -517,32 +524,34 @@ def test_a8_determinism_and_resume(tmp_path):
             reference[step] = weights_digest(weights)
 
     search(parse_config(a8_doc("ref", tmp_path)), audit=watch)
-    final_digest = reference[5]
+    assert [r["store_digest"] for r in uninterrupted_events[1]] == [
+        reference[step] for step in range(6)
+    ]
 
     for interrupt_step in range(1, 6):
         tag = f"resume{interrupt_step}"
-        config = parse_config(a8_doc(tag, tmp_path))
+        cfg_path = tmp_path / f"{tag}.cfg.json"
+        cfg_path.write_text(json.dumps(a8_doc(tag, tmp_path)))
 
         def interrupt(phase, step, weights):
             if phase == "controller" and step == interrupt_step:
                 raise RuntimeError("simulated crash")
 
         with pytest.raises(RuntimeError):
-            search(config, audit=interrupt)
+            search(parse_config(a8_doc(tag, tmp_path)), audit=interrupt)
 
-        seen = {}
-
-        def watch_resumed(phase, step, weights):
-            if phase == "commit":
-                seen[step] = weights_digest(weights)
-
-        search(
-            parse_config(a8_doc(tag, tmp_path)),
-            resume_from=str(tmp_path / f"{tag}.ckpt.json"),
-            audit=watch_resumed,
-        )
-        assert seen[5] == final_digest, f"resume at step {interrupt_step} diverged"
-    print("A8 determinism and resume: PASS (byte-identical results, 5 resume points)")
+        resume = ["--resume", str(tmp_path / f"{tag}.ckpt.json")]
+        assert main(["search", "--config", str(cfg_path)] + resume) == 0
+        assert (
+            tmp_path / f"{tag}.result.json"
+        ).read_bytes() == uninterrupted, f"resume at step {interrupt_step}: result.json differs"
+        assert (
+            a8_events(tmp_path / f"{tag}.events.jsonl") == uninterrupted_events
+        ), f"resume at step {interrupt_step}: event log differs"
+    print(
+        "A8 determinism and resume: PASS (byte-identical results; 5 resume points "
+        "with byte-identical result.json and equal event logs)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,10 @@ def sample_checkpoint():
         head_weight=np.array([[0.1, 0.2], [0.3, 0.4]]),
         head_bias=np.array([0.0, 0.0]),
         commit_slots=slots,
+        reward_history=[
+            {"meta_step": 3, "selection": [1, 0], "accuracy": 0.75,
+             "cost": 16.0, "reward": 0.7, "baseline": 0.61},
+        ],
         rng_counters={"controller": 88},
     )
 
@@ -206,6 +210,7 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert loaded.controller_step == 4
     assert loaded.rng_counters == {"controller": 88}
     assert loaded.config_echo == original.config_echo
+    assert loaded.reward_history == original.reward_history
     for a, b in zip(loaded.logits, original.logits):
         assert np.array_equal(a, b)
     for key in original.store:
@@ -307,6 +312,7 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     ]
     assert ("controller", "logits", 0, 1) in leaves
     assert ("rng", "controller") in leaves
+    assert ("reward_history", 0, "reward") in leaves
     assert len(leaves) > 50
     for leaf in leaves:
         doc = json.loads(json.dumps(pristine))
@@ -331,15 +337,17 @@ def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
     assert "checkpoint digest" in str(err.value)
 
 
-def test_checkpoint_rejects_version_one(tmp_path):
+def test_checkpoint_rejects_earlier_versions(tmp_path):
+    # Version 1 digests were FNV-1a over text; version 2 lacks the reward history.
     path = tmp_path / "ck.json"
     save_checkpoint(str(path), sample_checkpoint())
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as err:
-        load_checkpoint(str(path))
-    assert "format version 1" in str(err.value)
+    for version in (1, 2):
+        doc = json.loads(path.read_text())
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(str(path))
+        assert f"format version {version}" in str(err.value)
 
 
 def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):

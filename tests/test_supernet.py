@@ -156,23 +156,35 @@ def test_forward_eval_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_forward_train_with_keep_one_matches_eval():
-    space = two_affine_space()
+@pytest.mark.parametrize(
+    "candidate, width",
+    [
+        ("identity", None),
+        ("affine:8", None),
+        ("affine-relu:8", None),
+        ("affine-tanh:8", None),
+        ("affine-relu:8", 16),  # padded
+        ("affine-tanh:24", 16),  # truncated
+    ],
+    ids=["identity", "affine", "affine-relu", "affine-tanh", "padded", "truncated"],
+)
+def test_forward_train_with_keep_one_matches_eval(candidate, width):
+    space = build([LayerConfig(candidates=(candidate,), width=width)] * 2)
     weights = init_weights(space, RngStream(7, "init"))
     x = RngStream(8, "x").normal((4, 2))
     tape = Tape()
     logits_node, leaves = forward(
         weights,
-        (0, 1),
+        (0, 0),
         x,
         TRAIN,
         dropout_keep=1.0,
         rng=RngStream(9, "mask"),
         tape=tape,
     )
-    eval_logits = forward(weights, (0, 1), x, EVAL)
+    eval_logits = forward(weights, (0, 0), x, EVAL)
     assert np.array_equal(logits_node.value, eval_logits)
-    assert set(leaves) == set(sub_view(weights, (0, 1)).keys)
+    assert set(leaves) == set(sub_view(weights, (0, 0)).keys)
 
 
 def test_forward_pads_and_truncates_to_declared_width():
