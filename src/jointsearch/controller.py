@@ -71,13 +71,14 @@ def probabilities(state: ControllerState) -> list[np.ndarray]:
 def sample(state: ControllerState, rng: RngStream) -> tuple[tuple[int, ...], float]:
     """Draw one selection plus its joint log-probability.
 
-    Each decision consumes exactly one uniform draw and picks the first index
-    whose cumulative probability exceeds it.
+    Each decision consumes exactly one uniform draw, taken in decision order as
+    one block, and picks the first index whose cumulative probability exceeds
+    it.
     """
     selection: list[int] = []
     log_prob = 0.0
-    for probs in probabilities(state):
-        u = rng.uniform()
+    draws = rng.uniform(len(state.logits))
+    for probs, u in zip(probabilities(state), draws):
         cdf = np.cumsum(probs)
         idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
         selection.append(idx)

@@ -443,11 +443,15 @@ class RngStream:
         """k distinct indices from range(n), by partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct indices from {n}")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.index(n - i)
+        # Draw i is ``index(n - i)``; the stream is counter-based, so one block
+        # of k uniforms gives the same words and leaves the same counter.
+        positions = np.arange(k, dtype=np.int64)
+        upper = n - positions
+        targets = positions + np.minimum((self.uniform(k) * upper).astype(np.int64), upper - 1)
+        pool = list(range(n))
+        for i, j in enumerate(targets.tolist()):
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+        return np.array(pool[:k], dtype=np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.sample_indices(n, n)

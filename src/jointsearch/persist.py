@@ -1,9 +1,16 @@
 """Persistence: store digests, JSONL event logs, and resumable checkpoints.
 
-Everything is JSON with a fixed key order and shortest-round-trip decimal
-floats, so identical in-memory state always serializes to identical bytes and
-a save/load/save cycle is byte-stable. Files are written to a temp path and
-renamed into place.
+Everything is JSON with a fixed key order, so identical in-memory state
+always serializes to identical bytes and a save/load/save cycle is
+byte-stable. Event logs and a checkpoint's small fields (config echo, logits,
+baseline, RNG counters, reward history) use shortest-round-trip decimal
+floats. Every array of a checkpoint's store, head and optimizer slots is
+stored as ``{"shape": [...], "f8": "<base64>"}``, the standard base64 of its
+little-endian float64 bytes, so it restores bit for bit (``-0.0``, subnormals
+and all) at about half the size of decimal text. Loading checks the base64
+alphabet and that the byte length is ``8 * prod(shape)``; a malformed array
+raises ``ValueError`` naming the file and the array. Files are written to a
+temp path and renamed into place.
 
 Digests are 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``), written as
 16 hex characters. ``store_digest`` walks the store in sorted key order and
@@ -17,16 +24,19 @@ plus float64 bytes and small fields as canonical JSON. ``load_checkpoint``
 verifies both, so editing any value of a saved checkpoint makes it raise
 ``ValueError``.
 
-Checkpoints are format version 3 and event logs format version 2. Version 1
+Checkpoints are format version 4 and event logs format version 2. Version 1
 used a 64-bit FNV-1a over decimal text, so its digest strings differ;
 version-2 checkpoints lack the reward history, so a run resumed from one
-would return a truncated history. A checkpoint of any other version is
-rejected with a "format version" error; there is no migration.
+would return a truncated history; versions 1-3 store arrays as decimal
+lists. A checkpoint of any other version is rejected with a "format version"
+error; there is no migration.
 """
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -37,7 +47,7 @@ import numpy as np
 from .supernet import ParamKey, SuperModelWeights
 from .trainstep import SlotStore
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 EVENT_LOG_FORMAT_VERSION = 2
 
 
@@ -185,11 +195,25 @@ class Checkpoint:
 
 
 def _tensor_doc(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "values": _float_list(arr)}
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "f8": base64.b64encode(data).decode("ascii")}
 
 
-def _tensor_from_doc(doc: dict) -> np.ndarray:
-    return np.asarray(doc["values"], dtype=np.float64).reshape(doc["shape"])
+def _tensor_from_doc(doc, where: str) -> np.ndarray:
+    """Decode a ``_tensor_doc`` into an owned, writable float64 array;
+    ``where`` names the array in the ``ValueError`` for a malformed one."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("f8"), str):
+        raise ValueError(f"{where}: array is not an object with an 'f8' string")
+    shape = doc.get("shape")
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
+    try:
+        data = base64.b64decode(doc["f8"], validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{where}: invalid base64 ({exc})") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{where}: {len(data)} bytes do not hold float64 shape {shape}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def _slot_doc(slots: SlotStore, key_text) -> dict:
@@ -202,12 +226,16 @@ def _slot_doc(slots: SlotStore, key_text) -> dict:
     return out
 
 
-def _slots_from_doc(doc: dict, key_parse) -> SlotStore:
+def _slots_from_doc(doc: dict, key_parse, where: str) -> SlotStore:
     slots = SlotStore()
     for combined, entry in doc.items():
         family, _, key_text = combined.partition("|")
         slot = {
-            name: value if isinstance(value, int) else _tensor_from_doc(value)
+            name: (
+                value
+                if isinstance(value, int)
+                else _tensor_from_doc(value, f"{where}/{combined}/{name}")
+            )
             for name, value in entry.items()
         }
         slots.restore(family, key_parse(key_text), slot)
@@ -316,7 +344,10 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: checkpoint format version {version!r} is not "
             f"{CHECKPOINT_FORMAT_VERSION}"
         )
-    store = {_param_key_parse(text): _tensor_from_doc(t) for text, t in doc["store"].items()}
+    store = {
+        _param_key_parse(text): _tensor_from_doc(t, f"{path}: store/{text}")
+        for text, t in doc["store"].items()
+    }
     if store_digest(store) != doc["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     head = doc.get("head")
@@ -328,11 +359,11 @@ def load_checkpoint(path: str) -> Checkpoint:
         baseline=controller["baseline"],
         baseline_initialized=controller["baseline_initialized"],
         controller_step=controller["step"],
-        controller_slots=_slots_from_doc(controller["slots"], int),
+        controller_slots=_slots_from_doc(controller["slots"], int, f"{path}: controller/slots"),
         store=store,
-        head_weight=None if head is None else _tensor_from_doc(head["weight"]),
-        head_bias=None if head is None else _tensor_from_doc(head["bias"]),
-        commit_slots=_slots_from_doc(doc["commit_slots"], _param_key_parse),
+        head_weight=None if head is None else _tensor_from_doc(head["weight"], f"{path}: head/weight"),
+        head_bias=None if head is None else _tensor_from_doc(head["bias"], f"{path}: head/bias"),
+        commit_slots=_slots_from_doc(doc["commit_slots"], _param_key_parse, f"{path}: commit_slots"),
         rng_counters={k: int(v) for k, v in doc.get("rng", {}).items()},
         reward_history=doc["reward_history"],
     )

@@ -1,8 +1,11 @@
 """Command-line interface tests: exit codes, result files, reports."""
 from __future__ import annotations
 
+import base64
 import csv
 import json
+
+import numpy as np
 
 from jointsearch.cli import main
 
@@ -165,7 +168,9 @@ def test_resume_from_tampered_checkpoint_exits_two(capsys, tmp_path):
     assert code == 0
     doc = json.loads(ckpt.read_text())
     key, entry = next(iter(doc["store"].items()))
-    entry["values"][0] += 1.0
+    values = np.frombuffer(base64.b64decode(entry["f8"], validate=True), dtype="<f8").copy()
+    values[0] = np.nextafter(values[0], np.inf)
+    entry["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
     ckpt.write_text(json.dumps(doc))
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err

@@ -41,8 +41,8 @@ class _FixedUniform:
         self.value = value
 
     def uniform(self, shape=None):
-        assert shape is None
-        return self.value
+        assert shape is not None  # sample takes its draws as one block
+        return np.full(shape, self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,30 @@ def test_sample_log_prob_sums_over_decisions():
     _, log_prob = sample(state, RngStream(3, "s"))
     expected = math.log(0.25) * 2 + math.log(1 / 3) + math.log(0.5)
     assert abs(log_prob - expected) < 1e-12
+
+
+def _reference_sample(state, rng):
+    """Per-draw inverse-CDF sampling: one scalar uniform per decision."""
+    selection = []
+    log_prob = 0.0
+    for probs in probabilities(state):
+        u = rng.uniform()
+        cdf = np.cumsum(probs)
+        idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+        selection.append(idx)
+        log_prob += math.log(probs[idx])
+    return tuple(selection), log_prob
+
+
+def test_sample_block_draw_matches_per_draw_reference():
+    cards = [4, 1, 3, 7, 2]
+    for seed in range(40):
+        logit_rng = RngStream(seed, "logits")
+        state = state_with_logits([3.0 * logit_rng.normal(c) for c in cards])
+        fast, slow = RngStream(seed, "ctl"), RngStream(seed, "ctl")
+        for draw in range(1, 6):
+            assert sample(state, fast) == _reference_sample(state, slow)
+            assert fast.counter == slow.counter == draw * len(cards)
 
 
 # ---------------------------------------------------------------------------

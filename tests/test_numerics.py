@@ -398,6 +398,52 @@ def test_rng_permutation_is_a_permutation():
     assert np.array_equal(RngStream(43, "perm").permutation(30), perm)
 
 
+def _reference_sample_indices(stream, n, k):
+    """Partial Fisher-Yates with one scalar ``index`` draw per position."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} distinct indices from {n}")
+    pool = np.arange(n, dtype=np.int64)
+    for i in range(k):
+        j = i + stream.index(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()
+
+
+SAMPLE_GRID = [
+    (n, k)
+    for n in (1, 2, 3, 5, 16, 64, 257)
+    for k in sorted({0, 1, n // 2, n - 1, n})
+] + [(10_000, 1), (10_000, 7), (100_000, 64)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_rng_sample_indices_matches_per_draw_reference(seed):
+    for start in (0, 13):
+        for n, k in SAMPLE_GRID:
+            fast = RngStream(seed, f"pick/{n}", counter=start)
+            slow = RngStream(seed, f"pick/{n}", counter=start)
+            got = fast.sample_indices(n, k)
+            want = _reference_sample_indices(slow, n, k)
+            assert got.dtype == np.int64 and got.shape == (k,)
+            assert np.array_equal(got, want), (seed, start, n, k)
+            assert fast.counter == slow.counter == start + k
+            # the stream carries on from the same position
+            assert fast.uniform() == slow.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 99])
+def test_rng_permutation_matches_per_draw_reference(seed):
+    for n in (0, 1, 2, 9, 100, 1000):
+        fast = RngStream(seed, "perm")
+        slow = RngStream(seed, "perm")
+        for _ in range(2):
+            got = fast.permutation(n)
+            want = _reference_sample_indices(slow, n, n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert fast.counter == slow.counter
+
+
 def test_rng_split_matches_slash_naming():
     parent = RngStream(77, "root")
     child = parent.split("sub")

@@ -1,6 +1,7 @@
 """Digest, event log, and checkpoint round-trip tests."""
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 
@@ -239,16 +240,49 @@ def test_checkpoint_round_trips_adversarial_floats(tmp_path):
     )  # bitwise, not just numerically equal
 
 
+def _decoded(entry):
+    return np.frombuffer(base64.b64decode(entry["f8"], validate=True), dtype="<f8")
+
+
+def _nudged(entry, index):
+    """The ``f8`` array document ``entry`` with element ``index`` one ulp up."""
+    values = _decoded(entry).copy()
+    values[index] = np.nextafter(values[index], np.inf)
+    return {**entry, "f8": base64.b64encode(values.tobytes()).decode("ascii")}
+
+
 def test_checkpoint_tamper_detection(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(str(path), sample_checkpoint())
     doc = json.loads(path.read_text())
-    key, values = next(iter(doc["store"].items()))
-    doc["store"][key]["values"][0] += 1.0
+    key, entry = next(iter(doc["store"].items()))
+    doc["store"][key] = _nudged(entry, 0)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert "digest" in str(err.value)
+
+
+def test_checkpoint_arrays_are_base64_float64(tmp_path):
+    path = tmp_path / "ck.json"
+    original = sample_checkpoint()
+    save_checkpoint(str(path), original)
+    doc = json.loads(path.read_text())
+    for key, want in original.store.items():
+        entry = doc["store"][key.text()]
+        assert sorted(entry) == ["f8", "shape"]
+        assert entry["shape"] == list(want.shape)
+        assert _decoded(entry).tobytes() == want.astype("<f8").tobytes()
+    loaded = load_checkpoint(str(path))
+    arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
+    arrays += loaded.logits
+    for slots in (loaded.commit_slots, loaded.controller_slots):
+        for _, slot in slots.items():
+            arrays += [v for v in slot.values() if not isinstance(v, int)]
+    assert len(arrays) == 3 + 2 + 2 + 4  # store, head, logits, m and v of two slots
+    for arr in arrays:
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -291,6 +325,54 @@ def _leaf_paths(node, path=()):
         yield path
 
 
+ARRAY_SITES = [
+    ("store", "0/1/bias"),
+    ("head", "weight"),
+    ("commit_slots", "adam|0/1/weight", "m"),
+    ("controller", "slots", "adam|0", "v"),
+]
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES, ids="/".join)
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        pytest.param(lambda e: {**e, "f8": e["f8"][:-2] + "!="}, "invalid base64", id="alphabet"),
+        pytest.param(lambda e: {**e, "f8": e["f8"] + "\n"}, "invalid base64", id="newline"),
+        pytest.param(lambda e: {**e, "f8": e["f8"][4:]}, "bytes do not hold", id="short"),
+        pytest.param(
+            lambda e: {**e, "shape": e["shape"] + [2]}, "bytes do not hold", id="wrong-shape"
+        ),
+        pytest.param(
+            lambda e: {**e, "shape": [float(d) for d in e["shape"]]}, "shape", id="float-shape"
+        ),
+        pytest.param(
+            lambda e: {**e, "shape": [str(d) for d in e["shape"]]}, "shape", id="text-shape"
+        ),
+        pytest.param(
+            lambda e: {**e, "shape": [True] * len(e["shape"])}, "shape", id="bool-shape"
+        ),
+        pytest.param(lambda e: {**e, "shape": -1}, "shape", id="scalar-shape"),
+        pytest.param(
+            lambda e: {"shape": e["shape"], "values": _decoded(e).tolist()}, "'f8'", id="v3-array"
+        ),
+    ],
+)
+def test_checkpoint_rejects_a_malformed_array(tmp_path, site, malform, message):
+    path = tmp_path / "ck.json"
+    save_checkpoint(str(path), sample_checkpoint())
+    doc = json.loads(path.read_text())
+    parent = doc
+    for part in site[:-1]:
+        parent = parent[part]
+    parent[site[-1]] = malform(parent[site[-1]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    text = str(err.value)
+    assert text.startswith(f"{path}: {'/'.join(site)}: ") and message in text
+
+
 def _edited(value):
     if isinstance(value, bool):
         return not value
@@ -313,16 +395,30 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     assert ("controller", "logits", 0, 1) in leaves
     assert ("rng", "controller") in leaves
     assert ("reward_history", 0, "reward") in leaves
-    assert len(leaves) > 50
-    for leaf in leaves:
+    f8_leaves = [leaf for leaf in leaves if leaf[-1] == "f8"]
+    assert ("store", "0/1/bias", "f8") in f8_leaves
+    assert ("head", "weight", "f8") in f8_leaves
+    assert ("commit_slots", "adam|0/1/weight", "m", "f8") in f8_leaves
+    assert ("controller", "slots", "adam|0", "v", "f8") in f8_leaves
+    edits = [(leaf, _edited, None) for leaf in leaves]
+    for leaf in f8_leaves:
+        parent = pristine
+        for part in leaf[:-1]:
+            parent = parent[part]
+        for index in range(len(_decoded(parent))):
+            edit = lambda value, i=index: _nudged({"f8": value}, i)["f8"]  # noqa: E731
+            edits.append((leaf, edit, "digest"))
+    assert len(edits) > 50
+    for leaf, edit, message in edits:
         doc = json.loads(json.dumps(pristine))
         parent = doc
         for part in leaf[:-1]:
             parent = parent[part]
-        parent[leaf[-1]] = _edited(parent[leaf[-1]])
+        parent[leaf[-1]] = edit(parent[leaf[-1]])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             load_checkpoint(str(path))
+        assert message is None or message in str(err.value), leaf
 
 
 def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
@@ -338,10 +434,11 @@ def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
 
 
 def test_checkpoint_rejects_earlier_versions(tmp_path):
-    # Version 1 digests were FNV-1a over text; version 2 lacks the reward history.
+    # Version 1 digests were FNV-1a over text; version 2 lacks the reward
+    # history; versions 1-3 store arrays as decimal lists.
     path = tmp_path / "ck.json"
     save_checkpoint(str(path), sample_checkpoint())
-    for version in (1, 2):
+    for version in (1, 2, 3):
         doc = json.loads(path.read_text())
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
