@@ -277,10 +277,10 @@ def search(
             log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")
 
     config_echo = config_to_dict(config)
+    checkpoint_path = config.output.checkpoint_path
+    interval = config.output.checkpoint_interval
 
-    def save_checkpoint_now(step_done: int) -> None:
-        if config.output.checkpoint_path is None:
-            return
+    def save_checkpoint_now(step_done: int, digest: str) -> None:
         ckpt = persist.Checkpoint(
             config_echo=config_echo,
             meta_step=step_done,
@@ -295,9 +295,11 @@ def search(
             commit_slots=commit_slots,
             rng_counters={"controller": ctrl_stream.counter},
             reward_history=[dict(vars(r)) for r in history],
+            store_digest=digest,
         )
-        persist.save_checkpoint(config.output.checkpoint_path, ckpt)
+        persist.save_checkpoint(checkpoint_path, ckpt)
 
+    saved_step = None
     try:
         for step in range(start_step, total):
             t0 = time.monotonic()
@@ -361,23 +363,28 @@ def search(
                     audit("commit", step, weights)
 
             history.extend(records)
+            # One store digest serves the event record and the checkpoint.
+            saves = checkpoint_path is not None and interval > 0 and (step + 1) % interval == 0
+            if log_fh is not None or saves:
+                digest = persist.weights_digest(weights)
             if log_fh is not None:
                 event = persist.EventRecord(
                     meta_step=step,
                     mean_reward=float(np.mean([r.reward for r in records])),
                     baseline=state.baseline,
                     probabilities=[p.tolist() for p in ctrl.probabilities(state)],
-                    store_digest=persist.weights_digest(weights),
+                    store_digest=digest,
                     wall_ms=(time.monotonic() - t0) * 1000.0,
                 )
                 persist.write_event(log_fh, event)
-            interval = config.output.checkpoint_interval
-            if interval > 0 and (step + 1) % interval == 0:
-                save_checkpoint_now(step + 1)
+            if saves:
+                save_checkpoint_now(step + 1, digest)
+                saved_step = step + 1
     finally:
         if log_fh is not None:
             log_fh.close()
-    save_checkpoint_now(total)
+    if checkpoint_path is not None and saved_step != total:
+        save_checkpoint_now(total, persist.weights_digest(weights))
 
     final_probs = ctrl.probabilities(state)
     return SearchResult(

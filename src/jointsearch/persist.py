@@ -1,39 +1,46 @@
 """Persistence: store digests, JSONL event logs, and resumable checkpoints.
 
-Everything is JSON with a fixed key order, so identical in-memory state
-always serializes to identical bytes and a save/load/save cycle is
-byte-stable. Event logs and a checkpoint's small fields (config echo, logits,
-baseline, RNG counters, reward history) use shortest-round-trip decimal
-floats. Every array of a checkpoint's store, head and optimizer slots is
-stored as ``{"shape": [...], "f8": "<base64>"}``, the standard base64 of its
-little-endian float64 bytes, so it restores bit for bit (``-0.0``, subnormals
-and all) at about half the size of decimal text. Loading checks the base64
-alphabet and that the byte length is ``8 * prod(shape)``; a malformed array
-raises ``ValueError`` naming the file and the array. Files are written to a
-temp path and renamed into place.
+Event logs are JSON lines with a fixed key order and shortest-round-trip
+decimal floats, so identical in-memory state always serializes to identical
+bytes.
 
-Digests are 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``), written as
-16 hex characters. ``store_digest`` walks the store in sorted key order and
+A checkpoint file has three parts:
+
+1. One line of canonical JSON (sorted keys) with the small fields: format
+   version, config echo, meta-step, controller logits, baseline and its flag,
+   controller step, RNG counters, reward history, ``store_digest``, the
+   integer fields of every optimizer slot, and the name and shape of every
+   array in file order (store sorted by key, head, controller slots, commit
+   slots). A newline ends the line.
+2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
+   straight from the arrays. They restore bit for bit (``-0.0``, subnormals
+   and all).
+3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
+   same pass that writes them.
+
+``load_checkpoint`` parses the header, refuses any other format version,
+verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
+that every shape is a list of non-negative integers and that the arrays tile
+the bytes exactly (a malformed array raises ``ValueError`` naming the file
+and the array), and verifies ``store_digest`` against the restored store.
+Saving and loading again gives identical bytes. Files are written to a temp
+path and renamed into place.
+
+``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
+written as 16 hex characters. It walks the store in sorted key order and
 hashes each key's text, its shape, and its values as little-endian float64
 bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
-same values under a different shape. A checkpoint carries that store digest
-plus a whole-checkpoint digest over every field (config echo, meta-step,
-controller logits, baseline and its flag, controller step and slots, store,
-head, commit slots, RNG counters, reward history); arrays enter it as shape
-plus float64 bytes and small fields as canonical JSON. ``load_checkpoint``
-verifies both, so editing any value of a saved checkpoint makes it raise
-``ValueError``.
+same values under a different shape. Event records carry it too; the caller
+computes it once and passes it to both.
 
-Checkpoints are format version 4 and event logs format version 2. Version 1
-used a 64-bit FNV-1a over decimal text, so its digest strings differ;
-version-2 checkpoints lack the reward history, so a run resumed from one
-would return a truncated history; versions 1-3 store arrays as decimal
-lists. A checkpoint of any other version is rejected with a "format version"
-error; there is no migration.
+Checkpoints are format version 5 and event logs format version 2. Versions
+1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
+text, version 2 lacked the reward history, versions 1-3 stored arrays as
+decimal lists and version 4 as base64. A checkpoint of any other version is
+rejected with a "format version" error; there is no migration.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -47,29 +54,23 @@ import numpy as np
 from .supernet import ParamKey, SuperModelWeights
 from .trainstep import SlotStore
 
-CHECKPOINT_FORMAT_VERSION = 4
+CHECKPOINT_FORMAT_VERSION = 5
 EVENT_LOG_FORMAT_VERSION = 2
+_FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
 
 def _float_list(arr: np.ndarray) -> list[float]:
     return np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
 
 
-def _hash_array(h, label: str, arr: np.ndarray) -> None:
-    shape = ",".join(str(d) for d in arr.shape)
-    h.update(f"{label}:{shape}:".encode())
-    h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def _hash_store(h, store: Mapping[ParamKey, np.ndarray]) -> None:
-    for key in sorted(store):
-        _hash_array(h, key.text(), store[key])
-
-
 def store_digest(store: Mapping[ParamKey, np.ndarray]) -> str:
     """BLAKE2b-64 over sorted keys, shapes and little-endian float64 bytes."""
     h = hashlib.blake2b(digest_size=8)
-    _hash_store(h, store)
+    for key in sorted(store):
+        arr = store[key]
+        shape = ",".join(str(d) for d in arr.shape)
+        h.update(f"{key.text()}:{shape}:".encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8"))
     return h.hexdigest()
 
 
@@ -191,59 +192,8 @@ class Checkpoint:
     head_bias: np.ndarray | None
     commit_slots: SlotStore
     reward_history: list[dict]  # one document per reward record before meta_step
+    store_digest: str  # ``store_digest(store)``, taken by the caller
     rng_counters: dict[str, int] = field(default_factory=dict)
-
-
-def _tensor_doc(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "f8": base64.b64encode(data).decode("ascii")}
-
-
-def _tensor_from_doc(doc, where: str) -> np.ndarray:
-    """Decode a ``_tensor_doc`` into an owned, writable float64 array;
-    ``where`` names the array in the ``ValueError`` for a malformed one."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("f8"), str):
-        raise ValueError(f"{where}: array is not an object with an 'f8' string")
-    shape = doc.get("shape")
-    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
-        raise ValueError(f"{where}: shape {shape!r} is not a list of non-negative integers")
-    try:
-        data = base64.b64decode(doc["f8"], validate=True)
-    except ValueError as exc:
-        raise ValueError(f"{where}: invalid base64 ({exc})") from None
-    if len(data) != 8 * math.prod(shape):
-        raise ValueError(f"{where}: {len(data)} bytes do not hold float64 shape {shape}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
-
-
-def _slot_doc(slots: SlotStore, key_text) -> dict:
-    out = {}
-    for (family, key), slot in sorted(slots.items(), key=lambda kv: (kv[0][0], key_text(kv[0][1]))):
-        entry = {}
-        for name, value in sorted(slot.items()):
-            entry[name] = value if isinstance(value, int) else _tensor_doc(value)
-        out[f"{family}|{key_text(key)}"] = entry
-    return out
-
-
-def _slots_from_doc(doc: dict, key_parse, where: str) -> SlotStore:
-    slots = SlotStore()
-    for combined, entry in doc.items():
-        family, _, key_text = combined.partition("|")
-        slot = {
-            name: (
-                value
-                if isinstance(value, int)
-                else _tensor_from_doc(value, f"{where}/{combined}/{name}")
-            )
-            for name, value in entry.items()
-        }
-        slots.restore(family, key_parse(key_text), slot)
-    return slots
-
-
-def _param_key_text(key: ParamKey) -> str:
-    return key.text()
 
 
 def _param_key_parse(text: str) -> ParamKey:
@@ -251,46 +201,40 @@ def _param_key_parse(text: str) -> ParamKey:
     return ParamKey(int(layer), int(op), name)
 
 
-def _hash_slots(h, label: str, slots: SlotStore, key_text) -> None:
-    for (family, key), slot in sorted(slots.items(), key=lambda kv: (kv[0][0], key_text(kv[0][1]))):
-        for name, value in sorted(slot.items()):
-            entry = f"{label}/{family}|{key_text(key)}/{name}"
-            if isinstance(value, int):
-                h.update(f"{entry}={value};".encode())
-            else:
-                _hash_array(h, entry, value)
+_SLOT_SECTIONS = (("controller/slots", str, int), ("commit_slots", ParamKey.text, _param_key_parse))
 
 
-def checkpoint_digest(ckpt: Checkpoint) -> str:
-    """BLAKE2b-64 over every field of ``ckpt``: small fields as canonical
-    JSON, arrays as label, shape and little-endian float64 bytes."""
-    h = hashlib.blake2b(digest_size=8)
-    small = {
-        "config": ckpt.config_echo,
-        "meta_step": ckpt.meta_step,
-        "baseline": ckpt.baseline,
-        "baseline_initialized": ckpt.baseline_initialized,
-        "controller_step": ckpt.controller_step,
-        "rng": ckpt.rng_counters,
-        "reward_history": ckpt.reward_history,
-    }
-    h.update(json.dumps(small, sort_keys=True).encode())
-    for i, z in enumerate(ckpt.logits):
-        _hash_array(h, f"logits/{i}", z)
-    _hash_store(h, ckpt.store)
+def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The integer fields of every optimizer slot, by section and slot, and
+    every array with its name, in file order: store sorted by key, head,
+    controller slots, commit slots. A slot array's name is its section, slot
+    and field joined by ``/``."""
+    arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     if ckpt.head_weight is not None:
-        _hash_array(h, "head/weight", ckpt.head_weight)
-        _hash_array(h, "head/bias", ckpt.head_bias)
-    _hash_slots(h, "controller_slots", ckpt.controller_slots, str)
-    _hash_slots(h, "commit_slots", ckpt.commit_slots, _param_key_text)
-    return h.hexdigest()
+        arrays += [("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias)]
+    slot_ints = {}
+    for (section, key_text, _), slots in zip(
+        _SLOT_SECTIONS, (ckpt.controller_slots, ckpt.commit_slots)
+    ):
+        named = sorted(
+            ((f"{family}|{key_text(key)}", slot) for (family, key), slot in slots.items()),
+            key=lambda item: item[0],
+        )
+        slot_ints[section] = {}
+        for combined, slot in named:
+            fields = sorted(slot.items())
+            slot_ints[section][combined] = {n: v for n, v in fields if isinstance(v, int)}
+            arrays += [
+                (f"{section}/{combined}/{n}", v) for n, v in fields if not isinstance(v, int)
+            ]
+    return slot_ints, arrays
 
 
-def checkpoint_to_document(ckpt: Checkpoint) -> dict:
-    store_doc = {
-        key.text(): _tensor_doc(ckpt.store[key]) for key in sorted(ckpt.store)
-    }
-    return {
+def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
+    atomically replace ``path`` with it."""
+    slot_ints, arrays = _layout(ckpt)
+    header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config_echo,
         "meta_step": ckpt.meta_step,
@@ -299,31 +243,26 @@ def checkpoint_to_document(ckpt: Checkpoint) -> dict:
             "baseline": ckpt.baseline,
             "baseline_initialized": ckpt.baseline_initialized,
             "step": ckpt.controller_step,
-            "slots": _slot_doc(ckpt.controller_slots, str),
+            "slots": slot_ints["controller/slots"],
         },
-        "store": store_doc,
-        "head": (
-            None
-            if ckpt.head_weight is None
-            else {"weight": _tensor_doc(ckpt.head_weight), "bias": _tensor_doc(ckpt.head_bias)}
-        ),
-        "commit_slots": _slot_doc(ckpt.commit_slots, _param_key_text),
-        "rng": dict(sorted(ckpt.rng_counters.items())),
+        "commit_slots": slot_ints["commit_slots"],
+        "rng": ckpt.rng_counters,
         "reward_history": ckpt.reward_history,
-        "store_digest": store_digest(ckpt.store),
-        "checkpoint_digest": checkpoint_digest(ckpt),
+        "store_digest": ckpt.store_digest,
+        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-
-
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Serialize and atomically replace ``path``."""
-    payload = json.dumps(checkpoint_to_document(ckpt), sort_keys=True)
+    chunks = [json.dumps(header, sort_keys=True).encode("ascii") + b"\n"]
+    chunks += [np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays]
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            h = hashlib.sha256()
+            for chunk in chunks:
+                h.update(chunk)
+                fh.write(chunk)
+            fh.write(h.hexdigest().encode("ascii"))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -331,45 +270,88 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         raise
 
 
+def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
+    """Cut ``blob`` into the ``[name, shape]`` arrays of ``entries``, which
+    must tile it exactly; each is an owned, writable, native float64 copy."""
+    arrays = {}
+    offset = 0
+    name = "arrays"
+    for name, shape in entries:
+        if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+            raise ValueError(
+                f"{path}: {name}: shape {shape!r} is not a list of non-negative integers"
+            )
+        count = math.prod(shape)
+        if 8 * count > len(blob) - offset:
+            raise ValueError(
+                f"{path}: {name}: {len(blob) - offset} bytes left do not hold float64 shape {shape}"
+            )
+        data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        arrays[name] = data.reshape(shape).astype(np.float64)
+        offset += 8 * count
+    if offset != len(blob):
+        raise ValueError(f"{path}: {name}: {len(blob) - offset} bytes follow the last array")
+    return arrays
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and integrity-check a checkpoint file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed checkpoint JSON ({exc})") from None
-    version = doc.get("format_version")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    newline = data.find(b"\n")
+    try:
+        header = json.loads(data[:newline] if newline >= 0 else data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed checkpoint header ({exc})") from None
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
             f"{path}: checkpoint format version {version!r} is not "
             f"{CHECKPOINT_FORMAT_VERSION}"
         )
-    store = {
-        _param_key_parse(text): _tensor_from_doc(t, f"{path}: store/{text}")
-        for text, t in doc["store"].items()
-    }
-    if store_digest(store) != doc["store_digest"]:
+    end = len(data) - _FILE_DIGEST_CHARS
+    view = memoryview(data)
+    if newline < 0 or hashlib.sha256(view[:end]).hexdigest().encode("ascii") != data[end:]:
+        raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
+    arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
+    controller = header["controller"]
+    head: dict[str, np.ndarray] = {}
+    owners = {"head": head}  # where each array that is not in the store goes, by name prefix
+    slot_stores = []
+    for (section, _, key_parse), slot_ints in zip(
+        _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
+    ):
+        slots = SlotStore()
+        for combined, slot in slot_ints.items():
+            family, _, key_text = combined.partition("|")
+            slots.restore(family, key_parse(key_text), slot)
+            owners[f"{section}/{combined}"] = slot
+        slot_stores.append(slots)
+    store = {}
+    for name, arr in arrays.items():
+        if name.startswith("store/"):
+            store[_param_key_parse(name[len("store/") :])] = arr
+        else:
+            owner, _, field_name = name.rpartition("/")
+            owners[owner][field_name] = arr
+    if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
-    head = doc.get("head")
-    controller = doc["controller"]
-    ckpt = Checkpoint(
-        config_echo=doc["config"],
-        meta_step=doc["meta_step"],
+    return Checkpoint(
+        config_echo=header["config"],
+        meta_step=header["meta_step"],
         logits=[np.asarray(z, dtype=np.float64) for z in controller["logits"]],
         baseline=controller["baseline"],
         baseline_initialized=controller["baseline_initialized"],
         controller_step=controller["step"],
-        controller_slots=_slots_from_doc(controller["slots"], int, f"{path}: controller/slots"),
+        controller_slots=slot_stores[0],
         store=store,
-        head_weight=None if head is None else _tensor_from_doc(head["weight"], f"{path}: head/weight"),
-        head_bias=None if head is None else _tensor_from_doc(head["bias"], f"{path}: head/bias"),
-        commit_slots=_slots_from_doc(doc["commit_slots"], _param_key_parse, f"{path}: commit_slots"),
-        rng_counters={k: int(v) for k, v in doc.get("rng", {}).items()},
-        reward_history=doc["reward_history"],
+        head_weight=head.get("weight"),
+        head_bias=head.get("bias"),
+        commit_slots=slot_stores[1],
+        reward_history=header["reward_history"],
+        store_digest=header["store_digest"],
+        rng_counters={k: int(v) for k, v in header["rng"].items()},
     )
-    if checkpoint_digest(ckpt) != doc.get("checkpoint_digest"):
-        raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
-    return ckpt
 
 
 def weights_digest(weights: SuperModelWeights | None) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,9 +29,12 @@ TRAIN = "train"
 EVAL = "eval"
 
 
-@dataclass(frozen=True, order=True)
-class ParamKey:
-    """Address of one parameter tensor: (layer, candidate index, name)."""
+class ParamKey(NamedTuple):
+    """Address of one parameter tensor: (layer, candidate index, name).
+
+    A tuple, so building, hashing and comparing one runs in C; keys sort by
+    layer, then op, then name.
+    """
 
     layer: int
     op: int

@@ -494,7 +494,7 @@ def a8_doc(tag, tmp_path, total=6):
         "output": {
             "result_path": str(tmp_path / f"{tag}.result.json"),
             "log_path": str(tmp_path / f"{tag}.events.jsonl"),
-            "checkpoint_path": str(tmp_path / f"{tag}.ckpt.json"),
+            "checkpoint_path": str(tmp_path / f"{tag}.ckpt"),
             "checkpoint_interval": 1,
         },
     }
@@ -540,7 +540,7 @@ def test_a8_determinism_and_resume(tmp_path):
         with pytest.raises(RuntimeError):
             search(parse_config(a8_doc(tag, tmp_path)), audit=interrupt)
 
-        resume = ["--resume", str(tmp_path / f"{tag}.ckpt.json")]
+        resume = ["--resume", str(tmp_path / f"{tag}.ckpt")]
         assert main(["search", "--config", str(cfg_path)] + resume) == 0
         assert (
             tmp_path / f"{tag}.result.json"

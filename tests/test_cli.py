@@ -1,7 +1,6 @@
 """Command-line interface tests: exit codes, result files, reports."""
 from __future__ import annotations
 
-import base64
 import csv
 import json
 
@@ -133,11 +132,11 @@ def test_output_paths_in_new_directories_are_created(capsys, tmp_path):
     doc["output"] = {
         "result_path": str(run_dir / "result.json"),
         "log_path": str(run_dir / "events.jsonl"),
-        "checkpoint_path": str(run_dir / "ckpt.json"),
+        "checkpoint_path": str(run_dir / "search.ckpt"),
     }
     cfg = write_config(tmp_path, "cfg.json", doc)
     assert main(["search", "--config", cfg]) == 0
-    for name in ("result.json", "events.jsonl", "ckpt.json"):
+    for name in ("result.json", "events.jsonl", "search.ckpt"):
         assert (run_dir / name).exists()
     metrics_path = tmp_path / "metrics" / "out.json"
     code = main(
@@ -161,24 +160,23 @@ def test_output_paths_in_new_directories_are_created(capsys, tmp_path):
 
 
 def test_resume_from_tampered_checkpoint_exits_two(capsys, tmp_path):
-    ckpt = tmp_path / "run.ckpt.json"
+    ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(
         tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)}
     )
     assert code == 0
-    doc = json.loads(ckpt.read_text())
-    key, entry = next(iter(doc["store"].items()))
-    values = np.frombuffer(base64.b64decode(entry["f8"], validate=True), dtype="<f8").copy()
-    values[0] = np.nextafter(values[0], np.inf)
-    entry["f8"] = base64.b64encode(values.tobytes()).decode("ascii")
-    ckpt.write_text(json.dumps(doc))
+    data = bytearray(ckpt.read_bytes())
+    first = data.index(b"\n") + 1  # the first float64 of the first store array
+    value = np.frombuffer(data, dtype="<f8", count=1, offset=first)[0]
+    data[first : first + 8] = np.array([np.nextafter(value, np.inf)], dtype="<f8").tobytes()
+    ckpt.write_bytes(bytes(data))
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err and "digest" in err
 
 
 def test_resume_with_different_config_exits_one(capsys, tmp_path):
-    ckpt = tmp_path / "run.ckpt.json"
+    ckpt = tmp_path / "run.ckpt"
     code, _, _ = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     other = base_doc(total=9)

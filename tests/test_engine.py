@@ -1,12 +1,13 @@
 """Engine tests: reward rules, candidate isolation, search invariants, retrain."""
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jointsearch import supernet
+from jointsearch import persist, supernet
 from jointsearch.config import ConfigError, parse_config
 from jointsearch.data import split, two_moons
 from jointsearch.engine import (
@@ -326,7 +327,7 @@ def test_interrupted_run_resumes_to_identical_results(tmp_path):
     def output_for(tag):
         return {
             "log_path": str(tmp_path / f"{tag}.jsonl"),
-            "checkpoint_path": str(tmp_path / f"{tag}.ckpt.json"),
+            "checkpoint_path": str(tmp_path / f"{tag}.ckpt"),
             "checkpoint_interval": 4,
         }
 
@@ -351,7 +352,7 @@ def test_interrupted_run_resumes_to_identical_results(tmp_path):
 
     resumed = search(
         parse_config(moons_doc(total=8, output=output_for("run"))),
-        resume_from=str(tmp_path / "run.ckpt.json"),
+        resume_from=str(tmp_path / "run.ckpt"),
         audit=watch_resumed,
     )
 
@@ -374,7 +375,7 @@ def test_resumed_event_log_has_no_duplicate_steps(tmp_path):
     def output_for(tag):
         return {
             "log_path": str(tmp_path / f"{tag}.jsonl"),
-            "checkpoint_path": str(tmp_path / f"{tag}.ckpt.json"),
+            "checkpoint_path": str(tmp_path / f"{tag}.ckpt"),
             "checkpoint_interval": 4,
         }
 
@@ -390,7 +391,7 @@ def test_resumed_event_log_has_no_duplicate_steps(tmp_path):
         search(run_config, audit=crash_at_six)
     _, crashed = read_events(str(tmp_path / "run.jsonl"))
     assert [e.meta_step for e in crashed] == list(range(6))  # past the step-4 checkpoint
-    search(run_config, resume_from=str(tmp_path / "run.ckpt.json"))
+    search(run_config, resume_from=str(tmp_path / "run.ckpt"))
 
     ref_header, ref_events = read_events(str(tmp_path / "ref.jsonl"))
     run_header, run_events = read_events(str(tmp_path / "run.jsonl"))
@@ -400,12 +401,69 @@ def test_resumed_event_log_has_no_duplicate_steps(tmp_path):
         assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
 
 
+def _recording_saves(monkeypatch):
+    """Make every ``persist.save_checkpoint`` call append ``(path, meta_step,
+    bytes written)`` to the returned list."""
+    saves = []
+    original = persist.save_checkpoint
+
+    def save(path, ckpt):
+        original(path, ckpt)
+        with open(path, "rb") as fh:
+            saves.append((path, ckpt.meta_step, fh.read()))
+
+    monkeypatch.setattr(persist, "save_checkpoint", save)
+    return saves
+
+
+@pytest.mark.parametrize(
+    "interval, steps_saved", [(1, [1, 2, 3, 4, 5]), (2, [2, 4, 5]), (3, [3, 5]), (0, [5])]
+)
+def test_search_saves_the_final_checkpoint_once(tmp_path, monkeypatch, interval, steps_saved):
+    saves = _recording_saves(monkeypatch)
+    path = str(tmp_path / "ck.ckpt")
+    config = parse_config(
+        moons_doc(total=5, output={"checkpoint_path": path, "checkpoint_interval": interval})
+    )
+    search(config)
+    assert [step for _, step, _ in saves] == steps_saved
+    with open(path, "rb") as fh:
+        final = fh.read()
+    assert final == saves[-1][2]
+    # A resume at the last step saves the final checkpoint again, as the
+    # skipped duplicate save would have: the bytes do not change.
+    search(config, resume_from=path)
+    assert [step for _, step, _ in saves[len(steps_saved) :]] == [5]
+    with open(path, "rb") as fh:
+        assert fh.read() == final
+
+
+def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):
+    saves = _recording_saves(monkeypatch)
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 1,
+    }
+    search(parse_config(moons_doc(total=5, output=output)))
+    _, events = read_events(output["log_path"])
+    assert [step for _, step, _ in saves] == [e.meta_step + 1 for e in events]
+    for (path, _, data), event in zip(saves, events):
+        header = json.loads(data[: data.index(b"\n")])
+        with open(path, "wb") as fh:  # each save replaced the last one
+            fh.write(data)
+        loaded = persist.load_checkpoint(path)
+        assert header["store_digest"] == event.store_digest
+        assert loaded.store_digest == event.store_digest
+        assert persist.store_digest(loaded.store) == event.store_digest
+
+
 def test_resume_with_changed_search_section_is_rejected(tmp_path):
-    output = {"checkpoint_path": str(tmp_path / "ck.json"), "checkpoint_interval": 2}
+    output = {"checkpoint_path": str(tmp_path / "ck.ckpt"), "checkpoint_interval": 2}
     search(parse_config(moons_doc(total=4, output=output)))
     changed = parse_config(moons_doc(total=9, output=output))
     with pytest.raises(ConfigError) as err:
-        search(changed, resume_from=str(tmp_path / "ck.json"))
+        search(changed, resume_from=str(tmp_path / "ck.ckpt"))
     assert "different configuration" in str(err.value)
 
 

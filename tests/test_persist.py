@@ -1,7 +1,6 @@
 """Digest, event log, and checkpoint round-trip tests."""
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 
@@ -13,7 +12,6 @@ from jointsearch.persist import (
     Checkpoint,
     EventRecord,
     _float_list,
-    checkpoint_to_document,
     event_header,
     load_checkpoint,
     read_events,
@@ -187,13 +185,57 @@ def sample_checkpoint():
             {"meta_step": 3, "selection": [1, 0], "accuracy": 0.75,
              "cost": 16.0, "reward": 0.7, "baseline": 0.61},
         ],
+        store_digest=store_digest(store),
         rng_counters={"controller": 88},
     )
 
 
+# Every array of ``sample_checkpoint`` by name, in file order.
+SAMPLE_ARRAYS = [
+    "store/0/1/bias",
+    "store/0/1/weight",
+    "store/1/0/weight",
+    "head/weight",
+    "head/bias",
+    "controller/slots/adam|0/m",
+    "controller/slots/adam|0/v",
+    "commit_slots/adam|0/1/weight/m",
+    "commit_slots/adam|0/1/weight/v",
+]
+
+
+def _parts(path):
+    """The header, array bytes and digest of the checkpoint file at ``path``."""
+    data = path.read_bytes()
+    newline = data.index(b"\n")
+    return json.loads(data[:newline]), bytearray(data[newline + 1 : -64]), data[-64:]
+
+
+def _write(path, header, blob, digest=None):
+    """Write a checkpoint file from its parts; without ``digest``, seal it
+    with the SHA-256 of the bytes before it, as ``save_checkpoint`` does."""
+    body = json.dumps(header, sort_keys=True).encode() + b"\n" + bytes(blob)
+    path.write_bytes(body + (digest or hashlib.sha256(body).hexdigest().encode()))
+
+
+def _spans(header):
+    """Byte offset and length of each array in the blob, by name."""
+    spans, offset = {}, 0
+    for name, shape in header["arrays"]:
+        spans[name] = (offset, 8 * int(np.prod(shape)))
+        offset += spans[name][1]
+    return spans
+
+
+def _nudge(blob, offset):
+    """Move the float64 at ``offset`` of ``blob`` one ulp up, in place."""
+    value = np.frombuffer(blob, dtype="<f8", count=1, offset=offset)[0]
+    blob[offset : offset + 8] = np.array([np.nextafter(value, np.inf)], dtype="<f8").tobytes()
+
+
 def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
+    first = tmp_path / "a.ckpt"
+    second = tmp_path / "b.ckpt"
     save_checkpoint(str(first), sample_checkpoint())
     loaded = load_checkpoint(str(first))
     save_checkpoint(str(second), loaded)
@@ -201,7 +243,7 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
 
 
 def test_checkpoint_restores_every_field(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     original = sample_checkpoint()
     save_checkpoint(str(path), original)
     loaded = load_checkpoint(str(path))
@@ -212,6 +254,7 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert loaded.rng_counters == {"controller": 88}
     assert loaded.config_echo == original.config_echo
     assert loaded.reward_history == original.reward_history
+    assert loaded.store_digest == original.store_digest
     for a, b in zip(loaded.logits, original.logits):
         assert np.array_equal(a, b)
     for key in original.store:
@@ -231,7 +274,8 @@ def test_checkpoint_round_trips_adversarial_floats(tmp_path):
     )
     ckpt = sample_checkpoint()
     ckpt.store[ParamKey(2, 0, "weight")] = nasty
-    path = tmp_path / "ck.json"
+    ckpt.store_digest = store_digest(ckpt.store)
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), ckpt)
     loaded = load_checkpoint(str(path))
     restored = loaded.store[ParamKey(2, 0, "weight")]
@@ -240,39 +284,36 @@ def test_checkpoint_round_trips_adversarial_floats(tmp_path):
     )  # bitwise, not just numerically equal
 
 
-def _decoded(entry):
-    return np.frombuffer(base64.b64decode(entry["f8"], validate=True), dtype="<f8")
-
-
-def _nudged(entry, index):
-    """The ``f8`` array document ``entry`` with element ``index`` one ulp up."""
-    values = _decoded(entry).copy()
-    values[index] = np.nextafter(values[index], np.inf)
-    return {**entry, "f8": base64.b64encode(values.tobytes()).decode("ascii")}
-
-
 def test_checkpoint_tamper_detection(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
-    doc = json.loads(path.read_text())
-    key, entry = next(iter(doc["store"].items()))
-    doc["store"][key] = _nudged(entry, 0)
-    path.write_text(json.dumps(doc))
+    header, blob, digest = _parts(path)
+    _nudge(blob, 0)
+    _write(path, header, blob, digest)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert "digest" in str(err.value)
 
 
-def test_checkpoint_arrays_are_base64_float64(tmp_path):
-    path = tmp_path / "ck.json"
+def test_checkpoint_arrays_are_raw_float64(tmp_path):
+    path = tmp_path / "ck.ckpt"
     original = sample_checkpoint()
     save_checkpoint(str(path), original)
-    doc = json.loads(path.read_text())
-    for key, want in original.store.items():
-        entry = doc["store"][key.text()]
-        assert sorted(entry) == ["f8", "shape"]
-        assert entry["shape"] == list(want.shape)
-        assert _decoded(entry).tobytes() == want.astype("<f8").tobytes()
+    data = path.read_bytes()
+    header, blob, digest = _parts(path)
+    assert data.count(b"\n", 0, data.index(b"\n") + 1) == 1
+    assert digest == hashlib.sha256(data[:-64]).hexdigest().encode()
+    assert [name for name, _ in header["arrays"]] == SAMPLE_ARRAYS
+    want = {f"store/{key.text()}": value for key, value in original.store.items()}
+    want["head/weight"] = original.head_weight
+    want["head/bias"] = original.head_bias
+    spans = _spans(header)
+    for name, shape in header["arrays"]:
+        offset, size = spans[name]
+        if name in want:
+            assert shape == list(want[name].shape)
+            assert bytes(blob[offset : offset + size]) == want[name].astype("<f8").tobytes()
+    assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
     arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
     arrays += loaded.logits
@@ -286,32 +327,125 @@ def test_checkpoint_arrays_are_base64_float64(tmp_path):
 
 
 def test_checkpoint_version_mismatch(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
+    header, blob, _ = _parts(path)
+    header["format_version"] = 99
+    _write(path, header, blob)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert "version" in str(err.value)
 
 
-def test_checkpoint_document_carries_digest():
-    doc = checkpoint_to_document(sample_checkpoint())
-    assert doc["store_digest"] == store_digest(sample_checkpoint().store)
+def test_checkpoint_document_carries_digest(tmp_path):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, _, digest = _parts(path)
+    assert header["store_digest"] == store_digest(sample_checkpoint().store)
+    assert digest == hashlib.sha256(path.read_bytes()[:-64]).hexdigest().encode()
 
 
 def test_checkpoint_allows_no_network(tmp_path):
     ckpt = sample_checkpoint()
     ckpt.store = {}
+    ckpt.store_digest = store_digest({})
     ckpt.head_weight = None
     ckpt.head_bias = None
     ckpt.commit_slots = SlotStore()
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), ckpt)
     loaded = load_checkpoint(str(path))
     assert loaded.head_weight is None
     assert loaded.store == {}
+
+
+def test_checkpoint_rejects_every_flipped_byte(tmp_path):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    pristine = path.read_bytes()
+    for index in range(len(pristine)):
+        for mask in (0x01, 0x80):
+            flipped = bytearray(pristine)
+            flipped[index] ^= mask
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ValueError):
+                load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_every_truncation(tmp_path):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    pristine = path.read_bytes()
+    for length in range(len(pristine)):
+        path.write_bytes(pristine[:length])
+        with pytest.raises(ValueError):
+            load_checkpoint(str(path))
+
+
+def _through(header, blob, name):
+    """The header and blob cut after array ``name``, so it is the last one."""
+    names = [n for n, _ in header["arrays"]]
+    keep = names.index(name) + 1
+    offset, size = _spans(header)[name]
+    return {**header, "arrays": header["arrays"][:keep]}, blob[: offset + size]
+
+
+ARRAY_SITES = [
+    "store/0/1/bias",
+    "head/weight",
+    "commit_slots/adam|0/1/weight/m",
+    "controller/slots/adam|0/v",
+]
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES, ids=str)
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        pytest.param(lambda shape, data: (shape, data + b"\n"), "1 bytes follow", id="newline"),
+        pytest.param(lambda shape, data: (shape, data[4:]), "bytes left do not hold", id="short"),
+        pytest.param(
+            lambda shape, data: (shape + [2], data), "bytes left do not hold", id="wrong-shape"
+        ),
+        pytest.param(
+            lambda shape, data: ([float(d) for d in shape], data), "shape", id="float-shape"
+        ),
+        pytest.param(lambda shape, data: ([str(d) for d in shape], data), "shape", id="text-shape"),
+        pytest.param(lambda shape, data: ([True] * len(shape), data), "shape", id="bool-shape"),
+        pytest.param(lambda shape, data: (-1, data), "shape", id="scalar-shape"),
+        pytest.param(
+            lambda shape, data: (
+                {"shape": shape, "values": np.frombuffer(data, dtype="<f8").tolist()}, data
+            ),
+            "shape",
+            id="v3-array",
+        ),
+    ],
+)
+def test_checkpoint_rejects_a_malformed_array(tmp_path, site, malform, message):
+    # The array is made the last one and the file re-sealed, so the load gets
+    # past the file digest and a size error can only be the site's.
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob = _through(*_parts(path)[:2], site)
+    offset, size = _spans(header)[site]
+    entry = header["arrays"][-1]
+    entry[1], data = malform(entry[1], bytes(blob[offset:]))
+    _write(path, header, blob[:offset] + data)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    text = str(err.value)
+    assert text.startswith(f"{path}: {site}: ") and message in text
+
+
+def test_checkpoint_reports_bytes_after_the_last_array(tmp_path):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    _write(path, header, blob + bytes(8))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value).startswith(f"{path}: {SAMPLE_ARRAYS[-1]}: 8 bytes follow")
 
 
 def _leaf_paths(node, path=()):
@@ -323,54 +457,6 @@ def _leaf_paths(node, path=()):
             yield from _leaf_paths(value, path + (i,))
     else:
         yield path
-
-
-ARRAY_SITES = [
-    ("store", "0/1/bias"),
-    ("head", "weight"),
-    ("commit_slots", "adam|0/1/weight", "m"),
-    ("controller", "slots", "adam|0", "v"),
-]
-
-
-@pytest.mark.parametrize("site", ARRAY_SITES, ids="/".join)
-@pytest.mark.parametrize(
-    "malform, message",
-    [
-        pytest.param(lambda e: {**e, "f8": e["f8"][:-2] + "!="}, "invalid base64", id="alphabet"),
-        pytest.param(lambda e: {**e, "f8": e["f8"] + "\n"}, "invalid base64", id="newline"),
-        pytest.param(lambda e: {**e, "f8": e["f8"][4:]}, "bytes do not hold", id="short"),
-        pytest.param(
-            lambda e: {**e, "shape": e["shape"] + [2]}, "bytes do not hold", id="wrong-shape"
-        ),
-        pytest.param(
-            lambda e: {**e, "shape": [float(d) for d in e["shape"]]}, "shape", id="float-shape"
-        ),
-        pytest.param(
-            lambda e: {**e, "shape": [str(d) for d in e["shape"]]}, "shape", id="text-shape"
-        ),
-        pytest.param(
-            lambda e: {**e, "shape": [True] * len(e["shape"])}, "shape", id="bool-shape"
-        ),
-        pytest.param(lambda e: {**e, "shape": -1}, "shape", id="scalar-shape"),
-        pytest.param(
-            lambda e: {"shape": e["shape"], "values": _decoded(e).tolist()}, "'f8'", id="v3-array"
-        ),
-    ],
-)
-def test_checkpoint_rejects_a_malformed_array(tmp_path, site, malform, message):
-    path = tmp_path / "ck.json"
-    save_checkpoint(str(path), sample_checkpoint())
-    doc = json.loads(path.read_text())
-    parent = doc
-    for part in site[:-1]:
-        parent = parent[part]
-    parent[site[-1]] = malform(parent[site[-1]])
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError) as err:
-        load_checkpoint(str(path))
-    text = str(err.value)
-    assert text.startswith(f"{path}: {'/'.join(site)}: ") and message in text
 
 
 def _edited(value):
@@ -386,48 +472,49 @@ def _edited(value):
 
 
 def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
-    pristine = json.loads(path.read_text())
-    leaves = [
-        p for p in _leaf_paths(pristine) if p[0] not in ("store_digest", "checkpoint_digest")
-    ]
+    pristine, blob, digest = _parts(path)
+    leaves = list(_leaf_paths(pristine))
     assert ("controller", "logits", 0, 1) in leaves
     assert ("rng", "controller") in leaves
     assert ("reward_history", 0, "reward") in leaves
-    f8_leaves = [leaf for leaf in leaves if leaf[-1] == "f8"]
-    assert ("store", "0/1/bias", "f8") in f8_leaves
-    assert ("head", "weight", "f8") in f8_leaves
-    assert ("commit_slots", "adam|0/1/weight", "m", "f8") in f8_leaves
-    assert ("controller", "slots", "adam|0", "v", "f8") in f8_leaves
-    edits = [(leaf, _edited, None) for leaf in leaves]
-    for leaf in f8_leaves:
-        parent = pristine
+    assert ("store_digest",) in leaves
+    assert ("commit_slots", "adam|0/1/weight", "step") in leaves
+    assert ("controller", "slots", "adam|0", "step") in leaves
+    assert ("arrays", 0, 1, 0) in leaves  # a shape
+    edits = 0
+    for leaf in leaves:
+        header = json.loads(json.dumps(pristine))
+        parent = header
         for part in leaf[:-1]:
             parent = parent[part]
-        for index in range(len(_decoded(parent))):
-            edit = lambda value, i=index: _nudged({"f8": value}, i)["f8"]  # noqa: E731
-            edits.append((leaf, edit, "digest"))
-    assert len(edits) > 50
-    for leaf, edit, message in edits:
-        doc = json.loads(json.dumps(pristine))
-        parent = doc
-        for part in leaf[:-1]:
-            parent = parent[part]
-        parent[leaf[-1]] = edit(parent[leaf[-1]])
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as err:
+        parent[leaf[-1]] = _edited(parent[leaf[-1]])
+        _write(path, header, blob, digest)
+        with pytest.raises(ValueError):
             load_checkpoint(str(path))
-        assert message is None or message in str(err.value), leaf
+        edits += 1
+    spans = _spans(pristine)
+    assert set(spans) == set(SAMPLE_ARRAYS)
+    for name, (offset, size) in spans.items():
+        for element in range(offset, offset + size, 8):
+            edited = bytearray(blob)
+            _nudge(edited, element)
+            _write(path, pristine, edited, digest)
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(str(path))
+            assert "digest" in str(err.value), name
+            edits += 1
+    assert edits > 50
 
 
 def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
-    path = tmp_path / "ck.json"
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
-    doc = json.loads(path.read_text())
-    doc["controller"]["logits"][1][2] = 5.0
-    doc["rng"]["controller"] = 0
-    path.write_text(json.dumps(doc))
+    header, blob, digest = _parts(path)
+    header["controller"]["logits"][1][2] = 5.0
+    header["rng"]["controller"] = 0
+    _write(path, header, blob, digest)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert "checkpoint digest" in str(err.value)
@@ -435,16 +522,21 @@ def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
 
 def test_checkpoint_rejects_earlier_versions(tmp_path):
     # Version 1 digests were FNV-1a over text; version 2 lacks the reward
-    # history; versions 1-3 store arrays as decimal lists.
-    path = tmp_path / "ck.json"
+    # history; versions 1-3 store arrays as decimal lists and version 4 as
+    # base64. All four are one JSON document on one line.
+    path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
-    for version in (1, 2, 3):
-        doc = json.loads(path.read_text())
-        doc["format_version"] = version
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(str(path))
-        assert f"format version {version}" in str(err.value)
+    header, blob, _ = _parts(path)
+    for version in (1, 2, 3, 4):
+        for one_line in (True, False):
+            doc = {**header, "format_version": version}
+            if one_line:
+                path.write_text(json.dumps(doc, sort_keys=True))
+            else:
+                _write(path, doc, blob)
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(str(path))
+            assert f"format version {version}" in str(err.value)
 
 
 def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
