@@ -11,18 +11,15 @@ initialization) while the baseline keeps tracking rewards.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .numerics import RngStream, softmax
 from .space import SearchSpace
 from .trainstep import SlotStore, TrainerSpec, optimizer_step
-
-MAX_ORACLE_SELECTIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -171,31 +168,3 @@ def reinforce_update(
     state.step += 1
     return state
 
-
-def expected_reward_gradient_oracle(
-    state: ControllerState,
-    reward_fn: Callable[[tuple[int, ...]], float],
-) -> list[np.ndarray]:
-    """Exact gradient of expected reward w.r.t. the logits, by enumeration.
-
-    Ascent direction: entry ``(d, j)`` is
-    ``sum_sel P(sel) r(sel) (1[sel_d = j] - p_d[j])``. Only usable on spaces
-    small enough to enumerate.
-    """
-    cards = [len(z) for z in state.logits]
-    total = 1
-    for c in cards:
-        total *= c
-    if total > MAX_ORACLE_SELECTIONS:
-        raise ValueError(f"space too large to enumerate: {total} selections")
-    probs = probabilities(state)
-    grads = [np.zeros_like(z) for z in state.logits]
-    for selection in itertools.product(*(range(c) for c in cards)):
-        p_sel = 1.0
-        for d, idx in enumerate(selection):
-            p_sel *= float(probs[d][idx])
-        weighted = p_sel * float(reward_fn(selection))
-        for d, idx in enumerate(selection):
-            grads[d] -= weighted * probs[d]
-            grads[d][idx] += weighted
-    return grads

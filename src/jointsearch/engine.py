@@ -24,7 +24,7 @@ from . import controller as ctrl
 from . import persist, supernet, trainstep
 from .config import ConfigError, EngineConfig, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
-from .numerics import RngStream
+from .numerics import RngStream, softmax_cross_entropy
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SuperModelWeights
 from .trainstep import SlotStore, TrainerDefaults, TrainerSpec
@@ -115,9 +115,7 @@ def eval_metrics(
     predicted = np.argmax(logits, axis=1)
     actual = np.argmax(y, axis=1)
     accuracy = float(np.mean(predicted == actual))
-    m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    loss = float((lse - (y * logits).sum(axis=1)).mean())
+    loss, _ = softmax_cross_entropy(logits, y)
     return accuracy, loss
 
 

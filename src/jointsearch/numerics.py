@@ -1,347 +1,116 @@
-"""Dense float64 tensors, a minimal reverse-mode tape, and a deterministic RNG.
+"""Dense float64 helpers: the closed-form backward of the super-model's
+train step, softmax cross-entropy, and a deterministic RNG.
 
-Everything in this module is deliberately small and deterministic. Ops record
-themselves on a ``Tape`` in execution order and the backward sweep visits the
-records in exact reverse order, so gradient accumulation order is fixed and
-repeated runs produce bitwise-identical gradients. ``RngStream`` is a named,
-counter-based generator: output ``i`` is a pure function of
-``(seed, name, i)``, which makes every draw reproducible and lets a checkpoint
-capture the stream state as a single integer.
+A train-mode ``supernet.forward`` keeps, per layer, the values the chain rule
+needs (the layer input, the weight, the activation output and the dropout
+scale); ``backward`` walks those layers in reverse with the hand-written
+gradient of each step: affine, relu or tanh, pad or truncate, dropout and the
+fixed head. The expressions and their order are fixed, so repeated runs give
+bitwise-identical gradients. ``RngStream`` is a named, counter-based
+generator: output ``i`` is a pure function of ``(seed, name, i)``, which makes
+every draw reproducible and lets a checkpoint capture the stream state as a
+single integer.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Hashable, NamedTuple
 
 import numpy as np
 from scipy import special
 
 __all__ = [
-    "Tape",
-    "EvalTape",
-    "Node",
+    "Layer",
     "RngStream",
-    "as_tensor",
     "fnv1a64",
-    "matmul",
-    "add_bias",
-    "add",
-    "mul",
-    "relu",
-    "tanh",
-    "sum_all",
-    "pad_cols",
-    "take_cols",
-    "dropout",
     "softmax",
     "softmax_cross_entropy",
     "backward",
-    "finite_difference_check",
 ]
 
 _MASK64 = (1 << 64) - 1
 
-def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
-    """Coerce ``values`` to a float64 array, validating shape and finiteness."""
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if shape is not None:
-        arr = arr.reshape(tuple(shape))
-    if any(d <= 0 for d in arr.shape):
-        raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor entries must be finite")
-    return arr
 
+class Layer(NamedTuple):
+    """One layer of a train-mode forward, as ``backward`` needs it.
 
-class Node:
-    """One value in the computation graph."""
-
-    __slots__ = ("value", "grad", "_parents", "_rule")
-
-    def __init__(self, value: np.ndarray, parents: tuple = (), rule=None):
-        self.value = value
-        self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._rule = rule
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
-
-
-class Tape:
-    """Records ops in execution order for a single backward sweep."""
-
-    def __init__(self):
-        self._nodes: list[Node] = []
-        self._leaves: list[Node] = []
-
-    def leaf(self, values) -> Node:
-        """Register a parameter tensor; ``backward`` reports a gradient for it."""
-        node = Node(as_tensor(values))
-        self._nodes.append(node)
-        self._leaves.append(node)
-        return node
-
-    def constant(self, values) -> Node:
-        """Register a tensor that participates in the graph but needs no gradient."""
-        node = Node(as_tensor(values))
-        self._nodes.append(node)
-        return node
-
-    def _record(self, value: np.ndarray, parents: tuple, rule) -> Node:
-        node = Node(value, parents, rule)
-        self._nodes.append(node)
-        return node
-
-
-class EvalTape(Tape):
-    """A tape that records nothing: ops compute their values only.
-
-    Tensors are taken as given (no copy, no finiteness check) and no node
-    keeps its parents or gradient rule, so intermediates are freed as soon as
-    the pass moves on. ``backward`` on this tape has no leaves to report.
+    The layer computes ``out = activation(inputs @ weight + bias)`` (``out`` is
+    ``inputs`` for an op without parameters), pads or truncates ``out`` to the
+    layer's width, and multiplies by the dropout ``scale``.
     """
 
-    def leaf(self, values) -> Node:
-        return Node(values)
-
-    constant = leaf
-
-    def _record(self, value: np.ndarray, parents: tuple, rule) -> Node:
-        return Node(value)
-
-
-def _accum(node: Node, delta: np.ndarray) -> None:
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += delta
-
-
-def matmul(tape: Tape, a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(
-            f"matmul inner dimensions differ: {a.value.shape} @ {b.value.shape}"
-        )
-    out = a.value @ b.value
-
-    def rule(g: np.ndarray) -> None:
-        # d(a@b)/da = g @ b^T ; d(a@b)/db = a^T @ g
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
-
-    return tape._record(out, (a, b), rule)
-
-
-def add_bias(tape: Tape, x: Node, b: Node) -> Node:
-    if b.value.ndim != 1 or x.value.ndim != 2 or x.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"add_bias shapes incompatible: {x.value.shape}, {b.value.shape}")
-    out = x.value + b.value
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g)
-        _accum(b, g.sum(axis=0))
-
-    return tape._record(out, (x, b), rule)
-
-
-def add(tape: Tape, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ValueError("add expects equal shapes")
-    out = a.value + b.value
-
-    def rule(g: np.ndarray) -> None:
-        _accum(a, g)
-        _accum(b, g)
-
-    return tape._record(out, (a, b), rule)
-
-
-def mul(tape: Tape, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ValueError("mul expects equal shapes")
-    out = a.value * b.value
-
-    def rule(g: np.ndarray) -> None:
-        _accum(a, g * b.value)
-        _accum(b, g * a.value)
-
-    return tape._record(out, (a, b), rule)
-
-
-def relu(tape: Tape, x: Node) -> Node:
-    out = np.maximum(x.value, 0.0)
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g * (x.value > 0.0))
-
-    return tape._record(out, (x,), rule)
-
-
-def tanh(tape: Tape, x: Node) -> Node:
-    out = np.tanh(x.value)
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g * (1.0 - out * out))
-
-    return tape._record(out, (x,), rule)
-
-
-def sum_all(tape: Tape, x: Node) -> Node:
-    out = np.asarray(x.value.sum())
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, np.broadcast_to(g, x.value.shape).copy())
-
-    return tape._record(out, (x,), rule)
-
-
-def pad_cols(tape: Tape, x: Node, width: int) -> Node:
-    """Zero-pad a 2-d tensor on the right up to ``width`` columns."""
-    n, c = x.value.shape
-    if width < c:
-        raise ValueError(f"pad_cols target {width} narrower than input {c}")
-    if width == c:
-        return x
-    out = np.zeros((n, width), dtype=np.float64)
-    out[:, :c] = x.value
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g[:, :c])
-
-    return tape._record(out, (x,), rule)
-
-
-def take_cols(tape: Tape, x: Node, width: int) -> Node:
-    """Keep the first ``width`` columns of a 2-d tensor."""
-    n, c = x.value.shape
-    if width > c:
-        raise ValueError(f"take_cols target {width} wider than input {c}")
-    if width == c:
-        return x
-    out = x.value[:, :width].copy()
-
-    def rule(g: np.ndarray) -> None:
-        full = np.zeros((n, c), dtype=np.float64)
-        full[:, :width] = g
-        _accum(x, full)
-
-    return tape._record(out, (x,), rule)
-
-
-def dropout(tape: Tape, x: Node, keep_prob: float, rng: "RngStream") -> Node:
-    """Inverted dropout: surviving entries are scaled by ``1/keep_prob``.
-
-    ``keep_prob == 1`` is the exact identity and consumes no randomness.
-    """
-    if not 0.0 < keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if keep_prob == 1.0:
-        return x
-    mask = (rng.uniform(x.value.shape) < keep_prob).astype(np.float64)
-    scale = mask / keep_prob
-    out = x.value * scale
-
-    def rule(g: np.ndarray) -> None:
-        _accum(x, g * scale)
-
-    return tape._record(out, (x,), rule)
+    keys: tuple[Hashable, ...]  # (weight key, bias key); empty for an op without parameters
+    inputs: np.ndarray
+    weight: np.ndarray | None
+    activation: str | None  # "relu" | "tanh" | None
+    out: np.ndarray
+    scale: np.ndarray | None  # None when dropout keeps every entry
 
 
 def softmax(values: np.ndarray) -> np.ndarray:
-    """Row-stable softmax of a 1-d or 2-d array (plain helper, not taped)."""
+    """Row-stable softmax of a 1-d or 2-d array."""
     z = np.asarray(values, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(tape: Tape, logits: Node, labels: Node) -> Node:
-    """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``."""
-    z = logits.value
-    y = labels.value
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``,
+    and its gradient with respect to ``logits``.
+
+    Raises ``ValueError`` unless every label row is a finite distribution.
+    """
+    z = logits
+    y = np.asarray(labels, dtype=np.float64)
     if z.shape != y.shape or z.ndim != 2:
         raise ValueError(f"logit/label shapes incompatible: {z.shape}, {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("labels must be finite")
     row_sums = y.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(y < 0.0):
         raise ValueError("label rows must be distributions summing to 1")
-    n = z.shape[0]
+    n = max(z.shape[0], 1)  # an empty eval batch has a nan loss and an empty gradient
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     # loss_i = logsumexp(z_i) - <y_i, z_i>  (valid for any distribution row y_i)
-    out = np.asarray((lse - (y * z).sum(axis=1)).mean())
-    p = softmax(z)
-
-    def rule(g: np.ndarray) -> None:
-        scale = float(g) / n
-        _accum(logits, (p - y) * scale)
-        _accum(labels, (lse[:, None] - z) * scale)
-
-    return tape._record(out, (logits, labels), rule)
+    loss = float((lse - (y * z).sum(axis=1)).mean())
+    return loss, (softmax(z) - y) * (1.0 / n)
 
 
-def backward(tape: Tape, loss: Node) -> dict[Node, np.ndarray]:
-    """Reverse sweep from ``loss``; returns a gradient for every tape leaf.
+def backward(
+    layers: list[Layer], head_weight: np.ndarray, grad_logits: np.ndarray
+) -> dict[Hashable, np.ndarray]:
+    """Gradients of every layer's weight and bias, by key, given the loss
+    gradient with respect to the logits.
 
-    Leaves that do not reach ``loss`` get zero gradients. The sweep walks the
-    recorded nodes in exact reverse execution order, which fixes the
-    accumulation order and keeps results bitwise reproducible.
+    The chain runs from the fixed head down through the layers in reverse.
+    Each gradient gets ``+ 0.0``, which turns ``-0.0`` into ``0.0`` exactly as
+    accumulating into a zero buffer would; the input batch, the head and the
+    labels get no gradient.
     """
-    if loss.value.ndim != 0:
-        raise ValueError(f"loss must be a scalar, got shape {loss.value.shape}")
-    for node in tape._nodes:
-        node.grad = None
-    loss.grad = np.asarray(1.0)
-    for node in reversed(tape._nodes):
-        if node.grad is None or node._rule is None:
-            continue
-        node._rule(node.grad)
-    return {
-        leaf: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        for leaf in tape._leaves
-    }
-
-
-def finite_difference_check(
-    fn: Callable[[Tape, list[Node]], Node],
-    params: Sequence[np.ndarray],
-    eps: float = 1e-3,
-) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    ``fn`` must build a scalar loss from fresh leaves on the given tape and be
-    a pure function of the leaf values. Relative error uses the denominator
-    ``max(|analytic|, |numeric|, 1e-8)``.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    base = [as_tensor(p) for p in params]
-
-    tape = Tape()
-    leaves = [tape.leaf(p) for p in base]
-    loss = fn(tape, leaves)
-    grads = backward(tape, loss)
-
-    def value_at(arrays: list[np.ndarray]) -> float:
-        probe = Tape()
-        probe_leaves = [probe.leaf(a) for a in arrays]
-        return float(fn(probe, probe_leaves).value)
-
-    worst = 0.0
-    for k, p in enumerate(base):
-        analytic = grads[leaves[k]]
-        for idx in np.ndindex(p.shape):
-            bumped = [a.copy() for a in base]
-            bumped[k][idx] = p[idx] + eps
-            hi = value_at(bumped)
-            bumped[k][idx] = p[idx] - eps
-            lo = value_at(bumped)
-            numeric = (hi - lo) / (2.0 * eps)
-            a = float(analytic[idx])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+    g = (grad_logits + 0.0) @ head_weight.T + 0.0
+    grads = {}
+    for i in range(len(layers) - 1, -1, -1):
+        keys, inputs, weight, activation, out, scale = layers[i]
+        if scale is not None:
+            g = g * scale + 0.0
+        width = out.shape[1]
+        if g.shape[1] > width:  # padded: the zero columns lead nowhere
+            g = g[:, :width] + 0.0
+        elif g.shape[1] < width:  # truncated: the dropped columns get zero
+            full = np.zeros((g.shape[0], width), dtype=np.float64)
+            full[:, : g.shape[1]] = g
+            g = full
+        if activation == "relu":
+            g = g * (out > 0.0) + 0.0
+        elif activation == "tanh":
+            g = g * (1.0 - out * out) + 0.0
+        if keys:
+            grads[keys[1]] = g.sum(axis=0) + 0.0
+            grads[keys[0]] = inputs.T @ g + 0.0
+            if i:
+                g = g @ weight.T + 0.0
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +163,6 @@ class RngStream:
         key = np.array([(self.seed ^ fnv1a64(name)) & _MASK64], dtype=np.uint64)
         with np.errstate(over="ignore"):
             self._key = int(_mix64(key)[0])
-
-    def split(self, name: str) -> "RngStream":
-        """Derive an independent stream namespaced under this one."""
-        return RngStream(self.seed, f"{self.name}/{name}")
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

@@ -22,7 +22,9 @@ A checkpoint file has three parts:
 verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly (a malformed array raises ``ValueError`` naming the file
-and the array), and verifies ``store_digest`` against the restored store.
+and the array), and verifies ``store_digest`` against the restored store. A
+header that lacks a field, or names an array of no known section, raises
+``ValueError`` naming the file and the field or array.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -294,6 +296,21 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
+_HEADER_FIELDS = (
+    "config", "meta_step", "controller", "commit_slots", "rng", "reward_history",
+    "store_digest", "arrays",
+)
+_CONTROLLER_FIELDS = ("logits", "baseline", "baseline_initialized", "step", "slots")
+
+
+def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the file and the first field of ``names``
+    that the header object ``doc`` lacks."""
+    for name in names:
+        if not isinstance(doc, dict) or name not in doc:
+            raise ValueError(f"{path}: checkpoint header lacks field {prefix}{name}")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and integrity-check a checkpoint file."""
     with open(path, "rb") as fh:
@@ -313,8 +330,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     view = memoryview(data)
     if newline < 0 or hashlib.sha256(view[:end]).hexdigest().encode("ascii") != data[end:]:
         raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
-    arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
+    _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
+    _require(path, controller, "controller.", _CONTROLLER_FIELDS)
+    arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
     slot_stores = []
@@ -329,11 +348,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         slot_stores.append(slots)
     store = {}
     for name, arr in arrays.items():
-        if name.startswith("store/"):
-            store[_param_key_parse(name[len("store/") :])] = arr
-        else:
-            owner, _, field_name = name.rpartition("/")
-            owners[owner][field_name] = arr
+        try:
+            if name.startswith("store/"):
+                store[_param_key_parse(name[len("store/") :])] = arr
+            else:
+                owner, _, field_name = name.rpartition("/")
+                owners[owner][field_name] = arr
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: {name}: array belongs to no known section") from None
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(

@@ -6,6 +6,10 @@ forward pass reads only that selection's keys, so candidates can be trained
 and scored without materializing separate networks. A fixed linear
 classification head (initialized once per store, never updated) maps the last
 layer's slot width to the class count; it is not part of the searchable store.
+
+``forward`` is one numpy loop over the layers for both modes. In train mode
+it also keeps, per layer, the values the closed-form chain backward
+(``numerics.backward``) needs, and checks that every value it reads is finite.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import numerics
-from .numerics import EvalTape, Node, RngStream, Tape
+from .numerics import RngStream
 from .space import (
     OP_AFFINE_RELU,
     OP_AFFINE_TANH,
@@ -103,11 +107,20 @@ def sub_view(weights: SuperModelWeights, selection: Sequence[int]) -> SubModelVi
 
 def _resolve_keep(dropout_keep, n_layers: int) -> tuple[float, ...]:
     if isinstance(dropout_keep, (int, float)):
-        return (float(dropout_keep),) * n_layers
-    keeps = tuple(float(k) for k in dropout_keep)
+        keeps = (float(dropout_keep),) * n_layers
+    else:
+        keeps = tuple(float(k) for k in dropout_keep)
     if len(keeps) != n_layers:
         raise ValueError(f"need {n_layers} per-layer keep probabilities, got {len(keeps)}")
+    for keep in keeps:
+        if not 0.0 < keep <= 1.0:
+            raise ValueError(f"keep_prob must be in (0, 1], got {keep}")
     return keeps
+
+
+def _check_finite(values: np.ndarray, what) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has non-finite entries")
 
 
 def forward(
@@ -119,72 +132,78 @@ def forward(
     overrides: Mapping[ParamKey, np.ndarray] | None = None,
     dropout_keep=1.0,
     rng: RngStream | None = None,
-    tape: Tape | None = None,
 ):
     """Run the selected sub-model on a batch.
 
-    Eval mode returns a logits array. Train mode records the pass on ``tape``
-    and returns ``(logits_node, leaves)`` where ``leaves`` maps each selected
-    ParamKey to its tape leaf, ready for ``numerics.backward``. Both modes run
-    the same ops; eval mode runs them on a tape that records nothing and
-    applies no dropout. ``overrides`` substitutes tensors for store entries
-    without touching the store itself.
+    Each layer is affine then relu or tanh (or the identity), zero-padded or
+    truncated to the layer's width, then inverted dropout; the fixed head
+    maps the last layer to logits. Eval mode returns the logits array, applies
+    no dropout and keeps nothing. Train mode returns ``(logits, layers)``,
+    where ``layers`` holds one ``numerics.Layer`` per layer for
+    ``numerics.backward``; it raises ``ValueError`` on an empty or non-finite
+    batch and on a non-finite selected tensor or head. ``overrides``
+    substitutes tensors for store entries without touching the store itself.
     """
     space = weights.space
     sel = validate_selection(space, selection)
     x = np.asarray(batch_x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != space.input_dim:
         raise ValueError(f"batch shape {x.shape} does not match input_dim {space.input_dim}")
-
-    def param(key: ParamKey) -> np.ndarray:
-        if overrides is not None and key in overrides:
-            return overrides[key]
-        return weights.store[key]
-
+    train = mode == TRAIN
     if mode == EVAL:
-        tape = EvalTape()
         keeps = (1.0,) * len(space.arch_decisions)
-    elif mode == TRAIN:
-        if tape is None:
-            raise ValueError("train mode requires a tape")
+    elif train:
         keeps = _resolve_keep(dropout_keep, len(space.arch_decisions))
         if any(k < 1.0 for k in keeps) and rng is None:
             raise ValueError("dropout requires an rng stream")
+        if x.shape[0] == 0:
+            raise ValueError("batch is empty")
+        _check_finite(x, "batch")
+        _check_finite(weights.head_weight, "head weight")
+        _check_finite(weights.head_bias, "head bias")
+        x = np.ascontiguousarray(x)  # one layout for the weight-gradient matmul
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    leaves: dict[ParamKey, Node] = {}
-    h_node = tape.constant(x)
+    overrides = overrides or {}
+
+    def param(key: ParamKey) -> np.ndarray:
+        value = overrides[key] if key in overrides else weights.store[key]
+        if train:
+            _check_finite(value, key.text())
+        return value
+
+    layers: list[numerics.Layer] = []
+    h = x
     for decision, op_index, keep in zip(space.arch_decisions, sel, keeps):
         op = decision.candidates[op_index]
-        if op.has_params:
-            wk = ParamKey(decision.layer_id, op_index, "weight")
-            bk = ParamKey(decision.layer_id, op_index, "bias")
-            w_node = tape.leaf(param(wk))
-            b_node = tape.leaf(param(bk))
-            if mode == TRAIN:
-                leaves[wk] = w_node
-                leaves[bk] = b_node
-            z = numerics.add_bias(tape, numerics.matmul(tape, h_node, w_node), b_node)
+        keys = _op_keys(decision.layer_id, op_index, op)
+        weight = activation = scale = None
+        if keys:
+            weight = param(keys[0])
+            out = h @ weight + param(keys[1])
             if op.kind == OP_AFFINE_RELU:
-                z = numerics.relu(tape, z)
+                activation = "relu"
+                out = np.maximum(out, 0.0)
             elif op.kind == OP_AFFINE_TANH:
-                z = numerics.tanh(tape, z)
+                activation = "tanh"
+                out = np.tanh(out)
         else:
-            z = h_node
-        if z.value.shape[1] < decision.out_width:
-            z = numerics.pad_cols(tape, z, decision.out_width)
-        elif z.value.shape[1] > decision.out_width:
-            z = numerics.take_cols(tape, z, decision.out_width)
+            out = h
+        z = out
+        if out.shape[1] < decision.out_width:
+            z = np.zeros((out.shape[0], decision.out_width), dtype=np.float64)
+            z[:, : out.shape[1]] = out
+        elif out.shape[1] > decision.out_width:
+            z = out[:, : decision.out_width].copy()
         if keep < 1.0:
-            z = numerics.dropout(tape, z, keep, rng)
-        h_node = z
-    head_w = tape.constant(weights.head_weight)
-    head_b = tape.constant(weights.head_bias)
-    logits = numerics.add_bias(tape, numerics.matmul(tape, h_node, head_w), head_b)
-    if mode == EVAL:
-        return logits.value
-    return logits, leaves
+            scale = (rng.uniform(z.shape) < keep).astype(np.float64) / keep
+            z = z * scale
+        if train:
+            layers.append(numerics.Layer(keys, h, weight, activation, out, scale))
+        h = z
+    logits = h @ weights.head_weight + weights.head_bias
+    return (logits, layers) if train else logits
 
 
 def op_macs(op) -> int:

@@ -2,6 +2,12 @@
 weight-update paths (discardable temporary weights vs. committed shared-store
 steps). Both paths run the exact same per-step code, so a commit with a given
 rng state and batch reproduces the first temporary step bit for bit.
+
+A step is mixup, one train-mode ``supernet.forward`` that keeps what the
+backward needs per layer, softmax cross-entropy, the closed-form chain
+``numerics.backward`` and one optimizer update. No autodiff tape is involved;
+the tests check these gradients bit for bit against a reference tape and
+against finite differences.
 """
 from __future__ import annotations
 
@@ -11,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import numerics, supernet
-from .numerics import RngStream, Tape
+from .numerics import RngStream
 from .space import OPTIMIZERS, SearchSpace, selection_to_config
 from .supernet import ParamKey, SubModelView, SuperModelWeights
 
@@ -204,8 +210,7 @@ def _train_step(
     """One full step (mixup, train-mode forward, backward, optimizer) applied
     to the tensors in ``params``."""
     x, y = apply_mixup(batch, spec.mixup_ratio, rng)
-    tape = Tape()
-    logits, leaves = supernet.forward(
+    logits, layers = supernet.forward(
         weights,
         view.selection,
         x,
@@ -213,13 +218,10 @@ def _train_step(
         overrides=params,
         dropout_keep=spec.dropout_keep,
         rng=rng,
-        tape=tape,
     )
-    labels = tape.constant(y)
-    loss = numerics.softmax_cross_entropy(tape, logits, labels)
-    grads_by_node = numerics.backward(tape, loss)
-    grads = {key: grads_by_node[node] for key, node in leaves.items()}
-    optimizer_step({key: params[key] for key in leaves}, grads, slots, spec)
+    _, grad_logits = numerics.softmax_cross_entropy(logits, y)
+    grads = numerics.backward(layers, weights.head_weight, grad_logits)
+    optimizer_step({key: params[key] for key in grads}, grads, slots, spec)
 
 
 def make_temporary(

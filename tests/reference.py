@@ -1,0 +1,431 @@
+"""Reference implementations the tests check the library against.
+
+* A minimal reverse-mode autodiff tape: ops record themselves on a ``Tape``
+  in execution order and ``backward`` visits the records in exact reverse
+  order, so gradient accumulation order is fixed. ``taped_train_step`` runs
+  one super-model train step on it; the library's closed-form chain backward
+  must give the same gradients bit for bit.
+* ``finite_difference_check``: tape gradients against central differences.
+* ``expected_reward_gradient_oracle``: the exact gradient of a controller's
+  expected reward, by enumerating every selection.
+* ``split_stream``: an ``RngStream`` namespaced under another one.
+"""
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Sequence
+
+import numpy as np
+
+from jointsearch import supernet, trainstep
+from jointsearch.controller import ControllerState, probabilities
+from jointsearch.numerics import RngStream, softmax
+from jointsearch.space import OP_AFFINE_RELU, OP_AFFINE_TANH, validate_selection
+
+MAX_ORACLE_SELECTIONS = 10**6
+
+
+# ---------------------------------------------------------------------------
+# autodiff tape
+# ---------------------------------------------------------------------------
+
+
+def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
+    """Coerce ``values`` to a float64 array, validating shape and finiteness."""
+    arr = np.array(values, dtype=np.float64, copy=True)
+    if shape is not None:
+        arr = arr.reshape(tuple(shape))
+    if any(d <= 0 for d in arr.shape):
+        raise ValueError(f"tensor dimensions must be positive, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("tensor entries must be finite")
+    return arr
+
+
+class Node:
+    """One value in the computation graph."""
+
+    __slots__ = ("value", "grad", "_parents", "_rule")
+
+    def __init__(self, value: np.ndarray, parents: tuple = (), rule=None):
+        self.value = value
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._rule = rule
+
+    @property
+    def shape(self) -> tuple:
+        return self.value.shape
+
+
+class Tape:
+    """Records ops in execution order for a single backward sweep."""
+
+    def __init__(self):
+        self._nodes: list[Node] = []
+        self._leaves: list[Node] = []
+
+    def leaf(self, values) -> Node:
+        """Register a parameter tensor; ``backward`` reports a gradient for it."""
+        node = Node(as_tensor(values))
+        self._nodes.append(node)
+        self._leaves.append(node)
+        return node
+
+    def constant(self, values) -> Node:
+        """Register a tensor that participates in the graph but needs no gradient."""
+        node = Node(as_tensor(values))
+        self._nodes.append(node)
+        return node
+
+    def _record(self, value: np.ndarray, parents: tuple, rule) -> Node:
+        node = Node(value, parents, rule)
+        self._nodes.append(node)
+        return node
+
+
+def _accum(node: Node, delta: np.ndarray) -> None:
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += delta
+
+
+def matmul(tape: Tape, a: Node, b: Node) -> Node:
+    if a.value.ndim != 2 or b.value.ndim != 2:
+        raise ValueError("matmul expects 2-d operands")
+    if a.value.shape[1] != b.value.shape[0]:
+        raise ValueError(
+            f"matmul inner dimensions differ: {a.value.shape} @ {b.value.shape}"
+        )
+    out = a.value @ b.value
+
+    def rule(g: np.ndarray) -> None:
+        # d(a@b)/da = g @ b^T ; d(a@b)/db = a^T @ g
+        _accum(a, g @ b.value.T)
+        _accum(b, a.value.T @ g)
+
+    return tape._record(out, (a, b), rule)
+
+
+def add_bias(tape: Tape, x: Node, b: Node) -> Node:
+    if b.value.ndim != 1 or x.value.ndim != 2 or x.value.shape[1] != b.value.shape[0]:
+        raise ValueError(f"add_bias shapes incompatible: {x.value.shape}, {b.value.shape}")
+    out = x.value + b.value
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, g)
+        _accum(b, g.sum(axis=0))
+
+    return tape._record(out, (x, b), rule)
+
+
+def add(tape: Tape, a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise ValueError("add expects equal shapes")
+    out = a.value + b.value
+
+    def rule(g: np.ndarray) -> None:
+        _accum(a, g)
+        _accum(b, g)
+
+    return tape._record(out, (a, b), rule)
+
+
+def mul(tape: Tape, a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise ValueError("mul expects equal shapes")
+    out = a.value * b.value
+
+    def rule(g: np.ndarray) -> None:
+        _accum(a, g * b.value)
+        _accum(b, g * a.value)
+
+    return tape._record(out, (a, b), rule)
+
+
+def relu(tape: Tape, x: Node) -> Node:
+    out = np.maximum(x.value, 0.0)
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, g * (x.value > 0.0))
+
+    return tape._record(out, (x,), rule)
+
+
+def tanh(tape: Tape, x: Node) -> Node:
+    out = np.tanh(x.value)
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, g * (1.0 - out * out))
+
+    return tape._record(out, (x,), rule)
+
+
+def sum_all(tape: Tape, x: Node) -> Node:
+    out = np.asarray(x.value.sum())
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, np.broadcast_to(g, x.value.shape).copy())
+
+    return tape._record(out, (x,), rule)
+
+
+def pad_cols(tape: Tape, x: Node, width: int) -> Node:
+    """Zero-pad a 2-d tensor on the right up to ``width`` columns."""
+    n, c = x.value.shape
+    if width < c:
+        raise ValueError(f"pad_cols target {width} narrower than input {c}")
+    if width == c:
+        return x
+    out = np.zeros((n, width), dtype=np.float64)
+    out[:, :c] = x.value
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, g[:, :c])
+
+    return tape._record(out, (x,), rule)
+
+
+def take_cols(tape: Tape, x: Node, width: int) -> Node:
+    """Keep the first ``width`` columns of a 2-d tensor."""
+    n, c = x.value.shape
+    if width > c:
+        raise ValueError(f"take_cols target {width} wider than input {c}")
+    if width == c:
+        return x
+    out = x.value[:, :width].copy()
+
+    def rule(g: np.ndarray) -> None:
+        full = np.zeros((n, c), dtype=np.float64)
+        full[:, :width] = g
+        _accum(x, full)
+
+    return tape._record(out, (x,), rule)
+
+
+def dropout(tape: Tape, x: Node, keep_prob: float, rng: "RngStream") -> Node:
+    """Inverted dropout: surviving entries are scaled by ``1/keep_prob``.
+
+    ``keep_prob == 1`` is the exact identity and consumes no randomness.
+    """
+    if not 0.0 < keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in (0, 1], got {keep_prob}")
+    if keep_prob == 1.0:
+        return x
+    mask = (rng.uniform(x.value.shape) < keep_prob).astype(np.float64)
+    scale = mask / keep_prob
+    out = x.value * scale
+
+    def rule(g: np.ndarray) -> None:
+        _accum(x, g * scale)
+
+    return tape._record(out, (x,), rule)
+
+
+def softmax(values: np.ndarray) -> np.ndarray:
+    """Row-stable softmax of a 1-d or 2-d array (plain helper, not taped)."""
+    z = np.asarray(values, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_cross_entropy(tape: Tape, logits: Node, labels: Node) -> Node:
+    """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``."""
+    z = logits.value
+    y = labels.value
+    if z.shape != y.shape or z.ndim != 2:
+        raise ValueError(f"logit/label shapes incompatible: {z.shape}, {y.shape}")
+    row_sums = y.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(y < 0.0):
+        raise ValueError("label rows must be distributions summing to 1")
+    n = z.shape[0]
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    # loss_i = logsumexp(z_i) - <y_i, z_i>  (valid for any distribution row y_i)
+    out = np.asarray((lse - (y * z).sum(axis=1)).mean())
+    p = softmax(z)
+
+    def rule(g: np.ndarray) -> None:
+        scale = float(g) / n
+        _accum(logits, (p - y) * scale)
+        _accum(labels, (lse[:, None] - z) * scale)
+
+    return tape._record(out, (logits, labels), rule)
+
+
+def backward(tape: Tape, loss: Node) -> dict[Node, np.ndarray]:
+    """Reverse sweep from ``loss``; returns a gradient for every tape leaf.
+
+    Leaves that do not reach ``loss`` get zero gradients. The sweep walks the
+    recorded nodes in exact reverse execution order, which fixes the
+    accumulation order and keeps results bitwise reproducible.
+    """
+    if loss.value.ndim != 0:
+        raise ValueError(f"loss must be a scalar, got shape {loss.value.shape}")
+    for node in tape._nodes:
+        node.grad = None
+    loss.grad = np.asarray(1.0)
+    for node in reversed(tape._nodes):
+        if node.grad is None or node._rule is None:
+            continue
+        node._rule(node.grad)
+    return {
+        leaf: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+        for leaf in tape._leaves
+    }
+
+
+def finite_difference_check(
+    fn: Callable[[Tape, list[Node]], Node],
+    params: Sequence[np.ndarray],
+    eps: float = 1e-3,
+) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    ``fn`` must build a scalar loss from fresh leaves on the given tape and be
+    a pure function of the leaf values. Relative error uses the denominator
+    ``max(|analytic|, |numeric|, 1e-8)``.
+    """
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    base = [as_tensor(p) for p in params]
+
+    tape = Tape()
+    leaves = [tape.leaf(p) for p in base]
+    loss = fn(tape, leaves)
+    grads = backward(tape, loss)
+
+    def value_at(arrays: list[np.ndarray]) -> float:
+        probe = Tape()
+        probe_leaves = [probe.leaf(a) for a in arrays]
+        return float(fn(probe, probe_leaves).value)
+
+    worst = 0.0
+    for k, p in enumerate(base):
+        analytic = grads[leaves[k]]
+        for idx in np.ndindex(p.shape):
+            bumped = [a.copy() for a in base]
+            bumped[k][idx] = p[idx] + eps
+            hi = value_at(bumped)
+            bumped[k][idx] = p[idx] - eps
+            lo = value_at(bumped)
+            numeric = (hi - lo) / (2.0 * eps)
+            a = float(analytic[idx])
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
+def taped_forward(
+    weights: supernet.SuperModelWeights,
+    selection: Sequence[int],
+    batch_x: np.ndarray,
+    tape: Tape,
+    *,
+    overrides=None,
+    dropout_keep=1.0,
+    rng: RngStream | None = None,
+):
+    """A train-mode super-model forward recorded on ``tape``: returns
+    ``(logits_node, leaves)``, with ``leaves`` mapping each selected ParamKey
+    to its tape leaf."""
+    space = weights.space
+    sel = validate_selection(space, selection)
+    keeps = (
+        (dropout_keep,) * len(space.arch_decisions)
+        if isinstance(dropout_keep, (int, float))
+        else tuple(dropout_keep)
+    )
+
+    def param(key):
+        if overrides is not None and key in overrides:
+            return overrides[key]
+        return weights.store[key]
+
+    leaves = {}
+    h_node = tape.constant(np.asarray(batch_x, dtype=np.float64))
+    for decision, op_index, keep in zip(space.arch_decisions, sel, keeps):
+        op = decision.candidates[op_index]
+        if op.has_params:
+            wk = supernet.ParamKey(decision.layer_id, op_index, "weight")
+            bk = supernet.ParamKey(decision.layer_id, op_index, "bias")
+            leaves[wk] = w_node = tape.leaf(param(wk))
+            leaves[bk] = b_node = tape.leaf(param(bk))
+            z = add_bias(tape, matmul(tape, h_node, w_node), b_node)
+            if op.kind == OP_AFFINE_RELU:
+                z = relu(tape, z)
+            elif op.kind == OP_AFFINE_TANH:
+                z = tanh(tape, z)
+        else:
+            z = h_node
+        if z.value.shape[1] < decision.out_width:
+            z = pad_cols(tape, z, decision.out_width)
+        elif z.value.shape[1] > decision.out_width:
+            z = take_cols(tape, z, decision.out_width)
+        if keep < 1.0:
+            z = dropout(tape, z, keep, rng)
+        h_node = z
+    head_w = tape.constant(weights.head_weight)
+    head_b = tape.constant(weights.head_bias)
+    return add_bias(tape, matmul(tape, h_node, head_w), head_b), leaves
+
+
+def taped_train_step(weights, view, params, spec, batch, slots, rng) -> dict:
+    """One train step (mixup, taped forward, tape backward, optimizer) applied
+    to the tensors in ``params``; returns the gradients by ParamKey."""
+    x, y = trainstep.apply_mixup(batch, spec.mixup_ratio, rng)
+    tape = Tape()
+    logits, leaves = taped_forward(
+        weights,
+        view.selection,
+        x,
+        tape,
+        overrides=params,
+        dropout_keep=spec.dropout_keep,
+        rng=rng,
+    )
+    loss = softmax_cross_entropy(tape, logits, tape.constant(y))
+    grads_by_node = backward(tape, loss)
+    grads = {key: grads_by_node[node] for key, node in leaves.items()}
+    trainstep.optimizer_step({key: params[key] for key in leaves}, grads, slots, spec)
+    return grads
+
+
+# ---------------------------------------------------------------------------
+# controller and RNG
+# ---------------------------------------------------------------------------
+
+
+def expected_reward_gradient_oracle(
+    state: ControllerState,
+    reward_fn: Callable[[tuple[int, ...]], float],
+) -> list[np.ndarray]:
+    """Exact gradient of expected reward w.r.t. the logits, by enumeration.
+
+    Ascent direction: entry ``(d, j)`` is
+    ``sum_sel P(sel) r(sel) (1[sel_d = j] - p_d[j])``. Only usable on spaces
+    small enough to enumerate.
+    """
+    cards = [len(z) for z in state.logits]
+    total = 1
+    for c in cards:
+        total *= c
+    if total > MAX_ORACLE_SELECTIONS:
+        raise ValueError(f"space too large to enumerate: {total} selections")
+    probs = probabilities(state)
+    grads = [np.zeros_like(z) for z in state.logits]
+    for selection in itertools.product(*(range(c) for c in cards)):
+        p_sel = 1.0
+        for d, idx in enumerate(selection):
+            p_sel *= float(probs[d][idx])
+        weighted = p_sel * float(reward_fn(selection))
+        for d, idx in enumerate(selection):
+            grads[d] -= weighted * probs[d]
+            grads[d][idx] += weighted
+    return grads
+
+
+def split_stream(stream: RngStream, name: str) -> RngStream:
+    """An independent stream namespaced under ``stream``."""
+    return RngStream(stream.seed, f"{stream.name}/{name}")

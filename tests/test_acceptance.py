@@ -12,13 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from jointsearch import supernet, trainstep
+from jointsearch import numerics, supernet, trainstep
 from jointsearch.cli import main
 from jointsearch.config import parse_config
 from jointsearch.controller import (
     ControllerState,
     MetaHyperparameters,
-    expected_reward_gradient_oracle,
     init_controller,
     probabilities,
     reinforce_logit_gradient,
@@ -26,21 +25,7 @@ from jointsearch.controller import (
 )
 from jointsearch.data import split, two_moons
 from jointsearch.engine import random_search_baseline, retrain, search
-from jointsearch.numerics import (
-    RngStream,
-    add,
-    add_bias,
-    as_tensor,
-    finite_difference_check,
-    matmul,
-    mul,
-    pad_cols,
-    relu,
-    softmax_cross_entropy,
-    sum_all,
-    take_cols,
-    tanh,
-)
+from jointsearch.numerics import RngStream
 from jointsearch.persist import read_events, store_digest, weights_digest
 from jointsearch.space import (
     HyperConfig,
@@ -51,6 +36,22 @@ from jointsearch.space import (
     selection_to_config,
 )
 from jointsearch.trainstep import SlotStore, TrainerDefaults
+
+from reference import (
+    add,
+    add_bias,
+    as_tensor,
+    expected_reward_gradient_oracle,
+    finite_difference_check,
+    matmul,
+    mul,
+    pad_cols,
+    relu,
+    softmax_cross_entropy,
+    sum_all,
+    take_cols,
+    tanh,
+)
 
 
 def tabular_doc(cards, total, k, seed, reward=None, **search_over):
@@ -182,13 +183,70 @@ def test_a3_reinforce_unbiasedness():
 
 
 # ---------------------------------------------------------------------------
-# A4: autodiff correctness by finite differences
+# A4: gradient correctness by finite differences
 # ---------------------------------------------------------------------------
 
 
 def _off_kink(rng, shape):
     values = rng.normal(shape)
     return np.where(np.abs(values) < 0.2, values + 0.5, values)
+
+
+def supernet_train_step_fd_error(eps=1e-3):
+    """Max relative error of ``numerics.backward`` on a train-mode
+    ``supernet.forward`` (relu, tanh and identity layers, padded and
+    truncated, dropout 0.8) against central differences of the loss in every
+    selected parameter. The dropout mask is redrawn from the same counter for
+    every probe, so the loss is a pure function of the parameters."""
+    space = build_space(
+        SpaceConfig(
+            input_dim=3,
+            num_classes=2,
+            layers=(
+                LayerConfig(candidates=("affine-relu:5", "identity"), width=7),  # padded
+                LayerConfig(candidates=("affine-tanh:9",), width=6),  # truncated
+                LayerConfig(candidates=("identity", "affine:4"), width=4),  # truncated
+                LayerConfig(candidates=("affine:3",), width=3),
+            ),
+        )
+    )
+    weights = supernet.init_weights(space, RngStream(12, "a4-init"))
+    selection = (0, 0, 0, 0)
+    rng = RngStream(13, "a4-net")
+    x = rng.normal((6, 3))
+    y = np.eye(2)[[0, 1, 1, 0, 1, 0]]
+    keys = supernet.sub_view(weights, selection).keys
+    params = {key: weights.store[key].copy() for key in keys}
+
+    def run(overrides):
+        logits, layers = supernet.forward(
+            weights,
+            selection,
+            x,
+            supernet.TRAIN,
+            overrides=overrides,
+            dropout_keep=0.8,
+            rng=RngStream(14, "a4-mask"),
+        )
+        loss, grad_logits = numerics.softmax_cross_entropy(logits, y)
+        return loss, layers, grad_logits
+
+    _, layers, grad_logits = run(params)
+    assert any(layer.scale is not None and np.any(layer.scale == 0.0) for layer in layers)
+    grads = numerics.backward(layers, weights.head_weight, grad_logits)
+    assert set(grads) == set(keys)
+    worst = 0.0
+    for key in keys:
+        for idx in np.ndindex(params[key].shape):
+            probe = {k: v.copy() for k, v in params.items()}
+            probe[key][idx] += eps
+            hi = run(probe)[0]
+            probe[key][idx] -= 2.0 * eps
+            lo = run(probe)[0]
+            numeric = (hi - lo) / (2.0 * eps)
+            analytic = float(grads[key][idx])
+            worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8))
+    return worst
 
 
 def test_a4_finite_difference_suite():
@@ -292,6 +350,10 @@ def test_a4_finite_difference_suite():
     err = finite_difference_check(three_layer_net, params, eps=1e-3)
     worst = max(worst, err)
     assert err <= 1e-4
+
+    err = supernet_train_step_fd_error()
+    worst = max(worst, err)
+    assert err <= 1e-4, f"supernet train step: relative error {err}"
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     print(f"A4 finite differences: PASS (worst relative error {worst:.2e}, {elapsed:.1f}s)")

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from jointsearch.cli import main
 
@@ -173,6 +175,27 @@ def test_resume_from_tampered_checkpoint_exits_two(capsys, tmp_path):
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err and "digest" in err
+
+
+@pytest.mark.parametrize("defect", ["missing-field", "unknown-section"])
+def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, defect):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    data = ckpt.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline])
+    if defect == "missing-field":
+        del header["commit_slots"]
+        expected = "lacks field commit_slots"
+    else:
+        header["arrays"][-1][0] = "heads/weight"
+        expected = "heads/weight: array belongs to no known section"
+    body = json.dumps(header, sort_keys=True).encode() + data[newline:-64]
+    ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err and str(ckpt) in err and expected in err
 
 
 def test_resume_with_different_config_exits_one(capsys, tmp_path):

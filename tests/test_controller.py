@@ -11,7 +11,6 @@ from jointsearch import controller
 from jointsearch.controller import (
     ControllerState,
     MetaHyperparameters,
-    expected_reward_gradient_oracle,
     init_controller,
     probabilities,
     reinforce_logit_gradient,
@@ -20,6 +19,8 @@ from jointsearch.controller import (
 )
 from jointsearch.numerics import RngStream
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
+
+from reference import expected_reward_gradient_oracle
 
 
 def space_with_cards(cards):

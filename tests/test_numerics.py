@@ -1,4 +1,6 @@
-"""Autodiff and RNG tests: hand-computed oracles first, then properties."""
+"""Numerics tests: cross-entropy and the closed-form backward, the reference
+tape the tests check it against, and the RNG. Hand-computed oracles first,
+then properties."""
 from __future__ import annotations
 
 import math
@@ -7,8 +9,10 @@ import numpy as np
 import pytest
 
 from jointsearch import numerics
-from jointsearch.numerics import (
-    RngStream,
+from jointsearch.numerics import Layer, RngStream, fnv1a64, softmax_cross_entropy
+
+import reference
+from reference import (
     Tape,
     add,
     add_bias,
@@ -16,12 +20,11 @@ from jointsearch.numerics import (
     backward,
     dropout,
     finite_difference_check,
-    fnv1a64,
     matmul,
     mul,
     pad_cols,
     relu,
-    softmax_cross_entropy,
+    split_stream,
     sum_all,
     take_cols,
     tanh,
@@ -44,12 +47,11 @@ def test_relu_forward_values():
 
 def test_cross_entropy_uniform_logits_is_ln2():
     # logits (0, 0) make the predicted distribution uniform over two classes,
-    # so the loss against any one-hot label is exactly -log(1/2).
-    tape = Tape()
-    logits = tape.leaf(as_tensor([[0.0, 0.0]]))
-    labels = tape.constant(as_tensor([[1.0, 0.0]]))
-    loss = softmax_cross_entropy(tape, logits, labels)
-    assert abs(float(loss.value) - LN2) < 1e-15
+    # so the loss against any one-hot label is exactly -log(1/2), and the
+    # gradient is softmax minus label over the batch size.
+    loss, grad = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert abs(loss - LN2) < 1e-15
+    assert np.array_equal(grad, [[-0.5, 0.5]])
 
 
 def test_cross_entropy_nonnegative_and_zero_only_at_match():
@@ -57,26 +59,30 @@ def test_cross_entropy_nonnegative_and_zero_only_at_match():
     for _ in range(50):
         z = rng.normal((4, 3)) * 3.0
         y = np.eye(3)[np.arange(4) % 3]
+        loss, grad = softmax_cross_entropy(z, y)
+        assert loss >= 0.0
+        # the library's loss and logit gradient are the reference tape's, bit for bit
         tape = Tape()
-        loss = softmax_cross_entropy(
-            tape, tape.leaf(as_tensor(z)), tape.constant(as_tensor(y))
-        )
-        assert float(loss.value) >= 0.0
+        logits = tape.leaf(z)
+        taped = reference.softmax_cross_entropy(tape, logits, tape.constant(y))
+        assert loss == float(taped.value)
+        assert grad.tobytes() == backward(tape, taped)[logits].tobytes()
 
     # a hard, correct prediction drives the loss toward zero
-    tape = Tape()
-    z = as_tensor([[40.0, 0.0]])
-    y = as_tensor([[1.0, 0.0]])
-    loss = softmax_cross_entropy(tape, tape.leaf(z), tape.constant(y))
-    assert float(loss.value) < 1e-15
+    loss, _ = softmax_cross_entropy(np.array([[40.0, 0.0]]), np.array([[1.0, 0.0]]))
+    assert loss < 1e-15
 
 
 def test_cross_entropy_rejects_bad_label_rows():
+    logits = np.array([[0.0, 0.0]])
+    for labels in ([[0.7, 0.7]], [[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]], [1.0, 0.0]):
+        with pytest.raises(ValueError):
+            softmax_cross_entropy(logits, np.array(labels))
     tape = Tape()
-    logits = tape.leaf(as_tensor([[0.0, 0.0]]))
-    labels = tape.constant(as_tensor([[0.7, 0.7]]))
     with pytest.raises(ValueError):
-        softmax_cross_entropy(tape, logits, labels)
+        reference.softmax_cross_entropy(
+            tape, tape.leaf(logits), tape.constant(as_tensor([[0.7, 0.7]]))
+        )
 
 
 def test_as_tensor_rejects_non_finite():
@@ -99,6 +105,13 @@ def test_backward_quadratic_hand_gradient():
     grads = backward(tape, loss)
     assert np.array_equal(grads[w], [2.0, 4.0])
 
+    # one affine layer under the identity head: d/dw = x^T g, d/db = sum g
+    x = np.array([[1.0, 2.0]])
+    layer = Layer(("w", "b"), x, np.eye(2), None, x.copy(), None)
+    grads = numerics.backward([layer], np.eye(2), np.array([[0.5, -1.0]]))
+    assert np.array_equal(grads["w"], [[0.5, -1.0], [1.0, -2.0]])
+    assert np.array_equal(grads["b"], [0.5, -1.0])
+
 
 def test_backward_unreached_leaf_gets_zeros():
     tape = Tape()
@@ -107,6 +120,14 @@ def test_backward_unreached_leaf_gets_zeros():
     loss = sum_all(tape, mul(tape, w, w))
     grads = backward(tape, loss)
     assert np.array_equal(grads[unused], np.zeros((1, 2)))
+
+    # a truncated layer's dropped columns get exact zeros, never -0.0
+    x = np.array([[1.0, -1.0]])
+    out = np.array([[2.0, -3.0, 4.0]])
+    layer = Layer(("w", "b"), x, np.ones((2, 3)), None, out, None)
+    grads = numerics.backward([layer], -np.ones((2, 1)), np.array([[1.0]]))
+    assert grads["b"].tobytes() == np.array([-1.0, -1.0, 0.0]).tobytes()
+    assert grads["w"][:, 2].tobytes() == np.zeros(2).tobytes()
 
 
 def test_backward_requires_scalar_loss():
@@ -121,20 +142,21 @@ def test_backward_is_bitwise_deterministic():
     rng = RngStream(3, "det")
     x = rng.normal((5, 3))
     w = rng.normal((3, 4))
+    head = rng.normal((6, 2))
+    out = np.tanh(x @ w)
+    scale = (rng.uniform((5, 6)) < 0.5) / 0.5
 
     def run():
-        tape = Tape()
-        xl = tape.leaf(as_tensor(x))
-        wl = tape.leaf(as_tensor(w))
-        h = tanh(tape, matmul(tape, xl, wl))
-        loss = sum_all(tape, mul(tape, h, h))
-        grads = backward(tape, loss)
-        return grads[xl].copy(), grads[wl].copy()
+        layers = [Layer(("w", "b"), x, w, "tanh", out, scale)]
+        grads = numerics.backward(layers, head, rng.normal((5, 2)))
+        return grads["w"], grads["b"]
 
-    gx1, gw1 = run()
-    gx2, gw2 = run()
-    assert np.array_equal(gx1, gx2)
-    assert np.array_equal(gw1, gw2)
+    start = rng.counter
+    gw1, gb1 = run()
+    rng.counter = start
+    gw2, gb2 = run()
+    assert gw1.tobytes() == gw2.tobytes()
+    assert gb1.tobytes() == gb2.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +239,7 @@ def test_fd_check_each_op():
             [rng.normal((3, 4))],
         ),
         "softmax_cross_entropy": (
-            lambda tape, leaves: softmax_cross_entropy(
+            lambda tape, leaves: reference.softmax_cross_entropy(
                 tape, leaves[0], tape.constant(as_tensor(y))
             ),
             [rng.normal((4, 2))],
@@ -241,7 +263,7 @@ def test_fd_check_composite_two_layer_net():
         xl, w1l, b1l, w2l, b2l = leaves
         h = relu(tape, add_bias(tape, matmul(tape, xl, w1l), b1l))
         logits = add_bias(tape, matmul(tape, h, w2l), b2l)
-        return softmax_cross_entropy(tape, logits, tape.constant(as_tensor(labels)))
+        return reference.softmax_cross_entropy(tape, logits, tape.constant(as_tensor(labels)))
 
     err = finite_difference_check(net, [x, w1, b1, w2, b2], eps=1e-3)
     assert err <= 1e-4
@@ -446,7 +468,7 @@ def test_rng_permutation_matches_per_draw_reference(seed):
 
 def test_rng_split_matches_slash_naming():
     parent = RngStream(77, "root")
-    child = parent.split("sub")
+    child = split_stream(parent, "sub")
     direct = RngStream(77, "root/sub")
     assert np.array_equal(child.uniform(8), direct.uniform(8))
 

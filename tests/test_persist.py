@@ -448,6 +448,57 @@ def test_checkpoint_reports_bytes_after_the_last_array(tmp_path):
     assert str(err.value).startswith(f"{path}: {SAMPLE_ARRAYS[-1]}: 8 bytes follow")
 
 
+HEADER_FIELDS = [
+    "config",
+    "meta_step",
+    "controller",
+    "commit_slots",
+    "rng",
+    "reward_history",
+    "store_digest",
+    "arrays",
+    "controller.logits",
+    "controller.baseline",
+    "controller.baseline_initialized",
+    "controller.step",
+    "controller.slots",
+]
+
+
+@pytest.mark.parametrize("field", HEADER_FIELDS)
+def test_checkpoint_names_a_missing_header_field(tmp_path, field):
+    # Re-sealed, so the load gets past the file digest to the header itself.
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    *parents, name = field.split(".")
+    owner = header
+    for part in parents:
+        owner = owner[part]
+    del owner[name]
+    _write(path, header, blob)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint header lacks field {field}"
+
+
+@pytest.mark.parametrize(
+    "renamed",
+    ["heads/weight", "head", "controller/slots/adam|9/m", "commit_slots/adam|0/1/bias/m",
+     "store/0/x/weight", "store/0/1"],
+)
+def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    names = [name for name, _ in header["arrays"]]
+    header["arrays"][names.index("head/weight")][0] = renamed
+    _write(path, header, blob)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: {renamed}: array belongs to no known section"
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():

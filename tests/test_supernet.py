@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jointsearch.numerics import RngStream, Tape, backward, sum_all, mul
+from jointsearch.numerics import RngStream, backward
 from jointsearch.space import HyperConfig, LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import (
     EVAL,
@@ -172,19 +172,21 @@ def test_forward_train_with_keep_one_matches_eval(candidate, width):
     space = build([LayerConfig(candidates=(candidate,), width=width)] * 2)
     weights = init_weights(space, RngStream(7, "init"))
     x = RngStream(8, "x").normal((4, 2))
-    tape = Tape()
-    logits_node, leaves = forward(
+    logits, layers = forward(
         weights,
         (0, 0),
         x,
         TRAIN,
         dropout_keep=1.0,
         rng=RngStream(9, "mask"),
-        tape=tape,
     )
     eval_logits = forward(weights, (0, 0), x, EVAL)
-    assert np.array_equal(logits_node.value, eval_logits)
-    assert set(leaves) == set(sub_view(weights, (0, 0)).keys)
+    assert np.array_equal(logits, eval_logits)
+    assert _layer_keys(layers) == set(sub_view(weights, (0, 0)).keys)
+
+
+def _layer_keys(layers):
+    return {key for layer in layers for key in layer.keys}
 
 
 def test_forward_pads_and_truncates_to_declared_width():
@@ -246,14 +248,40 @@ def test_forward_train_gradients_flow_to_all_view_leaves():
     space = two_affine_space()
     weights = init_weights(space, RngStream(16, "init"))
     x = RngStream(17, "x").normal((4, 2))
-    tape = Tape()
-    logits, leaves = forward(
-        weights, (1, 1), x, TRAIN, dropout_keep=1.0, rng=RngStream(0, "m"), tape=tape
+    logits, layers = forward(
+        weights, (1, 1), x, TRAIN, dropout_keep=1.0, rng=RngStream(0, "m")
     )
-    loss = sum_all(tape, mul(tape, logits, logits))
-    grads = backward(tape, loss)
-    for key, node in leaves.items():
-        assert np.any(grads[node] != 0.0), f"no gradient reached {key}"
+    # loss = sum(logits * logits), so d loss / d logits = 2 * logits
+    grads = backward(layers, weights.head_weight, 2.0 * logits)
+    assert set(grads) == set(sub_view(weights, (1, 1)).keys)
+    for key, grad in grads.items():
+        assert grad.shape == weights.store[key].shape
+        assert np.any(grad != 0.0), f"no gradient reached {key}"
+
+
+def test_forward_train_dropout_masks_and_scales():
+    space = build([LayerConfig(candidates=("identity",))], input_dim=10)
+    weights = init_weights(space, RngStream(18, "init"))
+    x = np.ones((200, 10))
+    stream = RngStream(4, "mask")
+    _, layers = forward(weights, (0,), x, TRAIN, dropout_keep=1.0, rng=stream)
+    assert stream.counter == 0 and layers[0].scale is None  # keep=1 draws nothing
+
+    keep = 0.7
+    _, layers = forward(weights, (0,), x, TRAIN, dropout_keep=keep, rng=stream)
+    scale = layers[0].scale
+    assert stream.counter == x.size
+    assert set(np.unique(scale)) <= {0.0, 1.0 / keep}
+    survival = np.mean(scale != 0.0)
+    # binomial 3-sigma bound around keep for 2000 draws
+    assert abs(survival - keep) < 3 * np.sqrt(keep * (1 - keep) / x.size)
+    again = forward(weights, (0,), x, TRAIN, dropout_keep=keep, rng=RngStream(4, "mask"))
+    assert np.array_equal(again[1][0].scale, scale)  # the mask is a function of the counter
+    for bad in (0.0, 1.5, (0.5, 0.5)):
+        with pytest.raises(ValueError):
+            forward(weights, (0,), x, TRAIN, dropout_keep=bad, rng=stream)
+    with pytest.raises(ValueError):
+        forward(weights, (0,), x, TRAIN, dropout_keep=0.5)  # dropout without an rng
 
 
 # ---------------------------------------------------------------------------

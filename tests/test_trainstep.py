@@ -4,9 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from jointsearch import trainstep
 from jointsearch.numerics import RngStream
 from jointsearch.persist import store_digest
 from jointsearch.space import (
+    OPTIMIZERS,
     HyperConfig,
     LayerConfig,
     SpaceConfig,
@@ -25,6 +27,8 @@ from jointsearch.trainstep import (
     optimizer_step,
     trainer_from_derived,
 )
+
+from reference import taped_train_step
 
 
 def plain_affine_space():
@@ -442,3 +446,188 @@ def test_commit_slots_persist_across_commits():
     assert slots.get("adam", key, weights.store[key])["step"] == 1
     commit_step(weights, view, spec, batch, slots, RngStream(25, "t"))
     assert slots.get("adam", key, weights.store[key])["step"] == 2
+
+
+# ---------------------------------------------------------------------------
+# the fused train step against the reference tape
+# ---------------------------------------------------------------------------
+
+
+def random_train_case(rng):
+    """A random space, store, selection, trainer and batches: every op kind,
+    padded and truncated layers, dropout, mixup, weight decay, any optimizer."""
+    layers = []
+    for _ in range(1 + rng.index(3)):
+        kinds = ("identity", "affine:{}", "affine-relu:{}", "affine-tanh:{}")
+        candidates = dict.fromkeys(
+            kinds[rng.index(4)].format(1 + rng.index(10)) for _ in range(1 + rng.index(3))
+        )
+        layers.append(LayerConfig(candidates=tuple(candidates), width=2 + rng.index(6)))
+    space = build_space(
+        SpaceConfig(
+            input_dim=2 + rng.index(3),
+            num_classes=2 + rng.index(2),
+            layers=tuple(layers),
+            hyperparameters=(),
+        )
+    )
+    weights = init_weights(space, RngStream(rng.index(1000), "init"))
+    selection = tuple(rng.index(len(d.candidates)) for d in space.arch_decisions)
+    keeps = [1.0, 0.5, 0.8]
+    dropout_keep = (
+        tuple(keeps[rng.index(3)] for _ in layers) if rng.uniform() < 0.5 else keeps[rng.index(3)]
+    )
+    spec = TrainerSpec(
+        optimizer=OPTIMIZERS[rng.index(len(OPTIMIZERS))],
+        learning_rate=0.01 + 0.2 * rng.uniform(),
+        weight_decay=(0.0, 0.01)[rng.index(2)],
+        mixup_ratio=(0.0, 0.4)[rng.index(2)],
+        dropout_keep=dropout_keep,
+        inner_steps=1 + rng.index(3),
+    )
+    n = 1 + rng.index(12)
+    batches = []
+    for _ in range(spec.inner_steps):
+        x = rng.normal((n, space.input_dim))
+        labels = [rng.index(space.num_classes) for _ in range(n)]
+        batches.append((x, np.eye(space.num_classes)[labels]))
+    return weights, sub_view(weights, selection), spec, batches
+
+
+def recorded_gradients(monkeypatch):
+    """Every gradient dict handed to ``trainstep.optimizer_step``, copied."""
+    calls = []
+    original = trainstep.optimizer_step
+
+    def record(params, grads, slots, spec):
+        calls.append({key: g.copy() for key, g in grads.items()})
+        original(params, grads, slots, spec)
+
+    monkeypatch.setattr(trainstep, "optimizer_step", record)
+    return calls
+
+
+def assert_bitwise_equal(got: dict, want: dict):
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def test_make_temporary_gradients_equal_reference_tape(monkeypatch):
+    calls = recorded_gradients(monkeypatch)
+    rng = RngStream(31, "fused-temporary")
+    for _ in range(60):
+        weights, view, spec, batches = random_train_case(rng)
+        calls.clear()
+        temp = make_temporary(weights, view, spec, batches, RngStream(32, "t"))
+        fused = list(calls)
+
+        params = {key: weights.store[key].copy() for key in view.keys}
+        slots, stream = SlotStore(), RngStream(32, "t")
+        for step in range(spec.inner_steps):
+            want = taped_train_step(weights, view, params, spec, batches[step], slots, stream)
+            assert_bitwise_equal(fused[step], want)
+        assert_bitwise_equal(temp.overrides, params)
+
+
+def test_commit_step_gradients_equal_reference_tape(monkeypatch):
+    calls = recorded_gradients(monkeypatch)
+    rng = RngStream(33, "fused-commit")
+    for _ in range(60):
+        weights, view, spec, batches = random_train_case(rng)
+        reference_store = {key: value.copy() for key, value in weights.store.items()}
+        fused_slots, fused_rng = SlotStore(), RngStream(34, "c")
+        reference_slots, reference_rng = SlotStore(), RngStream(34, "c")
+        for batch in batches:
+            calls.clear()
+            commit_step(weights, view, spec, batch, fused_slots, fused_rng)
+            (fused,) = calls
+            params = {key: reference_store[key] for key in view.keys}
+            want = taped_train_step(
+                weights, view, params, spec, batch, reference_slots, reference_rng
+            )
+            assert_bitwise_equal(fused, want)
+        assert_bitwise_equal(weights.store, reference_store)
+        assert fused_rng.counter == reference_rng.counter
+
+
+@pytest.mark.parametrize("path", ["temporary", "commit"])
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("nan-batch", "batch has non-finite entries"),
+        ("inf-batch", "batch has non-finite entries"),
+        ("empty-batch", "batch is empty"),
+        ("nan-label", "labels must be finite"),
+        ("inf-label", "labels must be finite"),
+        ("label-row-sum", "label rows must be distributions"),
+        ("nan-store", "0/0/weight has non-finite entries"),
+        ("inf-store-bias", "0/0/bias has non-finite entries"),
+        ("nan-head-weight", "head weight has non-finite entries"),
+        ("inf-head-bias", "head bias has non-finite entries"),
+    ],
+)
+@pytest.mark.parametrize("mixup_dropout", [False, True], ids=["plain", "mixup-dropout"])
+def test_train_step_rejects_bad_inputs(path, defect, message, mixup_dropout):
+    space = build_space(
+        SpaceConfig(
+            input_dim=3,
+            num_classes=2,
+            layers=(LayerConfig(candidates=("affine-relu:4", "affine:4"), width=4),),
+            hyperparameters=(),
+        )
+    )
+    weights = init_weights(space, RngStream(35, "init"))
+    view = sub_view(weights, (0,))
+    x, y = batch_for(space, 6, seed=36)
+    if defect == "empty-batch":
+        x, y = x[:0], y[:0]
+    elif defect == "nan-batch":
+        x[2, 1] = np.nan
+    elif defect == "inf-batch":
+        x[0, 0] = np.inf
+    elif defect == "nan-label":
+        y[1, 0] = np.nan
+    elif defect == "inf-label":
+        y[3, 1] = -np.inf
+    elif defect == "label-row-sum":
+        y[4] = [0.6, 0.6]
+    elif defect == "nan-store":
+        weights.store[ParamKey(0, 0, "weight")][1, 2] = np.nan
+    elif defect == "inf-store-bias":
+        weights.store[ParamKey(0, 0, "bias")][0] = np.inf
+    elif defect == "nan-head-weight":
+        weights.head_weight[0, 1] = np.nan
+    else:
+        weights.head_bias[1] = np.inf
+    spec = TrainerSpec(
+        learning_rate=0.1,
+        mixup_ratio=0.3 if mixup_dropout else 0.0,
+        dropout_keep=0.5 if mixup_dropout else 1.0,
+    )
+    # Each check fires where its value enters the step, before the optimizer's
+    # own non-finite-gradient check could.
+    with pytest.raises(ValueError, match=message):
+        if path == "temporary":
+            make_temporary(weights, view, spec, [(x, y)], RngStream(37, "t"))
+        else:
+            commit_step(weights, view, spec, (x, y), SlotStore(), RngStream(37, "t"))
+
+
+def test_train_step_ignores_non_finite_tensors_outside_the_selection():
+    # only the tensors a step reads are checked
+    space = build_space(
+        SpaceConfig(
+            input_dim=3,
+            num_classes=2,
+            layers=(LayerConfig(candidates=("affine-relu:4", "affine:4"), width=4),),
+            hyperparameters=(),
+        )
+    )
+    weights = init_weights(space, RngStream(35, "init"))
+    weights.store[ParamKey(0, 1, "weight")][0, 0] = np.nan
+    view = sub_view(weights, (0,))
+    spec = TrainerSpec(learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.5)
+    make_temporary(weights, view, spec, [batch_for(space, 6)], RngStream(37, "t"))
+    commit_step(weights, view, spec, batch_for(space, 6), SlotStore(), RngStream(37, "t"))
