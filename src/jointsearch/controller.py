@@ -1,17 +1,18 @@
 """REINFORCE controller over the joint search space.
 
 The controller keeps one logit vector per decision and treats the joint
-distribution as a product of independent softmaxes. Sampling draws one index
-per decision by inverse CDF; updates take a single Adam step on the logits
-using reward-minus-baseline advantages averaged over the step's sampled
-pairs. The baseline is a scalar moving average of observed rewards,
-initialized to the first reward it sees. During a warm-up window at the start
-of a run the logits are left untouched (so sampling stays at its uniform
-initialization) while the baseline keeps tracking rewards.
+distribution as a product of independent softmaxes. Sampling draws a whole
+phase (all K selections) at once: one block of uniforms, one softmax and one
+cumulative sum per decision, each index picked by inverse CDF. Updates take a
+single Adam step on the logits using reward-minus-baseline advantages
+averaged over the step's sampled pairs. The baseline is a scalar moving
+average of observed rewards, initialized to the first reward it sees. During a
+warm-up window at the start of a run the logits are left untouched (so
+sampling stays at its uniform initialization) while the baseline keeps
+tracking rewards.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,22 +66,21 @@ def probabilities(state: ControllerState) -> list[np.ndarray]:
     return [softmax(z) for z in state.logits]
 
 
-def sample(state: ControllerState, rng: RngStream) -> tuple[tuple[int, ...], float]:
-    """Draw one selection plus its joint log-probability.
+def sample(state: ControllerState, rng: RngStream, k: int) -> list[tuple[int, ...]]:
+    """Draw the ``k`` selections of one phase.
 
-    Each decision consumes exactly one uniform draw, taken in decision order as
-    one block, and picks the first index whose cumulative probability exceeds
-    it.
+    The phase takes one ``k x n_decisions`` block of uniforms; selection ``i``
+    reads row ``i`` in decision order and, per decision, picks the first index
+    whose cumulative probability exceeds its draw. The stream is counter-based,
+    so the block holds the same words, in the same order, as ``k`` successive
+    draws of one row each.
     """
-    selection: list[int] = []
-    log_prob = 0.0
-    draws = rng.uniform(len(state.logits))
-    for probs, u in zip(probabilities(state), draws):
-        cdf = np.cumsum(probs)
-        idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
-        selection.append(idx)
-        log_prob += math.log(probs[idx])
-    return tuple(selection), log_prob
+    u = rng.uniform((k, len(state.logits)))
+    chosen = np.empty(u.shape, dtype=np.int64)
+    for d, probs in enumerate(probabilities(state)):
+        idx = np.searchsorted(np.cumsum(probs), u[:, d], side="right")
+        chosen[:, d] = np.minimum(idx, len(probs) - 1)
+    return list(map(tuple, chosen.tolist()))
 
 
 def reinforce_logit_gradient(

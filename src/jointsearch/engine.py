@@ -302,8 +302,7 @@ def search(
         for step in range(start_step, total):
             t0 = time.monotonic()
             records: list[RewardRecord] = []
-            for i in range(k):
-                selection, _ = ctrl.sample(state, ctrl_stream)
+            for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
                 if evaluate_override is not None:
                     accuracy, cost = evaluate_override(selection)
                     reward = compute_reward(accuracy, cost, reward_spec)
@@ -340,8 +339,7 @@ def search(
                 audit("controller", step, weights)
 
             if uses_network:
-                for i in range(k):
-                    selection, _ = ctrl.sample(state, ctrl_stream)
+                for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
                     spec = trainstep.build_trainer(space, selection, defaults)
                     spec = replace(spec, learning_rate=spec.learning_rate / k)
                     batch = _draw_batch(

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Hashable, NamedTuple
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Layer",
@@ -186,6 +185,8 @@ class RngStream:
 
     def normal(self, shape=None):
         """Standard normal draws via the inverse CDF."""
+        from scipy import special  # loaded on first use: a controller-only run never needs it
+
         if shape is None:
             return float(special.ndtri(self._open_uniform(1)[0]))
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
@@ -196,6 +197,8 @@ class RngStream:
         """One Beta(a, b) draw via the inverse regularized incomplete beta."""
         if a <= 0.0 or b <= 0.0:
             raise ValueError("beta shape parameters must be positive")
+        from scipy import special
+
         return float(special.betaincinv(a, b, self._open_uniform(1)[0]))
 
     def index(self, upper: int) -> int:

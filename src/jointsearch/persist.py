@@ -23,8 +23,10 @@ verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly (a malformed array raises ``ValueError`` naming the file
 and the array), and verifies ``store_digest`` against the restored store. A
-header that lacks a field, or names an array of no known section, raises
-``ValueError`` naming the file and the field or array.
+header that lacks a field, gives an optimizer slot section, a slot or the RNG
+counters as a non-object, names a slot by something other than
+``family|key``, or names an array of no known section, raises ``ValueError``
+naming the file and the field or array.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -311,6 +313,11 @@ def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
             raise ValueError(f"{path}: checkpoint header lacks field {prefix}{name}")
 
 
+def _require_object(path: str, doc, name: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint header field {name} is not an object")
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and integrity-check a checkpoint file."""
     with open(path, "rb") as fh:
@@ -333,6 +340,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
     _require(path, controller, "controller.", _CONTROLLER_FIELDS)
+    _require_object(path, header["rng"], "rng")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
@@ -340,10 +348,19 @@ def load_checkpoint(path: str) -> Checkpoint:
     for (section, _, key_parse), slot_ints in zip(
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
     ):
+        where = section.replace("/", ".")  # the header field
+        _require_object(path, slot_ints, where)
         slots = SlotStore()
         for combined, slot in slot_ints.items():
             family, _, key_text = combined.partition("|")
-            slots.restore(family, key_parse(key_text), slot)
+            try:
+                key = key_parse(key_text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {where}: slot name {combined!r} is not family|key"
+                ) from None
+            _require_object(path, slot, f"{where}.{combined}")
+            slots.restore(family, key, slot)
             owners[f"{section}/{combined}"] = slot
         slot_stores.append(slots)
     store = {}

@@ -8,11 +8,14 @@
 * ``finite_difference_check``: tape gradients against central differences.
 * ``expected_reward_gradient_oracle``: the exact gradient of a controller's
   expected reward, by enumerating every selection.
+* ``reference_sample``: one controller selection per call, one scalar uniform
+  per decision, with its joint log-probability.
 * ``split_stream``: an ``RngStream`` namespaced under another one.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -424,6 +427,21 @@ def expected_reward_gradient_oracle(
             grads[d] -= weighted * probs[d]
             grads[d][idx] += weighted
     return grads
+
+
+def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], float]:
+    """One selection and its joint log-probability, by inverse CDF: decision
+    ``d`` takes the ``d``-th scalar uniform of the call and picks the first
+    index whose cumulative probability exceeds it."""
+    selection = []
+    log_prob = 0.0
+    for probs in probabilities(state):
+        u = rng.uniform()
+        cdf = np.cumsum(probs)
+        idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+        selection.append(idx)
+        log_prob += math.log(probs[idx])
+    return tuple(selection), log_prob
 
 
 def split_stream(stream: RngStream, name: str) -> RngStream:

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from jointsearch import supernet
+from jointsearch.config import parse_config
+from jointsearch.engine import search
 from jointsearch.numerics import RngStream
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
@@ -48,3 +50,28 @@ def test_layer_spans_resolve_and_unwrap(monkeypatch):
         originals.setdefault((id(owner), attr), (owner, original))
     for (_, attr), (owner, original) in originals.items():
         assert getattr(owner, attr) is original
+
+
+def test_controller_sample_counted_once_per_phase(monkeypatch):
+    # A controller-only search has one phase per meta-step; each phase is one
+    # sample call that draws K * decisions words.
+    spans = load_spans(monkeypatch)
+    doc = {
+        "space": {
+            "input_dim": 2,
+            "num_classes": 2,
+            "layers": [{"candidates": ["identity"] * 4} for _ in range(3)],
+            "hyperparameters": [],
+        },
+        "data": {"generator": "none", "seed": 1},
+        "search": {"total_meta_steps": 10, "pairs_per_step": 4},
+    }
+    tracer = spans.Tracer()
+    try:
+        spans.install_layer_spans(tracer)
+        search(parse_config(doc), evaluate_override=lambda sel: (0.5, 0.0))
+        calls, _, _ = tracer.summary()
+    finally:
+        tracer.unwrap_all()
+    assert calls["controller.sample"] == 10
+    assert tracer.counts["controller.sample.words"] == 120

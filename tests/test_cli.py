@@ -177,7 +177,9 @@ def test_resume_from_tampered_checkpoint_exits_two(capsys, tmp_path):
     assert "runtime error" in err and "digest" in err
 
 
-@pytest.mark.parametrize("defect", ["missing-field", "unknown-section"])
+@pytest.mark.parametrize(
+    "defect", ["missing-field", "unknown-section", "slots-list", "slot-key", "slot-int"]
+)
 def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, defect):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
@@ -188,9 +190,22 @@ def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, d
     if defect == "missing-field":
         del header["commit_slots"]
         expected = "lacks field commit_slots"
-    else:
+    elif defect == "unknown-section":
         header["arrays"][-1][0] = "heads/weight"
         expected = "heads/weight: array belongs to no known section"
+    elif defect == "slots-list":
+        header["controller"]["slots"] = list(header["controller"]["slots"].items())
+        expected = "field controller.slots is not an object"
+    else:
+        slots = header["commit_slots"]
+        name = sorted(slots)[0]
+        if defect == "slot-key":
+            family, _, key = name.partition("|")
+            slots[f"{family}|x/{key.partition('/')[2]}"] = slots.pop(name)
+            expected = "commit_slots: slot name"
+        else:
+            slots[name] = 3
+            expected = f"field commit_slots.{name} is not an object"
     body = json.dumps(header, sort_keys=True).encode() + data[newline:-64]
     ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2

@@ -20,7 +20,7 @@ from jointsearch.controller import (
 from jointsearch.numerics import RngStream
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
-from reference import expected_reward_gradient_oracle
+from reference import expected_reward_gradient_oracle, reference_sample
 
 
 def space_with_cards(cards):
@@ -38,12 +38,13 @@ def state_with_logits(logit_vectors):
 
 
 class _FixedUniform:
+    """A stream whose every draw is ``value``."""
+
     def __init__(self, value):
         self.value = value
 
     def uniform(self, shape=None):
-        assert shape is not None  # sample takes its draws as one block
-        return np.full(shape, self.value)
+        return self.value if shape is None else np.full(shape, self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,8 @@ def test_probabilities_always_valid_simplex():
 
 def test_sample_degenerate_decision_logs_zero():
     state = init_controller(space_with_cards([1]))
-    selection, log_prob = sample(state, RngStream(0, "s"))
+    assert sample(state, RngStream(0, "s"), 3) == [(0,)] * 3
+    selection, log_prob = reference_sample(state, RngStream(0, "s"))
     assert selection == (0,)
     assert log_prob == 0.0
 
@@ -103,25 +105,38 @@ def test_sample_degenerate_decision_logs_zero():
 def test_sample_inverse_cdf_walk():
     # uniform over 4: cumulative (0.25, 0.5, 0.75, 1.0); u=0.6 lands on index 2
     state = init_controller(space_with_cards([4]))
-    selection, log_prob = sample(state, _FixedUniform(0.6))
+    assert sample(state, _FixedUniform(0.6), 2) == [(2,), (2,)]
+    selection, log_prob = reference_sample(state, _FixedUniform(0.6))
     assert selection == (2,)
     assert abs(log_prob - math.log(0.25)) < 1e-15
 
 
 def test_sample_boundary_draw_stays_in_range():
     state = init_controller(space_with_cards([4]))
-    selection, _ = sample(state, _FixedUniform(0.9999999999999999))
-    assert selection == (3,)
+    assert sample(state, _FixedUniform(0.9999999999999999), 1) == [(3,)]
+    # Seven equal probabilities sum to just under 1, so the largest draw
+    # lies past the last cumulative value and must land on the last index.
+    state = init_controller(space_with_cards([7, 4]))
+    assert np.cumsum(probabilities(state)[0])[-1] < 0.9999999999999999
+    assert sample(state, _FixedUniform(0.9999999999999999), 2) == [(6, 3)] * 2
+    assert reference_sample(state, _FixedUniform(0.9999999999999999))[0] == (6, 3)
+
+
+def test_sample_returns_tuples_of_python_ints():
+    state = init_controller(space_with_cards([3, 2]))
+    selections = sample(state, RngStream(5, "s"), 4)
+    assert isinstance(selections, list) and len(selections) == 4
+    for selection in selections:
+        assert isinstance(selection, tuple) and len(selection) == 2
+        assert all(type(idx) is int for idx in selection)
 
 
 def test_sample_frequencies_match_probabilities():
     state = state_with_logits([[0.9, 0.0, -0.7]])
     probs = probabilities(state)[0]
-    rng = RngStream(7, "freq")
     n = 100_000
     counts = np.zeros(3)
-    for _ in range(n):
-        selection, _ = sample(state, rng)
+    for selection in sample(state, RngStream(7, "freq"), n):
         counts[selection[0]] += 1
     for j in range(3):
         sigma = math.sqrt(probs[j] * (1 - probs[j]) / n)
@@ -130,33 +145,45 @@ def test_sample_frequencies_match_probabilities():
 
 def test_sample_log_prob_sums_over_decisions():
     state = init_controller(space_with_cards([4, 4, 3, 2]))
-    _, log_prob = sample(state, RngStream(3, "s"))
+    _, log_prob = reference_sample(state, RngStream(3, "s"))
     expected = math.log(0.25) * 2 + math.log(1 / 3) + math.log(0.5)
     assert abs(log_prob - expected) < 1e-12
 
 
-def _reference_sample(state, rng):
-    """Per-draw inverse-CDF sampling: one scalar uniform per decision."""
-    selection = []
-    log_prob = 0.0
-    for probs in probabilities(state):
-        u = rng.uniform()
-        cdf = np.cumsum(probs)
-        idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
-        selection.append(idx)
-        log_prob += math.log(probs[idx])
-    return tuple(selection), log_prob
+def _random_logits(rng: RngStream, card: int) -> np.ndarray:
+    """Mild, wide, extreme or tied logits; extreme ones leave some
+    probabilities at exactly zero, so the CDF has flat steps."""
+    kind = rng.index(4)
+    if kind == 0:
+        return rng.normal(card)
+    if kind == 1:
+        return 30.0 * rng.normal(card)
+    if kind == 2:
+        return np.where(rng.uniform(card) < 0.5, -800.0, 800.0) * rng.uniform(card)
+    return np.full(card, float(rng.index(3)))  # ties
 
 
 def test_sample_block_draw_matches_per_draw_reference():
-    cards = [4, 1, 3, 7, 2]
-    for seed in range(40):
-        logit_rng = RngStream(seed, "logits")
-        state = state_with_logits([3.0 * logit_rng.normal(c) for c in cards])
-        fast, slow = RngStream(seed, "ctl"), RngStream(seed, "ctl")
-        for draw in range(1, 6):
-            assert sample(state, fast) == _reference_sample(state, slow)
-            assert fast.counter == slow.counter == draw * len(cards)
+    rng = RngStream(0, "sample-property")
+    for case in range(200):
+        cards = [1 + rng.index(6) for _ in range(1 + rng.index(7))]
+        state = state_with_logits([_random_logits(rng, c) for c in cards])
+        k = 1 + rng.index(6)
+        start = rng.index(1000)
+        fast = RngStream(case, "ctl", start)
+        slow = RngStream(case, "ctl", start)
+        expected = [reference_sample(state, slow)[0] for _ in range(k)]
+        assert sample(state, fast, k) == expected, (case, cards, k)
+        assert fast.counter == slow.counter == start + k * len(cards)
+        assert fast.uniform() == slow.uniform()
+
+
+def test_sample_zero_selections_draws_nothing():
+    state = init_controller(space_with_cards([3, 2]))
+    rng = RngStream(1, "ctl", 17)
+    assert sample(state, rng, 0) == []
+    assert rng.counter == 17
+    assert rng.uniform() == RngStream(1, "ctl", 17).uniform()
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +298,7 @@ def test_uniform_rewards_preserve_argmax_forever():
     meta = no_warmup_meta()
     rng = RngStream(11, "uniform-rewards")
     for _ in range(50):
-        samples = [(sample(state, rng)[0], 0.42) for _ in range(4)]
+        samples = [(selection, 0.42) for selection in sample(state, rng, 4)]
         reinforce_update(state, samples, meta)
     for probs in probabilities(state):
         assert int(np.argmax(probs)) == 0

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,44 @@ def test_search_tabular_recovers_planted_optimum():
         argmax = tuple(int(np.argmax(p)) for p in result.final_probabilities)
         recovered += argmax == planted
     assert recovered >= 4
+
+
+_CONTROLLER_ONLY_SCRIPT = """
+import json, sys
+from jointsearch import parse_config, search
+
+doc = json.loads(sys.argv[1])
+result = search(parse_config(doc), evaluate_override=lambda sel: (1.0 - sel[0] / 3.0, 0.0))
+loaded = "scipy.special" in sys.modules
+from jointsearch.numerics import RngStream
+rng = RngStream(0, "n")
+print(json.dumps({
+    "steps": len(result.reward_history),
+    "special_loaded": loaded,
+    "normal": rng.normal(3).tolist(),
+    "beta": rng.beta(0.2, 0.2),
+    "counter": rng.counter,
+}))
+"""
+
+
+def test_controller_only_search_never_loads_scipy_special():
+    # A fresh interpreter: this one has long since drawn normals.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    doc = json.dumps(tabular_doc((3, 4, 2), total=5, k=3))
+    out = subprocess.run(
+        [sys.executable, "-c", _CONTROLLER_ONLY_SCRIPT, doc],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["steps"] == 15
+    assert got["special_loaded"] is False
+    # Known answers: the draws are those of the module-level import.
+    assert got["normal"] == [0.9185522865117592, 0.31341434742065444, -1.106587072740746]
+    assert got["beta"] == 0.17521435261491744
+    assert got["counter"] == 4
 
 
 def test_event_log_shape_and_finite_rewards(tmp_path):

@@ -482,6 +482,81 @@ def test_checkpoint_names_a_missing_header_field(tmp_path, field):
     assert str(err.value) == f"{path}: checkpoint header lacks field {field}"
 
 
+def _edit_controller_slots(header, value):
+    header["controller"]["slots"] = value
+
+
+def _edit_commit_slots(header, value):
+    header["commit_slots"] = value
+
+
+def _rename_commit_slot(header, name):
+    slots = header["commit_slots"]
+    slots[name] = slots.pop("adam|0/1/weight")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda h: _edit_controller_slots(h, [["adam|0", {"step": 5}]]),
+            "checkpoint header field controller.slots is not an object",
+            id="controller-slots-list",
+        ),
+        pytest.param(
+            lambda h: _edit_commit_slots(h, "adam"),
+            "checkpoint header field commit_slots is not an object",
+            id="commit-slots-text",
+        ),
+        pytest.param(
+            lambda h: _edit_commit_slots(h, None),
+            "checkpoint header field commit_slots is not an object",
+            id="commit-slots-null",
+        ),
+        pytest.param(
+            lambda h: _rename_commit_slot(h, "adam|x/1/weight"),
+            "commit_slots: slot name 'adam|x/1/weight' is not family|key",
+            id="commit-slot-key-text-layer",
+        ),
+        pytest.param(
+            lambda h: _rename_commit_slot(h, "adam|0/1"),
+            "commit_slots: slot name 'adam|0/1' is not family|key",
+            id="commit-slot-key-short",
+        ),
+        pytest.param(
+            lambda h: _edit_controller_slots(h, {"adam": {"step": 5}}),
+            "controller.slots: slot name 'adam' is not family|key",
+            id="controller-slot-key-no-bar",
+        ),
+        pytest.param(
+            lambda h: _edit_commit_slots(h, {"adam|0/1/weight": 3}),
+            "checkpoint header field commit_slots.adam|0/1/weight is not an object",
+            id="commit-slot-int",
+        ),
+        pytest.param(
+            lambda h: _edit_controller_slots(h, {"adam|0": 5}),
+            "checkpoint header field controller.slots.adam|0 is not an object",
+            id="controller-slot-int",
+        ),
+        pytest.param(
+            lambda h: h.update(rng=[["controller", 3]]),
+            "checkpoint header field rng is not an object",
+            id="rng-list",
+        ),
+    ],
+)
+def test_checkpoint_names_a_malformed_slot_header(tmp_path, edit, message):
+    # Re-sealed, so the load gets past the file digest to the header itself.
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    edit(header)
+    _write(path, header, blob)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
 @pytest.mark.parametrize(
     "renamed",
     ["heads/weight", "head", "controller/slots/adam|9/m", "commit_slots/adam|0/1/bias/m",
