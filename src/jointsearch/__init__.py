@@ -2,11 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, EngineConfig, load_config, parse_config
+from .config import ConfigError, EngineConfig, RewardSection, load_config, parse_config
 from .engine import (
     BaselineResult,
     RetrainResult,
-    RewardSpec,
     SearchResult,
     compute_reward,
     evaluate_candidate,
@@ -28,11 +27,11 @@ __all__ = [
     "__version__",
     "ConfigError",
     "EngineConfig",
+    "RewardSection",
     "load_config",
     "parse_config",
     "BaselineResult",
     "RetrainResult",
-    "RewardSpec",
     "SearchResult",
     "compute_reward",
     "evaluate_candidate",

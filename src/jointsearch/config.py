@@ -1,15 +1,19 @@
 """Engine configuration: one JSON document, strictly validated.
 
 Every section rejects unknown keys so typos fail loudly instead of silently
-falling back to defaults. ``parse_config`` works on an in-memory dict and
-does not modify it; ``load_config`` reads a JSON file. ``config_to_dict``
-echoes a parsed config back as a document, defaults included, which is what
-checkpoints store.
+falling back to defaults. A section's defaults are its dataclass defaults and
+its range checks live in its ``__post_init__``, so a section built in code is
+checked exactly like a parsed one; the parser type-checks each key present
+(every real must be finite) and leaves absent keys to the defaults.
+``parse_config`` works on an in-memory dict and does not modify it;
+``load_config`` reads a JSON file. ``config_to_dict`` echoes a parsed config
+back as a document, defaults included, which is what checkpoints store.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .space import (
     HyperConfig,
@@ -36,17 +40,27 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], where: s
         raise ConfigError(f"{where}: missing required key(s) {sorted(missing)}")
 
 
-def _as_int(value, where: str, minimum: int | None = None) -> int:
+def _check(ok: bool, where: str, rule: str) -> None:
+    if not ok:
+        raise ConfigError(f"{where}: {rule}")
+
+
+def _at_least(value: int, minimum: int, where: str) -> None:
+    if value < minimum:
+        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
+
+
+def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {value}")
     return value
 
 
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -68,12 +82,34 @@ class DataSection:
     fractions: tuple[float, float, float] = (0.5, 0.25, 0.25)
     seed: int = 0
 
+    def __post_init__(self):
+        _as_str(self.generator, "data.generator", GENERATORS)
+        _at_least(self.n, 2, "data.n")
+        generated = self.csv_path is None and self.generator != "none"
+        _check(self.n % 2 == 0 or not generated, "data.n", "must be even for a generator")
+        _check(self.noise_sd >= 0.0, "data.noise_sd", "must be non-negative")
+        spirals = generated and self.generator == "spirals"
+        _check(self.turns > 0.0 or not spirals, "data.turns", "must be positive for spirals")
+        _check(min(self.fractions) > 0.0, "data.fractions", "must all be positive")
+        total = sum(self.fractions)
+        _check(abs(total - 1.0) <= 1e-9, "data.fractions", f"must sum to 1, got {total}")
+
 
 @dataclass(frozen=True)
 class RewardSection:
+    """How a candidate's scalar reward is computed from accuracy and cost."""
+
     mode: str = "plain"
     beta: float = 0.0
     target_cost: float | None = None
+
+    def __post_init__(self):
+        _as_str(self.mode, "search.reward.mode", REWARD_MODES)
+        _check(self.beta <= 0.0, "search.reward.beta", "must be <= 0 (penalty coefficient)")
+        target = self.target_cost
+        _check(target is None or target > 0.0, "search.reward.target_cost", "must be positive")
+        if self.mode == "cost_aware" and target is None:
+            raise ConfigError("search.reward.target_cost: required for cost_aware mode")
 
 
 @dataclass(frozen=True)
@@ -90,11 +126,25 @@ class SearchSection:
     train_batch_size: int = 64
     default_learning_rate: float = 0.01
 
+    def __post_init__(self):
+        _at_least(self.total_meta_steps, 0, "search.total_meta_steps")
+        _at_least(self.pairs_per_step, 1, "search.pairs_per_step")
+        _check(0.0 <= self.warmup_fraction < 1.0, "search.warmup_fraction", "must be in [0, 1)")
+        _check(self.meta_lr > 0.0, "search.meta_lr", "must be positive")
+        _check(0.0 <= self.baseline_momentum < 1.0, "search.baseline_momentum", "must be in [0, 1)")
+        for name in ("inner_steps", "val_batch_size", "train_batch_size"):
+            _at_least(getattr(self, name), 1, f"search.{name}")
+        _check(self.default_learning_rate > 0.0, "search.default_learning_rate", "must be positive")
+
 
 @dataclass(frozen=True)
 class RetrainSection:
     epochs: int = 30
     batch_size: int = 64
+
+    def __post_init__(self):
+        _at_least(self.epochs, 1, "retrain.epochs")
+        _at_least(self.batch_size, 1, "retrain.batch_size")
 
 
 @dataclass(frozen=True)
@@ -103,6 +153,9 @@ class OutputSection:
     log_path: str | None = None
     checkpoint_path: str | None = None
     checkpoint_interval: int = 0  # 0: final checkpoint only
+
+    def __post_init__(self):
+        _at_least(self.checkpoint_interval, 0, "output.checkpoint_interval")
 
 
 @dataclass(frozen=True)
@@ -116,6 +169,46 @@ class EngineConfig:
     def sections_for_resume(self) -> tuple:
         # Output paths may legitimately differ between a run and its resume.
         return (self.space, self.data, self.search, self.retrain)
+
+
+_SECTIONS = {
+    "data": DataSection,
+    "search": SearchSection,
+    "retrain": RetrainSection,
+    "output": OutputSection,
+}
+_SCALARS = {"int": _as_int, "float": _as_real, "str": _as_str}
+
+
+def _coerce(annotation: str, value, where: str):
+    """``value`` type-checked against a section field's annotation."""
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation[: -len(" | None")]
+    if annotation == "RewardSection":
+        return _parse_section(RewardSection, value, where)
+    if annotation.startswith("tuple["):
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"{where}: expected a list of three numbers")
+        return tuple(_as_real(v, where) for v in value)
+    return _SCALARS[annotation](value, where)
+
+
+def _parse_section(cls, section, where: str):
+    """``cls`` from the keys present in ``section``; the rest keep their
+    dataclass defaults and ``cls`` checks every range."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    declared = {f.name: f for f in fields(cls)}
+    required = {name for name, f in declared.items() if f.default is MISSING}
+    _require_keys(section, set(declared), required, where)
+    return cls(
+        **{
+            key: _coerce(declared[key].type, value, f"{where}.{key}")
+            for key, value in section.items()
+        }
+    )
 
 
 def _parse_space(section: dict) -> SpaceConfig:
@@ -135,7 +228,7 @@ def _parse_space(section: dict) -> SpaceConfig:
             raise ConfigError(f"space.layers[{i}].candidates: expected a list of strings")
         width = raw.get("width")
         if width is not None:
-            width = _as_int(width, f"space.layers[{i}].width", minimum=1)
+            width = _as_int(width, f"space.layers[{i}].width")
         layers.append(LayerConfig(tuple(cands), width))
 
     hypers = []
@@ -182,12 +275,12 @@ def _parse_space(section: dict) -> SpaceConfig:
                 basis = tuple(_as_str(v, f"{where}.basis") for v in raw_basis)
         default_index = raw.get("default_index")
         if default_index is not None:
-            default_index = _as_int(default_index, f"{where}.default_index", minimum=0)
+            default_index = _as_int(default_index, f"{where}.default_index")
         hypers.append(HyperConfig(name, kind, basis, default_index))
 
     config = SpaceConfig(
-        input_dim=_as_int(section["input_dim"], "space.input_dim", minimum=1),
-        num_classes=_as_int(section["num_classes"], "space.num_classes", minimum=2),
+        input_dim=_as_int(section["input_dim"], "space.input_dim"),
+        num_classes=_as_int(section["num_classes"], "space.num_classes"),
         layers=tuple(layers),
         hyperparameters=tuple(hypers),
     )
@@ -198,156 +291,19 @@ def _parse_space(section: dict) -> SpaceConfig:
     return config
 
 
-def _parse_data(section: dict) -> DataSection:
-    _require_keys(
-        section,
-        {"generator", "csv_path", "n", "noise_sd", "turns", "fractions", "seed"},
-        set(),
-        "data",
-    )
-    generator = _as_str(section.get("generator", "two_moons"), "data.generator", GENERATORS)
-    csv_path = section.get("csv_path")
-    if csv_path is not None:
-        csv_path = _as_str(csv_path, "data.csv_path")
-    fractions = section.get("fractions", [0.5, 0.25, 0.25])
-    if not isinstance(fractions, list) or len(fractions) != 3:
-        raise ConfigError("data.fractions: expected a list of three numbers")
-    fractions = tuple(_as_real(f, "data.fractions") for f in fractions)
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"data.fractions: must sum to 1, got {sum(fractions)}")
-    noise_sd = _as_real(section.get("noise_sd", 0.1), "data.noise_sd")
-    if noise_sd < 0.0:
-        raise ConfigError("data.noise_sd: must be non-negative")
-    turns = _as_real(section.get("turns", 1.0), "data.turns")
-    return DataSection(
-        generator=generator,
-        csv_path=csv_path,
-        n=_as_int(section.get("n", 1000), "data.n", minimum=2),
-        noise_sd=noise_sd,
-        turns=turns,
-        fractions=fractions,
-        seed=_as_int(section.get("seed", 0), "data.seed"),
-    )
-
-
-def _parse_reward(section: dict) -> RewardSection:
-    _require_keys(section, {"mode", "beta", "target_cost"}, set(), "search.reward")
-    mode = _as_str(section.get("mode", "plain"), "search.reward.mode", REWARD_MODES)
-    beta = _as_real(section.get("beta", 0.0), "search.reward.beta")
-    if beta > 0.0:
-        raise ConfigError("search.reward.beta: must be <= 0 (penalty coefficient)")
-    target = section.get("target_cost")
-    if target is not None:
-        target = _as_real(target, "search.reward.target_cost")
-        if target <= 0.0:
-            raise ConfigError("search.reward.target_cost: must be positive")
-    if mode == "cost_aware" and target is None:
-        raise ConfigError("search.reward.target_cost: required for cost_aware mode")
-    return RewardSection(mode, beta, target)
-
-
-def _parse_search(section: dict) -> SearchSection:
-    _require_keys(
-        section,
-        {
-            "total_meta_steps",
-            "pairs_per_step",
-            "warmup_fraction",
-            "meta_lr",
-            "baseline_momentum",
-            "entropy_weight",
-            "reward",
-            "inner_steps",
-            "val_batch_size",
-            "train_batch_size",
-            "default_learning_rate",
-        },
-        {"total_meta_steps"},
-        "search",
-    )
-    warmup = _as_real(section.get("warmup_fraction", 0.3), "search.warmup_fraction")
-    if not 0.0 <= warmup < 1.0:
-        raise ConfigError("search.warmup_fraction: must be in [0, 1)")
-    meta_lr = _as_real(section.get("meta_lr", 0.05), "search.meta_lr")
-    if meta_lr <= 0.0:
-        raise ConfigError("search.meta_lr: must be positive")
-    momentum = _as_real(section.get("baseline_momentum", 0.95), "search.baseline_momentum")
-    if not 0.0 <= momentum < 1.0:
-        raise ConfigError("search.baseline_momentum: must be in [0, 1)")
-    default_lr = _as_real(section.get("default_learning_rate", 0.01), "search.default_learning_rate")
-    if default_lr <= 0.0:
-        raise ConfigError("search.default_learning_rate: must be positive")
-    reward_raw = section.get("reward", {})
-    if not isinstance(reward_raw, dict):
-        raise ConfigError("search.reward: expected an object")
-    return SearchSection(
-        total_meta_steps=_as_int(section["total_meta_steps"], "search.total_meta_steps", minimum=0),
-        pairs_per_step=_as_int(section.get("pairs_per_step", 4), "search.pairs_per_step", minimum=1),
-        warmup_fraction=warmup,
-        meta_lr=meta_lr,
-        baseline_momentum=momentum,
-        entropy_weight=_as_real(section.get("entropy_weight", 0.0), "search.entropy_weight"),
-        reward=_parse_reward(reward_raw),
-        inner_steps=_as_int(section.get("inner_steps", 1), "search.inner_steps", minimum=1),
-        val_batch_size=_as_int(section.get("val_batch_size", 256), "search.val_batch_size", minimum=1),
-        train_batch_size=_as_int(section.get("train_batch_size", 64), "search.train_batch_size", minimum=1),
-        default_learning_rate=default_lr,
-    )
-
-
-def _parse_retrain(section: dict) -> RetrainSection:
-    _require_keys(section, {"epochs", "batch_size"}, set(), "retrain")
-    return RetrainSection(
-        epochs=_as_int(section.get("epochs", 30), "retrain.epochs", minimum=1),
-        batch_size=_as_int(section.get("batch_size", 64), "retrain.batch_size", minimum=1),
-    )
-
-
-def _parse_output(section: dict) -> OutputSection:
-    _require_keys(
-        section,
-        {"result_path", "log_path", "checkpoint_path", "checkpoint_interval"},
-        set(),
-        "output",
-    )
-    def _opt_path(key):
-        value = section.get(key)
-        return None if value is None else _as_str(value, f"output.{key}")
-
-    return OutputSection(
-        result_path=_opt_path("result_path"),
-        log_path=_opt_path("log_path"),
-        checkpoint_path=_opt_path("checkpoint_path"),
-        checkpoint_interval=_as_int(
-            section.get("checkpoint_interval", 0), "output.checkpoint_interval", minimum=0
-        ),
-    )
-
-
 def parse_config(document: dict) -> EngineConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be an object")
-    _require_keys(
-        document,
-        {"space", "data", "search", "retrain", "output"},
-        {"space", "search"},
-        "config",
+    _require_keys(document, {"space", *_SECTIONS}, {"space", "search"}, "config")
+    if not isinstance(document["space"], dict):
+        raise ConfigError("space: expected an object")
+    return EngineConfig(
+        space=_parse_space(document["space"]),
+        **{
+            name: _parse_section(cls, document.get(name, {}), name)
+            for name, cls in _SECTIONS.items()
+        },
     )
-    for key in ("space", "data", "search", "retrain", "output"):
-        if key in document and not isinstance(document[key], dict):
-            raise ConfigError(f"{key}: expected an object")
-    try:
-        return EngineConfig(
-            space=_parse_space(document["space"]),
-            data=_parse_data(document.get("data", {})),
-            search=_parse_search(document["search"]),
-            retrain=_parse_retrain(document.get("retrain", {})),
-            output=_parse_output(document.get("output", {})),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def config_to_dict(config: EngineConfig) -> dict:

@@ -18,32 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import SearchSection
 from .numerics import RngStream, softmax
 from .space import SearchSpace
 from .trainstep import SlotStore, TrainerSpec, optimizer_step
-
-
-@dataclass(frozen=True)
-class MetaHyperparameters:
-    total_meta_steps: int
-    meta_lr: float = 0.05
-    baseline_momentum: float = 0.95
-    warmup_fraction: float = 0.3
-    entropy_weight: float = 0.0
-
-    def __post_init__(self):
-        if self.total_meta_steps < 0:
-            raise ValueError("total_meta_steps must be non-negative")
-        if self.meta_lr <= 0.0:
-            raise ValueError("meta_lr must be positive")
-        if not 0.0 <= self.baseline_momentum < 1.0:
-            raise ValueError("baseline_momentum must be in [0, 1)")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-
-    @property
-    def warmup_steps(self) -> float:
-        return self.warmup_fraction * self.total_meta_steps
 
 
 @dataclass
@@ -124,15 +102,16 @@ def _entropy_gradient(probs: list[np.ndarray], weight: float) -> list[np.ndarray
 def reinforce_update(
     state: ControllerState,
     samples: Sequence[tuple[Sequence[int], float]],
-    meta: MetaHyperparameters,
-) -> ControllerState:
+    search: SearchSection,
+) -> float:
     """One meta-step: Adam on the logits, then the baseline moving average.
 
-    Advantages use the baseline as of the start of the call; when no reward
-    has ever been observed the first sample's reward stands in, which keeps
-    the first update free of a start-up advantage spike. Inside the warm-up
-    window the logits (and their Adam slots) are left bitwise unchanged while
-    the baseline still tracks every reward.
+    Advantages use the baseline as of the start of the call, which is
+    returned; when no reward has ever been observed the first sample's reward
+    stands in, which keeps the first update free of a start-up advantage
+    spike. Inside the warm-up window (the first ``warmup_fraction *
+    total_meta_steps`` updates) the logits and their Adam slots are left
+    bitwise unchanged while the baseline still tracks every reward.
     """
     if not samples:
         raise ValueError("reinforce_update needs at least one sample")
@@ -141,10 +120,10 @@ def reinforce_update(
             raise ValueError("selection length does not match decision count")
     pre_baseline = state.baseline if state.baseline_initialized else float(samples[0][1])
 
-    if state.step >= meta.warmup_steps:
+    if state.step >= search.warmup_fraction * search.total_meta_steps:
         grads = reinforce_logit_gradient(state, samples, pre_baseline)
-        if meta.entropy_weight != 0.0:
-            for g, e in zip(grads, _entropy_gradient(probabilities(state), meta.entropy_weight)):
+        if search.entropy_weight != 0.0:
+            for g, e in zip(grads, _entropy_gradient(probabilities(state), search.entropy_weight)):
                 g += e
         params = {d: z for d, z in enumerate(state.logits)}
         grad_map = {d: g for d, g in enumerate(grads)}
@@ -152,10 +131,10 @@ def reinforce_update(
             params,
             grad_map,
             state.slots,
-            TrainerSpec(optimizer="adam", learning_rate=meta.meta_lr),
+            TrainerSpec(optimizer="adam", learning_rate=search.meta_lr),
         )
 
-    m = meta.baseline_momentum
+    m = search.baseline_momentum
     for _, reward in samples:
         r = float(reward)
         if not np.isfinite(r):
@@ -166,5 +145,4 @@ def reinforce_update(
         else:
             state.baseline = m * state.baseline + (1.0 - m) * r
     state.step += 1
-    return state
-
+    return pre_baseline

@@ -9,7 +9,8 @@ single-step updates into the shared store, each at 1/K of the sampled
 learning rate, so one meta-step advances the store by about one effective
 step regardless of K. After the last meta-step the learned per-decision
 probabilities are collapsed into one concrete configuration, which can be
-retrained from scratch.
+retrained from scratch. The loop's settings come straight from the config
+sections, and its whole resumable state is one ``persist.Checkpoint``.
 """
 from __future__ import annotations
 
@@ -22,39 +23,13 @@ import numpy as np
 
 from . import controller as ctrl
 from . import persist, supernet, trainstep
-from .config import ConfigError, EngineConfig, config_to_dict
+from .config import ConfigError, EngineConfig, RewardSection, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
 from .numerics import RngStream, softmax_cross_entropy
+from .persist import RewardRecord
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SuperModelWeights
 from .trainstep import SlotStore, TrainerDefaults, TrainerSpec
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    """How a candidate's scalar reward is computed from accuracy and cost."""
-
-    mode: str = "plain"  # "plain" | "cost_aware"
-    beta: float = 0.0
-    target_cost: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("plain", "cost_aware"):
-            raise ValueError(f"unknown reward mode {self.mode!r}")
-        if self.beta > 0.0:
-            raise ValueError("beta must be <= 0")
-        if self.mode == "cost_aware" and (self.target_cost is None or self.target_cost <= 0.0):
-            raise ValueError("cost_aware mode needs a positive target_cost")
-
-
-@dataclass
-class RewardRecord:
-    meta_step: int
-    selection: tuple[int, ...]
-    accuracy: float
-    cost: float
-    reward: float
-    baseline: float = 0.0
 
 
 @dataclass
@@ -91,7 +66,7 @@ class BaselineResult:
     trials: list[BaselineTrial]
 
 
-def compute_reward(accuracy: float, cost: float, spec: RewardSpec) -> float:
+def compute_reward(accuracy: float, cost: float, spec: RewardSection) -> float:
     """Plain mode returns accuracy; cost-aware mode adds a penalty that is
     zero exactly on target and grows linearly with relative cost error."""
     if not np.isfinite(accuracy) or not 0.0 <= accuracy <= 1.0:
@@ -126,7 +101,7 @@ def evaluate_candidate(
     val_batch: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
     *,
-    reward_spec: RewardSpec = RewardSpec(),
+    reward: RewardSection = RewardSection(),
     defaults: TrainerDefaults = TrainerDefaults(),
     meta_step: int = 0,
 ) -> RewardRecord:
@@ -142,8 +117,9 @@ def evaluate_candidate(
     temp = trainstep.make_temporary(weights, view, spec, train_batches, rng)
     accuracy, _ = eval_metrics(weights, selection, val_batch, overrides=temp.overrides)
     cost = supernet.cost(space, selection)
-    reward = compute_reward(accuracy, cost, reward_spec)
-    return RewardRecord(meta_step, tuple(selection), accuracy, cost, reward)
+    return RewardRecord(
+        meta_step, tuple(selection), accuracy, cost, compute_reward(accuracy, cost, reward)
+    )
 
 
 def setup_run(config: EngineConfig, space: SearchSpace) -> tuple[DataSplit, TrainerDefaults]:
@@ -188,6 +164,26 @@ def _draw_batch(
     return dataset.features[idx], dataset.labels[idx]
 
 
+def _resumable(config: EngineConfig, path: str) -> persist.Checkpoint:
+    """The checkpoint at ``path``, refused unless ``config`` could have
+    written it: every section but the output paths must match, and its step
+    must lie within the run."""
+    from .config import parse_config
+
+    ckpt = persist.load_checkpoint(path)
+    if parse_config(ckpt.config_echo).sections_for_resume() != config.sections_for_resume():
+        raise ConfigError(
+            "checkpoint was produced by a different configuration; "
+            "only output paths may differ on resume"
+        )
+    total = config.search.total_meta_steps
+    if ckpt.meta_step > total:
+        raise ValueError(
+            f"{path}: checkpoint header field meta_step is not an integer in [0, {total}]"
+        )
+    return ckpt
+
+
 def search(
     config: EngineConfig,
     *,
@@ -201,64 +197,40 @@ def search(
     with a direct ``selection -> (accuracy, cost)`` lookup; no dataset or
     shared store is involved (useful for tabular studies of the controller).
     ``audit`` is called after each phase with (phase, step, weights).
+
+    The whole resumable state is one ``persist.Checkpoint``: a fresh run
+    builds it, a resume loads it, each meta-step advances it in place (the
+    network weights share its arrays), and each save writes it as it stands
+    with the current config echoed, so output paths may change on resume.
+    The last meta-step always saves; a run with no step left saves once.
     """
     space = build_space(config.space)
-    meta = ctrl.MetaHyperparameters(
-        total_meta_steps=config.search.total_meta_steps,
-        meta_lr=config.search.meta_lr,
-        baseline_momentum=config.search.baseline_momentum,
-        warmup_fraction=config.search.warmup_fraction,
-        entropy_weight=config.search.entropy_weight,
-    )
-    reward_spec = RewardSpec(
-        mode=config.search.reward.mode,
-        beta=config.search.reward.beta,
-        target_cost=config.search.reward.target_cost,
-    )
+    settings = config.search
     seed = config.data.seed
-    k = config.search.pairs_per_step
-    total = config.search.total_meta_steps
-
+    k = settings.pairs_per_step
+    total = settings.total_meta_steps
     uses_network = evaluate_override is None
-    weights: SuperModelWeights | None = None
-    commit_slots = SlotStore()
     if uses_network:
         splits, defaults = setup_run(config, space)
-        weights = supernet.init_weights(space, RngStream(seed, "init"))
 
-    state = ctrl.init_controller(space)
-    ctrl_stream = RngStream(seed, "controller")
-    start_step = 0
-    history: list[RewardRecord] = []
-
-    if resume_from is not None:
-        ckpt = persist.load_checkpoint(resume_from)
-        from .config import parse_config
-
-        echoed = parse_config(ckpt.config_echo)
-        if echoed.sections_for_resume() != config.sections_for_resume():
-            raise ConfigError(
-                "checkpoint was produced by a different configuration; "
-                "only output paths may differ on resume"
-            )
-        state.logits = [z.copy() for z in ckpt.logits]
-        state.baseline = ckpt.baseline
-        state.baseline_initialized = ckpt.baseline_initialized
-        state.step = ckpt.controller_step
-        state.slots = ckpt.controller_slots
-        commit_slots = ckpt.commit_slots
+    if resume_from is None:
+        ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
         if uses_network:
-            if ckpt.head_weight is None:
-                raise ValueError("checkpoint has no network state to resume from")
-            weights.store = ckpt.store
-            weights.head_weight = ckpt.head_weight
-            weights.head_bias = ckpt.head_bias
-        ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters.get("controller", 0))
-        start_step = ckpt.meta_step
-        history = [
-            RewardRecord(**{**r, "selection": tuple(r["selection"])})
-            for r in ckpt.reward_history
-        ]
+            init = supernet.init_weights(space, RngStream(seed, "init"))
+            ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
+    else:
+        ckpt = _resumable(config, resume_from)
+        if not uses_network:  # a table-driven run carries no network state
+            ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
+        elif ckpt.head_weight is None:
+            raise ValueError("checkpoint has no network state to resume from")
+    ckpt.config_echo = config_to_dict(config)
+    state = ckpt.controller
+    weights = None
+    if uses_network:
+        weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
+    ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters.get("controller", 0))
+    start = ckpt.meta_step
 
     log_fh = None
     if config.output.log_path is not None:
@@ -269,72 +241,45 @@ def search(
         # run repeats the rest; a fresh or empty log starts with its header.
         kept = 0
         if resume_from is not None and os.path.exists(config.output.log_path):
-            kept = persist.truncate_events(config.output.log_path, start_step)
+            kept = persist.truncate_events(config.output.log_path, start)
         log_fh = open(config.output.log_path, "a" if kept else "w", encoding="utf-8")
         if not kept:
             log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")
 
-    config_echo = config_to_dict(config)
     checkpoint_path = config.output.checkpoint_path
     interval = config.output.checkpoint_interval
-
-    def save_checkpoint_now(step_done: int, digest: str) -> None:
-        ckpt = persist.Checkpoint(
-            config_echo=config_echo,
-            meta_step=step_done,
-            logits=[z.copy() for z in state.logits],
-            baseline=state.baseline,
-            baseline_initialized=state.baseline_initialized,
-            controller_step=state.step,
-            controller_slots=state.slots,
-            store=dict(weights.store) if weights is not None else {},
-            head_weight=None if weights is None else weights.head_weight,
-            head_bias=None if weights is None else weights.head_bias,
-            commit_slots=commit_slots,
-            rng_counters={"controller": ctrl_stream.counter},
-            reward_history=[dict(vars(r)) for r in history],
-            store_digest=digest,
-        )
-        persist.save_checkpoint(checkpoint_path, ckpt)
-
-    saved_step = None
     try:
-        for step in range(start_step, total):
+        for step in range(start, total):
             t0 = time.monotonic()
             records: list[RewardRecord] = []
             for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
                 if evaluate_override is not None:
                     accuracy, cost = evaluate_override(selection)
-                    reward = compute_reward(accuracy, cost, reward_spec)
+                    reward = compute_reward(accuracy, cost, settings.reward)
                     record = RewardRecord(step, selection, accuracy, cost, reward)
                 else:
                     data_rng = RngStream(seed, f"eval-data/{step}/{i}")
                     batches = [
-                        _draw_batch(splits.train, config.search.train_batch_size, data_rng)
-                        for _ in range(config.search.inner_steps)
+                        _draw_batch(splits.train, settings.train_batch_size, data_rng)
+                        for _ in range(settings.inner_steps)
                     ]
-                    val_batch = _draw_batch(
-                        splits.val, config.search.val_batch_size, data_rng
-                    )
+                    val_batch = _draw_batch(splits.val, settings.val_batch_size, data_rng)
                     record = evaluate_candidate(
                         weights,
                         selection,
                         batches,
                         val_batch,
                         RngStream(seed, f"eval-train/{step}/{i}"),
-                        reward_spec=reward_spec,
+                        reward=settings.reward,
                         defaults=defaults,
                         meta_step=step,
                     )
                 records.append(record)
-            pre_baseline = (
-                state.baseline if state.baseline_initialized else records[0].reward
+            baseline = ctrl.reinforce_update(
+                state, [(r.selection, r.reward) for r in records], settings
             )
             for record in records:
-                record.baseline = pre_baseline
-            ctrl.reinforce_update(
-                state, [(r.selection, r.reward) for r in records], meta
-            )
+                record.baseline = baseline
             if audit is not None:
                 audit("controller", step, weights)
 
@@ -344,7 +289,7 @@ def search(
                     spec = replace(spec, learning_rate=spec.learning_rate / k)
                     batch = _draw_batch(
                         splits.train,
-                        config.search.train_batch_size,
+                        settings.train_batch_size,
                         RngStream(seed, f"commit-data/{step}/{i}"),
                     )
                     trainstep.commit_step(
@@ -352,17 +297,20 @@ def search(
                         supernet.sub_view(weights, selection),
                         spec,
                         batch,
-                        commit_slots,
+                        ckpt.commit_slots,
                         RngStream(seed, f"commit-train/{step}/{i}"),
                     )
                 if audit is not None:
                     audit("commit", step, weights)
 
-            history.extend(records)
+            ckpt.reward_history.extend(records)
+            ckpt.meta_step = step + 1
             # One store digest serves the event record and the checkpoint.
-            saves = checkpoint_path is not None and interval > 0 and (step + 1) % interval == 0
+            saves = checkpoint_path is not None and (
+                step + 1 == total or interval > 0 and (step + 1) % interval == 0
+            )
             if log_fh is not None or saves:
-                digest = persist.weights_digest(weights)
+                digest = persist.store_digest(ckpt.store)
             if log_fh is not None:
                 event = persist.EventRecord(
                     meta_step=step,
@@ -374,19 +322,22 @@ def search(
                 )
                 persist.write_event(log_fh, event)
             if saves:
-                save_checkpoint_now(step + 1, digest)
-                saved_step = step + 1
+                ckpt.store_digest = digest
+                ckpt.rng_counters = {"controller": ctrl_stream.counter}
+                persist.save_checkpoint(checkpoint_path, ckpt)
     finally:
         if log_fh is not None:
             log_fh.close()
-    if checkpoint_path is not None and saved_step != total:
-        save_checkpoint_now(total, persist.weights_digest(weights))
+    if checkpoint_path is not None and start == total:  # no step left: save once
+        ckpt.store_digest = persist.store_digest(ckpt.store)
+        ckpt.rng_counters = {"controller": ctrl_stream.counter}
+        persist.save_checkpoint(checkpoint_path, ckpt)
 
     final_probs = ctrl.probabilities(state)
     return SearchResult(
         derived=derive(space, final_probs),
         final_probabilities=final_probs,
-        reward_history=history,
+        reward_history=ckpt.reward_history,
         wall_steps=total,
     )
 

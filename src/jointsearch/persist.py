@@ -4,11 +4,13 @@ Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
 bytes.
 
-A checkpoint file has three parts:
+A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
+keeps one, advances it in place and saves it as it stands. Its file has three
+parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, controller logits, baseline and its flag,
-   controller step, RNG counters, reward history, ``store_digest``, the
+   version, config echo, meta-step, the controller state (logits, baseline
+   and its flag, step), RNG counters, reward history, ``store_digest``, the
    integer fields of every optimizer slot, and the name and shape of every
    array in file order (store sorted by key, head, controller slots, commit
    slots). A newline ends the line.
@@ -26,7 +28,12 @@ and the array), and verifies ``store_digest`` against the restored store. A
 header that lacks a field, gives an optimizer slot section, a slot or the RNG
 counters as a non-object, names a slot by something other than
 ``family|key``, or names an array of no known section, raises ``ValueError``
-naming the file and the field or array.
+naming the file and the field or array. So does a re-sealed header (one
+whose SHA-256 was recomputed after an edit) whose meta-step or controller
+step is not a non-negative integer, whose baseline is not a finite number,
+whose baseline flag is not a boolean, or whose reward history is not a list
+of ``RewardRecord`` objects: exactly its six fields, a non-negative integer
+step, a list of integers as the selection and numbers elsewhere.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -50,12 +57,13 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .supernet import ParamKey, SuperModelWeights
+from .controller import ControllerState
+from .supernet import ParamKey
 from .trainstep import SlotStore
 
 CHECKPOINT_FORMAT_VERSION = 5
@@ -181,22 +189,35 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
 
 
 @dataclass
+class RewardRecord:
+    """One scored candidate; ``baseline`` is the controller baseline its
+    advantage was taken against."""
+
+    meta_step: int
+    selection: tuple[int, ...]
+    accuracy: float
+    cost: float
+    reward: float
+    baseline: float = 0.0
+
+
+_RECORD_FIELDS = {f.name for f in fields(RewardRecord)}
+
+
+@dataclass
 class Checkpoint:
-    """Resumable search state."""
+    """Resumable search state. ``engine.search`` keeps one as its live state
+    and advances it in place, so each save writes the state as it stands."""
 
     config_echo: dict
-    meta_step: int
-    logits: list[np.ndarray]
-    baseline: float
-    baseline_initialized: bool
-    controller_step: int
-    controller_slots: SlotStore
-    store: dict[ParamKey, np.ndarray]
-    head_weight: np.ndarray | None
-    head_bias: np.ndarray | None
-    commit_slots: SlotStore
-    reward_history: list[dict]  # one document per reward record before meta_step
-    store_digest: str  # ``store_digest(store)``, taken by the caller
+    meta_step: int  # meta-steps done
+    controller: ControllerState
+    store: dict[ParamKey, np.ndarray] = field(default_factory=dict)
+    head_weight: np.ndarray | None = None
+    head_bias: np.ndarray | None = None
+    commit_slots: SlotStore = field(default_factory=SlotStore)
+    reward_history: list[RewardRecord] = field(default_factory=list)  # steps before meta_step
+    store_digest: str = ""  # ``store_digest(store)``, taken by the caller
     rng_counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -218,7 +239,7 @@ def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
         arrays += [("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias)]
     slot_ints = {}
     for (section, key_text, _), slots in zip(
-        _SLOT_SECTIONS, (ckpt.controller_slots, ckpt.commit_slots)
+        _SLOT_SECTIONS, (ckpt.controller.slots, ckpt.commit_slots)
     ):
         named = sorted(
             ((f"{family}|{key_text(key)}", slot) for (family, key), slot in slots.items()),
@@ -238,20 +259,21 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
     atomically replace ``path`` with it."""
     slot_ints, arrays = _layout(ckpt)
+    controller = ckpt.controller
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config_echo,
         "meta_step": ckpt.meta_step,
         "controller": {
-            "logits": [_float_list(z) for z in ckpt.logits],
-            "baseline": ckpt.baseline,
-            "baseline_initialized": ckpt.baseline_initialized,
-            "step": ckpt.controller_step,
+            "logits": [_float_list(z) for z in controller.logits],
+            "baseline": controller.baseline,
+            "baseline_initialized": controller.baseline_initialized,
+            "step": controller.step,
             "slots": slot_ints["controller/slots"],
         },
         "commit_slots": slot_ints["commit_slots"],
         "rng": ckpt.rng_counters,
-        "reward_history": ckpt.reward_history,
+        "reward_history": [vars(r) for r in ckpt.reward_history],
         "store_digest": ckpt.store_digest,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
@@ -313,9 +335,28 @@ def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
             raise ValueError(f"{path}: checkpoint header lacks field {prefix}{name}")
 
 
-def _require_object(path: str, doc, name: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: checkpoint header field {name} is not an object")
+def _check(path: str, ok: bool, name: str, what: str) -> None:
+    """Raise ``ValueError`` naming the file and the header field ``name``
+    unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{path}: checkpoint header field {name} is not {what}")
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_record(doc) -> bool:
+    if not isinstance(doc, dict) or set(doc) != _RECORD_FIELDS:
+        return False
+    numbers = [doc[name] for name in ("accuracy", "cost", "reward", "baseline")]
+    selection = doc["selection"]
+    return (
+        _is_count(doc["meta_step"])
+        and all(type(v) in (int, float) for v in numbers)
+        and isinstance(selection, list)
+        and all(type(i) is int for i in selection)
+    )
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -340,7 +381,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
     _require(path, controller, "controller.", _CONTROLLER_FIELDS)
-    _require_object(path, header["rng"], "rng")
+    _check(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
+    _check(path, _is_count(controller["step"]), "controller.step", "a non-negative integer")
+    baseline = controller["baseline"]
+    finite = type(baseline) in (int, float) and math.isfinite(baseline)
+    _check(path, finite, "controller.baseline", "a finite number")
+    flag = controller["baseline_initialized"]
+    _check(path, type(flag) is bool, "controller.baseline_initialized", "a boolean")
+    history = header["reward_history"]
+    records = isinstance(history, list) and all(map(_is_record, history))
+    _check(path, records, "reward_history", "a list of reward records")
+    _check(path, isinstance(header["rng"], dict), "rng", "an object")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
@@ -349,7 +400,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
     ):
         where = section.replace("/", ".")  # the header field
-        _require_object(path, slot_ints, where)
+        _check(path, isinstance(slot_ints, dict), where, "an object")
         slots = SlotStore()
         for combined, slot in slot_ints.items():
             family, _, key_text = combined.partition("|")
@@ -359,7 +410,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(
                     f"{path}: {where}: slot name {combined!r} is not family|key"
                 ) from None
-            _require_object(path, slot, f"{where}.{combined}")
+            _check(path, isinstance(slot, dict), f"{where}.{combined}", "an object")
             slots.restore(family, key, slot)
             owners[f"{section}/{combined}"] = slot
         slot_stores.append(slots)
@@ -378,20 +429,20 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
-        logits=[np.asarray(z, dtype=np.float64) for z in controller["logits"]],
-        baseline=controller["baseline"],
-        baseline_initialized=controller["baseline_initialized"],
-        controller_step=controller["step"],
-        controller_slots=slot_stores[0],
+        controller=ControllerState(
+            logits=[np.asarray(z, dtype=np.float64) for z in controller["logits"]],
+            baseline=baseline,
+            baseline_initialized=flag,
+            step=controller["step"],
+            slots=slot_stores[0],
+        ),
         store=store,
         head_weight=head.get("weight"),
         head_bias=head.get("bias"),
         commit_slots=slot_stores[1],
-        reward_history=header["reward_history"],
+        reward_history=[
+            RewardRecord(**{**r, "selection": tuple(r["selection"])}) for r in history
+        ],
         store_digest=header["store_digest"],
         rng_counters={k: int(v) for k, v in header["rng"].items()},
     )
-
-
-def weights_digest(weights: SuperModelWeights | None) -> str:
-    return store_digest(weights.store if weights is not None else {})

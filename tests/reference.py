@@ -11,6 +11,7 @@
 * ``reference_sample``: one controller selection per call, one scalar uniform
   per decision, with its joint log-probability.
 * ``split_stream``: an ``RngStream`` namespaced under another one.
+* ``weights_digest``: the store digest of a super-model, or of no store.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import numpy as np
 from jointsearch import supernet, trainstep
 from jointsearch.controller import ControllerState, probabilities
 from jointsearch.numerics import RngStream, softmax
+from jointsearch.persist import store_digest
 from jointsearch.space import OP_AFFINE_RELU, OP_AFFINE_TANH, validate_selection
 
 MAX_ORACLE_SELECTIONS = 10**6
@@ -447,3 +449,8 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
 def split_stream(stream: RngStream, name: str) -> RngStream:
     """An independent stream namespaced under ``stream``."""
     return RngStream(stream.seed, f"{stream.name}/{name}")
+
+
+def weights_digest(weights) -> str:
+    """``store_digest`` of the weights' store; an empty store for ``None``."""
+    return store_digest(weights.store if weights is not None else {})

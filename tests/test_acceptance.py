@@ -14,10 +14,9 @@ import pytest
 
 from jointsearch import numerics, supernet, trainstep
 from jointsearch.cli import main
-from jointsearch.config import parse_config
+from jointsearch.config import SearchSection, parse_config
 from jointsearch.controller import (
     ControllerState,
-    MetaHyperparameters,
     init_controller,
     probabilities,
     reinforce_logit_gradient,
@@ -26,7 +25,7 @@ from jointsearch.controller import (
 from jointsearch.data import split, two_moons
 from jointsearch.engine import random_search_baseline, retrain, search
 from jointsearch.numerics import RngStream
-from jointsearch.persist import read_events, store_digest, weights_digest
+from jointsearch.persist import read_events, store_digest
 from jointsearch.space import (
     HyperConfig,
     LayerConfig,
@@ -51,6 +50,7 @@ from reference import (
     sum_all,
     take_cols,
     tanh,
+    weights_digest,
 )
 
 
@@ -86,7 +86,7 @@ def test_a1_simplex_suite():
         )
     )
     state = init_controller(space)
-    meta = MetaHyperparameters(total_meta_steps=10**4, warmup_fraction=0.0)
+    meta = SearchSection(total_meta_steps=10**4, warmup_fraction=0.0)
     rng = RngStream(0, "a1")
     started = time.monotonic()
     for _ in range(10**4):

@@ -84,6 +84,26 @@ def test_invalid_config_value_exits_one(capsys, tmp_path):
     assert "error:" in err and "pairs_per_step" in err
 
 
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("search", "entropy_weight", "NaN"),
+        ("search", "meta_lr", "Infinity"),
+        ("data", "fractions", "[1.0, 0.0, 0.0]"),
+        ("data", "n", "121"),
+    ],
+)
+def test_config_value_that_would_fail_at_run_time_exits_one(capsys, tmp_path, section, key, text):
+    # Rejected while the config is read (exit 1), not somewhere inside the run.
+    doc = base_doc()
+    doc[section][key] = "PLACEHOLDER"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', text))
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{section}.{key}" in err
+
+
 def test_baseline_rejects_nonpositive_budget(capsys, tmp_path):
     cfg = write_config(tmp_path, "cfg.json", base_doc())
     assert main(["baseline", "random", "--config", cfg, "--budget", "0"]) == 1
@@ -177,8 +197,41 @@ def test_resume_from_tampered_checkpoint_exits_two(capsys, tmp_path):
     assert "runtime error" in err and "digest" in err
 
 
+# Header values a re-sealed checkpoint may carry, each with the error it must
+# raise; the run has 6 meta-steps, so the final checkpoint is at step 6.
+VALUE_DEFECTS = {
+    "meta-step-negative": (
+        lambda h: h.update(meta_step=-2), "field meta_step is not a non-negative integer"
+    ),
+    "meta-step-past-total": (
+        lambda h: h.update(meta_step=7), "field meta_step is not an integer in [0, 6]"
+    ),
+    "controller-step": (
+        lambda h: h["controller"].update(step=-1),
+        "field controller.step is not a non-negative integer",
+    ),
+    "baseline-nan": (
+        lambda h: h["controller"].update(baseline=float("nan")),
+        "field controller.baseline is not a finite number",
+    ),
+    "flag-int": (
+        lambda h: h["controller"].update(baseline_initialized=1),
+        "field controller.baseline_initialized is not a boolean",
+    ),
+    "history-int": (
+        lambda h: h.update(reward_history=5),
+        "field reward_history is not a list of reward records",
+    ),
+    "history-field": (
+        lambda h: h["reward_history"][0].pop("selection"),
+        "field reward_history is not a list of reward records",
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "defect", ["missing-field", "unknown-section", "slots-list", "slot-key", "slot-int"]
+    "defect",
+    ["missing-field", "unknown-section", "slots-list", "slot-key", "slot-int", *VALUE_DEFECTS],
 )
 def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, defect):
     ckpt = tmp_path / "run.ckpt"
@@ -187,7 +240,10 @@ def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, d
     data = ckpt.read_bytes()
     newline = data.index(b"\n")
     header = json.loads(data[:newline])
-    if defect == "missing-field":
+    if defect in VALUE_DEFECTS:
+        edit, expected = VALUE_DEFECTS[defect]
+        edit(header)
+    elif defect == "missing-field":
         del header["commit_slots"]
         expected = "lacks field commit_slots"
     elif defect == "unknown-section":

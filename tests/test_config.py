@@ -8,6 +8,11 @@ import pytest
 
 from jointsearch.config import (
     ConfigError,
+    DataSection,
+    OutputSection,
+    RetrainSection,
+    RewardSection,
+    SearchSection,
     config_to_dict,
     load_config,
     parse_config,
@@ -191,3 +196,108 @@ def test_load_config_reads_valid_file(tmp_path):
     path.write_text(json.dumps(minimal_doc()))
     config = load_config(str(path))
     assert config.search.total_meta_steps == 10
+
+
+def test_absent_keys_take_the_section_defaults():
+    config = parse_config(minimal_doc())
+    assert config.data == DataSection()
+    assert config.search == SearchSection(total_meta_steps=10)
+    assert config.search.reward == RewardSection()
+    assert config.retrain == RetrainSection()
+    assert config.output == OutputSection()
+
+
+SECTION_RANGE_CASES = [
+    (SearchSection, {"total_meta_steps": -1}, "search.total_meta_steps: must be >= 0"),
+    (SearchSection, {"total_meta_steps": 1, "meta_lr": 0.0}, "search.meta_lr: must be positive"),
+    (
+        SearchSection,
+        {"total_meta_steps": 1, "warmup_fraction": 1.0},
+        "search.warmup_fraction: must be in [0, 1)",
+    ),
+    (RewardSection, {"mode": "hybrid"}, "search.reward.mode: expected one of"),
+    (RewardSection, {"beta": 0.5}, "search.reward.beta: must be <= 0"),
+    (
+        RewardSection,
+        {"mode": "cost_aware", "beta": -0.1},
+        "search.reward.target_cost: required for cost_aware mode",
+    ),
+    (DataSection, {"n": 7}, "data.n: must be even for a generator"),
+    (RetrainSection, {"epochs": 0}, "retrain.epochs: must be >= 1"),
+    (OutputSection, {"checkpoint_interval": -1}, "output.checkpoint_interval: must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, kwargs, message",
+    SECTION_RANGE_CASES,
+    ids=[message.split(":")[0] for _, _, message in SECTION_RANGE_CASES],
+)
+def test_sections_built_in_code_are_range_checked(section, kwargs, message):
+    with pytest.raises(ConfigError) as err:
+        section(**kwargs)
+    assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"fractions": [1.5, -0.25, -0.25]}, "data.fractions: must all be positive"),
+        ({"fractions": [1.0, 0.0, 0.0]}, "data.fractions: must all be positive"),
+        ({"generator": "two_moons", "n": 301}, "data.n: must be even for a generator"),
+        ({"generator": "spirals", "n": 99}, "data.n: must be even for a generator"),
+        ({"generator": "spirals", "turns": 0.0}, "data.turns: must be positive for spirals"),
+        ({"generator": "spirals", "turns": -1.5}, "data.turns: must be positive for spirals"),
+    ],
+)
+def test_data_values_that_fail_at_run_time_are_config_errors(data, message):
+    doc = minimal_doc()
+    doc["data"] = data
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"generator": "none", "n": 301},
+        {"csv_path": "points.csv", "n": 301},
+        {"generator": "two_moons", "turns": 0.0},
+        {"csv_path": "points.csv", "generator": "spirals", "turns": 0.0},
+    ],
+)
+def test_data_values_a_run_does_not_use_are_not_checked(data):
+    doc = minimal_doc()
+    doc["data"] = data
+    parse_config(doc)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("search", "entropy_weight"),
+        ("search", "meta_lr"),
+        ("search", "warmup_fraction"),
+        ("search", "reward", "beta"),
+        ("search", "reward", "target_cost"),
+        ("data", "noise_sd"),
+        ("data", "turns"),
+        ("data", "fractions", 0),
+        ("space", "hyperparameters", 0, "basis", 1),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_non_finite_reals_are_rejected(text, path):
+    doc = minimal_doc()
+    doc["data"] = {"fractions": [0.5, 0.25, 0.25]}
+    doc["search"]["reward"] = {}
+    owner = doc
+    for part in path[:-1]:
+        owner = owner[part]
+    owner[path[-1]] = "PLACEHOLDER"
+    document = json.loads(json.dumps(doc).replace('"PLACEHOLDER"', text))
+    with pytest.raises(ConfigError) as err:
+        parse_config(document)
+    assert "expected a finite number" in str(err.value)

@@ -10,13 +10,13 @@ import pytest
 from jointsearch import controller
 from jointsearch.controller import (
     ControllerState,
-    MetaHyperparameters,
     init_controller,
     probabilities,
     reinforce_logit_gradient,
     reinforce_update,
     sample,
 )
+from jointsearch.config import SearchSection
 from jointsearch.numerics import RngStream
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
@@ -220,7 +220,7 @@ def test_logit_gradient_rejects_non_finite_reward():
 
 
 def no_warmup_meta(**kw):
-    return MetaHyperparameters(total_meta_steps=100, warmup_fraction=0.0, **kw)
+    return SearchSection(total_meta_steps=100, warmup_fraction=0.0, **kw)
 
 
 def test_update_zero_advantage_leaves_logits_alone():
@@ -267,7 +267,7 @@ def test_update_first_step_uses_first_reward_as_baseline():
 
 def test_update_during_warmup_freezes_logits_but_tracks_baseline():
     state = init_controller(space_with_cards([3]))
-    meta = MetaHyperparameters(total_meta_steps=10, warmup_fraction=0.5)
+    meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
     for step in range(5):
         reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta)
         assert np.array_equal(state.logits[0], np.zeros(3)), f"moved at step {step}"
@@ -280,7 +280,7 @@ def test_update_during_warmup_freezes_logits_but_tracks_baseline():
 
 def test_update_warmup_leaves_adam_slots_untouched():
     state = init_controller(space_with_cards([3]))
-    meta = MetaHyperparameters(total_meta_steps=10, warmup_fraction=0.5)
+    meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
     reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta)
     assert len(state.slots) == 0
 
@@ -320,14 +320,34 @@ def test_entropy_weight_pushes_toward_uniform():
     assert after.min() > before.min()
 
 
-def test_meta_hyperparameters_validation():
+def test_search_section_validation():
     with pytest.raises(ValueError):
-        MetaHyperparameters(total_meta_steps=10, meta_lr=0.0)
+        SearchSection(total_meta_steps=10, meta_lr=0.0)
     with pytest.raises(ValueError):
-        MetaHyperparameters(total_meta_steps=10, baseline_momentum=1.0)
+        SearchSection(total_meta_steps=10, baseline_momentum=1.0)
     with pytest.raises(ValueError):
-        MetaHyperparameters(total_meta_steps=10, warmup_fraction=1.0)
-    assert MetaHyperparameters(total_meta_steps=10).warmup_steps == 3.0
+        SearchSection(total_meta_steps=10, warmup_fraction=1.0)
+
+
+def test_warmup_threshold_is_fraction_times_total_steps():
+    # The default fraction 0.3 of 10 steps: updates 0, 1 and 2 are warm-up.
+    state = init_controller(space_with_cards([3]))
+    for step in range(4):
+        assert np.array_equal(state.logits[0], np.zeros(3)), f"moved before update {step}"
+        reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], SearchSection(total_meta_steps=10))
+    assert not np.array_equal(state.logits[0], np.zeros(3))
+
+
+def test_update_returns_the_baseline_its_advantages_used():
+    state = init_controller(space_with_cards([3]))
+    meta = no_warmup_meta(baseline_momentum=0.5)
+    # First call: no baseline yet, so the first reward stands in.
+    assert reinforce_update(state, [((0,), 0.25), ((1,), 1.0)], meta) == 0.25
+    after_first = state.baseline  # 0.5 * 0.25 + 0.5 * 1.0
+    assert after_first == 0.625
+    # Later call: the baseline as it stood before the call, not after it.
+    assert reinforce_update(state, [((2,), 0.0)], meta) == after_first
+    assert state.baseline == 0.3125
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from jointsearch import persist, supernet
-from jointsearch.config import ConfigError, parse_config
+from jointsearch.config import ConfigError, RewardSection, config_to_dict, parse_config
 from jointsearch.data import split, two_moons
 from jointsearch.engine import (
-    RewardSpec,
     compute_reward,
     evaluate_candidate,
     random_search_baseline,
@@ -23,7 +22,7 @@ from jointsearch.engine import (
     search,
 )
 from jointsearch.numerics import RngStream
-from jointsearch.persist import read_events, weights_digest
+from jointsearch.persist import read_events
 from jointsearch.space import (
     DerivedConfig,
     HyperConfig,
@@ -33,6 +32,8 @@ from jointsearch.space import (
     derive,
 )
 from jointsearch.trainstep import TrainerDefaults
+
+from reference import weights_digest
 
 
 def tabular_doc(cards, total, k, seed=0, **search_over):
@@ -88,38 +89,38 @@ def eval_space():
 
 
 def test_compute_reward_frozen_examples():
-    assert compute_reward(0.8, 123.0, RewardSpec()) == 0.8
-    on_target = RewardSpec(mode="cost_aware", beta=-0.1, target_cost=50.0)
+    assert compute_reward(0.8, 123.0, RewardSection()) == 0.8
+    on_target = RewardSection(mode="cost_aware", beta=-0.1, target_cost=50.0)
     assert abs(compute_reward(0.8, 50.0, on_target) - 0.8) < 1e-15
     assert abs(compute_reward(0.8, 100.0, on_target) - 0.7) < 1e-15
 
 
 def test_compute_reward_rejects_bad_inputs():
-    spec = RewardSpec(mode="cost_aware", beta=-0.1, target_cost=10.0)
+    spec = RewardSection(mode="cost_aware", beta=-0.1, target_cost=10.0)
     for accuracy in (-0.01, 1.01, float("nan")):
         with pytest.raises(ValueError):
             compute_reward(accuracy, 1.0, spec)
     with pytest.raises(ValueError):
         compute_reward(0.5, -1.0, spec)
     with pytest.raises(ValueError):
-        RewardSpec(mode="hybrid")
+        RewardSection(mode="hybrid")
     with pytest.raises(ValueError):
-        RewardSpec(beta=0.5)
+        RewardSection(beta=0.5)
     with pytest.raises(ValueError):
-        RewardSpec(mode="cost_aware", beta=-0.1)  # no target
+        RewardSection(mode="cost_aware", beta=-0.1)  # no target
     with pytest.raises(ValueError):
-        RewardSpec(mode="cost_aware", beta=-0.1, target_cost=0.0)
+        RewardSection(mode="cost_aware", beta=-0.1, target_cost=0.0)
 
 
 def test_cost_aware_reward_never_exceeds_plain():
     rng = RngStream(11, "reward-fuzz")
-    plain = RewardSpec()
+    plain = RewardSection()
     for _ in range(300):
         accuracy = rng.uniform()
         cost = rng.uniform() * 100.0
         beta = -rng.uniform()
         target = 1e-6 + rng.uniform() * 50.0
-        aware = RewardSpec(mode="cost_aware", beta=beta, target_cost=target)
+        aware = RewardSection(mode="cost_aware", beta=beta, target_cost=target)
         assert compute_reward(accuracy, cost, aware) <= compute_reward(
             accuracy, cost, plain
         ) + 1e-15
@@ -306,6 +307,18 @@ def test_event_log_shape_and_finite_rewards(tmp_path):
     assert all(np.isfinite(r.reward) for r in result.reward_history)
 
 
+def test_reward_records_carry_the_baseline_their_update_used(tmp_path):
+    log_path = str(tmp_path / "events.jsonl")
+    result = search(parse_config(moons_doc(total=5, k=3, output={"log_path": log_path})))
+    _, events = read_events(log_path)
+    for step in range(5):
+        records = [r for r in result.reward_history if r.meta_step == step]
+        # The first update has no baseline yet, so its first reward stands
+        # in; later ones use the baseline the previous step left.
+        used = records[0].reward if step == 0 else events[step - 1].baseline
+        assert [r.baseline for r in records] == [used] * 3
+
+
 def test_store_digest_invariant_across_controller_phase():
     digests = {}
 
@@ -478,6 +491,71 @@ def test_search_saves_the_final_checkpoint_once(tmp_path, monkeypatch, interval,
     assert [step for _, step, _ in saves[len(steps_saved) :]] == [5]
     with open(path, "rb") as fh:
         assert fh.read() == final
+
+
+def test_resume_after_any_crash_writes_the_uninterrupted_final_checkpoint(tmp_path):
+    # One config, so the paths echoed in the checkpoint agree as well.
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 2,
+    }
+    config = parse_config(moons_doc(total=7, output=output))
+    search(config)
+    with open(output["checkpoint_path"], "rb") as fh:
+        uninterrupted = fh.read()
+    for crash_step in range(2, 7):  # every step after the step-2 checkpoint
+        for crash_phase in ("controller", "commit"):
+
+            def crash(phase, step, weights):
+                if (phase, step) == (crash_phase, crash_step):
+                    raise RuntimeError("simulated crash")
+
+            with pytest.raises(RuntimeError):
+                search(config, audit=crash)
+            search(config, resume_from=output["checkpoint_path"])
+            with open(output["checkpoint_path"], "rb") as fh:
+                assert fh.read() == uninterrupted, (crash_phase, crash_step)
+
+
+def test_resume_under_new_output_paths_echoes_them(tmp_path):
+    def config_for(tag):
+        output = {
+            "log_path": str(tmp_path / f"{tag}.jsonl"),
+            "checkpoint_path": str(tmp_path / f"{tag}.ckpt"),
+            "checkpoint_interval": 3,
+        }
+        return parse_config(moons_doc(total=6, output=output))
+
+    moved = config_for("moved")
+    search(moved)
+    with open(moved.output.checkpoint_path, "rb") as fh:
+        uninterrupted = fh.read()
+    os.remove(moved.output.checkpoint_path)
+    os.remove(moved.output.log_path)
+
+    def crash(phase, step, weights):
+        if (phase, step) == ("controller", 4):
+            raise RuntimeError("simulated crash")
+
+    first = config_for("first")
+    with pytest.raises(RuntimeError):
+        search(first, audit=crash)
+    search(moved, resume_from=first.output.checkpoint_path)
+    loaded = persist.load_checkpoint(moved.output.checkpoint_path)
+    assert loaded.config_echo["output"] == config_to_dict(moved)["output"]
+    with open(moved.output.checkpoint_path, "rb") as fh:
+        assert fh.read() == uninterrupted
+
+
+def test_table_driven_resume_writes_no_network_state(tmp_path):
+    path = str(tmp_path / "ck.ckpt")
+    config = parse_config(moons_doc(total=3, output={"checkpoint_path": path}))
+    search(config)
+    assert persist.load_checkpoint(path).head_weight is not None
+    search(config, evaluate_override=lambda selection: (0.5, 1.0), resume_from=path)
+    loaded = persist.load_checkpoint(path)
+    assert loaded.store == {} and loaded.head_weight is None and loaded.head_bias is None
 
 
 def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):

@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from jointsearch.controller import ControllerState
 from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
     EventRecord,
+    RewardRecord,
     _float_list,
     event_header,
     load_checkpoint,
@@ -172,19 +174,18 @@ def sample_checkpoint():
     return Checkpoint(
         config_echo={"search": {"total_meta_steps": 7}},
         meta_step=4,
-        logits=[np.array([0.1, -0.2]), np.array([0.0, 0.5, -0.5])],
-        baseline=0.61,
-        baseline_initialized=True,
-        controller_step=4,
-        controller_slots=ctrl_slots,
+        controller=ControllerState(
+            logits=[np.array([0.1, -0.2]), np.array([0.0, 0.5, -0.5])],
+            baseline=0.61,
+            baseline_initialized=True,
+            step=4,
+            slots=ctrl_slots,
+        ),
         store=store,
         head_weight=np.array([[0.1, 0.2], [0.3, 0.4]]),
         head_bias=np.array([0.0, 0.0]),
         commit_slots=slots,
-        reward_history=[
-            {"meta_step": 3, "selection": [1, 0], "accuracy": 0.75,
-             "cost": 16.0, "reward": 0.7, "baseline": 0.61},
-        ],
+        reward_history=[RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)],
         store_digest=store_digest(store),
         rng_counters={"controller": 88},
     )
@@ -248,14 +249,14 @@ def test_checkpoint_restores_every_field(tmp_path):
     save_checkpoint(str(path), original)
     loaded = load_checkpoint(str(path))
     assert loaded.meta_step == 4
-    assert loaded.baseline == 0.61
-    assert loaded.baseline_initialized
-    assert loaded.controller_step == 4
+    assert loaded.controller.baseline == 0.61
+    assert loaded.controller.baseline_initialized
+    assert loaded.controller.step == 4
     assert loaded.rng_counters == {"controller": 88}
     assert loaded.config_echo == original.config_echo
     assert loaded.reward_history == original.reward_history
     assert loaded.store_digest == original.store_digest
-    for a, b in zip(loaded.logits, original.logits):
+    for a, b in zip(loaded.controller.logits, original.controller.logits):
         assert np.array_equal(a, b)
     for key in original.store:
         assert np.array_equal(loaded.store[key], original.store[key])
@@ -264,7 +265,7 @@ def test_checkpoint_restores_every_field(tmp_path):
     slot = loaded.commit_slots.get("adam", key, original.store[key])
     assert slot["step"] == 3
     assert np.array_equal(slot["m"], np.full((2, 3), 0.25))
-    ctrl_slot = loaded.controller_slots.get("adam", 0, np.zeros(2))
+    ctrl_slot = loaded.controller.slots.get("adam", 0, np.zeros(2))
     assert ctrl_slot["step"] == 5
 
 
@@ -316,8 +317,8 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
     assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
     arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
-    arrays += loaded.logits
-    for slots in (loaded.commit_slots, loaded.controller_slots):
+    arrays += loaded.controller.logits
+    for slots in (loaded.commit_slots, loaded.controller.slots):
         for _, slot in slots.items():
             arrays += [v for v in slot.values() if not isinstance(v, int)]
     assert len(arrays) == 3 + 2 + 2 + 4  # store, head, logits, m and v of two slots
@@ -543,9 +544,62 @@ def _rename_commit_slot(header, name):
             "checkpoint header field rng is not an object",
             id="rng-list",
         ),
+        *[
+            pytest.param(
+                lambda h, v=value: h.update(meta_step=v),
+                "checkpoint header field meta_step is not a non-negative integer",
+                id=f"meta-step-{name}",
+            )
+            for name, value in [("negative", -2), ("float", 4.0), ("text", "4"), ("bool", True)]
+        ],
+        *[
+            pytest.param(
+                lambda h, v=value: h["controller"].update(step=v),
+                "checkpoint header field controller.step is not a non-negative integer",
+                id=f"controller-step-{name}",
+            )
+            for name, value in [("negative", -1), ("float", 4.0), ("null", None)]
+        ],
+        *[
+            pytest.param(
+                lambda h, v=value: h["controller"].update(baseline=v),
+                "checkpoint header field controller.baseline is not a finite number",
+                id=f"baseline-{name}",
+            )
+            for name, value in [
+                ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False)
+            ]
+        ],
+        *[
+            pytest.param(
+                lambda h, v=value: h["controller"].update(baseline_initialized=v),
+                "checkpoint header field controller.baseline_initialized is not a boolean",
+                id=f"baseline-flag-{name}",
+            )
+            for name, value in [("int", 1), ("text", "true"), ("null", None)]
+        ],
+        *[
+            pytest.param(
+                edit,
+                "checkpoint header field reward_history is not a list of reward records",
+                id=f"reward-history-{name}",
+            )
+            for name, edit in [
+                ("int", lambda h: h.update(reward_history=5)),
+                ("object", lambda h: h.update(reward_history={"0": {}})),
+                ("int-record", lambda h: h.update(reward_history=[5])),
+                ("missing-field", lambda h: h["reward_history"][0].pop("selection")),
+                ("extra-field", lambda h: h["reward_history"][0].update(loss=0.5)),
+                ("int-selection", lambda h: h["reward_history"][0].update(selection=1)),
+                ("text-index", lambda h: h["reward_history"][0].update(selection=["1", 0])),
+                ("text-accuracy", lambda h: h["reward_history"][0].update(accuracy="0.75")),
+                ("null-baseline", lambda h: h["reward_history"][0].update(baseline=None)),
+                ("negative-step", lambda h: h["reward_history"][0].update(meta_step=-1)),
+            ]
+        ],
     ],
 )
-def test_checkpoint_names_a_malformed_slot_header(tmp_path, edit, message):
+def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
     # Re-sealed, so the load gets past the file digest to the header itself.
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
