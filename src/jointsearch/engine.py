@@ -25,7 +25,7 @@ from . import controller as ctrl
 from . import persist, supernet, trainstep
 from .config import ConfigError, EngineConfig, RewardSection, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
-from .numerics import RngStream, softmax_cross_entropy
+from .numerics import RngStream, check_labels, softmax_cross_entropy
 from .persist import RewardRecord
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SuperModelWeights
@@ -78,6 +78,10 @@ def compute_reward(accuracy: float, cost: float, spec: RewardSection) -> float:
     return float(accuracy + spec.beta * abs(cost / spec.target_cost - 1.0))
 
 
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == np.argmax(labels, axis=1)))
+
+
 def eval_metrics(
     weights: SuperModelWeights,
     selection: Sequence[int],
@@ -87,11 +91,8 @@ def eval_metrics(
     """(accuracy, mean cross-entropy) of an eval-mode forward pass."""
     x, y = batch
     logits = supernet.forward(weights, selection, x, supernet.EVAL, overrides=overrides)
-    predicted = np.argmax(logits, axis=1)
-    actual = np.argmax(y, axis=1)
-    accuracy = float(np.mean(predicted == actual))
     loss, _ = softmax_cross_entropy(logits, y)
-    return accuracy, loss
+    return _accuracy(logits, y), loss
 
 
 def evaluate_candidate(
@@ -109,13 +110,17 @@ def evaluate_candidate(
 
     Builds the pair's trainer, advances temporary weights by ``inner_steps``
     train batches, and measures accuracy on the validation batch with the
-    temporary weights overriding the store.
+    temporary weights overriding the store. Only the accuracy is computed,
+    but the validation labels get the loss's checks: ``ValueError`` unless
+    they are finite distribution rows matching the logits.
     """
     space = weights.space
     spec = trainstep.build_trainer(space, selection, defaults)
     view = supernet.sub_view(weights, selection)
     temp = trainstep.make_temporary(weights, view, spec, train_batches, rng)
-    accuracy, _ = eval_metrics(weights, selection, val_batch, overrides=temp.overrides)
+    x, y = val_batch
+    logits = supernet.forward(weights, selection, x, supernet.EVAL, overrides=temp.overrides)
+    accuracy = _accuracy(logits, check_labels(y, logits.shape))
     cost = supernet.cost(space, selection)
     return RewardRecord(
         meta_step, tuple(selection), accuracy, cost, compute_reward(accuracy, cost, reward)
@@ -154,20 +159,24 @@ def setup_run(config: EngineConfig, space: SearchSpace) -> tuple[DataSplit, Trai
     return split(dataset, data.fractions, data.seed), defaults
 
 
-def _draw_batch(
-    dataset: Dataset, batch_size: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
+def _draw_batches(
+    dataset: Dataset, batch_size: int, rng: RngStream, count: int = 1
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``count`` batches of ``batch_size`` distinct rows, from one block of
+    ``rng`` draws; the whole dataset each time, drawing nothing, when it has
+    no more rows than ``batch_size``."""
     n = len(dataset)
     if batch_size >= n:
-        return dataset.features, dataset.labels
-    idx = rng.sample_indices(n, batch_size)
-    return dataset.features[idx], dataset.labels[idx]
+        return [(dataset.features, dataset.labels)] * count
+    idx = rng.sample_indices(n, batch_size, count)
+    return list(zip(dataset.features[idx], dataset.labels[idx]))
 
 
-def _resumable(config: EngineConfig, path: str) -> persist.Checkpoint:
+def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
-    written it: every section but the output paths must match, and its step
-    must lie within the run."""
+    written it: every section but the output paths must match, its step must
+    lie within the run, and its controller must hold one logit row per
+    decision of ``space``, with that decision's cardinality."""
     from .config import parse_config
 
     ckpt = persist.load_checkpoint(path)
@@ -180,6 +189,12 @@ def _resumable(config: EngineConfig, path: str) -> persist.Checkpoint:
     if ckpt.meta_step > total:
         raise ValueError(
             f"{path}: checkpoint header field meta_step is not an integer in [0, {total}]"
+        )
+    cards = space.cardinalities()
+    if [len(z) for z in ckpt.controller.logits] != list(cards):
+        raise ValueError(
+            f"{path}: checkpoint header field controller.logits is not one row per "
+            f"decision, of lengths {list(cards)}"
         )
     return ckpt
 
@@ -219,7 +234,7 @@ def search(
             init = supernet.init_weights(space, RngStream(seed, "init"))
             ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
     else:
-        ckpt = _resumable(config, resume_from)
+        ckpt = _resumable(config, space, resume_from)
         if not uses_network:  # a table-driven run carries no network state
             ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
         elif ckpt.head_weight is None:
@@ -259,11 +274,10 @@ def search(
                     record = RewardRecord(step, selection, accuracy, cost, reward)
                 else:
                     data_rng = RngStream(seed, f"eval-data/{step}/{i}")
-                    batches = [
-                        _draw_batch(splits.train, settings.train_batch_size, data_rng)
-                        for _ in range(settings.inner_steps)
-                    ]
-                    val_batch = _draw_batch(splits.val, settings.val_batch_size, data_rng)
+                    batches = _draw_batches(
+                        splits.train, settings.train_batch_size, data_rng, settings.inner_steps
+                    )
+                    [val_batch] = _draw_batches(splits.val, settings.val_batch_size, data_rng)
                     record = evaluate_candidate(
                         weights,
                         selection,
@@ -287,7 +301,7 @@ def search(
                 for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
                     spec = trainstep.build_trainer(space, selection, defaults)
                     spec = replace(spec, learning_rate=spec.learning_rate / k)
-                    batch = _draw_batch(
+                    [batch] = _draw_batches(
                         splits.train,
                         settings.train_batch_size,
                         RngStream(seed, f"commit-data/{step}/{i}"),

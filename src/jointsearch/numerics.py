@@ -21,6 +21,7 @@ __all__ = [
     "Layer",
     "RngStream",
     "fnv1a64",
+    "check_labels",
     "softmax",
     "softmax_cross_entropy",
     "backward",
@@ -53,27 +54,43 @@ def softmax(values: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def check_labels(labels, shape: tuple[int, ...]) -> np.ndarray:
+    """``labels`` as a float64 array, checked against logits of ``shape``.
+
+    Raises ``ValueError`` unless the labels are 2-d, match ``shape`` and
+    every row is a finite distribution.
+    """
+    y = np.asarray(labels, dtype=np.float64)
+    if shape != y.shape or len(shape) != 2:
+        raise ValueError(f"logit/label shapes incompatible: {shape}, {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("labels must be finite")
+    row_sums = y.sum(axis=1)
+    if (np.abs(row_sums - 1.0) > 1e-6).any() or (y < 0.0).any():
+        raise ValueError("label rows must be distributions summing to 1")
+    return y
+
+
 def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``,
     and its gradient with respect to ``logits``.
 
     Raises ``ValueError`` unless every label row is a finite distribution.
+    One ``exp(z - max)`` serves both the log-sum-exp and the softmax.
     """
     z = logits
-    y = np.asarray(labels, dtype=np.float64)
-    if z.shape != y.shape or z.ndim != 2:
-        raise ValueError(f"logit/label shapes incompatible: {z.shape}, {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("labels must be finite")
-    row_sums = y.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(y < 0.0):
-        raise ValueError("label rows must be distributions summing to 1")
+    y = check_labels(labels, z.shape)
     n = max(z.shape[0], 1)  # an empty eval batch has a nan loss and an empty gradient
     m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    e = np.exp(z - m)
+    total = e.sum(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
     # loss_i = logsumexp(z_i) - <y_i, z_i>  (valid for any distribution row y_i)
     loss = float((lse - (y * z).sum(axis=1)).mean())
-    return loss, (softmax(z) - y) * (1.0 / n)
+    e /= total
+    e -= y
+    e *= 1.0 / n
+    return loss, e
 
 
 def backward(
@@ -87,12 +104,15 @@ def backward(
     accumulating into a zero buffer would; the input batch, the head and the
     labels get no gradient.
     """
-    g = (grad_logits + 0.0) @ head_weight.T + 0.0
+    g = (grad_logits + 0.0) @ head_weight.T
+    g += 0.0
     grads = {}
     for i in range(len(layers) - 1, -1, -1):
         keys, inputs, weight, activation, out, scale = layers[i]
+        # Every g is an array made here, so it is updated in place.
         if scale is not None:
-            g = g * scale + 0.0
+            g *= scale
+            g += 0.0
         width = out.shape[1]
         if g.shape[1] > width:  # padded: the zero columns lead nowhere
             g = g[:, :width] + 0.0
@@ -101,14 +121,23 @@ def backward(
             full[:, : g.shape[1]] = g
             g = full
         if activation == "relu":
-            g = g * (out > 0.0) + 0.0
+            g *= out > 0.0
+            g += 0.0
         elif activation == "tanh":
-            g = g * (1.0 - out * out) + 0.0
+            slope = out * out
+            np.subtract(1.0, slope, out=slope)
+            g *= slope
+            g += 0.0
         if keys:
-            grads[keys[1]] = g.sum(axis=0) + 0.0
-            grads[keys[0]] = inputs.T @ g + 0.0
+            bias_grad = g.sum(axis=0)
+            bias_grad += 0.0
+            grads[keys[1]] = bias_grad
+            weight_grad = inputs.T @ g
+            weight_grad += 0.0
+            grads[keys[0]] = weight_grad
             if i:
-                g = g @ weight.T + 0.0
+                g = g @ weight.T
+                g += 0.0
     return grads
 
 
@@ -143,6 +172,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _mix64_int(z: int) -> int:
+    # The same finalizer on one Python integer, masked to 64 bits.
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    return z ^ (z >> 31)
+
+
 class RngStream:
     """Named, counter-based pseudo-random stream.
 
@@ -159,9 +195,7 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self.name = name
         self.counter = int(counter)
-        key = np.array([(self.seed ^ fnv1a64(name)) & _MASK64], dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            self._key = int(_mix64(key)[0])
+        self._key = _mix64_int(self.seed ^ fnv1a64(name))
 
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
@@ -207,19 +241,29 @@ class RngStream:
             raise ValueError("upper must be positive")
         return min(int(self.uniform() * upper), upper - 1)
 
-    def sample_indices(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), by partial Fisher-Yates."""
+    def sample_indices(self, n: int, k: int, count: int | None = None) -> np.ndarray:
+        """k distinct indices from range(n), by partial Fisher-Yates; with
+        ``count``, that many such rows as a ``(count, k)`` array."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct indices from {n}")
-        # Draw i is ``index(n - i)``; the stream is counter-based, so one block
-        # of k uniforms gives the same words and leaves the same counter.
+        rows = 1 if count is None else count
+        if rows < 0:
+            raise ValueError(f"cannot draw {rows} rows of indices")
+        shape = (k,) if count is None else (rows, k)
+        # Draw i of a row is ``index(n - i)``; the stream is counter-based, so
+        # one block of rows * k uniforms gives the same words as one row after
+        # another and leaves the same counter.
         positions = np.arange(k, dtype=np.int64)
         upper = n - positions
-        targets = positions + np.minimum((self.uniform(k) * upper).astype(np.int64), upper - 1)
-        pool = list(range(n))
-        for i, j in enumerate(targets.tolist()):
-            pool[i], pool[j] = pool[j], pool[i]
-        return np.array(pool[:k], dtype=np.int64)
+        scaled = (self.uniform(shape) * upper).astype(np.int64)
+        targets = positions + np.minimum(scaled, upper - 1)
+        picked = []
+        for row in targets.reshape(rows, k).tolist():
+            pool = list(range(n))
+            for i, j in enumerate(row):
+                pool[i], pool[j] = pool[j], pool[i]
+            picked.append(pool[:k])
+        return np.array(picked, dtype=np.int64).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.sample_indices(n, n)

@@ -31,8 +31,10 @@ counters as a non-object, names a slot by something other than
 naming the file and the field or array. So does a re-sealed header (one
 whose SHA-256 was recomputed after an edit) whose meta-step or controller
 step is not a non-negative integer, whose baseline is not a finite number,
-whose baseline flag is not a boolean, or whose reward history is not a list
-of ``RewardRecord`` objects: exactly its six fields, a non-negative integer
+whose baseline flag is not a boolean, whose controller logits are not a
+list of non-empty lists of finite numbers, whose RNG counters are not
+non-negative integers, or whose reward history is not a list of
+``RewardRecord`` objects: exactly its six fields, a non-negative integer
 step, a list of integers as the selection and numbers elsewhere.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
@@ -359,6 +361,15 @@ def _is_record(doc) -> bool:
     )
 
 
+def _is_logit_table(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list)
+        and row
+        and all(type(z) in (int, float) and math.isfinite(z) for z in row)
+        for row in value
+    )
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and integrity-check a checkpoint file."""
     with open(path, "rb") as fh:
@@ -391,7 +402,12 @@ def load_checkpoint(path: str) -> Checkpoint:
     history = header["reward_history"]
     records = isinstance(history, list) and all(map(_is_record, history))
     _check(path, records, "reward_history", "a list of reward records")
+    logits = controller["logits"]
+    table = _is_logit_table(logits)
+    _check(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
     _check(path, isinstance(header["rng"], dict), "rng", "an object")
+    for name, counter in header["rng"].items():
+        _check(path, _is_count(counter), f"rng.{name}", "a non-negative integer")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
@@ -430,7 +446,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         config_echo=header["config"],
         meta_step=header["meta_step"],
         controller=ControllerState(
-            logits=[np.asarray(z, dtype=np.float64) for z in controller["logits"]],
+            logits=[np.asarray(z, dtype=np.float64) for z in logits],
             baseline=baseline,
             baseline_initialized=flag,
             step=controller["step"],
@@ -444,5 +460,5 @@ def load_checkpoint(path: str) -> Checkpoint:
             RewardRecord(**{**r, "selection": tuple(r["selection"])}) for r in history
         ],
         store_digest=header["store_digest"],
-        rng_counters={k: int(v) for k, v in header["rng"].items()},
+        rng_counters=header["rng"],
     )

@@ -181,13 +181,14 @@ def forward(
         weight = activation = scale = None
         if keys:
             weight = param(keys[0])
-            out = h @ weight + param(keys[1])
+            out = h @ weight  # fresh, so the bias and activation go in place
+            out += param(keys[1])
             if op.kind == OP_AFFINE_RELU:
                 activation = "relu"
-                out = np.maximum(out, 0.0)
+                np.maximum(out, 0.0, out=out)
             elif op.kind == OP_AFFINE_TANH:
                 activation = "tanh"
-                out = np.tanh(out)
+                np.tanh(out, out=out)
         else:
             out = h
         z = out

@@ -159,7 +159,9 @@ def optimizer_step(
 
     Weight decay is decoupled: parameters are shrunk by ``lr * wd`` before the
     gradient-based update. Keys are visited in sorted order so the update
-    sequence never depends on dict construction order.
+    sequence never depends on dict construction order. Each update allocates
+    at most two temporaries of the tensor's shape, ``a`` and ``b``, and reuses
+    them for every intermediate, in the order the update's formula reads.
     """
     lr = spec.learning_rate
     wd = spec.weight_decay
@@ -184,18 +186,31 @@ def optimizer_step(
             t = slot["step"]
             m, v = slot["m"], slot["v"]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            b = (1.0 - ADAM_BETA1) * g
+            m += b
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            a = g * g
+            a *= 1.0 - ADAM_BETA2
+            v += a
+            np.divide(m, 1.0 - ADAM_BETA1**t, out=b)  # m_hat
+            np.divide(v, 1.0 - ADAM_BETA2**t, out=a)  # v_hat
+            np.sqrt(a, out=a)
+            a += ADAM_EPS
+            b *= lr
+            b /= a
+            p -= b  # lr * m_hat / (sqrt(v_hat) + eps)
         else:  # rmsprop
             slot = slots.get("rmsprop", key, p)
             sq = slot["sq"]
             sq *= RMSPROP_RHO
-            sq += (1.0 - RMSPROP_RHO) * (g * g)
-            p -= lr * g / (np.sqrt(sq) + RMSPROP_EPS)
+            a = g * g
+            a *= 1.0 - RMSPROP_RHO
+            sq += a
+            np.sqrt(sq, out=a)
+            a += RMSPROP_EPS
+            b = lr * g
+            b /= a
+            p -= b  # lr * g / (sqrt(sq) + eps)
 
 
 def _train_step(

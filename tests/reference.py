@@ -10,6 +10,10 @@
   expected reward, by enumerating every selection.
 * ``reference_sample``: one controller selection per call, one scalar uniform
   per decision, with its joint log-probability.
+* ``two_pass_softmax_cross_entropy`` and ``reference_optimizer_step``: the
+  library's loss and optimizer update as first written, one fresh array per
+  intermediate and a second ``exp`` for the softmax; the library's versions
+  must match them bit for bit.
 * ``split_stream``: an ``RngStream`` namespaced under another one.
 * ``weights_digest``: the store digest of a super-model, or of no store.
 """
@@ -444,6 +448,61 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
         selection.append(idx)
         log_prob += math.log(probs[idx])
     return tuple(selection), log_prob
+
+
+def two_pass_softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Loss and logit gradient, with the softmax taken by a second pass."""
+    z = logits
+    y = np.asarray(labels, dtype=np.float64)
+    if z.shape != y.shape or z.ndim != 2:
+        raise ValueError(f"logit/label shapes incompatible: {z.shape}, {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("labels must be finite")
+    row_sums = y.sum(axis=1)
+    if np.any(np.abs(row_sums - 1.0) > 1e-6) or np.any(y < 0.0):
+        raise ValueError("label rows must be distributions summing to 1")
+    n = max(z.shape[0], 1)
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    loss = float((lse - (y * z).sum(axis=1)).mean())
+    return loss, (softmax(z) - y) * (1.0 / n)
+
+
+def reference_optimizer_step(params: dict, grads, slots, spec) -> None:
+    """The optimizer update with a fresh array for every intermediate."""
+    lr = spec.learning_rate
+    wd = spec.weight_decay
+    for key in sorted(params):
+        p = params[key]
+        g = grads[key]
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"non-finite gradient for {key}")
+        if wd != 0.0:
+            p *= 1.0 - lr * wd
+        if spec.optimizer == "sgd":
+            p -= lr * g
+        elif spec.optimizer == "momentum":
+            buf = slots.get("momentum", key, p)["buf"]
+            buf *= trainstep.MOMENTUM
+            buf += g
+            p -= lr * buf
+        elif spec.optimizer == "adam":
+            slot = slots.get("adam", key, p)
+            slot["step"] += 1
+            t = slot["step"]
+            m, v = slot["m"], slot["v"]
+            m *= trainstep.ADAM_BETA1
+            m += (1.0 - trainstep.ADAM_BETA1) * g
+            v *= trainstep.ADAM_BETA2
+            v += (1.0 - trainstep.ADAM_BETA2) * (g * g)
+            m_hat = m / (1.0 - trainstep.ADAM_BETA1**t)
+            v_hat = v / (1.0 - trainstep.ADAM_BETA2**t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + trainstep.ADAM_EPS)
+        else:  # rmsprop
+            sq = slots.get("rmsprop", key, p)["sq"]
+            sq *= trainstep.RMSPROP_RHO
+            sq += (1.0 - trainstep.RMSPROP_RHO) * (g * g)
+            p -= lr * g / (np.sqrt(sq) + trainstep.RMSPROP_EPS)
 
 
 def split_stream(stream: RngStream, name: str) -> RngStream:

@@ -75,3 +75,42 @@ def test_controller_sample_counted_once_per_phase(monkeypatch):
         tracer.unwrap_all()
     assert calls["controller.sample"] == 10
     assert tracer.counts["controller.sample.words"] == 120
+
+
+def test_candidate_batches_drawn_in_one_call(monkeypatch):
+    # A network search without mixup draws each scored candidate's
+    # inner_steps train batches with one sample_indices call and each commit
+    # batch with one more; the validation split is smaller than its batch, so
+    # it is used whole. The data split adds one permutation of all n rows.
+    # Scoring reads accuracy only, so eval_metrics never runs.
+    steps, pairs, inner, batch, n = 3, 2, 3, 16, 120
+    doc = {
+        "space": {
+            "input_dim": 2,
+            "num_classes": 2,
+            "layers": [{"candidates": ["identity", "affine-relu:8"], "width": 8}],
+            "hyperparameters": [
+                {"name": "optimizer", "kind": "categorical", "basis": ["sgd", "adam"]}
+            ],
+        },
+        "data": {"generator": "two_moons", "n": n, "seed": 2},
+        "search": {
+            "total_meta_steps": steps,
+            "pairs_per_step": pairs,
+            "inner_steps": inner,
+            "train_batch_size": batch,
+        },
+    }
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    try:
+        spans.install_layer_spans(tracer)
+        search(parse_config(doc))
+        calls, _, _ = tracer.summary()
+    finally:
+        tracer.unwrap_all()
+    assert calls["engine.evaluate_candidate"] == steps * pairs
+    assert calls["numerics.sample_indices"] == 2 * steps * pairs + 1
+    words = tracer.counts["numerics.sample_indices.words"]
+    assert words == steps * pairs * (inner + 1) * batch + n
+    assert "engine.eval_metrics" not in calls

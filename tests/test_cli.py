@@ -226,6 +226,31 @@ VALUE_DEFECTS = {
         lambda h: h["reward_history"][0].pop("selection"),
         "field reward_history is not a list of reward records",
     ),
+    # The space has three decisions of 2, 3 and 2 candidates.
+    "logits-one-row": (
+        lambda h: h["controller"].update(logits=[[0, 0, 0]]),
+        "field controller.logits is not one row per decision, of lengths [2, 3, 2]",
+    ),
+    "logits-row-width": (
+        lambda h: h["controller"].update(logits=[[0, 0, 0], [0, 0, 0], [0, 0]]),
+        "field controller.logits is not one row per decision, of lengths [2, 3, 2]",
+    ),
+    "logits-text": (
+        lambda h: h["controller"].update(logits=[["a", "b"]]),
+        "field controller.logits is not a list of non-empty lists of finite numbers",
+    ),
+    "logits-nan": (
+        lambda h: h["controller"].update(logits=[[float("nan"), 0.0]]),
+        "field controller.logits is not a list of non-empty lists of finite numbers",
+    ),
+    "rng-text": (
+        lambda h: h["rng"].update(controller="x"),
+        "field rng.controller is not a non-negative integer",
+    ),
+    "rng-negative": (
+        lambda h: h["rng"].update(controller=-5),
+        "field rng.controller is not a non-negative integer",
+    ),
 }
 
 

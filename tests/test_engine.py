@@ -164,6 +164,41 @@ def test_val_batch_of_one_gives_zero_or_one():
         assert record.accuracy in (0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "bad_row,message",
+    [
+        ([np.nan, 1.0], "labels must be finite"),
+        ([np.inf, 0.0], "labels must be finite"),
+        ([1.5, -0.5], "label rows must be distributions summing to 1"),
+        ([0.7, 0.7], "label rows must be distributions summing to 1"),
+        ([0.5, 0.5 - 2e-6], "label rows must be distributions summing to 1"),
+    ],
+)
+def test_evaluate_candidate_checks_val_labels_like_the_loss(bad_row, message):
+    # Scoring computes no loss, but its validation labels get the loss's checks.
+    space = eval_space()
+    dataset = two_moons(20, 0.1, 4)
+    weights = supernet.init_weights(space, RngStream(4, "init"))
+    labels = dataset.labels.copy()
+    labels[3] = bad_row
+    with pytest.raises(ValueError, match=message):
+        evaluate_candidate(
+            weights,
+            (1,),
+            [(dataset.features, dataset.labels)],
+            (dataset.features, labels),
+            RngStream(4, "t"),
+        )
+    with pytest.raises(ValueError, match="logit/label shapes incompatible"):
+        evaluate_candidate(
+            weights,
+            (1,),
+            [(dataset.features, dataset.labels)],
+            (dataset.features, dataset.labels[:, :1]),
+            RngStream(4, "t"),
+        )
+
+
 def test_evaluate_candidate_leaves_store_bitwise_unchanged():
     space = build_space(
         SpaceConfig(

@@ -73,6 +73,24 @@ def test_cross_entropy_nonnegative_and_zero_only_at_match():
     assert loss < 1e-15
 
 
+@pytest.mark.parametrize("rows,classes", [(1, 2), (3, 3), (64, 2), (256, 5)])
+def test_cross_entropy_matches_two_pass_reference(rows, classes):
+    # One exp pass for both the log-sum-exp and the softmax gives the loss and
+    # gradient of the two-pass version bit for bit, on hard and soft labels,
+    # tied and large logits.
+    rng = RngStream(11, f"ce-two-pass/{rows}/{classes}")
+    for scale in (0.0, 1.0, 30.0, 700.0):
+        z = (rng.uniform((rows, classes)) - 0.5) * scale
+        hard = np.eye(classes)[[rng.index(classes) for _ in range(rows)]]
+        mix = rng.uniform()
+        soft = mix * hard + (1.0 - mix) * hard[::-1]
+        for y in (hard, soft):
+            loss, grad = softmax_cross_entropy(z, y)
+            want_loss, want_grad = reference.two_pass_softmax_cross_entropy(z, y)
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+
+
 def test_cross_entropy_rejects_bad_label_rows():
     logits = np.array([[0.0, 0.0]])
     for labels in ([[0.7, 0.7]], [[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]], [1.0, 0.0]):
@@ -464,6 +482,43 @@ def test_rng_permutation_matches_per_draw_reference(seed):
             assert got.dtype == np.int64
             assert np.array_equal(got, want)
             assert fast.counter == slow.counter
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**63 + 5])
+def test_rng_sample_indices_block_matches_single_draws(seed):
+    # ``count`` rows from one block equal ``count`` one-row draws on a twin
+    # stream, from any start counter: same rows, same counter, same next draw.
+    starts = RngStream(seed, "block-starts")
+    for n, k in SAMPLE_GRID:
+        for count in range(1, 6):
+            start = starts.index(1000)
+            block = RngStream(seed, f"pick/{n}", counter=start)
+            twin = RngStream(seed, f"pick/{n}", counter=start)
+            got = block.sample_indices(n, k, count)
+            want = [_reference_sample_indices(twin, n, k) for _ in range(count)]
+            assert got.dtype == np.int64 and got.shape == (count, k)
+            assert np.array_equal(got, np.array(want).reshape(count, k)), (n, k, count)
+            assert block.counter == twin.counter == start + count * k
+            assert block.uniform() == twin.uniform()
+
+
+def test_rng_sample_indices_block_of_no_rows_draws_nothing():
+    stream = RngStream(3, "none", counter=5)
+    assert stream.sample_indices(10, 4, 0).shape == (0, 4)
+    assert stream.counter == 5
+    with pytest.raises(ValueError):
+        stream.sample_indices(10, 4, -1)
+
+
+def test_rng_key_is_the_splitmix_finalizer_of_seed_and_name():
+    # The stream key is mixed with Python integers; it must equal the uint64
+    # array finalizer the draws use.
+    for seed in (0, 1, 2**63 + 5, 2**64 - 1, -1):
+        for name in ("", "controller", "eval-data/3/1", "\u00fc"):
+            word = np.array([(seed & (2**64 - 1)) ^ fnv1a64(name)], dtype=np.uint64)
+            with np.errstate(over="ignore"):
+                want = int(numerics._mix64(word)[0])
+            assert RngStream(seed, name)._key == want, (seed, name)
 
 
 def test_rng_split_matches_slash_naming():

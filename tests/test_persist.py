@@ -546,6 +546,35 @@ def _rename_commit_slot(header, name):
         ),
         *[
             pytest.param(
+                lambda h, v=value: h["rng"].update(controller=v),
+                "checkpoint header field rng.controller is not a non-negative integer",
+                id=f"rng-counter-{name}",
+            )
+            for name, value in [
+                ("text", "x"), ("negative", -5), ("float", 3.0), ("bool", True), ("null", None)
+            ]
+        ],
+        *[
+            pytest.param(
+                lambda h, v=value: h["controller"].update(logits=v),
+                "checkpoint header field controller.logits is not a list of non-empty lists "
+                "of finite numbers",
+                id=f"logits-{name}",
+            )
+            for name, value in [
+                ("int", 5),
+                ("object", {"0": [0.0]}),
+                ("flat", [0.0, 1.0]),
+                ("empty-row", [[0.0, 1.0], []]),
+                ("text", [["a", "b"]]),
+                ("nan", [[float("nan"), 0.0]]),
+                ("inf", [[0.0], [float("-inf")]]),
+                ("bool", [[True, 0.0]]),
+                ("null", [[None]]),
+            ]
+        ],
+        *[
+            pytest.param(
                 lambda h, v=value: h.update(meta_step=v),
                 "checkpoint header field meta_step is not a non-negative integer",
                 id=f"meta-step-{name}",

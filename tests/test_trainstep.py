@@ -28,7 +28,7 @@ from jointsearch.trainstep import (
     trainer_from_derived,
 )
 
-from reference import taped_train_step
+from reference import reference_optimizer_step, taped_train_step
 
 
 def plain_affine_space():
@@ -254,6 +254,42 @@ def test_optimizer_step_rejects_non_finite_gradient():
     grads = {"w": np.array([np.nan])}
     with pytest.raises(ValueError):
         optimizer_step(params, grads, SlotStore(), TrainerSpec())
+
+
+def _odd_gradient(shape, stream):
+    """Uniform values in [-1, 1) with ``-0.0``, ``+0.0`` and subnormals mixed in."""
+    g = stream.uniform(shape) * 2.0 - 1.0
+    flat = g.reshape(-1)
+    flat[0::7] = -0.0
+    flat[1::11] = 5e-324
+    flat[2::13] = -2.5e-310
+    flat[3::17] = 0.0
+    return g
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 128), (128, 128)])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("family", OPTIMIZERS)
+def test_optimizer_step_matches_reference_bit_for_bit(family, weight_decay, shape):
+    # Three steps on one slot store: the first starts from fresh slots, the
+    # others from accumulated ones. Parameters and slots must agree byte for
+    # byte (so -0.0 against 0.0 counts) after every step.
+    stream = RngStream(5, f"opt/{family}/{shape}")
+    start = stream.uniform(shape) - 0.5
+    params, want_params = {"w": start.copy()}, {"w": start.copy()}
+    slots, want_slots = SlotStore(), SlotStore()
+    spec = TrainerSpec(optimizer=family, learning_rate=0.05, weight_decay=weight_decay)
+    for _ in range(3):
+        g = _odd_gradient(shape, stream)
+        optimizer_step(params, {"w": g}, slots, spec)
+        reference_optimizer_step(want_params, {"w": g.copy()}, want_slots, spec)
+        assert params["w"].tobytes() == want_params["w"].tobytes()
+        for (slot_key, slot), (_, want) in zip(slots.items(), want_slots.items()):
+            for name, value in slot.items():
+                if isinstance(value, int):
+                    assert value == want[name]
+                else:
+                    assert value.tobytes() == want[name].tobytes(), (slot_key, name)
 
 
 def test_slot_store_is_lazy_and_persists():
