@@ -108,14 +108,14 @@ def _cmd_retrain(args) -> int:
     config = load_config(args.config)
     space = build_space(config.space)
     derived = _load_derived(space, args.from_result)
-    splits, defaults = engine.setup_run(config, space)
+    splits = engine.setup_run(config, space)
     result = engine.retrain(
         space,
         derived,
         splits,
         config.retrain.epochs,
         batch_size=config.retrain.batch_size,
-        defaults=defaults,
+        learning_rate=config.search.default_learning_rate,
         seed=config.data.seed,
     )
     _emit(
@@ -136,7 +136,7 @@ def _cmd_baseline(args) -> int:
         raise ConfigError("--budget must be a positive integer")
     config = load_config(args.config)
     space = build_space(config.space)
-    splits, defaults = engine.setup_run(config, space)
+    splits = engine.setup_run(config, space)
     result = engine.random_search_baseline(
         space,
         splits,
@@ -144,7 +144,7 @@ def _cmd_baseline(args) -> int:
         config.retrain.epochs,
         config.data.seed,
         batch_size=config.retrain.batch_size,
-        defaults=defaults,
+        learning_rate=config.search.default_learning_rate,
     )
     _emit(
         {

@@ -28,8 +28,8 @@ from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moon
 from .numerics import RngStream, check_labels, softmax_cross_entropy
 from .persist import RewardRecord
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
-from .supernet import SuperModelWeights
-from .trainstep import SlotStore, TrainerDefaults, TrainerSpec
+from .supernet import SubModelView, SuperModelWeights
+from .trainstep import SlotStore, TrainerSpec
 
 
 @dataclass
@@ -83,14 +83,11 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def eval_metrics(
-    weights: SuperModelWeights,
-    selection: Sequence[int],
-    batch: tuple[np.ndarray, np.ndarray],
-    overrides=None,
+    weights: SuperModelWeights, view: SubModelView, batch: tuple[np.ndarray, np.ndarray]
 ) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) of an eval-mode forward pass."""
     x, y = batch
-    logits = supernet.forward(weights, selection, x, supernet.EVAL, overrides=overrides)
+    logits = supernet.forward(weights, view, x, supernet.EVAL)
     loss, _ = softmax_cross_entropy(logits, y)
     return _accuracy(logits, y), loss
 
@@ -103,32 +100,31 @@ def evaluate_candidate(
     rng: RngStream,
     *,
     reward: RewardSection = RewardSection(),
-    defaults: TrainerDefaults = TrainerDefaults(),
+    learning_rate: float = 0.01,
     meta_step: int = 0,
 ) -> RewardRecord:
     """Score one sampled pair without touching the shared store.
 
-    Builds the pair's trainer, advances temporary weights by ``inner_steps``
-    train batches, and measures accuracy on the validation batch with the
-    temporary weights overriding the store. Only the accuracy is computed,
-    but the validation labels get the loss's checks: ``ValueError`` unless
-    they are finite distribution rows matching the logits.
+    Builds the pair's trainer (``learning_rate`` when the space does not
+    search it), advances temporary weights by one step per train batch, and
+    measures accuracy on the validation batch with the temporary weights in
+    place of the store's. Only the accuracy is computed, but the validation
+    labels get the loss's checks: ``ValueError`` unless they are finite
+    distribution rows matching the logits.
     """
-    space = weights.space
-    spec = trainstep.build_trainer(space, selection, defaults)
-    view = supernet.sub_view(weights, selection)
-    temp = trainstep.make_temporary(weights, view, spec, train_batches, rng)
+    view = supernet.sub_view(weights.space, selection)
+    spec = trainstep.build_trainer(weights.space, view.selection, learning_rate)
+    params = trainstep.make_temporary(weights, view, spec, train_batches, rng)
     x, y = val_batch
-    logits = supernet.forward(weights, selection, x, supernet.EVAL, overrides=temp.overrides)
+    logits = supernet.forward(weights, view, x, supernet.EVAL, params=params)
     accuracy = _accuracy(logits, check_labels(y, logits.shape))
-    cost = supernet.cost(space, selection)
     return RewardRecord(
-        meta_step, tuple(selection), accuracy, cost, compute_reward(accuracy, cost, reward)
+        meta_step, view.selection, accuracy, view.cost, compute_reward(accuracy, view.cost, reward)
     )
 
 
-def setup_run(config: EngineConfig, space: SearchSpace) -> tuple[DataSplit, TrainerDefaults]:
-    """The dataset split and trainer defaults of a run that trains networks.
+def setup_run(config: EngineConfig, space: SearchSpace) -> DataSplit:
+    """The dataset split of a run that trains networks.
 
     Raises ``ConfigError`` when the config names no dataset or the dataset's
     feature or class count does not match ``space``.
@@ -152,11 +148,7 @@ def setup_run(config: EngineConfig, space: SearchSpace) -> tuple[DataSplit, Trai
             f"dataset has {dataset.labels.shape[1]} classes but space.num_classes "
             f"is {space.num_classes}"
         )
-    defaults = TrainerDefaults(
-        learning_rate=config.search.default_learning_rate,
-        inner_steps=config.search.inner_steps,
-    )
-    return split(dataset, data.fractions, data.seed), defaults
+    return split(dataset, data.fractions, data.seed)
 
 
 def _draw_batches(
@@ -226,7 +218,7 @@ def search(
     total = settings.total_meta_steps
     uses_network = evaluate_override is None
     if uses_network:
-        splits, defaults = setup_run(config, space)
+        splits = setup_run(config, space)
 
     if resume_from is None:
         ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
@@ -285,7 +277,7 @@ def search(
                         val_batch,
                         RngStream(seed, f"eval-train/{step}/{i}"),
                         reward=settings.reward,
-                        defaults=defaults,
+                        learning_rate=settings.default_learning_rate,
                         meta_step=step,
                     )
                 records.append(record)
@@ -299,7 +291,10 @@ def search(
 
             if uses_network:
                 for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
-                    spec = trainstep.build_trainer(space, selection, defaults)
+                    view = supernet.sub_view(space, selection)
+                    spec = trainstep.build_trainer(
+                        space, view.selection, settings.default_learning_rate
+                    )
                     spec = replace(spec, learning_rate=spec.learning_rate / k)
                     [batch] = _draw_batches(
                         splits.train,
@@ -308,7 +303,7 @@ def search(
                     )
                     trainstep.commit_step(
                         weights,
-                        supernet.sub_view(weights, selection),
+                        view,
                         spec,
                         batch,
                         ckpt.commit_slots,
@@ -371,7 +366,7 @@ def retrain(
     epochs: int,
     *,
     batch_size: int = 64,
-    defaults: TrainerDefaults = TrainerDefaults(),
+    learning_rate: float = 0.01,
     seed: int = 0,
     name: str = "retrain",
 ) -> RetrainResult:
@@ -380,19 +375,19 @@ def retrain(
     Fresh weights cover only the chosen ops. Training runs ``epochs`` shuffled
     passes over train and validation data combined, using the derived
     hyperparameter values exactly as given (continuous values are not snapped
-    back to the basis).
+    back to the basis) and ``learning_rate`` when the space does not search it.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if len(derived.arch_choice) != space.n_arch:
         raise ValueError("derived arch length does not match the space")
     sub_space = _derived_space(space, derived.arch_choice)
-    trainer = trainstep.trainer_from_derived(space, derived, defaults)
+    trainer = trainstep.trainer_from_derived(space, derived, learning_rate)
     weights = supernet.init_weights(sub_space, RngStream(seed, f"{name}/init"))
     selection = (0,) * sub_space.n_arch + tuple(
         d.default_index for d in sub_space.hyper_decisions
     )
-    view = supernet.sub_view(weights, selection)
+    view = supernet.sub_view(sub_space, selection)
     slots = SlotStore()
 
     pool = concat(splits.train, splits.val)
@@ -406,12 +401,8 @@ def retrain(
             batch = (pool.features[idx], pool.labels[idx])
             trainstep.commit_step(weights, view, trainer, batch, slots, step_rng)
 
-    val_acc, val_loss = eval_metrics(
-        weights, selection, (splits.val.features, splits.val.labels)
-    )
-    test_acc, test_loss = eval_metrics(
-        weights, selection, (splits.test.features, splits.test.labels)
-    )
+    val_acc, val_loss = eval_metrics(weights, view, (splits.val.features, splits.val.labels))
+    test_acc, test_loss = eval_metrics(weights, view, (splits.test.features, splits.test.labels))
     return RetrainResult(
         weights=weights,
         selection=selection,
@@ -431,7 +422,7 @@ def random_search_baseline(
     seed: int,
     *,
     batch_size: int = 64,
-    defaults: TrainerDefaults = TrainerDefaults(),
+    learning_rate: float = 0.01,
 ) -> BaselineResult:
     """Retrain ``budget`` uniformly sampled configurations from scratch.
 
@@ -452,7 +443,7 @@ def random_search_baseline(
             splits,
             epochs,
             batch_size=batch_size,
-            defaults=defaults,
+            learning_rate=learning_rate,
             seed=seed,
             name=f"baseline/{j}",
         )

@@ -13,6 +13,7 @@ single integer.
 """
 from __future__ import annotations
 
+import math
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -100,19 +101,19 @@ def backward(
     gradient with respect to the logits.
 
     The chain runs from the fixed head down through the layers in reverse.
-    Each gradient gets ``+ 0.0``, which turns ``-0.0`` into ``0.0`` exactly as
-    accumulating into a zero buffer would; the input batch, the head and the
-    labels get no gradient.
+    Each weight and bias gradient gets ``+ 0.0``, which turns ``-0.0`` into
+    ``0.0`` exactly as accumulating into a zero buffer would. Zeros along the
+    chain may carry either sign: that changes no non-zero value, so nothing
+    that survives the normalisation. The input batch, the head and the labels
+    get no gradient.
     """
-    g = (grad_logits + 0.0) @ head_weight.T
-    g += 0.0
+    g = grad_logits @ head_weight.T
     grads = {}
     for i in range(len(layers) - 1, -1, -1):
         keys, inputs, weight, activation, out, scale = layers[i]
         # Every g is an array made here, so it is updated in place.
         if scale is not None:
             g *= scale
-            g += 0.0
         width = out.shape[1]
         if g.shape[1] > width:  # padded: the zero columns lead nowhere
             g = g[:, :width] + 0.0
@@ -122,12 +123,10 @@ def backward(
             g = full
         if activation == "relu":
             g *= out > 0.0
-            g += 0.0
         elif activation == "tanh":
             slope = out * out
             np.subtract(1.0, slope, out=slope)
             g *= slope
-            g += 0.0
         if keys:
             bias_grad = g.sum(axis=0)
             bias_grad += 0.0
@@ -137,7 +136,6 @@ def backward(
             grads[keys[0]] = weight_grad
             if i:
                 g = g @ weight.T
-                g += 0.0
     return grads
 
 
@@ -179,6 +177,13 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _dims(shape) -> tuple[tuple[int, ...], int]:
+    # ``shape`` as a tuple (an int is one dimension) and its size as a Python
+    # int, so a stream's counter stays one; ``()`` is one draw.
+    dims = (shape,) if isinstance(shape, int) else tuple(shape)
+    return dims, int(math.prod(dims))
+
+
 class RngStream:
     """Named, counter-based pseudo-random stream.
 
@@ -208,8 +213,7 @@ class RngStream:
         """Uniform draws in [0, 1); scalar when ``shape`` is None."""
         if shape is None:
             return float((self._raw(1)[0] >> np.uint64(11)) * 2.0**-53)
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _dims(shape)
         u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return u.reshape(shape)
 
@@ -223,8 +227,7 @@ class RngStream:
 
         if shape is None:
             return float(special.ndtri(self._open_uniform(1)[0]))
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _dims(shape)
         return special.ndtri(self._open_uniform(n)).reshape(shape)
 
     def beta(self, a: float, b: float) -> float:

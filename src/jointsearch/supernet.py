@@ -7,9 +7,13 @@ and scored without materializing separate networks. A fixed linear
 classification head (initialized once per store, never updated) maps the last
 layer's slot width to the class count; it is not part of the searchable store.
 
-``forward`` is one numpy loop over the layers for both modes. In train mode
-it also keeps, per layer, the values the closed-form chain backward
-(``numerics.backward``) needs, and checks that every value it reads is finite.
+``sub_view`` is the one place a selection becomes a sub-model: it validates
+the selection once and resolves, per layer, the decision, the chosen op and
+its store keys, plus the selection's MAC cost. ``forward`` is one numpy loop
+over a view's layers for both modes, reading the view's tensors from
+``params`` (the store when omitted). In train mode it also keeps, per layer,
+the values the closed-form chain backward (``numerics.backward``) needs, and
+checks that every value it reads is finite.
 """
 from __future__ import annotations
 
@@ -24,7 +28,8 @@ from .numerics import RngStream
 from .space import (
     OP_AFFINE_RELU,
     OP_AFFINE_TANH,
-    OP_IDENTITY,
+    ArchDecision,
+    OperationSpec,
     SearchSpace,
     validate_selection,
 )
@@ -60,16 +65,19 @@ class SuperModelWeights:
 
 @dataclass(frozen=True)
 class SubModelView:
-    """The store keys addressed by one selection."""
+    """One selection resolved against its space.
+
+    ``layers`` holds ``(decision, op, keys)`` per layer, ``keys`` every
+    selected store key in layer order (weight before bias), and ``cost`` the
+    MAC count of the selected ops. The fixed head is excluded from the cost:
+    it is identical for every selection, so it carries no signal for
+    cost-aware search.
+    """
 
     selection: tuple[int, ...]
     keys: tuple[ParamKey, ...]
-
-
-def _op_keys(layer: int, op_index: int, op) -> tuple[ParamKey, ...]:
-    if not op.has_params:
-        return ()
-    return (ParamKey(layer, op_index, "weight"), ParamKey(layer, op_index, "bias"))
+    layers: tuple[tuple[ArchDecision, OperationSpec, tuple[ParamKey, ...]], ...]
+    cost: float
 
 
 def init_weights(space: SearchSpace, rng: RngStream) -> SuperModelWeights:
@@ -94,15 +102,23 @@ def init_weights(space: SearchSpace, rng: RngStream) -> SuperModelWeights:
     return SuperModelWeights(space, store, head_weight, head_bias)
 
 
-def sub_view(weights: SuperModelWeights, selection: Sequence[int]) -> SubModelView:
-    """Keys of the sub-model addressed by ``selection``."""
-    space = weights.space
+def sub_view(space: SearchSpace, selection: Sequence[int]) -> SubModelView:
+    """The sub-model of ``space`` addressed by ``selection``.
+
+    Raises ``ValueError`` when the selection does not fit the space.
+    """
     sel = validate_selection(space, selection)
-    keys: list[ParamKey] = []
+    layers = []
+    macs = 0
     for decision, op_index in zip(space.arch_decisions, sel):
         op = decision.candidates[op_index]
-        keys.extend(_op_keys(decision.layer_id, op_index, op))
-    return SubModelView(sel, tuple(keys))
+        keys: tuple[ParamKey, ...] = ()
+        if op.has_params:
+            keys = tuple(ParamKey(decision.layer_id, op_index, n) for n in ("weight", "bias"))
+            macs += op.in_width * op.width
+        layers.append((decision, op, keys))
+    all_keys = tuple(key for _, _, keys in layers for key in keys)
+    return SubModelView(sel, all_keys, tuple(layers), float(macs))
 
 
 def _resolve_keep(dropout_keep, n_layers: int) -> tuple[float, ...]:
@@ -125,35 +141,37 @@ def _check_finite(values: np.ndarray, what) -> None:
 
 def forward(
     weights: SuperModelWeights,
-    selection: Sequence[int],
+    view: SubModelView,
     batch_x: np.ndarray,
     mode: str = EVAL,
     *,
-    overrides: Mapping[ParamKey, np.ndarray] | None = None,
+    params: Mapping[ParamKey, np.ndarray] | None = None,
     dropout_keep=1.0,
     rng: RngStream | None = None,
 ):
-    """Run the selected sub-model on a batch.
+    """Run the view's sub-model on a batch.
 
     Each layer is affine then relu or tanh (or the identity), zero-padded or
     truncated to the layer's width, then inverted dropout; the fixed head
-    maps the last layer to logits. Eval mode returns the logits array, applies
-    no dropout and keeps nothing. Train mode returns ``(logits, layers)``,
-    where ``layers`` holds one ``numerics.Layer`` per layer for
-    ``numerics.backward``; it raises ``ValueError`` on an empty or non-finite
-    batch and on a non-finite selected tensor or head. ``overrides``
-    substitutes tensors for store entries without touching the store itself.
+    maps the last layer to logits. ``params`` holds the view's tensors; it is
+    the shared store when omitted, and the store is never written. Eval mode
+    returns the logits array, applies no dropout and keeps nothing. Train
+    mode returns ``(logits, layers)``, where ``layers`` holds one
+    ``numerics.Layer`` per layer for ``numerics.backward``; it raises
+    ``ValueError`` on an empty or non-finite batch and on a non-finite
+    selected tensor or head.
     """
     space = weights.space
-    sel = validate_selection(space, selection)
     x = np.asarray(batch_x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != space.input_dim:
         raise ValueError(f"batch shape {x.shape} does not match input_dim {space.input_dim}")
+    if params is None:
+        params = weights.store
     train = mode == TRAIN
     if mode == EVAL:
-        keeps = (1.0,) * len(space.arch_decisions)
+        keeps = (1.0,) * len(view.layers)
     elif train:
-        keeps = _resolve_keep(dropout_keep, len(space.arch_decisions))
+        keeps = _resolve_keep(dropout_keep, len(view.layers))
         if any(k < 1.0 for k in keeps) and rng is None:
             raise ValueError("dropout requires an rng stream")
         if x.shape[0] == 0:
@@ -161,28 +179,20 @@ def forward(
         _check_finite(x, "batch")
         _check_finite(weights.head_weight, "head weight")
         _check_finite(weights.head_bias, "head bias")
+        for key in view.keys:
+            _check_finite(params[key], key.text())
         x = np.ascontiguousarray(x)  # one layout for the weight-gradient matmul
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    overrides = overrides or {}
-
-    def param(key: ParamKey) -> np.ndarray:
-        value = overrides[key] if key in overrides else weights.store[key]
-        if train:
-            _check_finite(value, key.text())
-        return value
-
     layers: list[numerics.Layer] = []
     h = x
-    for decision, op_index, keep in zip(space.arch_decisions, sel, keeps):
-        op = decision.candidates[op_index]
-        keys = _op_keys(decision.layer_id, op_index, op)
+    for (decision, op, keys), keep in zip(view.layers, keeps):
         weight = activation = scale = None
         if keys:
-            weight = param(keys[0])
+            weight = params[keys[0]]
             out = h @ weight  # fresh, so the bias and activation go in place
-            out += param(keys[1])
+            out += params[keys[1]]
             if op.kind == OP_AFFINE_RELU:
                 activation = "relu"
                 np.maximum(out, 0.0, out=out)
@@ -205,23 +215,3 @@ def forward(
         h = z
     logits = h @ weights.head_weight + weights.head_bias
     return (logits, layers) if train else logits
-
-
-def op_macs(op) -> int:
-    """Multiply-accumulate count of a single op at its resolved shapes."""
-    if op.kind == OP_IDENTITY:
-        return 0
-    return op.in_width * op.width
-
-
-def cost(space: SearchSpace, selection: Sequence[int]) -> float:
-    """MAC count of the selected ops across all searched layers.
-
-    The fixed head is excluded: its cost is identical for every selection, so
-    it carries no signal for cost-aware search.
-    """
-    sel = validate_selection(space, selection)
-    total = 0
-    for decision, op_index in zip(space.arch_decisions, sel):
-        total += op_macs(decision.candidates[op_index])
-    return float(total)

@@ -3,8 +3,9 @@ weight-update paths (discardable temporary weights vs. committed shared-store
 steps). Both paths run the exact same per-step code, so a commit with a given
 rng state and batch reproduces the first temporary step bit for bit.
 
-A step is mixup, one train-mode ``supernet.forward`` that keeps what the
-backward needs per layer, softmax cross-entropy, the closed-form chain
+A step is mixup, one train-mode ``supernet.forward`` over the view's
+``params`` (the temporary copies or the store's own tensors) that keeps what
+the backward needs per layer, softmax cross-entropy, the closed-form chain
 ``numerics.backward`` and one optimizer update. No autodiff tape is involved;
 the tests check these gradients bit for bit against a reference tape and
 against finite differences.
@@ -30,21 +31,12 @@ RMSPROP_EPS = 1e-8
 
 
 @dataclass(frozen=True)
-class TrainerDefaults:
-    """Fallbacks for trainer fields that are not part of the search space."""
-
-    learning_rate: float = 0.01
-    inner_steps: int = 1
-
-
-@dataclass(frozen=True)
 class TrainerSpec:
     optimizer: str = "sgd"
     learning_rate: float = 0.01
     weight_decay: float = 0.0
     mixup_ratio: float = 0.0
     dropout_keep: float | tuple[float, ...] = 1.0
-    inner_steps: int = 1
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -64,8 +56,6 @@ class TrainerSpec:
         for k in keeps:
             if not 0.0 < k <= 1.0:
                 raise ValueError(f"dropout_keep must be in (0, 1], got {k}")
-        if self.inner_steps < 1:
-            raise ValueError(f"inner_steps must be >= 1, got {self.inner_steps}")
 
 
 class SlotStore:
@@ -99,35 +89,23 @@ class SlotStore:
         return len(self._slots)
 
 
-@dataclass
-class TemporaryWeights:
-    """Discardable copies of one sub-model's tensors."""
-
-    overrides: dict[ParamKey, np.ndarray]
-
-
 def build_trainer(
-    space: SearchSpace,
-    selection: Sequence[int],
-    defaults: TrainerDefaults = TrainerDefaults(),
+    space: SearchSpace, selection: Sequence[int], learning_rate: float = 0.01
 ) -> TrainerSpec:
-    """TrainerSpec for a selection; unsearched fields fall back to defaults."""
-    return trainer_from_derived(space, selection_to_config(space, selection), defaults)
+    """TrainerSpec for a selection; an unsearched learning rate is
+    ``learning_rate`` and other unsearched fields keep their defaults."""
+    return trainer_from_derived(space, selection_to_config(space, selection), learning_rate)
 
 
-def trainer_from_derived(
-    space: SearchSpace,
-    derived,
-    defaults: TrainerDefaults = TrainerDefaults(),
-) -> TrainerSpec:
+def trainer_from_derived(space: SearchSpace, derived, learning_rate: float = 0.01) -> TrainerSpec:
     """TrainerSpec from a derived configuration, continuous values as-is.
 
-    Unsearched fields keep the TrainerSpec defaults, except the learning rate
-    and inner steps, which come from ``defaults``.
+    Unsearched fields keep the TrainerSpec defaults, except the learning rate,
+    which is ``learning_rate``.
     """
     fields = {d.name: v for d, v in zip(space.hyper_decisions, derived.hyper_values)}
-    fields.setdefault("learning_rate", defaults.learning_rate)
-    return TrainerSpec(inner_steps=defaults.inner_steps, **fields)
+    fields.setdefault("learning_rate", learning_rate)
+    return TrainerSpec(**fields)
 
 
 def apply_mixup(batch: tuple[np.ndarray, np.ndarray], ratio: float, rng: RngStream):
@@ -226,13 +204,7 @@ def _train_step(
     to the tensors in ``params``."""
     x, y = apply_mixup(batch, spec.mixup_ratio, rng)
     logits, layers = supernet.forward(
-        weights,
-        view.selection,
-        x,
-        supernet.TRAIN,
-        overrides=params,
-        dropout_keep=spec.dropout_keep,
-        rng=rng,
+        weights, view, x, supernet.TRAIN, params=params, dropout_keep=spec.dropout_keep, rng=rng
     )
     _, grad_logits = numerics.softmax_cross_entropy(logits, y)
     grads = numerics.backward(layers, weights.head_weight, grad_logits)
@@ -245,21 +217,17 @@ def make_temporary(
     spec: TrainerSpec,
     train_batches: Sequence[tuple[np.ndarray, np.ndarray]],
     rng: RngStream,
-) -> TemporaryWeights:
-    """Copy the view's tensors and advance the copies by ``inner_steps`` steps.
+) -> dict[ParamKey, np.ndarray]:
+    """Copies of the view's tensors, advanced by one step per train batch.
 
     The shared store is read once (for the copies) and never written; every
     update lands on the copies with fresh optimizer slots.
     """
-    if len(train_batches) < spec.inner_steps:
-        raise ValueError(
-            f"need {spec.inner_steps} train batches, got {len(train_batches)}"
-        )
-    overrides = {key: weights.store[key].copy() for key in view.keys}
+    params = {key: weights.store[key].copy() for key in view.keys}
     slots = SlotStore()
-    for step in range(spec.inner_steps):
-        _train_step(weights, view, overrides, spec, train_batches[step], slots, rng)
-    return TemporaryWeights(overrides)
+    for batch in train_batches:
+        _train_step(weights, view, params, spec, batch, slots, rng)
+    return params
 
 
 def commit_step(
@@ -275,5 +243,4 @@ def commit_step(
     ``slots`` persists across commits so stateful optimizers accumulate their
     statistics per parameter; parameters outside the view are untouched.
     """
-    params = {key: weights.store[key] for key in view.keys}
-    _train_step(weights, view, params, spec, batch, slots, rng)
+    _train_step(weights, view, weights.store, spec, batch, slots, rng)

@@ -34,7 +34,7 @@ from jointsearch.space import (
     derive,
     selection_to_config,
 )
-from jointsearch.trainstep import SlotStore, TrainerDefaults
+from jointsearch.trainstep import SlotStore
 
 from reference import (
     add,
@@ -215,16 +215,17 @@ def supernet_train_step_fd_error(eps=1e-3):
     rng = RngStream(13, "a4-net")
     x = rng.normal((6, 3))
     y = np.eye(2)[[0, 1, 1, 0, 1, 0]]
-    keys = supernet.sub_view(weights, selection).keys
+    view = supernet.sub_view(space, selection)
+    keys = view.keys
     params = {key: weights.store[key].copy() for key in keys}
 
-    def run(overrides):
+    def run(tensors):
         logits, layers = supernet.forward(
             weights,
-            selection,
+            view,
             x,
             supernet.TRAIN,
-            overrides=overrides,
+            params=tensors,
             dropout_keep=0.8,
             rng=RngStream(14, "a4-mask"),
         )
@@ -411,14 +412,9 @@ def test_a5_temporary_weight_isolation():
         space = random_space(rng)
         weights = supernet.init_weights(space, RngStream(trial, "init"))
         selection = tuple(rng.index(c) for c in space.cardinalities())
-        defaults = TrainerDefaults(
-            learning_rate=0.005 + 0.05 * rng.uniform(),
-            inner_steps=1 + rng.index(2),
-        )
-        batches = [
-            random_batch(rng, space, 4 + rng.index(12))
-            for _ in range(defaults.inner_steps)
-        ]
+        learning_rate = 0.005 + 0.05 * rng.uniform()
+        inner_steps = 1 + rng.index(2)
+        batches = [random_batch(rng, space, 4 + rng.index(12)) for _ in range(inner_steps)]
         val_batch = random_batch(rng, space, 4 + rng.index(12))
         before = store_digest(weights.store)
         evaluate_candidate(
@@ -427,7 +423,7 @@ def test_a5_temporary_weight_isolation():
             batches,
             val_batch,
             RngStream(trial, "eval"),
-            defaults=defaults,
+            learning_rate=learning_rate,
         )
         assert store_digest(weights.store) == before
     print("A5 temporary-weight isolation: PASS (200 fuzzed evaluations)")
@@ -439,12 +435,9 @@ def test_a6_weight_sharing_locality():
         space = random_space(rng)
         weights = supernet.init_weights(space, RngStream(trial, "init"))
         selection = tuple(rng.index(c) for c in space.cardinalities())
-        defaults = TrainerDefaults(
-            learning_rate=0.005 + 0.05 * rng.uniform(),
-            inner_steps=1,
-        )
-        spec = trainstep.build_trainer(space, selection, defaults)
-        view = supernet.sub_view(weights, selection)
+        learning_rate = 0.005 + 0.05 * rng.uniform()
+        spec = trainstep.build_trainer(space, selection, learning_rate)
+        view = supernet.sub_view(space, selection)
         outside = {
             key: value.copy()
             for key, value in weights.store.items()

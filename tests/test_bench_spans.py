@@ -39,7 +39,8 @@ def test_layer_spans_resolve_and_unwrap(monkeypatch):
         # forward's mode is read from its 4th positional argument.
         space = build_space(SpaceConfig(2, 2, (LayerConfig(("affine-relu:4",)),)))
         weights = supernet.init_weights(space, RngStream(0, "init"))
-        supernet.forward(weights, (0,), np.zeros((3, 2)), supernet.EVAL)
+        view = supernet.sub_view(space, (0,))
+        supernet.forward(weights, view, np.zeros((3, 2)), supernet.EVAL)
         calls, _, _ = tracer.summary()
         assert calls["supernet.forward.eval"] == 1
     finally:

@@ -31,7 +31,6 @@ from jointsearch.space import (
     build_space,
     derive,
 )
-from jointsearch.trainstep import TrainerDefaults
 
 from reference import weights_digest
 
@@ -135,15 +134,14 @@ def test_untrained_accuracy_is_near_chance_over_seeds():
     space = eval_space()
     dataset = two_moons(200, 0.1, 7)
     batch = (dataset.features, dataset.labels)
-    frozen = TrainerDefaults(learning_rate=0.0)  # keep the net untrained
     accuracies = []
     for seed in range(50):
         weights = supernet.init_weights(space, RngStream(seed, "init"))
         record = evaluate_candidate(
-            weights, (1,), [batch], batch, RngStream(seed, "t"), defaults=frozen
-        )
+            weights, (1,), [batch], batch, RngStream(seed, "t"), learning_rate=0.0
+        )  # lr 0 keeps the net untrained
         assert 0.0 <= record.accuracy <= 1.0
-        assert record.cost == supernet.cost(space, (1,))
+        assert record.cost == supernet.sub_view(space, (1,)).cost
         accuracies.append(record.accuracy)
     mean = float(np.mean(accuracies))
     # per-seed accuracy sd is bounded by 0.5, so 3 sigma of the seed mean:
@@ -368,6 +366,36 @@ def test_store_digest_invariant_across_controller_phase():
     for step in range(1, 4):
         assert digests[("controller", step)] == digests[("commit", step - 1)]
     assert digests[("commit", 3)] != weights_digest(fresh)  # training happened
+
+
+def test_each_pair_is_validated_once_by_its_view_and_once_by_its_trainer(monkeypatch):
+    # sub_view resolves a sampled pair once; build_trainer's selection_to_config
+    # is the only other reader, for scored candidates and commits alike.
+    from jointsearch import space as space_module
+
+    steps, pairs = 3, 2
+    calls = []
+    original = space_module.validate_selection
+
+    def counting(space, selection):
+        calls.append(tuple(selection))
+        return original(space, selection)
+
+    monkeypatch.setattr(space_module, "validate_selection", counting)
+    monkeypatch.setattr(supernet, "validate_selection", counting)
+    phases = []
+    search(
+        parse_config(moons_doc(total=steps, k=pairs, inner_steps=4)),
+        audit=lambda phase, step, weights: phases.append((phase, len(calls))),
+    )
+    expected, total = [], 0
+    for _ in range(steps):
+        total += 2 * pairs
+        expected.append(("controller", total))
+        total += 2 * pairs
+        expected.append(("commit", total))
+    assert phases == expected
+    assert len(calls) == 2 * steps * pairs + 2 * steps * pairs
 
 
 def test_derived_always_matches_final_probabilities():
@@ -742,3 +770,18 @@ def test_baseline_trials_are_pure_functions_of_seed_and_index():
     assert best.index == min(
         t.index for t in big.trials if t.val_accuracy == best.val_accuracy
     )
+
+
+def test_retrain_and_baseline_take_the_unsearched_learning_rate():
+    space = eval_space()
+    parts = split(two_moons(120, 0.1, 3), (0.5, 0.25, 0.25), 3)
+    derived = DerivedConfig((1,), ())
+    assert retrain(space, derived, parts, 1).trainer.learning_rate == 0.01
+    assert retrain(space, derived, parts, 1, learning_rate=0.3).trainer.learning_rate == 0.3
+    frozen = random_search_baseline(space, parts, 2, 1, 3, learning_rate=0.0)
+    for trial in frozen.trials:
+        again = retrain(
+            space, trial.derived, parts, 1, learning_rate=0.0, seed=3, name=f"baseline/{trial.index}"
+        )
+        assert again.trainer.learning_rate == 0.0
+        assert trial.val_accuracy == again.val_accuracy

@@ -148,6 +148,51 @@ def test_backward_unreached_leaf_gets_zeros():
     assert grads["w"][:, 2].tobytes() == np.zeros(2).tobytes()
 
 
+class FirstTermSums(np.ndarray):
+    """An array whose row sums and matrix products start from their first
+    term, as a reduction or BLAS without a zeroed accumulator does. numpy 2's
+    sums and OpenBLAS's products start from +0.0, so with them a column of
+    -0.0 terms never sums to -0.0."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        args = [np.asarray(a) for a in inputs]
+        if ufunc is np.add and method == "reduce" and kwargs.get("axis") == 0:
+            (a,) = args
+            result = a[0].copy()
+            for row in a[1:]:
+                result = result + row
+        elif ufunc is np.matmul and method == "__call__":
+            a, b = args
+            result = a[:, :1] * b[:1]
+            for k in range(1, a.shape[1]):
+                result = result + a[:, k : k + 1] * b[k : k + 1]
+        else:
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(o) for o in out)
+            result = getattr(ufunc, method)(*args, **kwargs)
+            if out is not None:
+                return out[0]
+        return result.view(FirstTermSums)
+
+
+def test_backward_weight_and_bias_gradients_carry_no_negative_zero():
+    # Unit 1 is dead on every row and the incoming gradient is negative, so
+    # its column of the chain holds -0.0 only. Summed from the first term,
+    # that is -0.0; the ``+ 0.0`` on each gradient makes it 0.0, as the
+    # reference tape's zero-buffer accumulation does on any platform.
+    all_negative_zero = np.full((3, 1), -0.0).view(FirstTermSums)
+    assert np.signbit(all_negative_zero.sum(axis=0)).all()
+    assert np.signbit(np.ones((1, 3)) @ all_negative_zero).all()
+
+    x = np.array([[1.0, 2.0], [3.0, 0.5], [0.25, 1.0]])
+    weight = np.array([[1.0, -1.0], [1.0, -1.0]])
+    layer = Layer(("w", "b"), x, weight, "relu", np.maximum(x @ weight, 0.0), None)
+    grad_logits = -np.ones((3, 2)).view(FirstTermSums)
+    grads = numerics.backward([layer], np.ones((2, 2)), grad_logits)
+    assert grads["b"].tobytes() == np.array([-6.0, 0.0]).tobytes()
+    assert grads["w"].tobytes() == np.array([[-8.5, 0.0], [-7.0, 0.0]]).tobytes()
+
+
 def test_backward_requires_scalar_loss():
     tape = Tape()
     w = tape.leaf(as_tensor([1.0, 2.0]))
@@ -393,6 +438,34 @@ def test_rng_uniform_range_and_shape():
     assert np.all(u >= 0.0) and np.all(u < 1.0)
     scalar = RngStream(1, "u").uniform()
     assert isinstance(scalar, float)
+
+
+@pytest.mark.parametrize(
+    "shape, want_shape, words",
+    [
+        (None, None, 1),
+        (5, (5,), 5),
+        ((2, 3), (2, 3), 6),
+        ([4], (4,), 4),
+        ((np.int64(2), 3), (2, 3), 6),
+        ((), (), 1),
+        ((0, 3), (0, 3), 0),
+    ],
+)
+@pytest.mark.parametrize("draw", ["uniform", "normal"])
+def test_rng_draw_shapes_words_and_counters(draw, shape, want_shape, words):
+    from scipy import special
+
+    stream = RngStream(47, "shape", counter=3)
+    value = getattr(stream, draw)(shape)
+    assert type(stream.counter) is int and stream.counter == 3 + words
+    bits = (RngStream(47, "shape", counter=3)._raw(words) >> np.uint64(11)).astype(np.float64)
+    want = bits * 2.0**-53 if draw == "uniform" else special.ndtri((bits + 0.5) * 2.0**-53)
+    if want_shape is None:
+        assert isinstance(value, float) and value == float(want[0])
+    else:
+        assert value.shape == want_shape
+        assert value.tobytes() == want.tobytes()
 
 
 def test_rng_normal_moments():

@@ -10,7 +10,6 @@ from jointsearch.supernet import (
     EVAL,
     TRAIN,
     ParamKey,
-    cost,
     forward,
     init_weights,
     sub_view,
@@ -94,28 +93,32 @@ def test_sub_view_all_identity_is_empty():
             LayerConfig(candidates=("identity", "affine:2"), width=2),
         ]
     )
-    weights = init_weights(space, RngStream(0, "init"))
-    view = sub_view(weights, (0, 0))
+    view = sub_view(space, (0, 0))
     assert view.keys == ()
+    assert [keys for _, _, keys in view.layers] == [(), ()]
 
 
 def test_sub_view_lists_exactly_the_selected_ops():
     space = two_affine_space()
-    weights = init_weights(space, RngStream(0, "init"))
-    view = sub_view(weights, (0, 1))
-    assert set(view.keys) == {
+    view = sub_view(space, [0, 1])
+    assert view.selection == (0, 1)
+    assert view.keys == (
         ParamKey(0, 0, "weight"),
         ParamKey(0, 0, "bias"),
         ParamKey(1, 1, "weight"),
         ParamKey(1, 1, "bias"),
-    }
+    )
+    layer0, layer1 = space.arch_decisions
+    assert view.layers == (
+        (layer0, layer0.candidates[0], view.keys[:2]),
+        (layer1, layer1.candidates[1], view.keys[2:]),
+    )
 
 
 def test_sub_view_rejects_out_of_range_selection():
     space = two_affine_space()
-    weights = init_weights(space, RngStream(0, "init"))
     with pytest.raises(ValueError):
-        sub_view(weights, (0, 2))
+        sub_view(space, (0, 2))
 
 
 def test_union_of_views_covers_the_store():
@@ -129,7 +132,7 @@ def test_union_of_views_covers_the_store():
     seen = set()
     for i in range(3):
         for j in range(2):
-            seen.update(sub_view(weights, (i, j)).keys)
+            seen.update(sub_view(space, (i, j)).keys)
     assert seen == set(weights.store)
 
 
@@ -142,7 +145,7 @@ def test_forward_identity_layer_passes_input_to_head():
     space = build([LayerConfig(candidates=("identity",))], input_dim=2)
     weights = init_weights(space, RngStream(3, "init"))
     x = RngStream(4, "x").normal((5, 2))
-    logits = forward(weights, (0,), x, EVAL)
+    logits = forward(weights, sub_view(space, (0,)), x, EVAL)
     expected = x @ weights.head_weight + weights.head_bias
     assert np.allclose(logits, expected, atol=0.0)
 
@@ -151,8 +154,8 @@ def test_forward_eval_is_deterministic():
     space = two_affine_space()
     weights = init_weights(space, RngStream(5, "init"))
     x = RngStream(6, "x").normal((4, 2))
-    a = forward(weights, (1, 0), x, EVAL)
-    b = forward(weights, (1, 0), x, EVAL)
+    a = forward(weights, sub_view(space, (1, 0)), x, EVAL)
+    b = forward(weights, sub_view(space, (1, 0)), x, EVAL)
     assert np.array_equal(a, b)
 
 
@@ -174,15 +177,15 @@ def test_forward_train_with_keep_one_matches_eval(candidate, width):
     x = RngStream(8, "x").normal((4, 2))
     logits, layers = forward(
         weights,
-        (0, 0),
+        sub_view(space, (0, 0)),
         x,
         TRAIN,
         dropout_keep=1.0,
         rng=RngStream(9, "mask"),
     )
-    eval_logits = forward(weights, (0, 0), x, EVAL)
+    eval_logits = forward(weights, sub_view(space, (0, 0)), x, EVAL)
     assert np.array_equal(logits, eval_logits)
-    assert _layer_keys(layers) == set(sub_view(weights, (0, 0)).keys)
+    assert _layer_keys(layers) == set(sub_view(space, (0, 0)).keys)
 
 
 def _layer_keys(layers):
@@ -197,7 +200,7 @@ def test_forward_pads_and_truncates_to_declared_width():
     weights = init_weights(space, RngStream(10, "init"))
     x = RngStream(11, "x").normal((4, 3))
     for sel in [(0,), (1,)]:
-        logits = forward(weights, sel, x, EVAL)
+        logits = forward(weights, sub_view(space, sel), x, EVAL)
         assert logits.shape == (4, 2)
     # padded path: logits must ignore head rows beyond the op's natural width
     w = weights.store[ParamKey(0, 0, "weight")]
@@ -205,7 +208,7 @@ def test_forward_pads_and_truncates_to_declared_width():
     hidden = x @ w + b
     padded = np.concatenate([hidden, np.zeros((4, 8))], axis=1)
     expected = padded @ weights.head_weight + weights.head_bias
-    assert np.allclose(forward(weights, (0,), x, EVAL), expected, atol=0.0)
+    assert np.allclose(forward(weights, sub_view(space, (0,)), x, EVAL), expected, atol=0.0)
 
 
 def test_forward_rejects_wrong_input_width():
@@ -213,27 +216,41 @@ def test_forward_rejects_wrong_input_width():
     weights = init_weights(space, RngStream(12, "init"))
     x = np.zeros((4, 3))
     with pytest.raises(ValueError):
-        forward(weights, (0, 0), x, EVAL)
+        forward(weights, sub_view(space, (0, 0)), x, EVAL)
 
 
 def test_forward_depends_only_on_view_keys():
     space = two_affine_space()
     weights = init_weights(space, RngStream(13, "init"))
     x = RngStream(14, "x").normal((6, 2))
-    selection = (0, 1)
-    before = forward(weights, selection, x, EVAL)
-    outside = set(weights.store) - set(sub_view(weights, selection).keys)
+    view = sub_view(space, (0, 1))
+    before = forward(weights, view, x, EVAL)
+    outside = set(weights.store) - set(view.keys)
     for key in outside:
         weights.store[key] += 123.0
-    after = forward(weights, selection, x, EVAL)
+    after = forward(weights, view, x, EVAL)
     assert np.array_equal(before, after)
+
+
+def test_forward_reads_the_view_tensors_from_params():
+    space = two_affine_space()
+    weights = init_weights(space, RngStream(13, "init"))
+    x = RngStream(14, "x").normal((6, 2))
+    view = sub_view(space, (1, 0))
+    shifted = {key: weights.store[key] + 0.5 for key in view.keys}
+    before = {key: value.copy() for key, value in weights.store.items()}
+    from_params = forward(weights, view, x, EVAL, params=shifted)
+    for key in view.keys:
+        assert np.array_equal(weights.store[key], before[key])  # the store is never written
+        weights.store[key] = shifted[key]
+    assert np.array_equal(from_params, forward(weights, view, x, EVAL))
 
 
 def test_writing_through_view_touches_only_view_keys():
     space = two_affine_space()
     weights = init_weights(space, RngStream(15, "init"))
     selection = (1, 0)
-    view = sub_view(weights, selection)
+    view = sub_view(space, selection)
     snapshot = {key: value.copy() for key, value in weights.store.items()}
     for key in view.keys:
         weights.store[key] += 1.0
@@ -249,11 +266,11 @@ def test_forward_train_gradients_flow_to_all_view_leaves():
     weights = init_weights(space, RngStream(16, "init"))
     x = RngStream(17, "x").normal((4, 2))
     logits, layers = forward(
-        weights, (1, 1), x, TRAIN, dropout_keep=1.0, rng=RngStream(0, "m")
+        weights, sub_view(space, (1, 1)), x, TRAIN, dropout_keep=1.0, rng=RngStream(0, "m")
     )
     # loss = sum(logits * logits), so d loss / d logits = 2 * logits
     grads = backward(layers, weights.head_weight, 2.0 * logits)
-    assert set(grads) == set(sub_view(weights, (1, 1)).keys)
+    assert set(grads) == set(sub_view(space, (1, 1)).keys)
     for key, grad in grads.items():
         assert grad.shape == weights.store[key].shape
         assert np.any(grad != 0.0), f"no gradient reached {key}"
@@ -263,25 +280,26 @@ def test_forward_train_dropout_masks_and_scales():
     space = build([LayerConfig(candidates=("identity",))], input_dim=10)
     weights = init_weights(space, RngStream(18, "init"))
     x = np.ones((200, 10))
+    view = sub_view(space, (0,))
     stream = RngStream(4, "mask")
-    _, layers = forward(weights, (0,), x, TRAIN, dropout_keep=1.0, rng=stream)
+    _, layers = forward(weights, view, x, TRAIN, dropout_keep=1.0, rng=stream)
     assert stream.counter == 0 and layers[0].scale is None  # keep=1 draws nothing
 
     keep = 0.7
-    _, layers = forward(weights, (0,), x, TRAIN, dropout_keep=keep, rng=stream)
+    _, layers = forward(weights, view, x, TRAIN, dropout_keep=keep, rng=stream)
     scale = layers[0].scale
     assert stream.counter == x.size
     assert set(np.unique(scale)) <= {0.0, 1.0 / keep}
     survival = np.mean(scale != 0.0)
     # binomial 3-sigma bound around keep for 2000 draws
     assert abs(survival - keep) < 3 * np.sqrt(keep * (1 - keep) / x.size)
-    again = forward(weights, (0,), x, TRAIN, dropout_keep=keep, rng=RngStream(4, "mask"))
+    again = forward(weights, view, x, TRAIN, dropout_keep=keep, rng=RngStream(4, "mask"))
     assert np.array_equal(again[1][0].scale, scale)  # the mask is a function of the counter
     for bad in (0.0, 1.5, (0.5, 0.5)):
         with pytest.raises(ValueError):
-            forward(weights, (0,), x, TRAIN, dropout_keep=bad, rng=stream)
+            forward(weights, view, x, TRAIN, dropout_keep=bad, rng=stream)
     with pytest.raises(ValueError):
-        forward(weights, (0,), x, TRAIN, dropout_keep=0.5)  # dropout without an rng
+        forward(weights, view, x, TRAIN, dropout_keep=0.5)  # dropout without an rng
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +309,7 @@ def test_forward_train_dropout_masks_and_scales():
 
 def test_cost_single_affine():
     space = build([LayerConfig(candidates=("affine:8",))], input_dim=2)
-    assert cost(space, (0,)) == 16.0
+    assert sub_view(space, (0,)).cost == 16.0
 
 
 def test_cost_all_identity_is_zero():
@@ -301,7 +319,7 @@ def test_cost_all_identity_is_zero():
             LayerConfig(candidates=("identity", "affine:4")),
         ]
     )
-    assert cost(space, (0, 0)) == 0.0
+    assert sub_view(space, (0, 0)).cost == 0.0
 
 
 def test_cost_three_stage_chain():
@@ -314,7 +332,7 @@ def test_cost_three_stage_chain():
         ],
         input_dim=2,
     )
-    assert cost(space, (0, 0, 0)) == 176.0
+    assert sub_view(space, (0, 0, 0)).cost == 176.0
 
 
 def test_cost_counts_only_selected_ops():
@@ -322,6 +340,6 @@ def test_cost_counts_only_selected_ops():
         [LayerConfig(candidates=("identity", "affine:8", "affine:16"), width=16)],
         input_dim=2,
     )
-    assert cost(space, (0,)) == 0.0
-    assert cost(space, (1,)) == 16.0
-    assert cost(space, (2,)) == 32.0
+    assert sub_view(space, (0,)).cost == 0.0
+    assert sub_view(space, (1,)).cost == 16.0
+    assert sub_view(space, (2,)).cost == 32.0

@@ -18,7 +18,6 @@ from jointsearch.space import (
 from jointsearch.supernet import ParamKey, init_weights, sub_view
 from jointsearch.trainstep import (
     SlotStore,
-    TrainerDefaults,
     TrainerSpec,
     apply_mixup,
     build_trainer,
@@ -64,8 +63,6 @@ def test_trainer_spec_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         TrainerSpec(weight_decay=-0.1)
     with pytest.raises(ValueError):
-        TrainerSpec(inner_steps=0)
-    with pytest.raises(ValueError):
         TrainerSpec(optimizer="adagrad")
     with pytest.raises(ValueError):
         TrainerSpec(learning_rate=-0.01)
@@ -88,21 +85,21 @@ def test_build_trainer_basis_lookup_and_defaults():
             ),
         )
     )
-    spec = build_trainer(space, (0, 1, 1), TrainerDefaults(learning_rate=0.5, inner_steps=2))
+    spec = build_trainer(space, (0, 1, 1), learning_rate=0.5)
     assert spec.learning_rate == 0.01  # index 1 of the lr basis
     assert spec.optimizer == "sgd"  # index 1 of the optimizer basis
     # unsearched fields fall back to defaults
     assert spec.weight_decay == 0.0
     assert spec.mixup_ratio == 0.0
     assert spec.dropout_keep == 1.0
-    assert spec.inner_steps == 2
 
 
 def test_build_trainer_uses_config_default_lr_when_not_searched():
     space = plain_affine_space()
-    spec = build_trainer(space, (0,), TrainerDefaults(learning_rate=0.07))
+    spec = build_trainer(space, (0,), learning_rate=0.07)
     assert spec.learning_rate == 0.07
     assert spec.optimizer == "sgd"
+    assert build_trainer(space, (0,)).learning_rate == 0.01
 
 
 def test_trainer_from_derived_keeps_continuous_values_exact():
@@ -327,20 +324,20 @@ def test_slot_store_restore_round_trip():
 def test_make_temporary_zero_lr_returns_exact_copies():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(0, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.0)
     temp = make_temporary(weights, view, spec, [batch_for(space, 8)], RngStream(1, "t"))
-    assert set(temp.overrides) == set(view.keys)
+    assert set(temp) == set(view.keys)
     for key in view.keys:
-        assert np.array_equal(temp.overrides[key], weights.store[key])
-        assert temp.overrides[key] is not weights.store[key]
+        assert np.array_equal(temp[key], weights.store[key])
+        assert temp[key] is not weights.store[key]
 
 
 def test_make_temporary_single_sgd_step_matches_numpy_oracle():
     # independent oracle: forward and chain rule written directly in numpy
     space = plain_affine_space()
     weights = init_weights(space, RngStream(3, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     x, y = batch_for(space, 8, seed=4)
     lr = 0.05
     spec = TrainerSpec(optimizer="sgd", learning_rate=lr)
@@ -357,14 +354,14 @@ def test_make_temporary_single_sgd_step_matches_numpy_oracle():
     dw = x.T @ dhidden
     db = dhidden.sum(axis=0)
 
-    assert np.allclose(temp.overrides[ParamKey(0, 0, "weight")], w - lr * dw, atol=1e-12)
-    assert np.allclose(temp.overrides[ParamKey(0, 0, "bias")], b - lr * db, atol=1e-12)
+    assert np.allclose(temp[ParamKey(0, 0, "weight")], w - lr * dw, atol=1e-12)
+    assert np.allclose(temp[ParamKey(0, 0, "bias")], b - lr * db, atol=1e-12)
 
 
 def test_make_temporary_leaves_store_untouched():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(6, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     digest = store_digest(weights.store)
     spec = TrainerSpec(optimizer="adam", learning_rate=0.1, mixup_ratio=0.2, dropout_keep=0.8)
     make_temporary(weights, view, spec, [batch_for(space, 8)], RngStream(7, "t"))
@@ -374,7 +371,7 @@ def test_make_temporary_leaves_store_untouched():
 def test_make_temporary_is_deterministic():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(8, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     spec = TrainerSpec(
         optimizer="momentum", learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.7
     )
@@ -382,31 +379,22 @@ def test_make_temporary_is_deterministic():
     a = make_temporary(weights, view, spec, batches, RngStream(10, "t"))
     b = make_temporary(weights, view, spec, batches, RngStream(10, "t"))
     for key in view.keys:
-        assert np.array_equal(a.overrides[key], b.overrides[key])
+        assert np.array_equal(a[key], b[key])
 
 
-def test_make_temporary_needs_enough_batches():
-    space = plain_affine_space()
-    weights = init_weights(space, RngStream(11, "init"))
-    view = sub_view(weights, (0,))
-    spec = TrainerSpec(inner_steps=3)
-    with pytest.raises(ValueError):
-        make_temporary(weights, view, spec, [batch_for(space, 4)], RngStream(0, "t"))
-
-
-def test_make_temporary_multi_step_progresses():
+def test_make_temporary_takes_one_step_per_batch(monkeypatch):
+    calls = recorded_gradients(monkeypatch)
     space = plain_affine_space()
     weights = init_weights(space, RngStream(12, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     batches = [batch_for(space, 16, seed=s) for s in range(3)]
-    one = make_temporary(
-        weights, view, TrainerSpec(learning_rate=0.1, inner_steps=1), batches, RngStream(13, "t")
-    )
-    three = make_temporary(
-        weights, view, TrainerSpec(learning_rate=0.1, inner_steps=3), batches, RngStream(13, "t")
-    )
+    spec = TrainerSpec(learning_rate=0.1)
+    one = make_temporary(weights, view, spec, batches[:1], RngStream(13, "t"))
+    assert len(calls) == 1
+    three = make_temporary(weights, view, spec, batches, RngStream(13, "t"))
+    assert len(calls) == 4
     key = ParamKey(0, 0, "weight")
-    assert not np.array_equal(one.overrides[key], three.overrides[key])
+    assert not np.array_equal(one[key], three[key])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +405,7 @@ def test_make_temporary_multi_step_progresses():
 def test_commit_zero_lr_leaves_store_unchanged():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(14, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     digest = store_digest(weights.store)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.0)
     slots = SlotStore()
@@ -440,7 +428,7 @@ def test_commit_touches_only_view_keys():
     )
     weights = init_weights(space, RngStream(17, "init"))
     selection = (1, 0)
-    view = sub_view(weights, selection)
+    view = sub_view(space, selection)
     snapshot = {key: value.copy() for key, value in weights.store.items()}
     commit_step(
         weights,
@@ -461,19 +449,19 @@ def test_commit_touches_only_view_keys():
 def test_commit_matches_make_temporary_first_step():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(19, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     batch = batch_for(space, 8, seed=20)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.05, mixup_ratio=0.2, dropout_keep=0.9)
     temp = make_temporary(weights, view, spec, [batch], RngStream(21, "t"))
     commit_step(weights, view, spec, batch, SlotStore(), RngStream(21, "t"))
     for key in view.keys:
-        assert np.array_equal(weights.store[key], temp.overrides[key])
+        assert np.array_equal(weights.store[key], temp[key])
 
 
 def test_commit_slots_persist_across_commits():
     space = plain_affine_space()
     weights = init_weights(space, RngStream(22, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     spec = TrainerSpec(optimizer="adam", learning_rate=0.01)
     slots = SlotStore()
     batch = batch_for(space, 8, seed=23)
@@ -519,15 +507,15 @@ def random_train_case(rng):
         weight_decay=(0.0, 0.01)[rng.index(2)],
         mixup_ratio=(0.0, 0.4)[rng.index(2)],
         dropout_keep=dropout_keep,
-        inner_steps=1 + rng.index(3),
     )
+    inner_steps = 1 + rng.index(3)
     n = 1 + rng.index(12)
     batches = []
-    for _ in range(spec.inner_steps):
+    for _ in range(inner_steps):
         x = rng.normal((n, space.input_dim))
         labels = [rng.index(space.num_classes) for _ in range(n)]
         batches.append((x, np.eye(space.num_classes)[labels]))
-    return weights, sub_view(weights, selection), spec, batches
+    return weights, sub_view(space, selection), spec, batches
 
 
 def recorded_gradients(monkeypatch):
@@ -561,10 +549,11 @@ def test_make_temporary_gradients_equal_reference_tape(monkeypatch):
 
         params = {key: weights.store[key].copy() for key in view.keys}
         slots, stream = SlotStore(), RngStream(32, "t")
-        for step in range(spec.inner_steps):
-            want = taped_train_step(weights, view, params, spec, batches[step], slots, stream)
-            assert_bitwise_equal(fused[step], want)
-        assert_bitwise_equal(temp.overrides, params)
+        assert len(fused) == len(batches)
+        for got, batch in zip(fused, batches):
+            want = taped_train_step(weights, view, params, spec, batch, slots, stream)
+            assert_bitwise_equal(got, want)
+        assert_bitwise_equal(temp, params)
 
 
 def test_commit_step_gradients_equal_reference_tape(monkeypatch):
@@ -615,7 +604,7 @@ def test_train_step_rejects_bad_inputs(path, defect, message, mixup_dropout):
         )
     )
     weights = init_weights(space, RngStream(35, "init"))
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     x, y = batch_for(space, 6, seed=36)
     if defect == "empty-batch":
         x, y = x[:0], y[:0]
@@ -663,7 +652,7 @@ def test_train_step_ignores_non_finite_tensors_outside_the_selection():
     )
     weights = init_weights(space, RngStream(35, "init"))
     weights.store[ParamKey(0, 1, "weight")][0, 0] = np.nan
-    view = sub_view(weights, (0,))
+    view = sub_view(space, (0,))
     spec = TrainerSpec(learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.5)
     make_temporary(weights, view, spec, [batch_for(space, 6)], RngStream(37, "t"))
     commit_step(weights, view, spec, batch_for(space, 6), SlotStore(), RngStream(37, "t"))
