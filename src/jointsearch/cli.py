@@ -69,7 +69,9 @@ def _result_document(space, result: engine.SearchResult) -> dict:
 
 
 def _emit(document: dict, out_path: str | None) -> None:
-    payload = json.dumps(document, indent=2)
+    """Print ``document`` as JSON, or write it to ``out_path``; a non-finite
+    number raises ``ValueError``, since JSON has none."""
+    payload = json.dumps(document, indent=2, allow_nan=False)
     if out_path is None:
         print(payload)
     else:
@@ -203,8 +205,7 @@ def _cmd_report(args) -> int:
         },
         "final_store_digest": records[-1].store_digest,
     }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, indent=2))
+    _emit(summary, os.path.join(args.out, "summary.json"))
     print(f"wrote {n_decisions} trajectory files and summary.json to {args.out}")
     return 0
 

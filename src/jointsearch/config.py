@@ -1,11 +1,13 @@
 """Engine configuration: one JSON document, strictly validated.
 
-Every section rejects unknown keys so typos fail loudly instead of silently
-falling back to defaults. A section's defaults are its dataclass defaults and
-its range checks live in its ``__post_init__``, so a section built in code is
-checked exactly like a parsed one; the parser type-checks each key present
-(every real must be finite) and leaves absent keys to the defaults.
-``parse_config`` works on an in-memory dict and does not modify it;
+One parser reads every section, the space included. A config dataclass's
+field annotations say what each key holds (a scalar, an optional, a list
+read as a tuple, or a nested config dataclass); the parser type-checks each
+key present (every real must be finite), rejects unknown keys so typos fail
+loudly, and leaves absent keys to the dataclass defaults. Range checks live
+in each section's ``__post_init__``, so a section built in code is checked
+like a parsed one; the space's are ``space.build_space``, run on the parsed
+space. ``parse_config`` works on an in-memory dict and does not modify it;
 ``load_config`` reads a JSON file. ``config_to_dict`` echoes a parsed config
 back as a document, defaults included, which is what checkpoints store.
 """
@@ -171,27 +173,65 @@ class EngineConfig:
         return (self.space, self.data, self.search, self.retrain)
 
 
-_SECTIONS = {
-    "data": DataSection,
-    "search": SearchSection,
-    "retrain": RetrainSection,
-    "output": OutputSection,
+@dataclass(frozen=True)
+class _Geometric:  # a hyperparameter's ``geometric`` sugar: make_continuous_basis's arguments
+    default: float
+    count: int
+    span: float
+
+
+_SECTIONS = dict(
+    space=SpaceConfig, data=DataSection, search=SearchSection, retrain=RetrainSection,
+    output=OutputSection,
+)
+# Config dataclasses nested in a section, by the name their fields' annotations use.
+_NESTED = {cls.__name__: cls for cls in (RewardSection, LayerConfig, HyperConfig)}
+_SCALARS = {
+    "int": _as_int,
+    "float": _as_real,
+    "str": _as_str,
+    # A symbol stays a string; build_space checks each value against its field.
+    "BasisValue": lambda value, where: value if isinstance(value, str) else _as_real(value, where),
 }
-_SCALARS = {"int": _as_int, "float": _as_real, "str": _as_str}
+
+
+def _expand_geometric(hyper, where: str):
+    """A hyperparameter object with its ``geometric`` sugar written out as
+    the ``basis`` it stands for; any other value as it is."""
+    if not isinstance(hyper, dict) or "geometric" not in hyper:
+        return hyper
+    if "basis" in hyper:
+        raise ConfigError(f"{where}: give exactly one of 'basis' or 'geometric'")
+    hyper = dict(hyper)
+    grid = _parse_section(_Geometric, hyper.pop("geometric"), f"{where}.geometric")
+    try:
+        hyper["basis"] = list(make_continuous_basis(grid.default, grid.count, grid.span))
+    except ValueError as exc:
+        raise ConfigError(f"{where}.geometric: {exc}") from None
+    return hyper
 
 
 def _coerce(annotation: str, value, where: str):
-    """``value`` type-checked against a section field's annotation."""
+    """``value`` type-checked against a config field's annotation: a scalar,
+    an optional, a ``tuple[X, ...]`` or fixed-length tuple given as a list,
+    or a nested config dataclass given as an object."""
     if annotation.endswith(" | None"):
         if value is None:
             return None
         annotation = annotation[: -len(" | None")]
-    if annotation == "RewardSection":
-        return _parse_section(RewardSection, value, where)
     if annotation.startswith("tuple["):
-        if not isinstance(value, list) or len(value) != 3:
-            raise ConfigError(f"{where}: expected a list of three numbers")
-        return tuple(_as_real(v, where) for v in value)
+        items = annotation[len("tuple[") : -1].split(", ")
+        variadic = items[-1] == "..."
+        if not isinstance(value, list) or not variadic and len(value) != len(items):
+            count = "" if variadic else f" of {len(items)}"
+            raise ConfigError(f"{where}: expected a list{count}")
+        return tuple(
+            _coerce(items[0 if variadic else i], v, f"{where}[{i}]") for i, v in enumerate(value)
+        )
+    if annotation == "HyperConfig":
+        value = _expand_geometric(value, where)
+    if annotation in _NESTED:
+        return _parse_section(_NESTED[annotation], value, where)
     return _SCALARS[annotation](value, where)
 
 
@@ -211,99 +251,21 @@ def _parse_section(cls, section, where: str):
     )
 
 
-def _parse_space(section: dict) -> SpaceConfig:
-    _require_keys(
-        section,
-        {"input_dim", "num_classes", "layers", "hyperparameters"},
-        {"input_dim", "num_classes"},
-        "space",
-    )
-    layers = []
-    for i, raw in enumerate(section.get("layers", [])):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"space.layers[{i}]: expected an object")
-        _require_keys(raw, {"candidates", "width"}, {"candidates"}, f"space.layers[{i}]")
-        cands = raw["candidates"]
-        if not isinstance(cands, list) or not all(isinstance(c, str) for c in cands):
-            raise ConfigError(f"space.layers[{i}].candidates: expected a list of strings")
-        width = raw.get("width")
-        if width is not None:
-            width = _as_int(width, f"space.layers[{i}].width")
-        layers.append(LayerConfig(tuple(cands), width))
-
-    hypers = []
-    for i, raw in enumerate(section.get("hyperparameters", [])):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"space.hyperparameters[{i}]: expected an object")
-        where = f"space.hyperparameters[{i}]"
-        _require_keys(
-            raw,
-            {"name", "kind", "basis", "geometric", "default_index"},
-            {"name", "kind"},
-            where,
-        )
-        name = _as_str(raw["name"], f"{where}.name")
-        kind = _as_str(raw["kind"], f"{where}.kind", ("continuous", "categorical"))
-        has_basis = "basis" in raw
-        has_geometric = "geometric" in raw
-        if has_basis == has_geometric:
-            raise ConfigError(f"{where}: give exactly one of 'basis' or 'geometric'")
-        if has_geometric:
-            if kind != "continuous":
-                raise ConfigError(f"{where}: 'geometric' only applies to continuous kinds")
-            geo = raw["geometric"]
-            if not isinstance(geo, dict):
-                raise ConfigError(f"{where}.geometric: expected an object")
-            _require_keys(
-                geo, {"default", "count", "span"}, {"default", "count", "span"}, f"{where}.geometric"
-            )
-            try:
-                basis = make_continuous_basis(
-                    _as_real(geo["default"], f"{where}.geometric.default"),
-                    _as_int(geo["count"], f"{where}.geometric.count"),
-                    _as_real(geo["span"], f"{where}.geometric.span"),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{where}.geometric: {exc}") from None
-        else:
-            raw_basis = raw["basis"]
-            if not isinstance(raw_basis, list) or not raw_basis:
-                raise ConfigError(f"{where}.basis: expected a non-empty list")
-            if kind == "continuous":
-                basis = tuple(_as_real(v, f"{where}.basis") for v in raw_basis)
-            else:
-                basis = tuple(_as_str(v, f"{where}.basis") for v in raw_basis)
-        default_index = raw.get("default_index")
-        if default_index is not None:
-            default_index = _as_int(default_index, f"{where}.default_index")
-        hypers.append(HyperConfig(name, kind, basis, default_index))
-
-    config = SpaceConfig(
-        input_dim=_as_int(section["input_dim"], "space.input_dim"),
-        num_classes=_as_int(section["num_classes"], "space.num_classes"),
-        layers=tuple(layers),
-        hyperparameters=tuple(hypers),
-    )
-    try:
-        build_space(config)  # semantic validation; the engine rebuilds later
-    except ValueError as exc:
-        raise ConfigError(f"space: {exc}") from None
-    return config
-
-
 def parse_config(document: dict) -> EngineConfig:
     if not isinstance(document, dict):
         raise ConfigError("config root must be an object")
-    _require_keys(document, {"space", *_SECTIONS}, {"space", "search"}, "config")
-    if not isinstance(document["space"], dict):
-        raise ConfigError("space: expected an object")
-    return EngineConfig(
-        space=_parse_space(document["space"]),
+    _require_keys(document, set(_SECTIONS), {"space", "search"}, "config")
+    config = EngineConfig(
         **{
             name: _parse_section(cls, document.get(name, {}), name)
             for name, cls in _SECTIONS.items()
-        },
+        }
     )
+    try:
+        build_space(config.space)  # the space's semantic checks; the engine rebuilds it
+    except ValueError as exc:
+        raise ConfigError(f"space: {exc}") from None
+    return config
 
 
 def config_to_dict(config: EngineConfig) -> dict:

@@ -167,8 +167,10 @@ def _draw_batches(
 def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: every section but the output paths must match, its step must
-    lie within the run, and its controller must hold one logit row per
-    decision of ``space``, with that decision's cardinality."""
+    lie within the run, its RNG counters must be the controller's alone, its
+    controller must hold one logit row per decision of ``space``, with that
+    decision's cardinality, and its reward history must hold K records for
+    each step before its own, in step order, each selecting within ``space``."""
     from .config import parse_config
 
     ckpt = persist.load_checkpoint(path)
@@ -177,17 +179,22 @@ def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.C
             "checkpoint was produced by a different configuration; "
             "only output paths may differ on resume"
         )
+    check = persist.check_field
     total = config.search.total_meta_steps
-    if ckpt.meta_step > total:
-        raise ValueError(
-            f"{path}: checkpoint header field meta_step is not an integer in [0, {total}]"
-        )
-    cards = space.cardinalities()
-    if [len(z) for z in ckpt.controller.logits] != list(cards):
-        raise ValueError(
-            f"{path}: checkpoint header field controller.logits is not one row per "
-            f"decision, of lengths {list(cards)}"
-        )
+    check(path, ckpt.meta_step <= total, "meta_step", f"an integer in [0, {total}]")
+    counters = set(ckpt.rng_counters)
+    check(path, counters == {"controller"}, "rng", "an object whose one key is controller")
+    cards = list(space.cardinalities())
+    rows = [len(z) for z in ckpt.controller.logits]
+    check(path, rows == cards, "controller.logits", f"one row per decision, of lengths {cards}")
+    k, done = config.search.pairs_per_step, ckpt.meta_step
+    steps = [r.meta_step for r in ckpt.reward_history]
+    expected = [step for step in range(done) for _ in range(k)]
+    check(path, steps == expected, "reward_history", f"{k} records per step before {done}")
+    for i, record in enumerate(ckpt.reward_history):
+        sel = record.selection
+        fits = len(sel) == len(cards) and all(0 <= j < c for j, c in zip(sel, cards))
+        check(path, fits, f"reward_history[{i}].selection", f"a selection within {cards}")
     return ckpt
 
 
@@ -221,7 +228,9 @@ def search(
         splits = setup_run(config, space)
 
     if resume_from is None:
-        ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
+        ckpt = persist.Checkpoint(
+            {}, 0, ctrl.init_controller(space), rng_counters={"controller": 0}
+        )
         if uses_network:
             init = supernet.init_weights(space, RngStream(seed, "init"))
             ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
@@ -236,7 +245,7 @@ def search(
     weights = None
     if uses_network:
         weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
-    ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters.get("controller", 0))
+    ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters["controller"])
     start = ckpt.meta_step
 
     log_fh = None

@@ -2,7 +2,8 @@
 
 Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
-bytes.
+bytes. Neither an event record nor a checkpoint header may hold a non-finite
+number: writing one raises ``ValueError``.
 
 A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
 keeps one, advances it in place and saves it as it stands. Its file has three
@@ -35,7 +36,7 @@ whose baseline flag is not a boolean, whose controller logits are not a
 list of non-empty lists of finite numbers, whose RNG counters are not
 non-negative integers, or whose reward history is not a list of
 ``RewardRecord`` objects: exactly its six fields, a non-negative integer
-step, a list of integers as the selection and numbers elsewhere.
+step, a list of integers as the selection and finite numbers elsewhere.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -105,16 +106,11 @@ class EventRecord:
     wall_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "meta_step": self.meta_step,
-                "mean_reward": self.mean_reward,
-                "baseline": self.baseline,
-                "probabilities": self.probabilities,
-                "store_digest": self.store_digest,
-                "wall_ms": self.wall_ms,
-            }
-        )
+        # Keys in field order; a non-finite number raises ValueError.
+        return json.dumps(vars(self), allow_nan=False)
+
+
+_EVENT_FIELDS = [f.name for f in fields(EventRecord)]
 
 
 def event_header(labels: Iterable[str], cardinalities: Iterable[int]) -> str:
@@ -157,7 +153,9 @@ def truncate_events(path: str, meta_step: int) -> int:
 
 
 def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
-    """Read an event log; returns (header, records)."""
+    """Read an event log; returns (header, records). A line that is neither
+    the header nor a record with exactly ``EventRecord``'s fields raises
+    ``ValueError`` naming the file and the line."""
     header = None
     records: list[EventRecord] = []
     with open(path, encoding="utf-8") as fh:
@@ -169,19 +167,16 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed JSON on line {line_no} ({exc})") from None
-            if "decisions" in doc:
+            if isinstance(doc, dict) and "decisions" in doc:
                 header = doc
                 continue
-            records.append(
-                EventRecord(
-                    meta_step=doc["meta_step"],
-                    mean_reward=doc["mean_reward"],
-                    baseline=doc["baseline"],
-                    probabilities=doc["probabilities"],
-                    store_digest=doc["store_digest"],
-                    wall_ms=doc["wall_ms"],
-                )
-            )
+            try:
+                records.append(EventRecord(**doc))
+            except TypeError:
+                raise ValueError(
+                    f"{path}: line {line_no} is not an event record with exactly the fields "
+                    f"{_EVENT_FIELDS}"
+                ) from None
     return header, records
 
 
@@ -279,7 +274,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "store_digest": ckpt.store_digest,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
-    chunks = [json.dumps(header, sort_keys=True).encode("ascii") + b"\n"]
+    chunks = [json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii") + b"\n"]
     chunks += [np.ascontiguousarray(arr, dtype="<f8") for _, arr in arrays]
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -337,7 +332,7 @@ def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
             raise ValueError(f"{path}: checkpoint header lacks field {prefix}{name}")
 
 
-def _check(path: str, ok: bool, name: str, what: str) -> None:
+def check_field(path: str, ok: bool, name: str, what: str) -> None:
     """Raise ``ValueError`` naming the file and the header field ``name``
     unless ``ok``."""
     if not ok:
@@ -355,7 +350,7 @@ def _is_record(doc) -> bool:
     selection = doc["selection"]
     return (
         _is_count(doc["meta_step"])
-        and all(type(v) in (int, float) for v in numbers)
+        and all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
         and isinstance(selection, list)
         and all(type(i) is int for i in selection)
     )
@@ -392,22 +387,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
     _require(path, controller, "controller.", _CONTROLLER_FIELDS)
-    _check(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
-    _check(path, _is_count(controller["step"]), "controller.step", "a non-negative integer")
+    check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
+    check_field(path, _is_count(controller["step"]), "controller.step", "a non-negative integer")
     baseline = controller["baseline"]
     finite = type(baseline) in (int, float) and math.isfinite(baseline)
-    _check(path, finite, "controller.baseline", "a finite number")
+    check_field(path, finite, "controller.baseline", "a finite number")
     flag = controller["baseline_initialized"]
-    _check(path, type(flag) is bool, "controller.baseline_initialized", "a boolean")
+    check_field(path, type(flag) is bool, "controller.baseline_initialized", "a boolean")
     history = header["reward_history"]
     records = isinstance(history, list) and all(map(_is_record, history))
-    _check(path, records, "reward_history", "a list of reward records")
+    check_field(path, records, "reward_history", "a list of reward records")
     logits = controller["logits"]
     table = _is_logit_table(logits)
-    _check(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
-    _check(path, isinstance(header["rng"], dict), "rng", "an object")
+    check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
+    check_field(path, isinstance(header["rng"], dict), "rng", "an object")
     for name, counter in header["rng"].items():
-        _check(path, _is_count(counter), f"rng.{name}", "a non-negative integer")
+        check_field(path, _is_count(counter), f"rng.{name}", "a non-negative integer")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
@@ -416,7 +411,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
     ):
         where = section.replace("/", ".")  # the header field
-        _check(path, isinstance(slot_ints, dict), where, "an object")
+        check_field(path, isinstance(slot_ints, dict), where, "an object")
         slots = SlotStore()
         for combined, slot in slot_ints.items():
             family, _, key_text = combined.partition("|")
@@ -426,7 +421,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(
                     f"{path}: {where}: slot name {combined!r} is not family|key"
                 ) from None
-            _check(path, isinstance(slot, dict), f"{where}.{combined}", "an object")
+            check_field(path, isinstance(slot, dict), f"{where}.{combined}", "an object")
             slots.restore(family, key, slot)
             owners[f"{section}/{combined}"] = slot
         slot_stores.append(slots)

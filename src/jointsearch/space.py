@@ -172,11 +172,14 @@ def _parse_op_token(token: str, in_width: int) -> OperationSpec:
     return OperationSpec(kind, width, in_width)
 
 
-def _check_basis_range(name: str, value: float) -> None:
+def _continuous_basis_value(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"basis value {value!r} for {name} is not a number")
     lo, hi, mode = CONTINUOUS_FIELDS[name]
     ok = lo < value <= hi if mode == "exclusive-low" else lo <= value <= hi
     if not ok or not math.isfinite(value):
         raise ValueError(f"basis value {value!r} out of range for {name}")
+    return float(value)
 
 
 def build_space(config: SpaceConfig) -> SearchSpace:
@@ -226,9 +229,7 @@ def build_space(config: SpaceConfig) -> SearchSpace:
         if len(cfg.basis) == 0:
             raise ValueError(f"hyperparameter {cfg.name!r} has an empty basis")
         if expected_kind == "continuous":
-            values = tuple(float(v) for v in cfg.basis)
-            for v in values:
-                _check_basis_range(cfg.name, v)
+            values = tuple(_continuous_basis_value(cfg.name, v) for v in cfg.basis)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(
                     f"continuous basis for {cfg.name!r} must be strictly increasing"

@@ -121,19 +121,6 @@ def sub_view(space: SearchSpace, selection: Sequence[int]) -> SubModelView:
     return SubModelView(sel, all_keys, tuple(layers), float(macs))
 
 
-def _resolve_keep(dropout_keep, n_layers: int) -> tuple[float, ...]:
-    if isinstance(dropout_keep, (int, float)):
-        keeps = (float(dropout_keep),) * n_layers
-    else:
-        keeps = tuple(float(k) for k in dropout_keep)
-    if len(keeps) != n_layers:
-        raise ValueError(f"need {n_layers} per-layer keep probabilities, got {len(keeps)}")
-    for keep in keeps:
-        if not 0.0 < keep <= 1.0:
-            raise ValueError(f"keep_prob must be in (0, 1], got {keep}")
-    return keeps
-
-
 def _check_finite(values: np.ndarray, what) -> None:
     if not np.isfinite(values).all():
         raise ValueError(f"{what} has non-finite entries")
@@ -146,14 +133,15 @@ def forward(
     mode: str = EVAL,
     *,
     params: Mapping[ParamKey, np.ndarray] | None = None,
-    dropout_keep=1.0,
+    dropout_keep: float = 1.0,
     rng: RngStream | None = None,
 ):
     """Run the view's sub-model on a batch.
 
     Each layer is affine then relu or tanh (or the identity), zero-padded or
-    truncated to the layer's width, then inverted dropout; the fixed head
-    maps the last layer to logits. ``params`` holds the view's tensors; it is
+    truncated to the layer's width, then inverted dropout that keeps each
+    value with probability ``dropout_keep``, in (0, 1]; the fixed head maps
+    the last layer to logits. ``params`` holds the view's tensors; it is
     the shared store when omitted, and the store is never written. Eval mode
     returns the logits array, applies no dropout and keeps nothing. Train
     mode returns ``(logits, layers)``, where ``layers`` holds one
@@ -168,11 +156,11 @@ def forward(
     if params is None:
         params = weights.store
     train = mode == TRAIN
-    if mode == EVAL:
-        keeps = (1.0,) * len(view.layers)
-    elif train:
-        keeps = _resolve_keep(dropout_keep, len(view.layers))
-        if any(k < 1.0 for k in keeps) and rng is None:
+    keep = dropout_keep if train else 1.0
+    if train:
+        if isinstance(keep, bool) or not isinstance(keep, (int, float)) or not 0.0 < keep <= 1.0:
+            raise ValueError(f"keep_prob must be a number in (0, 1], got {keep!r}")
+        if keep < 1.0 and rng is None:
             raise ValueError("dropout requires an rng stream")
         if x.shape[0] == 0:
             raise ValueError("batch is empty")
@@ -182,12 +170,12 @@ def forward(
         for key in view.keys:
             _check_finite(params[key], key.text())
         x = np.ascontiguousarray(x)  # one layout for the weight-gradient matmul
-    else:
+    elif mode != EVAL:
         raise ValueError(f"unknown mode {mode!r}")
 
     layers: list[numerics.Layer] = []
     h = x
-    for (decision, op, keys), keep in zip(view.layers, keeps):
+    for decision, op, keys in view.layers:
         weight = activation = scale = None
         if keys:
             weight = params[keys[0]]

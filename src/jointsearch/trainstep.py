@@ -36,7 +36,7 @@ class TrainerSpec:
     learning_rate: float = 0.01
     weight_decay: float = 0.0
     mixup_ratio: float = 0.0
-    dropout_keep: float | tuple[float, ...] = 1.0
+    dropout_keep: float = 1.0
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -48,14 +48,9 @@ class TrainerSpec:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.mixup_ratio <= 1.0:
             raise ValueError(f"mixup_ratio must be in [0, 1], got {self.mixup_ratio}")
-        keeps = (
-            (self.dropout_keep,)
-            if isinstance(self.dropout_keep, (int, float))
-            else tuple(self.dropout_keep)
-        )
-        for k in keeps:
-            if not 0.0 < k <= 1.0:
-                raise ValueError(f"dropout_keep must be in (0, 1], got {k}")
+        keep = self.dropout_keep
+        if isinstance(keep, bool) or not isinstance(keep, (int, float)) or not 0.0 < keep <= 1.0:
+            raise ValueError(f"dropout_keep must be a number in (0, 1], got {keep!r}")
 
 
 class SlotStore:

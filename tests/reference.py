@@ -333,7 +333,7 @@ def taped_forward(
     tape: Tape,
     *,
     overrides=None,
-    dropout_keep=1.0,
+    dropout_keep: float = 1.0,
     rng: RngStream | None = None,
 ):
     """A train-mode super-model forward recorded on ``tape``: returns
@@ -341,11 +341,6 @@ def taped_forward(
     to its tape leaf."""
     space = weights.space
     sel = validate_selection(space, selection)
-    keeps = (
-        (dropout_keep,) * len(space.arch_decisions)
-        if isinstance(dropout_keep, (int, float))
-        else tuple(dropout_keep)
-    )
 
     def param(key):
         if overrides is not None and key in overrides:
@@ -354,7 +349,7 @@ def taped_forward(
 
     leaves = {}
     h_node = tape.constant(np.asarray(batch_x, dtype=np.float64))
-    for decision, op_index, keep in zip(space.arch_decisions, sel, keeps):
+    for decision, op_index in zip(space.arch_decisions, sel):
         op = decision.candidates[op_index]
         if op.has_params:
             wk = supernet.ParamKey(decision.layer_id, op_index, "weight")
@@ -372,8 +367,8 @@ def taped_forward(
             z = pad_cols(tape, z, decision.out_width)
         elif z.value.shape[1] > decision.out_width:
             z = take_cols(tape, z, decision.out_width)
-        if keep < 1.0:
-            z = dropout(tape, z, keep, rng)
+        if dropout_keep < 1.0:
+            z = dropout(tape, z, dropout_keep, rng)
         h_node = z
     head_w = tape.constant(weights.head_weight)
     head_b = tape.constant(weights.head_bias)

@@ -104,6 +104,15 @@ def test_config_value_that_would_fail_at_run_time_exits_one(capsys, tmp_path, se
     assert "error:" in err and f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("key", ["layers", "hyperparameters"])
+def test_null_space_list_exits_one(capsys, tmp_path, key):
+    doc = base_doc()
+    doc["space"][key] = None
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["search", "--config", cfg]) == 1
+    assert f"error: space.{key}: expected a list" in capsys.readouterr().err
+
+
 def test_baseline_rejects_nonpositive_budget(capsys, tmp_path):
     cfg = write_config(tmp_path, "cfg.json", base_doc())
     assert main(["baseline", "random", "--config", cfg, "--budget", "0"]) == 1
@@ -251,6 +260,39 @@ VALUE_DEFECTS = {
         lambda h: h["rng"].update(controller=-5),
         "field rng.controller is not a non-negative integer",
     ),
+    "rng-extra": (
+        lambda h: h["rng"].update(commit=0),
+        "field rng is not an object whose one key is controller",
+    ),
+    "rng-missing": (
+        lambda h: h["rng"].pop("controller"),
+        "field rng is not an object whose one key is controller",
+    ),
+    "history-accuracy-nan": (
+        lambda h: h["reward_history"][0].update(accuracy=float("nan")),
+        "field reward_history is not a list of reward records",
+    ),
+    "history-selection": (
+        lambda h: h["reward_history"][3].update(selection=[9, 9, 9]),
+        "field reward_history[3].selection is not a selection within [2, 3, 2]",
+    ),
+    "history-selection-length": (
+        lambda h: h["reward_history"][0].update(selection=[0, 0]),
+        "field reward_history[0].selection is not a selection within [2, 3, 2]",
+    ),
+    # Six steps of two pairs each.
+    "history-step-late": (
+        lambda h: h["reward_history"][-1].update(meta_step=6),
+        "field reward_history is not 2 records per step before 6",
+    ),
+    "history-order": (
+        lambda h: h["reward_history"].reverse(),
+        "field reward_history is not 2 records per step before 6",
+    ),
+    "history-short": (
+        lambda h: h["reward_history"].pop(),
+        "field reward_history is not 2 records per step before 6",
+    ),
 }
 
 
@@ -338,6 +380,19 @@ def test_retrain_from_result_file(capsys, tmp_path):
     assert metrics["val_loss"] >= 0.0
 
 
+def test_retrain_refuses_a_list_dropout_keep(capsys, tmp_path):
+    doc = base_doc()
+    doc["space"]["hyperparameters"].append(
+        {"name": "dropout_keep", "kind": "continuous", "basis": [0.5, 1.0]}
+    )
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    result = tmp_path / "result.json"
+    derived = {"learning_rate": 0.01, "optimizer": "sgd", "dropout_keep": [0.5]}
+    result.write_text(json.dumps({"derived": {"arch": [1], "hyperparameters": derived}}))
+    assert main(["retrain", "--config", cfg, "--from-result", str(result)]) == 2
+    assert "dropout_keep must be a number in (0, 1]" in capsys.readouterr().err
+
+
 def test_baseline_random_runs_requested_trials(capsys, tmp_path):
     cfg = write_config(tmp_path, "cfg.json", base_doc())
     out = tmp_path / "baseline.json"
@@ -388,3 +443,17 @@ def test_report_emits_trajectories_and_summary(capsys, tmp_path):
 
 def test_report_missing_log_exits_one(capsys, tmp_path):
     assert main(["report", "--log", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == 1
+
+
+def test_report_refuses_to_write_a_non_finite_summary(capsys, tmp_path):
+    log = tmp_path / "events.jsonl"
+    code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)})
+    assert code == 0
+    lines = log.read_text().splitlines()
+    last = json.loads(lines[-1])
+    last["mean_reward"] = float("nan")
+    log.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
+    assert "runtime error" in capsys.readouterr().err
+    assert not (out_dir / "summary.json").exists()

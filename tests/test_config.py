@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,9 @@ from jointsearch.config import (
     load_config,
     parse_config,
 )
-from jointsearch.space import make_continuous_basis
+from jointsearch.space import HyperConfig, make_continuous_basis
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
 
 
 def minimal_doc():
@@ -81,17 +86,20 @@ def test_root_unknown_section_rejected():
         parse_config(doc)
 
 
-def test_geometric_sugar_resolves_to_basis():
+@pytest.mark.parametrize("name", ["learning_rate", "weight_decay", "dropout_keep"])
+def test_geometric_sugar_resolves_to_basis(name):
     doc = minimal_doc()
     doc["space"]["hyperparameters"] = [
         {
-            "name": "learning_rate",
+            "name": name,
             "kind": "continuous",
             "geometric": {"default": 0.05, "count": 3, "span": 10},
+            "default_index": 0,
         }
     ]
     config = parse_config(doc)
-    assert config.space.hyperparameters[0].basis == make_continuous_basis(0.05, 3, 10.0)
+    basis = make_continuous_basis(0.05, 3, 10.0)
+    assert config.space.hyperparameters == (HyperConfig(name, "continuous", basis, 0),)
 
 
 def test_basis_and_geometric_are_mutually_exclusive():
@@ -301,3 +309,165 @@ def test_non_finite_reals_are_rejected(text, path):
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert "expected a finite number" in str(err.value)
+
+
+def hyper(name="learning_rate", kind="continuous", **keys):
+    return {"name": name, "kind": kind, **keys}
+
+
+def layer(**keys):
+    return {"candidates": ["identity", "affine-relu:8"], "width": 8, **keys}
+
+
+MALFORMED_SPACES = {
+    "layers-null": ({"layers": None}, "space.layers: expected a list"),
+    "hyperparameters-null": ({"hyperparameters": None}, "space.hyperparameters: expected a list"),
+    "layers-object": ({"layers": layer()}, "space.layers: expected a list"),
+    "hyperparameters-object": (
+        {"hyperparameters": hyper(basis=[0.1])},
+        "space.hyperparameters: expected a list",
+    ),
+    "layer-text": ({"layers": ["identity"]}, "space.layers[0]: expected an object"),
+    "candidates-text": (
+        {"layers": [layer(candidates="identity")]},
+        "space.layers[0].candidates: expected a list",
+    ),
+    "candidate-number": (
+        {"layers": [layer(candidates=["identity", 8])]},
+        "space.layers[0].candidates[1]: expected a string",
+    ),
+    "width-text": ({"layers": [layer(width="8")]}, "space.layers[0].width: expected an integer"),
+    "width-real": ({"layers": [layer(width=8.0)]}, "space.layers[0].width: expected an integer"),
+    "width-bool": ({"layers": [layer(width=True)]}, "space.layers[0].width: expected an integer"),
+    "layer-unknown-key": (
+        {"layers": [layer(depth=2)]},
+        "space.layers[0]: unknown key(s) ['depth']",
+    ),
+    "layer-no-candidates": ({"layers": [{"width": 8}]}, "missing required key(s) ['candidates']"),
+    "basis-string": (
+        {"hyperparameters": [hyper(basis=["0.1"])]},
+        "space: basis value '0.1' for learning_rate is not a number",
+    ),
+    "basis-mixed": (
+        {"hyperparameters": [hyper(basis=[0.01, "0.1"])]},
+        "space: basis value '0.1' for learning_rate is not a number",
+    ),
+    "basis-bool": (
+        {"hyperparameters": [hyper(basis=[True])]},
+        "space.hyperparameters[0].basis[0]: expected a number",
+    ),
+    "basis-null": ({"hyperparameters": [hyper(basis=None)]}, "basis: expected a list"),
+    "basis-text": ({"hyperparameters": [hyper(basis="0.1")]}, "basis: expected a list"),
+    "basis-empty": ({"hyperparameters": [hyper(basis=[])]}, "has an empty basis"),
+    "categorical-numbers": (
+        {"hyperparameters": [hyper("optimizer", "categorical", basis=[1, 2])]},
+        "space: unknown optimizer symbol 1.0",
+    ),
+    "categorical-bool": (
+        {"hyperparameters": [hyper("optimizer", "categorical", basis=[False])]},
+        "space.hyperparameters[0].basis[0]: expected a number",
+    ),
+    "geometric-optimizer": (
+        {
+            "hyperparameters": [
+                hyper("optimizer", "categorical", geometric={"default": 1, "count": 2, "span": 2})
+            ]
+        },
+        "space: unknown optimizer symbol",
+    ),
+    "geometric-categorical-kind": (
+        {
+            "hyperparameters": [
+                hyper(kind="categorical", geometric={"default": 0.1, "count": 2, "span": 2})
+            ]
+        },
+        "space: hyperparameter 'learning_rate' must be continuous",
+    ),
+    "geometric-null": (
+        {"hyperparameters": [hyper(geometric=None)]},
+        "space.hyperparameters[0].geometric: expected an object",
+    ),
+    "geometric-count-real": (
+        {"hyperparameters": [hyper(geometric={"default": 0.1, "count": 3.0, "span": 10})]},
+        "space.hyperparameters[0].geometric.count: expected an integer",
+    ),
+    "geometric-missing-span": (
+        {"hyperparameters": [hyper(geometric={"default": 0.1, "count": 3})]},
+        "space.hyperparameters[0].geometric: missing required key(s) ['span']",
+    ),
+    "geometric-unknown-key": (
+        {"hyperparameters": [hyper(geometric={"default": 0.1, "count": 3, "span": 10, "base": 2})]},
+        "space.hyperparameters[0].geometric: unknown key(s) ['base']",
+    ),
+    "geometric-one-point": (
+        {"hyperparameters": [hyper(geometric={"default": 0.1, "count": 1, "span": 10})]},
+        "space.hyperparameters[0].geometric: count must be at least 2",
+    ),
+    "default-index-text": (
+        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index="0")]},
+        "space.hyperparameters[0].default_index: expected an integer",
+    ),
+    "default-index-real": (
+        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index=1.0)]},
+        "space.hyperparameters[0].default_index: expected an integer",
+    ),
+    "default-index-bool": (
+        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index=True)]},
+        "space.hyperparameters[0].default_index: expected an integer",
+    ),
+    "hyper-unknown-key": (
+        {"hyperparameters": [hyper(basis=[0.1], scale="log")]},
+        "space.hyperparameters[0]: unknown key(s) ['scale']",
+    ),
+    "hyper-name-number": (
+        {"hyperparameters": [hyper(name=5, basis=[0.1])]},
+        "space.hyperparameters[0].name: expected a string",
+    ),
+    "hyper-kind-unknown": (
+        {"hyperparameters": [hyper(kind="discrete", basis=[0.1])]},
+        "space: hyperparameter 'learning_rate' must be continuous",
+    ),
+    "input-dim-real": ({"input_dim": 2.0}, "space.input_dim: expected an integer"),
+}
+
+
+@pytest.mark.parametrize("defect", MALFORMED_SPACES)
+def test_malformed_space_values_are_config_errors(defect):
+    edit, message = MALFORMED_SPACES[defect]
+    doc = minimal_doc()
+    doc["space"].update(edit)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert message in str(err.value)
+
+
+def config_documents(monkeypatch):
+    """Every config document the tests and the benchmark workloads build."""
+    import test_acceptance
+    import test_cli
+    import test_engine
+
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's namespace through sys.modules.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    reward = {"mode": "cost_aware", "beta": -0.1, "target_cost": 3.0}
+    return {
+        "config.minimal": minimal_doc(),
+        "cli.base": test_cli.base_doc(),
+        "engine.tabular": test_engine.tabular_doc((2, 3), 5, 2),
+        "engine.moons": test_engine.moons_doc(output={"log_path": "events.jsonl"}),
+        "acceptance.tabular": test_acceptance.tabular_doc((4, 3, 5), 9, 3, 1, reward=reward),
+        "acceptance.a7": test_acceptance.a7_doc(2),
+        "acceptance.a8": test_acceptance.a8_doc("run", Path("out")),
+        "workloads.a7": workloads.a7_doc(1, workloads.A7_STEPS),
+        "workloads.tabular": workloads.tabular_doc(1, workloads.TABULAR_STEPS),
+        "workloads.wide": workloads.wide_doc(1, workloads.WIDE_STEPS, "events.jsonl", "ckpt"),
+    }
+
+
+def test_every_config_document_survives_an_echo_round_trip(monkeypatch):
+    for name, doc in config_documents(monkeypatch).items():
+        config = parse_config(doc)
+        assert parse_config(config_to_dict(config)) == config, name

@@ -157,6 +157,42 @@ def test_events_are_single_line_json(tmp_path):
     assert parsed["meta_step"] == 0
 
 
+def test_event_record_round_trips_through_its_fields(tmp_path):
+    path = tmp_path / "events.jsonl"
+    events = sample_events(3)
+    with open(path, "w") as fh:
+        for event in events:
+            write_event(fh, event)
+    first = path.read_text().splitlines()[0]
+    assert list(json.loads(first)) == [
+        "meta_step", "mean_reward", "baseline", "probabilities", "store_digest", "wall_ms"
+    ]
+    assert read_events(str(path))[1] == events
+
+
+@pytest.mark.parametrize("edit", ["missing", "unknown", "not-an-object"])
+def test_event_record_with_other_keys_names_the_file_and_line(tmp_path, edit):
+    path = tmp_path / "events.jsonl"
+    doc = json.loads(sample_events(1)[0].to_json())
+    if edit == "missing":
+        del doc["wall_ms"]
+    elif edit == "unknown":
+        doc["wall_s"] = 0.0
+    else:
+        doc = [doc]
+    path.write_text(event_header(["layer0"], [2]) + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert f"{path}: line 2 is not an event record" in str(err.value)
+
+
+def test_non_finite_event_record_is_not_written(tmp_path):
+    event = sample_events(1)[0]
+    event.mean_reward = float("nan")
+    with pytest.raises(ValueError):
+        event.to_json()
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -241,6 +277,15 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     loaded = load_checkpoint(str(first))
     save_checkpoint(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_with_a_non_finite_number_is_not_written(tmp_path):
+    path = tmp_path / "ck.ckpt"
+    ckpt = sample_checkpoint()
+    ckpt.reward_history[0].accuracy = float("nan")
+    with pytest.raises(ValueError):
+        save_checkpoint(str(path), ckpt)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_restores_every_field(tmp_path):
@@ -624,6 +669,8 @@ def _rename_commit_slot(header, name):
                 ("text-accuracy", lambda h: h["reward_history"][0].update(accuracy="0.75")),
                 ("null-baseline", lambda h: h["reward_history"][0].update(baseline=None)),
                 ("negative-step", lambda h: h["reward_history"][0].update(meta_step=-1)),
+                ("nan-accuracy", lambda h: h["reward_history"][0].update(accuracy=float("nan"))),
+                ("inf-reward", lambda h: h["reward_history"][0].update(reward=float("-inf"))),
             ]
         ],
     ],

@@ -497,16 +497,12 @@ def random_train_case(rng):
     )
     weights = init_weights(space, RngStream(rng.index(1000), "init"))
     selection = tuple(rng.index(len(d.candidates)) for d in space.arch_decisions)
-    keeps = [1.0, 0.5, 0.8]
-    dropout_keep = (
-        tuple(keeps[rng.index(3)] for _ in layers) if rng.uniform() < 0.5 else keeps[rng.index(3)]
-    )
     spec = TrainerSpec(
         optimizer=OPTIMIZERS[rng.index(len(OPTIMIZERS))],
         learning_rate=0.01 + 0.2 * rng.uniform(),
         weight_decay=(0.0, 0.01)[rng.index(2)],
         mixup_ratio=(0.0, 0.4)[rng.index(2)],
-        dropout_keep=dropout_keep,
+        dropout_keep=(1.0, 0.5, 0.8)[rng.index(3)],
     )
     inner_steps = 1 + rng.index(3)
     n = 1 + rng.index(12)
