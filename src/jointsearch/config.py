@@ -61,9 +61,13 @@ def _as_int(value, where: str) -> int:
 def _as_real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        real = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: expected a finite number, got an integer too large") from None
+    if not math.isfinite(real):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
+    return real
 
 
 def _as_str(value, where: str, choices: tuple[str, ...] | None = None) -> str:
@@ -130,6 +134,7 @@ class SearchSection:
 
     def __post_init__(self):
         _at_least(self.total_meta_steps, 0, "search.total_meta_steps")
+        _as_real(self.total_meta_steps, "search.total_meta_steps")  # warm-up scales it by a float
         _at_least(self.pairs_per_step, 1, "search.pairs_per_step")
         _check(0.0 <= self.warmup_fraction < 1.0, "search.warmup_fraction", "must be in [0, 1)")
         _check(self.meta_lr > 0.0, "search.meta_lr", "must be positive")
@@ -279,6 +284,6 @@ def load_config(path: str) -> EngineConfig:
             document = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to read, or bytes that are not UTF-8
         raise ConfigError(f"{path}: malformed JSON ({exc})") from None
     return parse_config(document)

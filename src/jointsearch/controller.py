@@ -6,10 +6,12 @@ phase (all K selections) at once: one block of uniforms, one softmax and one
 cumulative sum per decision, each index picked by inverse CDF. Updates take a
 single Adam step on the logits using reward-minus-baseline advantages
 averaged over the step's sampled pairs. The baseline is a scalar moving
-average of observed rewards, initialized to the first reward it sees. During a
-warm-up window at the start of a run the logits are left untouched (so
-sampling stays at its uniform initialization) while the baseline keeps
-tracking rewards.
+average of observed rewards, initialized to the first reward of meta-step 0.
+During a warm-up window at the start of a run the logits are left untouched
+(so sampling stays at its uniform initialization) while the baseline keeps
+tracking rewards. The state holds only what the controller has learned; the
+meta-step, which says whether warm-up is over and whether a baseline exists,
+is passed to each update.
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ from .trainstep import SlotStore, TrainerSpec, optimizer_step
 class ControllerState:
     logits: list[np.ndarray]
     baseline: float = 0.0
-    baseline_initialized: bool = False
-    step: int = 0
     slots: SlotStore = field(default_factory=SlotStore)
 
 
@@ -103,24 +103,25 @@ def reinforce_update(
     state: ControllerState,
     samples: Sequence[tuple[Sequence[int], float]],
     search: SearchSection,
+    step: int,
 ) -> float:
-    """One meta-step: Adam on the logits, then the baseline moving average.
+    """Meta-step ``step``: Adam on the logits, then the baseline moving average.
 
     Advantages use the baseline as of the start of the call, which is
-    returned; when no reward has ever been observed the first sample's reward
-    stands in, which keeps the first update free of a start-up advantage
-    spike. Inside the warm-up window (the first ``warmup_fraction *
-    total_meta_steps`` updates) the logits and their Adam slots are left
-    bitwise unchanged while the baseline still tracks every reward.
+    returned; at step 0 no reward has been observed yet, so the first
+    sample's reward stands in, which keeps the first update free of a
+    start-up advantage spike. Inside the warm-up window (steps below
+    ``warmup_fraction * total_meta_steps``) the logits and their Adam slots
+    are left bitwise unchanged while the baseline still tracks every reward.
     """
     if not samples:
         raise ValueError("reinforce_update needs at least one sample")
     for selection, _ in samples:
         if len(selection) != len(state.logits):
             raise ValueError("selection length does not match decision count")
-    pre_baseline = state.baseline if state.baseline_initialized else float(samples[0][1])
+    pre_baseline = state.baseline if step > 0 else float(samples[0][1])
 
-    if state.step >= search.warmup_fraction * search.total_meta_steps:
+    if step >= search.warmup_fraction * search.total_meta_steps:
         grads = reinforce_logit_gradient(state, samples, pre_baseline)
         if search.entropy_weight != 0.0:
             for g, e in zip(grads, _entropy_gradient(probabilities(state), search.entropy_weight)):
@@ -135,14 +136,10 @@ def reinforce_update(
         )
 
     m = search.baseline_momentum
-    for _, reward in samples:
+    for i, (_, reward) in enumerate(samples):
         r = float(reward)
         if not np.isfinite(r):
             raise ValueError("reward must be finite")
-        if not state.baseline_initialized:
-            state.baseline = r
-            state.baseline_initialized = True
-        else:
-            state.baseline = m * state.baseline + (1.0 - m) * r
-    state.step += 1
+        # The first reward of step 0 starts the moving average.
+        state.baseline = r if step == i == 0 else m * state.baseline + (1.0 - m) * r
     return pre_baseline

@@ -43,7 +43,6 @@ class SearchResult:
 @dataclass
 class RetrainResult:
     weights: SuperModelWeights
-    selection: tuple[int, ...]
     trainer: TrainerSpec
     val_accuracy: float
     val_loss: float
@@ -167,10 +166,11 @@ def _draw_batches(
 def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: every section but the output paths must match, its step must
-    lie within the run, its RNG counters must be the controller's alone, its
-    controller must hold one logit row per decision of ``space``, with that
-    decision's cardinality, and its reward history must hold K records for
-    each step before its own, in step order, each selecting within ``space``."""
+    lie within the run, its controller must hold one logit row per decision
+    of ``space``, with that decision's cardinality, and its reward history
+    must hold K records for each step before its own, in step order, each
+    selecting within ``space``. The step is the only counter a checkpoint
+    keeps; ``search`` derives the rest from it."""
     from .config import parse_config
 
     ckpt = persist.load_checkpoint(path)
@@ -182,8 +182,6 @@ def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.C
     check = persist.check_field
     total = config.search.total_meta_steps
     check(path, ckpt.meta_step <= total, "meta_step", f"an integer in [0, {total}]")
-    counters = set(ckpt.rng_counters)
-    check(path, counters == {"controller"}, "rng", "an object whose one key is controller")
     cards = list(space.cardinalities())
     rows = [len(z) for z in ckpt.controller.logits]
     check(path, rows == cards, "controller.logits", f"one row per decision, of lengths {cards}")
@@ -217,6 +215,10 @@ def search(
     network weights share its arrays), and each save writes it as it stands
     with the current config echoed, so output paths may change on resume.
     The last meta-step always saves; a run with no step left saves once.
+    Its meta-step is the one step counter: the controller's warm-up, its
+    baseline start and its RNG stream position all follow from it, so a
+    table-driven resume continues from the table-driven stream position
+    even when the checkpoint came from a network run.
     """
     space = build_space(config.space)
     settings = config.search
@@ -228,9 +230,7 @@ def search(
         splits = setup_run(config, space)
 
     if resume_from is None:
-        ckpt = persist.Checkpoint(
-            {}, 0, ctrl.init_controller(space), rng_counters={"controller": 0}
-        )
+        ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
         if uses_network:
             init = supernet.init_weights(space, RngStream(seed, "init"))
             ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
@@ -245,8 +245,12 @@ def search(
     weights = None
     if uses_network:
         weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
-    ctrl_stream = RngStream(seed, "controller", ckpt.rng_counters["controller"])
     start = ckpt.meta_step
+    # ``ctrl.sample`` draws one k x n_decisions block per phase, and a step has
+    # a commit phase only when it trains networks, so each step done moved the
+    # stream this far.
+    phases = 2 if uses_network else 1
+    ctrl_stream = RngStream(seed, "controller", start * k * space.n_decisions * phases)
 
     log_fh = None
     if config.output.log_path is not None:
@@ -291,7 +295,7 @@ def search(
                     )
                 records.append(record)
             baseline = ctrl.reinforce_update(
-                state, [(r.selection, r.reward) for r in records], settings
+                state, [(r.selection, r.reward) for r in records], settings, step
             )
             for record in records:
                 record.baseline = baseline
@@ -341,14 +345,12 @@ def search(
                 persist.write_event(log_fh, event)
             if saves:
                 ckpt.store_digest = digest
-                ckpt.rng_counters = {"controller": ctrl_stream.counter}
                 persist.save_checkpoint(checkpoint_path, ckpt)
     finally:
         if log_fh is not None:
             log_fh.close()
     if checkpoint_path is not None and start == total:  # no step left: save once
         ckpt.store_digest = persist.store_digest(ckpt.store)
-        ckpt.rng_counters = {"controller": ctrl_stream.counter}
         persist.save_checkpoint(checkpoint_path, ckpt)
 
     final_probs = ctrl.probabilities(state)
@@ -393,10 +395,7 @@ def retrain(
     sub_space = _derived_space(space, derived.arch_choice)
     trainer = trainstep.trainer_from_derived(space, derived, learning_rate)
     weights = supernet.init_weights(sub_space, RngStream(seed, f"{name}/init"))
-    selection = (0,) * sub_space.n_arch + tuple(
-        d.default_index for d in sub_space.hyper_decisions
-    )
-    view = supernet.sub_view(sub_space, selection)
+    view = supernet.sub_view(sub_space, (0,) * sub_space.n_decisions)  # the one op per layer
     slots = SlotStore()
 
     pool = concat(splits.train, splits.val)
@@ -414,7 +413,6 @@ def retrain(
     test_acc, test_loss = eval_metrics(weights, view, (splits.test.features, splits.test.labels))
     return RetrainResult(
         weights=weights,
-        selection=selection,
         trainer=trainer,
         val_accuracy=val_acc,
         val_loss=val_loss,

@@ -10,11 +10,13 @@ keeps one, advances it in place and saves it as it stands. Its file has three
 parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, the controller state (logits, baseline
-   and its flag, step), RNG counters, reward history, ``store_digest``, the
-   integer fields of every optimizer slot, and the name and shape of every
-   array in file order (store sorted by key, head, controller slots, commit
-   slots). A newline ends the line.
+   version, config echo, meta-step, the controller state (logits and
+   baseline), reward history, ``store_digest``, the integer fields of every
+   optimizer slot, and the name and shape of every array in file order
+   (store sorted by key, head, controller slots, commit slots). A newline
+   ends the line. The meta-step is the file's one step counter: the
+   controller's warm-up, whether its baseline exists and the position of the
+   controller's RNG stream all follow from it, so none is stored.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
    straight from the arrays. They restore bit for bit (``-0.0``, subnormals
    and all).
@@ -26,17 +28,17 @@ verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly (a malformed array raises ``ValueError`` naming the file
 and the array), and verifies ``store_digest`` against the restored store. A
-header that lacks a field, gives an optimizer slot section, a slot or the RNG
-counters as a non-object, names a slot by something other than
-``family|key``, or names an array of no known section, raises ``ValueError``
-naming the file and the field or array. So does a re-sealed header (one
-whose SHA-256 was recomputed after an edit) whose meta-step or controller
-step is not a non-negative integer, whose baseline is not a finite number,
-whose baseline flag is not a boolean, whose controller logits are not a
-list of non-empty lists of finite numbers, whose RNG counters are not
-non-negative integers, or whose reward history is not a list of
-``RewardRecord`` objects: exactly its six fields, a non-negative integer
-step, a list of integers as the selection and finite numbers elsewhere.
+header that lacks a field, gives an optimizer slot section or a slot as a
+non-object, names a slot by something other than ``family|key``, or names
+an array of no known section, raises ``ValueError`` naming the file and the
+field or array. So does a re-sealed header (one whose SHA-256 was
+recomputed after an edit) whose meta-step is not a non-negative integer,
+whose baseline is not a finite number, whose controller logits are not a
+list of non-empty lists of finite numbers, whose optimizer slot holds an
+integer field (Adam's ``step``) that is not a positive integer, or whose
+reward history is not a list of ``RewardRecord`` objects: exactly its six
+fields, a non-negative integer step, a list of integers as the selection
+and finite numbers elsewhere.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -47,11 +49,14 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 5 and event logs format version 2. Versions
+Checkpoints are format version 6 and event logs format version 2. Versions
 1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
 text, version 2 lacked the reward history, versions 1-3 stored arrays as
-decimal lists and version 4 as base64. A checkpoint of any other version is
-rejected with a "format version" error; there is no migration.
+decimal lists and version 4 as base64. Version 5 had this layout but also
+stored the controller's step and baseline flag, the controller's RNG
+counter, and each hyperparameter's ``default_index`` in the config echo. A
+checkpoint of any other version is rejected with a "format version" error;
+there is no migration.
 """
 from __future__ import annotations
 
@@ -69,7 +74,7 @@ from .controller import ControllerState
 from .supernet import ParamKey
 from .trainstep import SlotStore
 
-CHECKPOINT_FORMAT_VERSION = 5
+CHECKPOINT_FORMAT_VERSION = 6
 EVENT_LOG_FORMAT_VERSION = 2
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
@@ -215,7 +220,6 @@ class Checkpoint:
     commit_slots: SlotStore = field(default_factory=SlotStore)
     reward_history: list[RewardRecord] = field(default_factory=list)  # steps before meta_step
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
-    rng_counters: dict[str, int] = field(default_factory=dict)
 
 
 def _param_key_parse(text: str) -> ParamKey:
@@ -264,12 +268,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "controller": {
             "logits": [_float_list(z) for z in controller.logits],
             "baseline": controller.baseline,
-            "baseline_initialized": controller.baseline_initialized,
-            "step": controller.step,
             "slots": slot_ints["controller/slots"],
         },
         "commit_slots": slot_ints["commit_slots"],
-        "rng": ckpt.rng_counters,
         "reward_history": [vars(r) for r in ckpt.reward_history],
         "store_digest": ckpt.store_digest,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
@@ -318,10 +319,10 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
 
 
 _HEADER_FIELDS = (
-    "config", "meta_step", "controller", "commit_slots", "rng", "reward_history",
-    "store_digest", "arrays",
+    "config", "meta_step", "controller", "commit_slots", "reward_history", "store_digest",
+    "arrays",
 )
-_CONTROLLER_FIELDS = ("logits", "baseline", "baseline_initialized", "step", "slots")
+_CONTROLLER_FIELDS = ("logits", "baseline", "slots")
 
 
 def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
@@ -388,21 +389,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     controller = header["controller"]
     _require(path, controller, "controller.", _CONTROLLER_FIELDS)
     check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
-    check_field(path, _is_count(controller["step"]), "controller.step", "a non-negative integer")
     baseline = controller["baseline"]
     finite = type(baseline) in (int, float) and math.isfinite(baseline)
     check_field(path, finite, "controller.baseline", "a finite number")
-    flag = controller["baseline_initialized"]
-    check_field(path, type(flag) is bool, "controller.baseline_initialized", "a boolean")
     history = header["reward_history"]
     records = isinstance(history, list) and all(map(_is_record, history))
     check_field(path, records, "reward_history", "a list of reward records")
     logits = controller["logits"]
     table = _is_logit_table(logits)
     check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
-    check_field(path, isinstance(header["rng"], dict), "rng", "an object")
-    for name, counter in header["rng"].items():
-        check_field(path, _is_count(counter), f"rng.{name}", "a non-negative integer")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     head: dict[str, np.ndarray] = {}
     owners = {"head": head}  # where each array that is not in the store goes, by name prefix
@@ -422,6 +417,10 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"{path}: {where}: slot name {combined!r} is not family|key"
                 ) from None
             check_field(path, isinstance(slot, dict), f"{where}.{combined}", "an object")
+            _require(path, slot, f"{where}.{combined}.", ("step",) if family == "adam" else ())
+            for name, value in slot.items():  # the header holds a slot's integer fields
+                ok = type(value) is int and value > 0
+                check_field(path, ok, f"{where}.{combined}.{name}", "a positive integer")
             slots.restore(family, key, slot)
             owners[f"{section}/{combined}"] = slot
         slot_stores.append(slots)
@@ -443,8 +442,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         controller=ControllerState(
             logits=[np.asarray(z, dtype=np.float64) for z in logits],
             baseline=baseline,
-            baseline_initialized=flag,
-            step=controller["step"],
             slots=slot_stores[0],
         ),
         store=store,
@@ -455,5 +452,4 @@ def load_checkpoint(path: str) -> Checkpoint:
             RewardRecord(**{**r, "selection": tuple(r["selection"])}) for r in history
         ],
         store_digest=header["store_digest"],
-        rng_counters=header["rng"],
     )

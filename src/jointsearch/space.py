@@ -79,7 +79,6 @@ class HyperDecision:
     name: str
     kind: str  # "continuous" | "categorical"
     basis: tuple[BasisValue, ...]
-    default_index: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,6 @@ class HyperConfig:
     name: str
     kind: str
     basis: tuple[BasisValue, ...]
-    default_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -243,10 +241,7 @@ def build_space(config: SpaceConfig) -> SearchSpace:
             if len(set(cfg.basis)) != len(cfg.basis):
                 raise ValueError(f"categorical basis for {cfg.name!r} has duplicates")
             basis = tuple(cfg.basis)
-        default_index = cfg.default_index if cfg.default_index is not None else len(basis) // 2
-        if not 0 <= default_index < len(basis):
-            raise ValueError(f"default_index out of range for {cfg.name!r}")
-        hyper.append(HyperDecision(cfg.name, expected_kind, basis, default_index))
+        hyper.append(HyperDecision(cfg.name, expected_kind, basis))
 
     space = SearchSpace(config.input_dim, config.num_classes, tuple(arch), tuple(hyper))
     if space.n_decisions < 1:

@@ -89,12 +89,12 @@ def test_a1_simplex_suite():
     meta = SearchSection(total_meta_steps=10**4, warmup_fraction=0.0)
     rng = RngStream(0, "a1")
     started = time.monotonic()
-    for _ in range(10**4):
+    for step in range(10**4):
         k = 1 + rng.index(8)
         samples = [
             (tuple(rng.index(c) for c in cards), rng.uniform()) for _ in range(k)
         ]
-        reinforce_update(state, samples, meta)
+        reinforce_update(state, samples, meta, step)
         for probs in probabilities(state):
             assert abs(float(probs.sum()) - 1.0) <= 1e-6
             assert (probs >= 0.0).all()

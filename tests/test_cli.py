@@ -104,6 +104,40 @@ def test_config_value_that_would_fail_at_run_time_exits_one(capsys, tmp_path, se
     assert "error:" in err and f"{section}.{key}" in err
 
 
+def _set(doc, field, value):
+    """Set the config field named like ``search.meta_lr`` or ``space.x[0].y[1]``."""
+    *parents, last = field.replace("]", "").replace("[", ".").split(".")
+    for part in parents:
+        doc = doc[int(part)] if part.isdigit() else doc[part]
+    doc[int(last) if last.isdigit() else last] = value
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "data.noise_sd",
+        "search.meta_lr",
+        "search.total_meta_steps",
+        "space.hyperparameters[0].basis[1]",
+    ],
+)
+def test_integer_too_large_for_a_float_exits_one(capsys, tmp_path, field):
+    doc = base_doc()
+    _set(doc, field, "PLACEHOLDER")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', "1" + "0" * 400))
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected a finite number, got an integer too large" in err
+
+
+def test_integer_too_long_to_read_exits_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(base_doc()).replace('"n": 120', '"n": ' + "1" * 5000))
+    assert main(["search", "--config", str(path)]) == 1
+    assert f"error: {path}: malformed JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["layers", "hyperparameters"])
 def test_null_space_list_exits_one(capsys, tmp_path, key):
     doc = base_doc()
@@ -215,17 +249,9 @@ VALUE_DEFECTS = {
     "meta-step-past-total": (
         lambda h: h.update(meta_step=7), "field meta_step is not an integer in [0, 6]"
     ),
-    "controller-step": (
-        lambda h: h["controller"].update(step=-1),
-        "field controller.step is not a non-negative integer",
-    ),
     "baseline-nan": (
         lambda h: h["controller"].update(baseline=float("nan")),
         "field controller.baseline is not a finite number",
-    ),
-    "flag-int": (
-        lambda h: h["controller"].update(baseline_initialized=1),
-        "field controller.baseline_initialized is not a boolean",
     ),
     "history-int": (
         lambda h: h.update(reward_history=5),
@@ -252,22 +278,6 @@ VALUE_DEFECTS = {
         lambda h: h["controller"].update(logits=[[float("nan"), 0.0]]),
         "field controller.logits is not a list of non-empty lists of finite numbers",
     ),
-    "rng-text": (
-        lambda h: h["rng"].update(controller="x"),
-        "field rng.controller is not a non-negative integer",
-    ),
-    "rng-negative": (
-        lambda h: h["rng"].update(controller=-5),
-        "field rng.controller is not a non-negative integer",
-    ),
-    "rng-extra": (
-        lambda h: h["rng"].update(commit=0),
-        "field rng is not an object whose one key is controller",
-    ),
-    "rng-missing": (
-        lambda h: h["rng"].pop("controller"),
-        "field rng is not an object whose one key is controller",
-    ),
     "history-accuracy-nan": (
         lambda h: h["reward_history"][0].update(accuracy=float("nan")),
         "field reward_history is not a list of reward records",
@@ -293,6 +303,18 @@ VALUE_DEFECTS = {
         lambda h: h["reward_history"].pop(),
         "field reward_history is not 2 records per step before 6",
     ),
+    # Adam step counts of a controller slot and of a commit slot.
+    **{
+        f"{where}-adam-step-{name}": (
+            lambda h, v=value, s=section, n=slot: s(h)[n].update(step=v),
+            f"field {where}.{slot}.step is not a positive integer",
+        )
+        for where, section, slot in [
+            ("controller.slots", lambda h: h["controller"]["slots"], "adam|2"),
+            ("commit_slots", lambda h: h["commit_slots"], "adam|0/1/weight"),
+        ]
+        for name, value in [("text", "x"), ("negative", -3), ("zero", 0), ("float", 1.5), ("bool", True)]
+    },
 }
 
 

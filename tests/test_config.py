@@ -94,12 +94,11 @@ def test_geometric_sugar_resolves_to_basis(name):
             "name": name,
             "kind": "continuous",
             "geometric": {"default": 0.05, "count": 3, "span": 10},
-            "default_index": 0,
         }
     ]
     config = parse_config(doc)
     basis = make_continuous_basis(0.05, 3, 10.0)
-    assert config.space.hyperparameters == (HyperConfig(name, "continuous", basis, 0),)
+    assert config.space.hyperparameters == (HyperConfig(name, "continuous", basis),)
 
 
 def test_basis_and_geometric_are_mutually_exclusive():
@@ -403,17 +402,9 @@ MALFORMED_SPACES = {
         {"hyperparameters": [hyper(geometric={"default": 0.1, "count": 1, "span": 10})]},
         "space.hyperparameters[0].geometric: count must be at least 2",
     ),
-    "default-index-text": (
-        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index="0")]},
-        "space.hyperparameters[0].default_index: expected an integer",
-    ),
-    "default-index-real": (
-        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index=1.0)]},
-        "space.hyperparameters[0].default_index: expected an integer",
-    ),
-    "default-index-bool": (
-        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index=True)]},
-        "space.hyperparameters[0].default_index: expected an integer",
+    "default-index": (
+        {"hyperparameters": [hyper(basis=[0.1, 0.2], default_index=0)]},
+        "space.hyperparameters[0]: unknown key(s) ['default_index']",
     ),
     "hyper-unknown-key": (
         {"hyperparameters": [hyper(basis=[0.1], scale="log")]},

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -57,8 +58,8 @@ def test_init_controller_is_uniform():
     probs = probabilities(state)
     assert np.allclose(probs[0], [1 / 3] * 3, atol=1e-15)
     assert np.allclose(probs[1], [0.25] * 4, atol=1e-15)
-    assert state.step == 0
-    assert not state.baseline_initialized
+    # Only what the controller learns; the meta-step is passed to each update.
+    assert [f.name for f in fields(state)] == ["logits", "baseline", "slots"]
 
 
 def test_init_controller_degenerate_decision():
@@ -226,19 +227,16 @@ def no_warmup_meta(**kw):
 def test_update_zero_advantage_leaves_logits_alone():
     state = init_controller(space_with_cards([3]))
     state.baseline = 0.5
-    state.baseline_initialized = True
     before = [z.copy() for z in state.logits]
-    reinforce_update(state, [((0,), 0.5), ((2,), 0.5)], no_warmup_meta())
+    reinforce_update(state, [((0,), 0.5), ((2,), 0.5)], no_warmup_meta(), 1)
     for z, b in zip(state.logits, before):
         assert np.array_equal(z, b)
-    assert state.step == 1
 
 
 def test_update_moves_toward_rewarded_choice():
     state = init_controller(space_with_cards([3]))
     state.baseline = 0.0
-    state.baseline_initialized = True
-    reinforce_update(state, [((1,), 1.0)], no_warmup_meta())
+    reinforce_update(state, [((1,), 1.0)], no_warmup_meta(), 1)
     probs = probabilities(state)[0]
     assert probs[1] > probs[0]
     assert probs[1] > probs[2]
@@ -247,10 +245,9 @@ def test_update_moves_toward_rewarded_choice():
 def test_update_baseline_sequential_moving_average():
     state = init_controller(space_with_cards([2]))
     meta = no_warmup_meta(baseline_momentum=0.9)
-    reinforce_update(state, [((0,), 1.0), ((1,), 0.0), ((0,), 0.5)], meta)
-    # first-ever reward initializes b; the rest fold in sequentially:
+    reinforce_update(state, [((0,), 1.0), ((1,), 0.0), ((0,), 0.5)], meta, 0)
+    # step 0's first reward initializes b; the rest fold in sequentially:
     # b = 1.0; b = 0.9*1.0 + 0.1*0.0 = 0.9; b = 0.9*0.9 + 0.1*0.5 = 0.86
-    assert state.baseline_initialized
     assert abs(state.baseline - 0.86) < 1e-12
 
 
@@ -259,47 +256,59 @@ def test_update_first_step_uses_first_reward_as_baseline():
     # update has zero advantage and must leave the logits bitwise unchanged
     state = init_controller(space_with_cards([3]))
     before = [z.copy() for z in state.logits]
-    reinforce_update(state, [((1,), 0.7)], no_warmup_meta())
+    reinforce_update(state, [((1,), 0.7)], no_warmup_meta(), 0)
     for z, b in zip(state.logits, before):
         assert np.array_equal(z, b)
     assert state.baseline == 0.7
+
+
+def test_update_reads_whether_a_baseline_exists_from_the_step():
+    # A baseline of exactly 0.0 past step 0 is a baseline, not a missing one.
+    meta = no_warmup_meta(baseline_momentum=0.5)
+    later = init_controller(space_with_cards([3]))
+    assert reinforce_update(later, [((1,), 0.7)], meta, 3) == 0.0
+    assert later.baseline == 0.35
+    assert not np.array_equal(later.logits[0], np.zeros(3))
+    first = init_controller(space_with_cards([3]))
+    first.baseline = 0.2  # ignored: step 0 starts the average afresh
+    assert reinforce_update(first, [((1,), 0.7)], meta, 0) == 0.7
+    assert first.baseline == 0.7
 
 
 def test_update_during_warmup_freezes_logits_but_tracks_baseline():
     state = init_controller(space_with_cards([3]))
     meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
     for step in range(5):
-        reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta)
+        reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta, step)
         assert np.array_equal(state.logits[0], np.zeros(3)), f"moved at step {step}"
-    assert state.baseline_initialized
     assert state.baseline != 1.0  # the average folded in the later rewards
     # first post-warm-up update is free to move
-    reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta)
+    reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta, 5)
     assert not np.array_equal(state.logits[0], np.zeros(3))
 
 
 def test_update_warmup_leaves_adam_slots_untouched():
     state = init_controller(space_with_cards([3]))
     meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
-    reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta)
+    reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta, 4)
     assert len(state.slots) == 0
 
 
 def test_update_rejects_empty_or_misshapen_samples():
     state = init_controller(space_with_cards([3, 2]))
     with pytest.raises(ValueError):
-        reinforce_update(state, [], no_warmup_meta())
+        reinforce_update(state, [], no_warmup_meta(), 0)
     with pytest.raises(ValueError):
-        reinforce_update(state, [((0,), 1.0)], no_warmup_meta())
+        reinforce_update(state, [((0,), 1.0)], no_warmup_meta(), 0)
 
 
 def test_uniform_rewards_preserve_argmax_forever():
     state = init_controller(space_with_cards([4, 3]))
     meta = no_warmup_meta()
     rng = RngStream(11, "uniform-rewards")
-    for _ in range(50):
+    for step in range(50):
         samples = [(selection, 0.42) for selection in sample(state, rng, 4)]
-        reinforce_update(state, samples, meta)
+        reinforce_update(state, samples, meta, step)
     for probs in probabilities(state):
         assert int(np.argmax(probs)) == 0
         # per-decision symmetry never breaks: all entries stay equal
@@ -309,12 +318,11 @@ def test_uniform_rewards_preserve_argmax_forever():
 def test_entropy_weight_pushes_toward_uniform():
     state = state_with_logits([[2.0, 0.0, -2.0]])
     state.baseline = 0.5
-    state.baseline_initialized = True
     before = probabilities(state)[0].copy()
     meta = no_warmup_meta(entropy_weight=0.1)
     # rewards equal to the baseline: only the entropy term acts
-    for _ in range(30):
-        reinforce_update(state, [((0,), 0.5)], meta)
+    for step in range(1, 31):
+        reinforce_update(state, [((0,), 0.5)], meta, step)
     after = probabilities(state)[0]
     assert after.max() < before.max()
     assert after.min() > before.min()
@@ -334,7 +342,7 @@ def test_warmup_threshold_is_fraction_times_total_steps():
     state = init_controller(space_with_cards([3]))
     for step in range(4):
         assert np.array_equal(state.logits[0], np.zeros(3)), f"moved before update {step}"
-        reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], SearchSection(total_meta_steps=10))
+        reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], SearchSection(total_meta_steps=10), step)
     assert not np.array_equal(state.logits[0], np.zeros(3))
 
 
@@ -342,11 +350,11 @@ def test_update_returns_the_baseline_its_advantages_used():
     state = init_controller(space_with_cards([3]))
     meta = no_warmup_meta(baseline_momentum=0.5)
     # First call: no baseline yet, so the first reward stands in.
-    assert reinforce_update(state, [((0,), 0.25), ((1,), 1.0)], meta) == 0.25
+    assert reinforce_update(state, [((0,), 0.25), ((1,), 1.0)], meta, 0) == 0.25
     after_first = state.baseline  # 0.5 * 0.25 + 0.5 * 1.0
     assert after_first == 0.625
     # Later call: the baseline as it stood before the call, not after it.
-    assert reinforce_update(state, [((2,), 0.0)], meta) == after_first
+    assert reinforce_update(state, [((2,), 0.0)], meta, 1) == after_first
     assert state.baseline == 0.3125
 
 

@@ -621,6 +621,43 @@ def test_table_driven_resume_writes_no_network_state(tmp_path):
     assert loaded.store == {} and loaded.head_weight is None and loaded.head_bias is None
 
 
+def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):
+    # A table-driven step draws one phase, so a resume at step s starts the
+    # controller stream at s * K * n_decisions; any other position samples
+    # other pairs and the histories part.
+    def table(selection):
+        return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
+
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 3,
+    }
+    config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
+    reference = search(config, evaluate_override=table)
+    _, reference_events = read_events(output["log_path"])
+    with open(output["checkpoint_path"], "rb") as fh:
+        uninterrupted = fh.read()
+    for crash_step in (4, 8):  # after the step-3 and the step-6 checkpoint
+
+        def crash(phase, step, weights):
+            if step == crash_step:
+                raise RuntimeError("simulated crash")
+
+        with pytest.raises(RuntimeError):
+            search(config, evaluate_override=table, audit=crash)
+        resumed = search(config, evaluate_override=table, resume_from=output["checkpoint_path"])
+        for p, q in zip(reference.final_probabilities, resumed.final_probabilities):
+            assert np.array_equal(p, q), crash_step
+        assert resumed.reward_history == reference.reward_history, crash_step
+        _, events = read_events(output["log_path"])
+        assert [replace(e, wall_ms=0.0) for e in events] == [
+            replace(e, wall_ms=0.0) for e in reference_events
+        ], crash_step
+        with open(output["checkpoint_path"], "rb") as fh:
+            assert fh.read() == uninterrupted, crash_step
+
+
 def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):
     saves = _recording_saves(monkeypatch)
     output = {

@@ -213,8 +213,6 @@ def sample_checkpoint():
         controller=ControllerState(
             logits=[np.array([0.1, -0.2]), np.array([0.0, 0.5, -0.5])],
             baseline=0.61,
-            baseline_initialized=True,
-            step=4,
             slots=ctrl_slots,
         ),
         store=store,
@@ -223,7 +221,6 @@ def sample_checkpoint():
         commit_slots=slots,
         reward_history=[RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)],
         store_digest=store_digest(store),
-        rng_counters={"controller": 88},
     )
 
 
@@ -295,9 +292,6 @@ def test_checkpoint_restores_every_field(tmp_path):
     loaded = load_checkpoint(str(path))
     assert loaded.meta_step == 4
     assert loaded.controller.baseline == 0.61
-    assert loaded.controller.baseline_initialized
-    assert loaded.controller.step == 4
-    assert loaded.rng_counters == {"controller": 88}
     assert loaded.config_echo == original.config_echo
     assert loaded.reward_history == original.reward_history
     assert loaded.store_digest == original.store_digest
@@ -499,15 +493,14 @@ HEADER_FIELDS = [
     "meta_step",
     "controller",
     "commit_slots",
-    "rng",
     "reward_history",
     "store_digest",
     "arrays",
     "controller.logits",
     "controller.baseline",
-    "controller.baseline_initialized",
-    "controller.step",
     "controller.slots",
+    "controller.slots.adam|0.step",
+    "commit_slots.adam|0/1/weight.step",
 ]
 
 
@@ -584,19 +577,19 @@ def _rename_commit_slot(header, name):
             "checkpoint header field controller.slots.adam|0 is not an object",
             id="controller-slot-int",
         ),
-        pytest.param(
-            lambda h: h.update(rng=[["controller", 3]]),
-            "checkpoint header field rng is not an object",
-            id="rng-list",
-        ),
         *[
             pytest.param(
-                lambda h, v=value: h["rng"].update(controller=v),
-                "checkpoint header field rng.controller is not a non-negative integer",
-                id=f"rng-counter-{name}",
+                lambda h, v=value, s=section, n=slot: s(h)[n].update(step=v),
+                f"checkpoint header field {where}.{slot}.step is not a positive integer",
+                id=f"{where}-adam-step-{name}",
             )
+            for where, section, slot in [
+                ("controller.slots", lambda h: h["controller"]["slots"], "adam|0"),
+                ("commit_slots", lambda h: h["commit_slots"], "adam|0/1/weight"),
+            ]
             for name, value in [
-                ("text", "x"), ("negative", -5), ("float", 3.0), ("bool", True), ("null", None)
+                ("text", "x"), ("negative", -3), ("zero", 0), ("float", 1.5), ("bool", True),
+                ("null", None),
             ]
         ],
         *[
@@ -628,14 +621,6 @@ def _rename_commit_slot(header, name):
         ],
         *[
             pytest.param(
-                lambda h, v=value: h["controller"].update(step=v),
-                "checkpoint header field controller.step is not a non-negative integer",
-                id=f"controller-step-{name}",
-            )
-            for name, value in [("negative", -1), ("float", 4.0), ("null", None)]
-        ],
-        *[
-            pytest.param(
                 lambda h, v=value: h["controller"].update(baseline=v),
                 "checkpoint header field controller.baseline is not a finite number",
                 id=f"baseline-{name}",
@@ -643,14 +628,6 @@ def _rename_commit_slot(header, name):
             for name, value in [
                 ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False)
             ]
-        ],
-        *[
-            pytest.param(
-                lambda h, v=value: h["controller"].update(baseline_initialized=v),
-                "checkpoint header field controller.baseline_initialized is not a boolean",
-                id=f"baseline-flag-{name}",
-            )
-            for name, value in [("int", 1), ("text", "true"), ("null", None)]
         ],
         *[
             pytest.param(
@@ -733,7 +710,6 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     pristine, blob, digest = _parts(path)
     leaves = list(_leaf_paths(pristine))
     assert ("controller", "logits", 0, 1) in leaves
-    assert ("rng", "controller") in leaves
     assert ("reward_history", 0, "reward") in leaves
     assert ("store_digest",) in leaves
     assert ("commit_slots", "adam|0/1/weight", "step") in leaves
@@ -764,12 +740,12 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     assert edits > 50
 
 
-def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
+def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, digest = _parts(path)
     header["controller"]["logits"][1][2] = 5.0
-    header["rng"]["controller"] = 0
+    header["meta_step"] = 0
     _write(path, header, blob, digest)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
@@ -779,11 +755,14 @@ def test_checkpoint_rejects_edited_logits_and_reset_rng(tmp_path):
 def test_checkpoint_rejects_earlier_versions(tmp_path):
     # Version 1 digests were FNV-1a over text; version 2 lacks the reward
     # history; versions 1-3 store arrays as decimal lists and version 4 as
-    # base64. All four are one JSON document on one line.
+    # base64. All four are one JSON document on one line. Version 5 has this
+    # layout and also holds the controller step, baseline flag and RNG counter.
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    for version in (1, 2, 3, 4):
+    header["controller"].update(step=4, baseline_initialized=True)
+    header["rng"] = {"controller": 88}
+    for version in (1, 2, 3, 4, 5):
         for one_line in (True, False):
             doc = {**header, "format_version": version}
             if one_line:
