@@ -55,6 +55,8 @@ def _at_least(value: int, minimum: int, where: str) -> None:
 def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:  # a size, count or seed must fit an int64
+        raise ConfigError(f"{where}: expected an integer, got one outside the signed 64-bit range")
     return value
 
 
@@ -134,7 +136,6 @@ class SearchSection:
 
     def __post_init__(self):
         _at_least(self.total_meta_steps, 0, "search.total_meta_steps")
-        _as_real(self.total_meta_steps, "search.total_meta_steps")  # warm-up scales it by a float
         _at_least(self.pairs_per_step, 1, "search.pairs_per_step")
         _check(0.0 <= self.warmup_fraction < 1.0, "search.warmup_fraction", "must be in [0, 1)")
         _check(self.meta_lr > 0.0, "search.meta_lr", "must be positive")

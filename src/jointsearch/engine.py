@@ -163,13 +163,20 @@ def _draw_batches(
     return list(zip(dataset.features[idx], dataset.labels[idx]))
 
 
-def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.Checkpoint:
+def _resumable(
+    config: EngineConfig, space: SearchSpace, path: str, uses_network: bool
+) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: every section but the output paths must match, its step must
     lie within the run, its controller must hold one logit row per decision
     of ``space``, with that decision's cardinality, and its reward history
     must hold K records for each step before its own, in step order, each
-    selecting within ``space``. The step is the only counter a checkpoint
+    selecting within ``space``. A run that trains networks also needs the
+    store's keys and shapes to be those ``supernet.init_weights`` makes for
+    ``space`` and the head to be ``(last_width, num_classes)`` with a
+    ``(num_classes,)`` bias; a table-driven run drops the network state,
+    commit slots included. Last, every slot array must have the shape of the
+    tensor its slot tracks. The step is the only counter a checkpoint
     keeps; ``search`` derives the rest from it."""
     from .config import parse_config
 
@@ -193,6 +200,32 @@ def _resumable(config: EngineConfig, space: SearchSpace, path: str) -> persist.C
         sel = record.selection
         fits = len(sel) == len(cards) and all(0 <= j < c for j, c in zip(sel, cards))
         check(path, fits, f"reward_history[{i}].selection", f"a selection within {cards}")
+    if not uses_network:
+        ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
+        ckpt.commit_slots = SlotStore()
+        persist.check_slot_shapes(path, ckpt)
+        return ckpt
+    if ckpt.head_weight is None:
+        raise ValueError(f"{path}: checkpoint has no network state to resume from")
+
+    def shaped(name: str, arr: np.ndarray | None, want: tuple[int, ...]) -> None:
+        if arr is None:
+            raise ValueError(f"{path}: {name}: array of the run's space is missing")
+        if arr.shape != want:
+            raise ValueError(
+                f"{path}: {name}: shape {list(arr.shape)} is not {list(want)}, "
+                "the shape the run's space makes"
+            )
+
+    shapes = supernet.store_shapes(space)
+    for key in sorted(shapes.keys() | ckpt.store.keys()):
+        name = f"store/{key.text()}"
+        if key not in shapes:
+            raise ValueError(f"{path}: {name}: array is not a tensor of the run's space")
+        shaped(name, ckpt.store.get(key), shapes[key])
+    shaped("head/weight", ckpt.head_weight, (space.last_width, space.num_classes))
+    shaped("head/bias", ckpt.head_bias, (space.num_classes,))
+    persist.check_slot_shapes(path, ckpt)
     return ckpt
 
 
@@ -235,11 +268,7 @@ def search(
             init = supernet.init_weights(space, RngStream(seed, "init"))
             ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
     else:
-        ckpt = _resumable(config, space, resume_from)
-        if not uses_network:  # a table-driven run carries no network state
-            ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
-        elif ckpt.head_weight is None:
-            raise ValueError("checkpoint has no network state to resume from")
+        ckpt = _resumable(config, space, resume_from, uses_network)
     ckpt.config_echo = config_to_dict(config)
     state = ckpt.controller
     weights = None

@@ -9,7 +9,11 @@ fixed head. The expressions and their order are fixed, so repeated runs give
 bitwise-identical gradients. ``RngStream`` is a named, counter-based
 generator: output ``i`` is a pure function of ``(seed, name, i)``, which makes
 every draw reproducible and lets a checkpoint capture the stream state as a
-single integer.
+single integer. Its normal draws use ``_ndtri``, a numpy port of Cephes
+``ndtri`` (the inverse normal CDF) that returns exactly what
+``scipy.special.ndtri`` does, so making a dataset needs numpy alone. The port
+must take every logarithm with ``math.log``, the C library's ``log`` that
+Cephes calls: numpy's own ``log`` differs from it by an ulp on some inputs.
 """
 from __future__ import annotations
 
@@ -184,6 +188,90 @@ def _dims(shape) -> tuple[tuple[int, ...], int]:
     return dims, int(math.prod(dims))
 
 
+# Cephes ``ndtri`` (Moshier), the inverse of the standard normal CDF, as scipy
+# runs it: the same branches, coefficients and Horner order, so each result is
+# bit-identical. Below, ``_P0``/``_Q0`` serve |y - 0.5| <= 0.5 - exp(-2); the
+# tails use z = sqrt(-2 log y), with ``_P1``/``_Q1`` for z < 8 (y > exp(-32))
+# and ``_P2``/``_Q2`` beyond. Each ``_Q`` omits its leading coefficient 1.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    # Horner's rule from the leading coefficient, as Cephes ``polevl``.
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    # As ``_polevl`` with an implied leading coefficient 1 (Cephes ``p1evl``).
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    # The C library's log, which Cephes calls; numpy's own (SIMD) log differs
+    # from it by an ulp on some inputs, and that would change the draws.
+    return np.fromiter(map(math.log, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of each entry of the 1-d array ``y0`` in
+    [0, 1], bit for bit the Cephes ``ndtri`` that ``scipy.special.ndtri``
+    runs (0 and 1 give -inf and inf)."""
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    centre = y > _EXP_M2
+    c = y[centre] - 0.5
+    c2 = c * c
+    out[centre] = (c + c * (c2 * _polevl(c2, _P0) / _p1evl(c2, _Q0))) * _SQRT_2PI
+    edge = y == 0.0
+    out[edge] = np.where(upper[edge], np.inf, -np.inf)
+    tail = ~(centre | edge)
+    x = np.sqrt(-2.0 * _log(y[tail]))
+    x0 = x - _log(x) / x
+    z = 1.0 / x
+    near = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - np.where(x < 8.0, near, far)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 class RngStream:
     """Named, counter-based pseudo-random stream.
 
@@ -222,16 +310,18 @@ class RngStream:
         return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
     def normal(self, shape=None):
-        """Standard normal draws via the inverse CDF."""
-        from scipy import special  # loaded on first use: a controller-only run never needs it
-
+        """Standard normal draws via the inverse CDF (``_ndtri``)."""
         if shape is None:
-            return float(special.ndtri(self._open_uniform(1)[0]))
+            return float(_ndtri(self._open_uniform(1))[0])
         shape, n = _dims(shape)
-        return special.ndtri(self._open_uniform(n)).reshape(shape)
+        return _ndtri(self._open_uniform(n)).reshape(shape)
 
     def beta(self, a: float, b: float) -> float:
-        """One Beta(a, b) draw via the inverse regularized incomplete beta."""
+        """One Beta(a, b) draw via the inverse regularized incomplete beta.
+
+        This is the one draw that needs scipy (Boost's ``ibeta_inv``), so it
+        is imported here, on first use.
+        """
         if a <= 0.0 or b <= 0.0:
             raise ValueError("beta shape parameters must be positive")
         from scipy import special

@@ -29,16 +29,20 @@ that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly (a malformed array raises ``ValueError`` naming the file
 and the array), and verifies ``store_digest`` against the restored store. A
 header that lacks a field, gives an optimizer slot section or a slot as a
-non-object, names a slot by something other than ``family|key``, or names
-an array of no known section, raises ``ValueError`` naming the file and the
-field or array. So does a re-sealed header (one whose SHA-256 was
-recomputed after an edit) whose meta-step is not a non-negative integer,
-whose baseline is not a finite number, whose controller logits are not a
-list of non-empty lists of finite numbers, whose optimizer slot holds an
-integer field (Adam's ``step``) that is not a positive integer, or whose
-reward history is not a list of ``RewardRecord`` objects: exactly its six
-fields, a non-negative integer step, a list of integers as the selection
-and finite numbers elsewhere.
+non-object, names a slot by something other than ``family|key`` as
+``save_checkpoint`` writes it, or names an array of no known section,
+raises ``ValueError`` naming the file and the field or array. So does a
+re-sealed header (one whose SHA-256 was recomputed after an edit) whose
+meta-step is not a non-negative integer, whose baseline is not a finite
+number, whose controller logits are not a list of non-empty lists of finite
+numbers, or whose reward history is not a list of ``RewardRecord`` objects:
+exactly its six fields, a non-negative integer step, a list of integers as
+the selection and finite numbers elsewhere. Each optimizer slot must be of a
+family in ``trainstep.SLOT_FIELDS`` and hold exactly that family's fields:
+its integer fields (Adam's ``step``) as positive integers in the header, its
+arrays in the file. ``check_slot_shapes`` checks each slot array against
+the tensor its slot tracks; ``engine`` calls it on resume, after checking
+the logits and the store against the run's space.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -72,7 +76,7 @@ import numpy as np
 
 from .controller import ControllerState
 from .supernet import ParamKey
-from .trainstep import SlotStore
+from .trainstep import SLOT_FIELDS, SlotStore
 
 CHECKPOINT_FORMAT_VERSION = 6
 EVENT_LOG_FORMAT_VERSION = 2
@@ -399,43 +403,65 @@ def load_checkpoint(path: str) -> Checkpoint:
     table = _is_logit_table(logits)
     check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
-    head: dict[str, np.ndarray] = {}
-    owners = {"head": head}  # where each array that is not in the store goes, by name prefix
+    slot_owners = {}  # each slot and its family, by the name prefix of its arrays
     slot_stores = []
-    for (section, _, key_parse), slot_ints in zip(
+    for (section, key_text, key_parse), slot_ints in zip(
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
     ):
         where = section.replace("/", ".")  # the header field
         check_field(path, isinstance(slot_ints, dict), where, "an object")
         slots = SlotStore()
         for combined, slot in slot_ints.items():
-            family, _, key_text = combined.partition("|")
+            family, _, text = combined.partition("|")
             try:
-                key = key_parse(key_text)
+                key = key_parse(text)
+                if key_text(key) != text:  # a slot is saved under its canonical name
+                    raise ValueError(text)
             except ValueError:
                 raise ValueError(
                     f"{path}: {where}: slot name {combined!r} is not family|key"
                 ) from None
-            check_field(path, isinstance(slot, dict), f"{where}.{combined}", "an object")
-            _require(path, slot, f"{where}.{combined}.", ("step",) if family == "adam" else ())
+            field = f"{where}.{combined}"
+            check_field(path, family in SLOT_FIELDS, field, "a momentum, adam or rmsprop slot")
+            check_field(path, isinstance(slot, dict), field, "an object")
+            ints = SLOT_FIELDS[family][0]
+            _require(path, slot, f"{field}.", ints)
             for name, value in slot.items():  # the header holds a slot's integer fields
+                used = name in ints
+                check_field(path, used, f"{field}.{name}", f"an integer field of {family} slots")
                 ok = type(value) is int and value > 0
-                check_field(path, ok, f"{where}.{combined}.{name}", "a positive integer")
+                check_field(path, ok, f"{field}.{name}", "a positive integer")
             slots.restore(family, key, slot)
-            owners[f"{section}/{combined}"] = slot
+            slot_owners[f"{section}/{combined}"] = (slot, family)
         slot_stores.append(slots)
     store = {}
+    head: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
-        try:
-            if name.startswith("store/"):
+        owner, _, field_name = name.rpartition("/")
+        if owner in slot_owners:
+            slot, family = slot_owners[owner]
+            family_arrays = SLOT_FIELDS[family][1]
+            if field_name not in family_arrays:
+                raise ValueError(
+                    f"{path}: {name}: array is not one of the {family} slot arrays "
+                    f"{list(family_arrays)}"
+                )
+            slot[field_name] = arr
+        elif owner == "head" and field_name in ("weight", "bias"):
+            head[field_name] = arr
+        else:
+            try:
+                if not name.startswith("store/"):
+                    raise ValueError(name)
                 store[_param_key_parse(name[len("store/") :])] = arr
-            else:
-                owner, _, field_name = name.rpartition("/")
-                owners[owner][field_name] = arr
-        except (KeyError, ValueError):
-            raise ValueError(f"{path}: {name}: array belongs to no known section") from None
+            except ValueError:
+                raise ValueError(f"{path}: {name}: array belongs to no known section") from None
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
+    for owner, (slot, family) in slot_owners.items():
+        for name in SLOT_FIELDS[family][1]:
+            if name not in slot:
+                raise ValueError(f"{path}: {owner}/{name}: {family} slot array is missing")
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
@@ -453,3 +479,25 @@ def load_checkpoint(path: str) -> Checkpoint:
         ],
         store_digest=header["store_digest"],
     )
+
+
+def check_slot_shapes(path: str, ckpt: Checkpoint) -> None:
+    """Raise ``ValueError`` naming the file and the slot or array unless every
+    slot tracks a tensor of ``ckpt`` and each of its arrays has that tensor's
+    shape: a controller slot tracks its decision's logit row, a commit slot
+    its store tensor."""
+    sections = (ckpt.controller.slots, ckpt.commit_slots)
+    tracked = (dict(enumerate(ckpt.controller.logits)), ckpt.store)
+    for (section, key_text, _), slots, tensors in zip(_SLOT_SECTIONS, sections, tracked):
+        for (family, key), slot in slots.items():
+            combined = f"{family}|{key_text(key)}"
+            tensor = tensors.get(key)
+            field = f"{section.replace('/', '.')}.{combined}"
+            check_field(path, tensor is not None, field, "the slot of a tensor in the checkpoint")
+            for name in SLOT_FIELDS[family][1]:
+                shape, want = list(slot[name].shape), list(tensor.shape)
+                if shape != want:
+                    raise ValueError(
+                        f"{path}: {section}/{combined}/{name}: shape {shape} is not {want}, "
+                        "the shape of the tensor its slot tracks"
+                    )

@@ -53,6 +53,15 @@ class TrainerSpec:
             raise ValueError(f"dropout_keep must be a number in (0, 1], got {keep!r}")
 
 
+# The slot of each stateful optimizer family: its integer fields (Adam's
+# update count) and its arrays, each shaped like the tensor the slot tracks.
+SLOT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "momentum": ((), ("buf",)),
+    "adam": (("step",), ("m", "v")),
+    "rmsprop": ((), ("sq",)),
+}
+
+
 class SlotStore:
     """Per-(optimizer family, key) optimizer state, created lazily."""
 
@@ -63,14 +72,8 @@ class SlotStore:
         slot_key = (family, key)
         slot = self._slots.get(slot_key)
         if slot is None:
-            if family == "momentum":
-                slot = {"buf": np.zeros_like(like)}
-            elif family == "adam":
-                slot = {"step": 0, "m": np.zeros_like(like), "v": np.zeros_like(like)}
-            elif family == "rmsprop":
-                slot = {"sq": np.zeros_like(like)}
-            else:
-                slot = {}
+            ints, arrays = SLOT_FIELDS[family]
+            slot = {**dict.fromkeys(ints, 0), **{n: np.zeros_like(like) for n in arrays}}
             self._slots[slot_key] = slot
         return slot
 

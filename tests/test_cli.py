@@ -117,7 +117,6 @@ def _set(doc, field, value):
     [
         "data.noise_sd",
         "search.meta_lr",
-        "search.total_meta_steps",
         "space.hyperparameters[0].basis[1]",
     ],
 )
@@ -129,6 +128,18 @@ def test_integer_too_large_for_a_float_exits_one(capsys, tmp_path, field):
     assert main(["search", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"error: {field}: expected a finite number, got an integer too large" in err
+
+
+@pytest.mark.parametrize("field", ["data.n", "search.pairs_per_step", "search.total_meta_steps"])
+def test_integer_outside_int64_exits_one(capsys, tmp_path, field):
+    # data.n and pairs_per_step used to pass the parser and fail mid-run on
+    # the array size (exit 2).
+    doc = base_doc()
+    _set(doc, field, 10**30)
+    cfg = write_config(tmp_path, "bad.json", doc)
+    assert main(["search", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {field}: expected an integer, got one outside the signed 64-bit range" in err
 
 
 def test_integer_too_long_to_read_exits_one(capsys, tmp_path):
@@ -356,6 +367,133 @@ def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, d
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err and str(ckpt) in err and expected in err
+
+
+def _rename_arrays(arrays, old, new):
+    """Rename every array whose name starts with ``old`` to start with ``new``."""
+    for entry in arrays:
+        if entry[0].startswith(old):
+            entry[0] = new + entry[0][len(old) :]
+
+
+def _rename_commit_slot(header, arrays, old, new):
+    """Move commit slot ``old`` (``family|key``) and its arrays to ``new``."""
+    slots = header["commit_slots"]
+    slots[new] = slots.pop(old)
+    _rename_arrays(arrays, f"commit_slots/{old}/", f"commit_slots/{new}/")
+
+
+def _drop_array(arrays, name):
+    arrays[:] = [entry for entry in arrays if entry[0] != name]
+
+
+def _reshape_array(arrays, name, edit):
+    for entry in arrays:
+        if entry[0] == name:
+            entry[1] = edit(entry[1])
+
+
+def _to_momentum(header, arrays):
+    # An Adam slot made a momentum slot, its step kept: m becomes buf, v goes.
+    _rename_commit_slot(header, arrays, "adam|0/1/bias", "momentum|0/1/bias")
+    _drop_array(arrays, "commit_slots/momentum|0/1/bias/v")
+    _rename_arrays(arrays, "commit_slots/momentum|0/1/bias/m", "commit_slots/momentum|0/1/bias/buf")
+
+
+# Edits of a checkpoint's header and arrays (a list of [name, array] in file
+# order), each re-sealed with its store digest recomputed, and the error each
+# must raise. The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the head is
+# (8, 2); the controller's three decisions have 2, 3 and 2 candidates.
+ARRAY_DEFECTS = {
+    # Slot fields, refused by the loader.
+    "slot-extra-int": (
+        lambda h, a: h["commit_slots"]["adam|0/1/bias"].update(extra=3),
+        "field commit_slots.adam|0/1/bias.extra is not an integer field of adam slots",
+    ),
+    "momentum-slot-step": (
+        _to_momentum,
+        "field commit_slots.momentum|0/1/bias.step is not an integer field of momentum slots",
+    ),
+    "slot-family": (
+        lambda h, a: _rename_commit_slot(h, a, "adam|0/1/bias", "foo|0/1/bias"),
+        "field commit_slots.foo|0/1/bias is not a momentum, adam or rmsprop slot",
+    ),
+    "slot-missing-array": (
+        lambda h, a: _drop_array(a, "commit_slots/adam|0/1/bias/v"),
+        "commit_slots/adam|0/1/bias/v: adam slot array is missing",
+    ),
+    "slot-extra-array": (
+        lambda h, a: a.append(["commit_slots/adam|0/1/bias/w", np.zeros(8)]),
+        "commit_slots/adam|0/1/bias/w: array is not one of the adam slot arrays ['m', 'v']",
+    ),
+    # Shapes against the run's space, refused on resume.
+    "store-key-renamed": (
+        lambda h, a: _rename_arrays(a, "store/0/1/bias", "store/0/0/bias"),
+        "store/0/0/bias: array is not a tensor of the run's space",
+    ),
+    "store-key-missing": (
+        lambda h, a: _drop_array(a, "store/0/1/weight"),
+        "store/0/1/weight: array of the run's space is missing",
+    ),
+    "store-shape": (
+        lambda h, a: _reshape_array(a, "store/0/1/weight", lambda w: w.T.copy()),
+        "store/0/1/weight: shape [8, 2] is not [2, 8], the shape the run's space makes",
+    ),
+    "head-shape": (
+        lambda h, a: _reshape_array(a, "head/weight", lambda w: w.T.copy()),
+        "head/weight: shape [2, 8] is not [8, 2], the shape the run's space makes",
+    ),
+    "head-bias-missing": (
+        lambda h, a: _drop_array(a, "head/bias"),
+        "head/bias: array of the run's space is missing",
+    ),
+    "commit-slot-shape": (
+        lambda h, a: _reshape_array(a, "commit_slots/adam|0/1/weight/m", lambda m: m.T.copy()),
+        "commit_slots/adam|0/1/weight/m: shape [8, 2] is not [2, 8], "
+        "the shape of the tensor its slot tracks",
+    ),
+    "controller-slot-shape": (
+        lambda h, a: _reshape_array(a, "controller/slots/adam|0/v", lambda v: np.append(v, 0.0)),
+        "controller/slots/adam|0/v: shape [3] is not [2], the shape of the tensor its slot tracks",
+    ),
+    "slot-of-no-tensor": (
+        lambda h, a: _rename_commit_slot(h, a, "adam|0/1/bias", "adam|0/0/bias"),
+        "field commit_slots.adam|0/0/bias is not the slot of a tensor in the checkpoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", ARRAY_DEFECTS)
+def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys, tmp_path, defect):
+    from jointsearch.persist import store_digest
+    from jointsearch.supernet import ParamKey
+
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    data = ckpt.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline])
+    arrays, offset = [], newline + 1
+    for name, shape in header["arrays"]:
+        count = int(np.prod(shape))
+        arrays.append([name, np.frombuffer(data, "<f8", count, offset).reshape(shape)])
+        offset += 8 * count
+    edit, expected = ARRAY_DEFECTS[defect]
+    edit(header, arrays)
+    header["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
+    store = {
+        ParamKey(*(int(p) if p.isdigit() else p for p in name.split("/")[1:])): arr
+        for name, arr in arrays
+        if name.startswith("store/")
+    }
+    header["store_digest"] = store_digest(store)
+    body = json.dumps(header, sort_keys=True).encode() + b"\n"
+    body += b"".join(np.ascontiguousarray(arr, "<f8").tobytes() for _, arr in arrays)
+    ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err and f"{ckpt}: " in err and expected in err
 
 
 def test_resume_with_different_config_exits_one(capsys, tmp_path):

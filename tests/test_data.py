@@ -1,6 +1,12 @@
 """Dataset generators, CSV loading, splitting."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +95,48 @@ def test_dataset_validates_one_hot_labels():
         Dataset(np.zeros((3, 2)), np.array([[0.5, 0.5], [1, 0], [0, 1]]), "bad")
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.eye(2), "mismatched-rows")
+
+
+_NO_SCIPY_SETUP_SCRIPT = """
+import hashlib, json, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from jointsearch import parse_config
+from jointsearch.engine import setup_run
+from jointsearch.space import build_space
+
+space = {"input_dim": 2, "num_classes": 2,
+         "layers": [{"candidates": ["identity"], "width": 2}], "hyperparameters": []}
+digests = {}
+for data in json.loads(sys.argv[1]):
+    config = parse_config({"space": space, "data": data, "search": {"total_meta_steps": 1}})
+    splits = setup_run(config, build_space(config.space))
+    h = hashlib.sha256()
+    for part in (splits.train, splits.val, splits.test):
+        h.update(part.features.tobytes())
+        h.update(part.labels.tobytes())
+    digests[data["generator"]] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_generated_datasets_need_no_scipy():
+    # A fresh interpreter in which scipy cannot be imported builds the same
+    # bytes as the scipy.special.ndtri draws did (known answers).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    data = [
+        {"generator": "two_moons", "n": 2000, "noise_sd": 0.2, "seed": 3},
+        {"generator": "spirals", "n": 2000, "turns": 1.5, "noise_sd": 0.1, "seed": 4},
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SETUP_SCRIPT, json.dumps(data)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(out.stdout) == {
+        "two_moons": "3420bcf041b47bbf37e7d510a10c637aed830526880898f6f41e44f3b0ef51b3",
+        "spirals": "b2a844f76b13fcad509f17126d47ee9b231d789dda217b2a37d334bfc7215f77",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -613,12 +613,22 @@ def test_resume_under_new_output_paths_echoes_them(tmp_path):
 
 def test_table_driven_resume_writes_no_network_state(tmp_path):
     path = str(tmp_path / "ck.ckpt")
-    config = parse_config(moons_doc(total=3, output={"checkpoint_path": path}))
+    doc = moons_doc(total=3, output={"checkpoint_path": path})
+    doc["space"]["hyperparameters"].append(
+        {"name": "optimizer", "kind": "categorical", "basis": ["adam"]}
+    )
+    config = parse_config(doc)
     search(config)
-    assert persist.load_checkpoint(path).head_weight is not None
+    network = persist.load_checkpoint(path)
+    assert network.head_weight is not None and len(network.commit_slots) > 0
     search(config, evaluate_override=lambda selection: (0.5, 1.0), resume_from=path)
     loaded = persist.load_checkpoint(path)
     assert loaded.store == {} and loaded.head_weight is None and loaded.head_bias is None
+    assert len(loaded.commit_slots) == 0  # a commit slot tracks a store tensor
+    # Nor can a network run resume from it.
+    with pytest.raises(ValueError) as err:
+        search(config, resume_from=path)
+    assert str(err.value) == f"{path}: checkpoint has no network state to resume from"
 
 
 def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):

@@ -475,6 +475,72 @@ def test_rng_normal_moments():
     assert abs(z.std() - 1.0) < 3.0 * math.sqrt(2.0 / z.size)
 
 
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).view(np.uint64).tolist() == np.asarray(b).view(np.uint64).tolist()
+
+
+def test_ndtri_port_matches_scipy_on_stream_draws():
+    from scipy import special
+
+    for seed, name in [(0, "moons"), (1, "spirals"), (2**63 + 5, "x"), (9, "")]:
+        u = RngStream(seed, name)._open_uniform(2**19)
+        assert _same_bits(numerics._ndtri(u), special.ndtri(u)), (seed, name)
+
+
+def _with_neighbours(value, ulps=1):
+    points = [value]
+    for direction in (0.0, 2.0):
+        v = value
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            points.append(v)
+    return points
+
+
+def test_ndtri_port_matches_scipy_at_branch_edges():
+    from scipy import special
+
+    exp_m2 = numerics._EXP_M2
+    exp_m32 = math.exp(-32.0)  # z = sqrt(-2 log y) = 8: the tail coefficients switch
+    switch = _with_neighbours(exp_m32, ulps=24)
+    z = [math.sqrt(-2.0 * math.log(y)) for y in switch]
+    assert min(z) < 8.0 <= max(z)  # both tail branches are reached
+    # The extreme open uniforms: word 0, and word 2**53 - 1, whose half-step
+    # offset rounds to 1.0 exactly.
+    largest = (float(2**53 - 1) + 0.5) * 2.0**-53
+    assert largest == 1.0 - 0.5 * 2.0**-53 == 1.0
+    y = np.array(
+        [
+            *_with_neighbours(exp_m2),
+            *_with_neighbours(1.0 - exp_m2),
+            *switch,
+            0.5 * 2.0**-53,
+            1.0 - 0.5 * 2.0**-53,
+            np.nextafter(1.0, 0.0),
+            *_with_neighbours(0.5),
+            5e-324,
+            0.0,
+            # Both tails across every branch, far below what a stream draws.
+            *np.logspace(-320, -1, 1000),
+            *(1.0 - np.logspace(-16, -1, 200)),
+        ]
+    )
+    assert _same_bits(numerics._ndtri(y), special.ndtri(y))
+
+
+def test_rng_normal_known_answers():
+    # Known answers from scipy.special.ndtri; they cover both the central and
+    # the tail branch, and need no scipy here.
+    stream = RngStream(7, "pin")
+    want = [
+        "0x1.1027cd12e02c8p-2", "0x1.6314c1cd6d7bfp-1", "-0x1.8169075d0265dp+0",
+        "-0x1.1308e0110dff3p-2", "0x1.4e31df8bb329ap+0", "0x1.fc51cd076e6bbp-3",
+        "0x1.f7be08626a2cap-4", "-0x1.4602a6d231a0ap+0",
+    ]
+    assert [v.hex() for v in stream.normal(8).tolist()] == want
+    assert stream.normal().hex() == "0x1.8109ca7c22b4cp+0"
+
+
 def test_rng_beta_bounds_and_symmetry():
     stream = RngStream(23, "beta")
     draws = np.array([stream.beta(0.4, 0.4) for _ in range(2000)])

@@ -563,6 +563,16 @@ def _rename_commit_slot(header, name):
             id="commit-slot-key-short",
         ),
         pytest.param(
+            lambda h: _rename_commit_slot(h, "adam|0/01/weight"),
+            "commit_slots: slot name 'adam|0/01/weight' is not family|key",
+            id="commit-slot-key-not-canonical",
+        ),
+        pytest.param(
+            lambda h: _edit_controller_slots(h, {"adam|00": {"step": 5}}),
+            "controller.slots: slot name 'adam|00' is not family|key",
+            id="controller-slot-key-not-canonical",
+        ),
+        pytest.param(
             lambda h: _edit_controller_slots(h, {"adam": {"step": 5}}),
             "controller.slots: slot name 'adam' is not family|key",
             id="controller-slot-key-no-bar",
