@@ -15,6 +15,7 @@ is passed to each update.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -99,6 +100,12 @@ def _entropy_gradient(probs: list[np.ndarray], weight: float) -> list[np.ndarray
     return out
 
 
+def warmup_steps(search: SearchSection) -> int:
+    """The number of meta-steps, from the first, that leave the logits
+    untouched: ``ceil(warmup_fraction * total_meta_steps)``."""
+    return math.ceil(search.warmup_fraction * search.total_meta_steps)
+
+
 def reinforce_update(
     state: ControllerState,
     samples: Sequence[tuple[Sequence[int], float]],
@@ -111,7 +118,7 @@ def reinforce_update(
     returned; at step 0 no reward has been observed yet, so the first
     sample's reward stands in, which keeps the first update free of a
     start-up advantage spike. Inside the warm-up window (steps below
-    ``warmup_fraction * total_meta_steps``) the logits and their Adam slots
+    ``warmup_steps(search)``) the logits and their Adam slots
     are left bitwise unchanged while the baseline still tracks every reward.
     """
     if not samples:
@@ -121,7 +128,7 @@ def reinforce_update(
             raise ValueError("selection length does not match decision count")
     pre_baseline = state.baseline if step > 0 else float(samples[0][1])
 
-    if step >= search.warmup_fraction * search.total_meta_steps:
+    if step >= warmup_steps(search):
         grads = reinforce_logit_gradient(state, samples, pre_baseline)
         if search.entropy_weight != 0.0:
             for g, e in zip(grads, _entropy_gradient(probabilities(state), search.entropy_weight)):

@@ -171,13 +171,16 @@ def _resumable(
     lie within the run, its controller must hold one logit row per decision
     of ``space``, with that decision's cardinality, and its reward history
     must hold K records for each step before its own, in step order, each
-    selecting within ``space``. A run that trains networks also needs the
-    store's keys and shapes to be those ``supernet.init_weights`` makes for
-    ``space`` and the head to be ``(last_width, num_classes)`` with a
-    ``(num_classes,)`` bias; a table-driven run drops the network state,
-    commit slots included. Last, every slot array must have the shape of the
-    tensor its slot tracks. The step is the only counter a checkpoint
-    keeps; ``search`` derives the rest from it."""
+    selecting within ``space``. A table-driven run drops the network state,
+    commit slots included. Last, ``persist.check_layout`` compares every
+    optimizer slot and array with those the run itself holds after that many
+    steps: the store of ``supernet.store_shapes(space)`` and the head, when
+    the run trains networks; one controller Adam slot per decision, its
+    ``step`` the number of steps past warm-up, once there is one; and each
+    commit slot of the file whose optimizer the space can select and whose
+    tensor is in the store, as ``SlotStore.get`` makes it, its Adam ``step``
+    taken from the file. The step is the only counter a checkpoint keeps;
+    ``search`` derives the rest from it."""
     from .config import parse_config
 
     ckpt = persist.load_checkpoint(path)
@@ -200,32 +203,29 @@ def _resumable(
         sel = record.selection
         fits = len(sel) == len(cards) and all(0 <= j < c for j, c in zip(sel, cards))
         check(path, fits, f"reward_history[{i}].selection", f"a selection within {cards}")
+    held = persist.Checkpoint({}, done, ctrl.init_controller(space))
+    updates = done - ctrl.warmup_steps(config.search)
+    if updates > 0:  # each step past warm-up made one Adam update of every row
+        for d, z in enumerate(held.controller.logits):
+            held.controller.slots.get("adam", d, z)["step"] = updates
     if not uses_network:
         ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
         ckpt.commit_slots = SlotStore()
-        persist.check_slot_shapes(path, ckpt)
-        return ckpt
-    if ckpt.head_weight is None:
+    elif ckpt.head_weight is None:
         raise ValueError(f"{path}: checkpoint has no network state to resume from")
-
-    def shaped(name: str, arr: np.ndarray | None, want: tuple[int, ...]) -> None:
-        if arr is None:
-            raise ValueError(f"{path}: {name}: array of the run's space is missing")
-        if arr.shape != want:
-            raise ValueError(
-                f"{path}: {name}: shape {list(arr.shape)} is not {list(want)}, "
-                "the shape the run's space makes"
-            )
-
-    shapes = supernet.store_shapes(space)
-    for key in sorted(shapes.keys() | ckpt.store.keys()):
-        name = f"store/{key.text()}"
-        if key not in shapes:
-            raise ValueError(f"{path}: {name}: array is not a tensor of the run's space")
-        shaped(name, ckpt.store.get(key), shapes[key])
-    shaped("head/weight", ckpt.head_weight, (space.last_width, space.num_classes))
-    shaped("head/bias", ckpt.head_bias, (space.num_classes,))
-    persist.check_slot_shapes(path, ckpt)
+    else:
+        held.store = {key: np.zeros(shape) for key, shape in supernet.store_shapes(space).items()}
+        held.head_weight = np.zeros((space.last_width, space.num_classes))
+        held.head_bias = np.zeros(space.num_classes)
+        default = (TrainerSpec().optimizer,)
+        optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
+        for (family, key), slot in ckpt.commit_slots.items():
+            if family in optimizers and key in held.store:
+                made = held.commit_slots.get(family, key, held.store[key])
+                for name, value in slot.items():  # update counts only a replay could check
+                    if type(made.get(name)) is int and type(value) is int:
+                        made[name] = value
+    persist.check_layout(path, held, ckpt)
     return ckpt
 
 

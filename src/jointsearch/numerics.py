@@ -306,8 +306,10 @@ class RngStream:
         return u.reshape(shape)
 
     def _open_uniform(self, n: int) -> np.ndarray:
-        # (0, 1) exclusive, for inverse-CDF transforms.
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        # (0, 1) exclusive, for inverse-CDF transforms. The top word's half
+        # step rounds up to 1.0, so it alone is pulled back below 1.
+        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return np.minimum(u, 1.0 - 2.0**-53, out=u)
 
     def normal(self, shape=None):
         """Standard normal draws via the inverse CDF (``_ndtri``)."""

@@ -35,14 +35,13 @@ raises ``ValueError`` naming the file and the field or array. So does a
 re-sealed header (one whose SHA-256 was recomputed after an edit) whose
 meta-step is not a non-negative integer, whose baseline is not a finite
 number, whose controller logits are not a list of non-empty lists of finite
-numbers, or whose reward history is not a list of ``RewardRecord`` objects:
-exactly its six fields, a non-negative integer step, a list of integers as
-the selection and finite numbers elsewhere. Each optimizer slot must be of a
-family in ``trainstep.SLOT_FIELDS`` and hold exactly that family's fields:
-its integer fields (Adam's ``step``) as positive integers in the header, its
-arrays in the file. ``check_slot_shapes`` checks each slot array against
-the tensor its slot tracks; ``engine`` calls it on resume, after checking
-the logits and the store against the run's space.
+numbers, whose reward history is not a list of ``RewardRecord`` objects
+(exactly its six fields, a non-negative integer step, a list of integers as
+the selection and finite numbers elsewhere), or whose slot holds a header
+field that is not a positive integer. These checks need nothing of the run.
+Which slots, slot fields and arrays a file may hold depends on the run, so
+the loader takes them as written; on resume ``engine`` builds the state the
+run itself holds at that step, and ``check_layout`` compares the two.
 Saving and loading again gives identical bytes. Files are written to a temp
 path and renamed into place.
 
@@ -76,7 +75,7 @@ import numpy as np
 
 from .controller import ControllerState
 from .supernet import ParamKey
-from .trainstep import SLOT_FIELDS, SlotStore
+from .trainstep import SlotStore
 
 CHECKPOINT_FORMAT_VERSION = 6
 EVENT_LOG_FORMAT_VERSION = 2
@@ -240,8 +239,8 @@ def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     controller slots, commit slots. A slot array's name is its section, slot
     and field joined by ``/``."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
-    if ckpt.head_weight is not None:
-        arrays += [("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias)]
+    head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
+    arrays += [(name, arr) for name, arr in head if arr is not None]
     slot_ints = {}
     for (section, key_text, _), slots in zip(
         _SLOT_SECTIONS, (ckpt.controller.slots, ckpt.commit_slots)
@@ -403,7 +402,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     table = _is_logit_table(logits)
     check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
-    slot_owners = {}  # each slot and its family, by the name prefix of its arrays
+    slot_of = {}  # each slot, by the name prefix of its arrays
     slot_stores = []
     for (section, key_text, key_parse), slot_ints in zip(
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
@@ -422,31 +421,19 @@ def load_checkpoint(path: str) -> Checkpoint:
                     f"{path}: {where}: slot name {combined!r} is not family|key"
                 ) from None
             field = f"{where}.{combined}"
-            check_field(path, family in SLOT_FIELDS, field, "a momentum, adam or rmsprop slot")
             check_field(path, isinstance(slot, dict), field, "an object")
-            ints = SLOT_FIELDS[family][0]
-            _require(path, slot, f"{field}.", ints)
             for name, value in slot.items():  # the header holds a slot's integer fields
-                used = name in ints
-                check_field(path, used, f"{field}.{name}", f"an integer field of {family} slots")
                 ok = type(value) is int and value > 0
                 check_field(path, ok, f"{field}.{name}", "a positive integer")
             slots.restore(family, key, slot)
-            slot_owners[f"{section}/{combined}"] = (slot, family)
+            slot_of[f"{section}/{combined}"] = slot
         slot_stores.append(slots)
     store = {}
     head: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
         owner, _, field_name = name.rpartition("/")
-        if owner in slot_owners:
-            slot, family = slot_owners[owner]
-            family_arrays = SLOT_FIELDS[family][1]
-            if field_name not in family_arrays:
-                raise ValueError(
-                    f"{path}: {name}: array is not one of the {family} slot arrays "
-                    f"{list(family_arrays)}"
-                )
-            slot[field_name] = arr
+        if owner in slot_of:
+            slot_of[owner][field_name] = arr
         elif owner == "head" and field_name in ("weight", "bias"):
             head[field_name] = arr
         else:
@@ -458,10 +445,6 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
-    for owner, (slot, family) in slot_owners.items():
-        for name in SLOT_FIELDS[family][1]:
-            if name not in slot:
-                raise ValueError(f"{path}: {owner}/{name}: {family} slot array is missing")
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
@@ -481,23 +464,28 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def check_slot_shapes(path: str, ckpt: Checkpoint) -> None:
-    """Raise ``ValueError`` naming the file and the slot or array unless every
-    slot tracks a tensor of ``ckpt`` and each of its arrays has that tensor's
-    shape: a controller slot tracks its decision's logit row, a commit slot
-    its store tensor."""
-    sections = (ckpt.controller.slots, ckpt.commit_slots)
-    tracked = (dict(enumerate(ckpt.controller.logits)), ckpt.store)
-    for (section, key_text, _), slots, tensors in zip(_SLOT_SECTIONS, sections, tracked):
-        for (family, key), slot in slots.items():
-            combined = f"{family}|{key_text(key)}"
-            tensor = tensors.get(key)
-            field = f"{section.replace('/', '.')}.{combined}"
-            check_field(path, tensor is not None, field, "the slot of a tensor in the checkpoint")
-            for name in SLOT_FIELDS[family][1]:
-                shape, want = list(slot[name].shape), list(tensor.shape)
-                if shape != want:
-                    raise ValueError(
-                        f"{path}: {section}/{combined}/{name}: shape {shape} is not {want}, "
-                        "the shape of the tensor its slot tracks"
-                    )
+def _entries(ckpt: Checkpoint) -> dict[str, str]:
+    """Each optimizer slot's integer fields, by header field, then each
+    array's shape, by name, in file order."""
+    slot_ints, arrays = _layout(ckpt)
+    entries = {
+        f"{section.replace('/', '.')}.{combined}": json.dumps(ints, sort_keys=True)
+        for section, slots in slot_ints.items()
+        for combined, ints in slots.items()
+    }
+    entries.update((name, f"shape {list(arr.shape)}") for name, arr in arrays)
+    return entries
+
+
+def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
+    """Raise ``ValueError`` naming the file and the first optimizer slot or
+    array that ``ckpt`` holds and ``want`` does not, or that the two hold
+    with other integer fields or another shape; then the first that ``want``
+    holds and ``ckpt`` does not."""
+    held, found = _entries(want), _entries(ckpt)
+    for name in [*found, *held]:
+        if found.get(name) != held.get(name):
+            raise ValueError(
+                f"{path}: {name}: checkpoint holds {found.get(name, 'nothing')}, "
+                f"the run holds {held.get(name, 'nothing')}"
+            )

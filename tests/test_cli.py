@@ -400,65 +400,116 @@ def _to_momentum(header, arrays):
     _rename_arrays(arrays, "commit_slots/momentum|0/1/bias/m", "commit_slots/momentum|0/1/bias/buf")
 
 
+def _slots(header, section):
+    return header["controller"]["slots"] if section == "controller/slots" else header[section]
+
+
+def _add_slot(header, arrays, section, name, fields):
+    """Add slot ``name`` (``family|key``) with no integer fields and the
+    arrays ``fields`` (field name to array) to ``section``."""
+    _slots(header, section)[name] = {}
+    arrays += [[f"{section}/{name}/{field}", arr] for field, arr in fields.items()]
+
+
+def _drop_slot(header, arrays, section, name):
+    del _slots(header, section)[name]
+    arrays[:] = [entry for entry in arrays if not entry[0].startswith(f"{section}/{name}/")]
+
+
 # Edits of a checkpoint's header and arrays (a list of [name, array] in file
 # order), each re-sealed with its store digest recomputed, and the error each
 # must raise. The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the head is
-# (8, 2); the controller's three decisions have 2, 3 and 2 candidates.
+# (8, 2); the controller's three decisions have 2, 3 and 2 candidates. After 6
+# steps, 2 of them warm-up, each controller Adam slot has made 4 updates. The
+# loader takes each of these files; the resume refuses it, naming the first
+# slot or array in which it differs from the state the run holds.
 ARRAY_DEFECTS = {
-    # Slot fields, refused by the loader.
+    # Slot fields.
     "slot-extra-int": (
         lambda h, a: h["commit_slots"]["adam|0/1/bias"].update(extra=3),
-        "field commit_slots.adam|0/1/bias.extra is not an integer field of adam slots",
+        'commit_slots.adam|0/1/bias: checkpoint holds {"extra": 3, "step": 2}, '
+        'the run holds {"step": 2}',
     ),
     "momentum-slot-step": (
         _to_momentum,
-        "field commit_slots.momentum|0/1/bias.step is not an integer field of momentum slots",
+        'commit_slots.momentum|0/1/bias: checkpoint holds {"step": 2}, the run holds nothing',
     ),
     "slot-family": (
         lambda h, a: _rename_commit_slot(h, a, "adam|0/1/bias", "foo|0/1/bias"),
-        "field commit_slots.foo|0/1/bias is not a momentum, adam or rmsprop slot",
+        'commit_slots.foo|0/1/bias: checkpoint holds {"step": 2}, the run holds nothing',
     ),
     "slot-missing-array": (
         lambda h, a: _drop_array(a, "commit_slots/adam|0/1/bias/v"),
-        "commit_slots/adam|0/1/bias/v: adam slot array is missing",
+        "commit_slots/adam|0/1/bias/v: checkpoint holds nothing, the run holds shape [8]",
     ),
     "slot-extra-array": (
         lambda h, a: a.append(["commit_slots/adam|0/1/bias/w", np.zeros(8)]),
-        "commit_slots/adam|0/1/bias/w: array is not one of the adam slot arrays ['m', 'v']",
+        "commit_slots/adam|0/1/bias/w: checkpoint holds shape [8], the run holds nothing",
     ),
-    # Shapes against the run's space, refused on resume.
+    "commit-slot-step-missing": (
+        lambda h, a: h["commit_slots"]["adam|0/1/weight"].pop("step"),
+        'commit_slots.adam|0/1/weight: checkpoint holds {}, the run holds {"step": 0}',
+    ),
+    "controller-slot-step-missing": (
+        lambda h, a: h["controller"]["slots"]["adam|0"].pop("step"),
+        'controller.slots.adam|0: checkpoint holds {}, the run holds {"step": 4}',
+    ),
+    # Arrays and their shapes.
     "store-key-renamed": (
         lambda h, a: _rename_arrays(a, "store/0/1/bias", "store/0/0/bias"),
-        "store/0/0/bias: array is not a tensor of the run's space",
+        "store/0/0/bias: checkpoint holds shape [8], the run holds nothing",
     ),
     "store-key-missing": (
         lambda h, a: _drop_array(a, "store/0/1/weight"),
-        "store/0/1/weight: array of the run's space is missing",
+        "store/0/1/weight: checkpoint holds nothing, the run holds shape [2, 8]",
     ),
     "store-shape": (
         lambda h, a: _reshape_array(a, "store/0/1/weight", lambda w: w.T.copy()),
-        "store/0/1/weight: shape [8, 2] is not [2, 8], the shape the run's space makes",
+        "store/0/1/weight: checkpoint holds shape [8, 2], the run holds shape [2, 8]",
     ),
     "head-shape": (
         lambda h, a: _reshape_array(a, "head/weight", lambda w: w.T.copy()),
-        "head/weight: shape [2, 8] is not [8, 2], the shape the run's space makes",
+        "head/weight: checkpoint holds shape [2, 8], the run holds shape [8, 2]",
     ),
     "head-bias-missing": (
         lambda h, a: _drop_array(a, "head/bias"),
-        "head/bias: array of the run's space is missing",
+        "head/bias: checkpoint holds nothing, the run holds shape [2]",
     ),
     "commit-slot-shape": (
         lambda h, a: _reshape_array(a, "commit_slots/adam|0/1/weight/m", lambda m: m.T.copy()),
-        "commit_slots/adam|0/1/weight/m: shape [8, 2] is not [2, 8], "
-        "the shape of the tensor its slot tracks",
+        "commit_slots/adam|0/1/weight/m: checkpoint holds shape [8, 2], "
+        "the run holds shape [2, 8]",
     ),
     "controller-slot-shape": (
         lambda h, a: _reshape_array(a, "controller/slots/adam|0/v", lambda v: np.append(v, 0.0)),
-        "controller/slots/adam|0/v: shape [3] is not [2], the shape of the tensor its slot tracks",
+        "controller/slots/adam|0/v: checkpoint holds shape [3], the run holds shape [2]",
     ),
     "slot-of-no-tensor": (
         lambda h, a: _rename_commit_slot(h, a, "adam|0/1/bias", "adam|0/0/bias"),
-        "field commit_slots.adam|0/0/bias is not the slot of a tensor in the checkpoint",
+        'commit_slots.adam|0/0/bias: checkpoint holds {"step": 2}, the run holds nothing',
+    ),
+    # Slots the run could not have made: the controller steps only by Adam,
+    # the space offers only sgd and adam, and the controller's Adam count
+    # follows from the step.
+    "controller-momentum-slot": (
+        lambda h, a: _add_slot(h, a, "controller/slots", "momentum|0", {"buf": np.zeros(2)}),
+        "controller.slots.momentum|0: checkpoint holds {}, the run holds nothing",
+    ),
+    "commit-rmsprop-slot": (
+        lambda h, a: _add_slot(h, a, "commit_slots", "rmsprop|0/1/bias", {"sq": np.zeros(8)}),
+        "commit_slots.rmsprop|0/1/bias: checkpoint holds {}, the run holds nothing",
+    ),
+    **{
+        f"controller-adam-step-{step}": (
+            lambda h, a, v=step: h["controller"]["slots"]["adam|1"].update(step=v),
+            f'controller.slots.adam|1: checkpoint holds {{"step": {step}}}, '
+            'the run holds {"step": 4}',
+        )
+        for step in (1, 100)
+    },
+    "controller-slot-dropped": (
+        lambda h, a: _drop_slot(h, a, "controller/slots", "adam|2"),
+        'controller.slots.adam|2: checkpoint holds nothing, the run holds {"step": 4}',
     ),
 }
 

@@ -294,6 +294,16 @@ def test_update_warmup_leaves_adam_slots_untouched():
     assert len(state.slots) == 0
 
 
+def test_warmup_steps_is_the_first_step_past_the_fraction():
+    # ``reinforce_update`` and the resume check both count warm-up by it.
+    fractions = [0.0, 0.1, 0.2, 0.3, 1 / 3, 0.5, 0.7, 0.9, 0.99, 1 - 2**-53]
+    for fraction, total in itertools.product(fractions, range(1, 61)):
+        search = SearchSection(total_meta_steps=total, warmup_fraction=fraction)
+        w = controller.warmup_steps(search)
+        for step in range(total + 2):
+            assert (step >= w) == (step >= fraction * total), (fraction, total, step)
+
+
 def test_update_rejects_empty_or_misshapen_samples():
     state = init_controller(space_with_cards([3, 2]))
     with pytest.raises(ValueError):

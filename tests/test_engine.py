@@ -581,6 +581,66 @@ def test_resume_after_any_crash_writes_the_uninterrupted_final_checkpoint(tmp_pa
                 assert fh.read() == uninterrupted, (crash_phase, crash_step)
 
 
+def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
+    """Run ``config`` (checkpoint interval 1) uninterrupted and return the
+    bytes of its checkpoint after each step, the final one last."""
+    path = config.output.checkpoint_path
+    saved = []
+
+    def copy(phase, step, weights):
+        if phase == "controller" and step > 0:  # the file holds step - 1's save
+            with open(path, "rb") as fh:
+                saved.append(fh.read())
+
+    search(config, audit=copy, **search_kw)
+    with open(path, "rb") as fh:
+        return saved + [fh.read()]
+
+
+def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
+    # Warm-up ends at step ceil(0.3 * 8) = 3, and the commits use every
+    # optimizer family, so each resume is compared with controller slots both
+    # absent and present, and with commit slots of each family.
+    path = str(tmp_path / "ck.ckpt")
+    doc = moons_doc(total=8, k=3, output={"checkpoint_path": path, "checkpoint_interval": 1})
+    doc["search"]["warmup_fraction"] = 0.3
+    basis = ["sgd", "momentum", "adam", "rmsprop"]
+    doc["space"]["hyperparameters"].append(
+        {"name": "optimizer", "kind": "categorical", "basis": basis}
+    )
+    config = parse_config(doc)
+    every = _checkpoint_of_every_step(config)
+    final = persist.load_checkpoint(path)
+    families = {family for (family, _), _ in final.commit_slots.items()}
+    assert families == {"momentum", "adam", "rmsprop"}
+    for done, data in enumerate(every, start=1):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert len(persist.load_checkpoint(path).controller.slots) == (3 if done > 3 else 0)
+        search(config, resume_from=path)
+        with open(path, "rb") as fh:
+            assert fh.read() == every[-1], done
+
+
+def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
+    def table(selection):
+        return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
+
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
+    every = _checkpoint_of_every_step(config, evaluate_override=table)
+    for done, slots in ((2, 0), (6, 3)):  # warm-up is the first ceil(0.3 * 10) = 3 steps
+        with open(path, "wb") as fh:
+            fh.write(every[done - 1])
+        resumed = persist.load_checkpoint(path)
+        assert resumed.meta_step == done
+        assert [slot["step"] for _, slot in resumed.controller.slots.items()] == [3] * slots
+        search(config, evaluate_override=table, resume_from=path)
+        with open(path, "rb") as fh:
+            assert fh.read() == every[-1], done
+
+
 def test_resume_under_new_output_paths_echoes_them(tmp_path):
     def config_for(tag):
         output = {

@@ -506,7 +506,7 @@ def test_ndtri_port_matches_scipy_at_branch_edges():
     z = [math.sqrt(-2.0 * math.log(y)) for y in switch]
     assert min(z) < 8.0 <= max(z)  # both tail branches are reached
     # The extreme open uniforms: word 0, and word 2**53 - 1, whose half-step
-    # offset rounds to 1.0 exactly.
+    # offset rounds to 1.0 exactly (``_open_uniform`` draws it as 1 - 2**-53).
     largest = (float(2**53 - 1) + 0.5) * 2.0**-53
     assert largest == 1.0 - 0.5 * 2.0**-53 == 1.0
     y = np.array(
@@ -526,6 +526,23 @@ def test_ndtri_port_matches_scipy_at_branch_edges():
         ]
     )
     assert _same_bits(numerics._ndtri(y), special.ndtri(y))
+
+
+def test_open_uniform_pulls_only_the_top_word_below_one(monkeypatch):
+    # The word whose top 53 bits are all ones would draw exactly 1.0 (see the
+    # branch-edge test), so ``normal`` would return infinity.
+    stream = RngStream(0, "top")
+    monkeypatch.setattr(stream, "_raw", lambda n: np.full(n, 2**64 - 1, dtype=np.uint64))
+    assert stream._open_uniform(2).tolist() == [1.0 - 2.0**-53] * 2
+    assert stream.normal() == numerics._ndtri(np.array([1.0 - 2.0**-53]))[0]
+    assert 8.0 < stream.normal() < math.inf
+    # Every other word, the one just below included, draws what it drew before.
+    edges = np.array([2**64 - 2**11 - 1, 0], dtype=np.uint64)  # top 53 bits 2**53 - 2
+    words = np.concatenate([RngStream(5, "words")._raw(2**16), edges])
+    monkeypatch.setattr(stream, "_raw", lambda n: words[:n].copy())
+    plain = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert plain[-2] == 1.0 - 2.0**-52
+    assert _same_bits(stream._open_uniform(len(words)), plain)
 
 
 def test_rng_normal_known_answers():

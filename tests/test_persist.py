@@ -499,8 +499,6 @@ HEADER_FIELDS = [
     "controller.logits",
     "controller.baseline",
     "controller.slots",
-    "controller.slots.adam|0.step",
-    "commit_slots.adam|0/1/weight.step",
 ]
 
 
