@@ -15,7 +15,7 @@ import numpy as np
 from . import engine
 from .config import ConfigError, load_config
 from .persist import read_events
-from .space import build_space
+from .space import DerivedConfig, build_space
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,16 +94,35 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_derived(space, path: str):
-    from .space import DerivedConfig
-
+def _load_derived(space, path: str) -> DerivedConfig:
+    """The ``derived`` object of the result file at ``path``, or the whole
+    document; ``ValueError`` names the file and the first field that is
+    missing or that ``space`` could not have derived. A continuous value need
+    only be finite, since ``engine.retrain`` takes it as given."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    derived_doc = doc.get("derived", doc)
-    arch = tuple(int(i) for i in derived_doc["arch"])
-    by_name = derived_doc["hyperparameters"]
-    values = tuple(by_name[d.name] for d in space.hyper_decisions)
-    return DerivedConfig(arch, values)
+    prefix = "derived." if isinstance(doc, dict) and "derived" in doc else ""
+    derived = doc["derived"] if prefix else doc
+
+    def check(ok: bool, name: str, what: str) -> None:
+        if not ok:
+            raise ValueError(f"{path}: field {prefix}{name} is missing or not {what}")
+
+    arch = derived.get("arch") if isinstance(derived, dict) else None
+    cards = [len(d.candidates) for d in space.arch_decisions]
+    fits = isinstance(arch, list) and len(arch) == len(cards)
+    fits = fits and all(type(i) is int and 0 <= i < c for i, c in zip(arch, cards))
+    check(fits, "arch", f"a list of one op index per layer, within {cards}")
+    by_name = derived.get("hyperparameters")
+    check(isinstance(by_name, dict), "hyperparameters", "an object")
+    for d in space.hyper_decisions:
+        value, name = by_name.get(d.name), f"hyperparameters.{d.name}"
+        if d.kind == "categorical":
+            check(value in d.basis, name, f"one of {list(d.basis)}")
+        else:  # a NaN fails the comparison, an int too large for a float too
+            finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+            check(finite, name, "a finite number")
+    return DerivedConfig(tuple(arch), tuple(by_name[d.name] for d in space.hyper_decisions))
 
 
 def _cmd_retrain(args) -> int:

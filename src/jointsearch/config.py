@@ -174,10 +174,6 @@ class EngineConfig:
     retrain: RetrainSection
     output: OutputSection
 
-    def sections_for_resume(self) -> tuple:
-        # Output paths may legitimately differ between a run and its resume.
-        return (self.space, self.data, self.search, self.retrain)
-
 
 @dataclass(frozen=True)
 class _Geometric:  # a hyperparameter's ``geometric`` sugar: make_continuous_basis's arguments

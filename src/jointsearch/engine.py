@@ -163,28 +163,32 @@ def _draw_batches(
     return list(zip(dataset.features[idx], dataset.labels[idx]))
 
 
+def _fresh(space: SearchSpace, seed: int, uses_network: bool) -> persist.Checkpoint:
+    """The state a run starts from: uniform controller logits and, when the
+    run trains networks, the store and head that ``supernet.init_weights``
+    draws from the seed's ``init`` stream."""
+    ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
+    if uses_network:
+        init = supernet.init_weights(space, RngStream(seed, "init"))
+        ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
+    return ckpt
+
+
 def _resumable(
     config: EngineConfig, space: SearchSpace, path: str, uses_network: bool
 ) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
-    written it: every section but the output paths must match, its step must
-    lie within the run, its controller must hold one logit row per decision
-    of ``space``, with that decision's cardinality, and its reward history
-    must hold K records for each step before its own, in step order, each
-    selecting within ``space``. A table-driven run drops the network state,
-    commit slots included. Last, ``persist.check_layout`` compares every
-    optimizer slot and array with those the run itself holds after that many
-    steps: the store of ``supernet.store_shapes(space)`` and the head, when
-    the run trains networks; one controller Adam slot per decision, its
-    ``step`` the number of steps past warm-up, once there is one; and each
-    commit slot of the file whose optimizer the space can select and whose
-    tensor is in the store, as ``SlotStore.get`` makes it, its Adam ``step``
-    taken from the file. The step is the only counter a checkpoint keeps;
-    ``search`` derives the rest from it."""
-    from .config import parse_config
-
+    written it: its config echo must equal ``config_to_dict(config)`` but for
+    the output paths, and its step, controller rows and reward history must
+    fit the run. Then ``persist.check_layout`` compares its optimizer slots
+    and arrays with those the run holds after that many steps: ``_fresh``'s
+    store and head (none in a table-driven run), one controller Adam slot per
+    decision past warm-up, and each commit slot of the file that the space
+    could make, its Adam ``step`` taken as written (only a replay could check
+    it)."""
     ckpt = persist.load_checkpoint(path)
-    if parse_config(ckpt.config_echo).sections_for_resume() != config.sections_for_resume():
+    echo, ours = ckpt.config_echo, config_to_dict(config)
+    if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
         raise ConfigError(
             "checkpoint was produced by a different configuration; "
             "only output paths may differ on resume"
@@ -203,28 +207,19 @@ def _resumable(
         sel = record.selection
         fits = len(sel) == len(cards) and all(0 <= j < c for j, c in zip(sel, cards))
         check(path, fits, f"reward_history[{i}].selection", f"a selection within {cards}")
-    held = persist.Checkpoint({}, done, ctrl.init_controller(space))
+    held = _fresh(space, config.data.seed, uses_network)
     updates = done - ctrl.warmup_steps(config.search)
     if updates > 0:  # each step past warm-up made one Adam update of every row
         for d, z in enumerate(held.controller.logits):
             held.controller.slots.get("adam", d, z)["step"] = updates
-    if not uses_network:
-        ckpt.store, ckpt.head_weight, ckpt.head_bias = {}, None, None
-        ckpt.commit_slots = SlotStore()
-    elif ckpt.head_weight is None:
-        raise ValueError(f"{path}: checkpoint has no network state to resume from")
-    else:
-        held.store = {key: np.zeros(shape) for key, shape in supernet.store_shapes(space).items()}
-        held.head_weight = np.zeros((space.last_width, space.num_classes))
-        held.head_bias = np.zeros(space.num_classes)
-        default = (TrainerSpec().optimizer,)
-        optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
-        for (family, key), slot in ckpt.commit_slots.items():
-            if family in optimizers and key in held.store:
-                made = held.commit_slots.get(family, key, held.store[key])
-                for name, value in slot.items():  # update counts only a replay could check
-                    if type(made.get(name)) is int and type(value) is int:
-                        made[name] = value
+    default = (TrainerSpec().optimizer,)
+    optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
+    for (family, key), slot in ckpt.commit_slots.items():
+        if family in optimizers and key in held.store:
+            made = held.commit_slots.get(family, key, held.store[key])
+            for name, value in slot.items():  # update counts only a replay could check
+                if type(made.get(name)) is int and type(value) is int:
+                    made[name] = value
     persist.check_layout(path, held, ckpt)
     return ckpt
 
@@ -243,15 +238,13 @@ def search(
     shared store is involved (useful for tabular studies of the controller).
     ``audit`` is called after each phase with (phase, step, weights).
 
-    The whole resumable state is one ``persist.Checkpoint``: a fresh run
+    The whole resumable state is one ``persist.Checkpoint``: ``_fresh``
     builds it, a resume loads it, each meta-step advances it in place (the
     network weights share its arrays), and each save writes it as it stands
     with the current config echoed, so output paths may change on resume.
     The last meta-step always saves; a run with no step left saves once.
     Its meta-step is the one step counter: the controller's warm-up, its
-    baseline start and its RNG stream position all follow from it, so a
-    table-driven resume continues from the table-driven stream position
-    even when the checkpoint came from a network run.
+    baseline start and its RNG stream position all follow from it.
     """
     space = build_space(config.space)
     settings = config.search
@@ -263,10 +256,7 @@ def search(
         splits = setup_run(config, space)
 
     if resume_from is None:
-        ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
-        if uses_network:
-            init = supernet.init_weights(space, RngStream(seed, "init"))
-            ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
+        ckpt = _fresh(space, seed, uses_network)
     else:
         ckpt = _resumable(config, space, resume_from, uses_network)
     ckpt.config_echo = config_to_dict(config)
@@ -286,11 +276,11 @@ def search(
         directory = os.path.dirname(config.output.log_path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        # A resumed log keeps only the steps before the checkpoint, since the
-        # run repeats the rest; a fresh or empty log starts with its header.
+        # A resumed log keeps the steps before the checkpoint, since the run
+        # repeats the rest; a fresh or missing log starts with its header.
         kept = 0
         if resume_from is not None and os.path.exists(config.output.log_path):
-            kept = persist.truncate_events(config.output.log_path, start)
+            kept = persist.truncate_events(config.output.log_path, start, ckpt.store_digest)
         log_fh = open(config.output.log_path, "a" if kept else "w", encoding="utf-8")
         if not kept:
             log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")

@@ -137,15 +137,16 @@ def write_event(fh, record: EventRecord) -> None:
     fh.flush()
 
 
-def truncate_events(path: str, meta_step: int) -> int:
+def truncate_events(path: str, meta_step: int, digest: str) -> int:
     """Cut the log at ``path`` back to its header and the records of steps
     before ``meta_step``, leaving the kept lines byte-identical; returns the
-    number of bytes kept.
-
-    Records are written in step order, so the cut is at the first line that is
-    neither the header nor an earlier step; that also drops a torn final line.
+    number of bytes kept. Those records must be one per step from 0, in order,
+    the last carrying ``digest``, the resumed checkpoint's store digest; if
+    not, the log is another run's, and ``ValueError`` names the file and the
+    first step missing or mismatched, cutting nothing. The cut is at the first
+    line past those records, which also drops a torn final line.
     """
-    offset = 0
+    offset, step = 0, 0
     with open(path, "r+b") as fh:
         for line in fh:
             if line.strip():
@@ -153,9 +154,17 @@ def truncate_events(path: str, meta_step: int) -> int:
                     doc = json.loads(line)
                 except json.JSONDecodeError:
                     break
-                if "decisions" not in doc and doc.get("meta_step", meta_step) >= meta_step:
+                if not isinstance(doc, dict):
                     break
+                if "decisions" not in doc:  # a record, not the header
+                    if step == meta_step or doc.get("meta_step") != step:
+                        break
+                    if step == meta_step - 1 and doc.get("store_digest") != digest:
+                        break
+                    step += 1
             offset += len(line)
+        if step < meta_step:
+            raise ValueError(f"{path}: event log holds no record of step {step} of the resumed run")
         fh.truncate(offset)
     return offset
 

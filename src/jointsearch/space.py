@@ -47,12 +47,6 @@ class OperationSpec:
     in_width: int
 
     @property
-    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
-        if self.kind == OP_IDENTITY:
-            return ()
-        return ((self.in_width, self.width), (self.width,))
-
-    @property
     def has_params(self) -> bool:
         return self.kind != OP_IDENTITY
 

@@ -80,32 +80,21 @@ class SubModelView:
     cost: float
 
 
-def store_shapes(space: SearchSpace) -> dict[ParamKey, tuple[int, ...]]:
-    """The shape of every store tensor of ``space``, by key: layers in order,
-    candidates in order, weight ``(in_width, width)`` before bias ``(width,)``."""
-    shapes = {}
-    for decision in space.arch_decisions:
-        for op_index, op in enumerate(decision.candidates):
-            if op.has_params:
-                w_shape, b_shape = op.param_shapes
-                shapes[ParamKey(decision.layer_id, op_index, "weight")] = w_shape
-                shapes[ParamKey(decision.layer_id, op_index, "bias")] = b_shape
-    return shapes
-
-
 def init_weights(space: SearchSpace, rng: RngStream) -> SuperModelWeights:
     """Fresh store: affine weights uniform in ±1/sqrt(fan_in), biases zero.
 
-    Draw order is fixed (``store_shapes`` order, head last), so a given
+    Draw order is fixed (layers in order, candidates in order, each weight
+    ``(in_width, width)`` before its bias ``(width,)``, head last), so a given
     stream state determines every tensor.
     """
     store: dict[ParamKey, np.ndarray] = {}
-    for key, shape in store_shapes(space).items():
-        if key.name == "weight":
-            scale = 1.0 / math.sqrt(shape[0])  # fan_in
-            store[key] = (rng.uniform(shape) * 2.0 - 1.0) * scale
-        else:
-            store[key] = np.zeros(shape)
+    for decision in space.arch_decisions:
+        for op_index, op in enumerate(decision.candidates):
+            if op.has_params:
+                weight = rng.uniform((op.in_width, op.width)) * 2.0 - 1.0
+                scale = 1.0 / math.sqrt(op.in_width)  # fan_in
+                store[ParamKey(decision.layer_id, op_index, "weight")] = weight * scale
+                store[ParamKey(decision.layer_id, op_index, "bias")] = np.zeros(op.width)
     head_scale = 1.0 / math.sqrt(space.last_width)
     head_weight = (rng.uniform((space.last_width, space.num_classes)) * 2.0 - 1.0) * head_scale
     head_bias = np.zeros(space.num_classes)

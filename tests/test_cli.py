@@ -558,6 +558,88 @@ def test_resume_with_different_config_exits_one(capsys, tmp_path):
     assert "different configuration" in capsys.readouterr().err
 
 
+def _reseal(ckpt, edit):
+    """Apply ``edit`` to the header of checkpoint ``ckpt`` and re-seal it."""
+    data = ckpt.read_bytes()
+    newline = data.index(b"\n")
+    header = json.loads(data[:newline])
+    edit(header)
+    body = json.dumps(header, sort_keys=True).encode() + data[newline:-64]
+    ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h["config"]["search"].update(meta_lr=0.5),
+        lambda h: h.update(config=[h["config"]]),
+        lambda h: h.update(config=None),
+        lambda h: h["config"]["search"].pop("meta_lr"),
+    ],
+    ids=["meta-lr", "list", "null", "meta-lr-missing"],
+)
+def test_resume_from_resealed_checkpoint_of_another_config_exits_one(capsys, tmp_path, edit):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    _reseal(ckpt, edit)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 1
+    assert "different configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "output",
+    [{"result_path": "elsewhere.json", "checkpoint_interval": 5}, None, "not an object"],
+)
+def test_resume_from_checkpoint_whose_echo_differs_only_in_output(capsys, tmp_path, output):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    original = ckpt.read_bytes()
+    _reseal(ckpt, lambda h: h["config"].update(output=output))
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == original  # the save echoes the config it ran
+
+
+def test_resume_refuses_a_stale_event_log_and_leaves_it_untouched(capsys, tmp_path):
+    from jointsearch import engine
+    from jointsearch.config import load_config
+
+    log, ckpt = tmp_path / "events.jsonl", tmp_path / "run.ckpt"
+    extra = {"log_path": str(log), "checkpoint_path": str(ckpt), "checkpoint_interval": 3}
+    code, _, cfg = run_search(tmp_path, "run", doc_extra=extra, total=9)
+    assert code == 0
+    complete = log.read_bytes()
+
+    def crash(phase, step, weights):
+        if (phase, step) == ("controller", 2):
+            raise RuntimeError("simulated crash")
+
+    # A rerun that crashes before its first save rewrites the log but leaves
+    # the step-9 checkpoint, so the log no longer holds that run's steps.
+    with pytest.raises(RuntimeError):
+        engine.search(load_config(cfg), audit=crash)
+    stale = log.read_bytes()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{log}: event log holds no record of step 2 of the resumed run" in err
+    assert log.read_bytes() == stale
+    # All nine steps, the last of another store, are refused as well.
+    lines = complete.decode().splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    last["store_digest"] = "0" * 16
+    log.write_text("".join(lines[:-1]) + json.dumps(last) + "\n")
+    edited = log.read_bytes()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{log}: event log holds no record of step 8 of the resumed run" in err
+    assert log.read_bytes() == edited
+    # The log of the checkpoint's own run resumes, and is kept as it is.
+    log.write_bytes(complete)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    assert log.read_bytes() == complete
+
+
 # ---------------------------------------------------------------------------
 # retrain and baseline
 # ---------------------------------------------------------------------------
@@ -601,7 +683,94 @@ def test_retrain_refuses_a_list_dropout_keep(capsys, tmp_path):
     derived = {"learning_rate": 0.01, "optimizer": "sgd", "dropout_keep": [0.5]}
     result.write_text(json.dumps({"derived": {"arch": [1], "hyperparameters": derived}}))
     assert main(["retrain", "--config", cfg, "--from-result", str(result)]) == 2
+    expected = f"{result}: field derived.hyperparameters.dropout_keep is missing or not a finite"
+    assert expected in capsys.readouterr().err
+    # A finite value off the basis gets past the result checks; the trainer
+    # still refuses one outside its range.
+    derived["dropout_keep"] = 1.5
+    result.write_text(json.dumps({"derived": {"arch": [1], "hyperparameters": derived}}))
+    assert main(["retrain", "--config", cfg, "--from-result", str(result)]) == 2
     assert "dropout_keep must be a number in (0, 1]" in capsys.readouterr().err
+
+
+# Edits of the search result's ``derived`` object (arch and hyperparameters),
+# each with the field retrain must name when it refuses the file. The space
+# has one layer of 2 candidates, a continuous learning rate and an optimizer
+# of basis ["sgd", "adam"].
+ARCH = "derived.arch is missing or not a list of one op index per layer, within [2]"
+RESULT_DEFECTS = {
+    "arch-negative": (lambda d: d.update(arch=[-1]), ARCH),
+    "arch-past-candidates": (lambda d: d.update(arch=[2]), ARCH),
+    "arch-float": (lambda d: d.update(arch=[1.9]), ARCH),
+    "arch-bool": (lambda d: d.update(arch=[True]), ARCH),
+    "arch-text": (lambda d: d.update(arch=["1"]), ARCH),
+    "arch-length": (lambda d: d.update(arch=[1, 0]), ARCH),
+    "arch-missing": (lambda d: d.pop("arch"), ARCH),
+    "hyperparameters-missing": (
+        lambda d: d.pop("hyperparameters"),
+        "derived.hyperparameters is missing or not an object",
+    ),
+    "hyperparameters-list": (
+        lambda d: d.update(hyperparameters=[0.01, "sgd"]),
+        "derived.hyperparameters is missing or not an object",
+    ),
+    **{
+        f"learning-rate-{name}": (
+            lambda d, v=value: d["hyperparameters"].update(learning_rate=v),
+            "derived.hyperparameters.learning_rate is missing or not a finite number",
+        )
+        for name, value in [
+            ("nan", float("nan")),
+            ("infinity", float("inf")),
+            ("too-large", 10**400),
+            ("text", "0.01"),
+            ("bool", True),
+            ("null", None),
+        ]
+    },
+    "learning-rate-missing": (
+        lambda d: d["hyperparameters"].pop("learning_rate"),
+        "derived.hyperparameters.learning_rate is missing or not a finite number",
+    ),
+    **{
+        f"optimizer-{name}": (
+            lambda d, v=value: d["hyperparameters"].update(optimizer=v),
+            "derived.hyperparameters.optimizer is missing or not one of ['sgd', 'adam']",
+        )
+        for name, value in [("off-basis", "rmsprop"), ("index", 1), ("list", ["sgd"])]
+    },
+    "optimizer-missing": (
+        lambda d: d["hyperparameters"].pop("optimizer"),
+        "derived.hyperparameters.optimizer is missing or not one of ['sgd', 'adam']",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", RESULT_DEFECTS)
+def test_retrain_refuses_a_result_the_space_could_not_derive(capsys, tmp_path, defect):
+    code, result_path, cfg = run_search(tmp_path, "run")
+    assert code == 0
+    doc = json.loads(result_path.read_text())
+    edit, expected = RESULT_DEFECTS[defect]
+    edit(doc["derived"])
+    result_path.write_text(json.dumps(doc))
+    assert main(["retrain", "--config", cfg, "--from-result", str(result_path)]) == 2
+    assert f"runtime error: {result_path}: field {expected}" in capsys.readouterr().err
+
+
+def test_retrain_reads_a_bare_derived_document_and_names_its_fields(capsys, tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", base_doc())
+    result = tmp_path / "derived.json"
+    # A continuous value off the basis is kept as given.
+    derived = {"arch": [1], "hyperparameters": {"learning_rate": 0.0123, "optimizer": "adam"}}
+    result.write_text(json.dumps(derived))
+    out = tmp_path / "metrics.json"
+    assert main(["retrain", "--config", cfg, "--from-result", str(result), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["derived"] == derived
+    for doc in ({"arch": [-1], "hyperparameters": derived["hyperparameters"]}, [1]):
+        result.write_text(json.dumps(doc))
+        assert main(["retrain", "--config", cfg, "--from-result", str(result)]) == 2
+        assert f"{result}: field arch is missing" in capsys.readouterr().err
 
 
 def test_baseline_random_runs_requested_trials(capsys, tmp_path):

@@ -671,7 +671,10 @@ def test_resume_under_new_output_paths_echoes_them(tmp_path):
         assert fh.read() == uninterrupted
 
 
-def test_table_driven_resume_writes_no_network_state(tmp_path):
+def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
+    # A table-driven run holds no store, head or commit slot, so check_layout
+    # names the first of them that the network checkpoint holds, and the
+    # first store array a network run holds that the table-driven one lacks.
     path = str(tmp_path / "ck.ckpt")
     doc = moons_doc(total=3, output={"checkpoint_path": path})
     doc["space"]["hyperparameters"].append(
@@ -679,16 +682,28 @@ def test_table_driven_resume_writes_no_network_state(tmp_path):
     )
     config = parse_config(doc)
     search(config)
-    network = persist.load_checkpoint(path)
-    assert network.head_weight is not None and len(network.commit_slots) > 0
-    search(config, evaluate_override=lambda selection: (0.5, 1.0), resume_from=path)
-    loaded = persist.load_checkpoint(path)
-    assert loaded.store == {} and loaded.head_weight is None and loaded.head_bias is None
-    assert len(loaded.commit_slots) == 0  # a commit slot tracks a store tensor
-    # Nor can a network run resume from it.
+    with open(path, "rb") as fh:
+        network = fh.read()
+
+    def table(selection):
+        return 0.5, 1.0
+
+    with pytest.raises(ValueError) as err:
+        search(config, evaluate_override=table, resume_from=path)
+    assert str(err.value) == (
+        f'{path}: commit_slots.adam|0/1/bias: checkpoint holds {{"step": 3}}, '
+        "the run holds nothing"
+    )
+    with open(path, "rb") as fh:
+        assert fh.read() == network
+    os.remove(path)
+    search(config, evaluate_override=table)
+    assert persist.load_checkpoint(path).head_weight is None
     with pytest.raises(ValueError) as err:
         search(config, resume_from=path)
-    assert str(err.value) == f"{path}: checkpoint has no network state to resume from"
+    assert str(err.value) == (
+        f"{path}: store/0/1/bias: checkpoint holds nothing, the run holds shape [8]"
+    )
 
 
 def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -790,9 +791,64 @@ def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
             write_event(fh, event)
         fh.write('{"meta_step": 6, "mean_re')  # torn by a crash mid-write
     full = path.read_bytes()
-    kept = truncate_events(str(path), 4)
+    kept = truncate_events(str(path), 4, "00" * 8)
     assert kept == len(path.read_bytes())
     assert full.startswith(path.read_bytes())
     header, records = read_events(str(path))
     assert header is not None
     assert [r.meta_step for r in records] == [0, 1, 2, 3]
+
+
+def test_truncate_events_at_step_zero_keeps_only_the_header(tmp_path):
+    path = tmp_path / "events.jsonl"
+    with open(path, "w") as fh:
+        fh.write(event_header(["layer0"], [2]) + "\n")
+        for event in sample_events(3):
+            write_event(fh, event)
+    assert truncate_events(str(path), 0, "unused") == len(event_header(["layer0"], [2])) + 1
+    assert read_events(str(path)) == (json.loads(event_header(["layer0"], [2])), [])
+
+
+def _stale_log(path, steps, digest_of=lambda step: "00" * 8):
+    with open(path, "w") as fh:
+        fh.write(event_header(["layer0"], [2]) + "\n")
+        for step in steps:
+            event = replace(sample_events(1)[0], meta_step=step, store_digest=digest_of(step))
+            write_event(fh, event)
+
+
+@pytest.mark.parametrize(
+    "steps, meta_step, digest, missing",
+    [
+        ([0, 1], 4, "d3", 2),
+        ([], 1, "d0", 0),
+        ([0, 2, 3], 3, "d2", 1),
+        ([0, 1, 1, 2], 3, "d2", 2),
+        ([1, 2], 2, "d1", 0),
+        ([0, 1, 2], 2, "ck", 1),  # step 1 logged another store than the checkpoint's
+    ],
+)
+def test_truncate_events_refuses_a_log_of_another_run_and_cuts_nothing(
+    tmp_path, steps, meta_step, digest, missing
+):
+    path = tmp_path / "events.jsonl"
+    _stale_log(path, steps, lambda step: f"d{step}")
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        truncate_events(str(path), meta_step, digest)
+    expected = f"{path}: event log holds no record of step {missing} of the resumed run"
+    assert str(err.value) == expected
+    assert path.read_bytes() == before
+
+
+def test_truncate_events_refuses_a_torn_record_before_the_resume_step(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _stale_log(path, [0, 1])
+    with open(path, "a") as fh:
+        fh.write('{"meta_step": 2, "mean_re\n')  # torn by a crash mid-write
+        write_event(fh, replace(sample_events(1)[0], meta_step=3))
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        truncate_events(str(path), 3, "00" * 8)
+    assert str(err.value) == f"{path}: event log holds no record of step 2 of the resumed run"
+    assert path.read_bytes() == before
