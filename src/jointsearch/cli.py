@@ -97,8 +97,9 @@ def _cmd_search(args) -> int:
 def _load_derived(space, path: str) -> DerivedConfig:
     """The ``derived`` object of the result file at ``path``, or the whole
     document; ``ValueError`` names the file and the first field that is
-    missing or that ``space`` could not have derived. A continuous value need
-    only be finite, since ``engine.retrain`` takes it as given."""
+    missing, that ``space`` does not search or that it could not have
+    derived. A continuous value need only be finite, since ``engine.retrain``
+    takes it as given."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     prefix = "derived." if isinstance(doc, dict) and "derived" in doc else ""
@@ -115,6 +116,13 @@ def _load_derived(space, path: str) -> DerivedConfig:
     check(fits, "arch", f"a list of one op index per layer, within {cards}")
     by_name = derived.get("hyperparameters")
     check(isinstance(by_name, dict), "hyperparameters", "an object")
+    searched = {d.name for d in space.hyper_decisions}
+    for name in by_name:
+        if name not in searched:
+            raise ValueError(
+                f"{path}: field {prefix}hyperparameters.{name} is not a hyperparameter "
+                "the space searches"
+            )
     for d in space.hyper_decisions:
         value, name = by_name.get(d.name), f"hyperparameters.{d.name}"
         if d.kind == "categorical":

@@ -18,7 +18,7 @@ Cephes calls: numpy's own ``log`` differs from it by an ulp on some inputs.
 from __future__ import annotations
 
 import math
-from typing import Hashable, NamedTuple
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "check_labels",
     "softmax",
     "softmax_cross_entropy",
+    "cross_entropy_gradient",
     "backward",
 ]
 
@@ -85,24 +86,40 @@ def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray
     """
     z = logits
     y = check_labels(labels, z.shape)
-    n = max(z.shape[0], 1)  # an empty eval batch has a nan loss and an empty gradient
     m = z.max(axis=1, keepdims=True)
     e = np.exp(z - m)
     total = e.sum(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(total[:, 0])
     # loss_i = logsumexp(z_i) - <y_i, z_i>  (valid for any distribution row y_i)
     loss = float((lse - (y * z).sum(axis=1)).mean())
+    return loss, _loss_gradient(e, total, y)
+
+
+def cross_entropy_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient ``softmax_cross_entropy`` returns, bit for bit, without
+    its loss or label checks: ``y`` must be labels ``check_labels`` passed."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return _loss_gradient(e, e.sum(axis=1, keepdims=True), y)
+
+
+def _loss_gradient(e: np.ndarray, total: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # softmax - y over the row count, in place in ``e``; an empty eval batch
+    # has a nan loss and an empty gradient.
     e /= total
     e -= y
-    e *= 1.0 / n
-    return loss, e
+    e *= 1.0 / max(e.shape[0], 1)
+    return e
 
 
 def backward(
-    layers: list[Layer], head_weight: np.ndarray, grad_logits: np.ndarray
+    layers: list[Layer],
+    head_weight: np.ndarray,
+    grad_logits: np.ndarray,
+    out: Mapping[Hashable, np.ndarray] | None = None,
 ) -> dict[Hashable, np.ndarray]:
     """Gradients of every layer's weight and bias, by key, given the loss
-    gradient with respect to the logits.
+    gradient with respect to the logits. With ``out``, each gradient is
+    written into ``out``'s array for its key, and those arrays are returned.
 
     The chain runs from the fixed head down through the layers in reverse.
     Each weight and bias gradient gets ``+ 0.0``, which turns ``-0.0`` into
@@ -113,6 +130,7 @@ def backward(
     """
     g = grad_logits @ head_weight.T
     grads = {}
+    into = {} if out is None else out
     for i in range(len(layers) - 1, -1, -1):
         keys, inputs, weight, activation, out, scale = layers[i]
         # Every g is an array made here, so it is updated in place.
@@ -132,10 +150,10 @@ def backward(
             np.subtract(1.0, slope, out=slope)
             g *= slope
         if keys:
-            bias_grad = g.sum(axis=0)
+            bias_grad = np.sum(g, axis=0, out=into.get(keys[1]))
             bias_grad += 0.0
             grads[keys[1]] = bias_grad
-            weight_grad = inputs.T @ g
+            weight_grad = np.matmul(inputs.T, g, out=into.get(keys[0]))
             weight_grad += 0.0
             grads[keys[0]] = weight_grad
             if i:
@@ -165,13 +183,20 @@ def fnv1a64(data: bytes | str, state: int = _FNV_OFFSET) -> int:
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
+# The same constants as uint64 scalars, so no draw converts them. Arithmetic
+# on uint64 arrays wraps mod 2^64 without a warning.
+_GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = np.uint64(_GOLDEN), np.uint64(_MIX_A), np.uint64(_MIX_B)
+_U30, _U27, _U31, _U11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer over uint64 arrays; multiplications wrap mod 2^64.
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    # SplitMix64 finalizer over a uint64 array, in place.
+    z ^= z >> _U30
+    z *= _MIX_A_U64
+    z ^= z >> _U27
+    z *= _MIX_B_U64
+    z ^= z >> _U31
+    return z
 
 
 def _mix64_int(z: int) -> int:
@@ -272,6 +297,34 @@ def _ndtri(y0: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit(words: np.ndarray) -> np.ndarray:
+    # Uniforms in [0, 1) from the top 53 bits of each word.
+    words >>= _U11
+    return words.astype(np.float64) * 2.0**-53
+
+
+def _open_unit(words: np.ndarray) -> np.ndarray:
+    # (0, 1) exclusive, for inverse-CDF transforms. The top word's half step
+    # rounds up to 1.0, so it alone is pulled back below 1.
+    words >>= _U11
+    u = (words.astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53, out=u)
+
+
+def _targets(u: np.ndarray, positions: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    # Partial Fisher-Yates: entry ``i`` swaps with ``i + index(upper)``, the
+    # index drawn from the uniform ``u`` as ``RngStream.index`` draws it.
+    return positions + np.minimum((u * upper).astype(np.int64), upper - 1)
+
+
+def _shuffled(n: int, targets: list[int]) -> list[int]:
+    # The first len(targets) entries of range(n) after the swaps.
+    pool = list(range(n))
+    for i, j in enumerate(targets):
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[: len(targets)]
+
+
 class RngStream:
     """Named, counter-based pseudo-random stream.
 
@@ -288,28 +341,28 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self.name = name
         self.counter = int(counter)
-        self._key = _mix64_int(self.seed ^ fnv1a64(name))
+        self._key = np.uint64(_mix64_int(self.seed ^ fnv1a64(name)))
+
+    def _words(self, positions: np.ndarray) -> np.ndarray:
+        # Outputs at the 1-based uint64 ``positions``, computed in place.
+        positions *= _GOLDEN_U64
+        positions += self._key
+        return _mix64(positions)
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        positions = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._key) + idx * np.uint64(_GOLDEN)
-            return _mix64(state)
+        return self._words(positions)
 
     def uniform(self, shape=None):
         """Uniform draws in [0, 1); scalar when ``shape`` is None."""
         if shape is None:
-            return float((self._raw(1)[0] >> np.uint64(11)) * 2.0**-53)
+            return (int(self._raw(1)[0]) >> 11) * 2.0**-53
         shape, n = _dims(shape)
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return u.reshape(shape)
+        return _unit(self._raw(n)).reshape(shape)
 
     def _open_uniform(self, n: int) -> np.ndarray:
-        # (0, 1) exclusive, for inverse-CDF transforms. The top word's half
-        # step rounds up to 1.0, so it alone is pulled back below 1.
-        u = ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return np.minimum(u, 1.0 - 2.0**-53, out=u)
+        return _open_unit(self._raw(n))
 
     def normal(self, shape=None):
         """Standard normal draws via the inverse CDF (``_ndtri``)."""
@@ -330,6 +383,33 @@ class RngStream:
 
         return float(special.betaincinv(a, b, self._open_uniform(1)[0]))
 
+    def beta_permutations(
+        self, a: float, starts: Sequence[int], sizes: Sequence[int]
+    ) -> tuple[list[float], list[np.ndarray]]:
+        """For each ``i``, what ``beta(a, a)`` then ``permutation(sizes[i])``
+        return when run from counter ``starts[i]``, computed from one block of
+        words with one ``betaincinv`` call. The counter does not move."""
+        if a <= 0.0:
+            raise ValueError("beta shape parameters must be positive")
+        from scipy import special
+
+        sizes = np.asarray(sizes, dtype=np.int64)
+        lengths = sizes + 1  # the Beta word, then one word per permutation entry
+        firsts = np.cumsum(lengths) - lengths
+        within = np.arange(int(lengths.sum())) - np.repeat(firsts, lengths)
+        bases = np.array([(start + 1) & _MASK64 for start in starts], dtype=np.uint64)
+        words = self._words(np.repeat(bases, lengths) + within.astype(np.uint64))
+        lams = special.betaincinv(a, a, _open_unit(words[firsts])).tolist()
+        entry = within > 0
+        positions = within[entry] - 1
+        targets = _targets(_unit(words[entry]), positions, np.repeat(sizes, sizes) - positions)
+        bounds = np.cumsum(sizes).tolist()
+        partners = [
+            np.array(_shuffled(n, targets[end - n : end].tolist()), dtype=np.int64)
+            for n, end in zip(sizes.tolist(), bounds)
+        ]
+        return lams, partners
+
     def index(self, upper: int) -> int:
         """Uniform integer in [0, upper)."""
         if upper <= 0:
@@ -349,15 +429,8 @@ class RngStream:
         # one block of rows * k uniforms gives the same words as one row after
         # another and leaves the same counter.
         positions = np.arange(k, dtype=np.int64)
-        upper = n - positions
-        scaled = (self.uniform(shape) * upper).astype(np.int64)
-        targets = positions + np.minimum(scaled, upper - 1)
-        picked = []
-        for row in targets.reshape(rows, k).tolist():
-            pool = list(range(n))
-            for i, j in enumerate(row):
-                pool[i], pool[j] = pool[j], pool[i]
-            picked.append(pool[:k])
+        targets = _targets(self.uniform(shape), positions, n - positions)
+        picked = [_shuffled(n, row) for row in targets.reshape(rows, k).tolist()]
         return np.array(picked, dtype=np.int64).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -356,6 +356,14 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
+def _is_finite(value) -> bool:
+    # A JSON number a float can hold; an int too large for one is not.
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_record(doc) -> bool:
     if not isinstance(doc, dict) or set(doc) != _RECORD_FIELDS:
         return False
@@ -363,7 +371,7 @@ def _is_record(doc) -> bool:
     selection = doc["selection"]
     return (
         _is_count(doc["meta_step"])
-        and all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
+        and all(map(_is_finite, numbers))
         and isinstance(selection, list)
         and all(type(i) is int for i in selection)
     )
@@ -373,7 +381,7 @@ def _is_logit_table(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(row, list)
         and row
-        and all(type(z) in (int, float) and math.isfinite(z) for z in row)
+        and all(map(_is_finite, row))
         for row in value
     )
 
@@ -402,8 +410,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     _require(path, controller, "controller.", _CONTROLLER_FIELDS)
     check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
     baseline = controller["baseline"]
-    finite = type(baseline) in (int, float) and math.isfinite(baseline)
-    check_field(path, finite, "controller.baseline", "a finite number")
+    check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
     history = header["reward_history"]
     records = isinstance(history, list) and all(map(_is_record, history))
     check_field(path, records, "reward_history", "a list of reward records")

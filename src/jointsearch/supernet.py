@@ -12,8 +12,7 @@ the selection once and resolves, per layer, the decision, the chosen op and
 its store keys, plus the selection's MAC cost. ``forward`` is one numpy loop
 over a view's layers for both modes, reading the view's tensors from
 ``params`` (the store when omitted). In train mode it also keeps, per layer,
-the values the closed-form chain backward (``numerics.backward``) needs, and
-checks that every value it reads is finite.
+the values the closed-form chain backward (``numerics.backward``) needs.
 """
 from __future__ import annotations
 
@@ -120,11 +119,6 @@ def sub_view(space: SearchSpace, selection: Sequence[int]) -> SubModelView:
     return SubModelView(sel, all_keys, tuple(layers), float(macs))
 
 
-def _check_finite(values: np.ndarray, what) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} has non-finite entries")
-
-
 def forward(
     weights: SuperModelWeights,
     view: SubModelView,
@@ -145,8 +139,9 @@ def forward(
     returns the logits array, applies no dropout and keeps nothing. Train
     mode returns ``(logits, layers)``, where ``layers`` holds one
     ``numerics.Layer`` per layer for ``numerics.backward``; it raises
-    ``ValueError`` on an empty or non-finite batch and on a non-finite
-    selected tensor or head.
+    ``ValueError`` on an empty batch. The caller checks that the batch, the
+    head and the selected tensors are finite (``trainstep`` does so once per
+    value a step reads).
     """
     space = weights.space
     x = np.asarray(batch_x, dtype=np.float64)
@@ -163,11 +158,6 @@ def forward(
             raise ValueError("dropout requires an rng stream")
         if x.shape[0] == 0:
             raise ValueError("batch is empty")
-        _check_finite(x, "batch")
-        _check_finite(weights.head_weight, "head weight")
-        _check_finite(weights.head_bias, "head bias")
-        for key in view.keys:
-            _check_finite(params[key], key.text())
         x = np.ascontiguousarray(x)  # one layout for the weight-gradient matmul
     elif mode != EVAL:
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,17 +1,22 @@
 """Training-step machinery: trainer specs, optimizers, mixup, and the two
-weight-update paths (discardable temporary weights vs. committed shared-store
-steps). Both paths run the exact same per-step code, so a commit with a given
-rng state and batch reproduces the first temporary step bit for bit.
+weight-update paths, committed shared-store steps and discardable temporary
+weights.
 
-A step is mixup, one train-mode ``supernet.forward`` over the view's
-``params`` (the temporary copies or the store's own tensors) that keeps what
-the backward needs per layer, softmax cross-entropy, the closed-form chain
-``numerics.backward`` and one optimizer update. No autodiff tape is involved;
-the tests check these gradients bit for bit against a reference tape and
-against finite differences.
+A step is mixup, a finiteness check of every value it reads, one train-mode
+``supernet.forward`` that keeps what the backward needs per layer, the
+cross-entropy gradient, the closed-form chain ``numerics.backward`` and one
+optimizer update. No autodiff tape is involved; the tests check these
+gradients bit for bit against a reference tape and against finite
+differences. ``commit_step`` takes one step on the store's own tensors with
+per-key optimizer slots; ``make_temporary`` runs all of a candidate's steps
+from one plan of flat buffers and block draws. Both give the same tensors,
+errors and stream counter bit for bit, so a commit with a given stream and
+batch reproduces the first temporary step.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -62,6 +67,11 @@ SLOT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
+def _fresh_slot(family: str, like: np.ndarray) -> dict:
+    ints, arrays = SLOT_FIELDS[family]
+    return {**dict.fromkeys(ints, 0), **{name: np.zeros_like(like) for name in arrays}}
+
+
 class SlotStore:
     """Per-(optimizer family, key) optimizer state, created lazily."""
 
@@ -72,9 +82,7 @@ class SlotStore:
         slot_key = (family, key)
         slot = self._slots.get(slot_key)
         if slot is None:
-            ints, arrays = SLOT_FIELDS[family]
-            slot = {**dict.fromkeys(ints, 0), **{n: np.zeros_like(like) for n in arrays}}
-            self._slots[slot_key] = slot
+            slot = self._slots[slot_key] = _fresh_slot(family, like)
         return slot
 
     def items(self):
@@ -106,23 +114,84 @@ def trainer_from_derived(space: SearchSpace, derived, learning_rate: float = 0.0
     return TrainerSpec(**fields)
 
 
-def apply_mixup(batch: tuple[np.ndarray, np.ndarray], ratio: float, rng: RngStream):
-    """Blend the batch with a shuffled partner using one Beta(ratio, ratio) draw.
-
-    ``ratio == 0`` returns the batch unchanged and consumes no randomness.
-    """
+def _mixup_rows(batch: tuple[np.ndarray, np.ndarray], ratio: float):
+    # The batch, once mixup's arguments are checked.
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"mixup ratio must be in [0, 1], got {ratio}")
     x, y = batch
     if x.shape[0] != y.shape[0]:
         raise ValueError("features and labels disagree on batch size")
+    return x, y
+
+
+def _mix(x: np.ndarray, y: np.ndarray, lam: float, partner: np.ndarray):
+    return lam * x + (1.0 - lam) * x[partner], lam * y + (1.0 - lam) * y[partner]
+
+
+def apply_mixup(batch: tuple[np.ndarray, np.ndarray], ratio: float, rng: RngStream):
+    """Blend the batch with a shuffled partner using one Beta(ratio, ratio) draw.
+
+    ``ratio == 0`` returns the batch unchanged and consumes no randomness.
+    """
+    x, y = _mixup_rows(batch, ratio)
     if ratio == 0.0:
         return x, y
     lam = rng.beta(ratio, ratio)
-    partner = rng.permutation(x.shape[0])
-    mixed_x = lam * x + (1.0 - lam) * x[partner]
-    mixed_y = lam * y + (1.0 - lam) * y[partner]
-    return mixed_x, mixed_y
+    return _mix(x, y, lam, rng.permutation(x.shape[0]))
+
+
+def _update(
+    p: np.ndarray, g: np.ndarray, slot: dict | None, spec: TrainerSpec, a: np.ndarray, b: np.ndarray
+) -> None:
+    """One in-place update of ``p`` from its finite gradient ``g``.
+
+    Weight decay is decoupled: ``p`` is shrunk by ``lr * wd`` before the
+    gradient-based update. Every operation is elementwise, so one call on
+    concatenated tensors equals one call per tensor bit for bit. ``a`` and
+    ``b``, scratch arrays of ``p``'s shape, hold every intermediate, in the
+    order the update's formula reads.
+    """
+    lr = spec.learning_rate
+    if spec.weight_decay != 0.0:
+        p *= 1.0 - lr * spec.weight_decay
+    if spec.optimizer == "sgd":
+        np.multiply(lr, g, out=a)
+        p -= a
+    elif spec.optimizer == "momentum":
+        buf = slot["buf"]
+        buf *= MOMENTUM
+        buf += g
+        np.multiply(lr, buf, out=a)
+        p -= a
+    elif spec.optimizer == "adam":
+        slot["step"] += 1
+        t = slot["step"]
+        m, v = slot["m"], slot["v"]
+        m *= ADAM_BETA1
+        np.multiply(1.0 - ADAM_BETA1, g, out=b)
+        m += b
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
+        v += a
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=b)  # m_hat
+        np.divide(v, 1.0 - ADAM_BETA2**t, out=a)  # v_hat
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        b *= lr
+        b /= a
+        p -= b  # lr * m_hat / (sqrt(v_hat) + eps)
+    else:  # rmsprop
+        sq = slot["sq"]
+        sq *= RMSPROP_RHO
+        np.multiply(g, g, out=a)
+        a *= 1.0 - RMSPROP_RHO
+        sq += a
+        np.sqrt(sq, out=a)
+        a += RMSPROP_EPS
+        np.multiply(lr, g, out=b)
+        b /= a
+        p -= b  # lr * g / (sqrt(sq) + eps)
 
 
 def optimizer_step(
@@ -131,82 +200,30 @@ def optimizer_step(
     slots: SlotStore,
     spec: TrainerSpec,
 ) -> None:
-    """One in-place update of every tensor in ``params``.
+    """One in-place update (``_update``) of every tensor in ``params``.
 
-    Weight decay is decoupled: parameters are shrunk by ``lr * wd`` before the
-    gradient-based update. Keys are visited in sorted order so the update
-    sequence never depends on dict construction order. Each update allocates
-    at most two temporaries of the tensor's shape, ``a`` and ``b``, and reuses
-    them for every intermediate, in the order the update's formula reads.
+    Keys are visited in sorted order, so the update sequence never depends
+    on dict construction order and the first non-finite gradient found is
+    the same on every call.
     """
-    lr = spec.learning_rate
-    wd = spec.weight_decay
+    family = spec.optimizer
     for key in sorted(params):
         p = params[key]
         g = grads[key]
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {key}")
-        if wd != 0.0:
-            p *= 1.0 - lr * wd
-        if spec.optimizer == "sgd":
-            p -= lr * g
-        elif spec.optimizer == "momentum":
-            slot = slots.get("momentum", key, p)
-            buf = slot["buf"]
-            buf *= MOMENTUM
-            buf += g
-            p -= lr * buf
-        elif spec.optimizer == "adam":
-            slot = slots.get("adam", key, p)
-            slot["step"] += 1
-            t = slot["step"]
-            m, v = slot["m"], slot["v"]
-            m *= ADAM_BETA1
-            b = (1.0 - ADAM_BETA1) * g
-            m += b
-            v *= ADAM_BETA2
-            a = g * g
-            a *= 1.0 - ADAM_BETA2
-            v += a
-            np.divide(m, 1.0 - ADAM_BETA1**t, out=b)  # m_hat
-            np.divide(v, 1.0 - ADAM_BETA2**t, out=a)  # v_hat
-            np.sqrt(a, out=a)
-            a += ADAM_EPS
-            b *= lr
-            b /= a
-            p -= b  # lr * m_hat / (sqrt(v_hat) + eps)
-        else:  # rmsprop
-            slot = slots.get("rmsprop", key, p)
-            sq = slot["sq"]
-            sq *= RMSPROP_RHO
-            a = g * g
-            a *= 1.0 - RMSPROP_RHO
-            sq += a
-            np.sqrt(sq, out=a)
-            a += RMSPROP_EPS
-            b = lr * g
-            b /= a
-            p -= b  # lr * g / (sqrt(sq) + eps)
+        slot = None if family == "sgd" else slots.get(family, key, p)
+        _update(p, g, slot, spec, np.empty_like(p), np.empty_like(p))
 
 
-def _train_step(
-    weights: SuperModelWeights,
-    view: SubModelView,
-    params: dict[ParamKey, np.ndarray],
-    spec: TrainerSpec,
-    batch: tuple[np.ndarray, np.ndarray],
-    slots: SlotStore,
-    rng: RngStream,
-) -> None:
-    """One full step (mixup, train-mode forward, backward, optimizer) applied
-    to the tensors in ``params``."""
-    x, y = apply_mixup(batch, spec.mixup_ratio, rng)
-    logits, layers = supernet.forward(
-        weights, view, x, supernet.TRAIN, params=params, dropout_keep=spec.dropout_keep, rng=rng
-    )
-    _, grad_logits = numerics.softmax_cross_entropy(logits, y)
-    grads = numerics.backward(layers, weights.head_weight, grad_logits)
-    optimizer_step({key: params[key] for key in grads}, grads, slots, spec)
+def _check_finite(values: np.ndarray, what) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} has non-finite entries")
+
+
+def _first_bad(tensors: Mapping, keys) -> ParamKey:
+    # The first of ``keys`` whose tensor has a non-finite entry.
+    return next(key for key in keys if not np.isfinite(tensors[key]).all())
 
 
 def make_temporary(
@@ -218,13 +235,67 @@ def make_temporary(
 ) -> dict[ParamKey, np.ndarray]:
     """Copies of the view's tensors, advanced by one step per train batch.
 
-    The shared store is read once (for the copies) and never written; every
-    update lands on the copies with fresh optimizer slots.
+    The shared store is read once (for the copies) and never written. The
+    copies are reshaped views into one flat buffer in sorted key order (the
+    order ``optimizer_step`` visits), beside a flat gradient, flat fresh
+    slots and flat scratch, so one ``_update`` per step covers every tensor.
+    Each step's word counts follow from the batch sizes and layer widths:
+    its Beta word and permutation, then its dropout masks. So all steps'
+    mixup words come from one block at their exact counters, and the stream
+    is moved to a step's dropout words before its forward. The rows (after
+    mixup), labels and head, which no step changes, are checked once; the
+    copies and the gradient get one check per step over the flat buffer, and
+    only a failing check looks for the key to name.
     """
-    params = {key: weights.store[key].copy() for key in view.keys}
-    slots = SlotStore()
-    for batch in train_batches:
-        _train_step(weights, view, params, spec, batch, slots, rng)
+    keys = sorted(view.keys)
+    shapes = [weights.store[key].shape for key in keys]
+    offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+
+    def views(buffer: np.ndarray) -> dict[ParamKey, np.ndarray]:
+        bounds = zip(keys, shapes, offsets, offsets[1:])
+        return {key: buffer[start:end].reshape(shape) for key, shape, start, end in bounds}
+
+    flat = np.empty(offsets[-1])
+    params = views(flat)
+    for key in keys:
+        params[key][...] = weights.store[key]
+    grad = np.empty_like(flat)
+    grads = views(grad)
+    slot = None if spec.optimizer == "sgd" else _fresh_slot(spec.optimizer, flat)
+    scratch = np.empty_like(flat), np.empty_like(flat)
+
+    batches = [_mixup_rows(batch, spec.mixup_ratio) for batch in train_batches]
+    rows = [x.shape[0] for x, _ in batches]
+    mixing = spec.mixup_ratio != 0.0
+    width = sum(decision.out_width for decision, _, _ in view.layers)
+    dropout_at = []  # the counter each step's dropout masks start from
+    counter = rng.counter
+    for n in rows:
+        dropout_at.append(counter + (n + 1 if mixing else 0))
+        counter = dropout_at[-1] + (n * width if spec.dropout_keep < 1.0 else 0)
+    if mixing and batches:
+        starts = [at - n - 1 for at, n in zip(dropout_at, rows)]
+        lams, partners = rng.beta_permutations(spec.mixup_ratio, starts, rows)
+        batches = [_mix(x, y, lam, p) for (x, y), lam, p in zip(batches, lams, partners)]
+    for x, _ in batches:
+        _check_finite(x, "batch")
+    if batches:
+        _check_finite(weights.head_weight, "head weight")
+        _check_finite(weights.head_bias, "head bias")
+    labels = [numerics.check_labels(y, (len(y), weights.space.num_classes)) for _, y in batches]
+
+    for (x, _), y, at in zip(batches, labels, dropout_at):
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{_first_bad(params, view.keys).text()} has non-finite entries")
+        rng.counter = at
+        logits, layers = supernet.forward(
+            weights, view, x, supernet.TRAIN, params=params, dropout_keep=spec.dropout_keep, rng=rng
+        )
+        grad_logits = numerics.cross_entropy_gradient(logits, y)
+        numerics.backward(layers, weights.head_weight, grad_logits, out=grads)
+        if not np.isfinite(grad).all():
+            raise ValueError(f"non-finite gradient for {_first_bad(grads, keys)}")
+        _update(flat, grad, slot, spec, *scratch)
     return params
 
 
@@ -241,4 +312,15 @@ def commit_step(
     ``slots`` persists across commits so stateful optimizers accumulate their
     statistics per parameter; parameters outside the view are untouched.
     """
-    _train_step(weights, view, weights.store, spec, batch, slots, rng)
+    x, y = apply_mixup(batch, spec.mixup_ratio, rng)
+    _check_finite(x, "batch")
+    _check_finite(weights.head_weight, "head weight")
+    _check_finite(weights.head_bias, "head bias")
+    for key in view.keys:
+        _check_finite(weights.store[key], key.text())
+    logits, layers = supernet.forward(
+        weights, view, x, supernet.TRAIN, dropout_keep=spec.dropout_keep, rng=rng
+    )
+    _, grad_logits = numerics.softmax_cross_entropy(logits, y)
+    grads = numerics.backward(layers, weights.head_weight, grad_logits)
+    optimizer_step({key: weights.store[key] for key in grads}, grads, slots, spec)

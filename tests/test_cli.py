@@ -264,6 +264,19 @@ VALUE_DEFECTS = {
         lambda h: h["controller"].update(baseline=float("nan")),
         "field controller.baseline is not a finite number",
     ),
+    # JSON integers too large for a float.
+    "baseline-too-large": (
+        lambda h: h["controller"].update(baseline=10**400),
+        "field controller.baseline is not a finite number",
+    ),
+    "history-accuracy-too-large": (
+        lambda h: h["reward_history"][1].update(accuracy=10**400),
+        "field reward_history is not a list of reward records",
+    ),
+    "logits-too-large": (
+        lambda h: h["controller"].update(logits=[[0, -(10**400)], [0, 0, 0], [0, 0]]),
+        "field controller.logits is not a list of non-empty lists of finite numbers",
+    ),
     "history-int": (
         lambda h: h.update(reward_history=5),
         "field reward_history is not a list of reward records",
@@ -743,6 +756,13 @@ RESULT_DEFECTS = {
         lambda d: d["hyperparameters"].pop("optimizer"),
         "derived.hyperparameters.optimizer is missing or not one of ['sgd', 'adam']",
     ),
+    **{
+        f"unsearched-{name}": (
+            lambda d, n=name, v=value: d["hyperparameters"].update({n: v}),
+            f"derived.hyperparameters.{name} is not a hyperparameter the space searches",
+        )
+        for name, value in [("mixup_ratio", 0.5), ("typo", 1)]
+    },
 }
 
 

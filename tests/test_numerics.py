@@ -687,3 +687,56 @@ def test_rng_split_matches_slash_naming():
 def test_rng_rejects_negative_counter():
     with pytest.raises(ValueError):
         RngStream(0, "s", counter=-1)
+
+
+@pytest.mark.parametrize("counter", [0, 2**40, 2**63])
+def test_rng_words_equal_the_integer_finalizer(counter):
+    # Every word is mix(key + i * golden) for its 1-based position i, all mod
+    # 2**64; the array path must match the Python-integer finalizer exactly.
+    mask = 2**64 - 1
+    for seed in (0, 3, 2**63 + 5, 2**64 - 1):
+        for name in ("", "eval-train/3/1", "ü"):
+            stream = RngStream(seed, name, counter=counter)
+            words = stream._raw(9).tolist()
+            key = numerics._mix64_int((seed & mask) ^ fnv1a64(name))
+            want = [
+                numerics._mix64_int((key + (counter + i) * numerics._GOLDEN) & mask)
+                for i in range(1, 10)
+            ]
+            assert words == want, (seed, name)
+            assert stream.counter == counter + 9
+
+
+def test_beta_permutations_equal_beta_then_permutation_at_each_start():
+    # Runs with gaps between them (as dropout words leave), of every size
+    # from 0 up, at small and huge counters.
+    for base in (0, 11, 2**63 - 40):
+        sizes = [0, 1, 2, 5, 64, 3, 7]
+        starts, at = [], base
+        for i, n in enumerate(sizes):
+            starts.append(at)
+            at += n + 1 + 3 * i
+        stream = RngStream(8, "mix-block", counter=base)
+        lams, partners = stream.beta_permutations(0.4, starts, sizes)
+        assert stream.counter == base
+        for start, n, lam, partner in zip(starts, sizes, lams, partners):
+            clone = RngStream(8, "mix-block", counter=start)
+            assert lam.hex() == clone.beta(0.4, 0.4).hex()
+            want = clone.permutation(n)
+            assert partner.dtype == want.dtype and partner.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.4, 1.0])
+def test_beta_permutations_draw_beta_as_scalar_betaincinv_does(alpha):
+    # One vectorised betaincinv call must give what one scalar call per draw
+    # gives, on 10**5 consecutive stream draws.
+    from scipy import special
+
+    n = 100_000
+    stream = RngStream(21, f"beta/{alpha}", counter=3)
+    lams, _ = stream.beta_permutations(alpha, range(3, 3 + n), [0] * n)
+    u = RngStream(21, f"beta/{alpha}", counter=3)._open_uniform(n).tolist()
+    want = [float(special.betaincinv(alpha, alpha, v)) for v in u]
+    assert _same_bits(lams, want)
+    clone = RngStream(21, f"beta/{alpha}", counter=3)
+    assert _same_bits(lams[:500], [clone.beta(alpha, alpha) for _ in range(500)])

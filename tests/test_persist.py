@@ -618,6 +618,7 @@ def _rename_commit_slot(header, name):
                 ("inf", [[0.0], [float("-inf")]]),
                 ("bool", [[True, 0.0]]),
                 ("null", [[None]]),
+                ("too-large", [[0.0, 10**400]]),
             ]
         ],
         *[
@@ -635,7 +636,8 @@ def _rename_commit_slot(header, name):
                 id=f"baseline-{name}",
             )
             for name, value in [
-                ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False)
+                ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False),
+                ("too-large", 10**400),
             ]
         ],
         *[
@@ -657,6 +659,7 @@ def _rename_commit_slot(header, name):
                 ("negative-step", lambda h: h["reward_history"][0].update(meta_step=-1)),
                 ("nan-accuracy", lambda h: h["reward_history"][0].update(accuracy=float("nan"))),
                 ("inf-reward", lambda h: h["reward_history"][0].update(reward=float("-inf"))),
+                ("huge-accuracy", lambda h: h["reward_history"][0].update(accuracy=10**400)),
             ]
         ],
     ],

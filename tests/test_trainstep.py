@@ -1,10 +1,12 @@
 """Trainer materialization, optimizer rules, temporary weights, commits."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from jointsearch import trainstep
+from jointsearch import numerics
 from jointsearch.numerics import RngStream
 from jointsearch.persist import store_digest
 from jointsearch.space import (
@@ -15,7 +17,7 @@ from jointsearch.space import (
     build_space,
     selection_to_config,
 )
-from jointsearch.supernet import ParamKey, init_weights, sub_view
+from jointsearch.supernet import ParamKey, SuperModelWeights, init_weights, sub_view
 from jointsearch.trainstep import (
     SlotStore,
     TrainerSpec,
@@ -114,8 +116,6 @@ def test_trainer_from_derived_keeps_continuous_values_exact():
         )
     )
     derived = selection_to_config(space, (0, 1))
-    from dataclasses import replace
-
     derived = replace(derived, hyper_values=(0.0235,))  # off-basis blend
     spec = trainer_from_derived(space, derived)
     assert spec.learning_rate == 0.0235
@@ -515,15 +515,17 @@ def random_train_case(rng):
 
 
 def recorded_gradients(monkeypatch):
-    """Every gradient dict handed to ``trainstep.optimizer_step``, copied."""
+    """Every gradient dict ``numerics.backward`` returns, copied: one per
+    train step of either path."""
     calls = []
-    original = trainstep.optimizer_step
+    original = numerics.backward
 
-    def record(params, grads, slots, spec):
+    def record(*args, **kwargs):
+        grads = original(*args, **kwargs)
         calls.append({key: g.copy() for key, g in grads.items()})
-        original(params, grads, slots, spec)
+        return grads
 
-    monkeypatch.setattr(trainstep, "optimizer_step", record)
+    monkeypatch.setattr(numerics, "backward", record)
     return calls
 
 
@@ -652,3 +654,135 @@ def test_train_step_ignores_non_finite_tensors_outside_the_selection():
     spec = TrainerSpec(learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.5)
     make_temporary(weights, view, spec, [batch_for(space, 6)], RngStream(37, "t"))
     commit_step(weights, view, spec, batch_for(space, 6), SlotStore(), RngStream(37, "t"))
+
+
+# ---------------------------------------------------------------------------
+# the train plan of make_temporary against the per-step reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_make_temporary_equals_per_step_reference(optimizer):
+    # Every combination of weight decay, mixup and dropout, at 1 to 4 inner
+    # steps, on random spaces with padded and truncated layers. The plan must
+    # leave the temporaries and the stream counter bit for bit where the
+    # reference tape, one step at a time, leaves them.
+    rng = RngStream(41, f"plan/{optimizer}")
+    resized = set()
+    for case in range(32):
+        weights, view, spec, _ = random_train_case(rng)
+        for decision, op, _ in view.layers:
+            if op.width != decision.out_width:
+                resized.add("padded" if op.width < decision.out_width else "truncated")
+        spec = replace(
+            spec,
+            optimizer=optimizer,
+            weight_decay=(0.0, 0.01)[case % 2],
+            mixup_ratio=(0.0, 0.4)[case // 2 % 2],
+            dropout_keep=(1.0, 0.7)[case // 4 % 2],
+        )
+        space = weights.space
+        batches = []
+        for _ in range(1 + case // 8):
+            n = 1 + rng.index(12)
+            labels = [rng.index(space.num_classes) for _ in range(n)]
+            batches.append((rng.normal((n, space.input_dim)), np.eye(space.num_classes)[labels]))
+        start = rng.index(50)
+        stream = RngStream(42, "t", counter=start)
+        temp = make_temporary(weights, view, spec, batches, stream)
+
+        params = {key: weights.store[key].copy() for key in view.keys}
+        slots, reference_stream = SlotStore(), RngStream(42, "t", counter=start)
+        for batch in batches:
+            taped_train_step(weights, view, params, spec, batch, slots, reference_stream)
+        assert_bitwise_equal(temp, params)
+        assert stream.counter == reference_stream.counter, case
+    assert resized == {"padded", "truncated"}
+
+
+def _three_step_case():
+    space = build_space(
+        SpaceConfig(
+            input_dim=3,
+            num_classes=2,
+            layers=(
+                LayerConfig(candidates=("affine-relu:6",), width=4),
+                LayerConfig(candidates=("affine:3",), width=4),
+            ),
+            hyperparameters=(),
+        )
+    )
+    weights = init_weights(space, RngStream(43, "init"))
+    batches = [batch_for(space, 6, seed=44 + i) for i in range(3)]
+    return weights, sub_view(space, (0, 0)), batches
+
+
+def _per_step_error(weights, view, spec, batches, rng):
+    # The error the per-step path raises: one commit per batch on a copy of
+    # the store, which is the step a temporary takes, one at a time.
+    store = {key: value.copy() for key, value in weights.store.items()}
+    copy = SuperModelWeights(weights.space, store, weights.head_weight, weights.head_bias)
+    slots = SlotStore()
+    with pytest.raises(ValueError) as caught:
+        for batch in batches:
+            commit_step(copy, view, spec, batch, slots, rng)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("nan-batch", "batch has non-finite entries"),
+        ("inf-batch", "batch has non-finite entries"),
+        ("nan-label", "labels must be finite"),
+        ("label-row-sum", "label rows must be distributions"),
+        ("label-width", "logit/label shapes incompatible"),
+        ("row-count", "features and labels disagree on batch size"),
+        ("nan-head-weight", "head weight has non-finite entries"),
+        ("inf-head-bias", "head bias has non-finite entries"),
+        ("overflowing-update", "0/0/weight has non-finite entries"),
+        ("overflowing-batch", "non-finite gradient for ParamKey"),
+    ],
+)
+@pytest.mark.parametrize("mixup_dropout", [False, True], ids=["plain", "mixup-dropout"])
+def test_checks_moved_into_the_plan_fire_as_the_per_step_path_does(
+    defect, message, mixup_dropout
+):
+    # Each defect sits in step 2 of 3 (the head, which no step changes, is
+    # bad from the start), and the plan raises the per-step path's message.
+    weights, view, batches = _three_step_case()
+    x, y = batches[1]
+    lr = 0.1
+    if defect == "nan-batch":
+        x[2, 1] = np.nan
+    elif defect == "inf-batch":
+        x[0, 0] = -np.inf
+    elif defect == "nan-label":
+        y[1, 0] = np.nan
+    elif defect == "label-row-sum":
+        y[4] = [0.6, 0.6]
+    elif defect == "label-width":
+        batches[1] = (x, np.eye(3)[[0, 1, 2, 0, 1, 2]])
+    elif defect == "row-count":
+        batches[1] = (x[:5], y)
+    elif defect == "nan-head-weight":
+        weights.head_weight[0, 1] = np.nan
+    elif defect == "inf-head-bias":
+        weights.head_bias[1] = np.inf
+    elif defect == "overflowing-update":
+        lr = 1e308  # step 1 moves the weights past the float range
+        for batch in batches:
+            batch[0][...] *= 1e3
+    else:
+        x[...] = 1e308  # finite rows whose forward overflows
+    spec = TrainerSpec(
+        learning_rate=lr,
+        mixup_ratio=0.3 if mixup_dropout else 0.0,
+        dropout_keep=0.5 if mixup_dropout else 1.0,
+    )
+    with np.errstate(all="ignore"):  # the overflowing cases compute infinities
+        want = _per_step_error(weights, view, spec, batches, RngStream(45, "t"))
+        with pytest.raises(ValueError) as caught:
+            make_temporary(weights, view, spec, batches, RngStream(45, "t"))
+    assert message in want
+    assert str(caught.value) == want
