@@ -328,7 +328,7 @@ def search(
                         space, view.selection, settings.default_learning_rate
                     )
                     spec = replace(spec, learning_rate=spec.learning_rate / k)
-                    [batch] = _draw_batches(
+                    batches = _draw_batches(
                         splits.train,
                         settings.train_batch_size,
                         RngStream(seed, f"commit-data/{step}/{i}"),
@@ -337,7 +337,7 @@ def search(
                         weights,
                         view,
                         spec,
-                        batch,
+                        batches,
                         ckpt.commit_slots,
                         RngStream(seed, f"commit-train/{step}/{i}"),
                     )
@@ -400,12 +400,15 @@ def retrain(
     seed: int = 0,
     name: str = "retrain",
 ) -> RetrainResult:
-    """Train the derived architecture from scratch and measure held-out metrics.
+    """Train the derived architecture from scratch and measure its metrics.
 
     Fresh weights cover only the chosen ops. Training runs ``epochs`` shuffled
-    passes over train and validation data combined, using the derived
-    hyperparameter values exactly as given (continuous values are not snapped
-    back to the basis) and ``learning_rate`` when the space does not search it.
+    passes over train and validation data combined, one ``commit_step`` per
+    pass, using the derived hyperparameter values exactly as given
+    (continuous values are not snapped back to the basis) and
+    ``learning_rate`` when the space does not search it. The ``val_*``
+    metrics are therefore measured on data the model trained on; only the
+    ``test_*`` metrics are held out.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -422,11 +425,10 @@ def retrain(
     effective_batch = min(batch_size, n)
     for epoch in range(epochs):
         order = RngStream(seed, f"{name}/order/{epoch}").permutation(n)
+        idxs = (order[start : start + effective_batch] for start in range(0, n, effective_batch))
+        batches = [(pool.features[idx], pool.labels[idx]) for idx in idxs]
         step_rng = RngStream(seed, f"{name}/steps/{epoch}")
-        for start in range(0, n, effective_batch):
-            idx = order[start : start + effective_batch]
-            batch = (pool.features[idx], pool.labels[idx])
-            trainstep.commit_step(weights, view, trainer, batch, slots, step_rng)
+        trainstep.commit_step(weights, view, trainer, batches, slots, step_rng)
 
     val_acc, val_loss = eval_metrics(weights, view, (splits.val.features, splits.val.labels))
     test_acc, test_loss = eval_metrics(weights, view, (splits.test.features, splits.test.labels))

@@ -371,24 +371,15 @@ class RngStream:
         shape, n = _dims(shape)
         return _ndtri(self._open_uniform(n)).reshape(shape)
 
-    def beta(self, a: float, b: float) -> float:
-        """One Beta(a, b) draw via the inverse regularized incomplete beta.
-
-        This is the one draw that needs scipy (Boost's ``ibeta_inv``), so it
-        is imported here, on first use.
-        """
-        if a <= 0.0 or b <= 0.0:
-            raise ValueError("beta shape parameters must be positive")
-        from scipy import special
-
-        return float(special.betaincinv(a, b, self._open_uniform(1)[0]))
-
     def beta_permutations(
         self, a: float, starts: Sequence[int], sizes: Sequence[int]
     ) -> tuple[list[float], list[np.ndarray]]:
-        """For each ``i``, what ``beta(a, a)`` then ``permutation(sizes[i])``
-        return when run from counter ``starts[i]``, computed from one block of
-        words with one ``betaincinv`` call. The counter does not move."""
+        """For each ``i``, one Beta(a, a) draw from the word after counter
+        ``starts[i]``, then what ``permutation(sizes[i])`` returns from the
+        words that follow, all from one block; the counter does not move. The
+        Beta draws are one ``scipy.special.betaincinv`` call (the inverse
+        regularized incomplete beta), the one draw that needs scipy, so it is
+        imported here, on first use."""
         if a <= 0.0:
             raise ValueError("beta shape parameters must be positive")
         from scipy import special

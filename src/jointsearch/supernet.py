@@ -140,8 +140,8 @@ def forward(
     mode returns ``(logits, layers)``, where ``layers`` holds one
     ``numerics.Layer`` per layer for ``numerics.backward``; it raises
     ``ValueError`` on an empty batch. The caller checks that the batch, the
-    head and the selected tensors are finite (``trainstep`` does so once per
-    value a step reads).
+    head and the selected tensors are finite (``trainstep.train`` does, once
+    per value that no step changes and once per step for the rest).
     """
     space = weights.space
     x = np.asarray(batch_x, dtype=np.float64)

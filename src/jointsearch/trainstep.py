@@ -1,24 +1,21 @@
-"""Training-step machinery: trainer specs, optimizers, mixup, and the two
-weight-update paths, committed shared-store steps and discardable temporary
-weights.
+"""Training-step machinery: trainer specs, optimizers, mixup, and the one
+train loop that temporary weights, commits and retraining all run.
 
-A step is mixup, a finiteness check of every value it reads, one train-mode
-``supernet.forward`` that keeps what the backward needs per layer, the
-cross-entropy gradient, the closed-form chain ``numerics.backward`` and one
-optimizer update. No autodiff tape is involved; the tests check these
-gradients bit for bit against a reference tape and against finite
-differences. ``commit_step`` takes one step on the store's own tensors with
-per-key optimizer slots; ``make_temporary`` runs all of a candidate's steps
-from one plan of flat buffers and block draws. Both give the same tensors,
-errors and stream counter bit for bit, so a commit with a given stream and
-batch reproduces the first temporary step.
+``train`` advances a mapping of a view's tensors in place, one step per batch:
+block mixup, a train-mode ``supernet.forward``, the cross-entropy gradient,
+the closed-form chain ``numerics.backward`` into one flat gradient, and an
+update the caller supplies. No autodiff tape is involved; the tests check
+these gradients bit for bit against a reference tape and against finite
+differences. ``make_temporary`` trains flat copies with fresh flat slots, one
+``_update`` per step; ``commit_step`` trains the store's own tensors with
+per-key ``optimizer_step`` and the run's ``SlotStore``.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +30,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
+
+Batch = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -114,30 +113,28 @@ def trainer_from_derived(space: SearchSpace, derived, learning_rate: float = 0.0
     return TrainerSpec(**fields)
 
 
-def _mixup_rows(batch: tuple[np.ndarray, np.ndarray], ratio: float):
-    # The batch, once mixup's arguments are checked.
+def apply_mixup(
+    batches: Sequence[Batch], ratio: float, rng: RngStream, starts: Sequence[int]
+) -> list[Batch]:
+    """Each batch blended with a shuffled partner by one Beta(ratio, ratio) draw.
+
+    Batch ``i``'s Beta word and partner permutation are the stream's words
+    from counter ``starts[i]`` on, all drawn in one block
+    (``RngStream.beta_permutations``); the counter does not move.
+    ``ratio == 0`` returns the batches unchanged and draws nothing.
+    """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"mixup ratio must be in [0, 1], got {ratio}")
-    x, y = batch
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("features and labels disagree on batch size")
-    return x, y
-
-
-def _mix(x: np.ndarray, y: np.ndarray, lam: float, partner: np.ndarray):
-    return lam * x + (1.0 - lam) * x[partner], lam * y + (1.0 - lam) * y[partner]
-
-
-def apply_mixup(batch: tuple[np.ndarray, np.ndarray], ratio: float, rng: RngStream):
-    """Blend the batch with a shuffled partner using one Beta(ratio, ratio) draw.
-
-    ``ratio == 0`` returns the batch unchanged and consumes no randomness.
-    """
-    x, y = _mixup_rows(batch, ratio)
-    if ratio == 0.0:
-        return x, y
-    lam = rng.beta(ratio, ratio)
-    return _mix(x, y, lam, rng.permutation(x.shape[0]))
+    for x, y in batches:
+        if x.shape[0] != y.shape[0]:
+            raise ValueError("features and labels disagree on batch size")
+    if ratio == 0.0 or not batches:
+        return list(batches)
+    lams, partners = rng.beta_permutations(ratio, starts, [x.shape[0] for x, _ in batches])
+    return [
+        (lam * x + (1.0 - lam) * x[p], lam * y + (1.0 - lam) * y[p])
+        for (x, y), lam, p in zip(batches, lams, partners)
+    ]
 
 
 def _update(
@@ -226,57 +223,52 @@ def _first_bad(tensors: Mapping, keys) -> ParamKey:
     return next(key for key in keys if not np.isfinite(tensors[key]).all())
 
 
-def make_temporary(
+def _flat_views(
+    weights: SuperModelWeights, keys: Sequence[ParamKey]
+) -> tuple[np.ndarray, dict[ParamKey, np.ndarray]]:
+    # An uninitialised flat buffer for the store tensors of ``keys``, in that
+    # order, and its reshaped view per key.
+    shapes = [weights.store[key].shape for key in keys]
+    offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    flat = np.empty(offsets[-1])
+    bounds = zip(keys, shapes, offsets, offsets[1:])
+    return flat, {key: flat[start:end].reshape(shape) for key, shape, start, end in bounds}
+
+
+def train(
     weights: SuperModelWeights,
     view: SubModelView,
     spec: TrainerSpec,
-    train_batches: Sequence[tuple[np.ndarray, np.ndarray]],
+    batches: Sequence[Batch],
+    params: Mapping[ParamKey, np.ndarray],
+    update: Callable[[np.ndarray, dict[ParamKey, np.ndarray]], None],
     rng: RngStream,
-) -> dict[ParamKey, np.ndarray]:
-    """Copies of the view's tensors, advanced by one step per train batch.
+    tensors: Iterable[np.ndarray],
+) -> None:
+    """Advance ``params``, the view's tensors by key, one step per batch.
 
-    The shared store is read once (for the copies) and never written. The
-    copies are reshaped views into one flat buffer in sorted key order (the
-    order ``optimizer_step`` visits), beside a flat gradient, flat fresh
-    slots and flat scratch, so one ``_update`` per step covers every tensor.
-    Each step's word counts follow from the batch sizes and layer widths:
-    its Beta word and permutation, then its dropout masks. So all steps'
-    mixup words come from one block at their exact counters, and the stream
-    is moved to a step's dropout words before its forward. The rows (after
-    mixup), labels and head, which no step changes, are checked once; the
-    copies and the gradient get one check per step over the flat buffer, and
-    only a failing check looks for the key to name.
+    Each step writes its gradient into one flat buffer in sorted key order
+    (the order ``optimizer_step`` visits) and calls ``update(grad, grads)``,
+    ``grads`` being that buffer's view per key, to write ``params``. A step's
+    word counts follow from the batch sizes and layer widths (its Beta word
+    and permutation, then its dropout masks), so all mixup words come from
+    one block at their exact counters and the stream is moved to each step's
+    dropout words. The mixed rows, labels and head, which no step changes,
+    are checked once; ``tensors`` (the arrays holding ``params``) and the
+    gradient once per step, and only a failing check looks for the key.
     """
     keys = sorted(view.keys)
-    shapes = [weights.store[key].shape for key in keys]
-    offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-
-    def views(buffer: np.ndarray) -> dict[ParamKey, np.ndarray]:
-        bounds = zip(keys, shapes, offsets, offsets[1:])
-        return {key: buffer[start:end].reshape(shape) for key, shape, start, end in bounds}
-
-    flat = np.empty(offsets[-1])
-    params = views(flat)
-    for key in keys:
-        params[key][...] = weights.store[key]
-    grad = np.empty_like(flat)
-    grads = views(grad)
-    slot = None if spec.optimizer == "sgd" else _fresh_slot(spec.optimizer, flat)
-    scratch = np.empty_like(flat), np.empty_like(flat)
-
-    batches = [_mixup_rows(batch, spec.mixup_ratio) for batch in train_batches]
-    rows = [x.shape[0] for x, _ in batches]
+    grad, grads = _flat_views(weights, keys)
     mixing = spec.mixup_ratio != 0.0
     width = sum(decision.out_width for decision, _, _ in view.layers)
-    dropout_at = []  # the counter each step's dropout masks start from
+    starts, dropout_at = [], []  # the counters each step's mixup and dropout words start from
     counter = rng.counter
-    for n in rows:
-        dropout_at.append(counter + (n + 1 if mixing else 0))
-        counter = dropout_at[-1] + (n * width if spec.dropout_keep < 1.0 else 0)
-    if mixing and batches:
-        starts = [at - n - 1 for at, n in zip(dropout_at, rows)]
-        lams, partners = rng.beta_permutations(spec.mixup_ratio, starts, rows)
-        batches = [_mix(x, y, lam, p) for (x, y), lam, p in zip(batches, lams, partners)]
+    for x, _ in batches:
+        starts.append(counter)
+        counter += len(x) + 1 if mixing else 0
+        dropout_at.append(counter)
+        counter += len(x) * width if spec.dropout_keep < 1.0 else 0
+    batches = apply_mixup(batches, spec.mixup_ratio, rng, starts)
     for x, _ in batches:
         _check_finite(x, "batch")
     if batches:
@@ -285,7 +277,7 @@ def make_temporary(
     labels = [numerics.check_labels(y, (len(y), weights.space.num_classes)) for _, y in batches]
 
     for (x, _), y, at in zip(batches, labels, dropout_at):
-        if not np.isfinite(flat).all():
+        if not all(np.isfinite(t).all() for t in tensors):
             raise ValueError(f"{_first_bad(params, view.keys).text()} has non-finite entries")
         rng.counter = at
         logits, layers = supernet.forward(
@@ -295,7 +287,30 @@ def make_temporary(
         numerics.backward(layers, weights.head_weight, grad_logits, out=grads)
         if not np.isfinite(grad).all():
             raise ValueError(f"non-finite gradient for {_first_bad(grads, keys)}")
-        _update(flat, grad, slot, spec, *scratch)
+        update(grad, grads)
+
+
+def make_temporary(
+    weights: SuperModelWeights,
+    view: SubModelView,
+    spec: TrainerSpec,
+    train_batches: Sequence[Batch],
+    rng: RngStream,
+) -> dict[ParamKey, np.ndarray]:
+    """Copies of the view's tensors, advanced by one step per train batch.
+
+    The store is read once, for the copies, and never written. The copies
+    are views into one flat buffer beside flat fresh slots and scratch, so
+    one ``_update`` per step covers every tensor and one check the copies.
+    """
+    keys = sorted(view.keys)
+    flat, params = _flat_views(weights, keys)
+    for key in keys:
+        params[key][...] = weights.store[key]
+    slot = None if spec.optimizer == "sgd" else _fresh_slot(spec.optimizer, flat)
+    a, b = np.empty_like(flat), np.empty_like(flat)
+    update = lambda grad, _: _update(flat, grad, slot, spec, a, b)
+    train(weights, view, spec, train_batches, params, update, rng, (flat,))
     return params
 
 
@@ -303,24 +318,13 @@ def commit_step(
     weights: SuperModelWeights,
     view: SubModelView,
     spec: TrainerSpec,
-    batch: tuple[np.ndarray, np.ndarray],
+    batches: Sequence[Batch],
     slots: SlotStore,
     rng: RngStream,
 ) -> None:
-    """One optimizer step written through the view into the shared store.
-
-    ``slots`` persists across commits so stateful optimizers accumulate their
-    statistics per parameter; parameters outside the view are untouched.
-    """
-    x, y = apply_mixup(batch, spec.mixup_ratio, rng)
-    _check_finite(x, "batch")
-    _check_finite(weights.head_weight, "head weight")
-    _check_finite(weights.head_bias, "head bias")
-    for key in view.keys:
-        _check_finite(weights.store[key], key.text())
-    logits, layers = supernet.forward(
-        weights, view, x, supernet.TRAIN, dropout_keep=spec.dropout_keep, rng=rng
-    )
-    _, grad_logits = numerics.softmax_cross_entropy(logits, y)
-    grads = numerics.backward(layers, weights.head_weight, grad_logits)
-    optimizer_step({key: weights.store[key] for key in grads}, grads, slots, spec)
+    """One step per batch on the store's own tensors, in place, each an
+    ``optimizer_step`` with ``slots``, which persist across commits; the
+    parameters outside the view are untouched."""
+    params = {key: weights.store[key] for key in view.keys}
+    update = lambda _, grads: optimizer_step(params, grads, slots, spec)
+    train(weights, view, spec, batches, params, update, rng, params.values())

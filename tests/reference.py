@@ -10,6 +10,9 @@
   expected reward, by enumerating every selection.
 * ``reference_sample``: one controller selection per call, one scalar uniform
   per decision, with its joint log-probability.
+* ``reference_beta`` and ``reference_mixup``: one scalar Beta draw from one
+  open uniform, and mixup one batch at a time from the stream's counter, as
+  the library's block draws must reproduce them.
 * ``two_pass_softmax_cross_entropy`` and ``reference_optimizer_step``: the
   library's loss and optimizer update as first written, one fresh array per
   intermediate and a second ``exp`` for the softmax; the library's versions
@@ -378,7 +381,7 @@ def taped_forward(
 def taped_train_step(weights, view, params, spec, batch, slots, rng) -> dict:
     """One train step (mixup, taped forward, tape backward, optimizer) applied
     to the tensors in ``params``; returns the gradients by ParamKey."""
-    x, y = trainstep.apply_mixup(batch, spec.mixup_ratio, rng)
+    x, y = reference_mixup(batch, spec.mixup_ratio, rng)
     tape = Tape()
     logits, leaves = taped_forward(
         weights,
@@ -443,6 +446,27 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
         selection.append(idx)
         log_prob += math.log(probs[idx])
     return tuple(selection), log_prob
+
+
+def reference_beta(rng: RngStream, a: float, b: float) -> float:
+    """One Beta(a, b) draw: the inverse regularized incomplete beta of the
+    stream's next open uniform, one word."""
+    if a <= 0.0 or b <= 0.0:
+        raise ValueError("beta shape parameters must be positive")
+    from scipy import special
+
+    return float(special.betaincinv(a, b, rng._open_uniform(1)[0]))
+
+
+def reference_mixup(batch, ratio: float, rng: RngStream):
+    """Mixup of one batch from the stream's counter: a Beta(ratio, ratio)
+    weight, then a partner permutation; ``ratio == 0`` draws nothing."""
+    x, y = batch
+    if ratio == 0.0:
+        return x, y
+    lam = reference_beta(rng, ratio, ratio)
+    partner = rng.permutation(x.shape[0])
+    return lam * x + (1.0 - lam) * x[partner], lam * y + (1.0 - lam) * y[partner]
 
 
 def two_pass_softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:

@@ -447,7 +447,7 @@ def test_a6_weight_sharing_locality():
             weights,
             view,
             spec,
-            random_batch(rng, space, 4 + rng.index(12)),
+            [random_batch(rng, space, 4 + rng.index(12))],
             SlotStore(),
             RngStream(trial, "commit"),
         )

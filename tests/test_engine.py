@@ -13,17 +13,19 @@ import pytest
 
 from jointsearch import persist, supernet
 from jointsearch.config import ConfigError, RewardSection, config_to_dict, parse_config
-from jointsearch.data import split, two_moons
+from jointsearch.data import concat, split, two_moons
 from jointsearch.engine import (
     compute_reward,
+    eval_metrics,
     evaluate_candidate,
     random_search_baseline,
     retrain,
     search,
 )
 from jointsearch.numerics import RngStream
-from jointsearch.persist import read_events
+from jointsearch.persist import read_events, store_digest
 from jointsearch.space import (
+    OPTIMIZERS,
     DerivedConfig,
     HyperConfig,
     LayerConfig,
@@ -31,8 +33,9 @@ from jointsearch.space import (
     build_space,
     derive,
 )
+from jointsearch.trainstep import SlotStore, TrainerSpec
 
-from reference import weights_digest
+from reference import taped_train_step, weights_digest
 
 
 def tabular_doc(cards, total, k, seed=0, **search_over):
@@ -296,11 +299,13 @@ result = search(parse_config(doc), evaluate_override=lambda sel: (1.0 - sel[0] /
 loaded = "scipy.special" in sys.modules
 from jointsearch.numerics import RngStream
 rng = RngStream(0, "n")
+normal = rng.normal(3).tolist()
+lams, _ = rng.beta_permutations(0.2, [rng.counter], [0])
 print(json.dumps({
     "steps": len(result.reward_history),
     "special_loaded": loaded,
-    "normal": rng.normal(3).tolist(),
-    "beta": rng.beta(0.2, 0.2),
+    "normal": normal,
+    "beta": lams[0],
     "counter": rng.counter,
 }))
 """
@@ -321,8 +326,10 @@ def test_controller_only_search_never_loads_scipy_special():
     assert got["special_loaded"] is False
     # Known answers: the draws are those of the module-level import.
     assert got["normal"] == [0.9185522865117592, 0.31341434742065444, -1.106587072740746]
+    # The Beta draw reads word 4, the one after the three normals, and the
+    # block draw leaves the counter where it was.
     assert got["beta"] == 0.17521435261491744
-    assert got["counter"] == 4
+    assert got["counter"] == 3
 
 
 def test_event_log_shape_and_finite_rewards(tmp_path):
@@ -833,6 +840,63 @@ def test_retrain_is_deterministic():
     assert a.val_loss == b.val_loss
     for key, value in a.weights.store.items():
         assert np.array_equal(b.weights.store[key], value)
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_retrain_equals_per_batch_reference(optimizer):
+    # One taped step per batch, with retrain's order and step streams and one
+    # slot store across epochs; the pool of 75 rows leaves a short last batch.
+    space = build_space(
+        SpaceConfig(
+            input_dim=2,
+            num_classes=2,
+            layers=(
+                LayerConfig(candidates=("identity", "affine-relu:6"), width=4),
+                LayerConfig(candidates=("affine-tanh:3", "affine:4"), width=4),
+            ),
+            hyperparameters=(
+                HyperConfig(name="optimizer", kind="categorical", basis=(optimizer,)),
+                HyperConfig(name="mixup_ratio", kind="continuous", basis=(0.4,)),
+                HyperConfig(name="dropout_keep", kind="continuous", basis=(0.8,)),
+            ),
+        )
+    )
+    parts = split(two_moons(100, 0.1, 3), (0.5, 0.25, 0.25), 3)
+    derived = DerivedConfig((1, 0), (optimizer, 0.4, 0.8))
+    epochs, batch_size = 3, 16
+    result = retrain(
+        space, derived, parts, epochs, batch_size=batch_size, learning_rate=0.05, seed=6
+    )
+    spec = TrainerSpec(optimizer=optimizer, learning_rate=0.05, mixup_ratio=0.4, dropout_keep=0.8)
+    assert result.trainer == spec
+
+    narrowed = replace(
+        space,
+        arch_decisions=tuple(
+            replace(d, candidates=(d.candidates[i],))
+            for d, i in zip(space.arch_decisions, derived.arch_choice)
+        ),
+    )
+    weights = supernet.init_weights(narrowed, RngStream(6, "retrain/init"))
+    view = supernet.sub_view(narrowed, (0,) * narrowed.n_decisions)
+    pool = concat(parts.train, parts.val)
+    assert len(pool) % batch_size != 0
+    slots = SlotStore()
+    for epoch in range(epochs):
+        order = RngStream(6, f"retrain/order/{epoch}").permutation(len(pool))
+        stream = RngStream(6, f"retrain/steps/{epoch}")
+        for start in range(0, len(pool), batch_size):
+            idx = order[start : start + batch_size]
+            batch = (pool.features[idx], pool.labels[idx])
+            taped_train_step(weights, view, weights.store, spec, batch, slots, stream)
+
+    assert store_digest(result.weights.store) == store_digest(weights.store)
+    for part, accuracy, loss in (
+        (parts.val, result.val_accuracy, result.val_loss),
+        (parts.test, result.test_accuracy, result.test_loss),
+    ):
+        want_accuracy, want_loss = eval_metrics(weights, view, (part.features, part.labels))
+        assert (accuracy.hex(), loss.hex()) == (want_accuracy.hex(), want_loss.hex())
 
 
 def test_retrain_reference_run_beats_regression_bar():

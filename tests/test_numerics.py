@@ -559,14 +559,16 @@ def test_rng_normal_known_answers():
 
 
 def test_rng_beta_bounds_and_symmetry():
+    # 2000 consecutive Beta words, each with an empty permutation.
     stream = RngStream(23, "beta")
-    draws = np.array([stream.beta(0.4, 0.4) for _ in range(2000)])
+    lams, _ = stream.beta_permutations(0.4, range(2000), [0] * 2000)
+    draws = np.array(lams)
     assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
     # Beta(a, a) has mean 1/2 and variance 1/(4(2a+1))
     sigma = math.sqrt(1.0 / (4 * (2 * 0.4 + 1)) / draws.size)
     assert abs(draws.mean() - 0.5) < 3 * sigma
     with pytest.raises(ValueError):
-        stream.beta(0.0, 1.0)
+        stream.beta_permutations(0.0, [0], [0])
 
 
 def test_rng_index_bounds():
@@ -721,7 +723,7 @@ def test_beta_permutations_equal_beta_then_permutation_at_each_start():
         assert stream.counter == base
         for start, n, lam, partner in zip(starts, sizes, lams, partners):
             clone = RngStream(8, "mix-block", counter=start)
-            assert lam.hex() == clone.beta(0.4, 0.4).hex()
+            assert lam.hex() == reference.reference_beta(clone, 0.4, 0.4).hex()
             want = clone.permutation(n)
             assert partner.dtype == want.dtype and partner.tolist() == want.tolist()
 
@@ -739,4 +741,6 @@ def test_beta_permutations_draw_beta_as_scalar_betaincinv_does(alpha):
     want = [float(special.betaincinv(alpha, alpha, v)) for v in u]
     assert _same_bits(lams, want)
     clone = RngStream(21, f"beta/{alpha}", counter=3)
-    assert _same_bits(lams[:500], [clone.beta(alpha, alpha) for _ in range(500)])
+    assert _same_bits(
+        lams[:500], [reference.reference_beta(clone, alpha, alpha) for _ in range(500)]
+    )

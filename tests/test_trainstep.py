@@ -29,7 +29,7 @@ from jointsearch.trainstep import (
     trainer_from_derived,
 )
 
-from reference import reference_optimizer_step, taped_train_step
+from reference import reference_beta, reference_optimizer_step, taped_train_step
 
 
 def plain_affine_space():
@@ -131,26 +131,24 @@ def test_mixup_ratio_zero_is_identity_and_draws_nothing():
     y = np.eye(2)[[0, 1, 0, 1]]
     stream = RngStream(1, "mix")
     before = stream.counter
-    out_x, out_y = apply_mixup((x, y), 0.0, stream)
+    [(out_x, out_y)] = apply_mixup([(x, y)], 0.0, stream, [before])
     assert stream.counter == before
     assert np.array_equal(out_x, x)
     assert np.array_equal(out_y, y)
 
 
 class _LambdaOneStub:
-    """Stand-in stream whose beta draw is pinned to 1."""
+    """Stand-in stream whose block draw pins every Beta weight to 1."""
 
-    def beta(self, a, b):
-        return 1.0
-
-    def permutation(self, n):
-        return np.arange(n)[::-1].copy()  # any partner order
+    def beta_permutations(self, a, starts, sizes):
+        # any partner order
+        return [1.0] * len(sizes), [np.arange(n)[::-1].copy() for n in sizes]
 
 
 def test_mixup_lambda_one_is_identity_regardless_of_partner():
     x = np.arange(12.0).reshape(4, 3)
     y = np.eye(2)[[0, 1, 0, 1]]
-    out_x, out_y = apply_mixup((x, y), 0.4, _LambdaOneStub())
+    [(out_x, out_y)] = apply_mixup([(x, y)], 0.4, _LambdaOneStub(), [0])
     assert np.array_equal(out_x, x)
     assert np.array_equal(out_y, y)
 
@@ -163,8 +161,8 @@ def test_mixup_matches_hand_formula_and_keeps_labels_on_simplex():
         y = np.eye(3)[np.arange(n) % 3]
         stream = RngStream(100 + trial, "mix")
         clone = RngStream(100 + trial, "mix")
-        out_x, out_y = apply_mixup((x, y), 0.2, stream)
-        lam = clone.beta(0.2, 0.2)
+        [(out_x, out_y)] = apply_mixup([(x, y)], 0.2, stream, [stream.counter])
+        lam = reference_beta(clone, 0.2, 0.2)
         partner = clone.permutation(n)
         assert np.array_equal(out_x, lam * x + (1 - lam) * x[partner])
         assert np.array_equal(out_y, lam * y + (1 - lam) * y[partner])
@@ -176,7 +174,7 @@ def test_mixup_rejects_out_of_range_ratio():
     x = np.zeros((2, 2))
     y = np.eye(2)
     with pytest.raises(ValueError):
-        apply_mixup((x, y), 1.5, RngStream(0, "mix"))
+        apply_mixup([(x, y)], 1.5, RngStream(0, "mix"), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +407,8 @@ def test_commit_zero_lr_leaves_store_unchanged():
     digest = store_digest(weights.store)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.0)
     slots = SlotStore()
-    commit_step(weights, view, spec, batch_for(space, 8), slots, RngStream(15, "t"))
-    commit_step(weights, view, spec, batch_for(space, 8), slots, RngStream(16, "t"))
+    commit_step(weights, view, spec, [batch_for(space, 8)], slots, RngStream(15, "t"))
+    commit_step(weights, view, spec, [batch_for(space, 8)], slots, RngStream(16, "t"))
     assert store_digest(weights.store) == digest
 
 
@@ -434,7 +432,7 @@ def test_commit_touches_only_view_keys():
         weights,
         view,
         TrainerSpec(learning_rate=0.1),
-        batch_for(space, 8),
+        [batch_for(space, 8)],
         SlotStore(),
         RngStream(18, "t"),
     )
@@ -453,7 +451,7 @@ def test_commit_matches_make_temporary_first_step():
     batch = batch_for(space, 8, seed=20)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.05, mixup_ratio=0.2, dropout_keep=0.9)
     temp = make_temporary(weights, view, spec, [batch], RngStream(21, "t"))
-    commit_step(weights, view, spec, batch, SlotStore(), RngStream(21, "t"))
+    commit_step(weights, view, spec, [batch], SlotStore(), RngStream(21, "t"))
     for key in view.keys:
         assert np.array_equal(weights.store[key], temp[key])
 
@@ -465,10 +463,10 @@ def test_commit_slots_persist_across_commits():
     spec = TrainerSpec(optimizer="adam", learning_rate=0.01)
     slots = SlotStore()
     batch = batch_for(space, 8, seed=23)
-    commit_step(weights, view, spec, batch, slots, RngStream(24, "t"))
+    commit_step(weights, view, spec, [batch], slots, RngStream(24, "t"))
     key = ParamKey(0, 0, "weight")
     assert slots.get("adam", key, weights.store[key])["step"] == 1
-    commit_step(weights, view, spec, batch, slots, RngStream(25, "t"))
+    commit_step(weights, view, spec, [batch], slots, RngStream(25, "t"))
     assert slots.get("adam", key, weights.store[key])["step"] == 2
 
 
@@ -554,25 +552,59 @@ def test_make_temporary_gradients_equal_reference_tape(monkeypatch):
         assert_bitwise_equal(temp, params)
 
 
+def assert_same_slots(got: SlotStore, want: SlotStore):
+    # Every slot, its integer fields (Adam's step) and its arrays byte for byte.
+    got, want = dict(got.items()), dict(want.items())
+    assert set(got) == set(want)
+    for slot_key, slot in want.items():
+        assert set(got[slot_key]) == set(slot)
+        for name, value in slot.items():
+            if isinstance(value, int):
+                assert got[slot_key][name] == value, (slot_key, name)
+            else:
+                assert got[slot_key][name].tobytes() == value.tobytes(), (slot_key, name)
+
+
 def test_commit_step_gradients_equal_reference_tape(monkeypatch):
+    # Each case commits its batches one call each, and again all in one call
+    # on a copy of the starting store; both must match the tape step by step.
     calls = recorded_gradients(monkeypatch)
     rng = RngStream(33, "fused-commit")
     for _ in range(60):
         weights, view, spec, batches = random_train_case(rng)
         reference_store = {key: value.copy() for key, value in weights.store.items()}
+        whole = SuperModelWeights(
+            weights.space,
+            {key: value.copy() for key, value in weights.store.items()},
+            weights.head_weight,
+            weights.head_bias,
+        )
         fused_slots, fused_rng = SlotStore(), RngStream(34, "c")
         reference_slots, reference_rng = SlotStore(), RngStream(34, "c")
+        wants = []
         for batch in batches:
             calls.clear()
-            commit_step(weights, view, spec, batch, fused_slots, fused_rng)
+            commit_step(weights, view, spec, [batch], fused_slots, fused_rng)
             (fused,) = calls
             params = {key: reference_store[key] for key in view.keys}
             want = taped_train_step(
                 weights, view, params, spec, batch, reference_slots, reference_rng
             )
             assert_bitwise_equal(fused, want)
+            wants.append(want)
         assert_bitwise_equal(weights.store, reference_store)
         assert fused_rng.counter == reference_rng.counter
+        assert_same_slots(fused_slots, reference_slots)
+
+        calls.clear()
+        whole_slots, whole_rng = SlotStore(), RngStream(34, "c")
+        commit_step(whole, view, spec, batches, whole_slots, whole_rng)
+        assert len(calls) == len(wants)
+        for got, want in zip(calls, wants):
+            assert_bitwise_equal(got, want)
+        assert_bitwise_equal(whole.store, reference_store)
+        assert whole_rng.counter == reference_rng.counter
+        assert_same_slots(whole_slots, reference_slots)
 
 
 @pytest.mark.parametrize("path", ["temporary", "commit"])
@@ -635,7 +667,7 @@ def test_train_step_rejects_bad_inputs(path, defect, message, mixup_dropout):
         if path == "temporary":
             make_temporary(weights, view, spec, [(x, y)], RngStream(37, "t"))
         else:
-            commit_step(weights, view, spec, (x, y), SlotStore(), RngStream(37, "t"))
+            commit_step(weights, view, spec, [(x, y)], SlotStore(), RngStream(37, "t"))
 
 
 def test_train_step_ignores_non_finite_tensors_outside_the_selection():
@@ -653,7 +685,7 @@ def test_train_step_ignores_non_finite_tensors_outside_the_selection():
     view = sub_view(space, (0,))
     spec = TrainerSpec(learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.5)
     make_temporary(weights, view, spec, [batch_for(space, 6)], RngStream(37, "t"))
-    commit_step(weights, view, spec, batch_for(space, 6), SlotStore(), RngStream(37, "t"))
+    commit_step(weights, view, spec, [batch_for(space, 6)], SlotStore(), RngStream(37, "t"))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +757,7 @@ def _per_step_error(weights, view, spec, batches, rng):
     slots = SlotStore()
     with pytest.raises(ValueError) as caught:
         for batch in batches:
-            commit_step(copy, view, spec, batch, slots, rng)
+            commit_step(copy, view, spec, [batch], slots, rng)
     return str(caught.value)
 
 
