@@ -92,9 +92,10 @@ def reinforce_logit_gradient(
 
 def _entropy_gradient(probs: list[np.ndarray], weight: float) -> list[np.ndarray]:
     # Descent gradient of -weight * H(p) w.r.t. logits: weight * p * (log p + H).
+    # A p that underflowed to 0 takes log 1 in place of -inf: 0 log 0 = 0, not nan.
     out = []
     for p in probs:
-        log_p = np.log(p)
+        log_p = np.log(np.where(p > 0.0, p, 1.0))
         h = -float(np.dot(p, log_p))
         out.append(weight * p * (log_p + h))
     return out

@@ -16,7 +16,6 @@ class Dataset:
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n, c) float64 one-hot
-    name: str
 
     def __post_init__(self):
         f, l = self.features, self.labels
@@ -71,7 +70,7 @@ def two_moons(n: int, noise_sd: float, seed: int) -> Dataset:
     if noise_sd < 0.0:
         raise ValueError("noise_sd must be non-negative")
     features, labels = _moons_raw(n, noise_sd, RngStream(seed, "two-moons"))
-    return Dataset(_standardize(features), _one_hot(labels, 2), "two_moons")
+    return Dataset(_standardize(features), _one_hot(labels, 2))
 
 
 def _spirals_raw(
@@ -100,15 +99,15 @@ def spirals(n: int, turns: float, noise_sd: float, seed: int) -> Dataset:
     if noise_sd < 0.0:
         raise ValueError("noise_sd must be non-negative")
     features, labels = _spirals_raw(n, turns, noise_sd, RngStream(seed, "spirals"))
-    return Dataset(_standardize(features), _one_hot(labels, 2), "spirals")
+    return Dataset(_standardize(features), _one_hot(labels, 2))
 
 
-def load_csv(path: str, label_column: str = "label") -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Load a dataset from a headed CSV file.
 
-    The column named ``label_column`` (default "label", falling back to the
-    last column) holds class symbols; classes are indexed in order of first
-    appearance. All other columns must parse as floats.
+    The column named "label", or else the last column, holds class symbols;
+    classes are indexed in order of first appearance. All other columns must
+    parse as floats.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -117,7 +116,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
     header = rows[0]
     if len(set(header)) != len(header):
         raise ValueError(f"{path}: duplicate column names")
-    label_idx = header.index(label_column) if label_column in header else len(header) - 1
+    label_idx = header.index("label") if "label" in header else len(header) - 1
     feature_idx = [i for i in range(len(header)) if i != label_idx]
     if not feature_idx:
         raise ValueError(f"{path}: no feature columns")
@@ -148,7 +147,7 @@ def load_csv(path: str, label_column: str = "label") -> Dataset:
         raw_labels[r - 2] = class_index[symbol]
     if len(symbols) < 2:
         raise ValueError(f"{path}: need at least two label classes, found {len(symbols)}")
-    return Dataset(features, _one_hot(raw_labels, len(symbols)), path)
+    return Dataset(features, _one_hot(raw_labels, len(symbols)))
 
 
 def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) -> DataSplit:
@@ -159,28 +158,12 @@ def split(dataset: Dataset, fractions: tuple[float, float, float], seed: int) ->
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     n = len(dataset)
     perm = RngStream(seed, "split").permutation(n)
-    bounds = [int(round(sum(fractions[: i + 1]) * n)) for i in range(3)]
-    bounds[2] = n
-    pieces = []
-    start = 0
-    for label, end in zip(("train", "val", "test"), bounds):
-        idx = perm[start:end]
-        pieces.append(
-            Dataset(
-                dataset.features[idx].copy(),
-                dataset.labels[idx].copy(),
-                f"{dataset.name}/{label}",
-            )
-        )
-        start = end
-    return DataSplit(*pieces)
+    cuts = [int(round(sum(fractions[: i + 1]) * n)) for i in range(2)]
+    parts = np.split(perm, cuts)
+    return DataSplit(*(Dataset(dataset.features[idx], dataset.labels[idx]) for idx in parts))
 
 
-def concat(a: Dataset, b: Dataset, name: str | None = None) -> Dataset:
+def concat(a: Dataset, b: Dataset) -> Dataset:
     if a.labels.shape[1] != b.labels.shape[1] or a.features.shape[1] != b.features.shape[1]:
         raise ValueError("datasets are not compatible for concatenation")
-    return Dataset(
-        np.vstack([a.features, b.features]),
-        np.vstack([a.labels, b.labels]),
-        name or f"{a.name}+{b.name}",
-    )
+    return Dataset(np.vstack([a.features, b.features]), np.vstack([a.labels, b.labels]))

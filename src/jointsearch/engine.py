@@ -14,7 +14,6 @@ sections, and its whole resumable state is one ``persist.Checkpoint``.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -244,7 +243,8 @@ def search(
     with the current config echoed, so output paths may change on resume.
     The last meta-step always saves; a run with no step left saves once.
     Its meta-step is the one step counter: the controller's warm-up, its
-    baseline start and its RNG stream position all follow from it.
+    baseline start and its RNG stream position all follow from it. Each
+    meta-step appends one record to the log ``persist.open_events`` opens.
     """
     space = build_space(config.space)
     settings = config.search
@@ -271,23 +271,10 @@ def search(
     phases = 2 if uses_network else 1
     ctrl_stream = RngStream(seed, "controller", start * k * space.n_decisions * phases)
 
-    log_fh = None
-    if config.output.log_path is not None:
-        directory = os.path.dirname(config.output.log_path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        # A resumed log keeps the steps before the checkpoint, since the run
-        # repeats the rest; a fresh or missing log starts with its header.
-        kept = 0
-        if resume_from is not None and os.path.exists(config.output.log_path):
-            kept = persist.truncate_events(config.output.log_path, start, ckpt.store_digest)
-        log_fh = open(config.output.log_path, "a" if kept else "w", encoding="utf-8")
-        if not kept:
-            log_fh.write(persist.event_header(space.labels(), space.cardinalities()) + "\n")
-
     checkpoint_path = config.output.checkpoint_path
     interval = config.output.checkpoint_interval
-    try:
+    resumed = None if resume_from is None else ckpt
+    with persist.open_events(config.output.log_path, space, resumed) as log_fh:
         for step in range(start, total):
             t0 = time.monotonic()
             records: list[RewardRecord] = []
@@ -365,9 +352,6 @@ def search(
             if saves:
                 ckpt.store_digest = digest
                 persist.save_checkpoint(checkpoint_path, ckpt)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     if checkpoint_path is not None and start == total:  # no step left: save once
         ckpt.store_digest = persist.store_digest(ckpt.store)
         persist.save_checkpoint(checkpoint_path, ckpt)

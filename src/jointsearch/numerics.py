@@ -115,11 +115,10 @@ def backward(
     layers: list[Layer],
     head_weight: np.ndarray,
     grad_logits: np.ndarray,
-    out: Mapping[Hashable, np.ndarray] | None = None,
-) -> dict[Hashable, np.ndarray]:
-    """Gradients of every layer's weight and bias, by key, given the loss
-    gradient with respect to the logits. With ``out``, each gradient is
-    written into ``out``'s array for its key, and those arrays are returned.
+    out: Mapping[Hashable, np.ndarray],
+) -> None:
+    """Write the gradient of every layer's weight and bias into ``out``'s
+    array for its key, given the loss gradient with respect to the logits.
 
     The chain runs from the fixed head down through the layers in reverse.
     Each weight and bias gradient gets ``+ 0.0``, which turns ``-0.0`` into
@@ -129,14 +128,12 @@ def backward(
     get no gradient.
     """
     g = grad_logits @ head_weight.T
-    grads = {}
-    into = {} if out is None else out
     for i in range(len(layers) - 1, -1, -1):
-        keys, inputs, weight, activation, out, scale = layers[i]
+        keys, inputs, weight, activation, layer_out, scale = layers[i]
         # Every g is an array made here, so it is updated in place.
         if scale is not None:
             g *= scale
-        width = out.shape[1]
+        width = layer_out.shape[1]
         if g.shape[1] > width:  # padded: the zero columns lead nowhere
             g = g[:, :width] + 0.0
         elif g.shape[1] < width:  # truncated: the dropped columns get zero
@@ -144,21 +141,18 @@ def backward(
             full[:, : g.shape[1]] = g
             g = full
         if activation == "relu":
-            g *= out > 0.0
+            g *= layer_out > 0.0
         elif activation == "tanh":
-            slope = out * out
+            slope = layer_out * layer_out
             np.subtract(1.0, slope, out=slope)
             g *= slope
         if keys:
-            bias_grad = np.sum(g, axis=0, out=into.get(keys[1]))
+            bias_grad = np.sum(g, axis=0, out=out[keys[1]])
             bias_grad += 0.0
-            grads[keys[1]] = bias_grad
-            weight_grad = np.matmul(inputs.T, g, out=into.get(keys[0]))
+            weight_grad = np.matmul(inputs.T, g, out=out[keys[0]])
             weight_grad += 0.0
-            grads[keys[0]] = weight_grad
             if i:
                 g = g @ weight.T
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +163,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a64(data: bytes | str, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash, optionally continuing from a previous state."""
+def fnv1a64(data: bytes | str) -> int:
+    """64-bit FNV-1a hash."""
     if isinstance(data, str):
         data = data.encode("utf-8")
-    h = state
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
@@ -364,10 +358,9 @@ class RngStream:
     def _open_uniform(self, n: int) -> np.ndarray:
         return _open_unit(self._raw(n))
 
-    def normal(self, shape=None):
-        """Standard normal draws via the inverse CDF (``_ndtri``)."""
-        if shape is None:
-            return float(_ndtri(self._open_uniform(1))[0])
+    def normal(self, shape) -> np.ndarray:
+        """An array of ``shape`` (an int is one dimension) of standard normal
+        draws via the inverse CDF (``_ndtri``)."""
         shape, n = _dims(shape)
         return _ndtri(self._open_uniform(n)).reshape(shape)
 

@@ -63,6 +63,7 @@ there is no migration.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -74,6 +75,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .controller import ControllerState
+from .space import SearchSpace
 from .supernet import ParamKey
 from .trainstep import SlotStore
 
@@ -167,6 +169,23 @@ def truncate_events(path: str, meta_step: int, digest: str) -> int:
             raise ValueError(f"{path}: event log holds no record of step {step} of the resumed run")
         fh.truncate(offset)
     return offset
+
+
+def open_events(path: str | None, space: SearchSpace, resumed: Checkpoint | None):
+    """The event log at ``path``, open for writing records, in a directory
+    made if missing; a null context when ``path`` is None. A log resumed from
+    ``resumed`` keeps its header and the records before its meta-step
+    (``truncate_events``); a fresh or missing log starts with its header."""
+    if path is None:
+        return contextlib.nullcontext()
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    kept = 0
+    if resumed is not None and os.path.exists(path):
+        kept = truncate_events(path, resumed.meta_step, resumed.store_digest)
+    fh = open(path, "a" if kept else "w", encoding="utf-8")
+    if not kept:
+        fh.write(event_header(space.labels(), space.cardinalities()) + "\n")
+    return fh
 
 
 def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:

@@ -18,6 +18,8 @@
   intermediate and a second ``exp`` for the softmax; the library's versions
   must match them bit for bit.
 * ``split_stream``: an ``RngStream`` namespaced under another one.
+* ``backward_grads``: ``numerics.backward`` written into new arrays, one per
+  weight and bias key, each checked to be written.
 * ``weights_digest``: the store digest of a super-model, or of no store.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from jointsearch import supernet, trainstep
+from jointsearch import numerics, supernet, trainstep
 from jointsearch.controller import ControllerState, probabilities
 from jointsearch.numerics import RngStream, softmax
 from jointsearch.persist import store_digest
@@ -522,6 +524,19 @@ def reference_optimizer_step(params: dict, grads, slots, spec) -> None:
             sq *= trainstep.RMSPROP_RHO
             sq += (1.0 - trainstep.RMSPROP_RHO) * (g * g)
             p -= lr * g / (np.sqrt(sq) + trainstep.RMSPROP_EPS)
+
+
+def backward_grads(layers, head_weight, grad_logits) -> dict:
+    """The gradients ``numerics.backward`` writes into NaN-filled arrays, one
+    per weight and bias key of ``layers``; an array it leaves unwritten fails."""
+    out = {}
+    for layer in layers:
+        if layer.keys:
+            out[layer.keys[0]] = np.full(layer.weight.shape, np.nan)
+            out[layer.keys[1]] = np.full(layer.weight.shape[1], np.nan)
+    numerics.backward(layers, head_weight, grad_logits, out)
+    assert not any(np.isnan(g).any() for g in out.values()), "a gradient was left unwritten"
+    return out
 
 
 def split_stream(stream: RngStream, name: str) -> RngStream:

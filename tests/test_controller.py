@@ -338,6 +338,33 @@ def test_entropy_weight_pushes_toward_uniform():
     assert after.min() > before.min()
 
 
+def test_entropy_gradient_of_a_collapsed_row_is_zero():
+    # exp(-800) underflows, so row 0 is exactly [1, 0]: 0 log 0 = 0 makes its
+    # entropy 0 and its entropy gradient exactly zero, not 0 * -inf = nan.
+    state = state_with_logits([[0.0, -800.0], [0.0, 0.0]])
+    assert probabilities(state)[0].tolist() == [1.0, 0.0]
+    state.baseline = 0.5
+    before = [z.copy() for z in state.logits]
+    samples = [((0, 0), 1.0), ((0, 1), 0.0)]
+    reinforce_update(state, samples, no_warmup_meta(entropy_weight=0.01), 1)
+    assert state.logits[0].tobytes() == before[0].tobytes()
+    assert not np.array_equal(state.logits[1], before[1])
+    # A row with no zero entry takes the plain log, bit for bit.
+    p = probabilities(state_with_logits([[2.0, 0.0, -2.0]]))[0]
+    (got,) = controller._entropy_gradient([p], 0.01)
+    log_p = np.log(p)
+    assert got.tobytes() == (0.01 * p * (log_p - float(np.dot(p, log_p)))).tobytes()
+
+
+def test_update_refuses_an_overflowing_advantage():
+    # At step 0 the first reward is the baseline, so the second's advantage
+    # is -2e308, which overflows to -inf: the Adam step refuses the gradient.
+    state = init_controller(space_with_cards([2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite gradient for 0"):
+            reinforce_update(state, [((0,), 1e308), ((1,), -1e308)], no_warmup_meta(), 0)
+
+
 def test_search_section_validation():
     with pytest.raises(ValueError):
         SearchSection(total_meta_steps=10, meta_lr=0.0)

@@ -92,9 +92,9 @@ def test_spirals_shapes_balance_determinism():
 
 def test_dataset_validates_one_hot_labels():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.array([[0.5, 0.5], [1, 0], [0, 1]]), "bad")
+        Dataset(np.zeros((3, 2)), np.array([[0.5, 0.5], [1, 0], [0, 1]]))
     with pytest.raises(ValueError):
-        Dataset(np.zeros((3, 2)), np.eye(2), "mismatched-rows")
+        Dataset(np.zeros((3, 2)), np.eye(2))
 
 
 _NO_SCIPY_SETUP_SCRIPT = """
@@ -209,7 +209,7 @@ def test_load_csv_rejects_empty_and_single_class(tmp_path):
 def unique_rows_dataset(n):
     features = np.arange(n, dtype=float).reshape(n, 1)
     labels = np.eye(2)[np.arange(n) % 2]
-    return Dataset(features, labels, "rows")
+    return Dataset(features, labels)
 
 
 def test_split_sizes():
@@ -248,7 +248,7 @@ def test_split_preserves_feature_label_pairing():
     n = 40
     features = np.arange(n, dtype=float).reshape(n, 1)
     labels = np.eye(2)[(np.arange(n) < 20).astype(int)]
-    ds = Dataset(features, labels, "paired")
+    ds = Dataset(features, labels)
     parts = split(ds, (0.5, 0.25, 0.25), 4)
     for part in (parts.train, parts.val, parts.test):
         for row, one_hot in zip(part.features[:, 0], part.labels):
@@ -263,11 +263,7 @@ def test_split_preserves_feature_label_pairing():
 
 def test_concat_orders_and_lengths():
     a = unique_rows_dataset(6)
-    b = Dataset(
-        np.arange(100, 104, dtype=float).reshape(4, 1),
-        np.eye(2)[np.arange(4) % 2],
-        "tail",
-    )
+    b = Dataset(np.arange(100, 104, dtype=float).reshape(4, 1), np.eye(2)[np.arange(4) % 2])
     joined = concat(a, b)
     assert len(joined) == 10
     assert joined.features[0, 0] == 0.0

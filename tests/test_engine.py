@@ -678,6 +678,45 @@ def test_resume_under_new_output_paths_echoes_them(tmp_path):
         assert fh.read() == uninterrupted
 
 
+def test_resumed_run_whose_log_is_missing_logs_the_header_and_the_resumed_steps(tmp_path):
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 3,
+    }
+    config = parse_config(moons_doc(total=6, output=output))
+    search(config)
+    header, uninterrupted = read_events(output["log_path"])
+
+    def crash(phase, step, weights):
+        if (phase, step) == ("controller", 4):
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        search(config, audit=crash)
+    os.remove(output["log_path"])
+    search(config, resume_from=output["checkpoint_path"])
+    resumed_header, resumed = read_events(output["log_path"])
+    assert resumed_header == header
+    assert [replace(e, wall_ms=0.0) for e in resumed] == [
+        replace(e, wall_ms=0.0) for e in uninterrupted[3:]
+    ]
+
+
+def test_resume_from_the_final_checkpoint_leaves_checkpoint_and_log_bytes(tmp_path):
+    output = {
+        "log_path": str(tmp_path / "logs" / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 2,
+    }
+    config = parse_config(moons_doc(total=4, output=output))
+    search(config)
+    checkpoint, log = (Path(output[name]).read_bytes() for name in ("checkpoint_path", "log_path"))
+    search(config, resume_from=output["checkpoint_path"])
+    assert Path(output["checkpoint_path"]).read_bytes() == checkpoint
+    assert Path(output["log_path"]).read_bytes() == log
+
+
 def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
     # A table-driven run holds no store, head or commit slot, so check_layout
     # names the first of them that the network checkpoint holds, and the

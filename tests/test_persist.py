@@ -17,12 +17,14 @@ from jointsearch.persist import (
     _float_list,
     event_header,
     load_checkpoint,
+    open_events,
     read_events,
     save_checkpoint,
     store_digest,
     truncate_events,
     write_event,
 )
+from jointsearch.space import LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import ParamKey
 from jointsearch.trainstep import SlotStore
 
@@ -810,6 +812,18 @@ def test_truncate_events_at_step_zero_keeps_only_the_header(tmp_path):
             write_event(fh, event)
     assert truncate_events(str(path), 0, "unused") == len(event_header(["layer0"], [2])) + 1
     assert read_events(str(path)) == (json.loads(event_header(["layer0"], [2])), [])
+
+
+def test_open_events_is_null_without_a_path_and_creates_the_log_directory(tmp_path):
+    space = build_space(SpaceConfig(2, 2, (LayerConfig(candidates=("identity",) * 2),)))
+    with open_events(None, space, None) as fh:
+        assert fh is None
+    path = str(tmp_path / "a" / "b" / "events.jsonl")
+    with open_events(path, space, None) as fh:
+        write_event(fh, sample_events(1)[0])
+    header, records = read_events(path)
+    assert header == json.loads(event_header(space.labels(), space.cardinalities()))
+    assert records == sample_events(1)
 
 
 def _stale_log(path, steps, digest_of=lambda step: "00" * 8):

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from jointsearch.numerics import RngStream, backward
+from jointsearch.numerics import RngStream
 from jointsearch.space import HyperConfig, LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import (
     EVAL,
@@ -14,6 +14,8 @@ from jointsearch.supernet import (
     init_weights,
     sub_view,
 )
+
+from reference import backward_grads
 
 
 def build(layers, input_dim=2, num_classes=2, hypers=()):
@@ -269,7 +271,7 @@ def test_forward_train_gradients_flow_to_all_view_leaves():
         weights, sub_view(space, (1, 1)), x, TRAIN, dropout_keep=1.0, rng=RngStream(0, "m")
     )
     # loss = sum(logits * logits), so d loss / d logits = 2 * logits
-    grads = backward(layers, weights.head_weight, 2.0 * logits)
+    grads = backward_grads(layers, weights.head_weight, 2.0 * logits)
     assert set(grads) == set(sub_view(space, (1, 1)).keys)
     for key, grad in grads.items():
         assert grad.shape == weights.store[key].shape
