@@ -20,7 +20,6 @@ from .space import (
     build_space,
     derive,
     make_continuous_basis,
-    space_cardinality,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "build_space",
     "derive",
     "make_continuous_basis",
-    "space_cardinality",
 ]

@@ -96,12 +96,15 @@ def _cmd_search(args) -> int:
 
 def _load_derived(space, path: str) -> DerivedConfig:
     """The ``derived`` object of the result file at ``path``, or the whole
-    document; ``ValueError`` names the file and the first field that is
-    missing, that ``space`` does not search or that it could not have
-    derived. A continuous value need only be finite, since ``engine.retrain``
-    takes it as given."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    document. ``ValueError`` names the file when it is not UTF-8 JSON, and
+    the file and the first field that is missing, that ``space`` does not
+    search or that it could not have derived. A continuous value need only
+    be finite, since ``engine.retrain`` takes it as given."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: malformed result file ({exc})") from None
     prefix = "derived." if isinstance(doc, dict) and "derived" in doc else ""
     derived = doc["derived"] if prefix else doc
 

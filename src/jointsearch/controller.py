@@ -24,14 +24,14 @@ import numpy as np
 from .config import SearchSection
 from .numerics import RngStream, softmax
 from .space import SearchSpace
-from .trainstep import SlotStore, TrainerSpec, optimizer_step
+from .trainstep import TrainerSpec, optimizer_step
 
 
 @dataclass
 class ControllerState:
     logits: list[np.ndarray]
     baseline: float = 0.0
-    slots: SlotStore = field(default_factory=SlotStore)
+    slots: dict = field(default_factory=dict)  # Adam slots by ("adam", decision)
 
 
 def init_controller(space: SearchSpace) -> ControllerState:

@@ -109,8 +109,11 @@ def load_csv(path: str) -> Dataset:
     classes are indexed in order of first appearance. All other columns must
     parse as floats.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: malformed CSV ({exc})") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]

@@ -24,11 +24,11 @@ from . import controller as ctrl
 from . import persist, supernet, trainstep
 from .config import ConfigError, EngineConfig, RewardSection, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
-from .numerics import RngStream, check_labels, softmax_cross_entropy
+from .numerics import RngStream, check_labels, cross_entropy_loss
 from .persist import RewardRecord
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SubModelView, SuperModelWeights
-from .trainstep import SlotStore, TrainerSpec
+from .trainstep import TrainerSpec
 
 
 @dataclass
@@ -86,8 +86,7 @@ def eval_metrics(
     """(accuracy, mean cross-entropy) of an eval-mode forward pass."""
     x, y = batch
     logits = supernet.forward(weights, view, x, supernet.EVAL)
-    loss, _ = softmax_cross_entropy(logits, y)
-    return _accuracy(logits, y), loss
+    return _accuracy(logits, y), cross_entropy_loss(logits, y)
 
 
 def evaluate_candidate(
@@ -97,28 +96,25 @@ def evaluate_candidate(
     val_batch: tuple[np.ndarray, np.ndarray],
     rng: RngStream,
     *,
-    reward: RewardSection = RewardSection(),
     learning_rate: float = 0.01,
-    meta_step: int = 0,
-) -> RewardRecord:
-    """Score one sampled pair without touching the shared store.
+) -> tuple[float, float]:
+    """Score one sampled pair without touching the shared store: its
+    ``(accuracy, cost)``, as ``search``'s ``evaluate_override`` gives it.
 
     Builds the pair's trainer (``learning_rate`` when the space does not
     search it), advances temporary weights by one step per train batch, and
     measures accuracy on the validation batch with the temporary weights in
-    place of the store's. Only the accuracy is computed, but the validation
-    labels get the loss's checks: ``ValueError`` unless they are finite
-    distribution rows matching the logits.
+    place of the store's; the cost is the selection's MAC count. Only the
+    accuracy is computed, but the validation labels get the loss's checks:
+    ``ValueError`` unless they are finite distribution rows matching the
+    logits.
     """
     view = supernet.sub_view(weights.space, selection)
     spec = trainstep.build_trainer(weights.space, view.selection, learning_rate)
     params = trainstep.make_temporary(weights, view, spec, train_batches, rng)
     x, y = val_batch
     logits = supernet.forward(weights, view, x, supernet.EVAL, params=params)
-    accuracy = _accuracy(logits, check_labels(y, logits.shape))
-    return RewardRecord(
-        meta_step, view.selection, accuracy, view.cost, compute_reward(accuracy, view.cost, reward)
-    )
+    return _accuracy(logits, check_labels(y, logits.shape)), view.cost
 
 
 def setup_run(config: EngineConfig, space: SearchSpace) -> DataSplit:
@@ -210,12 +206,12 @@ def _resumable(
     updates = done - ctrl.warmup_steps(config.search)
     if updates > 0:  # each step past warm-up made one Adam update of every row
         for d, z in enumerate(held.controller.logits):
-            held.controller.slots.get("adam", d, z)["step"] = updates
+            held.controller.slots["adam", d] = {**trainstep.fresh_slot("adam", z), "step": updates}
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     for (family, key), slot in ckpt.commit_slots.items():
         if family in optimizers and key in held.store:
-            made = held.commit_slots.get(family, key, held.store[key])
+            made = held.commit_slots[family, key] = trainstep.fresh_slot(family, held.store[key])
             for name, value in slot.items():  # update counts only a replay could check
                 if type(made.get(name)) is int and type(value) is int:
                     made[name] = value
@@ -281,25 +277,22 @@ def search(
             for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
                 if evaluate_override is not None:
                     accuracy, cost = evaluate_override(selection)
-                    reward = compute_reward(accuracy, cost, settings.reward)
-                    record = RewardRecord(step, selection, accuracy, cost, reward)
                 else:
                     data_rng = RngStream(seed, f"eval-data/{step}/{i}")
                     batches = _draw_batches(
                         splits.train, settings.train_batch_size, data_rng, settings.inner_steps
                     )
                     [val_batch] = _draw_batches(splits.val, settings.val_batch_size, data_rng)
-                    record = evaluate_candidate(
+                    accuracy, cost = evaluate_candidate(
                         weights,
                         selection,
                         batches,
                         val_batch,
                         RngStream(seed, f"eval-train/{step}/{i}"),
-                        reward=settings.reward,
                         learning_rate=settings.default_learning_rate,
-                        meta_step=step,
                     )
-                records.append(record)
+                reward = compute_reward(accuracy, cost, settings.reward)
+                records.append(RewardRecord(step, selection, accuracy, cost, reward))
             baseline = ctrl.reinforce_update(
                 state, [(r.selection, r.reward) for r in records], settings, step
             )
@@ -402,7 +395,7 @@ def retrain(
     trainer = trainstep.trainer_from_derived(space, derived, learning_rate)
     weights = supernet.init_weights(sub_space, RngStream(seed, f"{name}/init"))
     view = supernet.sub_view(sub_space, (0,) * sub_space.n_decisions)  # the one op per layer
-    slots = SlotStore()
+    slots: dict = {}
 
     pool = concat(splits.train, splits.val)
     n = len(pool)

@@ -28,7 +28,7 @@ __all__ = [
     "fnv1a64",
     "check_labels",
     "softmax",
-    "softmax_cross_entropy",
+    "cross_entropy_loss",
     "cross_entropy_gradient",
     "backward",
 ]
@@ -77,35 +77,25 @@ def check_labels(labels, shape: tuple[int, ...]) -> np.ndarray:
     return y
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``,
-    and its gradient with respect to ``logits``.
+def cross_entropy_loss(logits: np.ndarray, labels) -> float:
+    """Mean cross-entropy between row-softmax of ``logits`` and soft ``labels``.
 
     Raises ``ValueError`` unless every label row is a finite distribution.
-    One ``exp(z - max)`` serves both the log-sum-exp and the softmax.
     """
     z = logits
     y = check_labels(labels, z.shape)
     m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    total = e.sum(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(total[:, 0])
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     # loss_i = logsumexp(z_i) - <y_i, z_i>  (valid for any distribution row y_i)
-    loss = float((lse - (y * z).sum(axis=1)).mean())
-    return loss, _loss_gradient(e, total, y)
+    return float((lse - (y * z).sum(axis=1)).mean())
 
 
 def cross_entropy_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The gradient ``softmax_cross_entropy`` returns, bit for bit, without
-    its loss or label checks: ``y`` must be labels ``check_labels`` passed."""
+    """The gradient of ``cross_entropy_loss`` with respect to ``logits``,
+    ``(softmax - y) / rows``, without the label checks: ``y`` must be labels
+    ``check_labels`` passed."""
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return _loss_gradient(e, e.sum(axis=1, keepdims=True), y)
-
-
-def _loss_gradient(e: np.ndarray, total: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # softmax - y over the row count, in place in ``e``; an empty eval batch
-    # has a nan loss and an empty gradient.
-    e /= total
+    e /= e.sum(axis=1, keepdims=True)
     e -= y
     e *= 1.0 / max(e.shape[0], 1)
     return e
@@ -333,7 +323,6 @@ class RngStream:
         if counter < 0:
             raise ValueError("counter must be non-negative")
         self.seed = int(seed) & _MASK64
-        self.name = name
         self.counter = int(counter)
         self._key = np.uint64(_mix64_int(self.seed ^ fnv1a64(name)))
 

@@ -77,7 +77,6 @@ import numpy as np
 from .controller import ControllerState
 from .space import SearchSpace
 from .supernet import ParamKey
-from .trainstep import SlotStore
 
 CHECKPOINT_FORMAT_VERSION = 6
 EVENT_LOG_FORMAT_VERSION = 2
@@ -188,31 +187,68 @@ def open_events(path: str | None, space: SearchSpace, resumed: Checkpoint | None
     return fh
 
 
+def _is_decision(doc) -> bool:
+    # A header decision: a string label and a positive integer cardinality.
+    if not isinstance(doc, dict):
+        return False
+    cardinality = doc.get("cardinality")
+    return isinstance(doc.get("label"), str) and type(cardinality) is int and cardinality > 0
+
+
 def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
-    """Read an event log; returns (header, records). A line that is neither
-    the header nor a record with exactly ``EventRecord``'s fields raises
-    ``ValueError`` naming the file and the line."""
+    """Read an event log; returns (header, records).
+
+    ``ValueError`` names the file if it is not UTF-8 text, and the file and
+    the line of the first line that is not JSON, a header whose
+    ``decisions`` are not objects with a string ``label`` and a positive
+    integer ``cardinality``, or a record without exactly ``EventRecord``'s
+    fields or whose ``probabilities`` are not one non-empty list per
+    decision, each as long as the header says (without a header, as the
+    first record's).
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     header = None
+    shape = None  # each decision's cardinality
     records: list[EventRecord] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed JSON on line {line_no} ({exc})") from None
-            if isinstance(doc, dict) and "decisions" in doc:
-                header = doc
-                continue
-            try:
-                records.append(EventRecord(**doc))
-            except TypeError:
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}: line {line_no}"
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON on line {line_no} ({exc})") from None
+        if isinstance(doc, dict) and "decisions" in doc:
+            decisions = doc["decisions"]
+            if not isinstance(decisions, list) or not all(map(_is_decision, decisions)):
                 raise ValueError(
-                    f"{path}: line {line_no} is not an event record with exactly the fields "
-                    f"{_EVENT_FIELDS}"
-                ) from None
+                    f"{where}: header decisions are not objects with a string label "
+                    "and a positive integer cardinality"
+                )
+            header, shape = doc, [d["cardinality"] for d in decisions]
+            continue
+        try:
+            record = EventRecord(**doc)
+        except TypeError:
+            raise ValueError(
+                f"{where} is not an event record with exactly the fields {_EVENT_FIELDS}"
+            ) from None
+        rows = record.probabilities
+        if not isinstance(rows, list) or not all(isinstance(r, list) and r for r in rows):
+            raise ValueError(f"{where}: probabilities are not a list of non-empty lists")
+        lengths = [len(r) for r in rows]
+        shape = lengths if shape is None else shape
+        if lengths != shape:
+            raise ValueError(
+                f"{where}: probabilities have row lengths {lengths}, "
+                f"not the decisions' cardinalities {shape}"
+            )
+        records.append(record)
     return header, records
 
 
@@ -248,7 +284,7 @@ class Checkpoint:
     store: dict[ParamKey, np.ndarray] = field(default_factory=dict)
     head_weight: np.ndarray | None = None
     head_bias: np.ndarray | None = None
-    commit_slots: SlotStore = field(default_factory=SlotStore)
+    commit_slots: dict = field(default_factory=dict)  # optimizer slots by (family, key)
     reward_history: list[RewardRecord] = field(default_factory=list)  # steps before meta_step
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
 
@@ -438,13 +474,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     slot_of = {}  # each slot, by the name prefix of its arrays
-    slot_stores = []
+    loaded_slots = []
     for (section, key_text, key_parse), slot_ints in zip(
         _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
     ):
         where = section.replace("/", ".")  # the header field
         check_field(path, isinstance(slot_ints, dict), where, "an object")
-        slots = SlotStore()
+        slots = {}
         for combined, slot in slot_ints.items():
             family, _, text = combined.partition("|")
             try:
@@ -460,9 +496,9 @@ def load_checkpoint(path: str) -> Checkpoint:
             for name, value in slot.items():  # the header holds a slot's integer fields
                 ok = type(value) is int and value > 0
                 check_field(path, ok, f"{field}.{name}", "a positive integer")
-            slots.restore(family, key, slot)
+            slots[family, key] = slot
             slot_of[f"{section}/{combined}"] = slot
-        slot_stores.append(slots)
+        loaded_slots.append(slots)
     store = {}
     head: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
@@ -486,12 +522,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         controller=ControllerState(
             logits=[np.asarray(z, dtype=np.float64) for z in logits],
             baseline=baseline,
-            slots=slot_stores[0],
+            slots=loaded_slots[0],
         ),
         store=store,
         head_weight=head.get("weight"),
         head_bias=head.get("bias"),
-        commit_slots=slot_stores[1],
+        commit_slots=loaded_slots[1],
         reward_history=[
             RewardRecord(**{**r, "selection": tuple(r["selection"])}) for r in history
         ],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,9 +33,6 @@ CONTINUOUS_FIELDS = {
 CATEGORICAL_FIELDS = {"optimizer": OPTIMIZERS}
 
 BasisValue = Union[float, str]
-
-# Saturation bound for cardinality reporting.
-CARDINALITY_CAP = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,9 @@ class ArchDecision:
 
 
 @dataclass(frozen=True)
-class HyperDecision:
-    """Choice of one basis value for one trainer field."""
+class HyperConfig:
+    """Choice of one basis value for one trainer field: as a config gives it,
+    and, checked, as ``build_space`` returns it."""
 
     name: str
     kind: str  # "continuous" | "categorical"
@@ -80,7 +78,7 @@ class SearchSpace:
     input_dim: int
     num_classes: int
     arch_decisions: tuple[ArchDecision, ...]
-    hyper_decisions: tuple[HyperDecision, ...]
+    hyper_decisions: tuple[HyperConfig, ...]
 
     @property
     def n_arch(self) -> int:
@@ -130,13 +128,6 @@ class LayerConfig:
 
     candidates: tuple[str, ...]
     width: int | None = None
-
-
-@dataclass(frozen=True)
-class HyperConfig:
-    name: str
-    kind: str
-    basis: tuple[BasisValue, ...]
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,7 @@ def build_space(config: SpaceConfig) -> SearchSpace:
         arch.append(ArchDecision(layer_id, ops, in_width, out_width))
         in_width = out_width
 
-    hyper: list[HyperDecision] = []
+    hyper: list[HyperConfig] = []
     seen: set[str] = set()
     for cfg in config.hyperparameters:
         if cfg.name in seen:
@@ -235,7 +226,7 @@ def build_space(config: SpaceConfig) -> SearchSpace:
             if len(set(cfg.basis)) != len(cfg.basis):
                 raise ValueError(f"categorical basis for {cfg.name!r} has duplicates")
             basis = tuple(cfg.basis)
-        hyper.append(HyperDecision(cfg.name, expected_kind, basis))
+        hyper.append(HyperConfig(cfg.name, expected_kind, basis))
 
     space = SearchSpace(config.input_dim, config.num_classes, tuple(arch), tuple(hyper))
     if space.n_decisions < 1:
@@ -257,20 +248,6 @@ def make_continuous_basis(default: float, count: int, span: float) -> tuple[floa
         raise ValueError("default must be positive and finite")
     exponents = np.linspace(-1.0, 1.0, count)
     return tuple(float(default * span**e) for e in exponents)
-
-
-class Cardinality(NamedTuple):
-    """Exact selection count plus a saturation marker past 2**63 - 1."""
-
-    count: int
-    overflow: bool
-
-
-def space_cardinality(space: SearchSpace) -> Cardinality:
-    total = 1
-    for c in space.cardinalities():
-        total *= c
-    return Cardinality(total, total > CARDINALITY_CAP)
 
 
 def validate_selection(space: SearchSpace, selection: Sequence[int]) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ update the caller supplies. No autodiff tape is involved; the tests check
 these gradients bit for bit against a reference tape and against finite
 differences. ``make_temporary`` trains flat copies with fresh flat slots, one
 ``_update`` per step; ``commit_step`` trains the store's own tensors with
-per-key ``optimizer_step`` and the run's ``SlotStore``.
+per-key ``optimizer_step`` and the run's slot dict.
 """
 from __future__ import annotations
 
@@ -66,32 +66,11 @@ SLOT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
 }
 
 
-def _fresh_slot(family: str, like: np.ndarray) -> dict:
+def fresh_slot(family: str, like: np.ndarray) -> dict:
+    """A new slot of ``family`` for a tensor shaped like ``like``: integer
+    fields 0, arrays zero."""
     ints, arrays = SLOT_FIELDS[family]
     return {**dict.fromkeys(ints, 0), **{name: np.zeros_like(like) for name in arrays}}
-
-
-class SlotStore:
-    """Per-(optimizer family, key) optimizer state, created lazily."""
-
-    def __init__(self):
-        self._slots: dict[tuple[str, object], dict] = {}
-
-    def get(self, family: str, key, like: np.ndarray) -> dict:
-        slot_key = (family, key)
-        slot = self._slots.get(slot_key)
-        if slot is None:
-            slot = self._slots[slot_key] = _fresh_slot(family, like)
-        return slot
-
-    def items(self):
-        return self._slots.items()
-
-    def restore(self, family: str, key, slot: dict) -> None:
-        self._slots[(family, key)] = slot
-
-    def __len__(self):
-        return len(self._slots)
 
 
 def build_trainer(
@@ -191,17 +170,13 @@ def _update(
         p -= b  # lr * g / (sqrt(sq) + eps)
 
 
-def optimizer_step(
-    params: dict,
-    grads: Mapping,
-    slots: SlotStore,
-    spec: TrainerSpec,
-) -> None:
+def optimizer_step(params: dict, grads: Mapping, slots: dict, spec: TrainerSpec) -> None:
     """One in-place update (``_update``) of every tensor in ``params``.
 
-    Keys are visited in sorted order, so the update sequence never depends
-    on dict construction order and the first non-finite gradient found is
-    the same on every call.
+    ``slots`` holds the optimizer state by ``(family, key)``; a stateful
+    family's missing slot is added fresh. Keys are visited in sorted order,
+    so the update sequence never depends on dict construction order and the
+    first non-finite gradient found is the same on every call.
     """
     family = spec.optimizer
     for key in sorted(params):
@@ -209,8 +184,9 @@ def optimizer_step(
         g = grads[key]
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for {key}")
-        slot = None if family == "sgd" else slots.get(family, key, p)
-        _update(p, g, slot, spec, np.empty_like(p), np.empty_like(p))
+        if family != "sgd" and (family, key) not in slots:
+            slots[family, key] = fresh_slot(family, p)
+        _update(p, g, slots.get((family, key)), spec, np.empty_like(p), np.empty_like(p))
 
 
 def _check_finite(values: np.ndarray, what) -> None:
@@ -307,7 +283,7 @@ def make_temporary(
     flat, params = _flat_views(weights, keys)
     for key in keys:
         params[key][...] = weights.store[key]
-    slot = None if spec.optimizer == "sgd" else _fresh_slot(spec.optimizer, flat)
+    slot = None if spec.optimizer == "sgd" else fresh_slot(spec.optimizer, flat)
     a, b = np.empty_like(flat), np.empty_like(flat)
     update = lambda grad, _: _update(flat, grad, slot, spec, a, b)
     train(weights, view, spec, train_batches, params, update, rng, (flat,))
@@ -319,7 +295,7 @@ def commit_step(
     view: SubModelView,
     spec: TrainerSpec,
     batches: Sequence[Batch],
-    slots: SlotStore,
+    slots: dict,
     rng: RngStream,
 ) -> None:
     """One step per batch on the store's own tensors, in place, each an

@@ -503,12 +503,12 @@ def reference_optimizer_step(params: dict, grads, slots, spec) -> None:
         if spec.optimizer == "sgd":
             p -= lr * g
         elif spec.optimizer == "momentum":
-            buf = slots.get("momentum", key, p)["buf"]
+            buf = slots.setdefault(("momentum", key), trainstep.fresh_slot("momentum", p))["buf"]
             buf *= trainstep.MOMENTUM
             buf += g
             p -= lr * buf
         elif spec.optimizer == "adam":
-            slot = slots.get("adam", key, p)
+            slot = slots.setdefault(("adam", key), trainstep.fresh_slot("adam", p))
             slot["step"] += 1
             t = slot["step"]
             m, v = slot["m"], slot["v"]
@@ -520,7 +520,7 @@ def reference_optimizer_step(params: dict, grads, slots, spec) -> None:
             v_hat = v / (1.0 - trainstep.ADAM_BETA2**t)
             p -= lr * m_hat / (np.sqrt(v_hat) + trainstep.ADAM_EPS)
         else:  # rmsprop
-            sq = slots.get("rmsprop", key, p)["sq"]
+            sq = slots.setdefault(("rmsprop", key), trainstep.fresh_slot("rmsprop", p))["sq"]
             sq *= trainstep.RMSPROP_RHO
             sq += (1.0 - trainstep.RMSPROP_RHO) * (g * g)
             p -= lr * g / (np.sqrt(sq) + trainstep.RMSPROP_EPS)
@@ -539,9 +539,10 @@ def backward_grads(layers, head_weight, grad_logits) -> dict:
     return out
 
 
-def split_stream(stream: RngStream, name: str) -> RngStream:
-    """An independent stream namespaced under ``stream``."""
-    return RngStream(stream.seed, f"{stream.name}/{name}")
+def split_stream(stream: RngStream, parent: str, name: str) -> RngStream:
+    """An independent stream namespaced under ``stream``, whose name is
+    ``parent``."""
+    return RngStream(stream.seed, f"{parent}/{name}")
 
 
 def weights_digest(weights) -> str:

@@ -34,7 +34,6 @@ from jointsearch.space import (
     derive,
     selection_to_config,
 )
-from jointsearch.trainstep import SlotStore
 
 from reference import (
     add,
@@ -230,7 +229,8 @@ def supernet_train_step_fd_error(eps=1e-3):
             dropout_keep=0.8,
             rng=RngStream(14, "a4-mask"),
         )
-        loss, grad_logits = numerics.softmax_cross_entropy(logits, y)
+        loss = numerics.cross_entropy_loss(logits, y)  # checks the labels
+        grad_logits = numerics.cross_entropy_gradient(logits, y)
         return loss, layers, grad_logits
 
     _, layers, grad_logits = run(params)
@@ -449,7 +449,7 @@ def test_a6_weight_sharing_locality():
             view,
             spec,
             [random_batch(rng, space, 4 + rng.index(12))],
-            SlotStore(),
+            {},
             RngStream(trial, "commit"),
         )
         for key, value in outside.items():

@@ -807,6 +807,50 @@ def test_baseline_random_runs_requested_trials(capsys, tmp_path):
     assert doc["best"]["index"] == accs.index(max(accs))
 
 
+@pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe"])
+def test_retrain_names_a_result_file_that_is_not_utf8_json(capsys, tmp_path, raw):
+    cfg = write_config(tmp_path, "cfg.json", base_doc())
+    result = tmp_path / "result.json"
+    result.write_bytes(raw)
+    assert main(["retrain", "--config", cfg, "--from-result", str(result)]) == 2
+    assert capsys.readouterr().err.startswith(f"runtime error: {result}: malformed result file (")
+
+
+def write_csv_dataset(path, rows=40):
+    # Two well-separated classes on two features, alternating row by row.
+    lines = ["x1,x2,label"]
+    for i in range(rows):
+        side = 1.0 if i % 2 else -1.0
+        lines.append(f"{side + 0.01 * i},{side - 0.02 * i},{'ab'[i % 2]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_search_then_retrain_on_a_csv_dataset(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    write_csv_dataset(data)
+    doc = base_doc(total=3)
+    doc["data"] = {"csv_path": str(data), "seed": 3}
+    doc["output"] = {"result_path": str(tmp_path / "result.json")}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["search", "--config", cfg]) == 0
+    out = tmp_path / "metrics.json"
+    retrain = ["retrain", "--config", cfg, "--from-result", str(tmp_path / "result.json")]
+    assert main([*retrain, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())
+    assert 0.0 <= metrics["test_accuracy"] <= 1.0
+    assert metrics["derived"] == json.loads((tmp_path / "result.json").read_text())["derived"]
+
+
+def test_search_names_a_csv_path_that_is_not_utf8(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_bytes(b"x1,x2,label\n\xff,0.0,a\n")
+    doc = base_doc()
+    doc["data"] = {"csv_path": str(data), "seed": 3}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    assert main(["search", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"runtime error: {data}: malformed CSV (")
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -839,6 +883,46 @@ def test_report_emits_trajectories_and_summary(capsys, tmp_path):
     assert summary["final_meta_step"] == 5
     assert set(summary["final_argmax"]) == {"layer0", "learning_rate", "optimizer"}
     assert len(summary["final_store_digest"]) == 16
+
+
+def _drop_first_label(lines):
+    header = json.loads(lines[0])
+    del header["decisions"][0]["label"]
+    lines[0] = json.dumps(header)
+    return "line 1: header decisions are not objects"
+
+
+def _add_a_row(lines):
+    record = json.loads(lines[3])
+    record["probabilities"].append([0.5, 0.5])
+    lines[3] = json.dumps(record)
+    return "line 4: probabilities have row lengths [2, 3, 2, 2]"
+
+
+def _widen_a_row(lines):
+    record = json.loads(lines[3])
+    record["probabilities"][0] = [0.2, 0.3, 0.5]
+    lines[3] = json.dumps(record)
+    return "line 4: probabilities have row lengths [3, 3, 2]"
+
+
+@pytest.mark.parametrize("defect", [_drop_first_label, _add_a_row, _widen_a_row, None])
+def test_report_refuses_a_malformed_log_before_writing_anything(capsys, tmp_path, defect):
+    log = tmp_path / "events.jsonl"
+    code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)})
+    assert code == 0
+    capsys.readouterr()
+    if defect is None:
+        log.write_bytes(log.read_bytes() + b"\xff\n")
+        expected = f"{log}: not UTF-8 text ("
+    else:
+        lines = log.read_text().splitlines()
+        expected = f"{log}: {defect(lines)}"
+        log.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"runtime error: {expected}")
+    assert not out_dir.exists()
 
 
 def test_report_missing_log_exits_one(capsys, tmp_path):

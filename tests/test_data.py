@@ -201,6 +201,21 @@ def test_load_csv_rejects_empty_and_single_class(tmp_path):
         load_csv(write_csv(tmp_path, "x,label\n1.0,only\n2.0,only\n", name="one.csv"))
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"x,label\n\xff,yes\n", b"x,label\n" + b"1" * 200_000 + b",a\n"],
+    ids=["not-utf8", "field-past-limit"],
+)
+def test_load_csv_names_the_file_when_its_bytes_are_malformed(tmp_path, raw):
+    # Bytes that are not UTF-8, or that the csv module refuses (a field past
+    # its size limit), are a ValueError that starts with the path.
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError) as err:
+        load_csv(str(path))
+    assert str(err.value).startswith(f"{path}: malformed CSV (")
+
+
 # ---------------------------------------------------------------------------
 # split
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from jointsearch.space import (
     build_space,
     derive,
 )
-from jointsearch.trainstep import SlotStore, TrainerSpec
+from jointsearch.trainstep import TrainerSpec
 
 from reference import taped_train_step, weights_digest
 
@@ -140,12 +140,12 @@ def test_untrained_accuracy_is_near_chance_over_seeds():
     accuracies = []
     for seed in range(50):
         weights = supernet.init_weights(space, RngStream(seed, "init"))
-        record = evaluate_candidate(
+        accuracy, cost = evaluate_candidate(
             weights, (1,), [batch], batch, RngStream(seed, "t"), learning_rate=0.0
         )  # lr 0 keeps the net untrained
-        assert 0.0 <= record.accuracy <= 1.0
-        assert record.cost == supernet.sub_view(space, (1,)).cost
-        accuracies.append(record.accuracy)
+        assert 0.0 <= accuracy <= 1.0
+        assert cost == supernet.sub_view(space, (1,)).cost
+        accuracies.append(accuracy)
     mean = float(np.mean(accuracies))
     # per-seed accuracy sd is bounded by 0.5, so 3 sigma of the seed mean:
     assert abs(mean - 0.5) < 3 * 0.5 / np.sqrt(50)
@@ -159,10 +159,8 @@ def test_val_batch_of_one_gives_zero_or_one():
         weights = supernet.init_weights(space, RngStream(seed, "init"))
         pick = RngStream(seed, "pick").index(100)
         val = (dataset.features[pick : pick + 1], dataset.labels[pick : pick + 1])
-        record = evaluate_candidate(
-            weights, (1,), [train_batch], val, RngStream(seed, "t")
-        )
-        assert record.accuracy in (0.0, 1.0)
+        accuracy, _ = evaluate_candidate(weights, (1,), [train_batch], val, RngStream(seed, "t"))
+        assert accuracy in (0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -223,9 +221,7 @@ def test_evaluate_candidate_leaves_store_bitwise_unchanged():
     before = {key: value.copy() for key, value in weights.store.items()}
     for trial in range(25):
         selection = tuple(rng.index(c) for c in space.cardinalities())
-        evaluate_candidate(
-            weights, selection, [batch], batch, RngStream(trial, "t"), meta_step=trial
-        )
+        evaluate_candidate(weights, selection, [batch], batch, RngStream(trial, "t"))
         for key, value in before.items():
             assert np.array_equal(weights.store[key], value)
 
@@ -920,7 +916,7 @@ def test_retrain_equals_per_batch_reference(optimizer):
     view = supernet.sub_view(narrowed, (0,) * narrowed.n_decisions)
     pool = concat(parts.train, parts.val)
     assert len(pool) % batch_size != 0
-    slots = SlotStore()
+    slots = {}
     for epoch in range(epochs):
         order = RngStream(6, f"retrain/order/{epoch}").permutation(len(pool))
         stream = RngStream(6, f"retrain/steps/{epoch}")

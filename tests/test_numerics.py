@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from jointsearch import numerics
-from jointsearch.numerics import Layer, RngStream, fnv1a64, softmax_cross_entropy
+from jointsearch.numerics import (
+    Layer,
+    RngStream,
+    check_labels,
+    cross_entropy_gradient,
+    cross_entropy_loss,
+    fnv1a64,
+)
 
 import reference
 from reference import (
@@ -46,11 +53,16 @@ def test_relu_forward_values():
     assert np.array_equal(out.value, [0.0, 0.0, 2.0])
 
 
+def loss_and_gradient(z, y):
+    # The library's loss and its logit gradient, as a train step takes it.
+    return cross_entropy_loss(z, y), cross_entropy_gradient(z, check_labels(y, z.shape))
+
+
 def test_cross_entropy_uniform_logits_is_ln2():
     # logits (0, 0) make the predicted distribution uniform over two classes,
     # so the loss against any one-hot label is exactly -log(1/2), and the
     # gradient is softmax minus label over the batch size.
-    loss, grad = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    loss, grad = loss_and_gradient(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert abs(loss - LN2) < 1e-15
     assert np.array_equal(grad, [[-0.5, 0.5]])
 
@@ -60,7 +72,7 @@ def test_cross_entropy_nonnegative_and_zero_only_at_match():
     for _ in range(50):
         z = rng.normal((4, 3)) * 3.0
         y = np.eye(3)[np.arange(4) % 3]
-        loss, grad = softmax_cross_entropy(z, y)
+        loss, grad = loss_and_gradient(z, y)
         assert loss >= 0.0
         # the library's loss and logit gradient are the reference tape's, bit for bit
         tape = Tape()
@@ -70,15 +82,14 @@ def test_cross_entropy_nonnegative_and_zero_only_at_match():
         assert grad.tobytes() == backward(tape, taped)[logits].tobytes()
 
     # a hard, correct prediction drives the loss toward zero
-    loss, _ = softmax_cross_entropy(np.array([[40.0, 0.0]]), np.array([[1.0, 0.0]]))
+    loss = cross_entropy_loss(np.array([[40.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert loss < 1e-15
 
 
 @pytest.mark.parametrize("rows,classes", [(1, 2), (3, 3), (64, 2), (256, 5)])
 def test_cross_entropy_matches_two_pass_reference(rows, classes):
-    # One exp pass for both the log-sum-exp and the softmax gives the loss and
-    # gradient of the two-pass version bit for bit, on hard and soft labels,
-    # tied and large logits.
+    # The loss and the gradient equal the two-pass version's bit for bit, on
+    # hard and soft labels, tied and large logits.
     rng = RngStream(11, f"ce-two-pass/{rows}/{classes}")
     for scale in (0.0, 1.0, 30.0, 700.0):
         z = (rng.uniform((rows, classes)) - 0.5) * scale
@@ -86,7 +97,7 @@ def test_cross_entropy_matches_two_pass_reference(rows, classes):
         mix = rng.uniform()
         soft = mix * hard + (1.0 - mix) * hard[::-1]
         for y in (hard, soft):
-            loss, grad = softmax_cross_entropy(z, y)
+            loss, grad = loss_and_gradient(z, y)
             want_loss, want_grad = reference.two_pass_softmax_cross_entropy(z, y)
             assert loss == want_loss
             assert grad.tobytes() == want_grad.tobytes()
@@ -96,7 +107,7 @@ def test_cross_entropy_rejects_bad_label_rows():
     logits = np.array([[0.0, 0.0]])
     for labels in ([[0.7, 0.7]], [[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]], [1.0, 0.0]):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(logits, np.array(labels))
+            cross_entropy_loss(logits, np.array(labels))
     tape = Tape()
     with pytest.raises(ValueError):
         reference.softmax_cross_entropy(
@@ -682,7 +693,7 @@ def test_rng_key_is_the_splitmix_finalizer_of_seed_and_name():
 
 def test_rng_split_matches_slash_naming():
     parent = RngStream(77, "root")
-    child = split_stream(parent, "sub")
+    child = split_stream(parent, "root", "sub")
     direct = RngStream(77, "root/sub")
     assert np.array_equal(child.uniform(8), direct.uniform(8))
 

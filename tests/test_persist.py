@@ -24,9 +24,9 @@ from jointsearch.persist import (
     truncate_events,
     write_event,
 )
-from jointsearch.space import LayerConfig, SpaceConfig, build_space
+from jointsearch.space import HyperConfig, LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import ParamKey
-from jointsearch.trainstep import SlotStore
+from jointsearch.trainstep import fresh_slot
 
 
 def small_store():
@@ -105,6 +105,10 @@ def test_float_list_matches_per_element_conversion():
 # ---------------------------------------------------------------------------
 
 
+# The header of a log of ``sample_events``: one decision per probability row.
+SAMPLE_HEADER = event_header(["layer0", "learning_rate"], [2, 3])
+
+
 def sample_events(n):
     events = []
     for step in range(n):
@@ -124,7 +128,7 @@ def sample_events(n):
 def test_event_log_round_trip(tmp_path):
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
-        fh.write(event_header(["layer0", "learning_rate"], [2, 3]) + "\n")
+        fh.write(SAMPLE_HEADER + "\n")
         for event in sample_events(5):
             write_event(fh, event)
     header, records = read_events(str(path))
@@ -183,10 +187,84 @@ def test_event_record_with_other_keys_names_the_file_and_line(tmp_path, edit):
         doc["wall_s"] = 0.0
     else:
         doc = [doc]
-    path.write_text(event_header(["layer0"], [2]) + "\n" + json.dumps(doc) + "\n")
+    path.write_text(SAMPLE_HEADER + "\n" + json.dumps(doc) + "\n")
     with pytest.raises(ValueError) as err:
         read_events(str(path))
     assert f"{path}: line 2 is not an event record" in str(err.value)
+
+
+def test_event_log_that_is_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(SAMPLE_HEADER.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value).startswith(f"{path}: not UTF-8 text (")
+
+
+@pytest.mark.parametrize(
+    "decisions",
+    [
+        [{"cardinality": 2}],
+        [{"label": 0, "cardinality": 2}],
+        [{"label": "layer0"}],
+        [{"label": "layer0", "cardinality": "2"}],
+        [{"label": "layer0", "cardinality": True}],
+        [{"label": "layer0", "cardinality": 0}],
+        [{"label": "layer0", "cardinality": 2.0}],
+        ["layer0"],
+        {"label": "layer0", "cardinality": 2},
+    ],
+)
+def test_event_log_header_decisions_need_a_label_and_a_cardinality(tmp_path, decisions):
+    path = tmp_path / "events.jsonl"
+    header = {"format_version": 2, "decisions": decisions}
+    path.write_text("\n" + json.dumps(header) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == (
+        f"{path}: line 2: header decisions are not objects with a string label "
+        "and a positive integer cardinality"
+    )
+
+
+@pytest.mark.parametrize(
+    "probabilities, message",
+    [
+        ([[0.5, 0.5], [0.2, 0.3, 0.5], [1.0]], "row lengths [2, 3, 1]"),
+        ([[0.5, 0.5]], "row lengths [2]"),
+        ([[0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], "row lengths [3, 3]"),
+        ([[0.5, 0.5], []], "probabilities are not a list of non-empty lists"),
+        ([[0.5, 0.5], 0.5], "probabilities are not a list of non-empty lists"),
+        ({"layer0": [0.5, 0.5]}, "probabilities are not a list of non-empty lists"),
+    ],
+)
+def test_event_record_probabilities_follow_the_header(tmp_path, probabilities, message):
+    path = tmp_path / "events.jsonl"
+    events = sample_events(2)
+    events[1].probabilities = probabilities
+    with open(path, "w") as fh:
+        fh.write(SAMPLE_HEADER + "\n")
+        for event in events:
+            write_event(fh, event)
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value).startswith(f"{path}: line 3: ")
+    assert message in str(err.value)
+
+
+def test_event_records_without_a_header_follow_the_first_record(tmp_path):
+    path = tmp_path / "events.jsonl"
+    events = sample_events(3)
+    events[2].probabilities = [[0.25, 0.75], [0.5, 0.5]]
+    with open(path, "w") as fh:
+        for event in events:
+            write_event(fh, event)
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == (
+        f"{path}: line 3: probabilities have row lengths [2, 2], "
+        "not the decisions' cardinalities [2, 3]"
+    )
 
 
 def test_non_finite_event_record_is_not_written(tmp_path):
@@ -202,14 +280,13 @@ def test_non_finite_event_record_is_not_written(tmp_path):
 
 
 def sample_checkpoint():
-    slots = SlotStore()
     store = small_store()
     key = ParamKey(0, 1, "weight")
-    slot = slots.get("adam", key, store[key])
+    slot = fresh_slot("adam", store[key])
     slot["step"] = 3
     slot["m"][:] = 0.25
-    ctrl_slots = SlotStore()
-    ctrl_slots.get("adam", 0, np.zeros(2))["step"] = 5
+    slots = {("adam", key): slot}
+    ctrl_slots = {("adam", 0): {**fresh_slot("adam", np.zeros(2)), "step": 5}}
     return Checkpoint(
         config_echo={"search": {"total_meta_steps": 7}},
         meta_step=4,
@@ -304,10 +381,10 @@ def test_checkpoint_restores_every_field(tmp_path):
         assert np.array_equal(loaded.store[key], original.store[key])
     assert np.array_equal(loaded.head_weight, original.head_weight)
     key = ParamKey(0, 1, "weight")
-    slot = loaded.commit_slots.get("adam", key, original.store[key])
+    slot = loaded.commit_slots["adam", key]
     assert slot["step"] == 3
     assert np.array_equal(slot["m"], np.full((2, 3), 0.25))
-    ctrl_slot = loaded.controller.slots.get("adam", 0, np.zeros(2))
+    ctrl_slot = loaded.controller.slots["adam", 0]
     assert ctrl_slot["step"] == 5
 
 
@@ -394,7 +471,7 @@ def test_checkpoint_allows_no_network(tmp_path):
     ckpt.store_digest = store_digest({})
     ckpt.head_weight = None
     ckpt.head_bias = None
-    ckpt.commit_slots = SlotStore()
+    ckpt.commit_slots = {}
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), ckpt)
     loaded = load_checkpoint(str(path))
@@ -791,7 +868,7 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
 def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
-        fh.write(event_header(["layer0"], [2]) + "\n")
+        fh.write(SAMPLE_HEADER + "\n")
         for event in sample_events(6):
             write_event(fh, event)
         fh.write('{"meta_step": 6, "mean_re')  # torn by a crash mid-write
@@ -807,15 +884,17 @@ def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
 def test_truncate_events_at_step_zero_keeps_only_the_header(tmp_path):
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
-        fh.write(event_header(["layer0"], [2]) + "\n")
+        fh.write(SAMPLE_HEADER + "\n")
         for event in sample_events(3):
             write_event(fh, event)
-    assert truncate_events(str(path), 0, "unused") == len(event_header(["layer0"], [2])) + 1
-    assert read_events(str(path)) == (json.loads(event_header(["layer0"], [2])), [])
+    assert truncate_events(str(path), 0, "unused") == len(SAMPLE_HEADER) + 1
+    assert read_events(str(path)) == (json.loads(SAMPLE_HEADER), [])
 
 
 def test_open_events_is_null_without_a_path_and_creates_the_log_directory(tmp_path):
-    space = build_space(SpaceConfig(2, 2, (LayerConfig(candidates=("identity",) * 2),)))
+    rates = HyperConfig("learning_rate", "continuous", (0.01, 0.02, 0.03))
+    layers = (LayerConfig(candidates=("identity",) * 2),)
+    space = build_space(SpaceConfig(2, 2, layers, (rates,)))  # the decisions of sample_events
     with open_events(None, space, None) as fh:
         assert fh is None
     path = str(tmp_path / "a" / "b" / "events.jsonl")
@@ -828,7 +907,7 @@ def test_open_events_is_null_without_a_path_and_creates_the_log_directory(tmp_pa
 
 def _stale_log(path, steps, digest_of=lambda step: "00" * 8):
     with open(path, "w") as fh:
-        fh.write(event_header(["layer0"], [2]) + "\n")
+        fh.write(SAMPLE_HEADER + "\n")
         for step in steps:
             event = replace(sample_events(1)[0], meta_step=step, store_digest=digest_of(step))
             write_event(fh, event)

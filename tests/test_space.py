@@ -1,4 +1,4 @@
-"""Search-space construction, cardinality, and derivation tests."""
+"""Search-space construction and derivation tests."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,7 +14,6 @@ from jointsearch.space import (
     derive,
     make_continuous_basis,
     selection_to_config,
-    space_cardinality,
     validate_selection,
 )
 
@@ -178,63 +177,6 @@ def test_build_space_rejects_unknown_op_token():
         small_space(layers=(LayerConfig(candidates=("conv:8",), width=8),))
     with pytest.raises(ValueError):
         small_space(layers=(LayerConfig(candidates=("affine",), width=8),))
-
-
-# ---------------------------------------------------------------------------
-# cardinality
-# ---------------------------------------------------------------------------
-
-
-def test_cardinality_product():
-    config = SpaceConfig(
-        input_dim=2,
-        num_classes=2,
-        layers=(
-            LayerConfig(candidates=("identity", "affine:4", "affine:8"), width=8),
-            LayerConfig(candidates=("identity", "affine:4", "affine:8"), width=8),
-        ),
-        hyperparameters=(
-            HyperConfig(
-                name="learning_rate",
-                kind="continuous",
-                basis=tuple(make_continuous_basis(0.01, 10, 10.0)),
-            ),
-            HyperConfig(
-                name="weight_decay",
-                kind="continuous",
-                basis=tuple(make_continuous_basis(1e-3, 10, 10.0)),
-            ),
-        ),
-    )
-    card = space_cardinality(build_space(config))
-    assert card.count == 900
-    assert not card.overflow
-
-
-def test_cardinality_single_candidate_space():
-    config = SpaceConfig(
-        input_dim=2,
-        num_classes=2,
-        layers=(LayerConfig(candidates=("identity",)),),
-        hyperparameters=(),
-    )
-    card = space_cardinality(build_space(config))
-    assert card.count == 1
-    assert not card.overflow
-
-
-def test_cardinality_overflow_marker_is_exact():
-    config = SpaceConfig(
-        input_dim=2,
-        num_classes=2,
-        layers=tuple(
-            LayerConfig(candidates=("identity", "affine:2"), width=2) for _ in range(64)
-        ),
-        hyperparameters=(),
-    )
-    card = space_cardinality(build_space(config))
-    assert card.count == 2**64
-    assert card.overflow
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from jointsearch.space import (
 )
 from jointsearch.supernet import ParamKey, SuperModelWeights, init_weights, sub_view
 from jointsearch.trainstep import (
-    SlotStore,
     TrainerSpec,
     apply_mixup,
     build_trainer,
@@ -185,7 +184,7 @@ def test_mixup_rejects_out_of_range_ratio():
 def test_sgd_hand_step():
     params = {"w": np.array([0.0, 0.0])}
     grads = {"w": np.array([1.0, -2.0])}
-    optimizer_step(params, grads, SlotStore(), TrainerSpec(optimizer="sgd", learning_rate=0.1))
+    optimizer_step(params, grads, {}, TrainerSpec(optimizer="sgd", learning_rate=0.1))
     assert np.array_equal(params["w"], [-0.1, 0.2])
 
 
@@ -194,14 +193,14 @@ def test_decoupled_weight_decay_shrinks_before_update():
     params = {"w": np.array([1.0])}
     grads = {"w": np.array([0.0])}
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.1, weight_decay=0.5)
-    optimizer_step(params, grads, SlotStore(), spec)
+    optimizer_step(params, grads, {}, spec)
     assert np.array_equal(params["w"], [0.95])
 
 
 def test_momentum_two_hand_steps():
     params = {"w": np.array([0.0])}
     g = np.array([1.0])
-    slots = SlotStore()
+    slots = {}
     spec = TrainerSpec(optimizer="momentum", learning_rate=0.1)
     optimizer_step(params, {"w": g}, slots, spec)
     assert np.allclose(params["w"], [-0.1], atol=1e-15)  # buf = g
@@ -214,7 +213,7 @@ def test_adam_first_step_is_signed_lr():
     params = {"w": np.array([0.0, 0.0, 0.0])}
     grads = {"w": np.array([0.5, -3.0, 1e-3])}
     optimizer_step(
-        params, grads, SlotStore(), TrainerSpec(optimizer="adam", learning_rate=0.1)
+        params, grads, {}, TrainerSpec(optimizer="adam", learning_rate=0.1)
     )
     # bias-corrected first step: m_hat = g, v_hat = g^2, so the update is
     # lr * g / (|g| + eps) = lr * sign(g) up to the tiny eps correction
@@ -226,7 +225,7 @@ def test_rmsprop_first_hand_step():
     params = {"w": np.array([0.0])}
     grads = {"w": np.array([1.0])}
     optimizer_step(
-        params, grads, SlotStore(), TrainerSpec(optimizer="rmsprop", learning_rate=0.1)
+        params, grads, {}, TrainerSpec(optimizer="rmsprop", learning_rate=0.1)
     )
     # sq = 0.1 * 1; update = 0.1 / (sqrt(0.1) + 1e-8)
     expected = -0.1 / (np.sqrt(0.1) + 1e-8)
@@ -239,7 +238,7 @@ def test_optimizer_step_zero_lr_is_exact_noop():
         grads = {"w": np.array([3.0, 4.0])}
         before = params["w"].copy()
         optimizer_step(
-            params, grads, SlotStore(), TrainerSpec(optimizer=family, learning_rate=0.0)
+            params, grads, {}, TrainerSpec(optimizer=family, learning_rate=0.0)
         )
         assert np.array_equal(params["w"], before), family
 
@@ -248,7 +247,7 @@ def test_optimizer_step_rejects_non_finite_gradient():
     params = {"w": np.array([0.0])}
     grads = {"w": np.array([np.nan])}
     with pytest.raises(ValueError):
-        optimizer_step(params, grads, SlotStore(), TrainerSpec())
+        optimizer_step(params, grads, {}, TrainerSpec())
 
 
 def _odd_gradient(shape, stream):
@@ -266,13 +265,13 @@ def _odd_gradient(shape, stream):
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 @pytest.mark.parametrize("family", OPTIMIZERS)
 def test_optimizer_step_matches_reference_bit_for_bit(family, weight_decay, shape):
-    # Three steps on one slot store: the first starts from fresh slots, the
+    # Three steps on one slot dict: the first starts from fresh slots, the
     # others from accumulated ones. Parameters and slots must agree byte for
     # byte (so -0.0 against 0.0 counts) after every step.
     stream = RngStream(5, f"opt/{family}/{shape}")
     start = stream.uniform(shape) - 0.5
     params, want_params = {"w": start.copy()}, {"w": start.copy()}
-    slots, want_slots = SlotStore(), SlotStore()
+    slots, want_slots = {}, {}
     spec = TrainerSpec(optimizer=family, learning_rate=0.05, weight_decay=weight_decay)
     for _ in range(3):
         g = _odd_gradient(shape, stream)
@@ -288,30 +287,39 @@ def test_optimizer_step_matches_reference_bit_for_bit(family, weight_decay, shap
 
 
 def test_slot_store_is_lazy_and_persists():
-    slots = SlotStore()
-    assert len(slots) == 0
-    p = np.zeros(3)
-    slot = slots.get("momentum", "w", p)
-    assert np.array_equal(slot["buf"], np.zeros(3))
-    slot["buf"] += 1.0
-    assert np.array_equal(slots.get("momentum", "w", p)["buf"], np.ones(3))
-    assert len(slots) == 1
+    # optimizer_step adds a stateful family's missing slot, keyed
+    # (family, key), and keeps advancing it on later calls.
+    slots = {}
+    params = {"w": np.zeros(3)}
+    momentum = TrainerSpec(optimizer="momentum", learning_rate=0.0)
+    optimizer_step(params, {"w": np.ones(3)}, slots, momentum)
+    assert list(slots) == [("momentum", "w")]
+    assert np.array_equal(slots["momentum", "w"]["buf"], np.ones(3))
+    optimizer_step(params, {"w": np.ones(3)}, slots, momentum)
+    assert np.array_equal(slots["momentum", "w"]["buf"], np.full(3, 1.9))
     # adam slots carry a per-key step count
-    adam = slots.get("adam", "w", p)
-    assert adam["step"] == 0
+    optimizer_step(params, {"w": np.ones(3)}, slots, TrainerSpec(optimizer="adam"))
+    assert slots["adam", "w"]["step"] == 1
+    assert len(slots) == 2
+    optimizer_step(params, {"w": np.ones(3)}, {}, TrainerSpec(optimizer="sgd"))
     assert len(slots) == 2
 
 
 def test_slot_store_restore_round_trip():
-    slots = SlotStore()
-    p = np.zeros(2)
-    slots.get("adam", "w", p)["step"] = 7
-    slots.get("adam", "w", p)["m"][:] = [1.0, 2.0]
-    fresh = SlotStore()
-    for (family, key), slot in slots.items():
-        fresh.restore(family, key, dict(slot))
-    assert fresh.get("adam", "w", p)["step"] == 7
-    assert np.array_equal(fresh.get("adam", "w", p)["m"], [1.0, 2.0])
+    # A slot dict rebuilt from another's items, as load_checkpoint rebuilds
+    # one, continues the run bit for bit.
+    spec = TrainerSpec(optimizer="adam", learning_rate=0.1)
+    slots, params = {}, {"w": np.zeros(2)}
+    optimizer_step(params, {"w": np.array([1.0, -2.0])}, slots, spec)
+    restored = {
+        slot_key: {n: v if isinstance(v, int) else v.copy() for n, v in slot.items()}
+        for slot_key, slot in slots.items()
+    }
+    copy = {"w": params["w"].copy()}
+    for state, p in ((slots, params), (restored, copy)):
+        optimizer_step(p, {"w": np.array([0.5, 0.25])}, state, spec)
+    assert restored["adam", "w"]["step"] == slots["adam", "w"]["step"] == 2
+    assert copy["w"].tobytes() == params["w"].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +414,7 @@ def test_commit_zero_lr_leaves_store_unchanged():
     view = sub_view(space, (0,))
     digest = store_digest(weights.store)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.0)
-    slots = SlotStore()
+    slots = {}
     commit_step(weights, view, spec, [batch_for(space, 8)], slots, RngStream(15, "t"))
     commit_step(weights, view, spec, [batch_for(space, 8)], slots, RngStream(16, "t"))
     assert store_digest(weights.store) == digest
@@ -433,7 +441,7 @@ def test_commit_touches_only_view_keys():
         view,
         TrainerSpec(learning_rate=0.1),
         [batch_for(space, 8)],
-        SlotStore(),
+        {},
         RngStream(18, "t"),
     )
     inside = set(view.keys)
@@ -451,7 +459,7 @@ def test_commit_matches_make_temporary_first_step():
     batch = batch_for(space, 8, seed=20)
     spec = TrainerSpec(optimizer="sgd", learning_rate=0.05, mixup_ratio=0.2, dropout_keep=0.9)
     temp = make_temporary(weights, view, spec, [batch], RngStream(21, "t"))
-    commit_step(weights, view, spec, [batch], SlotStore(), RngStream(21, "t"))
+    commit_step(weights, view, spec, [batch], {}, RngStream(21, "t"))
     for key in view.keys:
         assert np.array_equal(weights.store[key], temp[key])
 
@@ -461,13 +469,13 @@ def test_commit_slots_persist_across_commits():
     weights = init_weights(space, RngStream(22, "init"))
     view = sub_view(space, (0,))
     spec = TrainerSpec(optimizer="adam", learning_rate=0.01)
-    slots = SlotStore()
+    slots = {}
     batch = batch_for(space, 8, seed=23)
     commit_step(weights, view, spec, [batch], slots, RngStream(24, "t"))
     key = ParamKey(0, 0, "weight")
-    assert slots.get("adam", key, weights.store[key])["step"] == 1
+    assert slots["adam", key]["step"] == 1
     commit_step(weights, view, spec, [batch], slots, RngStream(25, "t"))
-    assert slots.get("adam", key, weights.store[key])["step"] == 2
+    assert slots["adam", key]["step"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +551,7 @@ def test_make_temporary_gradients_equal_reference_tape(monkeypatch):
         fused = list(calls)
 
         params = {key: weights.store[key].copy() for key in view.keys}
-        slots, stream = SlotStore(), RngStream(32, "t")
+        slots, stream = {}, RngStream(32, "t")
         assert len(fused) == len(batches)
         for got, batch in zip(fused, batches):
             want = taped_train_step(weights, view, params, spec, batch, slots, stream)
@@ -551,9 +559,8 @@ def test_make_temporary_gradients_equal_reference_tape(monkeypatch):
         assert_bitwise_equal(temp, params)
 
 
-def assert_same_slots(got: SlotStore, want: SlotStore):
+def assert_same_slots(got: dict, want: dict):
     # Every slot, its integer fields (Adam's step) and its arrays byte for byte.
-    got, want = dict(got.items()), dict(want.items())
     assert set(got) == set(want)
     for slot_key, slot in want.items():
         assert set(got[slot_key]) == set(slot)
@@ -578,8 +585,8 @@ def test_commit_step_gradients_equal_reference_tape(monkeypatch):
             weights.head_weight,
             weights.head_bias,
         )
-        fused_slots, fused_rng = SlotStore(), RngStream(34, "c")
-        reference_slots, reference_rng = SlotStore(), RngStream(34, "c")
+        fused_slots, fused_rng = {}, RngStream(34, "c")
+        reference_slots, reference_rng = {}, RngStream(34, "c")
         wants = []
         for batch in batches:
             calls.clear()
@@ -596,7 +603,7 @@ def test_commit_step_gradients_equal_reference_tape(monkeypatch):
         assert_same_slots(fused_slots, reference_slots)
 
         calls.clear()
-        whole_slots, whole_rng = SlotStore(), RngStream(34, "c")
+        whole_slots, whole_rng = {}, RngStream(34, "c")
         commit_step(whole, view, spec, batches, whole_slots, whole_rng)
         assert len(calls) == len(wants)
         for got, want in zip(calls, wants):
@@ -666,7 +673,7 @@ def test_train_step_rejects_bad_inputs(path, defect, message, mixup_dropout):
         if path == "temporary":
             make_temporary(weights, view, spec, [(x, y)], RngStream(37, "t"))
         else:
-            commit_step(weights, view, spec, [(x, y)], SlotStore(), RngStream(37, "t"))
+            commit_step(weights, view, spec, [(x, y)], {}, RngStream(37, "t"))
 
 
 def test_train_step_ignores_non_finite_tensors_outside_the_selection():
@@ -684,7 +691,7 @@ def test_train_step_ignores_non_finite_tensors_outside_the_selection():
     view = sub_view(space, (0,))
     spec = TrainerSpec(learning_rate=0.1, mixup_ratio=0.3, dropout_keep=0.5)
     make_temporary(weights, view, spec, [batch_for(space, 6)], RngStream(37, "t"))
-    commit_step(weights, view, spec, [batch_for(space, 6)], SlotStore(), RngStream(37, "t"))
+    commit_step(weights, view, spec, [batch_for(space, 6)], {}, RngStream(37, "t"))
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +730,7 @@ def test_make_temporary_equals_per_step_reference(optimizer):
         temp = make_temporary(weights, view, spec, batches, stream)
 
         params = {key: weights.store[key].copy() for key in view.keys}
-        slots, reference_stream = SlotStore(), RngStream(42, "t", counter=start)
+        slots, reference_stream = {}, RngStream(42, "t", counter=start)
         for batch in batches:
             taped_train_step(weights, view, params, spec, batch, slots, reference_stream)
         assert_bitwise_equal(temp, params)
@@ -753,7 +760,7 @@ def _per_step_error(weights, view, spec, batches, rng):
     # the store, which is the step a temporary takes, one at a time.
     store = {key: value.copy() for key, value in weights.store.items()}
     copy = SuperModelWeights(weights.space, store, weights.head_weight, weights.head_bias)
-    slots = SlotStore()
+    slots = {}
     with pytest.raises(ValueError) as caught:
         for batch in batches:
             commit_step(copy, view, spec, [batch], slots, rng)
