@@ -68,6 +68,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
@@ -200,11 +201,12 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
 
     ``ValueError`` names the file if it is not UTF-8 text, and the file and
     the line of the first line that is not JSON, a header whose
-    ``decisions`` are not objects with a string ``label`` and a positive
-    integer ``cardinality``, or a record without exactly ``EventRecord``'s
-    fields or whose ``probabilities`` are not one non-empty list per
-    decision, each as long as the header says (without a header, as the
-    first record's).
+    ``decisions`` are not objects with a ``label`` of letters, digits, ``_``
+    and ``-`` and a positive integer ``cardinality``, or a record without
+    exactly ``EventRecord``'s fields, whose ``probabilities`` are not one
+    non-empty list per decision, each as long as the header says (without a
+    header, as the first record's), or whose ``mean_reward``, ``baseline``,
+    probabilities or ``wall_ms`` are not finite numbers.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -230,6 +232,12 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
                     f"{where}: header decisions are not objects with a string label "
                     "and a positive integer cardinality"
                 )
+            for d in decisions:  # ``report`` names a file after each label
+                if not re.fullmatch("[A-Za-z0-9_-]+", d["label"]):
+                    raise ValueError(
+                        f"{where}: header decision label {d['label']!r} is not "
+                        "letters, digits, '_' and '-'"
+                    )
             header, shape = doc, [d["cardinality"] for d in decisions]
             continue
         try:
@@ -248,6 +256,15 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
                 f"{where}: probabilities have row lengths {lengths}, "
                 f"not the decisions' cardinalities {shape}"
             )
+        numbers = {
+            "mean_reward": [record.mean_reward],
+            "baseline": [record.baseline],
+            "probabilities": [p for row in rows for p in row],
+            "wall_ms": [record.wall_ms],
+        }
+        for name, values in numbers.items():
+            if not all(map(_is_finite, values)):
+                raise ValueError(f"{where}: field {name} holds a value that is not a finite number")
         records.append(record)
     return header, records
 

@@ -450,14 +450,10 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
     return tuple(selection), log_prob
 
 
-def reference_beta(rng: RngStream, a: float, b: float) -> float:
-    """One Beta(a, b) draw: the inverse regularized incomplete beta of the
-    stream's next open uniform, one word."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta shape parameters must be positive")
-    from scipy import special
-
-    return float(special.betaincinv(a, b, rng._open_uniform(1)[0]))
+def reference_beta(rng: RngStream, a: float) -> float:
+    """One Beta(a, a) draw: the library's quantile kernel called on the
+    stream's next open uniform alone, one word."""
+    return float(numerics._beta_quantile(a, rng._open_uniform(1))[0])
 
 
 def reference_mixup(batch, ratio: float, rng: RngStream):
@@ -466,7 +462,7 @@ def reference_mixup(batch, ratio: float, rng: RngStream):
     x, y = batch
     if ratio == 0.0:
         return x, y
-    lam = reference_beta(rng, ratio, ratio)
+    lam = reference_beta(rng, ratio)
     partner = rng.permutation(x.shape[0])
     return lam * x + (1.0 - lam) * x[partner], lam * y + (1.0 - lam) * y[partner]
 

@@ -929,15 +929,49 @@ def test_report_missing_log_exits_one(capsys, tmp_path):
     assert main(["report", "--log", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]) == 1
 
 
-def test_report_refuses_to_write_a_non_finite_summary(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mean_reward", "NaN"),
+        ("baseline", "Infinity"),
+        ("probabilities", "-Infinity"),
+        ("wall_ms", "NaN"),
+    ],
+)
+def test_report_refuses_to_write_a_non_finite_summary(capsys, tmp_path, field, value):
+    # JSON's NaN and Infinity parse; a record holding one is refused, naming
+    # the file and line, before anything is written.
     log = tmp_path / "events.jsonl"
     code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)})
     assert code == 0
+    capsys.readouterr()
     lines = log.read_text().splitlines()
     last = json.loads(lines[-1])
-    last["mean_reward"] = float("nan")
-    log.write_text("\n".join(lines[:-1] + [json.dumps(last)]) + "\n")
+    last[field] = [[0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 123.0]] if field == "probabilities" else 123.0
+    lines[-1] = json.dumps(last).replace("123.0", value)
+    log.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "report"
     assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
-    assert "runtime error" in capsys.readouterr().err
-    assert not (out_dir / "summary.json").exists()
+    expected = f"runtime error: {log}: line {len(lines)}: field {field} holds a value that is not"
+    assert capsys.readouterr().err.startswith(expected)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("label", ["a/b", "../x", ""])
+def test_report_refuses_a_label_that_cannot_name_a_file(capsys, tmp_path, label):
+    log = tmp_path / "logs" / "events.jsonl"
+    code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)})
+    assert code == 0
+    capsys.readouterr()
+    lines = log.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["decisions"][1]["label"] = label
+    lines[0] = json.dumps(header)
+    log.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"runtime error: {log}: line 1: header decision label {label!r} is not"
+    )
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.csv")) == []

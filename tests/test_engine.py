@@ -286,46 +286,73 @@ def test_search_tabular_recovers_planted_optimum():
     assert recovered >= 4
 
 
-_CONTROLLER_ONLY_SCRIPT = """
+_NO_SCIPY_SCRIPT = """
 import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None  # any import of scipy now fails
 from jointsearch import parse_config, search
+from jointsearch.cli import main
 
 doc = json.loads(sys.argv[1])
 result = search(parse_config(doc), evaluate_override=lambda sel: (1.0 - sel[0] / 3.0, 0.0))
-loaded = "scipy.special" in sys.modules
 from jointsearch.numerics import RngStream
 rng = RngStream(0, "n")
 normal = rng.normal(3).tolist()
 lams, _ = rng.beta_permutations(0.2, [rng.counter], [0])
+codes = [main(args.split()) for args in (
+    "search --config mixup.json",
+    "retrain --config mixup.json --from-result result.json --out metrics.json",
+    "baseline random --config mixup.json --budget 2 --out baseline.json",
+)]
 print(json.dumps({
     "steps": len(result.reward_history),
-    "special_loaded": loaded,
     "normal": normal,
     "beta": lams[0],
     "counter": rng.counter,
+    "codes": codes,
+    "scipy_loaded": any(
+        name.split(".")[0] == "scipy" and module is not None for name, module in sys.modules.items()
+    ),
 }))
 """
 
 
-def test_controller_only_search_never_loads_scipy_special():
-    # A fresh interpreter: this one has long since drawn normals.
+def test_controller_only_search_never_loads_scipy_special(tmp_path):
+    # Fresh interpreters: this one has long since drawn normals. The same
+    # script runs where scipy cannot be imported and where it can; a mixup
+    # search, its retrain and a baseline must write the same bytes in both,
+    # and neither run loads scipy.
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     doc = json.dumps(tabular_doc((3, 4, 2), total=5, k=3))
-    out = subprocess.run(
-        [sys.executable, "-c", _CONTROLLER_ONLY_SCRIPT, doc],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+    mixup = moons_doc(total=4, k=2, output={"result_path": "result.json"}, inner_steps=2)
+    mixup["space"]["hyperparameters"].append(
+        {"name": "mixup_ratio", "kind": "continuous", "basis": [0.1, 0.4]}
     )
-    got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert got["steps"] == 15
-    assert got["special_loaded"] is False
-    # Known answers: the draws are those of the module-level import.
-    assert got["normal"] == [0.9185522865117592, 0.31341434742065444, -1.106587072740746]
-    # The Beta draw reads word 4, the one after the three normals, and the
-    # block draw leaves the counter where it was.
-    assert got["beta"] == 0.17521435261491744
-    assert got["counter"] == 3
+    mixup["retrain"] = {"epochs": 2}
+    outputs = {}
+    for mode in ("blocked", "importable"):
+        work = tmp_path / mode
+        work.mkdir()
+        (work / "mixup.json").write_text(json.dumps(mixup))
+        out = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, doc, mode],
+            env=env, cwd=work, capture_output=True, text=True, timeout=120, check=True,
+        )
+        got = json.loads(out.stdout.strip().splitlines()[-1])
+        assert got["steps"] == 15
+        assert got["scipy_loaded"] is False
+        # Known answers: the draws are those of the module-level import.
+        assert got["normal"] == [0.9185522865117592, 0.31341434742065444, -1.106587072740746]
+        # The Beta draw reads word 4, the one after the three normals, and the
+        # block draw leaves the counter where it was.
+        assert got["beta"] == 0.17521435261491683
+        assert got["counter"] == 3
+        assert got["codes"] == [0, 0, 0]
+        names = ("result.json", "metrics.json", "baseline.json")
+        outputs[mode] = [(work / name).read_bytes() for name in names]
+    assert outputs["blocked"] == outputs["importable"]
 
 
 def test_event_log_shape_and_finite_rewards(tmp_path):

@@ -227,6 +227,19 @@ def test_event_log_header_decisions_need_a_label_and_a_cardinality(tmp_path, dec
     )
 
 
+@pytest.mark.parametrize("label", ["a/b", "../x", "", "a b", "layer\n0", "é"])
+def test_event_log_header_labels_must_be_able_to_name_a_file(tmp_path, label):
+    path = tmp_path / "events.jsonl"
+    decisions = [{"label": "layer0", "cardinality": 2}, {"label": label, "cardinality": 3}]
+    header = {"format_version": 2, "decisions": decisions}
+    path.write_text(json.dumps(header) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == (
+        f"{path}: line 1: header decision label {label!r} is not letters, digits, '_' and '-'"
+    )
+
+
 @pytest.mark.parametrize(
     "probabilities, message",
     [

@@ -161,7 +161,7 @@ def test_mixup_matches_hand_formula_and_keeps_labels_on_simplex():
         stream = RngStream(100 + trial, "mix")
         clone = RngStream(100 + trial, "mix")
         [(out_x, out_y)] = apply_mixup([(x, y)], 0.2, stream, [stream.counter])
-        lam = reference_beta(clone, 0.2, 0.2)
+        lam = reference_beta(clone, 0.2)
         partner = clone.permutation(n)
         assert np.array_equal(out_x, lam * x + (1 - lam) * x[partner])
         assert np.array_equal(out_y, lam * y + (1 - lam) * y[partner])
