@@ -1,16 +1,16 @@
-"""Search engine: alternates controller updates with shared-weight commits.
+"""Search engine: AutoHAS's meta-loop over a weight-shared super-model.
 
-Each meta-step has two phases. The controller phase samples K
-(architecture, hyperparameter) pairs, scores each by training a discardable
-copy of its sub-model for a few steps and measuring validation accuracy, and
-applies one REINFORCE update from the K rewards; the shared store is
-read-only here. The commit phase re-samples K pairs and serializes K
-single-step updates into the shared store, each at 1/K of the sampled
-learning rate, so one meta-step advances the store by about one effective
-step regardless of K. After the last meta-step the learned per-decision
-probabilities are collapsed into one concrete configuration, which can be
-retrained from scratch. The loop's settings come straight from the config
-sections, and its whole resumable state is one ``persist.Checkpoint``.
+``start_run`` builds a run, fresh or resumed, and ``meta_step`` advances it
+by one meta-step of three phases. Scoring samples K (architecture,
+hyperparameter) pairs and scores each by training a discardable copy of its
+sub-model for a few steps and measuring validation accuracy; the shared
+store is read-only here. The controller phase makes one REINFORCE update
+from the K rewards. The commit phase re-samples K pairs and serializes K
+single-step updates into the store, each at 1/K of the sampled learning
+rate, so a meta-step advances the store by about one step whatever K is.
+``search`` drives, logs and saves the steps, then collapses the learned
+probabilities into one configuration to retrain from scratch. Settings come
+from the config sections; all resumable state is one ``persist.Checkpoint``.
 """
 from __future__ import annotations
 
@@ -176,11 +176,11 @@ def _resumable(
     written it: its config echo must equal ``config_to_dict(config)`` but for
     the output paths, and its step, controller rows and reward history must
     fit the run. Then ``persist.check_layout`` compares its optimizer slots
-    and arrays with those the run holds after that many steps: ``_fresh``'s
-    store and head (none in a table-driven run), one controller Adam slot per
-    decision past warm-up, and each commit slot of the file that the space
-    could make, its Adam ``step`` taken as written (only a replay could check
-    it)."""
+    and arrays with those the run holds after that many ``meta_step`` calls:
+    ``_fresh``'s store and head (none in a table-driven run), one controller
+    Adam slot per decision past warm-up, and each commit slot of the file
+    that the space could make, its Adam ``step`` taken as written (only a
+    replay could check it)."""
     ckpt = persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
@@ -219,6 +219,84 @@ def _resumable(
     return ckpt
 
 
+@dataclass
+class Run:
+    """What ``search`` builds once and each ``meta_step`` advances. Without a
+    network, ``splits`` and ``weights`` (the checkpoint's arrays) are None."""
+
+    config: EngineConfig
+    space: SearchSpace
+    splits: DataSplit | None
+    ckpt: persist.Checkpoint
+    stream: RngStream  # the controller's
+    weights: SuperModelWeights | None
+
+
+def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None) -> Run:
+    """The run ``_fresh`` starts, or the one the checkpoint at
+    ``resume_from`` holds (``_resumable``), echoing ``config``."""
+    space = build_space(config.space)
+    splits = setup_run(config, space) if uses_network else None
+    seed = config.data.seed
+    if resume_from is None:
+        ckpt = _fresh(space, seed, uses_network)
+    else:
+        ckpt = _resumable(config, space, resume_from, uses_network)
+    ckpt.config_echo = config_to_dict(config)
+    weights = None
+    if uses_network:
+        weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
+    # ``ctrl.sample`` draws a k x n_decisions block per phase; only networks commit.
+    per_step = config.search.pairs_per_step * space.n_decisions * (2 if uses_network else 1)
+    stream = RngStream(seed, "controller", ckpt.meta_step * per_step)
+    return Run(config, space, splits, ckpt, stream, weights)
+
+
+def meta_step(
+    run: Run,
+    evaluate_override: Callable[[tuple[int, ...]], tuple[float, float]] | None = None,
+    audit: Callable[[str, int, SuperModelWeights | None], None] | None = None,
+) -> list[RewardRecord]:
+    """Run meta-step ``run.ckpt.meta_step``, advance the checkpoint past it
+    and return its K reward records, also appended to its reward history."""
+    settings, seed, ckpt, weights = run.config.search, run.config.data.seed, run.ckpt, run.weights
+    k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
+    lr, size = settings.default_learning_rate, settings.train_batch_size
+    scored = []  # scoring: K sampled pairs, each on its own temporary weights
+    for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
+        if evaluate_override is not None:
+            accuracy, cost = evaluate_override(selection)
+        else:
+            data_rng = RngStream(seed, f"eval-data/{step}/{i}")
+            batches = _draw_batches(run.splits.train, size, data_rng, settings.inner_steps)
+            [val] = _draw_batches(run.splits.val, settings.val_batch_size, data_rng)
+            train_rng = RngStream(seed, f"eval-train/{step}/{i}")
+            accuracy, cost = evaluate_candidate(
+                weights, selection, batches, val, train_rng, learning_rate=lr
+            )
+        scored.append((selection, accuracy, cost, compute_reward(accuracy, cost, settings.reward)))
+    # controller: one REINFORCE update from the K rewards
+    baseline = ctrl.reinforce_update(state, [(s, r) for s, _, _, r in scored], settings, step)
+    if audit is not None:
+        audit("controller", step, weights)
+    if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K
+        for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
+            view = supernet.sub_view(run.space, selection)
+            spec = trainstep.build_trainer(run.space, view.selection, lr)
+            spec = replace(spec, learning_rate=spec.learning_rate / k)
+            data_rng = RngStream(seed, f"commit-data/{step}/{i}")
+            batches = _draw_batches(run.splits.train, size, data_rng)
+            train_rng = RngStream(seed, f"commit-train/{step}/{i}")
+            trainstep.commit_step(weights, view, spec, batches, ckpt.commit_slots, train_rng)
+        if audit is not None:
+            audit("commit", step, weights)
+
+    records = [RewardRecord(step, s, a, c, r, baseline) for s, a, c, r in scored]
+    ckpt.reward_history.extend(records)
+    ckpt.meta_step = step + 1
+    return records
+
+
 def search(
     config: EngineConfig,
     *,
@@ -233,129 +311,42 @@ def search(
     shared store is involved (useful for tabular studies of the controller).
     ``audit`` is called after each phase with (phase, step, weights).
 
-    The whole resumable state is one ``persist.Checkpoint``: ``_fresh``
-    builds it, a resume loads it, each meta-step advances it in place (the
-    network weights share its arrays), and each save writes it as it stands
-    with the current config echoed, so output paths may change on resume.
-    The last meta-step always saves; a run with no step left saves once.
-    Its meta-step is the one step counter: the controller's warm-up, its
-    baseline start and its RNG stream position all follow from it. Each
+    The whole resumable state is one ``persist.Checkpoint``: ``start_run``
+    builds or loads it, each ``meta_step`` advances it in place by one step
+    (the network weights share its arrays), and each save writes it as it
+    stands with the current config echoed, so output paths may change on
+    resume. The last meta-step always saves; a run with no step left saves
+    once. Its meta-step is the one step counter: the controller's warm-up,
+    its baseline start and its RNG stream position all follow from it. Each
     meta-step appends one record to the log ``persist.open_events`` opens.
     """
-    space = build_space(config.space)
-    settings = config.search
-    seed = config.data.seed
-    k = settings.pairs_per_step
-    total = settings.total_meta_steps
-    uses_network = evaluate_override is None
-    if uses_network:
-        splits = setup_run(config, space)
-
-    if resume_from is None:
-        ckpt = _fresh(space, seed, uses_network)
-    else:
-        ckpt = _resumable(config, space, resume_from, uses_network)
-    ckpt.config_echo = config_to_dict(config)
-    state = ckpt.controller
-    weights = None
-    if uses_network:
-        weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
-    start = ckpt.meta_step
-    # ``ctrl.sample`` draws one k x n_decisions block per phase, and a step has
-    # a commit phase only when it trains networks, so each step done moved the
-    # stream this far.
-    phases = 2 if uses_network else 1
-    ctrl_stream = RngStream(seed, "controller", start * k * space.n_decisions * phases)
-
-    checkpoint_path = config.output.checkpoint_path
-    interval = config.output.checkpoint_interval
-    resumed = None if resume_from is None else ckpt
-    with persist.open_events(config.output.log_path, space, resumed) as log_fh:
+    run = start_run(config, evaluate_override is None, resume_from)
+    ckpt, state, total = run.ckpt, run.ckpt.controller, config.search.total_meta_steps
+    path, interval = config.output.checkpoint_path, config.output.checkpoint_interval
+    start, resumed = ckpt.meta_step, None if resume_from is None else ckpt
+    with persist.open_events(config.output.log_path, run.space, resumed) as log_fh:
         for step in range(start, total):
             t0 = time.monotonic()
-            records: list[RewardRecord] = []
-            for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
-                if evaluate_override is not None:
-                    accuracy, cost = evaluate_override(selection)
-                else:
-                    data_rng = RngStream(seed, f"eval-data/{step}/{i}")
-                    batches = _draw_batches(
-                        splits.train, settings.train_batch_size, data_rng, settings.inner_steps
-                    )
-                    [val_batch] = _draw_batches(splits.val, settings.val_batch_size, data_rng)
-                    accuracy, cost = evaluate_candidate(
-                        weights,
-                        selection,
-                        batches,
-                        val_batch,
-                        RngStream(seed, f"eval-train/{step}/{i}"),
-                        learning_rate=settings.default_learning_rate,
-                    )
-                reward = compute_reward(accuracy, cost, settings.reward)
-                records.append(RewardRecord(step, selection, accuracy, cost, reward))
-            baseline = ctrl.reinforce_update(
-                state, [(r.selection, r.reward) for r in records], settings, step
-            )
-            for record in records:
-                record.baseline = baseline
-            if audit is not None:
-                audit("controller", step, weights)
-
-            if uses_network:
-                for i, selection in enumerate(ctrl.sample(state, ctrl_stream, k)):
-                    view = supernet.sub_view(space, selection)
-                    spec = trainstep.build_trainer(
-                        space, view.selection, settings.default_learning_rate
-                    )
-                    spec = replace(spec, learning_rate=spec.learning_rate / k)
-                    batches = _draw_batches(
-                        splits.train,
-                        settings.train_batch_size,
-                        RngStream(seed, f"commit-data/{step}/{i}"),
-                    )
-                    trainstep.commit_step(
-                        weights,
-                        view,
-                        spec,
-                        batches,
-                        ckpt.commit_slots,
-                        RngStream(seed, f"commit-train/{step}/{i}"),
-                    )
-                if audit is not None:
-                    audit("commit", step, weights)
-
-            ckpt.reward_history.extend(records)
-            ckpt.meta_step = step + 1
+            records = meta_step(run, evaluate_override, audit)
             # One store digest serves the event record and the checkpoint.
-            saves = checkpoint_path is not None and (
-                step + 1 == total or interval > 0 and (step + 1) % interval == 0
-            )
+            done = step + 1
+            saves = path is not None and (done == total or interval > 0 and done % interval == 0)
             if log_fh is not None or saves:
                 digest = persist.store_digest(ckpt.store)
             if log_fh is not None:
-                event = persist.EventRecord(
-                    meta_step=step,
-                    mean_reward=float(np.mean([r.reward for r in records])),
-                    baseline=state.baseline,
-                    probabilities=[p.tolist() for p in ctrl.probabilities(state)],
-                    store_digest=digest,
-                    wall_ms=(time.monotonic() - t0) * 1000.0,
-                )
+                mean = float(np.mean([r.reward for r in records]))
+                probs = [p.tolist() for p in ctrl.probabilities(state)]
+                ms = (time.monotonic() - t0) * 1000.0
+                event = persist.EventRecord(step, mean, state.baseline, probs, digest, ms)
                 persist.write_event(log_fh, event)
             if saves:
                 ckpt.store_digest = digest
-                persist.save_checkpoint(checkpoint_path, ckpt)
-    if checkpoint_path is not None and start == total:  # no step left: save once
+                persist.save_checkpoint(path, ckpt)
+    if path is not None and start == total:  # no step left: save once
         ckpt.store_digest = persist.store_digest(ckpt.store)
-        persist.save_checkpoint(checkpoint_path, ckpt)
-
+        persist.save_checkpoint(path, ckpt)
     final_probs = ctrl.probabilities(state)
-    return SearchResult(
-        derived=derive(space, final_probs),
-        final_probabilities=final_probs,
-        reward_history=ckpt.reward_history,
-        wall_steps=total,
-    )
+    return SearchResult(derive(run.space, final_probs), final_probs, ckpt.reward_history, total)
 
 
 def _derived_space(space: SearchSpace, arch_choice: Sequence[int]) -> SearchSpace:

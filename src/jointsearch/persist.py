@@ -205,8 +205,10 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
     and ``-`` and a positive integer ``cardinality``, or a record without
     exactly ``EventRecord``'s fields, whose ``probabilities`` are not one
     non-empty list per decision, each as long as the header says (without a
-    header, as the first record's), or whose ``mean_reward``, ``baseline``,
-    probabilities or ``wall_ms`` are not finite numbers.
+    header, as the first record's), whose ``mean_reward``, ``baseline``,
+    probabilities or ``wall_ms`` are not finite numbers, whose ``meta_step`` is
+    not a non-negative integer one past the previous record's (the first may
+    start anywhere), or whose ``store_digest`` is not 16 lowercase hex digits.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -246,6 +248,13 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
             raise ValueError(
                 f"{where} is not an event record with exactly the fields {_EVENT_FIELDS}"
             ) from None
+        step, digest = record.meta_step, record.store_digest
+        if not _is_count(step):
+            raise ValueError(f"{where}: meta_step {step!r} is not a non-negative integer")
+        if records and step != records[-1].meta_step + 1:
+            raise ValueError(f"{where}: meta_step {step} does not follow {records[-1].meta_step}")
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{16}", digest)):
+            raise ValueError(f"{where}: store_digest {digest!r} is not 16 lowercase hex digits")
         rows = record.probabilities
         if not isinstance(rows, list) or not all(isinstance(r, list) and r for r in rows):
             raise ValueError(f"{where}: probabilities are not a list of non-empty lists")

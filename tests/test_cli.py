@@ -906,7 +906,33 @@ def _widen_a_row(lines):
     return "line 4: probabilities have row lengths [3, 3, 2]"
 
 
-@pytest.mark.parametrize("defect", [_drop_first_label, _add_a_row, _widen_a_row, None])
+def _edit_last(field, value, message):
+    # The base config logs six records, of steps 0 to 5, on lines 2 to 7.
+    def defect(lines):
+        record = json.loads(lines[-1])
+        record[field] = value
+        lines[-1] = json.dumps(record)
+        return f"line 7: {field} {message}"
+
+    return pytest.param(defect, id=f"{field}={value!r}")
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        _drop_first_label,
+        _add_a_row,
+        _widen_a_row,
+        None,
+        _edit_last("meta_step", "soon", "'soon' is not a non-negative integer"),
+        _edit_last("meta_step", True, "True is not a non-negative integer"),
+        _edit_last("meta_step", -1, "-1 is not a non-negative integer"),
+        _edit_last("meta_step", 4, "4 does not follow 4"),  # a repeated step
+        _edit_last("meta_step", 6, "6 does not follow 4"),  # a skipped step
+        _edit_last("store_digest", 7, "7 is not 16 lowercase hex digits"),
+        _edit_last("store_digest", "xyz", "'xyz' is not 16 lowercase hex digits"),
+    ],
+)
 def test_report_refuses_a_malformed_log_before_writing_anything(capsys, tmp_path, defect):
     log = tmp_path / "events.jsonl"
     code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)})

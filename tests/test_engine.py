@@ -18,9 +18,11 @@ from jointsearch.engine import (
     compute_reward,
     eval_metrics,
     evaluate_candidate,
+    meta_step,
     random_search_baseline,
     retrain,
     search,
+    start_run,
 )
 from jointsearch.numerics import RngStream
 from jointsearch.persist import read_events, store_digest
@@ -810,6 +812,54 @@ def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):
         ], crash_step
         with open(output["checkpoint_path"], "rb") as fh:
             assert fh.read() == uninterrupted, crash_step
+
+
+@pytest.mark.parametrize("network", [True, False], ids=["network", "table"])
+def test_meta_step_calls_end_where_search_does(tmp_path, network):
+    # ``search`` drives ``start_run`` and one ``meta_step`` per step, each
+    # advancing the checkpoint by one step. Stepped by hand, a fresh run and a
+    # run rebuilt from a step-2 checkpoint end on search's store, logits,
+    # baseline and reward history.
+    def table(selection):
+        return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
+
+    steps, k = 5, 3
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    if network:
+        doc = moons_doc(total=steps, k=k, output=output, entropy_weight=0.01)
+        override = None
+    else:
+        doc = {**tabular_doc([3, 2, 4], total=steps, k=k, entropy_weight=0.01), "output": output}
+        override = table
+    config = parse_config(doc)
+
+    def end_state(ckpt, history):
+        logits = [z.tolist() for z in ckpt.controller.logits]
+        return store_digest(ckpt.store), logits, ckpt.controller.baseline, history
+
+    result = search(config, evaluate_override=override)
+    expected = end_state(persist.load_checkpoint(path), result.reward_history)
+
+    def stepped(run):
+        for step in range(run.ckpt.meta_step, steps):
+            records = meta_step(run, override)
+            assert [r.meta_step for r in records] == [step] * k
+            assert run.ckpt.meta_step == step + 1
+            assert run.ckpt.reward_history[-k:] == records
+        return end_state(run.ckpt, run.ckpt.reward_history)
+
+    assert stepped(start_run(config, network, None)) == expected
+
+    def crash(phase, step, weights):
+        if step == 2:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        search(config, evaluate_override=override, audit=crash)
+    rebuilt = start_run(config, network, path)
+    assert rebuilt.ckpt.meta_step == 2
+    assert stepped(rebuilt) == expected
 
 
 def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):

@@ -280,6 +280,44 @@ def test_event_records_without_a_header_follow_the_first_record(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("meta_step", "soon", "meta_step 'soon' is not a non-negative integer"),
+        ("meta_step", True, "meta_step True is not a non-negative integer"),
+        ("meta_step", -1, "meta_step -1 is not a non-negative integer"),
+        ("meta_step", 2.0, "meta_step 2.0 is not a non-negative integer"),
+        ("meta_step", 1, "meta_step 1 does not follow 1"),  # a repeated step
+        ("meta_step", 3, "meta_step 3 does not follow 1"),  # a skipped step
+        ("store_digest", 7, "store_digest 7 is not 16 lowercase hex digits"),
+        ("store_digest", "xyz", "store_digest 'xyz' is not 16 lowercase hex digits"),
+        ("store_digest", "AB" * 8, f"store_digest {'AB' * 8!r} is not 16 lowercase hex digits"),
+        ("store_digest", "0" * 17, f"store_digest {'0' * 17!r} is not 16 lowercase hex digits"),
+    ],
+)
+def test_event_record_steps_follow_on_and_digests_are_hex(tmp_path, field, value, message):
+    path = tmp_path / "events.jsonl"
+    lines = [SAMPLE_HEADER] + [event.to_json() for event in sample_events(3)]
+    record = json.loads(lines[3])
+    record[field] = value
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == f"{path}: line 4: {message}"
+
+
+def test_event_log_may_start_at_any_step(tmp_path):
+    # A resumed run whose log went missing logs from its resume step on.
+    path = tmp_path / "events.jsonl"
+    events = [replace(event, meta_step=event.meta_step + 7) for event in sample_events(3)]
+    with open(path, "w") as fh:
+        fh.write(SAMPLE_HEADER + "\n")
+        for event in events:
+            write_event(fh, event)
+    assert read_events(str(path))[1] == events
+
+
 def test_non_finite_event_record_is_not_written(tmp_path):
     event = sample_events(1)[0]
     event.mean_reward = float("nan")
