@@ -174,13 +174,15 @@ def _resumable(
 ) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: its config echo must equal ``config_to_dict(config)`` but for
-    the output paths, and its step, controller rows and reward history must
-    fit the run. Then ``persist.check_layout`` compares its optimizer slots
-    and arrays with those the run holds after that many ``meta_step`` calls:
-    ``_fresh``'s store and head (none in a table-driven run), one controller
-    Adam slot per decision past warm-up, and each commit slot of the file
-    that the space could make, its Adam ``step`` taken as written (only a
-    replay could check it)."""
+    the output paths, and its step must fit the run. Then
+    ``persist.check_layout`` compares its optimizer slots and arrays with
+    those the run holds after that many ``meta_step`` calls: ``_fresh``'s
+    controller logits, store and head (none in a table-driven run), one
+    controller Adam slot per decision past warm-up, each commit slot of the
+    file that the space could make, its Adam ``step`` taken as written (only
+    a replay could check it), and the file's own reward history. That history
+    must hold K records per step before the file's, in step order, each
+    selecting within the space."""
     ckpt = persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
@@ -188,21 +190,10 @@ def _resumable(
             "checkpoint was produced by a different configuration; "
             "only output paths may differ on resume"
         )
-    check = persist.check_field
-    total = config.search.total_meta_steps
-    check(path, ckpt.meta_step <= total, "meta_step", f"an integer in [0, {total}]")
-    cards = list(space.cardinalities())
-    rows = [len(z) for z in ckpt.controller.logits]
-    check(path, rows == cards, "controller.logits", f"one row per decision, of lengths {cards}")
-    k, done = config.search.pairs_per_step, ckpt.meta_step
-    steps = [r.meta_step for r in ckpt.reward_history]
-    expected = [step for step in range(done) for _ in range(k)]
-    check(path, steps == expected, "reward_history", f"{k} records per step before {done}")
-    for i, record in enumerate(ckpt.reward_history):
-        sel = record.selection
-        fits = len(sel) == len(cards) and all(0 <= j < c for j, c in zip(sel, cards))
-        check(path, fits, f"reward_history[{i}].selection", f"a selection within {cards}")
+    total, done = config.search.total_meta_steps, ckpt.meta_step
+    persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
     held = _fresh(space, config.data.seed, uses_network)
+    held.reward_history = ckpt.reward_history
     updates = done - ctrl.warmup_steps(config.search)
     if updates > 0:  # each step past warm-up made one Adam update of every row
         for d, z in enumerate(held.controller.logits):
@@ -216,6 +207,15 @@ def _resumable(
                 if type(made.get(name)) is int and type(value) is int:
                     made[name] = value
     persist.check_layout(path, held, ckpt)
+    # The layout fixed one logits array, so one selection column, per decision.
+    k, cards = config.search.pairs_per_step, space.cardinalities()
+    steps = [r.meta_step for r in ckpt.reward_history]
+    expected = [step for step in range(done) for _ in range(k)]
+    what = f"meta-steps are not {k} records per step before {done}"
+    persist.check_array(path, steps == expected, "history/ints", what)
+    for i, record in enumerate(ckpt.reward_history):
+        fits = all(j < c for j, c in zip(record.selection, cards))
+        persist.check_array(path, fits, "history/ints", f"row {i} selects outside {list(cards)}")
     return ckpt
 
 

@@ -2,48 +2,49 @@
 
 Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
-bytes. Neither an event record nor a checkpoint header may hold a non-finite
-number: writing one raises ``ValueError``.
+bytes. No event record, checkpoint header, controller logit or reward
+history number may be non-finite: writing one raises ``ValueError``.
 
 A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
 keeps one, advances it in place and saves it as it stands. Its file has three
 parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, the controller state (logits and
-   baseline), reward history, ``store_digest``, the integer fields of every
-   optimizer slot, and the name and shape of every array in file order
-   (store sorted by key, head, controller slots, commit slots). A newline
-   ends the line. The meta-step is the file's one step counter: the
-   controller's warm-up, whether its baseline exists and the position of the
-   controller's RNG stream all follow from it, so none is stored.
+   version, config echo, meta-step, controller baseline, ``store_digest``, the
+   integer fields of every optimizer slot, and the name and shape of every
+   array in file order. A newline ends the line. The meta-step is the file's
+   one step counter: the controller's warm-up, whether its baseline exists
+   and the position of the controller's RNG stream all follow from it.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
-   straight from the arrays. They restore bit for bit (``-0.0``, subnormals
-   and all).
+   straight from the arrays (see ``_layout``): the store, the head, one
+   ``controller/logits/<d>`` per decision, the optimizer slots, and the reward
+   history, one row per record in ``history/ints`` (meta-step, then the
+   selection, as whole numbers) and ``history/reals`` (accuracy, cost, reward,
+   baseline). They restore bit for bit (``-0.0``, subnormals and all); a
+   restored record's step and selection are ints and its numbers floats.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
 
 ``load_checkpoint`` parses the header, refuses any other format version,
 verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
-the bytes exactly (a malformed array raises ``ValueError`` naming the file
-and the array), and verifies ``store_digest`` against the restored store. A
-header that lacks a field, gives an optimizer slot section or a slot as a
+the bytes exactly under distinct names (if not, ``ValueError`` names the
+array), and verifies ``store_digest`` against the restored store.
+A header that lacks a field, gives an optimizer slot section or a slot as a
 non-object, names a slot by something other than ``family|key`` as
-``save_checkpoint`` writes it, or names an array of no known section,
-raises ``ValueError`` naming the file and the field or array. So does a
-re-sealed header (one whose SHA-256 was recomputed after an edit) whose
-meta-step is not a non-negative integer, whose baseline is not a finite
-number, whose controller logits are not a list of non-empty lists of finite
-numbers, whose reward history is not a list of ``RewardRecord`` objects
-(exactly its six fields, a non-negative integer step, a list of integers as
-the selection and finite numbers elsewhere), or whose slot holds a header
-field that is not a positive integer. These checks need nothing of the run.
-Which slots, slot fields and arrays a file may hold depends on the run, so
-the loader takes them as written; on resume ``engine`` builds the state the
-run itself holds at that step, and ``check_layout`` compares the two.
-Saving and loading again gives identical bytes. Files are written to a temp
-path and renamed into place.
+``save_checkpoint`` writes it, or names an array of no known section, raises
+``ValueError`` naming the file and the field or array. So does a re-sealed
+file (its SHA-256 recomputed after an edit) whose meta-step is not a
+non-negative integer, whose baseline is not a finite number, whose slot
+holds a header field that is not a positive integer, whose logits or history
+reals are not finite, whose history integers are not whole and non-negative,
+or whose history rows and columns disagree with each other or with the
+number of logits arrays. These checks need nothing of the run. Which slots,
+slot fields and arrays a file may hold depends on the run, so the loader
+takes them as written; on resume ``engine`` builds the state the run itself
+holds at that step, and ``check_layout`` compares the two. Saving and loading
+again gives identical bytes. Files are written to a temp path and renamed
+into place.
 
 ``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
 written as 16 hex characters. It walks the store in sorted key order and
@@ -52,13 +53,15 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 6 and event logs format version 2. Versions
+Checkpoints are format version 7 and event logs format version 2. Versions
 1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
 text, version 2 lacked the reward history, versions 1-3 stored arrays as
-decimal lists and version 4 as base64. Version 5 had this layout but also
-stored the controller's step and baseline flag, the controller's RNG
-counter, and each hyperparameter's ``default_index`` in the config echo. A
-checkpoint of any other version is rejected with a "format version" error;
+decimal lists and version 4 as base64. Version 5 had version 6's layout but
+also stored the controller's step and baseline flag, the controller's RNG
+counter, and each hyperparameter's ``default_index`` in the config echo.
+Version 6 held the controller logits and the reward history in the header,
+as JSON lists and record objects, so each save re-encoded the whole history.
+A checkpoint of any other version is rejected with a "format version" error;
 there is no migration.
 """
 from __future__ import annotations
@@ -79,13 +82,9 @@ from .controller import ControllerState
 from .space import SearchSpace
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 6
+CHECKPOINT_FORMAT_VERSION = 7
 EVENT_LOG_FORMAT_VERSION = 2
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
-
-
-def _float_list(arr: np.ndarray) -> list[float]:
-    return np.asarray(arr, dtype=np.float64).reshape(-1).tolist()
 
 
 def store_digest(store: Mapping[ParamKey, np.ndarray]) -> str:
@@ -143,28 +142,23 @@ def truncate_events(path: str, meta_step: int, digest: str) -> int:
     """Cut the log at ``path`` back to its header and the records of steps
     before ``meta_step``, leaving the kept lines byte-identical; returns the
     number of bytes kept. Those records must be one per step from 0, in order,
-    the last carrying ``digest``, the resumed checkpoint's store digest; if
-    not, the log is another run's, and ``ValueError`` names the file and the
-    first step missing or mismatched, cutting nothing. The cut is at the first
-    line past those records, which also drops a torn final line.
+    each one ``read_events`` takes, the last carrying ``digest``, the resumed
+    checkpoint's store digest; if not, the log is another run's, and
+    ``ValueError`` names the file and the first step missing or mismatched,
+    cutting nothing. The cut is at the first line past those records, which
+    also drops a torn final line.
     """
     offset, step = 0, 0
     with open(path, "r+b") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    break
-                if not isinstance(doc, dict):
-                    break
-                if "decisions" not in doc:  # a record, not the header
-                    if step == meta_step or doc.get("meta_step") != step:
+        with contextlib.suppress(ValueError):  # a line ``read_events`` refuses ends the records
+            for line, _, record in _event_lines(path, fh):
+                if record is not None:
+                    if step == meta_step or record.meta_step != step:
                         break
-                    if step == meta_step - 1 and doc.get("store_digest") != digest:
+                    if step == meta_step - 1 and record.store_digest != digest:
                         break
                     step += 1
-            offset += len(line)
+                offset += len(line)
         if step < meta_step:
             raise ValueError(f"{path}: event log holds no record of step {step} of the resumed run")
         fh.truncate(offset)
@@ -215,17 +209,28 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    header = None
-    shape = None  # each decision's cardinality
-    records: list[EventRecord] = []
+    header, records = None, []
+    for _, header, record in _event_lines(path, lines):
+        if record is not None:
+            records.append(record)
+    return header, records
+
+
+def _event_lines(path: str, lines: Iterable):
+    """Each of ``lines`` (text or bytes) of the event log at ``path`` with the
+    header read so far and the ``EventRecord`` it holds (None for a header or a
+    blank line). ``ValueError`` names the file and the line of the first line
+    that ``read_events`` refuses."""
+    header = shape = None  # shape: each decision's cardinality
+    previous = None  # the last record's meta_step
     for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
+            yield line, header, None
             continue
         where = f"{path}: line {line_no}"
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: malformed JSON on line {line_no} ({exc})") from None
         if isinstance(doc, dict) and "decisions" in doc:
             decisions = doc["decisions"]
@@ -241,6 +246,7 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
                         "letters, digits, '_' and '-'"
                     )
             header, shape = doc, [d["cardinality"] for d in decisions]
+            yield line, header, None
             continue
         try:
             record = EventRecord(**doc)
@@ -251,8 +257,8 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
         step, digest = record.meta_step, record.store_digest
         if not _is_count(step):
             raise ValueError(f"{where}: meta_step {step!r} is not a non-negative integer")
-        if records and step != records[-1].meta_step + 1:
-            raise ValueError(f"{where}: meta_step {step} does not follow {records[-1].meta_step}")
+        if previous is not None and step != previous + 1:
+            raise ValueError(f"{where}: meta_step {step} does not follow {previous}")
         if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{16}", digest)):
             raise ValueError(f"{where}: store_digest {digest!r} is not 16 lowercase hex digits")
         rows = record.probabilities
@@ -274,8 +280,8 @@ def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
         for name, values in numbers.items():
             if not all(map(_is_finite, values)):
                 raise ValueError(f"{where}: field {name} holds a value that is not a finite number")
-        records.append(record)
-    return header, records
+        previous = step
+        yield line, header, record
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +300,6 @@ class RewardRecord:
     cost: float
     reward: float
     baseline: float = 0.0
-
-
-_RECORD_FIELDS = {f.name for f in fields(RewardRecord)}
 
 
 @dataclass
@@ -326,11 +329,13 @@ _SLOT_SECTIONS = (("controller/slots", str, int), ("commit_slots", ParamKey.text
 def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """The integer fields of every optimizer slot, by section and slot, and
     every array with its name, in file order: store sorted by key, head,
-    controller slots, commit slots. A slot array's name is its section, slot
-    and field joined by ``/``."""
+    controller logits, controller slots, commit slots, reward history. A slot
+    array's name is its section, slot and field joined by ``/``."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
     arrays += [(name, arr) for name, arr in head if arr is not None]
+    logits = ckpt.controller.logits
+    arrays += [(f"controller/logits/{d}", z) for d, z in enumerate(logits)]
     slot_ints = {}
     for (section, key_text, _), slots in zip(
         _SLOT_SECTIONS, (ckpt.controller.slots, ckpt.commit_slots)
@@ -346,25 +351,31 @@ def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
             arrays += [
                 (f"{section}/{combined}/{n}", v) for n, v in fields if not isinstance(v, int)
             ]
+    history = ckpt.reward_history
+    width = 1 + len(history[0].selection if history else logits)
+    ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
+    reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
+    arrays.append(("history/ints", ints.reshape(len(history), width)))
+    arrays.append(("history/reals", reals.reshape(len(history), 4)))
     return slot_ints, arrays
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
-    atomically replace ``path`` with it."""
+    atomically replace ``path`` with it. ``ValueError`` names the array, and
+    nothing is written, if the logits or the history hold a non-finite number."""
     slot_ints, arrays = _layout(ckpt)
-    controller = ckpt.controller
+    for name, arr in arrays:
+        _check_finite(path, name, arr)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config_echo,
         "meta_step": ckpt.meta_step,
         "controller": {
-            "logits": [_float_list(z) for z in controller.logits],
-            "baseline": controller.baseline,
+            "baseline": ckpt.controller.baseline,
             "slots": slot_ints["controller/slots"],
         },
         "commit_slots": slot_ints["commit_slots"],
-        "reward_history": [vars(r) for r in ckpt.reward_history],
         "store_digest": ckpt.store_digest,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
@@ -389,11 +400,14 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
 
 def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     """Cut ``blob`` into the ``[name, shape]`` arrays of ``entries``, which
-    must tile it exactly; each is an owned, writable, native float64 copy."""
+    must tile it exactly under distinct names; each is an owned, writable,
+    native float64 copy."""
     arrays = {}
     offset = 0
     name = "arrays"
     for name, shape in entries:
+        if name in arrays:
+            raise ValueError(f"{path}: {name}: the file holds two arrays of this name")
         if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
             raise ValueError(
                 f"{path}: {name}: shape {shape!r} is not a list of non-negative integers"
@@ -411,11 +425,8 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-_HEADER_FIELDS = (
-    "config", "meta_step", "controller", "commit_slots", "reward_history", "store_digest",
-    "arrays",
-)
-_CONTROLLER_FIELDS = ("logits", "baseline", "slots")
+_HEADER_FIELDS = ("config", "meta_step", "controller", "commit_slots", "store_digest", "arrays")
+_CONTROLLER_FIELDS = ("baseline", "slots")
 
 
 def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
@@ -433,6 +444,19 @@ def check_field(path: str, ok: bool, name: str, what: str) -> None:
         raise ValueError(f"{path}: checkpoint header field {name} is not {what}")
 
 
+def check_array(path: str, ok: bool, name: str, what: str) -> None:
+    """Raise ``ValueError`` naming the file and the array ``name`` unless
+    ``ok``."""
+    if not ok:
+        raise ValueError(f"{path}: {name}: {what}")
+
+
+def _check_finite(path: str, name: str, arr: np.ndarray) -> None:
+    # The logits and the history reals may hold only finite numbers.
+    ok = not name.startswith(("controller/logits/", "history/reals")) or np.isfinite(arr).all()
+    check_array(path, ok, name, "holds a value that is not a finite number")
+
+
 def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
@@ -445,26 +469,24 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _is_record(doc) -> bool:
-    if not isinstance(doc, dict) or set(doc) != _RECORD_FIELDS:
-        return False
-    numbers = [doc[name] for name in ("accuracy", "cost", "reward", "baseline")]
-    selection = doc["selection"]
-    return (
-        _is_count(doc["meta_step"])
-        and all(map(_is_finite, numbers))
-        and isinstance(selection, list)
-        and all(type(i) is int for i in selection)
-    )
-
-
-def _is_logit_table(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(row, list)
-        and row
-        and all(map(_is_finite, row))
-        for row in value
-    )
+def _records(path: str, named: dict[str, np.ndarray], decisions: int) -> list[RewardRecord]:
+    """The reward records of the ``history/ints`` and ``history/reals``
+    arrays of ``named``; ``ValueError`` names the array unless both are there,
+    with one row per record, ``1 + decisions`` and 4 columns, and whole
+    non-negative integers."""
+    ints, reals = named.get("history/ints"), named.get("history/reals")
+    rows = ints.shape[0] if ints is not None and ints.ndim else 0
+    for name, arr, shape in (("ints", ints, (rows, 1 + decisions)), ("reals", reals, (rows, 4))):
+        found = "nothing" if arr is None else f"shape {list(arr.shape)}"
+        ok = arr is not None and arr.shape == shape
+        check_array(path, ok, f"history/{name}", f"checkpoint holds {found}, not {list(shape)}")
+    whole = np.isfinite(ints) & (np.floor(ints) == ints) & ~np.signbit(ints)  # signbit: -0.0
+    what = "holds a value that is not a non-negative integer"
+    check_array(path, whole.all(), "history/ints", what)
+    return [
+        RewardRecord(int(row[0]), tuple(map(int, row[1:])), *values)
+        for row, values in zip(ints.tolist(), reals.tolist())
+    ]
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -492,12 +514,6 @@ def load_checkpoint(path: str) -> Checkpoint:
     check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
     baseline = controller["baseline"]
     check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
-    history = header["reward_history"]
-    records = isinstance(history, list) and all(map(_is_record, history))
-    check_field(path, records, "reward_history", "a list of reward records")
-    logits = controller["logits"]
-    table = _is_logit_table(logits)
-    check_field(path, table, "controller.logits", "a list of non-empty lists of finite numbers")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     slot_of = {}  # each slot, by the name prefix of its arrays
     loaded_slots = []
@@ -526,13 +542,17 @@ def load_checkpoint(path: str) -> Checkpoint:
             slot_of[f"{section}/{combined}"] = slot
         loaded_slots.append(slots)
     store = {}
-    head: dict[str, np.ndarray] = {}
+    named: dict[str, np.ndarray] = {}  # the head's and the history's arrays
+    logits: list[np.ndarray] = []
     for name, arr in arrays.items():
+        _check_finite(path, name, arr)
         owner, _, field_name = name.rpartition("/")
         if owner in slot_of:
             slot_of[owner][field_name] = arr
-        elif owner == "head" and field_name in ("weight", "bias"):
-            head[field_name] = arr
+        elif name in ("head/weight", "head/bias", "history/ints", "history/reals"):
+            named[name] = arr
+        elif owner == "controller/logits" and field_name == str(len(logits)):
+            logits.append(arr)  # one per decision, in order
         else:
             try:
                 if not name.startswith("store/"):
@@ -540,23 +560,22 @@ def load_checkpoint(path: str) -> Checkpoint:
                 store[_param_key_parse(name[len("store/") :])] = arr
             except ValueError:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
+    reward_history = _records(path, named, len(logits))
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
         controller=ControllerState(
-            logits=[np.asarray(z, dtype=np.float64) for z in logits],
+            logits=logits,
             baseline=baseline,
             slots=loaded_slots[0],
         ),
         store=store,
-        head_weight=head.get("weight"),
-        head_bias=head.get("bias"),
+        head_weight=named.get("head/weight"),
+        head_bias=named.get("head/bias"),
         commit_slots=loaded_slots[1],
-        reward_history=[
-            RewardRecord(**{**r, "selection": tuple(r["selection"])}) for r in history
-        ],
+        reward_history=reward_history,
         store_digest=header["store_digest"],
     )
 

@@ -269,64 +269,6 @@ VALUE_DEFECTS = {
         lambda h: h["controller"].update(baseline=10**400),
         "field controller.baseline is not a finite number",
     ),
-    "history-accuracy-too-large": (
-        lambda h: h["reward_history"][1].update(accuracy=10**400),
-        "field reward_history is not a list of reward records",
-    ),
-    "logits-too-large": (
-        lambda h: h["controller"].update(logits=[[0, -(10**400)], [0, 0, 0], [0, 0]]),
-        "field controller.logits is not a list of non-empty lists of finite numbers",
-    ),
-    "history-int": (
-        lambda h: h.update(reward_history=5),
-        "field reward_history is not a list of reward records",
-    ),
-    "history-field": (
-        lambda h: h["reward_history"][0].pop("selection"),
-        "field reward_history is not a list of reward records",
-    ),
-    # The space has three decisions of 2, 3 and 2 candidates.
-    "logits-one-row": (
-        lambda h: h["controller"].update(logits=[[0, 0, 0]]),
-        "field controller.logits is not one row per decision, of lengths [2, 3, 2]",
-    ),
-    "logits-row-width": (
-        lambda h: h["controller"].update(logits=[[0, 0, 0], [0, 0, 0], [0, 0]]),
-        "field controller.logits is not one row per decision, of lengths [2, 3, 2]",
-    ),
-    "logits-text": (
-        lambda h: h["controller"].update(logits=[["a", "b"]]),
-        "field controller.logits is not a list of non-empty lists of finite numbers",
-    ),
-    "logits-nan": (
-        lambda h: h["controller"].update(logits=[[float("nan"), 0.0]]),
-        "field controller.logits is not a list of non-empty lists of finite numbers",
-    ),
-    "history-accuracy-nan": (
-        lambda h: h["reward_history"][0].update(accuracy=float("nan")),
-        "field reward_history is not a list of reward records",
-    ),
-    "history-selection": (
-        lambda h: h["reward_history"][3].update(selection=[9, 9, 9]),
-        "field reward_history[3].selection is not a selection within [2, 3, 2]",
-    ),
-    "history-selection-length": (
-        lambda h: h["reward_history"][0].update(selection=[0, 0]),
-        "field reward_history[0].selection is not a selection within [2, 3, 2]",
-    ),
-    # Six steps of two pairs each.
-    "history-step-late": (
-        lambda h: h["reward_history"][-1].update(meta_step=6),
-        "field reward_history is not 2 records per step before 6",
-    ),
-    "history-order": (
-        lambda h: h["reward_history"].reverse(),
-        "field reward_history is not 2 records per step before 6",
-    ),
-    "history-short": (
-        lambda h: h["reward_history"].pop(),
-        "field reward_history is not 2 records per step before 6",
-    ),
     # Adam step counts of a controller slot and of a commit slot.
     **{
         f"{where}-adam-step-{name}": (
@@ -527,7 +469,111 @@ ARRAY_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("defect", ARRAY_DEFECTS)
+def _edited(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+def _set_value(arrays, name, index, value):
+    _reshape_array(arrays, name, lambda arr: _edited(arr, index, value))
+
+
+def _history_rows(arrays, edit):
+    for name in ("history/ints", "history/reals"):
+        _reshape_array(arrays, name, edit)
+
+
+def _one_logits_row(arrays):
+    # Decisions 1 and 2 dropped from the logits and from the selections.
+    _drop_array(arrays, "controller/logits/1")
+    _drop_array(arrays, "controller/logits/2")
+    _reshape_array(arrays, "history/ints", lambda ints: ints[:, :2])
+
+
+def _extra_logits_row(arrays):
+    arrays.append(["controller/logits/3", np.zeros(2)])
+    _reshape_array(arrays, "history/ints", lambda ints: np.hstack([ints, ints[:, 1:2]]))
+
+
+# Edits of the controller logits and the reward history, which the file keeps
+# as arrays (one per decision, and one row per record of ``history/ints``:
+# the step, then the selection; and of ``history/reals``: accuracy, cost,
+# reward and baseline), each with the error it must raise. Six steps of two
+# pairs make 12 records. The loader refuses a number that is not finite, a
+# history integer that is not whole and non-negative, and tables whose rows
+# or columns disagree; the resume refuses logits other than the run's and a
+# history out of step order or selecting outside the space.
+HISTORY_DEFECTS = {
+    "history-accuracy-inf": (
+        lambda h, a: _set_value(a, "history/reals", (1, 0), np.inf),
+        "history/reals: holds a value that is not a finite number",
+    ),
+    "history-accuracy-nan": (
+        lambda h, a: _set_value(a, "history/reals", (0, 0), np.nan),
+        "history/reals: holds a value that is not a finite number",
+    ),
+    "logits-inf": (
+        lambda h, a: _set_value(a, "controller/logits/0", 1, -np.inf),
+        "controller/logits/0: holds a value that is not a finite number",
+    ),
+    "logits-nan": (
+        lambda h, a: _set_value(a, "controller/logits/0", 0, np.nan),
+        "controller/logits/0: holds a value that is not a finite number",
+    ),
+    "history-ints-missing": (
+        lambda h, a: _drop_array(a, "history/ints"),
+        "history/ints: checkpoint holds nothing, not [0, 4]",
+    ),
+    "history-selection-missing": (
+        lambda h, a: _reshape_array(a, "history/ints", lambda ints: ints[:, :1]),
+        "history/ints: checkpoint holds shape [12, 1], not [12, 4]",
+    ),
+    "history-rows-disagree": (
+        lambda h, a: _reshape_array(a, "history/reals", lambda reals: reals[:-1]),
+        "history/reals: checkpoint holds shape [11, 4], not [12, 4]",
+    ),
+    "history-step-fraction": (
+        lambda h, a: _set_value(a, "history/ints", (0, 0), 0.5),
+        "history/ints: holds a value that is not a non-negative integer",
+    ),
+    "history-selection-negative": (
+        lambda h, a: _set_value(a, "history/ints", (0, 1), -1.0),
+        "history/ints: holds a value that is not a non-negative integer",
+    ),
+    # The space has three decisions of 2, 3 and 2 candidates.
+    "logits-one-row": (
+        lambda h, a: _one_logits_row(a),
+        "controller/logits/1: checkpoint holds nothing, the run holds shape [3]",
+    ),
+    "logits-row-width": (
+        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0)),
+        "controller/logits/0: checkpoint holds shape [3], the run holds shape [2]",
+    ),
+    "logits-extra-row": (
+        lambda h, a: _extra_logits_row(a),
+        "controller/logits/3: checkpoint holds shape [2], the run holds nothing",
+    ),
+    "history-selection": (
+        lambda h, a: _set_value(a, "history/ints", (3, slice(1, None)), 9.0),
+        "history/ints: row 3 selects outside [2, 3, 2]",
+    ),
+    "history-step-late": (
+        lambda h, a: _set_value(a, "history/ints", (-1, 0), 6.0),
+        "history/ints: meta-steps are not 2 records per step before 6",
+    ),
+    "history-order": (
+        lambda h, a: _history_rows(a, lambda rows: rows[::-1]),
+        "history/ints: meta-steps are not 2 records per step before 6",
+    ),
+    "history-short": (
+        lambda h, a: _history_rows(a, lambda rows: rows[:-1]),
+        "history/ints: meta-steps are not 2 records per step before 6",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", [*ARRAY_DEFECTS, *HISTORY_DEFECTS])
 def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys, tmp_path, defect):
     from jointsearch.persist import store_digest
     from jointsearch.supernet import ParamKey
@@ -543,7 +589,7 @@ def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys,
         count = int(np.prod(shape))
         arrays.append([name, np.frombuffer(data, "<f8", count, offset).reshape(shape)])
         offset += 8 * count
-    edit, expected = ARRAY_DEFECTS[defect]
+    edit, expected = {**ARRAY_DEFECTS, **HISTORY_DEFECTS}[defect]
     edit(header, arrays)
     header["arrays"] = [[name, list(arr.shape)] for name, arr in arrays]
     store = {
@@ -651,6 +697,35 @@ def test_resume_refuses_a_stale_event_log_and_leaves_it_untouched(capsys, tmp_pa
     log.write_bytes(complete)
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
     assert log.read_bytes() == complete
+
+
+@pytest.mark.parametrize("step", [True, 1.0])
+def test_resume_refuses_a_log_whose_step_is_not_an_integer(capsys, tmp_path, step):
+    # ``True == 1`` and ``1.0 == 1``, but ``read_events``, and so ``report``,
+    # refuses either as a meta_step, so the resume must not keep the record.
+    from jointsearch import engine
+    from jointsearch.config import load_config
+
+    log, ckpt = tmp_path / "events.jsonl", tmp_path / "run.ckpt"
+    extra = {"log_path": str(log), "checkpoint_path": str(ckpt), "checkpoint_interval": 2}
+    doc = base_doc(4)
+    doc["output"] = extra
+    cfg = write_config(tmp_path, "run.cfg.json", doc)
+
+    def crash(phase, step, weights):
+        if step == 3:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        engine.search(load_config(cfg), audit=crash)
+    lines = log.read_text().splitlines()
+    lines[2] = json.dumps({**json.loads(lines[2]), "meta_step": step})
+    log.write_text("\n".join(lines) + "\n")
+    edited = log.read_bytes()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"{log}: event log holds no record of step 1 of the resumed run" in err
+    assert log.read_bytes() == edited
 
 
 # ---------------------------------------------------------------------------

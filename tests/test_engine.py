@@ -862,6 +862,77 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
     assert stepped(rebuilt) == expected
 
 
+def _table(selection):
+    return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
+
+
+@pytest.mark.parametrize("network, total", [(True, 0), (False, 0), (False, 4)])
+def test_checkpoints_without_history_or_store_load_save_and_resume(tmp_path, network, total):
+    # A zero-step run saves once, with no history rows; a table-driven run
+    # holds no store, head or commit slot. Each file loads, saves again to the
+    # same bytes, and a resume from it ends on the same file.
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path}
+    if network:
+        doc, override = moons_doc(total=total, output=output), None
+    else:
+        doc, override = {**tabular_doc([3, 2, 4], total=total, k=3), "output": output}, _table
+    config = parse_config(doc)
+    search(config, evaluate_override=override)
+    data = Path(path).read_bytes()
+    header = json.loads(data[: data.index(b"\n")])
+    shapes = dict(header["arrays"])
+    records = config.search.pairs_per_step * total
+    assert shapes["history/ints"] == [records, 1 + (2 if network else 3)]  # decisions
+    assert any(name.startswith("store/") for name in shapes) == network
+    loaded = persist.load_checkpoint(path)
+    again = str(tmp_path / "again.ckpt")
+    persist.save_checkpoint(again, loaded)
+    assert Path(again).read_bytes() == data
+    search(config, evaluate_override=override, resume_from=path)
+    assert Path(path).read_bytes() == data
+
+
+def test_a_checkpoint_save_does_not_reencode_the_history(tmp_path):
+    # The header holds the small fields only: the reward history is two
+    # arrays, so a longer history adds only the digits of their shapes.
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    doc = {**tabular_doc([3, 2, 4], total=8, k=3, warmup_fraction=0.0), "output": output}
+    every = _checkpoint_of_every_step(parse_config(doc), evaluate_override=_table)
+    header_4, header_8 = (every[done - 1].index(b"\n") for done in (4, 8))
+    assert header_8 - header_4 <= 16
+
+
+def test_resume_refuses_a_log_whose_step_is_true_and_leaves_it_untouched(tmp_path):
+    # ``True == 1``, but ``read_events`` refuses a ``"meta_step": true``, so
+    # the resume must not keep that record and append to the log.
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 2,
+    }
+    config = parse_config({**tabular_doc([3, 2, 4], total=4, k=3), "output": output})
+
+    def crash(phase, step, weights):
+        if step == 3:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        search(config, evaluate_override=_table, audit=crash)
+    log = Path(output["log_path"])
+    lines = log.read_text().splitlines()
+    record = json.loads(lines[2])
+    assert record["meta_step"] == 1
+    lines[2] = json.dumps({**record, "meta_step": True})
+    log.write_text("\n".join(lines) + "\n")
+    edited = log.read_bytes()
+    with pytest.raises(ValueError) as err:
+        search(config, evaluate_override=_table, resume_from=output["checkpoint_path"])
+    assert str(err.value) == f"{log}: event log holds no record of step 1 of the resumed run"
+    assert log.read_bytes() == edited
+
+
 def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):
     saves = _recording_saves(monkeypatch)
     output = {

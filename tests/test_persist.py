@@ -14,7 +14,6 @@ from jointsearch.persist import (
     Checkpoint,
     EventRecord,
     RewardRecord,
-    _float_list,
     event_header,
     load_checkpoint,
     open_events,
@@ -83,21 +82,6 @@ def test_digest_distinguishes_negative_zero():
     a = {ParamKey(0, 0, "weight"): np.array([0.0])}
     b = {ParamKey(0, 0, "weight"): np.array([-0.0])}
     assert store_digest(a) != store_digest(b)
-
-
-def test_float_list_matches_per_element_conversion():
-    tiny = 2.0**-1074
-    nasty = np.array(
-        [
-            [0.0, -0.0, tiny, -tiny, 2.0**-1022, np.nextafter(2.0**-1022, 0.0)],
-            [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.1, 1e308, -1e308, 1e-300],
-        ]
-    )
-    fast = _float_list(nasty)
-    slow = [float(v) for v in nasty.reshape(-1)]
-    assert all(type(v) is float for v in fast)
-    assert [v.hex() for v in fast] == [v.hex() for v in slow]
-    assert json.dumps(fast) == json.dumps(slow)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +346,14 @@ SAMPLE_ARRAYS = [
     "store/1/0/weight",
     "head/weight",
     "head/bias",
+    "controller/logits/0",
+    "controller/logits/1",
     "controller/slots/adam|0/m",
     "controller/slots/adam|0/v",
     "commit_slots/adam|0/1/weight/m",
     "commit_slots/adam|0/1/weight/v",
+    "history/ints",
+    "history/reals",
 ]
 
 
@@ -392,6 +380,22 @@ def _spans(header):
     return spans
 
 
+def _arrays(header, blob):
+    """Each array of the blob, by name, in file order."""
+    return {
+        name: np.frombuffer(bytes(blob), "<f8", size // 8, offset).reshape(shape)
+        for (name, shape), (offset, size) in zip(header["arrays"], _spans(header).values())
+    }
+
+
+def _write_arrays(path, header, arrays):
+    """Write ``header`` with ``arrays`` (name to array, in file order) in
+    place of its own, and seal it."""
+    header = {**header, "arrays": [[name, list(arr.shape)] for name, arr in arrays.items()]}
+    blob = b"".join(np.ascontiguousarray(arr, "<f8").tobytes() for arr in arrays.values())
+    _write(path, header, blob)
+
+
 def _nudge(blob, offset):
     """Move the float64 at ``offset`` of ``blob`` one ulp up, in place."""
     value = np.frombuffer(blob, dtype="<f8", count=1, offset=offset)[0]
@@ -407,12 +411,37 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_checkpoint_with_a_non_finite_number_is_not_written(tmp_path):
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        pytest.param(
+            lambda c: setattr(c.reward_history[0], "accuracy", float("nan")),
+            "history/reals",
+            id="history-accuracy",
+        ),
+        pytest.param(
+            lambda c: setattr(c.reward_history[0], "baseline", float("-inf")),
+            "history/reals",
+            id="history-baseline",
+        ),
+        pytest.param(
+            lambda c: c.controller.logits[1].__setitem__(2, float("inf")),
+            "controller/logits/1",
+            id="logit",
+        ),
+        pytest.param(
+            lambda c: setattr(c.controller, "baseline", float("nan")), None, id="baseline"
+        ),
+    ],
+)
+def test_checkpoint_with_a_non_finite_number_is_not_written(tmp_path, edit, name):
     path = tmp_path / "ck.ckpt"
     ckpt = sample_checkpoint()
-    ckpt.reward_history[0].accuracy = float("nan")
-    with pytest.raises(ValueError):
+    edit(ckpt)
+    with pytest.raises(ValueError) as err:
         save_checkpoint(str(path), ckpt)
+    if name is not None:
+        assert str(err.value) == f"{path}: {name}: holds a value that is not a finite number"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -425,6 +454,9 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert loaded.controller.baseline == 0.61
     assert loaded.config_echo == original.config_echo
     assert loaded.reward_history == original.reward_history
+    [record] = loaded.reward_history
+    assert type(record.meta_step) is int and all(type(i) is int for i in record.selection)
+    assert all(type(v) is float for v in (record.accuracy, record.cost, record.reward))
     assert loaded.store_digest == original.store_digest
     for a, b in zip(loaded.controller.logits, original.controller.logits):
         assert np.array_equal(a, b)
@@ -624,10 +656,8 @@ HEADER_FIELDS = [
     "meta_step",
     "controller",
     "commit_slots",
-    "reward_history",
     "store_digest",
     "arrays",
-    "controller.logits",
     "controller.baseline",
     "controller.slots",
 ]
@@ -733,26 +763,6 @@ def _rename_commit_slot(header, name):
         ],
         *[
             pytest.param(
-                lambda h, v=value: h["controller"].update(logits=v),
-                "checkpoint header field controller.logits is not a list of non-empty lists "
-                "of finite numbers",
-                id=f"logits-{name}",
-            )
-            for name, value in [
-                ("int", 5),
-                ("object", {"0": [0.0]}),
-                ("flat", [0.0, 1.0]),
-                ("empty-row", [[0.0, 1.0], []]),
-                ("text", [["a", "b"]]),
-                ("nan", [[float("nan"), 0.0]]),
-                ("inf", [[0.0], [float("-inf")]]),
-                ("bool", [[True, 0.0]]),
-                ("null", [[None]]),
-                ("too-large", [[0.0, 10**400]]),
-            ]
-        ],
-        *[
-            pytest.param(
                 lambda h, v=value: h.update(meta_step=v),
                 "checkpoint header field meta_step is not a non-negative integer",
                 id=f"meta-step-{name}",
@@ -768,28 +778,6 @@ def _rename_commit_slot(header, name):
             for name, value in [
                 ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False),
                 ("too-large", 10**400),
-            ]
-        ],
-        *[
-            pytest.param(
-                edit,
-                "checkpoint header field reward_history is not a list of reward records",
-                id=f"reward-history-{name}",
-            )
-            for name, edit in [
-                ("int", lambda h: h.update(reward_history=5)),
-                ("object", lambda h: h.update(reward_history={"0": {}})),
-                ("int-record", lambda h: h.update(reward_history=[5])),
-                ("missing-field", lambda h: h["reward_history"][0].pop("selection")),
-                ("extra-field", lambda h: h["reward_history"][0].update(loss=0.5)),
-                ("int-selection", lambda h: h["reward_history"][0].update(selection=1)),
-                ("text-index", lambda h: h["reward_history"][0].update(selection=["1", 0])),
-                ("text-accuracy", lambda h: h["reward_history"][0].update(accuracy="0.75")),
-                ("null-baseline", lambda h: h["reward_history"][0].update(baseline=None)),
-                ("negative-step", lambda h: h["reward_history"][0].update(meta_step=-1)),
-                ("nan-accuracy", lambda h: h["reward_history"][0].update(accuracy=float("nan"))),
-                ("inf-reward", lambda h: h["reward_history"][0].update(reward=float("-inf"))),
-                ("huge-accuracy", lambda h: h["reward_history"][0].update(accuracy=10**400)),
             ]
         ],
     ],
@@ -809,7 +797,8 @@ def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "renamed",
     ["heads/weight", "head", "controller/slots/adam|9/m", "commit_slots/adam|0/1/bias/m",
-     "store/0/x/weight", "store/0/1"],
+     "store/0/x/weight", "store/0/1", "controller/logits/2", "controller/logits/00",
+     "controller/logits", "history/floats", "history"],
 )
 def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
     path = tmp_path / "ck.ckpt"
@@ -821,6 +810,164 @@ def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert str(err.value) == f"{path}: {renamed}: array belongs to no known section"
+
+
+def _with(arrays, name, index, value):
+    """A copy of ``arrays`` whose array ``name`` holds ``value`` at ``index``."""
+    arr = arrays[name].copy()
+    arr[index] = value
+    return {**arrays, name: arr}
+
+
+def _moved_last(arrays, name):
+    return {**_without(arrays, name), name: arrays[name]}
+
+
+def _without(arrays, *names):
+    return {name: arr for name, arr in arrays.items() if name not in names}
+
+
+NOT_AN_INTEGER = "holds a value that is not a non-negative integer"
+NOT_FINITE = "holds a value that is not a finite number"
+
+
+# Edits of ``sample_checkpoint``'s arrays, re-sealed, with the array each
+# names and the error. Its two decisions have 2 and 3 candidates, and its one
+# history record is step 3, selection (1, 0).
+@pytest.mark.parametrize(
+    "edit, name, message",
+    [
+        *[
+            pytest.param(
+                lambda a, i=index, v=value: _with(a, "history/ints", i, v),
+                "history/ints",
+                NOT_AN_INTEGER,
+                id=f"ints-{label}",
+            )
+            for label, index, value in [
+                ("nan-step", (0, 0), np.nan),
+                ("inf-step", (0, 0), np.inf),
+                ("negative-step", (0, 0), -1.0),
+                ("fraction-step", (0, 0), 2.5),
+                ("nan-index", (0, 1), np.nan),
+                ("negative-index", (0, 2), -1.0),
+                ("negative-zero-index", (0, 2), -0.0),
+                ("fraction-index", (0, 1), 1e-300),
+            ]
+        ],
+        *[
+            pytest.param(
+                lambda a, i=index, v=value: _with(a, "history/reals", i, v),
+                "history/reals",
+                NOT_FINITE,
+                id=f"reals-{label}",
+            )
+            for label, index, value in [
+                ("nan-accuracy", (0, 0), np.nan),
+                ("inf-cost", (0, 1), np.inf),
+                ("inf-reward", (0, 2), -np.inf),
+                ("nan-baseline", (0, 3), np.nan),
+            ]
+        ],
+        pytest.param(
+            lambda a: _with(a, "controller/logits/0", 1, np.nan),
+            "controller/logits/0",
+            NOT_FINITE,
+            id="logits-nan",
+        ),
+        pytest.param(
+            lambda a: _with(a, "controller/logits/1", 2, -np.inf),
+            "controller/logits/1",
+            NOT_FINITE,
+            id="logits-inf",
+        ),
+        pytest.param(
+            lambda a: {**a, "history/ints": a["history/ints"][:, :2]},
+            "history/ints",
+            "checkpoint holds shape [1, 2], not [1, 3]",
+            id="ints-column-missing",
+        ),
+        pytest.param(
+            lambda a: {**a, "history/ints": a["history/ints"].reshape(-1)},
+            "history/ints",
+            "checkpoint holds shape [3], not [3, 3]",
+            id="ints-flat",
+        ),
+        pytest.param(
+            lambda a: _without(a, "controller/logits/1"),
+            "history/ints",
+            "checkpoint holds shape [1, 3], not [1, 2]",
+            id="logits-missing",
+        ),
+        pytest.param(
+            lambda a: {**a, "history/reals": np.vstack([a["history/reals"]] * 2)},
+            "history/reals",
+            "checkpoint holds shape [2, 4], not [1, 4]",
+            id="reals-extra-row",
+        ),
+        pytest.param(
+            lambda a: {**a, "history/reals": a["history/reals"][:, 1:]},
+            "history/reals",
+            "checkpoint holds shape [1, 3], not [1, 4]",
+            id="reals-column-missing",
+        ),
+        pytest.param(
+            lambda a: _without(a, "history/reals"),
+            "history/reals",
+            "checkpoint holds nothing, not [1, 4]",
+            id="reals-missing",
+        ),
+        pytest.param(
+            lambda a: _without(a, "history/ints"),
+            "history/ints",
+            "checkpoint holds nothing, not [0, 3]",
+            id="ints-missing",
+        ),
+        pytest.param(
+            lambda a: _moved_last(a, "controller/logits/0"),
+            "controller/logits/1",
+            "array belongs to no known section",
+            id="logits-out-of-order",
+        ),
+    ],
+)
+def test_checkpoint_names_a_malformed_logits_or_history_array(tmp_path, edit, name, message):
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    _write_arrays(path, header, edit(_arrays(header, blob)))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: {name}: {message}"
+
+
+def test_checkpoint_history_of_no_records_round_trips(tmp_path):
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    ckpt = sample_checkpoint()
+    ckpt.reward_history = []
+    save_checkpoint(str(first), ckpt)
+    header, _, _ = _parts(first)
+    shapes = dict(header["arrays"])
+    assert (shapes["history/ints"], shapes["history/reals"]) == ([0, 3], [0, 4])
+    loaded = load_checkpoint(str(first))
+    assert loaded.reward_history == []
+    save_checkpoint(str(second), loaded)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["store/0/1/bias", "head/bias", "controller/logits/1",
+                                  "commit_slots/adam|0/1/weight/v", "history/ints"])
+def test_checkpoint_refuses_an_array_named_twice(tmp_path, name):
+    # Read into a dict, the first copy would be dropped without a word.
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    arrays = _arrays(header, blob)
+    header["arrays"] = [[name, list(arrays[name].shape)], *header["arrays"]]
+    _write(path, header, arrays[name].tobytes() + bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: {name}: the file holds two arrays of this name"
 
 
 def _leaf_paths(node, path=()):
@@ -851,8 +998,7 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     save_checkpoint(str(path), sample_checkpoint())
     pristine, blob, digest = _parts(path)
     leaves = list(_leaf_paths(pristine))
-    assert ("controller", "logits", 0, 1) in leaves
-    assert ("reward_history", 0, "reward") in leaves
+    assert ("controller", "baseline") in leaves
     assert ("store_digest",) in leaves
     assert ("commit_slots", "adam|0/1/weight", "step") in leaves
     assert ("controller", "slots", "adam|0", "step") in leaves
@@ -886,7 +1032,8 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, digest = _parts(path)
-    header["controller"]["logits"][1][2] = 5.0
+    offset, _ = _spans(header)["controller/logits/1"]
+    blob[offset + 16 : offset + 24] = np.array([5.0], dtype="<f8").tobytes()
     header["meta_step"] = 0
     _write(path, header, blob, digest)
     with pytest.raises(ValueError) as err:
@@ -897,14 +1044,24 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
 def test_checkpoint_rejects_earlier_versions(tmp_path):
     # Version 1 digests were FNV-1a over text; version 2 lacks the reward
     # history; versions 1-3 store arrays as decimal lists and version 4 as
-    # base64. All four are one JSON document on one line. Version 5 has this
-    # layout and also holds the controller step, baseline flag and RNG counter.
+    # base64. All four are one JSON document on one line. Version 5 has
+    # version 6's layout and also holds the controller step, baseline flag and
+    # RNG counter. Version 6 holds the logits and the reward history in the
+    # header.
     path = tmp_path / "ck.ckpt"
-    save_checkpoint(str(path), sample_checkpoint())
+    ckpt = sample_checkpoint()
+    save_checkpoint(str(path), ckpt)
     header, blob, _ = _parts(path)
+    moved = ("controller/logits/", "history/")
+    kept = {name: arr for name, arr in _arrays(header, blob).items() if not name.startswith(moved)}
+    header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
+    blob = b"".join(arr.tobytes() for arr in kept.values())
+    header["controller"]["logits"] = [z.tolist() for z in ckpt.controller.logits]
+    records = [{**vars(r), "selection": list(r.selection)} for r in ckpt.reward_history]
+    header["reward_history"] = records
     header["controller"].update(step=4, baseline_initialized=True)
     header["rng"] = {"controller": 88}
-    for version in (1, 2, 3, 4, 5):
+    for version in (1, 2, 3, 4, 5, 6):
         for one_line in (True, False):
             doc = {**header, "format_version": version}
             if one_line:
@@ -964,22 +1121,27 @@ def _stale_log(path, steps, digest_of=lambda step: "00" * 8):
             write_event(fh, event)
 
 
+def _digest(step):
+    """The store digest step ``step`` of a ``_stale_log`` logs."""
+    return f"{step:016x}"
+
+
 @pytest.mark.parametrize(
     "steps, meta_step, digest, missing",
     [
-        ([0, 1], 4, "d3", 2),
-        ([], 1, "d0", 0),
-        ([0, 2, 3], 3, "d2", 1),
-        ([0, 1, 1, 2], 3, "d2", 2),
-        ([1, 2], 2, "d1", 0),
-        ([0, 1, 2], 2, "ck", 1),  # step 1 logged another store than the checkpoint's
+        ([0, 1], 4, _digest(3), 2),
+        ([], 1, _digest(0), 0),
+        ([0, 2, 3], 3, _digest(2), 1),
+        ([0, 1, 1, 2], 3, _digest(2), 2),
+        ([1, 2], 2, _digest(1), 0),
+        ([0, 1, 2], 2, "ff" * 8, 1),  # step 1 logged another store than the checkpoint's
     ],
 )
 def test_truncate_events_refuses_a_log_of_another_run_and_cuts_nothing(
     tmp_path, steps, meta_step, digest, missing
 ):
     path = tmp_path / "events.jsonl"
-    _stale_log(path, steps, lambda step: f"d{step}")
+    _stale_log(path, steps, _digest)
     before = path.read_bytes()
     with pytest.raises(ValueError) as err:
         truncate_events(str(path), meta_step, digest)
@@ -999,3 +1161,32 @@ def test_truncate_events_refuses_a_torn_record_before_the_resume_step(tmp_path):
         truncate_events(str(path), 3, "00" * 8)
     assert str(err.value) == f"{path}: event log holds no record of step 2 of the resumed run"
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("meta_step", True),
+        ("meta_step", 1.0),
+        ("store_digest", "D" * 16),
+        ("wall_ms", None),
+        ("probabilities", [[0.25, 0.75]]),
+    ],
+)
+def test_truncate_events_keeps_only_records_read_events_takes(tmp_path, field, value):
+    # ``True == 1`` and ``1.0 == 1``, but ``read_events`` refuses both as a
+    # meta_step, so the log is cut before step 1 and the resume refused.
+    path = tmp_path / "events.jsonl"
+    _stale_log(path, [0, 1, 2])
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        truncate_events(str(path), 2, "00" * 8)
+    assert str(err.value) == f"{path}: event log holds no record of step 1 of the resumed run"
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError):
+        read_events(str(path))
