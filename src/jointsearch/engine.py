@@ -175,12 +175,13 @@ def _resumable(
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: its config echo must equal ``config_to_dict(config)`` but for
     the output paths, and its step must fit the run. Then
-    ``persist.check_layout`` compares its optimizer slots and arrays with
-    those the run holds after that many ``meta_step`` calls: ``_fresh``'s
-    controller logits, store and head (none in a table-driven run), one
-    controller Adam slot per decision past warm-up, each commit slot of the
-    file that the space could make, its Adam ``step`` taken as written (only
-    a replay could check it), and the file's own reward history. That history
+    ``persist.check_layout`` compares its arrays with those the run holds
+    after that many ``meta_step`` calls: ``_fresh``'s controller logits, store
+    and head (none in a table-driven run), one controller Adam slot per
+    decision past warm-up, each commit slot of the file that the space could
+    make, and the file's own reward history. A commit slot's Adam ``step`` is
+    taken as written if it is at most K per step done, as a key gets at most
+    one update per commit; only a replay could check it exactly. The history
     must hold K records per step before the file's, in step order, each
     selecting within the space."""
     ckpt = persist.load_checkpoint(path)
@@ -200,15 +201,18 @@ def _resumable(
             held.controller.slots["adam", d] = {**trainstep.fresh_slot("adam", z), "step": updates}
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
+    k, cards = config.search.pairs_per_step, space.cardinalities()
     for (family, key), slot in ckpt.commit_slots.items():
         if family in optimizers and key in held.store:
             made = held.commit_slots[family, key] = trainstep.fresh_slot(family, held.store[key])
-            for name, value in slot.items():  # update counts only a replay could check
+            for name, value in slot.items():  # update counts, bounded by the commits made
                 if type(made.get(name)) is int and type(value) is int:
+                    what = f"holds {value} updates, more than {k} commits in each of {done} steps"
+                    where = f"commit_slots/{family}|{key.text()}/{name}"
+                    persist.check_array(path, value <= k * done, where, what)
                     made[name] = value
     persist.check_layout(path, held, ckpt)
     # The layout fixed one logits array, so one selection column, per decision.
-    k, cards = config.search.pairs_per_step, space.cardinalities()
     steps = [r.meta_step for r in ckpt.reward_history]
     expected = [step for step in range(done) for _ in range(k)]
     what = f"meta-steps are not {k} records per step before {done}"

@@ -10,41 +10,40 @@ keeps one, advances it in place and saves it as it stands. Its file has three
 parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, controller baseline, ``store_digest``, the
-   integer fields of every optimizer slot, and the name and shape of every
-   array in file order. A newline ends the line. The meta-step is the file's
-   one step counter: the controller's warm-up, whether its baseline exists
-   and the position of the controller's RNG stream all follow from it.
+   version, config echo, meta-step, controller baseline, ``store_digest``, and
+   the name and shape of every array in file order. A newline ends the line.
+   The meta-step is the file's one step counter: the controller's warm-up,
+   whether its baseline exists and the position of the controller's RNG
+   stream all follow from it.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
    straight from the arrays (see ``_layout``): the store, the head, one
-   ``controller/logits/<d>`` per decision, the optimizer slots, and the reward
+   ``controller/logits/<d>`` per decision, the optimizer slots (an array per
+   field, an integer field such as Adam's ``step`` a 0-d one), and the reward
    history, one row per record in ``history/ints`` (meta-step, then the
    selection, as whole numbers) and ``history/reals`` (accuracy, cost, reward,
    baseline). They restore bit for bit (``-0.0``, subnormals and all); a
-   restored record's step and selection are ints and its numbers floats.
+   restored record's step and selection, and a slot's integer field, are ints.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
 
 ``load_checkpoint`` parses the header, refuses any other format version,
 verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
-the bytes exactly under distinct names (if not, ``ValueError`` names the
-array), and verifies ``store_digest`` against the restored store.
-A header that lacks a field, gives an optimizer slot section or a slot as a
-non-object, names a slot by something other than ``family|key`` as
-``save_checkpoint`` writes it, or names an array of no known section, raises
-``ValueError`` naming the file and the field or array. So does a re-sealed
-file (its SHA-256 recomputed after an edit) whose meta-step is not a
-non-negative integer, whose baseline is not a finite number, whose slot
-holds a header field that is not a positive integer, whose logits or history
-reals are not finite, whose history integers are not whole and non-negative,
-or whose history rows and columns disagree with each other or with the
-number of logits arrays. These checks need nothing of the run. Which slots,
-slot fields and arrays a file may hold depends on the run, so the loader
-takes them as written; on resume ``engine`` builds the state the run itself
-holds at that step, and ``check_layout`` compares the two. Saving and loading
-again gives identical bytes. Files are written to a temp path and renamed
-into place.
+the bytes exactly under distinct names, and verifies ``store_digest`` against
+the restored store. ``ValueError`` names the file and the header field it
+lacks, or the array of no known section or whose slot is not named
+``family|key`` as ``save_checkpoint`` writes it. A re-sealed file (its
+SHA-256 recomputed after an edit) is refused, naming the field, if its
+meta-step is not a non-negative integer or its baseline not a finite number,
+and naming the array if a 0-d slot field is not a whole number from 1 to
+2^53, its logits or history reals are not finite, its history integers are
+not whole and non-negative, or its history rows and columns disagree with
+each other or with the number of logits arrays. These checks need nothing of
+the run. Which slots, slot fields and arrays a file may hold depends on the
+run, so the loader takes them as written; on resume ``engine`` builds the
+state the run itself holds at that step, and ``check_layout`` compares the
+two. Saving and loading again gives identical bytes. Files are written to a
+temp path and renamed into place.
 
 ``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
 written as 16 hex characters. It walks the store in sorted key order and
@@ -53,7 +52,7 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 7 and event logs format version 2. Versions
+Checkpoints are format version 8 and event logs format version 2. Versions
 1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
 text, version 2 lacked the reward history, versions 1-3 stored arrays as
 decimal lists and version 4 as base64. Version 5 had version 6's layout but
@@ -61,6 +60,7 @@ also stored the controller's step and baseline flag, the controller's RNG
 counter, and each hyperparameter's ``default_index`` in the config echo.
 Version 6 held the controller logits and the reward history in the header,
 as JSON lists and record objects, so each save re-encoded the whole history.
+Version 7 held the slots' integer fields (Adam's ``step``) in the header.
 A checkpoint of any other version is rejected with a "format version" error;
 there is no migration.
 """
@@ -82,7 +82,7 @@ from .controller import ControllerState
 from .space import SearchSpace
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 7
+CHECKPOINT_FORMAT_VERSION = 8
 EVENT_LOG_FORMAT_VERSION = 2
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
@@ -323,59 +323,53 @@ def _param_key_parse(text: str) -> ParamKey:
     return ParamKey(int(layer), int(op), name)
 
 
-_SLOT_SECTIONS = (("controller/slots", str, int), ("commit_slots", ParamKey.text, _param_key_parse))
+# Each slot section by its arrays' name prefix, with how a key is written and read.
+_SLOT_SECTIONS = {
+    "controller/slots/": (str, int), "commit_slots/": (ParamKey.text, _param_key_parse)
+}
 
 
-def _layout(ckpt: Checkpoint) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    """The integer fields of every optimizer slot, by section and slot, and
-    every array with its name, in file order: store sorted by key, head,
+def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
+    """Every array with its name, in file order: store sorted by key, head,
     controller logits, controller slots, commit slots, reward history. A slot
-    array's name is its section, slot and field joined by ``/``."""
+    field's name is its section, ``family|key`` and field name, its slots
+    sorted by ``family|key`` and its fields by name; an integer field (Adam's
+    ``step``) is a 0-d array of its value."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
     arrays += [(name, arr) for name, arr in head if arr is not None]
     logits = ckpt.controller.logits
     arrays += [(f"controller/logits/{d}", z) for d, z in enumerate(logits)]
-    slot_ints = {}
-    for (section, key_text, _), slots in zip(
-        _SLOT_SECTIONS, (ckpt.controller.slots, ckpt.commit_slots)
+    for (section, (key_text, _)), slots in zip(
+        _SLOT_SECTIONS.items(), (ckpt.controller.slots, ckpt.commit_slots)
     ):
-        named = sorted(
-            ((f"{family}|{key_text(key)}", slot) for (family, key), slot in slots.items()),
-            key=lambda item: item[0],
-        )
-        slot_ints[section] = {}
-        for combined, slot in named:
-            fields = sorted(slot.items())
-            slot_ints[section][combined] = {n: v for n, v in fields if isinstance(v, int)}
-            arrays += [
-                (f"{section}/{combined}/{n}", v) for n, v in fields if not isinstance(v, int)
-            ]
+        named = {f"{family}|{key_text(key)}": slot for (family, key), slot in slots.items()}
+        arrays += [
+            (f"{section}{combined}/{n}", np.array(float(v)) if isinstance(v, int) else v)
+            for combined in sorted(named)
+            for n, v in sorted(named[combined].items())
+        ]
     history = ckpt.reward_history
     width = 1 + len(history[0].selection if history else logits)
     ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
     reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
     arrays.append(("history/ints", ints.reshape(len(history), width)))
     arrays.append(("history/reals", reals.reshape(len(history), 4)))
-    return slot_ints, arrays
+    return arrays
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
     atomically replace ``path`` with it. ``ValueError`` names the array, and
     nothing is written, if the logits or the history hold a non-finite number."""
-    slot_ints, arrays = _layout(ckpt)
+    arrays = _layout(ckpt)
     for name, arr in arrays:
         _check_finite(path, name, arr)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config_echo,
         "meta_step": ckpt.meta_step,
-        "controller": {
-            "baseline": ckpt.controller.baseline,
-            "slots": slot_ints["controller/slots"],
-        },
-        "commit_slots": slot_ints["commit_slots"],
+        "controller": {"baseline": ckpt.controller.baseline},
         "store_digest": ckpt.store_digest,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
@@ -425,8 +419,7 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-_HEADER_FIELDS = ("config", "meta_step", "controller", "commit_slots", "store_digest", "arrays")
-_CONTROLLER_FIELDS = ("baseline", "slots")
+_HEADER_FIELDS = ("config", "meta_step", "controller", "store_digest", "arrays")
 
 
 def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
@@ -489,6 +482,28 @@ def _records(path: str, named: dict[str, np.ndarray], decisions: int) -> list[Re
     ]
 
 
+def _slot_field(path: str, name: str, section: str, arr: np.ndarray):
+    """The slot key, field name and value that the array ``name`` of slot
+    ``section`` holds, a 0-d array read as an int. ``ValueError`` names the
+    array unless the slot is named ``family|key`` as ``save_checkpoint``
+    writes it and a 0-d value is a whole number from 1 to 2^53."""
+    key_text, key_parse = _SLOT_SECTIONS[section]
+    combined, _, field_name = name[len(section) :].rpartition("/")  # a commit key holds "/"
+    family, _, text = combined.partition("|")
+    try:
+        key = key_parse(text)
+        if key_text(key) != text:  # a slot is saved under its canonical name
+            raise ValueError(text)
+    except ValueError:
+        raise ValueError(f"{path}: {name}: slot name {combined!r} is not family|key") from None
+    if arr.ndim:
+        return (family, key), field_name, arr
+    value = float(arr)
+    ok = value.is_integer() and 1 <= value <= 2**53
+    check_array(path, ok, name, "holds a value that is not a whole number from 1 to 2^53")
+    return (family, key), field_name, int(value)
+
+
 def load_checkpoint(path: str) -> Checkpoint:
     """Parse and integrity-check a checkpoint file."""
     with open(path, "rb") as fh:
@@ -510,48 +525,24 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
     _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
-    _require(path, controller, "controller.", _CONTROLLER_FIELDS)
+    _require(path, controller, "controller.", ("baseline",))
     check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
     baseline = controller["baseline"]
     check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
-    slot_of = {}  # each slot, by the name prefix of its arrays
-    loaded_slots = []
-    for (section, key_text, key_parse), slot_ints in zip(
-        _SLOT_SECTIONS, (controller["slots"], header["commit_slots"])
-    ):
-        where = section.replace("/", ".")  # the header field
-        check_field(path, isinstance(slot_ints, dict), where, "an object")
-        slots = {}
-        for combined, slot in slot_ints.items():
-            family, _, text = combined.partition("|")
-            try:
-                key = key_parse(text)
-                if key_text(key) != text:  # a slot is saved under its canonical name
-                    raise ValueError(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: {where}: slot name {combined!r} is not family|key"
-                ) from None
-            field = f"{where}.{combined}"
-            check_field(path, isinstance(slot, dict), field, "an object")
-            for name, value in slot.items():  # the header holds a slot's integer fields
-                ok = type(value) is int and value > 0
-                check_field(path, ok, f"{field}.{name}", "a positive integer")
-            slots[family, key] = slot
-            slot_of[f"{section}/{combined}"] = slot
-        loaded_slots.append(slots)
+    slots = {section: {} for section in _SLOT_SECTIONS}
     store = {}
     named: dict[str, np.ndarray] = {}  # the head's and the history's arrays
     logits: list[np.ndarray] = []
     for name, arr in arrays.items():
         _check_finite(path, name, arr)
-        owner, _, field_name = name.rpartition("/")
-        if owner in slot_of:
-            slot_of[owner][field_name] = arr
+        section = next((s for s in _SLOT_SECTIONS if name.startswith(s)), None)
+        if section is not None:
+            key, field_name, value = _slot_field(path, name, section, arr)
+            slots[section].setdefault(key, {})[field_name] = value
         elif name in ("head/weight", "head/bias", "history/ints", "history/reals"):
             named[name] = arr
-        elif owner == "controller/logits" and field_name == str(len(logits)):
+        elif name == f"controller/logits/{len(logits)}":
             logits.append(arr)  # one per decision, in order
         else:
             try:
@@ -569,35 +560,32 @@ def load_checkpoint(path: str) -> Checkpoint:
         controller=ControllerState(
             logits=logits,
             baseline=baseline,
-            slots=loaded_slots[0],
+            slots=slots["controller/slots/"],
         ),
         store=store,
         head_weight=named.get("head/weight"),
         head_bias=named.get("head/bias"),
-        commit_slots=loaded_slots[1],
+        commit_slots=slots["commit_slots/"],
         reward_history=reward_history,
         store_digest=header["store_digest"],
     )
 
 
 def _entries(ckpt: Checkpoint) -> dict[str, str]:
-    """Each optimizer slot's integer fields, by header field, then each
-    array's shape, by name, in file order."""
-    slot_ints, arrays = _layout(ckpt)
-    entries = {
-        f"{section.replace('/', '.')}.{combined}": json.dumps(ints, sort_keys=True)
-        for section, slots in slot_ints.items()
-        for combined, ints in slots.items()
+    """Each array's value if it is 0-d (a slot's integer field), else its
+    shape, by name, in file order."""
+    return {
+        name: f"value {arr.item():.17g}" if arr.ndim == 0 else f"shape {list(arr.shape)}"
+        for name, arr in _layout(ckpt)
     }
-    entries.update((name, f"shape {list(arr.shape)}") for name, arr in arrays)
-    return entries
 
 
 def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
-    """Raise ``ValueError`` naming the file and the first optimizer slot or
-    array that ``ckpt`` holds and ``want`` does not, or that the two hold
-    with other integer fields or another shape; then the first that ``want``
-    holds and ``ckpt`` does not."""
+    """Raise ``ValueError`` naming the file and the first array that ``ckpt``
+    holds and ``want`` does not, or that the two hold with another 0-d value
+    or another shape; then the first that ``want`` holds and ``ckpt`` does
+    not. So a missing or extra slot, a slot field's value and a misshapen
+    array are each named by their array."""
     held, found = _entries(want), _entries(ckpt)
     for name in [*found, *held]:
         if found.get(name) != held.get(name):

@@ -744,7 +744,7 @@ def test_resume_from_the_final_checkpoint_leaves_checkpoint_and_log_bytes(tmp_pa
 
 def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
     # A table-driven run holds no store, head or commit slot, so check_layout
-    # names the first of them that the network checkpoint holds, and the
+    # names the first store array that the network checkpoint holds, and the
     # first store array a network run holds that the table-driven one lacks.
     path = str(tmp_path / "ck.ckpt")
     doc = moons_doc(total=3, output={"checkpoint_path": path})
@@ -762,8 +762,7 @@ def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
     with pytest.raises(ValueError) as err:
         search(config, evaluate_override=table, resume_from=path)
     assert str(err.value) == (
-        f'{path}: commit_slots.adam|0/1/bias: checkpoint holds {{"step": 3}}, '
-        "the run holds nothing"
+        f"{path}: store/0/1/bias: checkpoint holds shape [8], the run holds nothing"
     )
     with open(path, "rb") as fh:
         assert fh.read() == network
@@ -775,6 +774,31 @@ def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
     assert str(err.value) == (
         f"{path}: store/0/1/bias: checkpoint holds nothing, the run holds shape [8]"
     )
+
+
+@pytest.mark.parametrize("run", ["network", "table-driven", "zero-step"])
+def test_saved_checkpoint_loads_and_saves_to_the_same_bytes(tmp_path, run):
+    path = str(tmp_path / "ck.ckpt")
+    override = None
+    if run == "table-driven":
+        doc = {**tabular_doc([3, 2, 4], total=6, k=3), "output": {"checkpoint_path": path}}
+        override = lambda selection: (0.2 + 0.1 * selection[1], 1.0)
+    else:
+        doc = moons_doc(total=5 if run == "network" else 0, k=3, output={"checkpoint_path": path})
+        doc["search"]["warmup_fraction"] = 0.2
+        doc["space"]["hyperparameters"].append(
+            {"name": "optimizer", "kind": "categorical", "basis": ["momentum", "adam"]}
+        )
+    search(parse_config(doc), evaluate_override=override)
+    with open(path, "rb") as fh:
+        saved = fh.read()
+    header = json.loads(saved[: saved.index(b"\n")])
+    steps = [name for name, shape in header["arrays"] if shape == []]
+    assert all(name.endswith("/step") for name in steps)
+    assert len(steps) >= {"network": 4, "table-driven": 3, "zero-step": 0}[run]
+    persist.save_checkpoint(path, persist.load_checkpoint(path))
+    with open(path, "rb") as fh:
+        assert fh.read() == saved
 
 
 def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):
