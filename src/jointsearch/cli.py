@@ -206,18 +206,12 @@ def _cmd_report(args) -> int:
     if not records:
         raise ValueError(f"{args.log}: no event records")
     os.makedirs(args.out, exist_ok=True)
-    n_decisions = len(records[0].probabilities)
-    if header is not None:
-        labels = [d["label"] for d in header["decisions"]]
-    else:
-        labels = [f"decision{d}" for d in range(n_decisions)]
-
-    for d in range(n_decisions):
-        cardinality = len(records[0].probabilities[d])
-        path = os.path.join(args.out, f"decision_{d:02d}_{labels[d]}.csv")
+    decisions = header["decisions"]
+    for d, decision in enumerate(decisions):
+        path = os.path.join(args.out, f"decision_{d:02d}_{decision['label']}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["meta_step"] + [f"p{j}" for j in range(cardinality)])
+            writer.writerow(["meta_step"] + [f"p{j}" for j in range(decision["cardinality"])])
             for record in records:
                 writer.writerow([record.meta_step] + list(record.probabilities[d]))
 
@@ -230,13 +224,12 @@ def _cmd_report(args) -> int:
         "mean_reward_last": rewards[-1],
         "mean_reward_max": max(rewards),
         "final_argmax": {
-            labels[d]: int(np.argmax(records[-1].probabilities[d]))
-            for d in range(n_decisions)
+            d["label"]: int(np.argmax(p)) for d, p in zip(decisions, records[-1].probabilities)
         },
         "final_store_digest": records[-1].store_digest,
     }
     _emit(summary, os.path.join(args.out, "summary.json"))
-    print(f"wrote {n_decisions} trajectory files and summary.json to {args.out}")
+    print(f"wrote {len(decisions)} trajectory files and summary.json to {args.out}")
     return 0
 
 

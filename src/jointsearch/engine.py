@@ -179,11 +179,12 @@ def _resumable(
     after that many ``meta_step`` calls: ``_fresh``'s controller logits, store
     and head (none in a table-driven run), one controller Adam slot per
     decision past warm-up, each commit slot of the file that the space could
-    make, and the file's own reward history. A commit slot's Adam ``step`` is
-    taken as written if it is at most K per step done, as a key gets at most
-    one update per commit; only a replay could check it exactly. The history
-    must hold K records per step before the file's, in step order, each
-    selecting within the space."""
+    make (a family in ``trainstep.SLOT_FIELDS`` that the space offers, on a
+    store tensor), and the file's own reward history. A commit slot's Adam
+    ``step`` is taken as written if it is at most K per step done, as a key
+    gets at most one update per commit; only a replay could check it exactly.
+    The history must hold K records per step before the file's, in step
+    order, each selecting within the space."""
     ckpt = persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
@@ -203,7 +204,7 @@ def _resumable(
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     k, cards = config.search.pairs_per_step, space.cardinalities()
     for (family, key), slot in ckpt.commit_slots.items():
-        if family in optimizers and key in held.store:
+        if family in optimizers and family in trainstep.SLOT_FIELDS and key in held.store:
             made = held.commit_slots[family, key] = trainstep.fresh_slot(family, held.store[key])
             for name, value in slot.items():  # update counts, bounded by the commits made
                 if type(made.get(name)) is int and type(value) is int:

@@ -2,8 +2,9 @@
 
 Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
-bytes. No event record, checkpoint header, controller logit or reward
-history number may be non-finite: writing one raises ``ValueError``.
+bytes: the header on line 1, then one record per line. No event record,
+checkpoint header, controller logit or reward history number may be
+non-finite: writing one raises ``ValueError``.
 
 A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
 keeps one, advances it in place and saves it as it stands. Its file has three
@@ -31,8 +32,8 @@ verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
 that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly under distinct names, and verifies ``store_digest`` against
 the restored store. ``ValueError`` names the file and the header field it
-lacks, or the array of no known section or whose slot is not named
-``family|key`` as ``save_checkpoint`` writes it. A re-sealed file (its
+lacks or holds beyond those ``save_checkpoint`` writes, or the array of no
+known section or whose slot is not named ``family|key`` as it writes it. A re-sealed file (its
 SHA-256 recomputed after an edit) is refused, naming the field, if its
 meta-step is not a non-negative integer or its baseline not a finite number,
 and naming the array if a 0-d slot field is not a whole number from 1 to
@@ -61,8 +62,8 @@ counter, and each hyperparameter's ``default_index`` in the config echo.
 Version 6 held the controller logits and the reward history in the header,
 as JSON lists and record objects, so each save re-encoded the whole history.
 Version 7 held the slots' integer fields (Adam's ``step``) in the header.
-A checkpoint of any other version is rejected with a "format version" error;
-there is no migration.
+A checkpoint or event log of any other version is rejected with a "format
+version" error; there is no migration.
 """
 from __future__ import annotations
 
@@ -123,14 +124,8 @@ _EVENT_FIELDS = [f.name for f in fields(EventRecord)]
 
 
 def event_header(labels: Iterable[str], cardinalities: Iterable[int]) -> str:
-    return json.dumps(
-        {
-            "format_version": EVENT_LOG_FORMAT_VERSION,
-            "decisions": [
-                {"label": l, "cardinality": c} for l, c in zip(labels, cardinalities)
-            ],
-        }
-    )
+    decisions = [{"label": l, "cardinality": c} for l, c in zip(labels, cardinalities)]
+    return json.dumps({"format_version": EVENT_LOG_FORMAT_VERSION, "decisions": decisions})
 
 
 def write_event(fh, record: EventRecord) -> None:
@@ -145,12 +140,14 @@ def truncate_events(path: str, meta_step: int, digest: str) -> int:
     each one ``read_events`` takes, the last carrying ``digest``, the resumed
     checkpoint's store digest; if not, the log is another run's, and
     ``ValueError`` names the file and the first step missing or mismatched,
-    cutting nothing. The cut is at the first line past those records, which
-    also drops a torn final line.
+    cutting nothing, as it does with the "format version" error for a line 1
+    that is JSON but not a version-2 header. The cut is at the first line
+    ``read_events`` refuses or past those records, which also drops a torn
+    final line (or a torn line 1, so a resume at step 0 starts the log afresh).
     """
     offset, step = 0, 0
     with open(path, "r+b") as fh:
-        with contextlib.suppress(ValueError):  # a line ``read_events`` refuses ends the records
+        try:
             for line, _, record in _event_lines(path, fh):
                 if record is not None:
                     if step == meta_step or record.meta_step != step:
@@ -159,6 +156,9 @@ def truncate_events(path: str, meta_step: int, digest: str) -> int:
                         break
                     step += 1
                 offset += len(line)
+        except ValueError as exc:  # a line ``read_events`` refuses ends the records,
+            if isinstance(exc, _VersionError):  # but a log of another version is refused
+                raise
         if step < meta_step:
             raise ValueError(f"{path}: event log holds no record of step {step} of the resumed run")
         fh.truncate(offset)
@@ -184,62 +184,65 @@ def open_events(path: str | None, space: SearchSpace, resumed: Checkpoint | None
 
 def _is_decision(doc) -> bool:
     # A header decision: a string label and a positive integer cardinality.
-    if not isinstance(doc, dict):
-        return False
-    cardinality = doc.get("cardinality")
-    return isinstance(doc.get("label"), str) and type(cardinality) is int and cardinality > 0
+    cardinality = doc.get("cardinality") if isinstance(doc, dict) else None
+    return type(cardinality) is int and cardinality > 0 and isinstance(doc.get("label"), str)
 
 
-def read_events(path: str) -> tuple[dict | None, list[EventRecord]]:
-    """Read an event log; returns (header, records).
+class _VersionError(ValueError):
+    """Line 1 of an event log is JSON but not a header of this version."""
 
-    ``ValueError`` names the file if it is not UTF-8 text, and the file and
-    the line of the first line that is not JSON, a header whose
-    ``decisions`` are not objects with a ``label`` of letters, digits, ``_``
-    and ``-`` and a positive integer ``cardinality``, or a record without
-    exactly ``EventRecord``'s fields, whose ``probabilities`` are not one
-    non-empty list per decision, each as long as the header says (without a
-    header, as the first record's), whose ``mean_reward``, ``baseline``,
-    probabilities or ``wall_ms`` are not finite numbers, whose ``meta_step`` is
-    not a non-negative integer one past the previous record's (the first may
-    start anywhere), or whose ``store_digest`` is not 16 lowercase hex digits.
-    """
+
+def read_events(path: str) -> tuple[dict, list[EventRecord]]:
+    """Return the header (line 1) and the records (one a line after it) of
+    the event log at ``path``. ``ValueError`` names the file if it is not
+    UTF-8 text, and the file and the line of an empty file, of the first line
+    that is not JSON (a blank line is not), a header whose ``format_version``
+    is not 2 (the "format version" error), that holds other fields than it
+    and ``decisions``, or whose ``decisions`` are not objects of exactly a
+    ``label`` of letters, digits, ``_`` and ``-`` and a positive integer
+    ``cardinality``, or a record without exactly ``EventRecord``'s fields,
+    whose ``probabilities`` are not one list per decision of its cardinality,
+    whose ``mean_reward``, ``baseline``, probabilities or ``wall_ms`` are not
+    finite numbers, whose ``meta_step`` is not a non-negative integer one past
+    the previous record's (the first may start anywhere), or whose
+    ``store_digest`` is not 16 lowercase hex digits."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-    header, records = None, []
-    for _, header, record in _event_lines(path, lines):
-        if record is not None:
-            records.append(record)
-    return header, records
+    if not lines:
+        raise ValueError(f"{path}: line 1: event log is empty, without its header")
+    (_, header, _), *rest = _event_lines(path, lines)
+    return header, [record for _, _, record in rest]
 
 
 def _event_lines(path: str, lines: Iterable):
     """Each of ``lines`` (text or bytes) of the event log at ``path`` with the
-    header read so far and the ``EventRecord`` it holds (None for a header or a
-    blank line). ``ValueError`` names the file and the line of the first line
-    that ``read_events`` refuses."""
-    header = shape = None  # shape: each decision's cardinality
-    previous = None  # the last record's meta_step
+    header of line 1 and the ``EventRecord`` the line holds (None on line 1).
+    ``ValueError`` names the file and the line of the first line that
+    ``read_events`` refuses."""
+    header = shape = previous = None  # each decision's cardinality; the last meta_step
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            yield line, header, None
-            continue
         where = f"{path}: line {line_no}"
         try:
             doc = json.loads(line)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed JSON on line {line_no} ({exc})") from None
-        if isinstance(doc, dict) and "decisions" in doc:
+        if line_no == 1:  # the header
+            version = doc.get("format_version") if isinstance(doc, dict) else None
+            if type(version) is not int or version != EVENT_LOG_FORMAT_VERSION:
+                what = f"event log format version {version!r} is not {EVENT_LOG_FORMAT_VERSION}"
+                raise _VersionError(f"{where}: {what}")
+            _require(where, doc, "", ("format_version", "decisions"), "event log header")
             decisions = doc["decisions"]
             if not isinstance(decisions, list) or not all(map(_is_decision, decisions)):
                 raise ValueError(
                     f"{where}: header decisions are not objects with a string label "
                     "and a positive integer cardinality"
                 )
-            for d in decisions:  # ``report`` names a file after each label
+            for i, d in enumerate(decisions):  # ``report`` names a file after each label
+                _require(where, d, f"decisions.{i}.", ("label", "cardinality"), "event log header")
                 if not re.fullmatch("[A-Za-z0-9_-]+", d["label"]):
                     raise ValueError(
                         f"{where}: header decision label {d['label']!r} is not "
@@ -265,7 +268,6 @@ def _event_lines(path: str, lines: Iterable):
         if not isinstance(rows, list) or not all(isinstance(r, list) and r for r in rows):
             raise ValueError(f"{where}: probabilities are not a list of non-empty lists")
         lengths = [len(r) for r in rows]
-        shape = lengths if shape is None else shape
         if lengths != shape:
             raise ValueError(
                 f"{where}: probabilities have row lengths {lengths}, "
@@ -419,15 +421,19 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-_HEADER_FIELDS = ("config", "meta_step", "controller", "store_digest", "arrays")
+_HEADER_FIELDS = ("format_version", "config", "meta_step", "controller", "store_digest", "arrays")
 
 
-def _require(path: str, doc, prefix: str, names: tuple[str, ...]) -> None:
-    """Raise ``ValueError`` naming the file and the first field of ``names``
-    that the header object ``doc`` lacks."""
+def _require(where: str, doc, prefix: str, names: tuple, what="checkpoint header") -> None:
+    """Raise ``ValueError`` naming ``where`` and the first field of ``names``
+    that the header object ``doc`` lacks, then the first other field it holds:
+    a header holds exactly the fields its writer writes."""
     for name in names:
         if not isinstance(doc, dict) or name not in doc:
-            raise ValueError(f"{path}: checkpoint header lacks field {prefix}{name}")
+            raise ValueError(f"{where}: {what} lacks field {prefix}{name}")
+    for name in doc:
+        if name not in names:
+            raise ValueError(f"{where}: {what} holds an unknown field {prefix}{name}")
 
 
 def check_field(path: str, ok: bool, name: str, what: str) -> None:
@@ -505,7 +511,8 @@ def _slot_field(path: str, name: str, section: str, arr: np.ndarray):
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Parse and integrity-check a checkpoint file."""
+    """Parse and integrity-check a checkpoint file, whose header holds
+    exactly the fields ``save_checkpoint`` writes (see the module docstring)."""
     with open(path, "rb") as fh:
         data = fh.read()
     newline = data.find(b"\n")
@@ -557,11 +564,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
-        controller=ControllerState(
-            logits=logits,
-            baseline=baseline,
-            slots=slots["controller/slots/"],
-        ),
+        controller=ControllerState(logits, baseline, slots["controller/slots/"]),
         store=store,
         head_weight=named.get("head/weight"),
         head_bias=named.get("head/bias"),

@@ -451,6 +451,11 @@ ARRAY_DEFECTS = {
         lambda h, a: _add_slot(a, "commit_slots", "rmsprop|0/1/bias", {"sq": np.zeros(8)}),
         "commit_slots/rmsprop|0/1/bias/sq: checkpoint holds shape [8], the run holds nothing",
     ),
+    # sgd is in the space but keeps no state, so it has no slot to compare with.
+    "commit-sgd-slot": (
+        lambda h, a: _add_slot(a, "commit_slots", "sgd|0/1/bias", {"buf": np.zeros(8)}),
+        "commit_slots/sgd|0/1/bias/buf: checkpoint holds shape [8], the run holds nothing",
+    ),
     **{
         f"controller-adam-step-{step}": (
             lambda h, a, v=step: _set_value(a, "controller/slots/adam|1/step", (), v),
@@ -631,6 +636,28 @@ def test_resume_refuses_a_commit_adam_step_past_one_update_per_commit(capsys, tm
     assert ckpt.read_bytes() == pristine
 
 
+def test_resume_refuses_a_header_field_the_writer_does_not_write(capsys, tmp_path):
+    # A version-7 slot section left in the header, and a controller step
+    # beside the baseline: each is named, and the untouched file resumes.
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    pristine = ckpt.read_bytes()
+    edits = {
+        "commit_slots": lambda h: h.update(commit_slots={"adam|0/1/weight": {"step": 999}}),
+        "controller.step": lambda h: h["controller"].update(step=7),
+    }
+    for name, edit in edits.items():
+        ckpt.write_bytes(pristine)
+        _reseal(ckpt, edit)
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"runtime error: {ckpt}: checkpoint header holds an unknown field {name}" in err
+    ckpt.write_bytes(pristine)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == pristine
+
+
 def test_resume_with_different_config_exits_one(capsys, tmp_path):
     ckpt = tmp_path / "run.ckpt"
     code, _, _ = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
@@ -722,6 +749,37 @@ def test_resume_refuses_a_stale_event_log_and_leaves_it_untouched(capsys, tmp_pa
     log.write_bytes(complete)
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
     assert log.read_bytes() == complete
+
+
+@pytest.mark.parametrize("crash_at", [4, None])
+def test_resume_refuses_a_log_of_another_format_version_and_changes_neither_file(
+    capsys, tmp_path, crash_at
+):
+    # Resumed mid-run (from step 4 of 6) and at the end: the log is not kept
+    # and appended to under its version-1 header, but refused.
+    from jointsearch import engine
+    from jointsearch.config import load_config
+
+    log, ckpt = tmp_path / "events.jsonl", tmp_path / "run.ckpt"
+    doc = base_doc(6)
+    doc["output"] = {"log_path": str(log), "checkpoint_path": str(ckpt), "checkpoint_interval": 2}
+    cfg = write_config(tmp_path, "run.cfg.json", doc)
+
+    def crash(phase, step, weights):
+        if step == crash_at:
+            raise RuntimeError("simulated crash")
+
+    if crash_at is None:
+        engine.search(load_config(cfg))
+    else:
+        with pytest.raises(RuntimeError):
+            engine.search(load_config(cfg), audit=crash)
+    log.write_bytes(log.read_bytes().replace(b'"format_version": 2', b'"format_version": 1', 1))
+    edited, saved = log.read_bytes(), ckpt.read_bytes()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {log}: line 1: event log format version 1 is not 2" in err
+    assert log.read_bytes() == edited and ckpt.read_bytes() == saved
 
 
 @pytest.mark.parametrize("step", [True, 1.0])
@@ -1006,6 +1064,24 @@ def _widen_a_row(lines):
     return "line 4: probabilities have row lengths [3, 3, 2]"
 
 
+def _edit_header(edit, message):
+    def defect(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header)
+        return f"line 1: {message}"
+
+    return pytest.param(defect, id=message)
+
+
+def _insert(index, line, message):
+    def defect(lines):
+        lines.insert(index, lines[0] if line == "header" else line)
+        return message
+
+    return pytest.param(defect, id=f"{line or 'blank'}-at-{index}")
+
+
 def _edit_last(field, value, message):
     # The base config logs six records, of steps 0 to 5, on lines 2 to 7.
     def defect(lines):
@@ -1031,6 +1107,25 @@ def _edit_last(field, value, message):
         _edit_last("meta_step", 6, "6 does not follow 4"),  # a skipped step
         _edit_last("store_digest", 7, "7 is not 16 lowercase hex digits"),
         _edit_last("store_digest", "xyz", "'xyz' is not 16 lowercase hex digits"),
+        # Line 1 is the header, of exactly version 2 and its decisions; every
+        # other line is a record.
+        *[
+            _edit_header(
+                lambda h, v=value: h.update(format_version=v),
+                f"event log format version {value!r} is not 2",
+            )
+            for value in (1, 3, "2", True)
+        ],
+        _edit_header(lambda h: h.pop("format_version"), "event log format version None is not 2"),
+        _edit_header(lambda h: h.update(run=0), "event log header holds an unknown field run"),
+        _edit_header(
+            lambda h: h["decisions"][2].update(basis=["sgd", "adam"]),
+            "event log header holds an unknown field decisions.2.basis",
+        ),
+        _insert(0, "", "malformed JSON on line 1 ("),
+        _insert(3, "", "malformed JSON on line 4 ("),
+        _insert(7, "", "malformed JSON on line 8 ("),
+        _insert(3, "header", "line 4 is not an event record with exactly the fields"),
     ],
 )
 def test_report_refuses_a_malformed_log_before_writing_anything(capsys, tmp_path, defect):
@@ -1048,6 +1143,16 @@ def test_report_refuses_a_malformed_log_before_writing_anything(capsys, tmp_path
     out_dir = tmp_path / "report"
     assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith(f"runtime error: {expected}")
+    assert not out_dir.exists()
+
+
+def test_report_refuses_an_empty_log(capsys, tmp_path):
+    log = tmp_path / "events.jsonl"
+    log.write_text("")
+    out_dir = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 2
+    expected = f"runtime error: {log}: line 1: event log is empty, without its header\n"
+    assert capsys.readouterr().err == expected
     assert not out_dir.exists()
 
 

@@ -130,13 +130,14 @@ def test_event_log_round_trip(tmp_path):
 
 
 def test_event_log_without_header(tmp_path):
+    # Line 1 is the header: a log that starts with a record is refused.
     path = tmp_path / "events.jsonl"
     with open(path, "w") as fh:
         for event in sample_events(2):
             write_event(fh, event)
-    header, records = read_events(str(path))
-    assert header is None
-    assert len(records) == 2
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == f"{path}: line 1: event log format version None is not 2"
 
 
 def test_events_are_single_line_json(tmp_path):
@@ -153,9 +154,10 @@ def test_event_record_round_trips_through_its_fields(tmp_path):
     path = tmp_path / "events.jsonl"
     events = sample_events(3)
     with open(path, "w") as fh:
+        fh.write(SAMPLE_HEADER + "\n")
         for event in events:
             write_event(fh, event)
-    first = path.read_text().splitlines()[0]
+    first = path.read_text().splitlines()[1]
     assert list(json.loads(first)) == [
         "meta_step", "mean_reward", "baseline", "probabilities", "store_digest", "wall_ms"
     ]
@@ -203,11 +205,11 @@ def test_event_log_that_is_not_utf8_names_the_file(tmp_path):
 def test_event_log_header_decisions_need_a_label_and_a_cardinality(tmp_path, decisions):
     path = tmp_path / "events.jsonl"
     header = {"format_version": 2, "decisions": decisions}
-    path.write_text("\n" + json.dumps(header) + "\n")
+    path.write_text(json.dumps(header) + "\n")
     with pytest.raises(ValueError) as err:
         read_events(str(path))
     assert str(err.value) == (
-        f"{path}: line 2: header decisions are not objects with a string label "
+        f"{path}: line 1: header decisions are not objects with a string label "
         "and a positive integer cardinality"
     )
 
@@ -250,7 +252,9 @@ def test_event_record_probabilities_follow_the_header(tmp_path, probabilities, m
     assert message in str(err.value)
 
 
-def test_event_records_without_a_header_follow_the_first_record(tmp_path):
+def test_event_records_without_a_header_are_refused_at_line_1(tmp_path):
+    # No record's shape stands in for the header: line 1 is refused before
+    # the third record's row lengths are compared with anything.
     path = tmp_path / "events.jsonl"
     events = sample_events(3)
     events[2].probabilities = [[0.25, 0.75], [0.5, 0.5]]
@@ -259,10 +263,86 @@ def test_event_records_without_a_header_follow_the_first_record(tmp_path):
             write_event(fh, event)
     with pytest.raises(ValueError) as err:
         read_events(str(path))
-    assert str(err.value) == (
-        f"{path}: line 3: probabilities have row lengths [2, 2], "
-        "not the decisions' cardinalities [2, 3]"
-    )
+    assert str(err.value) == f"{path}: line 1: event log format version None is not 2"
+
+
+def _sample_log_lines():
+    return [SAMPLE_HEADER] + [event.to_json() for event in sample_events(3)]
+
+
+def _edit_header(**edits):
+    def edit(lines):
+        header = json.loads(lines[0])
+        for name, value in edits.items():
+            if value is None:
+                del header[name]
+            else:
+                header[name] = value
+        lines[0] = json.dumps(header)
+    return edit
+
+
+def _add_decision_key(lines):
+    header = json.loads(lines[0])
+    header["decisions"][1]["default"] = 0
+    lines[0] = json.dumps(header)
+
+
+NO_RECORD = "is not an event record with exactly the fields"
+
+# Edits of a log of a header and three records (lines 1 to 4), each with the
+# line and the message ``read_events`` must refuse it with.
+LOG_DEFECTS = {
+    **{
+        f"version-{name}": (
+            _edit_header(format_version=value), 1, f"event log format version {value!r} is not 2"
+        )
+        for name, value in [("1", 1), ("3", 3), ("text", "2"), ("true", True), ("float", 2.0)]
+    },
+    "version-missing": (
+        _edit_header(format_version=None), 1, "event log format version None is not 2"
+    ),
+    "header-not-an-object": (
+        lambda lines: lines.__setitem__(0, "[2]"), 1, "event log format version None is not 2"
+    ),
+    "decisions-missing": (
+        _edit_header(decisions=None), 1, "event log header lacks field decisions"
+    ),
+    "header-extra-key": (_edit_header(run="x"), 1, "event log header holds an unknown field run"),
+    "decision-extra-key": (
+        _add_decision_key, 1, "event log header holds an unknown field decisions.1.default"
+    ),
+    "blank-first": (lambda lines: lines.insert(0, ""), 1, "malformed JSON on line 1"),
+    "blank-middle": (lambda lines: lines.insert(2, ""), 3, "malformed JSON on line 3"),
+    "blank-last": (lambda lines: lines.append(""), 5, "malformed JSON on line 5"),
+    "header-after-a-record": (lambda lines: lines.insert(2, lines[0]), 3, NO_RECORD),
+    "header-twice": (lambda lines: lines.insert(1, lines[0]), 2, NO_RECORD),
+}
+
+
+@pytest.mark.parametrize("defect", LOG_DEFECTS)
+def test_event_log_is_read_only_as_it_is_written(tmp_path, defect):
+    path = tmp_path / "events.jsonl"
+    edit, line, message = LOG_DEFECTS[defect]
+    lines = _sample_log_lines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    if message.startswith("malformed JSON"):
+        assert str(err.value).startswith(f"{path}: {message} (")
+    elif message == NO_RECORD:
+        assert str(err.value).startswith(f"{path}: line {line} {message}")
+    else:
+        assert str(err.value) == f"{path}: line {line}: {message}"
+
+
+def test_empty_event_log_is_refused(tmp_path):
+    path = tmp_path / "events.jsonl"
+    path.write_text("")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == f"{path}: line 1: event log is empty, without its header"
 
 
 @pytest.mark.parametrize(
@@ -672,6 +752,33 @@ def test_checkpoint_names_a_missing_header_field(tmp_path, field):
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert str(err.value) == f"{path}: checkpoint header lacks field {field}"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("commit_slots", {"adam|0/1/weight": {"step": 999}}),  # a version-7 leftover
+        ("slots", {}),
+        ("controller.step", 7),
+        ("controller.slots", {}),
+        ("controller.logits", [[0.1, -0.2]]),
+    ],
+)
+def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
+    # The header holds exactly the fields ``save_checkpoint`` writes; re-sealed,
+    # so the load gets past the file digest to the header itself.
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), sample_checkpoint())
+    header, blob, _ = _parts(path)
+    *parents, name = field.split(".")
+    owner = header
+    for part in parents:
+        owner = owner[part]
+    owner[name] = value
+    _write(path, header, blob)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint header holds an unknown field {field}"
 
 
 @pytest.mark.parametrize(
@@ -1185,3 +1292,42 @@ def test_truncate_events_keeps_only_records_read_events_takes(tmp_path, field, v
     assert path.read_bytes() == before
     with pytest.raises(ValueError):
         read_events(str(path))
+
+
+@pytest.mark.parametrize("meta_step", [0, 2])
+@pytest.mark.parametrize("defect", ["version-1", "version-missing", "header-not-an-object"])
+def test_truncate_events_refuses_a_log_of_another_version_and_cuts_nothing(
+    tmp_path, defect, meta_step
+):
+    # Line 1 is JSON but not a version-2 header: the log is not kept and
+    # appended to, whatever the step, but refused as it stands.
+    path = tmp_path / "events.jsonl"
+    edit, _, message = LOG_DEFECTS[defect]
+    lines = _sample_log_lines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        truncate_events(str(path), meta_step, "00" * 8)
+    assert str(err.value) == f"{path}: line 1: {message}"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "first",
+    ['{"format_version": 2, "deci', "", "\n" + SAMPLE_HEADER],
+    ids=["torn", "empty", "blank"],
+)
+def test_truncate_events_keeps_nothing_of_a_torn_or_empty_line_1(tmp_path, first):
+    # Such a line ends the records, as any line ``read_events`` refuses does:
+    # a resume at step 0 starts the log afresh, and a later one is refused.
+    path = tmp_path / "events.jsonl"
+    records = "".join(event.to_json() + "\n" for event in sample_events(3))
+    path.write_text(first + ("\n" + records if first else ""))
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        truncate_events(str(path), 2, "00" * 8)
+    assert str(err.value) == f"{path}: event log holds no record of step 0 of the resumed run"
+    assert path.read_bytes() == before
+    assert truncate_events(str(path), 0, "unused") == 0
+    assert path.read_bytes() == b""
