@@ -203,8 +203,6 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_report(args) -> int:
     header, records = read_events(args.log)
-    if not records:
-        raise ValueError(f"{args.log}: no event records")
     os.makedirs(args.out, exist_ok=True)
     decisions = header["decisions"]
     for d, decision in enumerate(decisions):
@@ -215,18 +213,20 @@ def _cmd_report(args) -> int:
             for record in records:
                 writer.writerow([record.meta_step] + list(record.probabilities[d]))
 
+    # The log of a run with no meta-step holds only its header: no final or mean figures.
     rewards = [r.mean_reward for r in records]
+    last = records[-1] if records else None
     summary = {
         "steps": len(records),
-        "final_meta_step": records[-1].meta_step,
-        "final_baseline": records[-1].baseline,
-        "mean_reward_first": rewards[0],
-        "mean_reward_last": rewards[-1],
-        "mean_reward_max": max(rewards),
+        "final_meta_step": last.meta_step if last else None,
+        "final_baseline": last.baseline if last else None,
+        "mean_reward_first": rewards[0] if rewards else None,
+        "mean_reward_last": rewards[-1] if rewards else None,
+        "mean_reward_max": max(rewards, default=None),
         "final_argmax": {
-            d["label"]: int(np.argmax(p)) for d, p in zip(decisions, records[-1].probabilities)
-        },
-        "final_store_digest": records[-1].store_digest,
+            d["label"]: int(np.argmax(p)) for d, p in zip(decisions, last.probabilities)
+        } if last else {},
+        "final_store_digest": last.store_digest if last else None,
     }
     _emit(summary, os.path.join(args.out, "summary.json"))
     print(f"wrote {len(decisions)} trajectory files and summary.json to {args.out}")

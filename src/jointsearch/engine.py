@@ -268,7 +268,8 @@ def meta_step(
     k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
     scored = []  # scoring: K sampled pairs, each on its own temporary weights
-    for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
+    probs = ctrl.probabilities(state)  # the update below reads them too
+    for i, selection in enumerate(ctrl.sample(state, run.stream, k, probs)):
         if evaluate_override is not None:
             accuracy, cost = evaluate_override(selection)
         else:
@@ -281,7 +282,8 @@ def meta_step(
             )
         scored.append((selection, accuracy, cost, compute_reward(accuracy, cost, settings.reward)))
     # controller: one REINFORCE update from the K rewards
-    baseline = ctrl.reinforce_update(state, [(s, r) for s, _, _, r in scored], settings, step)
+    samples = [(s, r) for s, _, _, r in scored]
+    baseline = ctrl.reinforce_update(state, samples, settings, step, probs)
     if audit is not None:
         audit("controller", step, weights)
     if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K

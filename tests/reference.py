@@ -10,6 +10,11 @@
   expected reward, by enumerating every selection.
 * ``reference_sample``: one controller selection per call, one scalar uniform
   per decision, with its joint log-probability.
+* ``ReferenceController`` and ``reference_reinforce_update``: the controller
+  update as first written, on separate arrays, one decision at a time: the
+  REINFORCE gradient accumulated per decision and sample, the entropy term
+  per decision, and one ``reference_optimizer_step`` per decision. The
+  library's table update must match it bit for bit.
 * ``reference_beta`` and ``reference_mixup``: one scalar Beta draw from one
   open uniform, and mixup one batch at a time from the stream's counter, as
   the library's block draws must reproduce them.
@@ -26,12 +31,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from jointsearch import numerics, supernet, trainstep
-from jointsearch.controller import ControllerState, probabilities
+from jointsearch.config import SearchSection
+from jointsearch.controller import ControllerState, probabilities, warmup_steps
 from jointsearch.numerics import RngStream, softmax
 from jointsearch.persist import store_digest
 from jointsearch.space import OP_AFFINE_RELU, OP_AFFINE_TANH, validate_selection
@@ -448,6 +455,53 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
         selection.append(idx)
         log_prob += math.log(probs[idx])
     return tuple(selection), log_prob
+
+
+@dataclass
+class ReferenceController:
+    """A controller's logits by decision, each its own array, its baseline
+    and its Adam slots by ``("adam", decision)``."""
+
+    logits: list[np.ndarray]
+    baseline: float = 0.0
+    slots: dict = field(default_factory=dict)
+
+    def probabilities(self) -> list[np.ndarray]:
+        return [numerics.softmax(z) for z in self.logits]
+
+
+def reference_reinforce_update(
+    ref: ReferenceController,
+    samples: Sequence[tuple[Sequence[int], float]],
+    search: SearchSection,
+    step: int,
+) -> float:
+    """``controller.reinforce_update`` one decision at a time; returns the
+    baseline its advantages used."""
+    pre_baseline = ref.baseline if step > 0 else float(samples[0][1])
+    if step >= warmup_steps(search):
+        probs = ref.probabilities()
+        grads = [np.zeros_like(z) for z in ref.logits]
+        for selection, reward in samples:
+            advantage = reward - pre_baseline
+            for d, idx in enumerate(selection):
+                grads[d] += advantage * probs[d]
+                grads[d][idx] -= advantage
+        for g in grads:
+            g /= len(samples)
+        if search.entropy_weight != 0.0:
+            for g, p in zip(grads, probs):
+                log_p = np.log(np.where(p > 0.0, p, 1.0))
+                h = -float(np.dot(p, log_p))
+                g += search.entropy_weight * p * (log_p + h)
+        spec = trainstep.TrainerSpec(optimizer="adam", learning_rate=search.meta_lr)
+        for d, (z, g) in enumerate(zip(ref.logits, grads)):
+            reference_optimizer_step({d: z}, {d: g}, ref.slots, spec)
+    m = search.baseline_momentum
+    for i, (_, reward) in enumerate(samples):
+        r = float(reward)
+        ref.baseline = r if step == i == 0 else m * ref.baseline + (1.0 - m) * r
+    return pre_baseline
 
 
 def reference_beta(rng: RngStream, a: float) -> float:

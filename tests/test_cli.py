@@ -552,6 +552,14 @@ HISTORY_DEFECTS = {
         lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0)),
         "controller/logits/0: checkpoint holds shape [3], the run holds shape [2]",
     ),
+    "logits-matrix": (
+        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: z.reshape(1, 2)),
+        "controller/logits/0: checkpoint holds shape [1, 2], the run holds shape [2]",
+    ),
+    "logits-scalar": (
+        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.array(0.5)),
+        "controller/logits/0: checkpoint holds value 0.5, the run holds shape [2]",
+    ),
     "logits-extra-row": (
         lambda h, a: _extra_logits_row(a),
         "controller/logits/3: checkpoint holds shape [2], the run holds nothing",
@@ -1041,6 +1049,32 @@ def test_report_emits_trajectories_and_summary(capsys, tmp_path):
     assert summary["final_meta_step"] == 5
     assert set(summary["final_argmax"]) == {"layer0", "learning_rate", "optimizer"}
     assert len(summary["final_store_digest"]) == 16
+
+
+def test_report_of_a_zero_step_run_has_headers_and_null_figures(capsys, tmp_path):
+    # A run with no meta-step logs its header alone.
+    log = tmp_path / "events.jsonl"
+    code, _, _ = run_search(tmp_path, "run", doc_extra={"log_path": str(log)}, total=0)
+    assert code == 0
+    assert len(log.read_text().splitlines()) == 1
+    out_dir = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out_dir)]) == 0
+
+    csv_files = sorted(p.name for p in out_dir.glob("*.csv"))
+    assert len(csv_files) == 3
+    for name, cardinality in zip(csv_files, (2, 3, 2)):
+        with open(out_dir / name, newline="") as fh:
+            assert list(csv.reader(fh)) == [["meta_step"] + [f"p{j}" for j in range(cardinality)]]
+    assert json.loads((out_dir / "summary.json").read_text()) == {
+        "steps": 0,
+        "final_meta_step": None,
+        "final_baseline": None,
+        "mean_reward_first": None,
+        "mean_reward_last": None,
+        "mean_reward_max": None,
+        "final_argmax": {},
+        "final_store_digest": None,
+    }
 
 
 def _drop_first_label(lines):

@@ -19,9 +19,15 @@ from jointsearch.controller import (
 )
 from jointsearch.config import SearchSection
 from jointsearch.numerics import RngStream
+from jointsearch.persist import Checkpoint, load_checkpoint, save_checkpoint, store_digest
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
-from reference import expected_reward_gradient_oracle, reference_sample
+from reference import (
+    ReferenceController,
+    expected_reward_gradient_oracle,
+    reference_reinforce_update,
+    reference_sample,
+)
 
 
 def space_with_cards(cards):
@@ -312,6 +318,88 @@ def test_update_rejects_empty_or_misshapen_samples():
         reinforce_update(state, [((0,), 1.0)], no_warmup_meta(), 0)
 
 
+@pytest.mark.parametrize(
+    "selection, decision, index",
+    [((0, -1), 1, "-1"), ((0, 3), 1, "3"), ((2, 0), 0, "2"), ((1.0, 0), 0, "1.0")],
+)
+def test_update_refuses_an_index_outside_the_cardinality(selection, decision, index):
+    # Decision 0 has 2 candidates in a table 3 wide: index 2 would be a padding cell.
+    state = init_controller(space_with_cards([2, 3]))
+    state.baseline = 0.5
+    message = f"picks {index} for decision {decision}, not an index in \\[0, {[2, 3][decision]}\\)"
+    with pytest.raises(ValueError, match=message):
+        reinforce_logit_gradient(state, [((0, 0), 1.0), (selection, 1.0)], 0.0)
+    for step in (0, 1):  # in warm-up and past it
+        meta = SearchSection(total_meta_steps=2, warmup_fraction=0.5)
+        with pytest.raises(ValueError, match=message):
+            reinforce_update(state, [((0, 0), 1.0), (selection, 1.0)], meta, step)
+    assert [z.tolist() for z in state.logits] == [[0.0, 0.0], [0.0, 0.0, 0.0]]
+    assert state.baseline == 0.5 and state.slots == {}
+
+
+def test_update_refuses_slots_that_do_not_fit_the_table():
+    # One Adam slot for two decisions, as a checkpoint the resume check refuses
+    # may hold: the state keeps it as given, and only warm-up leaves it be.
+    slot = {"step": 5, "m": np.zeros(2), "v": np.zeros(2)}
+    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, {("adam", 0): slot})
+    assert state.slots == {("adam", 0): slot}
+    meta = SearchSection(total_meta_steps=4, warmup_fraction=0.5)
+    reinforce_update(state, [((0, 0), 1.0)], meta, 1)
+    with pytest.raises(ValueError, match="not one Adam slot per decision at one step"):
+        reinforce_update(state, [((0, 0), 1.0)], meta, 2)
+    assert [z.tolist() for z in state.logits] == [[0.0, 0.0], [0.0, 0.0, 0.0]]
+    # Logits that are not one vector per decision are kept as given, and refused.
+    state = ControllerState([np.zeros((1, 2)), np.zeros(3)])
+    assert state.logits[0].shape == (1, 2)
+    with pytest.raises(ValueError, match="not one vector per decision"):
+        reinforce_update(state, [((0, 0), 1.0)], meta, 0)
+
+
+TABLE_CARDS = (1, 2, 5, 8, 9, 17)
+
+
+@pytest.mark.parametrize("k", [1, 4, 7])
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
+def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight):
+    """30 steps of the table update beside the per-decision one, bit for bit,
+    over spaces mixing every cardinality of ``TABLE_CARDS``; the state makes
+    a checkpoint round trip at step 15, after warm-up (steps 0 to 5)."""
+    search = SearchSection(
+        total_meta_steps=30, warmup_fraction=0.2, meta_lr=0.05,
+        baseline_momentum=0.9, entropy_weight=entropy_weight,
+    )
+    rng = RngStream(k, f"table-oracle/{entropy_weight}")
+    for case in range(3):
+        cards = list(TABLE_CARDS) + [TABLE_CARDS[rng.index(6)] for _ in range(rng.index(4))]
+        cards = [cards[i] for i in rng.permutation(len(cards))]
+        start = [2.0 * rng.normal(c) for c in cards]
+        state = ControllerState(logits=[z.copy() for z in start])
+        ref = ReferenceController(logits=[z.copy() for z in start])
+        stream = RngStream(case, "ctl")
+        for step in range(30):
+            if step == 15:
+                path = str(tmp_path / f"{case}.ckpt")
+                save_checkpoint(path, Checkpoint({}, step, state, store_digest=store_digest({})))
+                state = load_checkpoint(path).controller
+                assert all(z.base is state.logits[0].base for z in state.logits)
+            probs = probabilities(state)
+            assert [p.tobytes() for p in probs] == [p.tobytes() for p in ref.probabilities()]
+            selections = sample(state, stream, k, probs)
+            samples = [(selection, float(rng.uniform())) for selection in selections]
+            given = probs if step % 2 else None  # both with and without the phase's probabilities
+            used = reinforce_update(state, samples, search, step, given)
+            assert used == reference_reinforce_update(ref, samples, search, step)
+            assert state.baseline == ref.baseline
+            where = (case, cards, step)
+            assert [z.tobytes() for z in state.logits] == [z.tobytes() for z in ref.logits], where
+            assert sorted(state.slots) == sorted(ref.slots), where
+            for key, slot in ref.slots.items():
+                assert state.slots[key]["step"] == slot["step"], where
+                for name in ("m", "v"):
+                    assert state.slots[key][name].tobytes() == slot[name].tobytes(), where
+        assert ref.slots and all(slot["step"] == 24 for slot in ref.slots.values())
+
+
 def test_uniform_rewards_preserve_argmax_forever():
     state = init_controller(space_with_cards([4, 3]))
     meta = no_warmup_meta()
@@ -351,7 +439,7 @@ def test_entropy_gradient_of_a_collapsed_row_is_zero():
     assert not np.array_equal(state.logits[1], before[1])
     # A row with no zero entry takes the plain log, bit for bit.
     p = probabilities(state_with_logits([[2.0, 0.0, -2.0]]))[0]
-    (got,) = controller._entropy_gradient([p], 0.01)
+    (got,) = controller._entropy_gradient(p[None, :], [3], 0.01)
     log_p = np.log(p)
     assert got.tobytes() == (0.01 * p * (log_p - float(np.dot(p, log_p)))).tobytes()
 
