@@ -2,26 +2,24 @@
 
 The controller keeps one logit vector per decision and treats the joint
 distribution as a product of independent softmaxes. Sampling draws a whole
-phase (all K selections) at once: one block of uniforms, one softmax and one
-cumulative sum per decision, each index picked by inverse CDF. Updates take a
-single Adam step on the logits using reward-minus-baseline advantages
-averaged over the step's sampled pairs. The baseline is a scalar moving
-average of observed rewards, initialized to the first reward of meta-step 0.
-During a warm-up window at the start of a run the logits are left untouched
-(so sampling stays at its uniform initialization) while the baseline keeps
-tracking rewards. The state holds only what the controller has learned; the
-meta-step, which says whether warm-up is over and whether a baseline exists,
-is passed to each update.
+phase (all K selections) at once from one block of uniforms, each index by
+inverse CDF. Updates take a single Adam step on the logits using
+reward-minus-baseline advantages averaged over the step's sampled pairs. The
+baseline is a scalar moving average of observed rewards, initialized to the
+first reward of meta-step 0. During a warm-up window at the start of a run
+the logits are left untouched (so sampling stays at its uniform
+initialization) while the baseline keeps tracking rewards. The state holds
+only what the controller has learned; the meta-step, which says whether
+warm-up is over and whether a baseline exists, is passed to each update.
 
-The logits and their Adam moments live in zero-padded tables, one row per
-decision and as wide as the largest cardinality; each decision's logit
-vector and slot arrays are views of its row. An update runs its elementwise
-work once over the tables: the K accumulations of the gradient and one Adam
-step, where a padding cell's zero gradient leaves its zero moments and logit
-unchanged. Every reduction along a row (the softmax's max and sum, the
-sampling CDF, the entropy) stays per decision on the unpadded row: numpy
-sums 8 or more entries pairwise, so a padded row would group them otherwise
-and change the probabilities' last bits.
+The logits and their Adam moments are zero-padded tables, one row per
+decision, as wide as the largest cardinality. Each phase runs on them: one
+softmax per distinct cardinality over the stacked rows of that width, one
+cumulative sum along the rows, the K gradient accumulations through flat
+cell indices and one Adam step, where a padding cell's zero gradient leaves
+its zero moments and logit unchanged. Each gives the per-decision result bit
+for bit: numpy reduces each row of a C-contiguous table as that row alone, a
+cumulative sum runs in order, and the entropy's dot product stays per row.
 """
 from __future__ import annotations
 
@@ -43,137 +41,122 @@ _TABLE = "logits"  # the one key of the table update's ``optimizer_step``
 @dataclass
 class ControllerState:
     """What the controller has learned: ``logits`` by decision, the
-    ``baseline`` and the Adam ``slots`` by ``("adam", decision)``.
-
-    Building a state packs the logits, and the slots when they are one Adam
-    slot per decision at one ``step``, into padded tables, and replaces each
-    array by a view of its table row, so write them in place. A state whose
-    logits are not one vector per decision is kept as given and refused by
-    every update; one whose slots are anything else is kept as given and
-    refused by an update past warm-up. A checkpoint holding either is one
-    the resume check refuses.
-    """
+    ``baseline`` and the Adam ``slots``. Building one packs the logits into a
+    padded table, each then a view of its row (write them in place), and
+    ``slots``, none or one Adam slot per decision at one ``step`` by ``("adam",
+    decision)`` (``load_checkpoint`` refuses any other), into the table's one
+    slot, by ``("adam", "logits")``; ``decision_slots`` reads it by decision."""
 
     logits: list[np.ndarray]
     baseline: float = 0.0
-    slots: dict = field(default_factory=dict)  # Adam slots by ("adam", decision)
+    slots: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._adam = {}  # the table slot by ("adam", _TABLE), once there is one
-        self._cards = None
-        if not all(np.ndim(z) == 1 for z in self.logits):
-            return
         cards = self._cards = tuple(len(z) for z in self.logits)
-        self._table = np.zeros((len(cards), max(cards, default=0)))
-        self.logits = [_pack(self._table[d], z) for d, z in enumerate(self.logits)]
-        adam = [self.slots.get(("adam", d)) for d in range(len(cards))]
-        fits = bool(self.slots) and len(self.slots) == len(cards) and all(
-            slot is not None
-            and set(slot) == {"step", "m", "v"}
-            and slot["step"] == adam[0]["step"]
-            and np.shape(slot["m"]) == np.shape(slot["v"]) == (c,)
-            for slot, c in zip(adam, cards)
-        )
-        if fits:
-            table = self._adam["adam", _TABLE] = fresh_slot("adam", self._table)
-            table["step"] = adam[0]["step"]
-            for d, slot in enumerate(adam):
-                slot["m"] = _pack(table["m"][d], slot["m"])
-                slot["v"] = _pack(table["v"][d], slot["v"])
+        width = max(cards, default=0)
+        self._table = np.zeros((len(cards), width))
+        for row, z in zip(self._table, self.logits):
+            row[: len(z)] = z
+        self.logits = [row[:c] for row, c in zip(self._table, cards)]
+        self._offsets = width * np.arange(len(cards))  # each row's first flat cell
+        self._last = np.array(cards, dtype=np.int64) - 1
+        self._groups = [(c, np.flatnonzero(self._last == c - 1)) for c in sorted(set(cards))]
+        given, self.slots = self.slots, {}
+        if given:
+            table = self.slots["adam", _TABLE] = fresh_slot("adam", self._table)
+            table["step"] = given["adam", 0]["step"]
+            for d, c in enumerate(cards):
+                for name in ("m", "v"):
+                    table[name][d, :c] = given["adam", d][name]
 
 
-def _pack(row: np.ndarray, values) -> np.ndarray:
-    # ``values`` copied into the head of a table row; that head, as a view.
-    head = row[: len(values)]
-    head[...] = values
-    return head
+def decision_slots(state: ControllerState) -> dict:
+    """Each decision's Adam slot by ``("adam", decision)``, as a checkpoint
+    holds it: views of the table slot's rows, with its ``step``."""
+    table = state.slots.get(("adam", _TABLE))
+    return {
+        ("adam", d): {"m": table["m"][d, :c], "step": table["step"], "v": table["v"][d, :c]}
+        for d, c in enumerate(state._cards if table else ())
+    }
 
 
 def init_controller(space: SearchSpace) -> ControllerState:
     """Zero logits for every decision: the uniform joint distribution."""
-    return ControllerState(
-        logits=[np.zeros(card) for card in space.cardinalities()]
-    )
+    return ControllerState([np.zeros(card) for card in space.cardinalities()])
 
 
-def probabilities(state: ControllerState) -> list[np.ndarray]:
-    return [softmax(z) for z in state.logits]
+class Probabilities(list):
+    """The probabilities by decision, each a view of its row of ``table``,
+    the zero-padded probability table."""
+
+    table: np.ndarray
+
+
+def probabilities(state: ControllerState) -> Probabilities:
+    """Each decision's softmax, one ``softmax`` call per distinct cardinality."""
+    table = np.zeros_like(state._table)
+    for card, rows in state._groups:
+        table[rows, :card] = softmax(state._table[rows, :card])
+    probs = Probabilities(row[:card] for row, card in zip(table, state._cards))
+    probs.table = table
+    return probs
 
 
 def sample(
-    state: ControllerState, rng: RngStream, k: int, probs: list[np.ndarray] | None = None
+    state: ControllerState, rng: RngStream, k: int, probs: Probabilities | None = None
 ) -> list[tuple[int, ...]]:
     """Draw the ``k`` selections of one phase.
 
     The phase takes one ``k x n_decisions`` block of uniforms; selection ``i``
     reads row ``i`` in decision order and, per decision, picks the first index
-    whose cumulative probability exceeds its draw. The stream is counter-based,
-    so the block holds the same words, in the same order, as ``k`` successive
-    draws of one row each. ``probs``, when given, must be
-    ``probabilities(state)``; it saves computing them again.
+    whose cumulative probability exceeds its draw, or the last index when none
+    does. The stream is counter-based, so the block holds the same words, in
+    the same order, as ``k`` successive draws of one row each. ``probs``, when
+    given, must be ``probabilities(state)``; it saves computing them again.
     """
-    u = rng.uniform((k, len(state.logits)))
-    chosen = np.empty(u.shape, dtype=np.int64)
-    for d, p in enumerate(probabilities(state) if probs is None else probs):
-        idx = np.searchsorted(np.cumsum(p), u[:, d], side="right")
-        chosen[:, d] = np.minimum(idx, len(p) - 1)
-    return list(map(tuple, chosen.tolist()))
+    u = rng.uniform((k, len(state._cards)))
+    cdf = np.cumsum((probabilities(state) if probs is None else probs).table, axis=1)
+    # The count of CDF entries <= u is ``searchsorted(side="right")``; the
+    # padding cells repeat the row's total, so past it the count is clipped.
+    picks = np.minimum((cdf <= u[:, :, None]).sum(axis=2), state._last)
+    return list(map(tuple, picks.tolist()))
 
 
-def _check_selections(state: ControllerState, samples) -> None:
-    """``ValueError`` unless each selection holds one integer index per
-    decision, inside ``[0, cardinality)``: a padded table would take any
-    other index without complaint."""
-    cards = state._cards
-    if cards is None:
-        raise ValueError("controller logits are not one vector per decision")
-    for selection, _ in samples:
-        if len(selection) != len(cards):
-            raise ValueError("selection length does not match decision count")
-        for d, (j, card) in enumerate(zip(selection, cards)):
-            if not (isinstance(j, (int, np.integer)) and 0 <= j < card):
-                what = f"not an index in [0, {card})"
-                raise ValueError(f"selection picks {j} for decision {d}, {what}")
+def _check_selections(state: ControllerState, samples) -> np.ndarray:
+    """The flat table cell each selection of ``samples`` picks per decision,
+    ``K x n_decisions``. ``ValueError`` unless each holds one integer index per
+    decision in ``[0, cardinality)``: a padded table takes others silently."""
+    selections = [selection for selection, _ in samples]
+    if any(len(selection) != len(state._cards) for selection in selections):
+        raise ValueError("selection length does not match decision count")
+    picks = np.array(selections)
+    if picks.dtype.kind not in "iu" or not ((picks >= 0) & (picks <= state._last)).all():
+        for selection in selections:  # name the first bad index
+            for d, (j, card) in enumerate(zip(selection, state._cards)):
+                if not (isinstance(j, (int, np.integer)) and 0 <= j < card):
+                    what = f"not an index in [0, {card})"
+                    raise ValueError(f"selection picks {j} for decision {d}, {what}")
+    # Whole indices numpy did not store as integers (bools, say) become integers.
+    return picks.astype(np.int64, copy=False) + state._offsets
 
 
 def _gradient(
-    state: ControllerState, probs, samples, baseline: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The descent-direction logit gradient for checked ``samples``, and the
-    probabilities ``probs`` by decision, each as a padded table whose
-    padding cells are zero."""
-    k = len(samples)
-    if k == 0:
-        raise ValueError("need at least one sample")
-    table = np.zeros_like(state._table)
-    for row, p in zip(table, probs):
-        row[: len(p)] = p
+    table: np.ndarray, cells: np.ndarray, rewards: Sequence[float], baseline: float
+) -> np.ndarray:
+    """The descent-direction logit gradient, a padded table, from the padded
+    probability ``table`` and the ``rewards`` of the selections whose cells
+    ``_check_selections`` gives: for decision d, ``-(1/K) sum_i a_i
+    (onehot(sel_i[d]) - p_d)``, advantage ``a_i = r_i - baseline``."""
     grad = np.zeros_like(table)
-    rows = np.arange(len(table))
-    for selection, reward in samples:
-        if not np.isfinite(reward):
+    flat = grad.reshape(-1)
+    for row, reward in zip(cells, rewards):
+        if not math.isfinite(reward):
             raise ValueError("reward must be finite")
         advantage = reward - baseline
         grad += advantage * table
-        grad[rows, selection] -= advantage
-    grad /= k
-    return grad, table
-
-
-def reinforce_logit_gradient(
-    state: ControllerState,
-    samples: Sequence[tuple[Sequence[int], float]],
-    baseline: float,
-) -> list[np.ndarray]:
-    """Descent-direction logit gradient for a batch of (selection, reward).
-
-    For decision d this is ``-(1/K) sum_i a_i (onehot(sel_i[d]) - p_d)`` with
-    advantage ``a_i = r_i - baseline``; stepping against it ascends expected
-    reward.
-    """
-    _check_selections(state, samples)
-    grad, _ = _gradient(state, probabilities(state), samples, baseline)
-    return [g[:card] for g, card in zip(grad, state._cards)]
+        flat[row] -= advantage
+    grad /= len(rewards)
+    return grad
 
 
 def _entropy_gradient(probs: np.ndarray, cards: Sequence[int], weight: float) -> np.ndarray:
@@ -197,23 +180,13 @@ def _adam(learning_rate: float) -> TrainerSpec:
 
 
 def _adam_step(state: ControllerState, grad: np.ndarray, learning_rate: float) -> None:
-    """One Adam step of the logit table, which adds the slot table and its
-    row views to ``state.slots`` on the first; then each row's ``step``
-    mirrors the table's."""
-    if not state._adam and state.slots:
-        raise ValueError("controller slots are not one Adam slot per decision at one step")
-    first = not state._adam
+    """One Adam step of the logit table, which adds the table slot to
+    ``state.slots`` on the first."""
     try:
-        optimizer_step({_TABLE: state._table}, {_TABLE: grad}, state._adam, _adam(learning_rate))
+        optimizer_step({_TABLE: state._table}, {_TABLE: grad}, state.slots, _adam(learning_rate))
     except ValueError:  # a non-finite gradient, which the step refuses before any write
         bad = next(d for d, g in enumerate(grad) if not np.isfinite(g).all())
         raise ValueError(f"non-finite gradient for {bad}") from None
-    table = state._adam["adam", _TABLE]
-    if first:
-        for d, card in enumerate(state._cards):
-            state.slots["adam", d] = {"m": table["m"][d, :card], "v": table["v"][d, :card]}
-    for d in range(len(state._cards)):
-        state.slots["adam", d]["step"] = table["step"]
 
 
 def reinforce_update(
@@ -221,7 +194,7 @@ def reinforce_update(
     samples: Sequence[tuple[Sequence[int], float]],
     search: SearchSection,
     step: int,
-    probs: list[np.ndarray] | None = None,
+    probs: Probabilities | None = None,
 ) -> float:
     """Meta-step ``step``: Adam on the logits, then the baseline moving average.
 
@@ -236,20 +209,21 @@ def reinforce_update(
     """
     if not samples:
         raise ValueError("reinforce_update needs at least one sample")
-    _check_selections(state, samples)
-    pre_baseline = state.baseline if step > 0 else float(samples[0][1])
+    cells = _check_selections(state, samples)
+    rewards = [reward for _, reward in samples]
+    pre_baseline = state.baseline if step > 0 else float(rewards[0])
 
     if step >= warmup_steps(search):
-        probs = probabilities(state) if probs is None else probs
-        grad, table = _gradient(state, probs, samples, pre_baseline)
+        table = (probabilities(state) if probs is None else probs).table
+        grad = _gradient(table, cells, rewards, pre_baseline)
         if search.entropy_weight != 0.0:
             grad += _entropy_gradient(table, state._cards, search.entropy_weight)
         _adam_step(state, grad, search.meta_lr)
 
     m = search.baseline_momentum
-    for i, (_, reward) in enumerate(samples):
+    for i, reward in enumerate(rewards):
         r = float(reward)
-        if not np.isfinite(r):
+        if not math.isfinite(r):
             raise ValueError("reward must be finite")
         # The first reward of step 0 starts the moving average.
         state.baseline = r if step == i == 0 else m * state.baseline + (1.0 - m) * r

@@ -14,6 +14,7 @@ from the config sections; all resumable state is one ``persist.Checkpoint``.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -67,11 +68,11 @@ class BaselineResult:
 def compute_reward(accuracy: float, cost: float, spec: RewardSection) -> float:
     """Plain mode returns accuracy; cost-aware mode adds a penalty that is
     zero exactly on target and grows linearly with relative cost error."""
-    if not np.isfinite(accuracy) or not 0.0 <= accuracy <= 1.0:
+    if not math.isfinite(accuracy) or not 0.0 <= accuracy <= 1.0:
         raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
     if spec.mode == "plain":
         return float(accuracy)
-    if cost < 0.0 or not np.isfinite(cost):
+    if cost < 0.0 or not math.isfinite(cost):
         raise ValueError(f"cost must be non-negative, got {cost}")
     return float(accuracy + spec.beta * abs(cost / spec.target_cost - 1.0))
 
@@ -198,8 +199,10 @@ def _resumable(
     held.reward_history = ckpt.reward_history
     updates = done - ctrl.warmup_steps(config.search)
     if updates > 0:  # each step past warm-up made one Adam update of every row
-        for d, z in enumerate(held.controller.logits):
-            held.controller.slots["adam", d] = {**trainstep.fresh_slot("adam", z), "step": updates}
+        logits = held.controller.logits
+        made = [{**trainstep.fresh_slot("adam", z), "step": updates} for z in logits]
+        slots = {("adam", d): slot for d, slot in enumerate(made)}
+        held.controller = ctrl.ControllerState(logits, 0.0, slots)
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     k, cards = config.search.pairs_per_step, space.cardinalities()
@@ -235,6 +238,7 @@ class Run:
     ckpt: persist.Checkpoint
     stream: RngStream  # the controller's
     weights: SuperModelWeights | None
+    probs: ctrl.Probabilities  # the controller's, as its logits stand
 
 
 def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None) -> Run:
@@ -254,7 +258,7 @@ def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None)
     # ``ctrl.sample`` draws a k x n_decisions block per phase; only networks commit.
     per_step = config.search.pairs_per_step * space.n_decisions * (2 if uses_network else 1)
     stream = RngStream(seed, "controller", ckpt.meta_step * per_step)
-    return Run(config, space, splits, ckpt, stream, weights)
+    return Run(config, space, splits, ckpt, stream, weights, ctrl.probabilities(ckpt.controller))
 
 
 def meta_step(
@@ -268,8 +272,7 @@ def meta_step(
     k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
     scored = []  # scoring: K sampled pairs, each on its own temporary weights
-    probs = ctrl.probabilities(state)  # the update below reads them too
-    for i, selection in enumerate(ctrl.sample(state, run.stream, k, probs)):
+    for i, selection in enumerate(ctrl.sample(state, run.stream, k, run.probs)):
         if evaluate_override is not None:
             accuracy, cost = evaluate_override(selection)
         else:
@@ -283,11 +286,12 @@ def meta_step(
         scored.append((selection, accuracy, cost, compute_reward(accuracy, cost, settings.reward)))
     # controller: one REINFORCE update from the K rewards
     samples = [(s, r) for s, _, _, r in scored]
-    baseline = ctrl.reinforce_update(state, samples, settings, step, probs)
+    baseline = ctrl.reinforce_update(state, samples, settings, step, run.probs)
+    run.probs = ctrl.probabilities(state)
     if audit is not None:
         audit("controller", step, weights)
     if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K
-        for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
+        for i, selection in enumerate(ctrl.sample(state, run.stream, k, run.probs)):
             view = supernet.sub_view(run.space, selection)
             spec = trainstep.build_trainer(run.space, view.selection, lr)
             spec = replace(spec, learning_rate=spec.learning_rate / k)
@@ -342,7 +346,7 @@ def search(
                 digest = persist.store_digest(ckpt.store)
             if log_fh is not None:
                 mean = float(np.mean([r.reward for r in records]))
-                probs = [p.tolist() for p in ctrl.probabilities(state)]
+                probs = [p.tolist() for p in run.probs]
                 ms = (time.monotonic() - t0) * 1000.0
                 event = persist.EventRecord(step, mean, state.baseline, probs, digest, ms)
                 persist.write_event(log_fh, event)
@@ -352,8 +356,7 @@ def search(
     if path is not None and start == total:  # no step left: save once
         ckpt.store_digest = persist.store_digest(ckpt.store)
         persist.save_checkpoint(path, ckpt)
-    final_probs = ctrl.probabilities(state)
-    return SearchResult(derive(run.space, final_probs), final_probs, ckpt.reward_history, total)
+    return SearchResult(derive(run.space, run.probs), run.probs, ckpt.reward_history, total)
 
 
 def _derived_space(space: SearchSpace, arch_choice: Sequence[int]) -> SearchSpace:

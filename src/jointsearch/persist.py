@@ -33,18 +33,20 @@ that every shape is a list of non-negative integers and that the arrays tile
 the bytes exactly under distinct names, and verifies ``store_digest`` against
 the restored store. ``ValueError`` names the file and the header field it
 lacks or holds beyond those ``save_checkpoint`` writes, or the array of no
-known section or whose slot is not named ``family|key`` as it writes it. A re-sealed file (its
-SHA-256 recomputed after an edit) is refused, naming the field, if its
-meta-step is not a non-negative integer or its baseline not a finite number,
-and naming the array if a 0-d slot field is not a whole number from 1 to
-2^53, its logits or history reals are not finite, its history integers are
-not whole and non-negative, or its history rows and columns disagree with
-each other or with the number of logits arrays. These checks need nothing of
-the run. Which slots, slot fields and arrays a file may hold depends on the
-run, so the loader takes them as written; on resume ``engine`` builds the
-state the run itself holds at that step, and ``check_layout`` compares the
-two. Saving and loading again gives identical bytes. Files are written to a
-temp path and renamed into place.
+known section or whose slot is not named ``family|key`` as it writes it. A
+re-sealed file (its SHA-256 recomputed after an edit) is refused, naming the
+field, if its meta-step is not a non-negative integer or its baseline not a
+finite number, and naming the array if a 0-d slot field is not a whole number
+from 1 to 2^53, its logits, history reals or slot arrays are not finite, its
+history integers are not whole and non-negative, its history rows and columns
+disagree with each other or with the number of logits arrays, or the
+controller's padded tables cannot hold it: logits that are not a vector, or
+slots other than one Adam slot per decision, shaped like its logits, at one
+step. These checks need nothing of the run. Which commit slots, slot fields
+and arrays a file may hold depends on the run, so the loader takes them as
+written; on resume ``engine`` builds the state the run itself holds at that
+step, and ``check_layout`` compares the two. Saving and loading again gives
+identical bytes. Files are written to a temp path and renamed into place.
 
 ``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
 written as 16 hex characters. It walks the store in sorted key order and
@@ -79,7 +81,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .controller import ControllerState
+from .controller import ControllerState, decision_slots
 from .space import SearchSpace
 from .supernet import ParamKey
 
@@ -342,15 +344,8 @@ def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     arrays += [(name, arr) for name, arr in head if arr is not None]
     logits = ckpt.controller.logits
     arrays += [(f"controller/logits/{d}", z) for d, z in enumerate(logits)]
-    for (section, (key_text, _)), slots in zip(
-        _SLOT_SECTIONS.items(), (ckpt.controller.slots, ckpt.commit_slots)
-    ):
-        named = {f"{family}|{key_text(key)}": slot for (family, key), slot in slots.items()}
-        arrays += [
-            (f"{section}{combined}/{n}", np.array(float(v)) if isinstance(v, int) else v)
-            for combined in sorted(named)
-            for n, v in sorted(named[combined].items())
-        ]
+    for section, slots in zip(_SLOT_SECTIONS, (decision_slots(ckpt.controller), ckpt.commit_slots)):
+        arrays += _slot_arrays(section, slots)
     history = ckpt.reward_history
     width = 1 + len(history[0].selection if history else logits)
     ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
@@ -358,6 +353,18 @@ def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     arrays.append(("history/ints", ints.reshape(len(history), width)))
     arrays.append(("history/reals", reals.reshape(len(history), 4)))
     return arrays
+
+
+def _slot_arrays(section: str, slots: dict) -> list[tuple[str, np.ndarray]]:
+    """Each field of ``slots`` (by ``(family, key)``) as an array with its
+    name in ``section``, its slots sorted by ``family|key`` and its fields by
+    name; an integer field (Adam's ``step``) is a 0-d array of its value."""
+    named = {f"{f}|{_SLOT_SECTIONS[section][0](key)}": slot for (f, key), slot in slots.items()}
+    return [
+        (f"{section}{c}/{n}", np.array(float(v)) if isinstance(v, int) else v)
+        for c in sorted(named)
+        for n, v in sorted(named[c].items())
+    ]
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
@@ -492,7 +499,7 @@ def _slot_field(path: str, name: str, section: str, arr: np.ndarray):
     """The slot key, field name and value that the array ``name`` of slot
     ``section`` holds, a 0-d array read as an int. ``ValueError`` names the
     array unless the slot is named ``family|key`` as ``save_checkpoint``
-    writes it and a 0-d value is a whole number from 1 to 2^53."""
+    writes it, a 0-d value is a whole number from 1 to 2^53 and an array finite."""
     key_text, key_parse = _SLOT_SECTIONS[section]
     combined, _, field_name = name[len(section) :].rpartition("/")  # a commit key holds "/"
     family, _, text = combined.partition("|")
@@ -503,6 +510,7 @@ def _slot_field(path: str, name: str, section: str, arr: np.ndarray):
     except ValueError:
         raise ValueError(f"{path}: {name}: slot name {combined!r} is not family|key") from None
     if arr.ndim:
+        check_array(path, np.isfinite(arr).all(), name, "holds a value that is not a finite number")
         return (family, key), field_name, arr
     value = float(arr)
     ok = value.is_integer() and 1 <= value <= 2**53
@@ -564,7 +572,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
-        controller=ControllerState(logits, baseline, slots["controller/slots/"]),
+        controller=_controller(path, logits, baseline, slots["controller/slots/"]),
         store=store,
         head_weight=named.get("head/weight"),
         head_bias=named.get("head/bias"),
@@ -574,25 +582,40 @@ def load_checkpoint(path: str) -> Checkpoint:
     )
 
 
-def _entries(ckpt: Checkpoint) -> dict[str, str]:
-    """Each array's value if it is 0-d (a slot's integer field), else its
-    shape, by name, in file order."""
-    return {
-        name: f"value {arr.item():.17g}" if arr.ndim == 0 else f"shape {list(arr.shape)}"
-        for name, arr in _layout(ckpt)
-    }
+def _controller(path: str, logits, baseline: float, slots: dict) -> ControllerState:
+    """The controller state of the loaded ``logits`` and ``slots``. ``ValueError``
+    names the file and the first array that its padded tables cannot hold:
+    logits that are not a vector, then, as ``_compare`` names them, slots other
+    than one Adam slot per decision shaped like its logits, at one ``step``."""
+    for d, z in enumerate(logits):
+        what = f"checkpoint holds shape {list(z.shape)}, not a vector"
+        check_array(path, z.ndim == 1, f"controller/logits/{d}", what)
+    if slots:  # at the first whole step, or the least a saved table holds
+        step = next((s["step"] for s in slots.values() if type(s.get("step")) is int), 1)
+        table = {("adam", d): {"m": z, "step": step, "v": z} for d, z in enumerate(logits)}
+        named = (_slot_arrays("controller/slots/", held) for held in (slots, table))
+        _compare(path, *named, "the controller table")
+    return ControllerState(logits, baseline, slots)
 
 
-def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
-    """Raise ``ValueError`` naming the file and the first array that ``ckpt``
-    holds and ``want`` does not, or that the two hold with another 0-d value
-    or another shape; then the first that ``want`` holds and ``ckpt`` does
-    not. So a missing or extra slot, a slot field's value and a misshapen
-    array are each named by their array."""
-    held, found = _entries(want), _entries(ckpt)
+def _compare(path: str, found, held, holder: str) -> None:
+    """Raise ``ValueError`` naming the file and the first of the ``(name, array)``
+    pairs ``found`` (the checkpoint's) that ``held`` (``holder``'s) lacks or holds
+    with another shape or 0-d value; then the first ``held`` holds and ``found`` lacks."""
+    found, held = (
+        {n: f"value {a.item():.17g}" if a.ndim == 0 else f"shape {list(a.shape)}" for n, a in pairs}
+        for pairs in (found, held)
+    )
     for name in [*found, *held]:
         if found.get(name) != held.get(name):
             raise ValueError(
                 f"{path}: {name}: checkpoint holds {found.get(name, 'nothing')}, "
-                f"the run holds {held.get(name, 'nothing')}"
+                f"{holder} holds {held.get(name, 'nothing')}"
             )
+
+
+def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
+    """Raise ``ValueError`` (``_compare``'s) unless ``ckpt`` holds the arrays
+    that ``want`` holds, of the same shapes and 0-d values: a missing or extra
+    slot, a slot field's value and a misshapen array are named by their array."""
+    _compare(path, _layout(ckpt), _layout(want), "the run")

@@ -9,7 +9,9 @@
 * ``expected_reward_gradient_oracle``: the exact gradient of a controller's
   expected reward, by enumerating every selection.
 * ``reference_sample``: one controller selection per call, one scalar uniform
-  per decision, with its joint log-probability.
+  per decision and one softmax per decision, with its joint log-probability.
+* ``logit_gradient``: not a reference, but the library's own update gradient
+  (``controller._gradient``) by decision, for the tests that check it.
 * ``ReferenceController`` and ``reference_reinforce_update``: the controller
   update as first written, on separate arrays, one decision at a time: the
   REINFORCE gradient accumulated per decision and sample, the entropy term
@@ -36,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from jointsearch import numerics, supernet, trainstep
+from jointsearch import controller, numerics, supernet, trainstep
 from jointsearch.config import SearchSection
 from jointsearch.controller import ControllerState, probabilities, warmup_steps
 from jointsearch.numerics import RngStream, softmax
@@ -448,13 +450,23 @@ def reference_sample(state: ControllerState, rng) -> tuple[tuple[int, ...], floa
     index whose cumulative probability exceeds it."""
     selection = []
     log_prob = 0.0
-    for probs in probabilities(state):
+    for probs in map(numerics.softmax, state.logits):
         u = rng.uniform()
         cdf = np.cumsum(probs)
         idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
         selection.append(idx)
         log_prob += math.log(probs[idx])
     return tuple(selection), log_prob
+
+
+def logit_gradient(state: ControllerState, samples, baseline: float) -> list[np.ndarray]:
+    """The descent-direction logit gradient ``controller.reinforce_update``
+    steps with (before its entropy term), by decision: ``controller._gradient``
+    of the checked ``samples``."""
+    cells = controller._check_selections(state, samples)
+    table = probabilities(state).table
+    grad = controller._gradient(table, cells, [reward for _, reward in samples], baseline)
+    return [g[: len(z)] for g, z in zip(grad, state.logits)]
 
 
 @dataclass

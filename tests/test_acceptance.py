@@ -19,7 +19,6 @@ from jointsearch.controller import (
     ControllerState,
     init_controller,
     probabilities,
-    reinforce_logit_gradient,
     reinforce_update,
 )
 from jointsearch.data import split, two_moons
@@ -42,6 +41,7 @@ from reference import (
     backward_grads,
     expected_reward_gradient_oracle,
     finite_difference_check,
+    logit_gradient,
     matmul,
     mul,
     pad_cols,
@@ -153,7 +153,7 @@ def enumerated_expectation(state, reward_fn, baseline):
         p_sel = 1.0
         for d, idx in enumerate(selection):
             p_sel *= float(probs[d][idx])
-        grads = reinforce_logit_gradient(
+        grads = logit_gradient(
             state, [(selection, reward_fn(selection))], baseline
         )
         for d in range(len(cards)):

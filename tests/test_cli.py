@@ -341,10 +341,13 @@ def _drop_slot(arrays, section, name):
 # the controller's three decisions have 2, 3 and 2 candidates. After 6 steps,
 # 2 of them warm-up, each controller Adam slot has made 4 updates. Each slot
 # field is an array, an integer field (Adam's step) a 0-d one. The loader
-# refuses a slot named other than family|key and a 0-d field that is not a
-# whole number from 1 to 2^53; it takes the other files, and the resume
-# refuses each, naming the first array in which it differs from the state the
-# run holds.
+# refuses a slot named other than family|key, a 0-d field that is not a whole
+# number from 1 to 2^53, a slot array that is not finite, and controller slots
+# other than one Adam slot per decision, shaped like its logits, at one step
+# (naming the first array in which they differ from that table); it takes the
+# other files, and the resume refuses each, naming the first array in which it
+# differs from the state the run holds.
+TABLE = "the controller table holds"
 ARRAY_DEFECTS = {
     # Slot names and 0-d fields.
     "commit-slot-key": (
@@ -400,11 +403,11 @@ ARRAY_DEFECTS = {
     ),
     "controller-slot-step-missing": (
         lambda h, a: _drop_array(a, "controller/slots/adam|0/step"),
-        "controller/slots/adam|0/step: checkpoint holds nothing, the run holds value 4",
+        f"controller/slots/adam|0/step: checkpoint holds nothing, {TABLE} value 4",
     ),
     "controller-slot-step-shape": (
         lambda h, a: _reshape_array(a, "controller/slots/adam|0/step", lambda s: s.reshape(1)),
-        "controller/slots/adam|0/step: checkpoint holds shape [1], the run holds value 4",
+        f"controller/slots/adam|0/step: checkpoint holds shape [1], {TABLE} value 4",
     ),
     # Arrays and their shapes.
     "store-key-renamed": (
@@ -434,7 +437,7 @@ ARRAY_DEFECTS = {
     ),
     "controller-slot-shape": (
         lambda h, a: _reshape_array(a, "controller/slots/adam|0/v", lambda v: np.append(v, 0.0)),
-        "controller/slots/adam|0/v: checkpoint holds shape [3], the run holds shape [2]",
+        f"controller/slots/adam|0/v: checkpoint holds shape [3], {TABLE} shape [2]",
     ),
     "slot-of-no-tensor": (
         lambda h, a: _rename_commit_slot(a, "adam|0/1/bias", "adam|0/0/bias"),
@@ -445,7 +448,7 @@ ARRAY_DEFECTS = {
     # follows from the step.
     "controller-momentum-slot": (
         lambda h, a: _add_slot(a, "controller/slots", "momentum|0", {"buf": np.zeros(2)}),
-        "controller/slots/momentum|0/buf: checkpoint holds shape [2], the run holds nothing",
+        f"controller/slots/momentum|0/buf: checkpoint holds shape [2], {TABLE} nothing",
     ),
     "commit-rmsprop-slot": (
         lambda h, a: _add_slot(a, "commit_slots", "rmsprop|0/1/bias", {"sq": np.zeros(8)}),
@@ -459,14 +462,29 @@ ARRAY_DEFECTS = {
     **{
         f"controller-adam-step-{step}": (
             lambda h, a, v=step: _set_value(a, "controller/slots/adam|1/step", (), v),
-            f"controller/slots/adam|1/step: checkpoint holds value {step}, "
-            "the run holds value 4",
+            f"controller/slots/adam|1/step: checkpoint holds value {step}, {TABLE} value 4",
         )
         for step in (1, 100)
     },
+    # One Adam slot per decision at one step, but not the run's step.
+    "controller-adam-steps-all-100": (
+        lambda h, a: [
+            _set_value(a, f"controller/slots/adam|{d}/step", (), 100.0) for d in range(3)
+        ],
+        "controller/slots/adam|0/step: checkpoint holds value 100, the run holds value 4",
+    ),
+    # Non-finite moments: a NaN one used to resume, then fail the next save.
+    "controller-slot-m-nan": (
+        lambda h, a: _set_value(a, "controller/slots/adam|0/m", 0, np.nan),
+        "controller/slots/adam|0/m: holds a value that is not a finite number",
+    ),
+    "commit-slot-v-inf": (
+        lambda h, a: _set_value(a, "commit_slots/adam|0/1/bias/v", 3, np.inf),
+        "commit_slots/adam|0/1/bias/v: holds a value that is not a finite number",
+    ),
     "controller-slot-dropped": (
         lambda h, a: _drop_slot(a, "controller/slots", "adam|2"),
-        "controller/slots/adam|2/m: checkpoint holds nothing, the run holds shape [2]",
+        f"controller/slots/adam|2/m: checkpoint holds nothing, {TABLE} shape [2]",
     ),
 }
 
@@ -496,6 +514,19 @@ def _one_logits_row(arrays):
 def _extra_logits_row(arrays):
     arrays.append(["controller/logits/3", np.zeros(2)])
     _reshape_array(arrays, "history/ints", lambda ints: np.hstack([ints, ints[:, 1:2]]))
+
+
+def _with_table_slots(edit):
+    # ``edit``, then the controller's Adam slots remade to fit its logits, at step 4.
+    def edited(header, arrays):
+        edit(arrays)
+        arrays[:] = [entry for entry in arrays if not entry[0].startswith("controller/slots/")]
+        logits = [(n, z) for n, z in arrays if n.startswith("controller/logits/")]
+        for name, z in logits:
+            fields = {"m": np.zeros_like(z), "step": np.array(4.0), "v": np.zeros_like(z)}
+            _add_slot(arrays, "controller/slots", f"adam|{name.rpartition('/')[2]}", fields)
+
+    return edited
 
 
 # Edits of the controller logits and the reward history, which the file keeps
@@ -546,23 +577,38 @@ HISTORY_DEFECTS = {
     # The space has three decisions of 2, 3 and 2 candidates.
     "logits-one-row": (
         lambda h, a: _one_logits_row(a),
+        f"controller/slots/adam|1/m: checkpoint holds shape [3], {TABLE} nothing",
+    ),
+    # Logits that the table holds, slots and all, but the run does not.
+    "logits-and-slots-one-row": (
+        _with_table_slots(_one_logits_row),
         "controller/logits/1: checkpoint holds nothing, the run holds shape [3]",
+    ),
+    "logits-and-slots-row-width": (
+        _with_table_slots(
+            lambda a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0))
+        ),
+        "controller/logits/0: checkpoint holds shape [3], the run holds shape [2]",
+    ),
+    "logits-and-slots-extra-row": (
+        _with_table_slots(_extra_logits_row),
+        "controller/logits/3: checkpoint holds shape [2], the run holds nothing",
     ),
     "logits-row-width": (
         lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0)),
-        "controller/logits/0: checkpoint holds shape [3], the run holds shape [2]",
+        f"controller/slots/adam|0/m: checkpoint holds shape [2], {TABLE} shape [3]",
     ),
     "logits-matrix": (
         lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: z.reshape(1, 2)),
-        "controller/logits/0: checkpoint holds shape [1, 2], the run holds shape [2]",
+        "controller/logits/0: checkpoint holds shape [1, 2], not a vector",
     ),
     "logits-scalar": (
         lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.array(0.5)),
-        "controller/logits/0: checkpoint holds value 0.5, the run holds shape [2]",
+        "controller/logits/0: checkpoint holds shape [], not a vector",
     ),
     "logits-extra-row": (
         lambda h, a: _extra_logits_row(a),
-        "controller/logits/3: checkpoint holds shape [2], the run holds nothing",
+        f"controller/slots/adam|3/m: checkpoint holds nothing, {TABLE} shape [2]",
     ),
     "history-selection": (
         lambda h, a: _set_value(a, "history/ints", (3, slice(1, None)), 9.0),

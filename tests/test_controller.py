@@ -11,20 +11,21 @@ import pytest
 from jointsearch import controller
 from jointsearch.controller import (
     ControllerState,
+    decision_slots,
     init_controller,
     probabilities,
-    reinforce_logit_gradient,
     reinforce_update,
     sample,
 )
 from jointsearch.config import SearchSection
-from jointsearch.numerics import RngStream
+from jointsearch.numerics import RngStream, softmax
 from jointsearch.persist import Checkpoint, load_checkpoint, save_checkpoint, store_digest
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
 from reference import (
     ReferenceController,
     expected_reward_gradient_oracle,
+    logit_gradient,
     reference_reinforce_update,
     reference_sample,
 )
@@ -127,6 +128,12 @@ def test_sample_boundary_draw_stays_in_range():
     assert np.cumsum(probabilities(state)[0])[-1] < 0.9999999999999999
     assert sample(state, _FixedUniform(0.9999999999999999), 2) == [(6, 3)] * 2
     assert reference_sample(state, _FixedUniform(0.9999999999999999))[0] == (6, 3)
+    # Padded to 9 wide, the 7-candidate row's cumulative sums past its last
+    # candidate repeat its total, so such a draw still lands on index 6.
+    state = init_controller(space_with_cards([7, 9]))
+    expected = reference_sample(state, _FixedUniform(0.9999999999999999))[0]
+    assert sample(state, _FixedUniform(0.9999999999999999), 2) == [expected] * 2
+    assert expected[0] == 6
 
 
 def test_sample_returns_tuples_of_python_ints():
@@ -170,17 +177,26 @@ def _random_logits(rng: RngStream, card: int) -> np.ndarray:
     return np.full(card, float(rng.index(3)))  # ties
 
 
-def test_sample_block_draw_matches_per_draw_reference():
-    rng = RngStream(0, "sample-property")
+TABLE_CARDS = (1, 2, 5, 8, 9, 17)
+
+
+@pytest.mark.parametrize("widths", [range(1, 7), TABLE_CARDS], ids=["1-6", "table"])
+def test_sample_block_draw_matches_per_draw_reference(widths):
+    # Mixed widths make padded tables; one softmax per width must give each
+    # row's own bytes, and the table's CDF each row's own picks.
+    rng = RngStream(0, f"sample-property/{len(widths)}")
     for case in range(200):
-        cards = [1 + rng.index(6) for _ in range(1 + rng.index(7))]
+        cards = [widths[rng.index(len(widths))] for _ in range(1 + rng.index(7))]
         state = state_with_logits([_random_logits(rng, c) for c in cards])
+        probs = probabilities(state)
+        assert [p.tobytes() for p in probs] == [softmax(z).tobytes() for z in state.logits]
         k = 1 + rng.index(6)
         start = rng.index(1000)
         fast = RngStream(case, "ctl", start)
         slow = RngStream(case, "ctl", start)
         expected = [reference_sample(state, slow)[0] for _ in range(k)]
-        assert sample(state, fast, k) == expected, (case, cards, k)
+        given = probs if case % 2 else None  # both with and without the phase's probabilities
+        assert sample(state, fast, k, given) == expected, (case, cards, k)
         assert fast.counter == slow.counter == start + k * len(cards)
         assert fast.uniform() == slow.uniform()
 
@@ -203,14 +219,14 @@ def test_logit_gradient_hand_example():
     # gradient is -(onehot - p) = (-0.5, +0.5), which raises logit 0 and
     # lowers logit 1 by the same 0.5 magnitude.
     state = init_controller(space_with_cards([2]))
-    grads = reinforce_logit_gradient(state, [((0,), 1.0)], baseline=0.0)
+    grads = logit_gradient(state, [((0,), 1.0)], baseline=0.0)
     assert np.allclose(grads[0], [-0.5, 0.5], atol=1e-15)
 
 
 def test_logit_gradient_averages_over_samples():
     state = init_controller(space_with_cards([2]))
     samples = [((0,), 1.0), ((1,), 1.0)]
-    grads = reinforce_logit_gradient(state, samples, baseline=0.0)
+    grads = logit_gradient(state, samples, baseline=0.0)
     # the two one-hot terms cancel under a shared advantage
     assert np.allclose(grads[0], [0.0, 0.0], atol=1e-15)
 
@@ -218,7 +234,7 @@ def test_logit_gradient_averages_over_samples():
 def test_logit_gradient_rejects_non_finite_reward():
     state = init_controller(space_with_cards([2]))
     with pytest.raises(ValueError):
-        reinforce_logit_gradient(state, [((0,), float("nan"))], baseline=0.0)
+        logit_gradient(state, [((0,), float("nan"))], baseline=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +344,7 @@ def test_update_refuses_an_index_outside_the_cardinality(selection, decision, in
     state.baseline = 0.5
     message = f"picks {index} for decision {decision}, not an index in \\[0, {[2, 3][decision]}\\)"
     with pytest.raises(ValueError, match=message):
-        reinforce_logit_gradient(state, [((0, 0), 1.0), (selection, 1.0)], 0.0)
+        logit_gradient(state, [((0, 0), 1.0), (selection, 1.0)], 0.0)
     for step in (0, 1):  # in warm-up and past it
         meta = SearchSection(total_meta_steps=2, warmup_fraction=0.5)
         with pytest.raises(ValueError, match=message):
@@ -337,25 +353,28 @@ def test_update_refuses_an_index_outside_the_cardinality(selection, decision, in
     assert state.baseline == 0.5 and state.slots == {}
 
 
-def test_update_refuses_slots_that_do_not_fit_the_table():
-    # One Adam slot for two decisions, as a checkpoint the resume check refuses
-    # may hold: the state keeps it as given, and only warm-up leaves it be.
-    slot = {"step": 5, "m": np.zeros(2), "v": np.zeros(2)}
-    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, {("adam", 0): slot})
-    assert state.slots == {("adam", 0): slot}
-    meta = SearchSection(total_meta_steps=4, warmup_fraction=0.5)
-    reinforce_update(state, [((0, 0), 1.0)], meta, 1)
-    with pytest.raises(ValueError, match="not one Adam slot per decision at one step"):
-        reinforce_update(state, [((0, 0), 1.0)], meta, 2)
-    assert [z.tolist() for z in state.logits] == [[0.0, 0.0], [0.0, 0.0, 0.0]]
-    # Logits that are not one vector per decision are kept as given, and refused.
-    state = ControllerState([np.zeros((1, 2)), np.zeros(3)])
-    assert state.logits[0].shape == (1, 2)
-    with pytest.raises(ValueError, match="not one vector per decision"):
-        reinforce_update(state, [((0, 0), 1.0)], meta, 0)
-
-
-TABLE_CARDS = (1, 2, 5, 8, 9, 17)
+def test_state_keeps_one_adam_slot_per_decision_as_one_table_slot():
+    # The slots a checkpoint holds, one per decision at one step, become one
+    # slot of the padded table; ``decision_slots`` reads them back as views.
+    given = {
+        ("adam", d): {"step": 5, "m": np.full(c, 0.25 + d), "v": np.full(c, 0.5 + d)}
+        for d, c in enumerate((2, 3))
+    }
+    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, given)
+    [(key, table)] = state.slots.items()
+    assert key == ("adam", "logits") and table["step"] == 5
+    assert table["m"].tolist() == [[0.25, 0.25, 0.0], [1.25, 1.25, 1.25]]
+    assert table["v"].tolist() == [[0.5, 0.5, 0.0], [1.5, 1.5, 1.5]]
+    rows = decision_slots(state)
+    assert sorted(rows) == sorted(given)
+    for key, slot in given.items():
+        assert rows[key]["step"] == 5 and rows[key]["m"].base is table["m"]
+        assert rows[key]["m"].tolist() == slot["m"].tolist()
+        assert rows[key]["v"].tolist() == slot["v"].tolist()
+    reinforce_update(state, [((0, 0), 1.0)], no_warmup_meta(), 1)
+    assert [slot["step"] for slot in decision_slots(state).values()] == [6, 6]
+    assert table["m"][0, 2] == table["v"][0, 2] == 0.0  # padding stays zero
+    assert decision_slots(init_controller(space_with_cards([2, 3]))) == {}
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
@@ -392,11 +411,12 @@ def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight
             assert state.baseline == ref.baseline
             where = (case, cards, step)
             assert [z.tobytes() for z in state.logits] == [z.tobytes() for z in ref.logits], where
-            assert sorted(state.slots) == sorted(ref.slots), where
+            slots = decision_slots(state)
+            assert sorted(slots) == sorted(ref.slots), where
             for key, slot in ref.slots.items():
-                assert state.slots[key]["step"] == slot["step"], where
+                assert slots[key]["step"] == slot["step"], where
                 for name in ("m", "v"):
-                    assert state.slots[key][name].tobytes() == slot[name].tobytes(), where
+                    assert slots[key][name].tobytes() == slot[name].tobytes(), where
         assert ref.slots and all(slot["step"] == 24 for slot in ref.slots.values())
 
 
@@ -522,7 +542,7 @@ def enumerate_reinforce_expectation(state, reward_fn, baseline):
         p_sel = 1.0
         for d, idx in enumerate(selection):
             p_sel *= float(probs[d][idx])
-        grads = reinforce_logit_gradient(state, [(selection, reward_fn(selection))], baseline)
+        grads = logit_gradient(state, [(selection, reward_fn(selection))], baseline)
         for d in range(len(cards)):
             expectation[d] -= p_sel * grads[d]  # negate: descent -> ascent
     return expectation

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jointsearch import persist, supernet
+from jointsearch import controller, persist, supernet
+from jointsearch.controller import decision_slots
 from jointsearch.config import ConfigError, RewardSection, config_to_dict, parse_config
 from jointsearch.data import concat, split, two_moons
 from jointsearch.engine import (
@@ -24,7 +25,7 @@ from jointsearch.engine import (
     search,
     start_run,
 )
-from jointsearch.numerics import RngStream
+from jointsearch.numerics import RngStream, softmax
 from jointsearch.persist import read_events, store_digest
 from jointsearch.space import (
     OPTIMIZERS,
@@ -629,6 +630,30 @@ def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
         return saved + [fh.read()]
 
 
+def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, monkeypatch):
+    # Once as the run starts and once after each update; the commit phase,
+    # the event record, the next scoring phase and the result read those.
+    real, calls = controller.probabilities, []
+    monkeypatch.setattr(controller, "probabilities", lambda state: calls.append(1) or real(state))
+    log = str(tmp_path / "t.jsonl")
+    doc = {**tabular_doc([3, 2, 4], total=10, k=3), "output": {"log_path": log}}
+    search(parse_config(doc), evaluate_override=lambda s: (0.2 + 0.1 * s[0], 1.0))
+    assert len(calls) == 1 + 10
+    # Each record of a network search logs the logits its step left, as one
+    # softmax per decision of the checkpoint that step saved, bit for bit.
+    path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "n.jsonl")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": log}
+    every = _checkpoint_of_every_step(parse_config(moons_doc(total=4, output=output)))
+    _, records = read_events(log)
+    assert len(records) == len(every) == 4
+    for record, data in zip(records, every):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        state = persist.load_checkpoint(path).controller
+        assert record.probabilities == [softmax(z).tolist() for z in state.logits]
+        assert record.baseline == state.baseline
+
+
 def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     # Warm-up ends at step ceil(0.3 * 8) = 3, and the commits use every
     # optimizer family, so each resume is compared with controller slots both
@@ -648,7 +673,8 @@ def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     for done, data in enumerate(every, start=1):
         with open(path, "wb") as fh:
             fh.write(data)
-        assert len(persist.load_checkpoint(path).controller.slots) == (3 if done > 3 else 0)
+        slots = decision_slots(persist.load_checkpoint(path).controller)
+        assert len(slots) == (3 if done > 3 else 0)
         search(config, resume_from=path)
         with open(path, "rb") as fh:
             assert fh.read() == every[-1], done
@@ -667,7 +693,7 @@ def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
             fh.write(every[done - 1])
         resumed = persist.load_checkpoint(path)
         assert resumed.meta_step == done
-        assert [slot["step"] for _, slot in resumed.controller.slots.items()] == [3] * slots
+        assert [slot["step"] for slot in decision_slots(resumed.controller).values()] == [3] * slots
         search(config, evaluate_override=table, resume_from=path)
         with open(path, "rb") as fh:
             assert fh.read() == every[-1], done

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jointsearch.controller import ControllerState
+from jointsearch.controller import ControllerState, decision_slots
 from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
@@ -402,7 +402,9 @@ def sample_checkpoint():
     slot["step"] = 3
     slot["m"][:] = 0.25
     slots = {("adam", key): slot}
-    ctrl_slots = {("adam", 0): {**fresh_slot("adam", np.zeros(2)), "step": 5}}
+    ctrl_slots = {
+        ("adam", d): {**fresh_slot("adam", np.zeros(c)), "step": 5} for d, c in enumerate((2, 3))
+    }
     return Checkpoint(
         config_echo={"search": {"total_meta_steps": 7}},
         meta_step=4,
@@ -432,6 +434,9 @@ SAMPLE_ARRAYS = [
     "controller/slots/adam|0/m",
     "controller/slots/adam|0/step",
     "controller/slots/adam|0/v",
+    "controller/slots/adam|1/m",
+    "controller/slots/adam|1/step",
+    "controller/slots/adam|1/v",
     "commit_slots/adam|0/1/weight/m",
     "commit_slots/adam|0/1/weight/step",
     "commit_slots/adam|0/1/weight/v",
@@ -550,8 +555,10 @@ def test_checkpoint_restores_every_field(tmp_path):
     slot = loaded.commit_slots["adam", key]
     assert slot["step"] == 3
     assert np.array_equal(slot["m"], np.full((2, 3), 0.25))
-    ctrl_slot = loaded.controller.slots["adam", 0]
-    assert ctrl_slot["step"] == 5
+    for d, card in enumerate((2, 3)):
+        ctrl_slot = decision_slots(loaded.controller)["adam", d]
+        assert ctrl_slot["step"] == 5
+        assert ctrl_slot["m"].shape == ctrl_slot["v"].shape == (card,)
 
 
 def test_checkpoint_round_trips_adversarial_floats(tmp_path):
@@ -603,10 +610,10 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
     loaded = load_checkpoint(str(path))
     arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
     arrays += loaded.controller.logits
-    for slots in (loaded.commit_slots, loaded.controller.slots):
+    for slots in (loaded.commit_slots, decision_slots(loaded.controller)):
         for _, slot in slots.items():
             arrays += [v for v in slot.values() if not isinstance(v, int)]
-    assert len(arrays) == 3 + 2 + 2 + 4  # store, head, logits, m and v of two slots
+    assert len(arrays) == 3 + 2 + 2 + 6  # store, head, logits, m and v of three slots
     for arr in arrays:
         assert arr.dtype == np.float64 and arr.dtype.isnative
         assert arr.flags.writeable and arr.flags.c_contiguous
@@ -837,10 +844,11 @@ def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
     assert str(err.value) == f"{path}: {renamed}: array belongs to no known section"
 
 
-@pytest.mark.parametrize("renamed", ["controller/slots/adam|9/m", "commit_slots/adam|0/1/bias/m"])
+@pytest.mark.parametrize("renamed", ["commit_slots/adam|0/1/bias/m"])
 def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, renamed):
-    # Which slots a file may hold depends on the run, so the loader takes the
-    # slot as written and ``check_layout`` names it against the run's state.
+    # Which commit slots a file may hold depends on the run, so the loader
+    # takes the slot as written and ``check_layout`` names it against the
+    # run's state. (A controller slot of no decision the loader refuses.)
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
@@ -926,11 +934,20 @@ def _without(arrays, *names):
 
 NOT_AN_INTEGER = "holds a value that is not a non-negative integer"
 NOT_FINITE = "holds a value that is not a finite number"
+TABLE = "the controller table holds"
+
+
+def _renamed(arrays, old, new):
+    return {new if name == old else name: arr for name, arr in arrays.items()}
 
 
 # Edits of ``sample_checkpoint``'s arrays, re-sealed, with the array each
-# names and the error. Its two decisions have 2 and 3 candidates, and its one
-# history record is step 3, selection (1, 0).
+# names and the error. Its two decisions have 2 and 3 candidates, each with
+# an Adam slot at step 5, and its one history record is step 3, selection
+# (1, 0). Besides these arrays' own checks, the loader refuses what the
+# controller's padded tables cannot hold: logits that are not a vector, and
+# slots other than one Adam slot per decision, shaped like its logits, at one
+# step.
 @pytest.mark.parametrize(
     "edit, name, message",
     [
@@ -1025,6 +1042,72 @@ NOT_FINITE = "holds a value that is not a finite number"
             "controller/logits/1",
             "array belongs to no known section",
             id="logits-out-of-order",
+        ),
+        pytest.param(
+            lambda a: _with(a, "controller/slots/adam|0/m", 1, np.nan),
+            "controller/slots/adam|0/m",
+            NOT_FINITE,
+            id="controller-slot-nan",
+        ),
+        pytest.param(
+            lambda a: _with(a, "commit_slots/adam|0/1/weight/v", (1, 2), np.inf),
+            "commit_slots/adam|0/1/weight/v",
+            NOT_FINITE,
+            id="commit-slot-inf",
+        ),
+        pytest.param(
+            lambda a: {**a, "controller/logits/0": a["controller/logits/0"].reshape(1, 2)},
+            "controller/logits/0",
+            "checkpoint holds shape [1, 2], not a vector",
+            id="logits-matrix",
+        ),
+        pytest.param(
+            lambda a: {**a, "controller/logits/1": np.array(0.5)},
+            "controller/logits/1",
+            "checkpoint holds shape [], not a vector",
+            id="logits-scalar",
+        ),
+        pytest.param(
+            lambda a: _without(a, *(f"controller/slots/adam|1/{n}" for n in ("m", "step", "v"))),
+            "controller/slots/adam|1/m",
+            f"checkpoint holds nothing, {TABLE} shape [3]",
+            id="controller-slot-missing",
+        ),
+        pytest.param(
+            lambda a: _renamed(a, "head/weight", "controller/slots/adam|9/m"),
+            "controller/slots/adam|9/m",
+            f"checkpoint holds shape [2, 2], {TABLE} nothing",
+            id="controller-slot-of-no-decision",
+        ),
+        pytest.param(
+            lambda a: _renamed(a, "controller/slots/adam|0/v", "controller/slots/adam|0/w"),
+            "controller/slots/adam|0/w",
+            f"checkpoint holds shape [2], {TABLE} nothing",
+            id="controller-slot-field",
+        ),
+        pytest.param(
+            lambda a: {n.replace("adam|1/", "momentum|1/"): arr for n, arr in a.items()},
+            "controller/slots/momentum|1/m",
+            f"checkpoint holds shape [3], {TABLE} nothing",
+            id="controller-momentum-slot",
+        ),
+        pytest.param(
+            lambda a: {**a, "controller/slots/adam|1/v": np.zeros(2)},
+            "controller/slots/adam|1/v",
+            f"checkpoint holds shape [2], {TABLE} shape [3]",
+            id="controller-slot-shape",
+        ),
+        pytest.param(
+            lambda a: _with(a, "controller/slots/adam|1/step", (), 6.0),
+            "controller/slots/adam|1/step",
+            f"checkpoint holds value 6, {TABLE} value 5",
+            id="controller-slot-steps-differ",
+        ),
+        pytest.param(
+            lambda a: _without(a, "controller/slots/adam|0/step"),
+            "controller/slots/adam|0/step",
+            f"checkpoint holds nothing, {TABLE} value 5",
+            id="controller-slot-step-missing",
         ),
     ],
 )
