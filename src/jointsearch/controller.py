@@ -10,7 +10,8 @@ first reward of meta-step 0. During a warm-up window at the start of a run
 the logits are left untouched (so sampling stays at its uniform
 initialization) while the baseline keeps tracking rewards. The state holds
 only what the controller has learned; the meta-step, which says whether
-warm-up is over and whether a baseline exists, is passed to each update.
+warm-up is over, whether a baseline exists and how many Adam steps the
+logits have taken, is passed to each update.
 
 The logits and their Adam moments are zero-padded tables, one row per
 decision, as wide as the largest cardinality. Each phase runs on them: one
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from .config import SearchSection
 from .numerics import RngStream, softmax
 from .space import SearchSpace
-from .trainstep import TrainerSpec, fresh_slot, optimizer_step
+from .trainstep import TrainerSpec, optimizer_step
 
 _TABLE = "logits"  # the one key of the table update's ``optimizer_step``
 
@@ -41,43 +42,36 @@ _TABLE = "logits"  # the one key of the table update's ``optimizer_step``
 @dataclass
 class ControllerState:
     """What the controller has learned: ``logits`` by decision, the
-    ``baseline`` and the Adam ``slots``. Building one packs the logits into a
-    padded table, each then a view of its row (write them in place), and
-    ``slots``, none or one Adam slot per decision at one ``step`` by ``("adam",
-    decision)`` (``load_checkpoint`` refuses any other), into the table's one
-    slot, by ``("adam", "logits")``; ``decision_slots`` reads it by decision."""
+    ``baseline`` and the Adam moments ``m`` and ``v`` by decision (zero when
+    not given). Building one packs each into a padded table, each row then a
+    view of its table (write them in place); ``ValueError`` names the field
+    unless the logits are vectors and ``m`` and ``v`` one row per decision of
+    the logits' lengths. Adam's step count is not state: each update sets it
+    from the meta-step."""
 
     logits: list[np.ndarray]
     baseline: float = 0.0
-    slots: dict = field(default_factory=dict)
+    m: list[np.ndarray] | None = None
+    v: list[np.ndarray] | None = None
 
     def __post_init__(self):
+        if any(np.ndim(z) != 1 for z in self.logits):
+            raise ValueError("ControllerState logits are not one vector per decision")
         cards = self._cards = tuple(len(z) for z in self.logits)
-        width = max(cards, default=0)
-        self._table = np.zeros((len(cards), width))
-        for row, z in zip(self._table, self.logits):
-            row[: len(z)] = z
-        self.logits = [row[:c] for row, c in zip(self._table, cards)]
-        self._offsets = width * np.arange(len(cards))  # each row's first flat cell
+        self._table, m, v = tables = np.zeros((3, len(cards), max(cards, default=0)))
+        for name, table in zip(("logits", "m", "v"), tables):
+            rows = getattr(self, name)
+            if rows is not None:
+                if len(rows) != len(cards) or any(np.shape(r) != (c,) for r, c in zip(rows, cards)):
+                    what = f"not one row per decision of lengths {list(cards)}"
+                    raise ValueError(f"ControllerState {name} is {what}")
+                for row, r, c in zip(table, rows, cards):
+                    row[:c] = r
+            setattr(self, name, [row[:c] for row, c in zip(table, cards)])
+        self._slots = {("adam", _TABLE): {"step": 0, "m": m, "v": v}}  # ``optimizer_step``'s
+        self._offsets = m.shape[1] * np.arange(len(cards))  # each row's first flat cell
         self._last = np.array(cards, dtype=np.int64) - 1
         self._groups = [(c, np.flatnonzero(self._last == c - 1)) for c in sorted(set(cards))]
-        given, self.slots = self.slots, {}
-        if given:
-            table = self.slots["adam", _TABLE] = fresh_slot("adam", self._table)
-            table["step"] = given["adam", 0]["step"]
-            for d, c in enumerate(cards):
-                for name in ("m", "v"):
-                    table[name][d, :c] = given["adam", d][name]
-
-
-def decision_slots(state: ControllerState) -> dict:
-    """Each decision's Adam slot by ``("adam", decision)``, as a checkpoint
-    holds it: views of the table slot's rows, with its ``step``."""
-    table = state.slots.get(("adam", _TABLE))
-    return {
-        ("adam", d): {"m": table["m"][d, :c], "step": table["step"], "v": table["v"][d, :c]}
-        for d, c in enumerate(state._cards if table else ())
-    }
 
 
 def init_controller(space: SearchSpace) -> ControllerState:
@@ -179,11 +173,11 @@ def _adam(learning_rate: float) -> TrainerSpec:
     return TrainerSpec(optimizer="adam", learning_rate=learning_rate)
 
 
-def _adam_step(state: ControllerState, grad: np.ndarray, learning_rate: float) -> None:
-    """One Adam step of the logit table, which adds the table slot to
-    ``state.slots`` on the first."""
+def _adam_step(state: ControllerState, grad: np.ndarray, learning_rate: float, done: int) -> None:
+    """Adam step ``done + 1`` of the logit table, after ``done`` updates."""
+    state._slots["adam", _TABLE]["step"] = done
     try:
-        optimizer_step({_TABLE: state._table}, {_TABLE: grad}, state.slots, _adam(learning_rate))
+        optimizer_step({_TABLE: state._table}, {_TABLE: grad}, state._slots, _adam(learning_rate))
     except ValueError:  # a non-finite gradient, which the step refuses before any write
         bad = next(d for d, g in enumerate(grad) if not np.isfinite(g).all())
         raise ValueError(f"non-finite gradient for {bad}") from None
@@ -202,7 +196,7 @@ def reinforce_update(
     returned; at step 0 no reward has been observed yet, so the first
     sample's reward stands in, which keeps the first update free of a
     start-up advantage spike. Inside the warm-up window (steps below
-    ``warmup_steps(search)``) the logits and their Adam slots
+    ``warmup_steps(search)``) the logits and their Adam moments
     are left bitwise unchanged while the baseline still tracks every reward.
     ``probs``, when given, must be ``probabilities(state)`` as the logits
     stand; it saves computing them again.
@@ -213,12 +207,13 @@ def reinforce_update(
     rewards = [reward for _, reward in samples]
     pre_baseline = state.baseline if step > 0 else float(rewards[0])
 
-    if step >= warmup_steps(search):
+    warmup = warmup_steps(search)
+    if step >= warmup:
         table = (probabilities(state) if probs is None else probs).table
         grad = _gradient(table, cells, rewards, pre_baseline)
         if search.entropy_weight != 0.0:
             grad += _entropy_gradient(table, state._cards, search.entropy_weight)
-        _adam_step(state, grad, search.meta_lr)
+        _adam_step(state, grad, search.meta_lr, step - warmup)
 
     m = search.baseline_momentum
     for i, reward in enumerate(rewards):

@@ -177,15 +177,16 @@ def _resumable(
     written it: its config echo must equal ``config_to_dict(config)`` but for
     the output paths, and its step must fit the run. Then
     ``persist.check_layout`` compares its arrays with those the run holds
-    after that many ``meta_step`` calls: ``_fresh``'s controller logits, store
-    and head (none in a table-driven run), one controller Adam slot per
-    decision past warm-up, each commit slot of the file that the space could
-    make (a family in ``trainstep.SLOT_FIELDS`` that the space offers, on a
-    store tensor), and the file's own reward history. A commit slot's Adam
-    ``step`` is taken as written if it is at most K per step done, as a key
-    gets at most one update per commit; only a replay could check it exactly.
-    The history must hold K records per step before the file's, in step
-    order, each selecting within the space."""
+    after that many ``meta_step`` calls: ``_fresh``'s controller, store and
+    head (none in a table-driven run), each commit slot of the file that the
+    space could make (a family in ``trainstep.SLOT_FIELDS`` that the space
+    offers, on a store tensor), and the file's own reward history. A commit
+    slot's Adam ``step`` is taken as written if it is at most K per step done,
+    as a key gets at most one update per commit; only a replay could check it
+    exactly. Until the first update, past warm-up, the controller must be
+    ``_fresh``'s bit for bit: every logit and moment ``+0.0``. The history
+    must hold K records per step before the file's, in step order, each
+    selecting within the space."""
     ckpt = persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
@@ -197,12 +198,6 @@ def _resumable(
     persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
     held = _fresh(space, config.data.seed, uses_network)
     held.reward_history = ckpt.reward_history
-    updates = done - ctrl.warmup_steps(config.search)
-    if updates > 0:  # each step past warm-up made one Adam update of every row
-        logits = held.controller.logits
-        made = [{**trainstep.fresh_slot("adam", z), "step": updates} for z in logits]
-        slots = {("adam", d): slot for d, slot in enumerate(made)}
-        held.controller = ctrl.ControllerState(logits, 0.0, slots)
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     k, cards = config.search.pairs_per_step, space.cardinalities()
@@ -216,7 +211,13 @@ def _resumable(
                     persist.check_array(path, value <= k * done, where, what)
                     made[name] = value
     persist.check_layout(path, held, ckpt)
-    # The layout fixed one logits array, so one selection column, per decision.
+    warmup, state = ctrl.warmup_steps(config.search), ckpt.controller
+    if done <= warmup:  # no update made yet: the controller is ``_fresh``'s, bit for bit
+        for d, rows in enumerate(zip(state.logits, state.m, state.v)):
+            zero = not any(row.any() or np.signbit(row).any() for row in rows)  # signbit: -0.0
+            what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
+            persist.check_array(path, zero, f"controller/{d}", what)
+    # The layout fixed one controller array, so one selection column, per decision.
     steps = [r.meta_step for r in ckpt.reward_history]
     expected = [step for step in range(done) for _ in range(k)]
     what = f"meta-steps are not {k} records per step before {done}"
@@ -287,7 +288,8 @@ def meta_step(
     # controller: one REINFORCE update from the K rewards
     samples = [(s, r) for s, _, _, r in scored]
     baseline = ctrl.reinforce_update(state, samples, settings, step, run.probs)
-    run.probs = ctrl.probabilities(state)
+    if step >= ctrl.warmup_steps(settings):  # inside warm-up the logits stand still
+        run.probs = ctrl.probabilities(state)
     if audit is not None:
         audit("controller", step, weights)
     if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K

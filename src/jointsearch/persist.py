@@ -3,7 +3,7 @@
 Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
 bytes: the header on line 1, then one record per line. No event record,
-checkpoint header, controller logit or reward history number may be
+checkpoint header, controller or reward history number may be
 non-finite: writing one raises ``ValueError``.
 
 A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
@@ -14,16 +14,17 @@ parts:
    version, config echo, meta-step, controller baseline, ``store_digest``, and
    the name and shape of every array in file order. A newline ends the line.
    The meta-step is the file's one step counter: the controller's warm-up,
-   whether its baseline exists and the position of the controller's RNG
-   stream all follow from it.
+   its Adam step count, whether its baseline exists and the position of the
+   controller's RNG stream all follow from it.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
    straight from the arrays (see ``_layout``): the store, the head, one
-   ``controller/logits/<d>`` per decision, the optimizer slots (an array per
-   field, an integer field such as Adam's ``step`` a 0-d one), and the reward
-   history, one row per record in ``history/ints`` (meta-step, then the
-   selection, as whole numbers) and ``history/reals`` (accuracy, cost, reward,
-   baseline). They restore bit for bit (``-0.0``, subnormals and all); a
-   restored record's step and selection, and a slot's integer field, are ints.
+   ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``), the
+   commit optimizer slots (an array per field, an integer field such as
+   Adam's ``step`` a 0-d one), and the reward history, one row per record in
+   ``history/ints`` (meta-step, then the selection, as whole numbers) and
+   ``history/reals`` (accuracy, cost, reward, baseline). They restore bit
+   for bit (``-0.0``, subnormals and all); a restored record's step and
+   selection, and a slot's integer field, are ints.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
 
@@ -37,15 +38,14 @@ known section or whose slot is not named ``family|key`` as it writes it. A
 re-sealed file (its SHA-256 recomputed after an edit) is refused, naming the
 field, if its meta-step is not a non-negative integer or its baseline not a
 finite number, and naming the array if a 0-d slot field is not a whole number
-from 1 to 2^53, its logits, history reals or slot arrays are not finite, its
-history integers are not whole and non-negative, its history rows and columns
-disagree with each other or with the number of logits arrays, or the
-controller's padded tables cannot hold it: logits that are not a vector, or
-slots other than one Adam slot per decision, shaped like its logits, at one
-step. These checks need nothing of the run. Which commit slots, slot fields
-and arrays a file may hold depends on the run, so the loader takes them as
-written; on resume ``engine`` builds the state the run itself holds at that
-step, and ``check_layout`` compares the two. Saving and loading again gives
+from 1 to 2^53, its controller, history reals or slot arrays are not finite,
+its history integers are not whole and non-negative, its history rows and
+columns disagree with each other or with the number of controller arrays, or
+a controller array is not 3 rows. These checks need nothing of the run.
+Which commit slots, slot fields and arrays a file may hold depends on the
+run, so the loader takes them as written; on resume ``engine`` builds the
+state the run itself holds at that step, and ``check_layout`` compares the
+two. Saving and loading again gives
 identical bytes. Files are written to a temp path and renamed into place.
 
 ``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
@@ -55,7 +55,7 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 8 and event logs format version 2. Versions
+Checkpoints are format version 9 and event logs format version 2. Versions
 1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
 text, version 2 lacked the reward history, versions 1-3 stored arrays as
 decimal lists and version 4 as base64. Version 5 had version 6's layout but
@@ -64,6 +64,8 @@ counter, and each hyperparameter's ``default_index`` in the config echo.
 Version 6 held the controller logits and the reward history in the header,
 as JSON lists and record objects, so each save re-encoded the whole history.
 Version 7 held the slots' integer fields (Adam's ``step``) in the header.
+Version 8 held the controller's logits and Adam slots apart, each slot with
+its own ``step``, one per decision, all equal to the meta-step's count.
 A checkpoint or event log of any other version is rejected with a "format
 version" error; there is no migration.
 """
@@ -81,11 +83,11 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .controller import ControllerState, decision_slots
+from .controller import ControllerState
 from .space import SearchSpace
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 8
+CHECKPOINT_FORMAT_VERSION = 9
 EVENT_LOG_FORMAT_VERSION = 2
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
@@ -327,27 +329,19 @@ def _param_key_parse(text: str) -> ParamKey:
     return ParamKey(int(layer), int(op), name)
 
 
-# Each slot section by its arrays' name prefix, with how a key is written and read.
-_SLOT_SECTIONS = {
-    "controller/slots/": (str, int), "commit_slots/": (ParamKey.text, _param_key_parse)
-}
-
-
 def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     """Every array with its name, in file order: store sorted by key, head,
-    controller logits, controller slots, commit slots, reward history. A slot
-    field's name is its section, ``family|key`` and field name, its slots
-    sorted by ``family|key`` and its fields by name; an integer field (Adam's
-    ``step``) is a 0-d array of its value."""
+    one ``controller/<d>`` per decision (its logits, ``m`` and ``v`` rows),
+    commit slots (``_slot_arrays``), reward history."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
     arrays += [(name, arr) for name, arr in head if arr is not None]
-    logits = ckpt.controller.logits
-    arrays += [(f"controller/logits/{d}", z) for d, z in enumerate(logits)]
-    for section, slots in zip(_SLOT_SECTIONS, (decision_slots(ckpt.controller), ckpt.commit_slots)):
-        arrays += _slot_arrays(section, slots)
+    state = ckpt.controller
+    rows = zip(state.logits, state.m, state.v)
+    arrays += [(f"controller/{d}", np.stack(three)) for d, three in enumerate(rows)]
+    arrays += _slot_arrays(ckpt.commit_slots)
     history = ckpt.reward_history
-    width = 1 + len(history[0].selection if history else logits)
+    width = 1 + len(history[0].selection if history else state.logits)
     ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
     reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
     arrays.append(("history/ints", ints.reshape(len(history), width)))
@@ -355,13 +349,14 @@ def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     return arrays
 
 
-def _slot_arrays(section: str, slots: dict) -> list[tuple[str, np.ndarray]]:
-    """Each field of ``slots`` (by ``(family, key)``) as an array with its
-    name in ``section``, its slots sorted by ``family|key`` and its fields by
-    name; an integer field (Adam's ``step``) is a 0-d array of its value."""
-    named = {f"{f}|{_SLOT_SECTIONS[section][0](key)}": slot for (f, key), slot in slots.items()}
+def _slot_arrays(slots: dict) -> list[tuple[str, np.ndarray]]:
+    """Each field of the commit ``slots`` (by ``(family, key)``) as an array
+    named ``commit_slots/family|key/field``, its slots sorted by
+    ``family|key`` and its fields by name; an integer field (Adam's ``step``)
+    is a 0-d array of its value."""
+    named = {f"{f}|{key.text()}": slot for (f, key), slot in slots.items()}
     return [
-        (f"{section}{c}/{n}", np.array(float(v)) if isinstance(v, int) else v)
+        (f"commit_slots/{c}/{n}", np.array(float(v)) if isinstance(v, int) else v)
         for c in sorted(named)
         for n, v in sorted(named[c].items())
     ]
@@ -370,7 +365,7 @@ def _slot_arrays(section: str, slots: dict) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
     atomically replace ``path`` with it. ``ValueError`` names the array, and
-    nothing is written, if the logits or the history hold a non-finite number."""
+    nothing is written, if the controller or the history holds a non-finite number."""
     arrays = _layout(ckpt)
     for name, arr in arrays:
         _check_finite(path, name, arr)
@@ -458,8 +453,8 @@ def check_array(path: str, ok: bool, name: str, what: str) -> None:
 
 
 def _check_finite(path: str, name: str, arr: np.ndarray) -> None:
-    # The logits and the history reals may hold only finite numbers.
-    ok = not name.startswith(("controller/logits/", "history/reals")) or np.isfinite(arr).all()
+    # The controller and the history reals may hold only finite numbers.
+    ok = not name.startswith(("controller/", "history/reals")) or np.isfinite(arr).all()
     check_array(path, ok, name, "holds a value that is not a finite number")
 
 
@@ -495,17 +490,16 @@ def _records(path: str, named: dict[str, np.ndarray], decisions: int) -> list[Re
     ]
 
 
-def _slot_field(path: str, name: str, section: str, arr: np.ndarray):
-    """The slot key, field name and value that the array ``name`` of slot
-    ``section`` holds, a 0-d array read as an int. ``ValueError`` names the
-    array unless the slot is named ``family|key`` as ``save_checkpoint``
-    writes it, a 0-d value is a whole number from 1 to 2^53 and an array finite."""
-    key_text, key_parse = _SLOT_SECTIONS[section]
-    combined, _, field_name = name[len(section) :].rpartition("/")  # a commit key holds "/"
+def _slot_field(path: str, name: str, arr: np.ndarray):
+    """The slot key, field name and value that the commit slot array ``name``
+    holds, a 0-d array read as an int. ``ValueError`` names the array unless
+    the slot is named ``family|key`` as ``save_checkpoint`` writes it, a 0-d
+    value is a whole number from 1 to 2^53 and an array finite."""
+    combined, _, field_name = name[len("commit_slots/") :].rpartition("/")  # a key holds "/"
     family, _, text = combined.partition("|")
     try:
-        key = key_parse(text)
-        if key_text(key) != text:  # a slot is saved under its canonical name
+        key = _param_key_parse(text)
+        if key.text() != text:  # a slot is saved under its canonical name
             raise ValueError(text)
     except ValueError:
         raise ValueError(f"{path}: {name}: slot name {combined!r} is not family|key") from None
@@ -545,20 +539,18 @@ def load_checkpoint(path: str) -> Checkpoint:
     baseline = controller["baseline"]
     check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
-    slots = {section: {} for section in _SLOT_SECTIONS}
-    store = {}
+    slots, store = {}, {}
     named: dict[str, np.ndarray] = {}  # the head's and the history's arrays
-    logits: list[np.ndarray] = []
+    controller: list[np.ndarray] = []
     for name, arr in arrays.items():
         _check_finite(path, name, arr)
-        section = next((s for s in _SLOT_SECTIONS if name.startswith(s)), None)
-        if section is not None:
-            key, field_name, value = _slot_field(path, name, section, arr)
-            slots[section].setdefault(key, {})[field_name] = value
+        if name.startswith("commit_slots/"):
+            key, field_name, value = _slot_field(path, name, arr)
+            slots.setdefault(key, {})[field_name] = value
         elif name in ("head/weight", "head/bias", "history/ints", "history/reals"):
             named[name] = arr
-        elif name == f"controller/logits/{len(logits)}":
-            logits.append(arr)  # one per decision, in order
+        elif name == f"controller/{len(controller)}":
+            controller.append(arr)  # one per decision, in order
         else:
             try:
                 if not name.startswith("store/"):
@@ -566,56 +558,45 @@ def load_checkpoint(path: str) -> Checkpoint:
                 store[_param_key_parse(name[len("store/") :])] = arr
             except ValueError:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
-    reward_history = _records(path, named, len(logits))
+    reward_history = _records(path, named, len(controller))
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(
         config_echo=header["config"],
         meta_step=header["meta_step"],
-        controller=_controller(path, logits, baseline, slots["controller/slots/"]),
+        controller=_controller(path, controller, baseline),
         store=store,
         head_weight=named.get("head/weight"),
         head_bias=named.get("head/bias"),
-        commit_slots=slots["commit_slots/"],
+        commit_slots=slots,
         reward_history=reward_history,
         store_digest=header["store_digest"],
     )
 
 
-def _controller(path: str, logits, baseline: float, slots: dict) -> ControllerState:
-    """The controller state of the loaded ``logits`` and ``slots``. ``ValueError``
-    names the file and the first array that its padded tables cannot hold:
-    logits that are not a vector, then, as ``_compare`` names them, slots other
-    than one Adam slot per decision shaped like its logits, at one ``step``."""
-    for d, z in enumerate(logits):
-        what = f"checkpoint holds shape {list(z.shape)}, not a vector"
-        check_array(path, z.ndim == 1, f"controller/logits/{d}", what)
-    if slots:  # at the first whole step, or the least a saved table holds
-        step = next((s["step"] for s in slots.values() if type(s.get("step")) is int), 1)
-        table = {("adam", d): {"m": z, "step": step, "v": z} for d, z in enumerate(logits)}
-        named = (_slot_arrays("controller/slots/", held) for held in (slots, table))
-        _compare(path, *named, "the controller table")
-    return ControllerState(logits, baseline, slots)
+def _controller(path: str, arrays, baseline: float) -> ControllerState:
+    """The controller state of the loaded ``controller/<d>`` ``arrays``.
+    ``ValueError`` names the file and the first array that is not 3 rows
+    (logits, ``m``, ``v``) of one decision."""
+    for d, arr in enumerate(arrays):
+        what = f"checkpoint holds shape {list(arr.shape)}, not [3, cardinality]"
+        check_array(path, arr.ndim == 2 and len(arr) == 3, f"controller/{d}", what)
+    logits, m, v = ([a[i] for a in arrays] for i in range(3))
+    return ControllerState(logits, baseline, m, v)
 
 
-def _compare(path: str, found, held, holder: str) -> None:
-    """Raise ``ValueError`` naming the file and the first of the ``(name, array)``
-    pairs ``found`` (the checkpoint's) that ``held`` (``holder``'s) lacks or holds
-    with another shape or 0-d value; then the first ``held`` holds and ``found`` lacks."""
+def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
+    """Raise ``ValueError`` naming the file and the first array of ``ckpt``
+    that ``want`` lacks or holds with another shape or 0-d value; then the
+    first ``want`` holds and ``ckpt`` lacks: a missing or extra slot, a slot
+    field's value and a misshapen array are named by their array."""
     found, held = (
         {n: f"value {a.item():.17g}" if a.ndim == 0 else f"shape {list(a.shape)}" for n, a in pairs}
-        for pairs in (found, held)
+        for pairs in (_layout(ckpt), _layout(want))
     )
     for name in [*found, *held]:
         if found.get(name) != held.get(name):
             raise ValueError(
                 f"{path}: {name}: checkpoint holds {found.get(name, 'nothing')}, "
-                f"{holder} holds {held.get(name, 'nothing')}"
+                f"the run holds {held.get(name, 'nothing')}"
             )
-
-
-def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
-    """Raise ``ValueError`` (``_compare``'s) unless ``ckpt`` holds the arrays
-    that ``want`` holds, of the same shapes and 0-d values: a missing or extra
-    slot, a slot field's value and a misshapen array are named by their array."""
-    _compare(path, _layout(ckpt), _layout(want), "the run")

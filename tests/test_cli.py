@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from jointsearch.cli import main
+from jointsearch.config import load_config
+from jointsearch.engine import search
 
 
 def base_doc(total=6):
@@ -331,42 +333,34 @@ def _add_slot(arrays, section, name, fields):
     arrays += [[f"{section}/{name}/{field}", arr] for field, arr in fields.items()]
 
 
-def _drop_slot(arrays, section, name):
-    arrays[:] = [entry for entry in arrays if not entry[0].startswith(f"{section}/{name}/")]
-
-
 # Edits of a checkpoint's arrays (a list of [name, array] in file order), each
 # re-sealed with its store digest recomputed, and the error each must raise.
 # The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the head is (8, 2);
-# the controller's three decisions have 2, 3 and 2 candidates. After 6 steps,
-# 2 of them warm-up, each controller Adam slot has made 4 updates. Each slot
+# the controller's three decisions have 2, 3 and 2 candidates, each one
+# ``controller/<d>`` array of 3 rows: logits, Adam m and v. Each commit slot
 # field is an array, an integer field (Adam's step) a 0-d one. The loader
 # refuses a slot named other than family|key, a 0-d field that is not a whole
-# number from 1 to 2^53, a slot array that is not finite, and controller slots
-# other than one Adam slot per decision, shaped like its logits, at one step
-# (naming the first array in which they differ from that table); it takes the
-# other files, and the resume refuses each, naming the first array in which it
-# differs from the state the run holds.
-TABLE = "the controller table holds"
+# number from 1 to 2^53, a slot or controller array that is not finite, and a
+# controller array that is not 3 rows; it takes the other files, and the
+# resume refuses each, naming the first array in which it differs from the
+# state the run holds.
+THREE_ROWS = "not [3, cardinality]"
 ARRAY_DEFECTS = {
     # Slot names and 0-d fields.
     "commit-slot-key": (
         lambda h, a: _rename_commit_slot(a, "adam|0/1/weight", "adam|x/1/weight"),
         "commit_slots/adam|x/1/weight/m: slot name 'adam|x/1/weight' is not family|key",
     ),
-    "controller-slot-key": (
-        lambda h, a: _rename_arrays(a, "controller/slots/adam|1/", "controller/slots/adam|01/"),
-        "controller/slots/adam|01/m: slot name 'adam|01' is not family|key",
+    "controller-key": (
+        lambda h, a: _rename_arrays(a, "controller/1", "controller/01"),
+        "controller/01: array belongs to no known section",
     ),
     **{
-        f"{where}-adam-step-{label}": (
-            lambda h, a, n=name, v=value: _set_value(a, n, (), v),
-            f"{name}: holds a value that is not a whole number from 1 to 2^53",
+        f"commit-adam-step-{label}": (
+            lambda h, a, v=value: _set_value(a, "commit_slots/adam|0/1/weight/step", (), v),
+            "commit_slots/adam|0/1/weight/step: holds a value that is not a whole number "
+            "from 1 to 2^53",
         )
-        for where, name in [
-            ("controller", "controller/slots/adam|2/step"),
-            ("commit", "commit_slots/adam|0/1/weight/step"),
-        ]
         for label, value in [
             ("nan", np.nan), ("inf", np.inf), ("zero", 0.0), ("negative", -1.0),
             ("fraction", 2.5), ("negative-zero", -0.0), ("past-2-to-53", 2.0**53 + 2),
@@ -401,14 +395,6 @@ ARRAY_DEFECTS = {
         lambda h, a: _reshape_array(a, "commit_slots/adam|0/1/weight/step", lambda s: s.reshape(1)),
         "commit_slots/adam|0/1/weight/step: checkpoint holds shape [1], the run holds value 0",
     ),
-    "controller-slot-step-missing": (
-        lambda h, a: _drop_array(a, "controller/slots/adam|0/step"),
-        f"controller/slots/adam|0/step: checkpoint holds nothing, {TABLE} value 4",
-    ),
-    "controller-slot-step-shape": (
-        lambda h, a: _reshape_array(a, "controller/slots/adam|0/step", lambda s: s.reshape(1)),
-        f"controller/slots/adam|0/step: checkpoint holds shape [1], {TABLE} value 4",
-    ),
     # Arrays and their shapes.
     "store-key-renamed": (
         lambda h, a: _rename_arrays(a, "store/0/1/bias", "store/0/0/bias"),
@@ -435,20 +421,27 @@ ARRAY_DEFECTS = {
         "commit_slots/adam|0/1/weight/m: checkpoint holds shape [8, 2], "
         "the run holds shape [2, 8]",
     ),
-    "controller-slot-shape": (
-        lambda h, a: _reshape_array(a, "controller/slots/adam|0/v", lambda v: np.append(v, 0.0)),
-        f"controller/slots/adam|0/v: checkpoint holds shape [3], {TABLE} shape [2]",
+    "controller-four-rows": (
+        lambda h, a: _reshape_array(a, "controller/0", lambda c: np.vstack([c, c[2]])),
+        f"controller/0: checkpoint holds shape [4, 2], {THREE_ROWS}",
+    ),
+    "controller-two-rows": (
+        lambda h, a: _reshape_array(a, "controller/1", lambda c: c[:2]),
+        f"controller/1: checkpoint holds shape [2, 3], {THREE_ROWS}",
+    ),
+    "controller-vector": (
+        lambda h, a: _reshape_array(a, "controller/2", lambda c: c[0]),
+        f"controller/2: checkpoint holds shape [2], {THREE_ROWS}",
     ),
     "slot-of-no-tensor": (
         lambda h, a: _rename_commit_slot(a, "adam|0/1/bias", "adam|0/0/bias"),
         "commit_slots/adam|0/0/bias/m: checkpoint holds shape [8], the run holds nothing",
     ),
-    # Slots the run could not have made: the controller steps only by Adam,
-    # the space offers only sgd and adam, and the controller's Adam count
-    # follows from the step.
+    # Slots the run could not have made: the controller keeps no slot apart
+    # from its arrays, and the space offers only sgd and adam.
     "controller-momentum-slot": (
         lambda h, a: _add_slot(a, "controller/slots", "momentum|0", {"buf": np.zeros(2)}),
-        f"controller/slots/momentum|0/buf: checkpoint holds shape [2], {TABLE} nothing",
+        "controller/slots/momentum|0/buf: array belongs to no known section",
     ),
     "commit-rmsprop-slot": (
         lambda h, a: _add_slot(a, "commit_slots", "rmsprop|0/1/bias", {"sq": np.zeros(8)}),
@@ -459,32 +452,22 @@ ARRAY_DEFECTS = {
         lambda h, a: _add_slot(a, "commit_slots", "sgd|0/1/bias", {"buf": np.zeros(8)}),
         "commit_slots/sgd|0/1/bias/buf: checkpoint holds shape [8], the run holds nothing",
     ),
-    **{
-        f"controller-adam-step-{step}": (
-            lambda h, a, v=step: _set_value(a, "controller/slots/adam|1/step", (), v),
-            f"controller/slots/adam|1/step: checkpoint holds value {step}, {TABLE} value 4",
-        )
-        for step in (1, 100)
-    },
-    # One Adam slot per decision at one step, but not the run's step.
-    "controller-adam-steps-all-100": (
-        lambda h, a: [
-            _set_value(a, f"controller/slots/adam|{d}/step", (), 100.0) for d in range(3)
-        ],
-        "controller/slots/adam|0/step: checkpoint holds value 100, the run holds value 4",
-    ),
     # Non-finite moments: a NaN one used to resume, then fail the next save.
-    "controller-slot-m-nan": (
-        lambda h, a: _set_value(a, "controller/slots/adam|0/m", 0, np.nan),
-        "controller/slots/adam|0/m: holds a value that is not a finite number",
+    "controller-m-nan": (
+        lambda h, a: _set_value(a, "controller/0", (1, 0), np.nan),
+        "controller/0: holds a value that is not a finite number",
+    ),
+    "controller-v-inf": (
+        lambda h, a: _set_value(a, "controller/1", (2, 2), np.inf),
+        "controller/1: holds a value that is not a finite number",
     ),
     "commit-slot-v-inf": (
         lambda h, a: _set_value(a, "commit_slots/adam|0/1/bias/v", 3, np.inf),
         "commit_slots/adam|0/1/bias/v: holds a value that is not a finite number",
     ),
-    "controller-slot-dropped": (
-        lambda h, a: _drop_slot(a, "controller/slots", "adam|2"),
-        f"controller/slots/adam|2/m: checkpoint holds nothing, {TABLE} shape [2]",
+    "controller-dropped": (
+        lambda h, a: _drop_array(a, "controller/2"),
+        "history/ints: checkpoint holds shape [12, 4], not [12, 3]",
     ),
 }
 
@@ -504,39 +487,26 @@ def _history_rows(arrays, edit):
         _reshape_array(arrays, name, edit)
 
 
-def _one_logits_row(arrays):
-    # Decisions 1 and 2 dropped from the logits and from the selections.
-    _drop_array(arrays, "controller/logits/1")
-    _drop_array(arrays, "controller/logits/2")
+def _one_decision(arrays):
+    # Decisions 1 and 2 dropped from the controller and from the selections.
+    _drop_array(arrays, "controller/1")
+    _drop_array(arrays, "controller/2")
     _reshape_array(arrays, "history/ints", lambda ints: ints[:, :2])
 
 
-def _extra_logits_row(arrays):
-    arrays.append(["controller/logits/3", np.zeros(2)])
+def _extra_decision(arrays):
+    arrays.append(["controller/3", np.zeros((3, 2))])
     _reshape_array(arrays, "history/ints", lambda ints: np.hstack([ints, ints[:, 1:2]]))
 
 
-def _with_table_slots(edit):
-    # ``edit``, then the controller's Adam slots remade to fit its logits, at step 4.
-    def edited(header, arrays):
-        edit(arrays)
-        arrays[:] = [entry for entry in arrays if not entry[0].startswith("controller/slots/")]
-        logits = [(n, z) for n, z in arrays if n.startswith("controller/logits/")]
-        for name, z in logits:
-            fields = {"m": np.zeros_like(z), "step": np.array(4.0), "v": np.zeros_like(z)}
-            _add_slot(arrays, "controller/slots", f"adam|{name.rpartition('/')[2]}", fields)
-
-    return edited
-
-
-# Edits of the controller logits and the reward history, which the file keeps
-# as arrays (one per decision, and one row per record of ``history/ints``:
-# the step, then the selection; and of ``history/reals``: accuracy, cost,
-# reward and baseline), each with the error it must raise. Six steps of two
-# pairs make 12 records. The loader refuses a number that is not finite, a
-# history integer that is not whole and non-negative, and tables whose rows
-# or columns disagree; the resume refuses logits other than the run's and a
-# history out of step order or selecting outside the space.
+# Edits of the controller and the reward history, which the file keeps as
+# arrays (one per decision, and one row per record of ``history/ints``: the
+# step, then the selection; and of ``history/reals``: accuracy, cost, reward
+# and baseline), each with the error it must raise. Six steps of two pairs
+# make 12 records. The loader refuses a number that is not finite, a history
+# integer that is not whole and non-negative, and tables whose rows or
+# columns disagree; the resume refuses a controller shaped other than the
+# run's and a history out of step order or selecting outside the space.
 HISTORY_DEFECTS = {
     "history-accuracy-inf": (
         lambda h, a: _set_value(a, "history/reals", (1, 0), np.inf),
@@ -547,12 +517,12 @@ HISTORY_DEFECTS = {
         "history/reals: holds a value that is not a finite number",
     ),
     "logits-inf": (
-        lambda h, a: _set_value(a, "controller/logits/0", 1, -np.inf),
-        "controller/logits/0: holds a value that is not a finite number",
+        lambda h, a: _set_value(a, "controller/0", (0, 1), -np.inf),
+        "controller/0: holds a value that is not a finite number",
     ),
     "logits-nan": (
-        lambda h, a: _set_value(a, "controller/logits/0", 0, np.nan),
-        "controller/logits/0: holds a value that is not a finite number",
+        lambda h, a: _set_value(a, "controller/0", (0, 0), np.nan),
+        "controller/0: holds a value that is not a finite number",
     ),
     "history-ints-missing": (
         lambda h, a: _drop_array(a, "history/ints"),
@@ -575,40 +545,21 @@ HISTORY_DEFECTS = {
         "history/ints: holds a value that is not a non-negative integer",
     ),
     # The space has three decisions of 2, 3 and 2 candidates.
-    "logits-one-row": (
-        lambda h, a: _one_logits_row(a),
-        f"controller/slots/adam|1/m: checkpoint holds shape [3], {TABLE} nothing",
+    "controller-one-decision": (
+        lambda h, a: _one_decision(a),
+        "controller/1: checkpoint holds nothing, the run holds shape [3, 3]",
     ),
-    # Logits that the table holds, slots and all, but the run does not.
-    "logits-and-slots-one-row": (
-        _with_table_slots(_one_logits_row),
-        "controller/logits/1: checkpoint holds nothing, the run holds shape [3]",
+    "controller-row-width": (
+        lambda h, a: _reshape_array(a, "controller/0", lambda c: np.hstack([c, c[:, :1]])),
+        "controller/0: checkpoint holds shape [3, 3], the run holds shape [3, 2]",
     ),
-    "logits-and-slots-row-width": (
-        _with_table_slots(
-            lambda a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0))
-        ),
-        "controller/logits/0: checkpoint holds shape [3], the run holds shape [2]",
+    "controller-row-narrow": (
+        lambda h, a: _reshape_array(a, "controller/1", lambda c: c[:, :2]),
+        "controller/1: checkpoint holds shape [3, 2], the run holds shape [3, 3]",
     ),
-    "logits-and-slots-extra-row": (
-        _with_table_slots(_extra_logits_row),
-        "controller/logits/3: checkpoint holds shape [2], the run holds nothing",
-    ),
-    "logits-row-width": (
-        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.append(z, 0.0)),
-        f"controller/slots/adam|0/m: checkpoint holds shape [2], {TABLE} shape [3]",
-    ),
-    "logits-matrix": (
-        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: z.reshape(1, 2)),
-        "controller/logits/0: checkpoint holds shape [1, 2], not a vector",
-    ),
-    "logits-scalar": (
-        lambda h, a: _reshape_array(a, "controller/logits/0", lambda z: np.array(0.5)),
-        "controller/logits/0: checkpoint holds shape [], not a vector",
-    ),
-    "logits-extra-row": (
-        lambda h, a: _extra_logits_row(a),
-        f"controller/slots/adam|3/m: checkpoint holds nothing, {TABLE} shape [2]",
+    "controller-extra-decision": (
+        lambda h, a: _extra_decision(a),
+        "controller/3: checkpoint holds shape [3, 2], the run holds nothing",
     ),
     "history-selection": (
         lambda h, a: _set_value(a, "history/ints", (3, slice(1, None)), 9.0),
@@ -667,6 +618,73 @@ def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys,
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err and f"{ckpt}: " in err and expected in err
+
+
+def _checkpoint_of_every_step(cfg, ckpt):
+    """The bytes of checkpoint file ``ckpt`` after each step of the run of
+    config file ``cfg`` (checkpoint interval 1), the final one last."""
+    saved = []
+
+    def copy(phase, step, weights):
+        if phase == "controller" and step > 0:  # the file holds step - 1's save
+            saved.append(ckpt.read_bytes())
+
+    search(load_config(cfg), audit=copy)
+    return saved + [ckpt.read_bytes()]
+
+
+def test_resume_at_every_step_writes_the_uninterrupted_result_and_checkpoint(tmp_path):
+    # Warm-up is the first ceil(0.3 * 6) = 2 steps, so the resumes start from
+    # an untouched controller (steps 1 and 2) and from updated ones (3 to 5).
+    ckpt = tmp_path / "run.ckpt"
+    output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 1}
+    code, result, cfg = run_search(tmp_path, "run", doc_extra=output)
+    assert code == 0
+    uninterrupted = result.read_bytes(), ckpt.read_bytes()
+    every = _checkpoint_of_every_step(cfg, ckpt)
+    assert every[-1] == uninterrupted[1]
+    for done, data in enumerate(every[:-1], start=1):
+        ckpt.write_bytes(data)
+        result.unlink()
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+        assert (result.read_bytes(), ckpt.read_bytes()) == uninterrupted, done
+
+
+@pytest.mark.parametrize(
+    "row, value", [(0, 0.5), (0, -0.0), (1, 2.0**-1074), (1, -0.0), (2, 1.0), (2, -0.0)]
+)
+def test_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
+    capsys, tmp_path, row, value
+):
+    # No update is made inside the warm-up of 2 steps, so the checkpoints of
+    # steps 1 and 2 hold every logit (row 0) and moment (rows 1 and 2) as
+    # +0.0. Any other value re-sealed there, -0.0 too, is refused by name.
+    ckpt = tmp_path / "run.ckpt"
+    output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 1}
+    code, _, cfg = run_search(tmp_path, "run", doc_extra=output)
+    assert code == 0
+    every = _checkpoint_of_every_step(cfg, ckpt)
+    for done in (1, 2):
+        ckpt.write_bytes(every[done - 1])
+        _reseal_arrays(ckpt, lambda h, a: _set_value(a, "controller/1", (row, 2), value))
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        what = f"is not all +0.0 after {done} steps, none past the 2 of warm-up"
+        assert f"runtime error: {ckpt}: controller/1: {what}" in err
+    ckpt.write_bytes(every[1])
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == every[-1]
+
+
+def test_resume_refuses_a_format_8_checkpoint(capsys, tmp_path):
+    ckpt = tmp_path / "run.ckpt"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data.replace(b'"format_version": 9', b'"format_version": 8', 1))
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {ckpt}: checkpoint format version 8 is not 9" in err
 
 
 def test_resume_refuses_a_commit_adam_step_past_one_update_per_commit(capsys, tmp_path):

@@ -11,7 +11,6 @@ import pytest
 from jointsearch import controller
 from jointsearch.controller import (
     ControllerState,
-    decision_slots,
     init_controller,
     probabilities,
     reinforce_update,
@@ -66,7 +65,7 @@ def test_init_controller_is_uniform():
     assert np.allclose(probs[0], [1 / 3] * 3, atol=1e-15)
     assert np.allclose(probs[1], [0.25] * 4, atol=1e-15)
     # Only what the controller learns; the meta-step is passed to each update.
-    assert [f.name for f in fields(state)] == ["logits", "baseline", "slots"]
+    assert [f.name for f in fields(state)] == ["logits", "baseline", "m", "v"]
 
 
 def test_init_controller_degenerate_decision():
@@ -309,11 +308,11 @@ def test_update_during_warmup_freezes_logits_but_tracks_baseline():
     assert not np.array_equal(state.logits[0], np.zeros(3))
 
 
-def test_update_warmup_leaves_adam_slots_untouched():
+def test_update_warmup_leaves_adam_moments_untouched():
     state = init_controller(space_with_cards([3]))
     meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
     reinforce_update(state, [((0,), 1.0), ((1,), 0.0)], meta, 4)
-    assert len(state.slots) == 0
+    assert [row.tobytes() for row in (*state.m, *state.v)] == [np.zeros(3).tobytes()] * 2
 
 
 def test_warmup_steps_is_the_first_step_past_the_fraction():
@@ -350,31 +349,52 @@ def test_update_refuses_an_index_outside_the_cardinality(selection, decision, in
         with pytest.raises(ValueError, match=message):
             reinforce_update(state, [((0, 0), 1.0), (selection, 1.0)], meta, step)
     assert [z.tolist() for z in state.logits] == [[0.0, 0.0], [0.0, 0.0, 0.0]]
-    assert state.baseline == 0.5 and state.slots == {}
+    assert state.baseline == 0.5
+    assert [row.tolist() for row in state.m + state.v] == [[0.0, 0.0], [0.0, 0.0, 0.0]] * 2
 
 
-def test_state_keeps_one_adam_slot_per_decision_as_one_table_slot():
-    # The slots a checkpoint holds, one per decision at one step, become one
-    # slot of the padded table; ``decision_slots`` reads them back as views.
-    given = {
-        ("adam", d): {"step": 5, "m": np.full(c, 0.25 + d), "v": np.full(c, 0.5 + d)}
-        for d, c in enumerate((2, 3))
-    }
-    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, given)
-    [(key, table)] = state.slots.items()
-    assert key == ("adam", "logits") and table["step"] == 5
-    assert table["m"].tolist() == [[0.25, 0.25, 0.0], [1.25, 1.25, 1.25]]
-    assert table["v"].tolist() == [[0.5, 0.5, 0.0], [1.5, 1.5, 1.5]]
-    rows = decision_slots(state)
-    assert sorted(rows) == sorted(given)
-    for key, slot in given.items():
-        assert rows[key]["step"] == 5 and rows[key]["m"].base is table["m"]
-        assert rows[key]["m"].tolist() == slot["m"].tolist()
-        assert rows[key]["v"].tolist() == slot["v"].tolist()
-    reinforce_update(state, [((0, 0), 1.0)], no_warmup_meta(), 1)
-    assert [slot["step"] for slot in decision_slots(state).values()] == [6, 6]
-    assert table["m"][0, 2] == table["v"][0, 2] == 0.0  # padding stays zero
-    assert decision_slots(init_controller(space_with_cards([2, 3]))) == {}
+def test_state_packs_its_moments_into_padded_tables():
+    # ``m`` and ``v`` by decision become rows of the padded tables that the
+    # table's one Adam slot steps; the rows stay views, the padding zero.
+    m, v = [np.full(c, 0.25 + d) for d, c in enumerate((2, 3))], [np.full(2, 0.5), np.ones(3)]
+    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, m, v)
+    [(key, slot)] = state._slots.items()
+    assert key == ("adam", "logits")
+    assert slot["m"].tolist() == [[0.25, 0.25, 0.0], [1.25, 1.25, 1.25]]
+    assert slot["v"].tolist() == [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]]
+    assert all(np.shares_memory(row, slot["m"]) for row in state.m)
+    assert all(np.shares_memory(row, slot["v"]) for row in state.v)
+    # The step count follows from the meta-step: step 3 past a warm-up of 1
+    # is the third update, whatever the slot held before.
+    search = SearchSection(total_meta_steps=10, warmup_fraction=0.1)
+    slot["step"] = 40
+    reinforce_update(state, [((0, 0), 1.0)], search, 3)
+    assert slot["step"] == 3
+    assert slot["m"][0, 2] == slot["v"][0, 2] == 0.0  # padding stays zero
+    fresh = init_controller(space_with_cards([2, 3]))
+    assert [row.tolist() for row in fresh.m + fresh.v] == [[0.0, 0.0], [0.0, 0.0, 0.0]] * 2
+
+
+@pytest.mark.parametrize(
+    "m, v, name",
+    [
+        ([np.zeros(2)], None, "m"),  # a row short
+        (None, [np.zeros(2), np.zeros(3), np.zeros(1)], "v"),  # a row over
+        ([np.zeros(2), np.zeros(2)], None, "m"),  # a row of another length
+        (None, [np.zeros(2), np.zeros((1, 3))], "v"),  # a row not a vector
+        ([np.zeros(2), 0.0], None, "m"),
+        (np.zeros((2, 3)), None, "m"),  # a table, every row as wide as the widest
+    ],
+)
+def test_state_refuses_moments_other_than_one_row_per_decision(m, v, name):
+    with pytest.raises(ValueError, match=f"^ControllerState {name} is not one row per decision "):
+        ControllerState([np.zeros(2), np.zeros(3)], 0.0, m, v)
+
+
+@pytest.mark.parametrize("logits", [[np.zeros((1, 2))], [np.zeros(2), np.array(0.5)]])
+def test_state_refuses_logits_other_than_vectors(logits):
+    with pytest.raises(ValueError, match="^ControllerState logits are not one vector per decision"):
+        ControllerState(logits)
 
 
 @pytest.mark.parametrize("k", [1, 4, 7])
@@ -411,12 +431,10 @@ def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight
             assert state.baseline == ref.baseline
             where = (case, cards, step)
             assert [z.tobytes() for z in state.logits] == [z.tobytes() for z in ref.logits], where
-            slots = decision_slots(state)
-            assert sorted(slots) == sorted(ref.slots), where
-            for key, slot in ref.slots.items():
-                assert slots[key]["step"] == slot["step"], where
-                for name in ("m", "v"):
-                    assert slots[key][name].tobytes() == slot[name].tobytes(), where
+            for d, z in enumerate(state.logits):  # no moments before the first update
+                slot = ref.slots.get(("adam", d), {"m": np.zeros_like(z), "v": np.zeros_like(z)})
+                assert state.m[d].tobytes() == slot["m"].tobytes(), where
+                assert state.v[d].tobytes() == slot["v"].tobytes(), where
         assert ref.slots and all(slot["step"] == 24 for slot in ref.slots.values())
 
 

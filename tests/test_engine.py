@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from jointsearch import controller, persist, supernet
-from jointsearch.controller import decision_slots
 from jointsearch.config import ConfigError, RewardSection, config_to_dict, parse_config
 from jointsearch.data import concat, split, two_moons
 from jointsearch.engine import (
@@ -631,14 +630,15 @@ def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
 
 
 def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, monkeypatch):
-    # Once as the run starts and once after each update; the commit phase,
-    # the event record, the next scoring phase and the result read those.
+    # Once as the run starts and once after each update, none inside the
+    # warm-up of ceil(0.3 * 10) = 3 steps; the commit phase, the event
+    # record, the next scoring phase and the result read those.
     real, calls = controller.probabilities, []
     monkeypatch.setattr(controller, "probabilities", lambda state: calls.append(1) or real(state))
     log = str(tmp_path / "t.jsonl")
     doc = {**tabular_doc([3, 2, 4], total=10, k=3), "output": {"log_path": log}}
     search(parse_config(doc), evaluate_override=lambda s: (0.2 + 0.1 * s[0], 1.0))
-    assert len(calls) == 1 + 10
+    assert len(calls) == 1 + 10 - 3
     # Each record of a network search logs the logits its step left, as one
     # softmax per decision of the checkpoint that step saved, bit for bit.
     path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "n.jsonl")
@@ -656,8 +656,8 @@ def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, mon
 
 def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     # Warm-up ends at step ceil(0.3 * 8) = 3, and the commits use every
-    # optimizer family, so each resume is compared with controller slots both
-    # absent and present, and with commit slots of each family.
+    # optimizer family, so each resume is compared with a controller both
+    # untouched and updated, and with commit slots of each family.
     path = str(tmp_path / "ck.ckpt")
     doc = moons_doc(total=8, k=3, output={"checkpoint_path": path, "checkpoint_interval": 1})
     doc["search"]["warmup_fraction"] = 0.3
@@ -673,8 +673,8 @@ def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     for done, data in enumerate(every, start=1):
         with open(path, "wb") as fh:
             fh.write(data)
-        slots = decision_slots(persist.load_checkpoint(path).controller)
-        assert len(slots) == (3 if done > 3 else 0)
+        moments = persist.load_checkpoint(path).controller.m
+        assert any(row.any() for row in moments) == (done > 3)
         search(config, resume_from=path)
         with open(path, "rb") as fh:
             assert fh.read() == every[-1], done
@@ -688,15 +688,46 @@ def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
     output = {"checkpoint_path": path, "checkpoint_interval": 1}
     config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
     every = _checkpoint_of_every_step(config, evaluate_override=table)
-    for done, slots in ((2, 0), (6, 3)):  # warm-up is the first ceil(0.3 * 10) = 3 steps
+    for done in range(1, 11):  # warm-up is the first ceil(0.3 * 10) = 3 steps
         with open(path, "wb") as fh:
             fh.write(every[done - 1])
         resumed = persist.load_checkpoint(path)
         assert resumed.meta_step == done
-        assert [slot["step"] for slot in decision_slots(resumed.controller).values()] == [3] * slots
+        assert any(row.any() for row in resumed.controller.v) == (done > 3)
         search(config, evaluate_override=table, resume_from=path)
         with open(path, "rb") as fh:
             assert fh.read() == every[-1], done
+
+
+@pytest.mark.parametrize("row", ["logits", "m", "v"])
+@pytest.mark.parametrize("value", [-0.0, 0.25])
+def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
+    tmp_path, row, value
+):
+    # Warm-up is the first ceil(0.3 * 10) = 3 steps. Until the first update
+    # the controller is the one ``_fresh`` makes, every cell +0.0, so a file
+    # saved with any other value at steps 1 to 3 is refused by name; from
+    # step 4 on only a replay could tell.
+    def table(selection):
+        return 0.2 + 0.1 * selection[1], 1.0
+
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
+    every = _checkpoint_of_every_step(config, evaluate_override=table)
+    for done in (1, 2, 3, 4):
+        with open(path, "wb") as fh:
+            fh.write(every[done - 1])
+        ckpt = persist.load_checkpoint(path)
+        getattr(ckpt.controller, row)[2][3] = value
+        persist.save_checkpoint(path, ckpt)
+        if done == 4:
+            search(config, evaluate_override=table, resume_from=path)
+            continue
+        with pytest.raises(ValueError) as err:
+            search(config, evaluate_override=table, resume_from=path)
+        what = f"is not all +0.0 after {done} steps, none past the 3 of warm-up"
+        assert str(err.value) == f"{path}: controller/2: {what}"
 
 
 def test_resume_under_new_output_paths_echoes_them(tmp_path):
@@ -820,8 +851,9 @@ def test_saved_checkpoint_loads_and_saves_to_the_same_bytes(tmp_path, run):
         saved = fh.read()
     header = json.loads(saved[: saved.index(b"\n")])
     steps = [name for name, shape in header["arrays"] if shape == []]
-    assert all(name.endswith("/step") for name in steps)
-    assert len(steps) >= {"network": 4, "table-driven": 3, "zero-step": 0}[run]
+    # Only a commit Adam slot keeps a step count; the controller's follows from the meta-step.
+    assert all(name.startswith("commit_slots/adam|") and name.endswith("/step") for name in steps)
+    assert (len(steps) > 0) == (run == "network")
     persist.save_checkpoint(path, persist.load_checkpoint(path))
     with open(path, "rb") as fh:
         assert fh.read() == saved

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jointsearch.controller import ControllerState, decision_slots
+from jointsearch.controller import ControllerState
 from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
@@ -402,16 +402,14 @@ def sample_checkpoint():
     slot["step"] = 3
     slot["m"][:] = 0.25
     slots = {("adam", key): slot}
-    ctrl_slots = {
-        ("adam", d): {**fresh_slot("adam", np.zeros(c)), "step": 5} for d, c in enumerate((2, 3))
-    }
     return Checkpoint(
         config_echo={"search": {"total_meta_steps": 7}},
         meta_step=4,
         controller=ControllerState(
             logits=[np.array([0.1, -0.2]), np.array([0.0, 0.5, -0.5])],
             baseline=0.61,
-            slots=ctrl_slots,
+            m=[np.array([0.125, -0.0]), np.array([-0.25, 0.0, 2.0**-1074])],
+            v=[np.array([0.5, 0.0]), np.array([1.0, 2.0, 3.0])],
         ),
         store=store,
         head_weight=np.array([[0.1, 0.2], [0.3, 0.4]]),
@@ -429,14 +427,8 @@ SAMPLE_ARRAYS = [
     "store/1/0/weight",
     "head/weight",
     "head/bias",
-    "controller/logits/0",
-    "controller/logits/1",
-    "controller/slots/adam|0/m",
-    "controller/slots/adam|0/step",
-    "controller/slots/adam|0/v",
-    "controller/slots/adam|1/m",
-    "controller/slots/adam|1/step",
-    "controller/slots/adam|1/v",
+    "controller/0",
+    "controller/1",
     "commit_slots/adam|0/1/weight/m",
     "commit_slots/adam|0/1/weight/step",
     "commit_slots/adam|0/1/weight/v",
@@ -514,8 +506,14 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
         ),
         pytest.param(
             lambda c: c.controller.logits[1].__setitem__(2, float("inf")),
-            "controller/logits/1",
+            "controller/1",
             id="logit",
+        ),
+        pytest.param(
+            lambda c: c.controller.m[0].__setitem__(1, float("nan")), "controller/0", id="m"
+        ),
+        pytest.param(
+            lambda c: c.controller.v[1].__setitem__(0, float("-inf")), "controller/1", id="v"
         ),
         pytest.param(
             lambda c: setattr(c.controller, "baseline", float("nan")), None, id="baseline"
@@ -546,8 +544,9 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert type(record.meta_step) is int and all(type(i) is int for i in record.selection)
     assert all(type(v) is float for v in (record.accuracy, record.cost, record.reward))
     assert loaded.store_digest == original.store_digest
-    for a, b in zip(loaded.controller.logits, original.controller.logits):
-        assert np.array_equal(a, b)
+    for name in ("logits", "m", "v"):  # bit for bit, -0.0 and subnormals too
+        got, want = (getattr(state, name) for state in (loaded.controller, original.controller))
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want], name
     for key in original.store:
         assert np.array_equal(loaded.store[key], original.store[key])
     assert np.array_equal(loaded.head_weight, original.head_weight)
@@ -555,10 +554,6 @@ def test_checkpoint_restores_every_field(tmp_path):
     slot = loaded.commit_slots["adam", key]
     assert slot["step"] == 3
     assert np.array_equal(slot["m"], np.full((2, 3), 0.25))
-    for d, card in enumerate((2, 3)):
-        ctrl_slot = decision_slots(loaded.controller)["adam", d]
-        assert ctrl_slot["step"] == 5
-        assert ctrl_slot["m"].shape == ctrl_slot["v"].shape == (card,)
 
 
 def test_checkpoint_round_trips_adversarial_floats(tmp_path):
@@ -609,11 +604,10 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
     assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
     arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
-    arrays += loaded.controller.logits
-    for slots in (loaded.commit_slots, decision_slots(loaded.controller)):
-        for _, slot in slots.items():
-            arrays += [v for v in slot.values() if not isinstance(v, int)]
-    assert len(arrays) == 3 + 2 + 2 + 6  # store, head, logits, m and v of three slots
+    arrays += loaded.controller.logits + loaded.controller.m + loaded.controller.v
+    for _, slot in loaded.commit_slots.items():
+        arrays += [v for v in slot.values() if not isinstance(v, int)]
+    assert len(arrays) == 3 + 2 + 6 + 2  # store, head, controller rows, commit m and v
     for arr in arrays:
         assert arr.dtype == np.float64 and arr.dtype.isnative
         assert arr.flags.writeable and arr.flags.c_contiguous
@@ -690,7 +684,7 @@ ARRAY_SITES = [
     "store/0/1/bias",
     "head/weight",
     "commit_slots/adam|0/1/weight/m",
-    "controller/slots/adam|0/v",
+    "controller/0",
 ]
 
 
@@ -828,16 +822,26 @@ def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
 
 
 @pytest.mark.parametrize(
-    "renamed",
-    ["heads/weight", "head", "controller/slots", "commit_slots", "store/0/x/weight", "store/0/1", "controller/logits/2", "controller/logits/00",
-     "controller/logits", "history/floats", "history"],
+    "old, renamed",
+    [
+        *(("head/weight", name) for name in [
+            "heads/weight", "head", "controller/slots", "commit_slots", "store/0/x/weight",
+            "store/0/1", "controller/2", "controller/00", "controller", "history/floats",
+            "history",
+        ]),
+        # Decision 0's array under another name, format 8's among them.
+        *(("controller/0", name) for name in [
+            "controller/logits/0", "controller/slots/adam|0/m", "controller/slots/momentum|0/m",
+            "controller/+0", "controller/m", "controller/0/m",
+        ]),
+    ],
 )
-def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
+def test_checkpoint_names_an_array_of_no_known_section(tmp_path, old, renamed):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
     names = [name for name, _ in header["arrays"]]
-    header["arrays"][names.index("head/weight")][0] = renamed
+    header["arrays"][names.index(old)][0] = renamed
     _write(path, header, blob)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
@@ -848,7 +852,7 @@ def test_checkpoint_names_an_array_of_no_known_section(tmp_path, renamed):
 def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, renamed):
     # Which commit slots a file may hold depends on the run, so the loader
     # takes the slot as written and ``check_layout`` names it against the
-    # run's state. (A controller slot of no decision the loader refuses.)
+    # run's state. (A controller array of no decision the loader refuses.)
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
@@ -866,10 +870,6 @@ def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, re
 @pytest.mark.parametrize(
     "old, new, slot",
     [
-        ("controller/slots/adam|0/m", "controller/slots/adam|00/m", "adam|00"),
-        ("controller/slots/adam|0/step", "controller/slots/adam/step", "adam"),
-        ("controller/slots/adam|0/v", "controller/slots/adam|+0/v", "adam|+0"),
-        ("controller/slots/adam|0/m", "controller/slots/m", ""),
         ("commit_slots/adam|0/1/weight/m", "commit_slots/adam|0/01/weight/m", "adam|0/01/weight"),
         ("commit_slots/adam|0/1/weight/v", "commit_slots/adam|x/1/weight/v", "adam|x/1/weight"),
         ("commit_slots/adam|0/1/weight/step", "commit_slots/adam|0/1/step", "adam|0/1"),
@@ -888,7 +888,7 @@ def test_checkpoint_names_a_malformed_slot_name(tmp_path, old, new, slot):
     assert str(err.value) == f"{path}: {new}: slot name {slot!r} is not family|key"
 
 
-@pytest.mark.parametrize("site", ["controller/slots/adam|0/step", "commit_slots/adam|0/1/weight/step"])
+@pytest.mark.parametrize("site", ["commit_slots/adam|0/1/weight/step"])
 @pytest.mark.parametrize(
     "value", [np.nan, np.inf, -np.inf, 0.0, -1.0, 2.5, -0.0, 1e-300, 2.0**53 + 2, 1e300], ids=str
 )
@@ -934,7 +934,7 @@ def _without(arrays, *names):
 
 NOT_AN_INTEGER = "holds a value that is not a non-negative integer"
 NOT_FINITE = "holds a value that is not a finite number"
-TABLE = "the controller table holds"
+NOT_THREE_ROWS = "not [3, cardinality]"
 
 
 def _renamed(arrays, old, new):
@@ -942,12 +942,10 @@ def _renamed(arrays, old, new):
 
 
 # Edits of ``sample_checkpoint``'s arrays, re-sealed, with the array each
-# names and the error. Its two decisions have 2 and 3 candidates, each with
-# an Adam slot at step 5, and its one history record is step 3, selection
-# (1, 0). Besides these arrays' own checks, the loader refuses what the
-# controller's padded tables cannot hold: logits that are not a vector, and
-# slots other than one Adam slot per decision, shaped like its logits, at one
-# step.
+# names and the error. Its two decisions have 2 and 3 candidates, each one
+# ``controller/<d>`` array of 3 rows (logits, Adam m and v), and its one
+# history record is step 3, selection (1, 0). Besides these arrays' own
+# checks, the loader refuses a controller array that is not 3 rows.
 @pytest.mark.parametrize(
     "edit, name, message",
     [
@@ -984,14 +982,14 @@ def _renamed(arrays, old, new):
             ]
         ],
         pytest.param(
-            lambda a: _with(a, "controller/logits/0", 1, np.nan),
-            "controller/logits/0",
+            lambda a: _with(a, "controller/0", (0, 1), np.nan),
+            "controller/0",
             NOT_FINITE,
             id="logits-nan",
         ),
         pytest.param(
-            lambda a: _with(a, "controller/logits/1", 2, -np.inf),
-            "controller/logits/1",
+            lambda a: _with(a, "controller/1", (0, 2), -np.inf),
+            "controller/1",
             NOT_FINITE,
             id="logits-inf",
         ),
@@ -1008,10 +1006,16 @@ def _renamed(arrays, old, new):
             id="ints-flat",
         ),
         pytest.param(
-            lambda a: _without(a, "controller/logits/1"),
+            lambda a: _without(a, "controller/1"),
             "history/ints",
             "checkpoint holds shape [1, 3], not [1, 2]",
-            id="logits-missing",
+            id="controller-missing",
+        ),
+        pytest.param(
+            lambda a: {**a, "controller/2": np.zeros((3, 2))},
+            "history/ints",
+            "checkpoint holds shape [1, 3], not [1, 4]",
+            id="controller-of-no-decision",
         ),
         pytest.param(
             lambda a: {**a, "history/reals": np.vstack([a["history/reals"]] * 2)},
@@ -1038,16 +1042,22 @@ def _renamed(arrays, old, new):
             id="ints-missing",
         ),
         pytest.param(
-            lambda a: _moved_last(a, "controller/logits/0"),
-            "controller/logits/1",
+            lambda a: _moved_last(a, "controller/0"),
+            "controller/1",
             "array belongs to no known section",
-            id="logits-out-of-order",
+            id="controller-out-of-order",
         ),
         pytest.param(
-            lambda a: _with(a, "controller/slots/adam|0/m", 1, np.nan),
-            "controller/slots/adam|0/m",
+            lambda a: _with(a, "controller/0", (1, 1), np.nan),
+            "controller/0",
             NOT_FINITE,
-            id="controller-slot-nan",
+            id="m-nan",
+        ),
+        pytest.param(
+            lambda a: _with(a, "controller/1", (2, 0), np.inf),
+            "controller/1",
+            NOT_FINITE,
+            id="v-inf",
         ),
         pytest.param(
             lambda a: _with(a, "commit_slots/adam|0/1/weight/v", (1, 2), np.inf),
@@ -1056,58 +1066,40 @@ def _renamed(arrays, old, new):
             id="commit-slot-inf",
         ),
         pytest.param(
-            lambda a: {**a, "controller/logits/0": a["controller/logits/0"].reshape(1, 2)},
-            "controller/logits/0",
-            "checkpoint holds shape [1, 2], not a vector",
-            id="logits-matrix",
+            lambda a: {**a, "controller/0": a["controller/0"][0]},
+            "controller/0",
+            f"checkpoint holds shape [2], {NOT_THREE_ROWS}",
+            id="controller-vector",
         ),
         pytest.param(
-            lambda a: {**a, "controller/logits/1": np.array(0.5)},
-            "controller/logits/1",
-            "checkpoint holds shape [], not a vector",
-            id="logits-scalar",
+            lambda a: {**a, "controller/1": np.array(0.5)},
+            "controller/1",
+            f"checkpoint holds shape [], {NOT_THREE_ROWS}",
+            id="controller-scalar",
         ),
         pytest.param(
-            lambda a: _without(a, *(f"controller/slots/adam|1/{n}" for n in ("m", "step", "v"))),
-            "controller/slots/adam|1/m",
-            f"checkpoint holds nothing, {TABLE} shape [3]",
-            id="controller-slot-missing",
+            lambda a: {**a, "controller/1": a["controller/1"][:2]},
+            "controller/1",
+            f"checkpoint holds shape [2, 3], {NOT_THREE_ROWS}",
+            id="controller-two-rows",
         ),
         pytest.param(
-            lambda a: _renamed(a, "head/weight", "controller/slots/adam|9/m"),
-            "controller/slots/adam|9/m",
-            f"checkpoint holds shape [2, 2], {TABLE} nothing",
-            id="controller-slot-of-no-decision",
+            lambda a: {**a, "controller/0": np.vstack([a["controller/0"], np.zeros(2)])},
+            "controller/0",
+            f"checkpoint holds shape [4, 2], {NOT_THREE_ROWS}",
+            id="controller-four-rows",
         ),
         pytest.param(
-            lambda a: _renamed(a, "controller/slots/adam|0/v", "controller/slots/adam|0/w"),
-            "controller/slots/adam|0/w",
-            f"checkpoint holds shape [2], {TABLE} nothing",
-            id="controller-slot-field",
+            lambda a: {**a, "controller/1": a["controller/1"][:, :, None]},
+            "controller/1",
+            f"checkpoint holds shape [3, 3, 1], {NOT_THREE_ROWS}",
+            id="controller-3-d",
         ),
         pytest.param(
-            lambda a: {n.replace("adam|1/", "momentum|1/"): arr for n, arr in a.items()},
-            "controller/slots/momentum|1/m",
-            f"checkpoint holds shape [3], {TABLE} nothing",
-            id="controller-momentum-slot",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/slots/adam|1/v": np.zeros(2)},
-            "controller/slots/adam|1/v",
-            f"checkpoint holds shape [2], {TABLE} shape [3]",
-            id="controller-slot-shape",
-        ),
-        pytest.param(
-            lambda a: _with(a, "controller/slots/adam|1/step", (), 6.0),
-            "controller/slots/adam|1/step",
-            f"checkpoint holds value 6, {TABLE} value 5",
-            id="controller-slot-steps-differ",
-        ),
-        pytest.param(
-            lambda a: _without(a, "controller/slots/adam|0/step"),
-            "controller/slots/adam|0/step",
-            f"checkpoint holds nothing, {TABLE} value 5",
-            id="controller-slot-step-missing",
+            lambda a: {**a, "controller/0": np.zeros((0, 2))},
+            "controller/0",
+            f"checkpoint holds shape [0, 2], {NOT_THREE_ROWS}",
+            id="controller-no-rows",
         ),
     ],
 )
@@ -1135,7 +1127,7 @@ def test_checkpoint_history_of_no_records_round_trips(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["store/0/1/bias", "head/bias", "controller/logits/1",
+@pytest.mark.parametrize("name", ["store/0/1/bias", "head/bias", "controller/1",
                                   "commit_slots/adam|0/1/weight/v", "history/ints"])
 def test_checkpoint_refuses_an_array_named_twice(tmp_path, name):
     # Read into a dict, the first copy would be dropped without a word.
@@ -1195,7 +1187,7 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
             load_checkpoint(str(path))
         edits += 1
     spans = _spans(pristine)
-    assert set(spans) == set(SAMPLE_ARRAYS)  # the slots' steps among them
+    assert set(spans) == set(SAMPLE_ARRAYS)  # the commit slot's step among them
     for name, (offset, size) in spans.items():
         for element in range(offset, offset + size, 8):
             edited = bytearray(blob)
@@ -1212,7 +1204,7 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, digest = _parts(path)
-    offset, _ = _spans(header)["controller/logits/1"]
+    offset, _ = _spans(header)["controller/1"]
     blob[offset + 16 : offset + 24] = np.array([5.0], dtype="<f8").tobytes()
     header["meta_step"] = 0
     _write(path, header, blob, digest)
@@ -1221,25 +1213,47 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     assert "checkpoint digest" in str(err.value)
 
 
+def _format_8(arrays):
+    """``arrays`` in the format-8 layout: each ``controller/<d>`` split into
+    its logits and an Adam slot at step 5 by ``adam|<d>``, after all logits."""
+    cut = len("controller/")
+    controller = {n[cut:]: a for n, a in arrays.items() if n.startswith("controller/")}
+    before = {n: a for n, a in arrays.items() if n.startswith(("store/", "head/"))}
+    after = {n: a for n, a in arrays.items() if n.startswith(("commit_slots/", "history/"))}
+    logits = {f"controller/logits/{d}": arr[0] for d, arr in controller.items()}
+    slots = {
+        f"controller/slots/adam|{d}/{name}": value
+        for d, arr in controller.items()
+        for name, value in (("m", arr[1]), ("step", np.array(5.0)), ("v", arr[2]))
+    }
+    return {**before, **logits, **slots, **after}
+
+
 def test_checkpoint_rejects_earlier_versions(tmp_path):
     # Version 1 digests were FNV-1a over text; version 2 lacks the reward
     # history; versions 1-3 store arrays as decimal lists and version 4 as
     # base64. All four are one JSON document on one line. Version 5 has
     # version 6's layout and also holds the controller step, baseline flag and
     # RNG counter. Version 6 holds the logits and the reward history in the
-    # header. Version 7 holds them as arrays and each slot's step in the header.
+    # header. Version 7 holds them as arrays and each slot's step in the
+    # header. Version 8 holds the logits apart from the controller's Adam
+    # slots, each with its own step.
     path = tmp_path / "ck.ckpt"
     ckpt = sample_checkpoint()
     save_checkpoint(str(path), ckpt)
     header, blob, _ = _parts(path)
-    arrays = _arrays(header, blob)
+    arrays = _format_8(_arrays(header, blob))
+    _write_arrays(path, {**header, "format_version": 8}, arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint format version 8 is not 9"
     steps = {name: int(arr) for name, arr in arrays.items() if name.endswith("/step")}
     header["controller"]["slots"] = {"adam|0": {"step": steps["controller/slots/adam|0/step"]}}
     header["commit_slots"] = {"adam|0/1/weight": {"step": steps["commit_slots/adam|0/1/weight/step"]}}
     _write_arrays(path, {**header, "format_version": 7}, _without(arrays, *steps))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 7 is not 8"
+    assert str(err.value) == f"{path}: checkpoint format version 7 is not 9"
     moved = ("controller/logits/", "history/")
     kept = {name: arr for name, arr in _without(arrays, *steps).items() if not name.startswith(moved)}
     header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
