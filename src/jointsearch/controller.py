@@ -15,11 +15,13 @@ logits have taken, is passed to each update.
 
 The logits and their Adam moments are zero-padded tables, one row per
 decision, as wide as the largest cardinality. Each phase runs on them: one
-softmax per distinct cardinality over the stacked rows of that width, one
-cumulative sum along the rows, the K gradient accumulations through flat
-cell indices and one Adam step, where a padding cell's zero gradient leaves
-its zero moments and logit unchanged. Each gives the per-decision result bit
-for bit: numpy reduces each row of a C-contiguous table as that row alone, a
+softmax of the whole table when every decision is as wide as it, else one
+per distinct cardinality over the stacked rows of that width; one cumulative
+sum along the rows; the selections checked index by index in Python, then
+the K gradient accumulations through flat cell indices; and one Adam step on
+scratch the state owns, where a padding cell's zero gradient leaves its zero
+moments and logit unchanged. Each gives the per-decision result bit for bit:
+numpy reduces each row of a C-contiguous table as that row alone, a
 cumulative sum runs in order, and the entropy's dot product stays per row.
 """
 from __future__ import annotations
@@ -34,9 +36,7 @@ import numpy as np
 from .config import SearchSection
 from .numerics import RngStream, softmax
 from .space import SearchSpace
-from .trainstep import TrainerSpec, optimizer_step
-
-_TABLE = "logits"  # the one key of the table update's ``optimizer_step``
+from .trainstep import TrainerSpec, _update
 
 
 @dataclass
@@ -68,7 +68,8 @@ class ControllerState:
                 for row, r, c in zip(table, rows, cards):
                     row[:c] = r
             setattr(self, name, [row[:c] for row, c in zip(table, cards)])
-        self._slots = {("adam", _TABLE): {"step": 0, "m": m, "v": v}}  # ``optimizer_step``'s
+        self._slot = {"step": 0, "m": m, "v": v}  # the table's Adam slot
+        self._scratch = np.empty_like(tables[1:])  # ``optimizer_step``'s two scratch tables
         self._offsets = m.shape[1] * np.arange(len(cards))  # each row's first flat cell
         self._last = np.array(cards, dtype=np.int64) - 1
         self._groups = [(c, np.flatnonzero(self._last == c - 1)) for c in sorted(set(cards))]
@@ -87,10 +88,14 @@ class Probabilities(list):
 
 
 def probabilities(state: ControllerState) -> Probabilities:
-    """Each decision's softmax, one ``softmax`` call per distinct cardinality."""
-    table = np.zeros_like(state._table)
-    for card, rows in state._groups:
-        table[rows, :card] = softmax(state._table[rows, :card])
+    """Each decision's softmax: one ``softmax`` of the table when every
+    decision is as wide as it, else one call per distinct cardinality."""
+    if len(state._groups) == 1:  # one cardinality, so no padding
+        table = softmax(state._table)
+    else:
+        table = np.zeros_like(state._table)
+        for card, rows in state._groups:
+            table[rows, :card] = softmax(state._table[rows, :card])
     probs = Probabilities(row[:card] for row, card in zip(table, state._cards))
     probs.table = table
     return probs
@@ -120,18 +125,16 @@ def _check_selections(state: ControllerState, samples) -> np.ndarray:
     """The flat table cell each selection of ``samples`` picks per decision,
     ``K x n_decisions``. ``ValueError`` unless each holds one integer index per
     decision in ``[0, cardinality)``: a padded table takes others silently."""
+    cards = state._cards
     selections = [selection for selection, _ in samples]
-    if any(len(selection) != len(state._cards) for selection in selections):
+    if any(len(selection) != len(cards) for selection in selections):
         raise ValueError("selection length does not match decision count")
-    picks = np.array(selections)
-    if picks.dtype.kind not in "iu" or not ((picks >= 0) & (picks <= state._last)).all():
-        for selection in selections:  # name the first bad index
-            for d, (j, card) in enumerate(zip(selection, state._cards)):
-                if not (isinstance(j, (int, np.integer)) and 0 <= j < card):
-                    what = f"not an index in [0, {card})"
-                    raise ValueError(f"selection picks {j} for decision {d}, {what}")
-    # Whole indices numpy did not store as integers (bools, say) become integers.
-    return picks.astype(np.int64, copy=False) + state._offsets
+    for selection in selections:
+        for d, (j, card) in enumerate(zip(selection, cards)):
+            if not (isinstance(j, (int, np.integer)) and 0 <= j < card):
+                what = f"not an index in [0, {card})"
+                raise ValueError(f"selection picks {j} for decision {d}, {what}")
+    return np.array(selections, dtype=np.int64) + state._offsets
 
 
 def _gradient(
@@ -173,14 +176,17 @@ def _adam(learning_rate: float) -> TrainerSpec:
     return TrainerSpec(optimizer="adam", learning_rate=learning_rate)
 
 
-def _adam_step(state: ControllerState, grad: np.ndarray, learning_rate: float, done: int) -> None:
-    """Adam step ``done + 1`` of the logit table, after ``done`` updates."""
-    state._slots["adam", _TABLE]["step"] = done
-    try:
-        optimizer_step({_TABLE: state._table}, {_TABLE: grad}, state._slots, _adam(learning_rate))
-    except ValueError:  # a non-finite gradient, which the step refuses before any write
+def optimizer_step(
+    state: ControllerState, grad: np.ndarray, learning_rate: float, done: int
+) -> None:
+    """Adam step ``done + 1`` of the logit table from its gradient table,
+    after ``done`` updates; a non-finite gradient is refused, by decision,
+    before any write."""
+    if not np.isfinite(grad).all():
         bad = next(d for d, g in enumerate(grad) if not np.isfinite(g).all())
-        raise ValueError(f"non-finite gradient for {bad}") from None
+        raise ValueError(f"non-finite gradient for {bad}")
+    state._slot["step"] = done
+    _update(state._table, grad, state._slot, _adam(learning_rate), *state._scratch)
 
 
 def reinforce_update(
@@ -213,7 +219,7 @@ def reinforce_update(
         grad = _gradient(table, cells, rewards, pre_baseline)
         if search.entropy_weight != 0.0:
             grad += _entropy_gradient(table, state._cards, search.entropy_weight)
-        _adam_step(state, grad, search.meta_lr, step - warmup)
+        optimizer_step(state, grad, search.meta_lr, step - warmup)
 
     m = search.baseline_momentum
     for i, reward in enumerate(rewards):

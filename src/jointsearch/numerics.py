@@ -195,8 +195,16 @@ def _mix64_int(z: int) -> int:
 
 def _dims(shape) -> tuple[tuple[int, ...], int]:
     # ``shape`` as a tuple (an int is one dimension) and its size as a Python
-    # int, so a stream's counter stays one; ``()`` is one draw.
-    dims = (shape,) if isinstance(shape, int) else tuple(shape)
+    # int, so a stream's counter stays one; ``()`` is one draw. ``ValueError``,
+    # before any word is drawn, unless each dimension is a non-negative integer
+    # (a bool is not one).
+    try:
+        dims = (shape,) if isinstance(shape, int) else tuple(shape)
+    except TypeError:
+        dims = (shape,)
+    for d in dims:
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
+            raise ValueError(f"shape {shape!r} has a dimension that is not a non-negative integer")
     return dims, int(math.prod(dims))
 
 

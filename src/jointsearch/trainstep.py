@@ -182,7 +182,7 @@ def optimizer_step(params: dict, grads: Mapping, slots: dict, spec: TrainerSpec)
     for key in sorted(params):
         p = params[key]
         g = grads[key]
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValueError(f"non-finite gradient for {key}")
         if family != "sgd" and (family, key) not in slots:
             slots[family, key] = fresh_slot(family, p)

@@ -76,6 +76,9 @@ def test_controller_sample_counted_once_per_phase(monkeypatch):
         tracer.unwrap_all()
     assert calls["controller.sample"] == 10
     assert tracer.counts["controller.sample.words"] == 120
+    # Every step updates; the logit step follows the warm-up, ceil(0.3 * 10) = 3.
+    assert calls["controller.reinforce_update"] == 10
+    assert calls["controller.optimizer_step"] == 7
 
 
 def test_candidate_batches_drawn_in_one_call(monkeypatch):

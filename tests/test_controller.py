@@ -179,13 +179,20 @@ def _random_logits(rng: RngStream, card: int) -> np.ndarray:
 TABLE_CARDS = (1, 2, 5, 8, 9, 17)
 
 
-@pytest.mark.parametrize("widths", [range(1, 7), TABLE_CARDS], ids=["1-6", "table"])
-def test_sample_block_draw_matches_per_draw_reference(widths):
+@pytest.mark.parametrize(
+    "widths, decisions",
+    [(range(1, 7), None), (TABLE_CARDS, None), ((4,), 3), ((9,), 4)],
+    ids=["1-6", "table", "3x4", "4x9"],
+)
+def test_sample_block_draw_matches_per_draw_reference(widths, decisions):
     # Mixed widths make padded tables; one softmax per width must give each
-    # row's own bytes, and the table's CDF each row's own picks.
+    # row's own bytes, and the table's CDF each row's own picks. Decisions
+    # of one width (3 of 4, as ``tabular-controller``; 4 of 9, wide enough
+    # that numpy sums a row pairwise) take one softmax of the whole table.
     rng = RngStream(0, f"sample-property/{len(widths)}")
     for case in range(200):
-        cards = [widths[rng.index(len(widths))] for _ in range(1 + rng.index(7))]
+        n = 1 + rng.index(7) if decisions is None else decisions
+        cards = [widths[rng.index(len(widths))] for _ in range(n)]
         state = state_with_logits([_random_logits(rng, c) for c in cards])
         probs = probabilities(state)
         assert [p.tobytes() for p in probs] == [softmax(z).tobytes() for z in state.logits]
@@ -206,6 +213,14 @@ def test_sample_zero_selections_draws_nothing():
     assert sample(state, rng, 0) == []
     assert rng.counter == 17
     assert rng.uniform() == RngStream(1, "ctl", 17).uniform()
+
+
+def test_sample_refuses_a_negative_count_before_drawing():
+    state = init_controller(space_with_cards([3, 2]))
+    rng = RngStream(1, "ctl", 10)
+    with pytest.raises(ValueError, match="has a dimension that is not a non-negative integer"):
+        sample(state, rng, -2)
+    assert rng.counter == 10
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +373,7 @@ def test_state_packs_its_moments_into_padded_tables():
     # table's one Adam slot steps; the rows stay views, the padding zero.
     m, v = [np.full(c, 0.25 + d) for d, c in enumerate((2, 3))], [np.full(2, 0.5), np.ones(3)]
     state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, m, v)
-    [(key, slot)] = state._slots.items()
-    assert key == ("adam", "logits")
+    slot = state._slot
     assert slot["m"].tolist() == [[0.25, 0.25, 0.0], [1.25, 1.25, 1.25]]
     assert slot["v"].tolist() == [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]]
     assert all(np.shares_memory(row, slot["m"]) for row in state.m)
@@ -401,16 +415,21 @@ def test_state_refuses_logits_other_than_vectors(logits):
 @pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
 def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight):
     """30 steps of the table update beside the per-decision one, bit for bit,
-    over spaces mixing every cardinality of ``TABLE_CARDS``; the state makes
-    a checkpoint round trip at step 15, after warm-up (steps 0 to 5)."""
+    over spaces mixing every cardinality of ``TABLE_CARDS`` and spaces of
+    one width (3 decisions of 4, as ``tabular-controller``, and 4 of 9); the
+    state makes a checkpoint round trip at step 15, after warm-up (steps 0
+    to 5)."""
     search = SearchSection(
         total_meta_steps=30, warmup_fraction=0.2, meta_lr=0.05,
         baseline_momentum=0.9, entropy_weight=entropy_weight,
     )
     rng = RngStream(k, f"table-oracle/{entropy_weight}")
-    for case in range(3):
-        cards = list(TABLE_CARDS) + [TABLE_CARDS[rng.index(6)] for _ in range(rng.index(4))]
-        cards = [cards[i] for i in rng.permutation(len(cards))]
+    for case, layout in enumerate([None, None, None, [4] * 3, [9] * 4]):  # None: mixed
+        if layout is None:
+            cards = list(TABLE_CARDS) + [TABLE_CARDS[rng.index(6)] for _ in range(rng.index(4))]
+            cards = [cards[i] for i in rng.permutation(len(cards))]
+        else:
+            cards = layout
         start = [2.0 * rng.normal(c) for c in cards]
         state = ControllerState(logits=[z.copy() for z in start])
         ref = ReferenceController(logits=[z.copy() for z in start])

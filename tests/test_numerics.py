@@ -480,6 +480,20 @@ def test_rng_draw_shapes_words_and_counters(draw, shape, want_shape, words):
         assert value.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "shape", [(-1, 3), -3, (2, 1.5), (True, 3), True, 2.0, (np.int64(-2),), (np.bool_(True),)]
+)
+@pytest.mark.parametrize("draw", ["uniform", "normal"])
+def test_rng_draw_refuses_a_bad_shape_before_drawing(draw, shape):
+    # A negative dimension would move the counter back, and a float or bool
+    # one fail only after its words were drawn: each is refused up front.
+    stream = RngStream(47, "shape", counter=10)
+    with pytest.raises(ValueError, match="has a dimension that is not a non-negative integer"):
+        getattr(stream, draw)(shape)
+    assert stream.counter == 10
+    assert stream.uniform() == RngStream(47, "shape", counter=10).uniform()
+
+
 def test_rng_normal_moments():
     z = RngStream(17, "z").normal(20000)
     # mean has sd 1/sqrt(n); variance estimate has sd about sqrt(2/n)
