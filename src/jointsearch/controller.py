@@ -9,20 +9,21 @@ baseline is a scalar moving average of observed rewards, initialized to the
 first reward of meta-step 0. During a warm-up window at the start of a run
 the logits are left untouched (so sampling stays at its uniform
 initialization) while the baseline keeps tracking rewards. The state holds
-only what the controller has learned; the meta-step, which says whether
-warm-up is over, whether a baseline exists and how many Adam steps the
-logits have taken, is passed to each update.
+what the controller has learned and the probabilities of its logits; the
+meta-step, which says whether warm-up is over, whether a baseline exists and
+how many Adam steps the logits have taken, is passed to each update.
 
-The logits and their Adam moments are zero-padded tables, one row per
-decision, as wide as the largest cardinality. Each phase runs on them: one
-softmax of the whole table when every decision is as wide as it, else one
-per distinct cardinality over the stacked rows of that width; one cumulative
-sum along the rows; the selections checked index by index in Python, then
-the K gradient accumulations through flat cell indices; and one Adam step on
-scratch the state owns, where a padding cell's zero gradient leaves its zero
-moments and logit unchanged. Each gives the per-decision result bit for bit:
-numpy reduces each row of a C-contiguous table as that row alone, a
-cumulative sum runs in order, and the entropy's dot product stays per row.
+The logits, their probabilities and Adam moments are zero-padded tables, one
+row per decision, as wide as the largest cardinality. The probability table
+is computed on first use, one softmax per distinct cardinality (one in all
+when the widths agree), and kept until ``optimizer_step``, the one writer of
+the read-only logit rows, drops it. A phase runs one cumulative sum along the
+rows, checks the selections in Python, accumulates the K gradients through
+flat cell indices and takes one Adam step on scratch the state owns, where a
+padding cell's zero gradient leaves its zero moments and logit unchanged.
+Each gives the per-decision result bit for bit: numpy reduces each row of a
+C-contiguous table as that row alone, a cumulative sum runs in order, and
+the entropy's dot product stays per row.
 """
 from __future__ import annotations
 
@@ -44,10 +45,10 @@ class ControllerState:
     """What the controller has learned: ``logits`` by decision, the
     ``baseline`` and the Adam moments ``m`` and ``v`` by decision (zero when
     not given). Building one packs each into a padded table, each row then a
-    view of its table (write them in place); ``ValueError`` names the field
-    unless the logits are vectors and ``m`` and ``v`` one row per decision of
-    the logits' lengths. Adam's step count is not state: each update sets it
-    from the meta-step."""
+    view of its table, read-only for the logits (build a new state to change
+    them); ``ValueError`` names the field unless the logits are vectors and
+    ``m`` and ``v`` one row per decision of the logits' lengths. Adam's step
+    count is not state: each update sets it from the meta-step."""
 
     logits: list[np.ndarray]
     baseline: float = 0.0
@@ -68,6 +69,9 @@ class ControllerState:
                 for row, r, c in zip(table, rows, cards):
                     row[:c] = r
             setattr(self, name, [row[:c] for row, c in zip(table, cards)])
+        for row in self.logits:
+            row.flags.writeable = False
+        self._probs = None  # the probability table, once ``_prob_table`` computes it
         self._slot = {"step": 0, "m": m, "v": v}  # the table's Adam slot
         self._scratch = np.empty_like(tables[1:])  # ``optimizer_step``'s two scratch tables
         self._offsets = m.shape[1] * np.arange(len(cards))  # each row's first flat cell
@@ -80,41 +84,37 @@ def init_controller(space: SearchSpace) -> ControllerState:
     return ControllerState([np.zeros(card) for card in space.cardinalities()])
 
 
-class Probabilities(list):
-    """The probabilities by decision, each a view of its row of ``table``,
-    the zero-padded probability table."""
-
-    table: np.ndarray
-
-
-def probabilities(state: ControllerState) -> Probabilities:
-    """Each decision's softmax: one ``softmax`` of the table when every
-    decision is as wide as it, else one call per distinct cardinality."""
-    if len(state._groups) == 1:  # one cardinality, so no padding
-        table = softmax(state._table)
-    else:
-        table = np.zeros_like(state._table)
-        for card, rows in state._groups:
-            table[rows, :card] = softmax(state._table[rows, :card])
-    probs = Probabilities(row[:card] for row, card in zip(table, state._cards))
-    probs.table = table
-    return probs
+def _prob_table(state: ControllerState) -> np.ndarray:
+    """The state's read-only probability table, computed once per logit
+    change: one ``softmax`` per distinct cardinality."""
+    if state._probs is None:
+        if len(state._groups) == 1:  # one cardinality, so no padding
+            table = softmax(state._table)
+        else:
+            table = np.zeros_like(state._table)
+            for card, rows in state._groups:
+                table[rows, :card] = softmax(state._table[rows, :card])
+        table.flags.writeable = False
+        state._probs = table
+    return state._probs
 
 
-def sample(
-    state: ControllerState, rng: RngStream, k: int, probs: Probabilities | None = None
-) -> list[tuple[int, ...]]:
+def probabilities(state: ControllerState) -> list[np.ndarray]:
+    """Each decision's softmax, a read-only row view of the state's table."""
+    return [row[:card] for row, card in zip(_prob_table(state), state._cards)]
+
+
+def sample(state: ControllerState, rng: RngStream, k: int) -> list[tuple[int, ...]]:
     """Draw the ``k`` selections of one phase.
 
     The phase takes one ``k x n_decisions`` block of uniforms; selection ``i``
     reads row ``i`` in decision order and, per decision, picks the first index
     whose cumulative probability exceeds its draw, or the last index when none
     does. The stream is counter-based, so the block holds the same words, in
-    the same order, as ``k`` successive draws of one row each. ``probs``, when
-    given, must be ``probabilities(state)``; it saves computing them again.
+    the same order, as ``k`` successive draws of one row each.
     """
     u = rng.uniform((k, len(state._cards)))
-    cdf = np.cumsum((probabilities(state) if probs is None else probs).table, axis=1)
+    cdf = np.cumsum(_prob_table(state), axis=1)
     # The count of CDF entries <= u is ``searchsorted(side="right")``; the
     # padding cells repeat the row's total, so past it the count is clipped.
     picks = np.minimum((cdf <= u[:, :, None]).sum(axis=2), state._last)
@@ -147,8 +147,6 @@ def _gradient(
     grad = np.zeros_like(table)
     flat = grad.reshape(-1)
     for row, reward in zip(cells, rewards):
-        if not math.isfinite(reward):
-            raise ValueError("reward must be finite")
         advantage = reward - baseline
         grad += advantage * table
         flat[row] -= advantage
@@ -180,13 +178,14 @@ def optimizer_step(
     state: ControllerState, grad: np.ndarray, learning_rate: float, done: int
 ) -> None:
     """Adam step ``done + 1`` of the logit table from its gradient table,
-    after ``done`` updates; a non-finite gradient is refused, by decision,
-    before any write."""
+    after ``done`` updates, which drops the state's probability table; a
+    non-finite gradient is refused, by decision, before any write."""
     if not np.isfinite(grad).all():
         bad = next(d for d, g in enumerate(grad) if not np.isfinite(g).all())
         raise ValueError(f"non-finite gradient for {bad}")
     state._slot["step"] = done
     _update(state._table, grad, state._slot, _adam(learning_rate), *state._scratch)
+    state._probs = None
 
 
 def reinforce_update(
@@ -194,7 +193,6 @@ def reinforce_update(
     samples: Sequence[tuple[Sequence[int], float]],
     search: SearchSection,
     step: int,
-    probs: Probabilities | None = None,
 ) -> float:
     """Meta-step ``step``: Adam on the logits, then the baseline moving average.
 
@@ -204,28 +202,26 @@ def reinforce_update(
     start-up advantage spike. Inside the warm-up window (steps below
     ``warmup_steps(search)``) the logits and their Adam moments
     are left bitwise unchanged while the baseline still tracks every reward.
-    ``probs``, when given, must be ``probabilities(state)`` as the logits
-    stand; it saves computing them again.
+    A bad selection or a non-finite reward is refused before any write.
     """
     if not samples:
         raise ValueError("reinforce_update needs at least one sample")
     cells = _check_selections(state, samples)
-    rewards = [reward for _, reward in samples]
-    pre_baseline = state.baseline if step > 0 else float(rewards[0])
+    rewards = [float(reward) for _, reward in samples]
+    if not all(map(math.isfinite, rewards)):
+        raise ValueError("reward must be finite")
+    pre_baseline = state.baseline if step > 0 else rewards[0]
 
     warmup = warmup_steps(search)
     if step >= warmup:
-        table = (probabilities(state) if probs is None else probs).table
+        table = _prob_table(state)
         grad = _gradient(table, cells, rewards, pre_baseline)
         if search.entropy_weight != 0.0:
             grad += _entropy_gradient(table, state._cards, search.entropy_weight)
         optimizer_step(state, grad, search.meta_lr, step - warmup)
 
     m = search.baseline_momentum
-    for i, reward in enumerate(rewards):
-        r = float(reward)
-        if not math.isfinite(r):
-            raise ValueError("reward must be finite")
+    for i, r in enumerate(rewards):
         # The first reward of step 0 starts the moving average.
         state.baseline = r if step == i == 0 else m * state.baseline + (1.0 - m) * r
     return pre_baseline

@@ -239,7 +239,6 @@ class Run:
     ckpt: persist.Checkpoint
     stream: RngStream  # the controller's
     weights: SuperModelWeights | None
-    probs: ctrl.Probabilities  # the controller's, as its logits stand
 
 
 def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None) -> Run:
@@ -259,7 +258,7 @@ def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None)
     # ``ctrl.sample`` draws a k x n_decisions block per phase; only networks commit.
     per_step = config.search.pairs_per_step * space.n_decisions * (2 if uses_network else 1)
     stream = RngStream(seed, "controller", ckpt.meta_step * per_step)
-    return Run(config, space, splits, ckpt, stream, weights, ctrl.probabilities(ckpt.controller))
+    return Run(config, space, splits, ckpt, stream, weights)
 
 
 def meta_step(
@@ -273,7 +272,7 @@ def meta_step(
     k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
     scored = []  # scoring: K sampled pairs, each on its own temporary weights
-    for i, selection in enumerate(ctrl.sample(state, run.stream, k, run.probs)):
+    for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
         if evaluate_override is not None:
             accuracy, cost = evaluate_override(selection)
         else:
@@ -284,16 +283,15 @@ def meta_step(
             accuracy, cost = evaluate_candidate(
                 weights, selection, batches, val, train_rng, learning_rate=lr
             )
-        scored.append((selection, accuracy, cost, compute_reward(accuracy, cost, settings.reward)))
+        reward = compute_reward(accuracy, cost, settings.reward)
+        scored.append((selection, float(accuracy), float(cost), reward))
     # controller: one REINFORCE update from the K rewards
     samples = [(s, r) for s, _, _, r in scored]
-    baseline = ctrl.reinforce_update(state, samples, settings, step, run.probs)
-    if step >= ctrl.warmup_steps(settings):  # inside warm-up the logits stand still
-        run.probs = ctrl.probabilities(state)
+    baseline = ctrl.reinforce_update(state, samples, settings, step)
     if audit is not None:
         audit("controller", step, weights)
     if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K
-        for i, selection in enumerate(ctrl.sample(state, run.stream, k, run.probs)):
+        for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
             view = supernet.sub_view(run.space, selection)
             spec = trainstep.build_trainer(run.space, view.selection, lr)
             spec = replace(spec, learning_rate=spec.learning_rate / k)
@@ -348,7 +346,7 @@ def search(
                 digest = persist.store_digest(ckpt.store)
             if log_fh is not None:
                 mean = float(np.mean([r.reward for r in records]))
-                probs = [p.tolist() for p in run.probs]
+                probs = [p.tolist() for p in ctrl.probabilities(state)]
                 ms = (time.monotonic() - t0) * 1000.0
                 event = persist.EventRecord(step, mean, state.baseline, probs, digest, ms)
                 persist.write_event(log_fh, event)
@@ -358,7 +356,8 @@ def search(
     if path is not None and start == total:  # no step left: save once
         ckpt.store_digest = persist.store_digest(ckpt.store)
         persist.save_checkpoint(path, ckpt)
-    return SearchResult(derive(run.space, run.probs), run.probs, ckpt.reward_history, total)
+    probs = ctrl.probabilities(state)
+    return SearchResult(derive(run.space, probs), probs, ckpt.reward_history, total)
 
 
 def _derived_space(space: SearchSpace, arch_choice: Sequence[int]) -> SearchSpace:

@@ -193,6 +193,10 @@ def _mix64_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _is_int(x) -> bool:  # a Python or numpy integer; a bool is not one
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _dims(shape) -> tuple[tuple[int, ...], int]:
     # ``shape`` as a tuple (an int is one dimension) and its size as a Python
     # int, so a stream's counter stays one; ``()`` is one draw. ``ValueError``,
@@ -203,7 +207,7 @@ def _dims(shape) -> tuple[tuple[int, ...], int]:
     except TypeError:
         dims = (shape,)
     for d in dims:
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
+        if not _is_int(d) or d < 0:
             raise ValueError(f"shape {shape!r} has a dimension that is not a non-negative integer")
     return dims, int(math.prod(dims))
 
@@ -396,8 +400,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, name: str = "", counter: int = 0):
-        if counter < 0:
-            raise ValueError("counter must be non-negative")
+        if not _is_int(counter) or counter < 0:
+            raise ValueError(f"counter must be a non-negative integer, got {counter!r}")
         self.seed = int(seed) & _MASK64
         self.counter = int(counter)
         self._key = np.uint64(_mix64_int(self.seed ^ fnv1a64(name)))
@@ -458,8 +462,8 @@ class RngStream:
 
     def index(self, upper: int) -> int:
         """Uniform integer in [0, upper)."""
-        if upper <= 0:
-            raise ValueError("upper must be positive")
+        if not _is_int(upper) or upper <= 0:
+            raise ValueError(f"upper must be a positive integer, got {upper!r}")
         return min(int(self.uniform() * upper), upper - 1)
 
     def sample_indices(self, n: int, k: int, count: int | None = None) -> np.ndarray:

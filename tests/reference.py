@@ -464,7 +464,7 @@ def logit_gradient(state: ControllerState, samples, baseline: float) -> list[np.
     steps with (before its entropy term), by decision: ``controller._gradient``
     of the checked ``samples``."""
     cells = controller._check_selections(state, samples)
-    table = probabilities(state).table
+    table = controller._prob_table(state)
     grad = controller._gradient(table, cells, [reward for _, reward in samples], baseline)
     return [g[: len(z)] for g, z in zip(grad, state.logits)]
 

@@ -854,6 +854,40 @@ def test_resume_refuses_a_log_of_another_format_version_and_changes_neither_file
     assert log.read_bytes() == edited and ckpt.read_bytes() == saved
 
 
+def test_a_resumed_result_file_is_the_uninterrupted_one_when_an_override_returns_ints(tmp_path):
+    # The records hold floats, so the history a resume reads back from the
+    # checkpoint's float64 arrays writes ``1.0`` and ``0.0`` where the
+    # uninterrupted run's records do too, not ``1`` and ``0``.
+    from jointsearch import cli, engine
+    from jointsearch.space import build_space
+
+    def table(selection):
+        return int(selection[0] == 1), 0
+
+    doc = base_doc(6)
+    doc["output"] = {"checkpoint_path": str(tmp_path / "run.ckpt"), "checkpoint_interval": 2}
+    config = load_config(write_config(tmp_path, "run.cfg.json", doc))
+
+    def written(result, name):
+        path = tmp_path / name
+        cli._emit(cli._result_document(build_space(config.space), result), str(path))
+        return path.read_bytes()
+
+    whole = written(engine.search(config, evaluate_override=table), "whole.json")
+
+    def crash(phase, step, weights):
+        if step == 3:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        engine.search(config, evaluate_override=table, audit=crash)
+    resume = config.output.checkpoint_path
+    resumed = engine.search(config, evaluate_override=table, resume_from=resume)
+    assert written(resumed, "resumed.json") == whole
+    history = json.loads(whole)["reward_history"]
+    assert all(type(r[name]) is float for r in history for name in ("accuracy", "cost"))
+
+
 @pytest.mark.parametrize("step", [True, 1.0])
 def test_resume_refuses_a_log_whose_step_is_not_an_integer(capsys, tmp_path, step):
     # ``True == 1`` and ``1.0 == 1``, but ``read_events``, and so ``report``,

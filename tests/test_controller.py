@@ -201,8 +201,7 @@ def test_sample_block_draw_matches_per_draw_reference(widths, decisions):
         fast = RngStream(case, "ctl", start)
         slow = RngStream(case, "ctl", start)
         expected = [reference_sample(state, slow)[0] for _ in range(k)]
-        given = probs if case % 2 else None  # both with and without the phase's probabilities
-        assert sample(state, fast, k, given) == expected, (case, cards, k)
+        assert sample(state, fast, k) == expected, (case, cards, k)
         assert fast.counter == slow.counter == start + k * len(cards)
         assert fast.uniform() == slow.uniform()
 
@@ -245,10 +244,44 @@ def test_logit_gradient_averages_over_samples():
     assert np.allclose(grads[0], [0.0, 0.0], atol=1e-15)
 
 
-def test_logit_gradient_rejects_non_finite_reward():
-    state = init_controller(space_with_cards([2]))
-    with pytest.raises(ValueError):
-        logit_gradient(state, [((0,), float("nan"))], baseline=0.0)
+@pytest.mark.parametrize("step", [3, 7], ids=["in-warm-up", "past-warm-up"])
+@pytest.mark.parametrize("rewards", [[0.9, float("nan")], [float("-inf"), 0.9]])
+def test_update_refuses_a_non_finite_reward_before_any_write(step, rewards):
+    # Warm-up is the first ceil(0.5 * 10) = 5 steps. Inside it the baseline
+    # must not take the rewards before the bad one; past it neither must the
+    # logits, their moments or the probability table.
+    m, v = [np.array([0.1, -0.2]), np.array([0.3, 0.0, 0.5])], [np.full(2, 0.5), np.ones(3)]
+    state = ControllerState([np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0])], 0.2, m, v)
+    table = controller._prob_table(state)
+    before = [row.tobytes() for row in state.logits + state.m + state.v]
+    meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
+    samples = [((0, 1), rewards[0]), ((1, 2), rewards[1])]
+    with pytest.raises(ValueError, match="^reward must be finite$"):
+        reinforce_update(state, samples, meta, step)
+    assert state.baseline == 0.2
+    assert [row.tobytes() for row in state.logits + state.m + state.v] == before
+    assert controller._prob_table(state) is table
+
+
+def test_logits_and_probabilities_are_read_only_and_follow_each_update():
+    # Only ``optimizer_step`` writes the logits, and it drops the table, so
+    # after each update past warm-up the probabilities are the new logits'
+    # softmax, bit for bit; a write in place is refused.
+    state = init_controller(space_with_cards([2, 3, 3, 5]))
+    meta = SearchSection(total_meta_steps=8, warmup_fraction=0.25)
+    stream = RngStream(4, "read-only")
+    for step in range(8):
+        probs = probabilities(state)
+        for row in (state.logits[1], probs[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.5
+        selections = sample(state, stream, 3)
+        reinforce_update(state, [(s, 0.1 * sum(s)) for s in selections], meta, step)
+        if step >= 2:
+            want = [softmax(z).tobytes() for z in state.logits]
+            assert [p.tobytes() for p in probabilities(state)] == want
+            assert [p.tobytes() for p in probs] != want  # the old rows keep the old table
+    assert all(row.flags.writeable for row in state.m + state.v)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +475,9 @@ def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight
                 assert all(z.base is state.logits[0].base for z in state.logits)
             probs = probabilities(state)
             assert [p.tobytes() for p in probs] == [p.tobytes() for p in ref.probabilities()]
-            selections = sample(state, stream, k, probs)
+            selections = sample(state, stream, k)
             samples = [(selection, float(rng.uniform())) for selection in selections]
-            given = probs if step % 2 else None  # both with and without the phase's probabilities
-            used = reinforce_update(state, samples, search, step, given)
+            used = reinforce_update(state, samples, search, step)
             assert used == reference_reinforce_update(ref, samples, search, step)
             assert state.baseline == ref.baseline
             where = (case, cards, step)

@@ -632,13 +632,14 @@ def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
 def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, monkeypatch):
     # Once as the run starts and once after each update, none inside the
     # warm-up of ceil(0.3 * 10) = 3 steps; the commit phase, the event
-    # record, the next scoring phase and the result read those.
-    real, calls = controller.probabilities, []
-    monkeypatch.setattr(controller, "probabilities", lambda state: calls.append(1) or real(state))
+    # record, the next scoring phase and the result read those. Each time is
+    # one softmax per distinct cardinality: 3 x (1 + 10 - 3).
+    real, calls = controller.softmax, []
+    monkeypatch.setattr(controller, "softmax", lambda z: calls.append(1) or real(z))
     log = str(tmp_path / "t.jsonl")
     doc = {**tabular_doc([3, 2, 4], total=10, k=3), "output": {"log_path": log}}
     search(parse_config(doc), evaluate_override=lambda s: (0.2 + 0.1 * s[0], 1.0))
-    assert len(calls) == 1 + 10 - 3
+    assert len(calls) == 24
     # Each record of a network search logs the logits its step left, as one
     # softmax per decision of the checkpoint that step saved, bit for bit.
     path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "n.jsonl")
@@ -719,7 +720,12 @@ def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_
         with open(path, "wb") as fh:
             fh.write(every[done - 1])
         ckpt = persist.load_checkpoint(path)
-        getattr(ckpt.controller, row)[2][3] = value
+        state = ckpt.controller
+        rows = {name: [z.copy() for z in getattr(state, name)] for name in ("logits", "m", "v")}
+        rows[row][2][3] = value
+        ckpt.controller = controller.ControllerState(
+            rows["logits"], state.baseline, rows["m"], rows["v"]
+        )
         persist.save_checkpoint(path, ckpt)
         if done == 4:
             search(config, evaluate_override=table, resume_from=path)

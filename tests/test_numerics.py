@@ -607,6 +607,17 @@ def test_rng_index_bounds():
         stream.index(0)
 
 
+@pytest.mark.parametrize("upper", [2.5, 7.0, True, np.bool_(True), -3, np.int64(0)])
+def test_rng_index_refuses_an_upper_other_than_a_positive_integer(upper):
+    # ``index(2.5)`` could return the float 1.5 and ``index(True)`` 0: each
+    # is refused before a word is drawn.
+    stream = RngStream(31, "idx", counter=6)
+    with pytest.raises(ValueError, match="^upper must be a positive integer, got "):
+        stream.index(upper)
+    assert stream.counter == 6
+    assert stream.index(np.int64(7)) == RngStream(31, "idx", counter=6).index(7)
+
+
 def test_rng_sample_indices_distinct_and_in_range():
     stream = RngStream(41, "pick")
     for _ in range(20):
@@ -716,6 +727,15 @@ def test_rng_split_matches_slash_naming():
 def test_rng_rejects_negative_counter():
     with pytest.raises(ValueError):
         RngStream(0, "s", counter=-1)
+
+
+@pytest.mark.parametrize("counter", [1.5, 2.0, True, np.bool_(False)])
+def test_rng_rejects_a_counter_other_than_an_integer(counter):
+    # A fractional counter would be truncated, and a bool taken as 0 or 1.
+    with pytest.raises(ValueError, match="^counter must be a non-negative integer, got "):
+        RngStream(0, "s", counter=counter)
+    stream = RngStream(0, "s", counter=np.int64(3))
+    assert type(stream.counter) is int and stream.counter == 3
 
 
 @pytest.mark.parametrize("counter", [0, 2**40, 2**63])

@@ -395,6 +395,14 @@ def test_non_finite_event_record_is_not_written(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _with_logit(state, d, j, value):
+    """``state`` as a new controller state whose logit ``j`` of decision
+    ``d`` is ``value``: its logit rows are read-only."""
+    logits = [z.copy() for z in state.logits]
+    logits[d][j] = value
+    return ControllerState(logits, state.baseline, state.m, state.v)
+
+
 def sample_checkpoint():
     store = small_store()
     key = ParamKey(0, 1, "weight")
@@ -505,7 +513,7 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
             id="history-baseline",
         ),
         pytest.param(
-            lambda c: c.controller.logits[1].__setitem__(2, float("inf")),
+            lambda c: setattr(c, "controller", _with_logit(c.controller, 1, 2, float("inf"))),
             "controller/1",
             id="logit",
         ),
@@ -603,14 +611,18 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
             assert bytes(blob[offset : offset + size]) == want[name].astype("<f8").tobytes()
     assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
+    logits = loaded.controller.logits
     arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
-    arrays += loaded.controller.logits + loaded.controller.m + loaded.controller.v
+    arrays += loaded.controller.m + loaded.controller.v
     for _, slot in loaded.commit_slots.items():
         arrays += [v for v in slot.values() if not isinstance(v, int)]
-    assert len(arrays) == 3 + 2 + 6 + 2  # store, head, controller rows, commit m and v
-    for arr in arrays:
+    assert len(arrays) == 3 + 2 + 4 + 2  # store, head, controller m and v rows, commit m and v
+    # Only the controller's Adam step writes the logits: their rows are read-only.
+    assert all(arr.flags.writeable for arr in arrays)
+    assert not any(z.flags.writeable for z in logits)
+    for arr in arrays + logits:
         assert arr.dtype == np.float64 and arr.dtype.isnative
-        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert arr.flags.c_contiguous
         # Each owns its data or, as the controller's do, views a table that does.
         owner = arr if arr.flags.owndata else arr.base
         assert isinstance(owner, np.ndarray) and owner.flags.owndata
