@@ -26,7 +26,6 @@ from . import persist, supernet, trainstep
 from .config import ConfigError, EngineConfig, RewardSection, config_to_dict
 from .data import DataSplit, Dataset, concat, load_csv, spirals, split, two_moons
 from .numerics import RngStream, check_labels, cross_entropy_loss
-from .persist import RewardRecord
 from .space import DerivedConfig, SearchSpace, build_space, derive, selection_to_config
 from .supernet import SubModelView, SuperModelWeights
 from .trainstep import TrainerSpec
@@ -36,7 +35,7 @@ from .trainstep import TrainerSpec
 class SearchResult:
     derived: DerivedConfig
     final_probabilities: list[np.ndarray]
-    reward_history: list[RewardRecord]
+    reward_history: list[persist.RewardRecord]
     wall_steps: int
 
 
@@ -70,10 +69,10 @@ def compute_reward(accuracy: float, cost: float, spec: RewardSection) -> float:
     zero exactly on target and grows linearly with relative cost error."""
     if not math.isfinite(accuracy) or not 0.0 <= accuracy <= 1.0:
         raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
+    if not math.isfinite(cost) or cost < 0.0:  # in either mode: the history keeps it
+        raise ValueError(f"cost must be finite and non-negative, got {cost}")
     if spec.mode == "plain":
         return float(accuracy)
-    if cost < 0.0 or not math.isfinite(cost):
-        raise ValueError(f"cost must be non-negative, got {cost}")
     return float(accuracy + spec.beta * abs(cost / spec.target_cost - 1.0))
 
 
@@ -178,15 +177,14 @@ def _resumable(
     the output paths, and its step must fit the run. Then
     ``persist.check_layout`` compares its arrays with those the run holds
     after that many ``meta_step`` calls: ``_fresh``'s controller, store and
-    head (none in a table-driven run), each commit slot of the file that the
-    space could make (a family in ``trainstep.SLOT_FIELDS`` that the space
-    offers, on a store tensor), and the file's own reward history. A commit
-    slot's Adam ``step`` is taken as written if it is at most K per step done,
-    as a key gets at most one update per commit; only a replay could check it
-    exactly. Until the first update, past warm-up, the controller must be
-    ``_fresh``'s bit for bit: every logit and moment ``+0.0``. The history
-    must hold K records per step before the file's, in step order, each
-    selecting within the space."""
+    head (none in a table-driven run), and each commit slot of the file that
+    the space could make (a family in ``trainstep.SLOT_FIELDS`` that the space
+    offers, on a store tensor). A commit slot's Adam ``step`` is taken as
+    written if it is at most K per step done, as a key gets at most one
+    update per commit; only a replay could check it exactly. Until the first
+    update, past warm-up, the controller must be ``_fresh``'s bit for bit:
+    every logit and moment ``+0.0``. The history must hold K rows per step
+    before the file's, in step order, each selecting within the space."""
     ckpt = persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
@@ -197,7 +195,6 @@ def _resumable(
     total, done = config.search.total_meta_steps, ckpt.meta_step
     persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
     held = _fresh(space, config.data.seed, uses_network)
-    held.reward_history = ckpt.reward_history
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     k, cards = config.search.pairs_per_step, space.cardinalities()
@@ -218,13 +215,12 @@ def _resumable(
             what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
             persist.check_array(path, zero, f"controller/{d}", what)
     # The layout fixed one controller array, so one selection column, per decision.
-    steps = [r.meta_step for r in ckpt.reward_history]
-    expected = [step for step in range(done) for _ in range(k)]
+    ints, _ = persist.history_columns(ckpt)
+    in_order = np.array_equal(ints[:, 0], np.repeat(np.arange(done), k))
     what = f"meta-steps are not {k} records per step before {done}"
-    persist.check_array(path, steps == expected, "history/ints", what)
-    for i, record in enumerate(ckpt.reward_history):
-        fits = all(j < c for j, c in zip(record.selection, cards))
-        persist.check_array(path, fits, "history/ints", f"row {i} selects outside {list(cards)}")
+    persist.check_array(path, in_order, "history/ints", what)
+    for row in np.flatnonzero((ints[:, 1:] >= cards).any(axis=1))[:1]:  # the first, if any
+        persist.check_array(path, False, "history/ints", f"row {row} selects outside {list(cards)}")
     return ckpt
 
 
@@ -265,9 +261,9 @@ def meta_step(
     run: Run,
     evaluate_override: Callable[[tuple[int, ...]], tuple[float, float]] | None = None,
     audit: Callable[[str, int, SuperModelWeights | None], None] | None = None,
-) -> list[RewardRecord]:
-    """Run meta-step ``run.ckpt.meta_step``, advance the checkpoint past it
-    and return its K reward records, also appended to its reward history."""
+) -> list[float]:
+    """Run meta-step ``run.ckpt.meta_step``, advance the checkpoint past it,
+    its K rows appended to its reward history, and return the K rewards."""
     settings, seed, ckpt, weights = run.config.search, run.config.data.seed, run.ckpt, run.weights
     k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
@@ -302,10 +298,10 @@ def meta_step(
         if audit is not None:
             audit("commit", step, weights)
 
-    records = [RewardRecord(step, s, a, c, r, baseline) for s, a, c, r in scored]
-    ckpt.reward_history.extend(records)
+    for selection, accuracy, cost, reward in scored:
+        ckpt.history.fromlist([step, *selection, accuracy, cost, reward, baseline])
     ckpt.meta_step = step + 1
-    return records
+    return [reward for _, reward in samples]
 
 
 def search(
@@ -338,14 +334,14 @@ def search(
     with persist.open_events(config.output.log_path, run.space, resumed) as log_fh:
         for step in range(start, total):
             t0 = time.monotonic()
-            records = meta_step(run, evaluate_override, audit)
+            rewards = meta_step(run, evaluate_override, audit)
             # One store digest serves the event record and the checkpoint.
             done = step + 1
             saves = path is not None and (done == total or interval > 0 and done % interval == 0)
             if log_fh is not None or saves:
                 digest = persist.store_digest(ckpt.store)
             if log_fh is not None:
-                mean = float(np.mean([r.reward for r in records]))
+                mean = float(np.mean(rewards))
                 probs = [p.tolist() for p in ctrl.probabilities(state)]
                 ms = (time.monotonic() - t0) * 1000.0
                 event = persist.EventRecord(step, mean, state.baseline, probs, digest, ms)
@@ -357,7 +353,7 @@ def search(
         ckpt.store_digest = persist.store_digest(ckpt.store)
         persist.save_checkpoint(path, ckpt)
     probs = ctrl.probabilities(state)
-    return SearchResult(derive(run.space, probs), probs, ckpt.reward_history, total)
+    return SearchResult(derive(run.space, probs), probs, persist.reward_records(ckpt), total)
 
 
 def _derived_space(space: SearchSpace, arch_choice: Sequence[int]) -> SearchSpace:

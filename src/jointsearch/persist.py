@@ -20,11 +20,11 @@ parts:
    straight from the arrays (see ``_layout``): the store, the head, one
    ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``), the
    commit optimizer slots (an array per field, an integer field such as
-   Adam's ``step`` a 0-d one), and the reward history, one row per record in
-   ``history/ints`` (meta-step, then the selection, as whole numbers) and
-   ``history/reals`` (accuracy, cost, reward, baseline). They restore bit
-   for bit (``-0.0``, subnormals and all); a restored record's step and
-   selection, and a slot's integer field, are ints.
+   Adam's ``step`` a 0-d one), and the reward history, ``history/ints``
+   (meta-step, then the selection, as whole numbers) and ``history/reals``
+   (accuracy, cost, reward, baseline): the column blocks of the rows that
+   ``Checkpoint.history`` keeps. They restore bit for bit (``-0.0``,
+   subnormals and all); a slot's integer field is restored as an int.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
 
@@ -78,6 +78,7 @@ import math
 import os
 import re
 import tempfile
+from array import array
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping
 
@@ -320,7 +321,7 @@ class Checkpoint:
     head_weight: np.ndarray | None = None
     head_bias: np.ndarray | None = None
     commit_slots: dict = field(default_factory=dict)  # optimizer slots by (family, key)
-    reward_history: list[RewardRecord] = field(default_factory=list)  # steps before meta_step
+    history: array = field(default_factory=lambda: array("d"))  # a row per record before meta_step
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
 
 
@@ -336,17 +337,22 @@ def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
     arrays += [(name, arr) for name, arr in head if arr is not None]
-    state = ckpt.controller
-    rows = zip(state.logits, state.m, state.v)
+    rows = zip(ckpt.controller.logits, ckpt.controller.m, ckpt.controller.v)
     arrays += [(f"controller/{d}", np.stack(three)) for d, three in enumerate(rows)]
     arrays += _slot_arrays(ckpt.commit_slots)
-    history = ckpt.reward_history
-    width = 1 + len(history[0].selection if history else state.logits)
-    ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
-    reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
-    arrays.append(("history/ints", ints.reshape(len(history), width)))
-    arrays.append(("history/reals", reals.reshape(len(history), 4)))
-    return arrays
+    return arrays + list(zip(("history/ints", "history/reals"), history_columns(ckpt)))
+
+
+def history_columns(ckpt: Checkpoint) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``history/ints`` and ``history/reals``; ``ckpt.history`` cannot grow while held."""
+    rows = np.frombuffer(ckpt.history).reshape(-1, 1 + len(ckpt.controller.logits) + 4)
+    return rows[:, :-4], rows[:, -4:]
+
+
+def reward_records(ckpt: Checkpoint) -> list[RewardRecord]:
+    """One ``RewardRecord`` per row of ``ckpt.history``; a search builds them once."""
+    rows = zip(*(block.tolist() for block in history_columns(ckpt)))
+    return [RewardRecord(int(s), tuple(map(int, sel)), *reals) for (s, *sel), reals in rows]
 
 
 def _slot_arrays(slots: dict) -> list[tuple[str, np.ndarray]]:
@@ -470,11 +476,11 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _records(path: str, named: dict[str, np.ndarray], decisions: int) -> list[RewardRecord]:
-    """The reward records of the ``history/ints`` and ``history/reals``
-    arrays of ``named``; ``ValueError`` names the array unless both are there,
-    with one row per record, ``1 + decisions`` and 4 columns, and whole
-    non-negative integers."""
+def _history(path: str, named: dict[str, np.ndarray], decisions: int) -> array:
+    """The ``Checkpoint.history`` rows of the ``history/ints`` and
+    ``history/reals`` arrays of ``named``; ``ValueError`` names the array
+    unless both are there, with one row per record, ``1 + decisions`` and 4
+    columns, and whole non-negative integers."""
     ints, reals = named.get("history/ints"), named.get("history/reals")
     rows = ints.shape[0] if ints is not None and ints.ndim else 0
     for name, arr, shape in (("ints", ints, (rows, 1 + decisions)), ("reals", reals, (rows, 4))):
@@ -484,10 +490,7 @@ def _records(path: str, named: dict[str, np.ndarray], decisions: int) -> list[Re
     whole = np.isfinite(ints) & (np.floor(ints) == ints) & ~np.signbit(ints)  # signbit: -0.0
     what = "holds a value that is not a non-negative integer"
     check_array(path, whole.all(), "history/ints", what)
-    return [
-        RewardRecord(int(row[0]), tuple(map(int, row[1:])), *values)
-        for row, values in zip(ints.tolist(), reals.tolist())
-    ]
+    return array("d", np.hstack((ints, reals)).tobytes())
 
 
 def _slot_field(path: str, name: str, arr: np.ndarray):
@@ -558,7 +561,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                 store[_param_key_parse(name[len("store/") :])] = arr
             except ValueError:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
-    reward_history = _records(path, named, len(controller))
+    history = _history(path, named, len(controller))
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(
@@ -569,7 +572,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         head_weight=named.get("head/weight"),
         head_bias=named.get("head/bias"),
         commit_slots=slots,
-        reward_history=reward_history,
+        history=history,
         store_digest=header["store_digest"],
     )
 
@@ -587,12 +590,12 @@ def _controller(path: str, arrays, baseline: float) -> ControllerState:
 
 def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
     """Raise ``ValueError`` naming the file and the first array of ``ckpt``
-    that ``want`` lacks or holds with another shape or 0-d value; then the
-    first ``want`` holds and ``ckpt`` lacks: a missing or extra slot, a slot
-    field's value and a misshapen array are named by their array."""
+    that ``want`` lacks or holds with another shape or 0-d value, then the
+    first that ``want`` holds and ``ckpt`` lacks. The last two arrays, the
+    reward history, are the file's own and are not compared."""
     found, held = (
         {n: f"value {a.item():.17g}" if a.ndim == 0 else f"shape {list(a.shape)}" for n, a in pairs}
-        for pairs in (_layout(ckpt), _layout(want))
+        for pairs in (_layout(ckpt)[:-2], _layout(want)[:-2])
     )
     for name in [*found, *held]:
         if found.get(name) != held.get(name):

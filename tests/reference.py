@@ -28,6 +28,10 @@
 * ``backward_grads``: ``numerics.backward`` written into new arrays, one per
   weight and bias key, each checked to be written.
 * ``weights_digest``: the store digest of a super-model, or of no store.
+* ``reference_history_arrays``: a checkpoint's ``history/ints`` and
+  ``history/reals`` as first written, converted record by record from a list
+  of ``RewardRecord``; the arrays a save writes from its rows must match
+  them byte for byte.
 """
 from __future__ import annotations
 
@@ -610,3 +614,13 @@ def split_stream(stream: RngStream, parent: str, name: str) -> RngStream:
 def weights_digest(weights) -> str:
     """``store_digest`` of the weights' store; an empty store for ``None``."""
     return store_digest(weights.store if weights is not None else {})
+
+
+def reference_history_arrays(history, decisions: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``history/ints`` (meta-step, then the selection) and
+    ``history/reals`` (accuracy, cost, reward, baseline) arrays of the reward
+    records ``history`` of a run of ``decisions`` decisions, one row each."""
+    width = 1 + len(history[0].selection) if history else 1 + decisions
+    ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
+    reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
+    return ints.reshape(len(history), width), reals.reshape(len(history), 4)

@@ -565,6 +565,10 @@ HISTORY_DEFECTS = {
         lambda h, a: _set_value(a, "history/ints", (3, slice(1, None)), 9.0),
         "history/ints: row 3 selects outside [2, 3, 2]",
     ),
+    "history-selection-at-cardinality": (  # decision 2 has 2 candidates
+        lambda h, a: _set_value(a, "history/ints", (5, 3), 2.0),
+        "history/ints: row 5 selects outside [2, 3, 2]",
+    ),
     "history-step-late": (
         lambda h, a: _set_value(a, "history/ints", (-1, 0), 6.0),
         "history/ints: meta-steps are not 2 records per step before 6",

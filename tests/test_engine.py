@@ -25,7 +25,7 @@ from jointsearch.engine import (
     start_run,
 )
 from jointsearch.numerics import RngStream, softmax
-from jointsearch.persist import read_events, store_digest
+from jointsearch.persist import event_header, read_events, store_digest
 from jointsearch.space import (
     OPTIMIZERS,
     DerivedConfig,
@@ -114,6 +114,41 @@ def test_compute_reward_rejects_bad_inputs():
         RewardSection(mode="cost_aware", beta=-0.1)  # no target
     with pytest.raises(ValueError):
         RewardSection(mode="cost_aware", beta=-0.1, target_cost=0.0)
+
+
+@pytest.mark.parametrize("cost", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("mode", ["plain", "cost_aware"])
+def test_compute_reward_refuses_a_bad_cost_in_either_mode(mode, cost):
+    # A plain reward ignores the cost, but the reward history keeps it.
+    aware = RewardSection(mode="cost_aware", beta=-0.1, target_cost=10.0)
+    spec = RewardSection() if mode == "plain" else aware
+    with pytest.raises(ValueError) as err:
+        compute_reward(0.5, cost, spec)
+    assert str(err.value) == f"cost must be finite and non-negative, got {cost}"
+
+
+def test_a_bad_cost_stops_the_search_before_its_step_is_written(tmp_path):
+    # The step-0 NaN cost is refused as it is scored: no record of it is
+    # logged and no checkpoint saved, where it used to fail the first save.
+    output = {
+        "log_path": str(tmp_path / "events.jsonl"),
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 2,
+    }
+    config = parse_config({**tabular_doc([3, 2], total=4, k=2), "output": output})
+    scored = []
+
+    def nan_cost(selection):
+        scored.append(selection)
+        return 0.5, float("nan")
+
+    with pytest.raises(ValueError) as err:
+        search(config, evaluate_override=nan_cost)
+    assert str(err.value) == "cost must be finite and non-negative, got nan"
+    assert len(scored) == 1
+    header = event_header(["layer0", "layer1"], [3, 2])
+    assert Path(output["log_path"]).read_text().splitlines() == [header]
+    assert not os.path.exists(output["checkpoint_path"])
 
 
 def test_cost_aware_reward_never_exceeds_plain():
@@ -931,11 +966,12 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
 
     def stepped(run):
         for step in range(run.ckpt.meta_step, steps):
-            records = meta_step(run, override)
-            assert [r.meta_step for r in records] == [step] * k
+            rewards = meta_step(run, override)
             assert run.ckpt.meta_step == step + 1
-            assert run.ckpt.reward_history[-k:] == records
-        return end_state(run.ckpt, run.ckpt.reward_history)
+            records = persist.reward_records(run.ckpt)[-k:]
+            assert [r.meta_step for r in records] == [step] * k
+            assert rewards == [r.reward for r in records]
+        return end_state(run.ckpt, persist.reward_records(run.ckpt))
 
     assert stepped(start_run(config, network, None)) == expected
 
@@ -952,6 +988,28 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
 
 def _table(selection):
     return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
+
+
+def test_a_checkpointed_search_builds_each_reward_record_once(tmp_path, monkeypatch):
+    # Each step appends rows and each save writes them: a search saving every
+    # step builds its K x 20 records once, for its result, and a load none.
+    built = []
+
+    class Counted(persist.RewardRecord):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(persist, "RewardRecord", Counted)
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    config = parse_config({**tabular_doc([3, 2, 4], total=20, k=3), "output": output})
+    result = search(config, evaluate_override=_table)
+    assert len(built) == len(result.reward_history) == 3 * 20
+    assert all(made is kept for made, kept in zip(built, result.reward_history))
+    built.clear()
+    persist.load_checkpoint(path)
+    assert built == []
 
 
 @pytest.mark.parametrize("network, total", [(True, 0), (False, 0), (False, 4)])

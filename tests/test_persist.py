@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from jointsearch.persist import (
     load_checkpoint,
     open_events,
     read_events,
+    reward_records,
     save_checkpoint,
     store_digest,
     truncate_events,
@@ -27,6 +29,8 @@ from jointsearch.persist import (
 from jointsearch.space import HyperConfig, LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import ParamKey
 from jointsearch.trainstep import fresh_slot
+
+from reference import reference_history_arrays
 
 
 def small_store():
@@ -403,6 +407,12 @@ def _with_logit(state, d, j, value):
     return ControllerState(logits, state.baseline, state.m, state.v)
 
 
+def _rows(records):
+    """The ``Checkpoint.history`` rows of ``records``, one row each."""
+    rows = ((r.meta_step, *r.selection, r.accuracy, r.cost, r.reward, r.baseline) for r in records)
+    return array("d", [value for row in rows for value in row])
+
+
 def sample_checkpoint():
     store = small_store()
     key = ParamKey(0, 1, "weight")
@@ -423,7 +433,7 @@ def sample_checkpoint():
         head_weight=np.array([[0.1, 0.2], [0.3, 0.4]]),
         head_bias=np.array([0.0, 0.0]),
         commit_slots=slots,
-        reward_history=[RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)],
+        history=_rows([RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)]),
         store_digest=store_digest(store),
     )
 
@@ -503,12 +513,12 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     "edit, name",
     [
         pytest.param(
-            lambda c: setattr(c.reward_history[0], "accuracy", float("nan")),
+            lambda c: c.history.__setitem__(3, float("nan")),  # the accuracy
             "history/reals",
             id="history-accuracy",
         ),
         pytest.param(
-            lambda c: setattr(c.reward_history[0], "baseline", float("-inf")),
+            lambda c: c.history.__setitem__(6, float("-inf")),  # the baseline
             "history/reals",
             id="history-baseline",
         ),
@@ -547,8 +557,9 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert loaded.meta_step == 4
     assert loaded.controller.baseline == 0.61
     assert loaded.config_echo == original.config_echo
-    assert loaded.reward_history == original.reward_history
-    [record] = loaded.reward_history
+    assert loaded.history.tobytes() == original.history.tobytes()
+    [record] = reward_records(loaded)
+    assert record == RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)
     assert type(record.meta_step) is int and all(type(i) is int for i in record.selection)
     assert all(type(v) is float for v in (record.accuracy, record.cost, record.reward))
     assert loaded.store_digest == original.store_digest
@@ -1125,16 +1136,52 @@ def test_checkpoint_names_a_malformed_logits_or_history_array(tmp_path, edit, na
     assert str(err.value) == f"{path}: {name}: {message}"
 
 
+# Reals a save must keep bit for bit: signed zeros, subnormals, the
+# smallest normal and the largest finite number.
+EDGE_REALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022, -1.5, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 9, 200])
+def test_saved_history_arrays_match_the_per_record_reference(tmp_path, rows):
+    # Random records, edge values among them, saved from the checkpoint's rows:
+    # the file's history arrays are the per-record conversion's, byte for byte.
+    rng = RngStream(rows, "history")
+
+    def real():
+        if rng.uniform() < 0.5:
+            return EDGE_REALS[rng.index(len(EDGE_REALS))]
+        return float(rng.normal(()) * 10.0 ** rng.index(9))
+
+    def whole():  # up to 2^53, where a float64 still holds every integer
+        return rng.index(2 ** rng.index(54))
+
+    records = [
+        RewardRecord(whole(), (whole(), whole()), real(), real(), real(), real())
+        for _ in range(rows)
+    ]
+    ckpt = sample_checkpoint()
+    ckpt.history = _rows(records)
+    path = tmp_path / "ck.ckpt"
+    save_checkpoint(str(path), ckpt)
+    header, blob, _ = _parts(path)
+    saved = _arrays(header, blob)
+    ints, reals = reference_history_arrays(records, len(ckpt.controller.logits))
+    for name, want in (("history/ints", ints), ("history/reals", reals)):
+        assert saved[name].shape == want.shape, name
+        assert saved[name].tobytes() == np.ascontiguousarray(want, "<f8").tobytes(), name
+    assert reward_records(load_checkpoint(str(path))) == records
+
+
 def test_checkpoint_history_of_no_records_round_trips(tmp_path):
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     ckpt = sample_checkpoint()
-    ckpt.reward_history = []
+    ckpt.history = array("d")
     save_checkpoint(str(first), ckpt)
     header, _, _ = _parts(first)
     shapes = dict(header["arrays"])
     assert (shapes["history/ints"], shapes["history/reals"]) == ([0, 3], [0, 4])
     loaded = load_checkpoint(str(first))
-    assert loaded.reward_history == []
+    assert loaded.history == array("d") and reward_records(loaded) == []
     save_checkpoint(str(second), loaded)
     assert first.read_bytes() == second.read_bytes()
 
@@ -1271,7 +1318,7 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
     header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
     blob = b"".join(arr.tobytes() for arr in kept.values())
     header["controller"]["logits"] = [z.tolist() for z in ckpt.controller.logits]
-    records = [{**vars(r), "selection": list(r.selection)} for r in ckpt.reward_history]
+    records = [{**vars(r), "selection": list(r.selection)} for r in reward_records(ckpt)]
     header["reward_history"] = records
     header["controller"].update(step=4, baseline_initialized=True)
     header["rng"] = {"controller": 88}
