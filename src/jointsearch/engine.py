@@ -120,8 +120,9 @@ def evaluate_candidate(
 def setup_run(config: EngineConfig, space: SearchSpace) -> DataSplit:
     """The dataset split of a run that trains networks.
 
-    Raises ``ConfigError`` when the config names no dataset or the dataset's
-    feature or class count does not match ``space``.
+    Raises ``ConfigError`` when the config names no dataset, the dataset's
+    feature or class count does not match ``space``, or the split leaves a
+    part with no rows.
     """
     data = config.data
     if data.csv_path is not None:
@@ -142,7 +143,15 @@ def setup_run(config: EngineConfig, space: SearchSpace) -> DataSplit:
             f"dataset has {dataset.labels.shape[1]} classes but space.num_classes "
             f"is {space.num_classes}"
         )
-    return split(dataset, data.fractions, data.seed)
+    splits = split(dataset, data.fractions, data.seed)
+    rows = {name: len(part) for name, part in vars(splits).items()}
+    if not all(rows.values()):
+        empty = " and ".join(name for name, count in rows.items() if not count)
+        counts = ", ".join(f"{name} {count}" for name, count in rows.items())
+        raise ConfigError(
+            f"data split leaves {empty} with no rows: {len(dataset)} rows split into {counts}"
+        )
+    return splits
 
 
 def _draw_batches(
@@ -158,31 +167,21 @@ def _draw_batches(
     return list(zip(dataset.features[idx], dataset.labels[idx]))
 
 
-def _fresh(space: SearchSpace, seed: int, uses_network: bool) -> persist.Checkpoint:
-    """The state a run starts from: uniform controller logits and, when the
-    run trains networks, the store and head that ``supernet.init_weights``
-    draws from the seed's ``init`` stream."""
-    ckpt = persist.Checkpoint({}, 0, ctrl.init_controller(space))
-    if uses_network:
-        init = supernet.init_weights(space, RngStream(seed, "init"))
-        ckpt.store, ckpt.head_weight, ckpt.head_bias = init.store, init.head_weight, init.head_bias
-    return ckpt
-
-
 def _resumable(
-    config: EngineConfig, space: SearchSpace, path: str, uses_network: bool
+    config: EngineConfig, space: SearchSpace, path: str, held: persist.Checkpoint
 ) -> persist.Checkpoint:
     """The checkpoint at ``path``, refused unless ``config`` could have
     written it: its config echo must equal ``config_to_dict(config)`` but for
     the output paths, and its step must fit the run. Then
     ``persist.check_layout`` compares its arrays with those the run holds
-    after that many ``meta_step`` calls: ``_fresh``'s controller, store and
-    head (none in a table-driven run), and each commit slot of the file that
-    the space could make (a family in ``trainstep.SLOT_FIELDS`` that the space
-    offers, on a store tensor). A commit slot's Adam ``step`` is taken as
-    written if it is at most K per step done, as a key gets at most one
-    update per commit; only a replay could check it exactly. Until the first
-    update, past warm-up, the controller must be ``_fresh``'s bit for bit:
+    after that many ``meta_step`` calls: the controller and store of ``held``,
+    the run's step-0 state (no store in a table-driven run), and each commit
+    slot of the file that the space could make (a family in
+    ``trainstep.SLOT_FIELDS`` that the space offers, on a store tensor). A
+    commit slot's Adam ``step`` is taken as written if it is at most K per
+    step done, as a key gets at most one update per commit; only a replay
+    could check it exactly. Until the first
+    update, past warm-up, the controller must be ``held``'s bit for bit:
     every logit and moment ``+0.0``. The history must hold K rows per step
     before the file's, in step order, each selecting within the space."""
     ckpt = persist.load_checkpoint(path)
@@ -194,7 +193,6 @@ def _resumable(
         )
     total, done = config.search.total_meta_steps, ckpt.meta_step
     persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
-    held = _fresh(space, config.data.seed, uses_network)
     default = (TrainerSpec().optimizer,)
     optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
     k, cards = config.search.pairs_per_step, space.cardinalities()
@@ -209,7 +207,7 @@ def _resumable(
                     made[name] = value
     persist.check_layout(path, held, ckpt)
     warmup, state = ctrl.warmup_steps(config.search), ckpt.controller
-    if done <= warmup:  # no update made yet: the controller is ``_fresh``'s, bit for bit
+    if done <= warmup:  # no update made yet: the controller is ``held``'s, bit for bit
         for d, rows in enumerate(zip(state.logits, state.m, state.v)):
             zero = not any(row.any() or np.signbit(row).any() for row in rows)  # signbit: -0.0
             what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
@@ -227,7 +225,8 @@ def _resumable(
 @dataclass
 class Run:
     """What ``search`` builds once and each ``meta_step`` advances. Without a
-    network, ``splits`` and ``weights`` (the checkpoint's arrays) are None."""
+    network, ``splits`` and ``weights`` (the checkpoint's store and the
+    seed's head) are None."""
 
     config: EngineConfig
     space: SearchSpace
@@ -238,19 +237,20 @@ class Run:
 
 
 def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None) -> Run:
-    """The run ``_fresh`` starts, or the one the checkpoint at
-    ``resume_from`` holds (``_resumable``), echoing ``config``."""
+    """The run at step 0, or the one the checkpoint at ``resume_from`` holds
+    (``_resumable``), echoing ``config``. Step 0 has uniform controller logits
+    and, when the run trains networks, the store and the head that
+    ``supernet.init_weights`` draws from the seed's ``init`` stream. No step
+    trains the head, so a resumed run takes it from the seed too."""
     space = build_space(config.space)
     splits = setup_run(config, space) if uses_network else None
     seed = config.data.seed
-    if resume_from is None:
-        ckpt = _fresh(space, seed, uses_network)
-    else:
-        ckpt = _resumable(config, space, resume_from, uses_network)
+    weights = supernet.init_weights(space, RngStream(seed, "init")) if uses_network else None
+    held = persist.Checkpoint({}, 0, ctrl.init_controller(space), weights.store if weights else {})
+    ckpt = held if resume_from is None else _resumable(config, space, resume_from, held)
+    if weights is not None:
+        weights.store = ckpt.store
     ckpt.config_echo = config_to_dict(config)
-    weights = None
-    if uses_network:
-        weights = SuperModelWeights(space, ckpt.store, ckpt.head_weight, ckpt.head_bias)
     # ``ctrl.sample`` draws a k x n_decisions block per phase; only networks commit.
     per_step = config.search.pairs_per_step * space.n_decisions * (2 if uses_network else 1)
     stream = RngStream(seed, "controller", ckpt.meta_step * per_step)

@@ -17,7 +17,7 @@ parts:
    its Adam step count, whether its baseline exists and the position of the
    controller's RNG stream all follow from it.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
-   straight from the arrays (see ``_layout``): the store, the head, one
+   straight from the arrays (see ``_layout``): the store, one
    ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``), the
    commit optimizer slots (an array per field, an integer field such as
    Adam's ``step`` a 0-d one), and the reward history, ``history/ints``
@@ -55,7 +55,7 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 9 and event logs format version 2. Versions
+Checkpoints are format version 10 and event logs format version 2. Versions
 1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
 text, version 2 lacked the reward history, versions 1-3 stored arrays as
 decimal lists and version 4 as base64. Version 5 had version 6's layout but
@@ -66,6 +66,8 @@ as JSON lists and record objects, so each save re-encoded the whole history.
 Version 7 held the slots' integer fields (Adam's ``step``) in the header.
 Version 8 held the controller's logits and Adam slots apart, each slot with
 its own ``step``, one per decision, all equal to the meta-step's count.
+Version 9 also stored the classifier head (``head/weight``, ``head/bias``),
+which is never trained: ``supernet.init_weights`` draws it from the seed.
 A checkpoint or event log of any other version is rejected with a "format
 version" error; there is no migration.
 """
@@ -88,7 +90,7 @@ from .controller import ControllerState
 from .space import SearchSpace
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 9
+CHECKPOINT_FORMAT_VERSION = 10
 EVENT_LOG_FORMAT_VERSION = 2
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
@@ -318,8 +320,6 @@ class Checkpoint:
     meta_step: int  # meta-steps done
     controller: ControllerState
     store: dict[ParamKey, np.ndarray] = field(default_factory=dict)
-    head_weight: np.ndarray | None = None
-    head_bias: np.ndarray | None = None
     commit_slots: dict = field(default_factory=dict)  # optimizer slots by (family, key)
     history: array = field(default_factory=lambda: array("d"))  # a row per record before meta_step
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
@@ -331,12 +331,10 @@ def _param_key_parse(text: str) -> ParamKey:
 
 
 def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    """Every array with its name, in file order: store sorted by key, head,
-    one ``controller/<d>`` per decision (its logits, ``m`` and ``v`` rows),
+    """Every array with its name, in file order: store sorted by key, one
+    ``controller/<d>`` per decision (its logits, ``m`` and ``v`` rows),
     commit slots (``_slot_arrays``), reward history."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
-    head = (("head/weight", ckpt.head_weight), ("head/bias", ckpt.head_bias))
-    arrays += [(name, arr) for name, arr in head if arr is not None]
     rows = zip(ckpt.controller.logits, ckpt.controller.m, ckpt.controller.v)
     arrays += [(f"controller/{d}", np.stack(three)) for d, three in enumerate(rows)]
     arrays += _slot_arrays(ckpt.commit_slots)
@@ -476,12 +474,12 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _history(path: str, named: dict[str, np.ndarray], decisions: int) -> array:
+def _history(path: str, arrays: dict[str, np.ndarray], decisions: int) -> array:
     """The ``Checkpoint.history`` rows of the ``history/ints`` and
-    ``history/reals`` arrays of ``named``; ``ValueError`` names the array
+    ``history/reals`` arrays of ``arrays``; ``ValueError`` names the array
     unless both are there, with one row per record, ``1 + decisions`` and 4
     columns, and whole non-negative integers."""
-    ints, reals = named.get("history/ints"), named.get("history/reals")
+    ints, reals = arrays.get("history/ints"), arrays.get("history/reals")
     rows = ints.shape[0] if ints is not None and ints.ndim else 0
     for name, arr, shape in (("ints", ints, (rows, 1 + decisions)), ("reals", reals, (rows, 4))):
         found = "nothing" if arr is None else f"shape {list(arr.shape)}"
@@ -543,25 +541,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     slots, store = {}, {}
-    named: dict[str, np.ndarray] = {}  # the head's and the history's arrays
     controller: list[np.ndarray] = []
     for name, arr in arrays.items():
         _check_finite(path, name, arr)
         if name.startswith("commit_slots/"):
             key, field_name, value = _slot_field(path, name, arr)
             slots.setdefault(key, {})[field_name] = value
-        elif name in ("head/weight", "head/bias", "history/ints", "history/reals"):
-            named[name] = arr
         elif name == f"controller/{len(controller)}":
             controller.append(arr)  # one per decision, in order
-        else:
+        elif name not in ("history/ints", "history/reals"):  # ``_history`` reads those
             try:
                 if not name.startswith("store/"):
                     raise ValueError(name)
                 store[_param_key_parse(name[len("store/") :])] = arr
             except ValueError:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
-    history = _history(path, named, len(controller))
+    history = _history(path, arrays, len(controller))
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(
@@ -569,8 +564,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         meta_step=header["meta_step"],
         controller=_controller(path, controller, baseline),
         store=store,
-        head_weight=named.get("head/weight"),
-        head_bias=named.get("head/bias"),
         commit_slots=slots,
         history=history,
         store_digest=header["store_digest"],

@@ -4,8 +4,9 @@ The shared store holds one tensor per parameter of every candidate op of every
 layer, keyed by ``ParamKey``. Any selection addresses a sub-model whose
 forward pass reads only that selection's keys, so candidates can be trained
 and scored without materializing separate networks. A fixed linear
-classification head (initialized once per store, never updated) maps the last
-layer's slot width to the class count; it is not part of the searchable store.
+classification head (drawn once from the init stream, never updated, so no
+checkpoint stores it) maps the last layer's slot width to the class count; it
+is not part of the searchable store.
 
 ``sub_view`` is the one place a selection becomes a sub-model: it validates
 the selection once and resolves, per layer, the decision, the chosen op and

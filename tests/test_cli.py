@@ -335,13 +335,14 @@ def _add_slot(arrays, section, name, fields):
 
 # Edits of a checkpoint's arrays (a list of [name, array] in file order), each
 # re-sealed with its store digest recomputed, and the error each must raise.
-# The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the head is (8, 2);
-# the controller's three decisions have 2, 3 and 2 candidates, each one
-# ``controller/<d>`` array of 3 rows: logits, Adam m and v. Each commit slot
+# The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the controller's
+# three decisions have 2, 3 and 2 candidates, each one ``controller/<d>``
+# array of 3 rows: logits, Adam m and v. Each commit slot
 # field is an array, an integer field (Adam's step) a 0-d one. The loader
 # refuses a slot named other than family|key, a 0-d field that is not a whole
-# number from 1 to 2^53, a slot or controller array that is not finite, and a
-# controller array that is not 3 rows; it takes the other files, and the
+# number from 1 to 2^53, a slot or controller array that is not finite, a
+# controller array that is not 3 rows, and an array of no known section
+# (format 9's head among them); it takes the other files, and the
 # resume refuses each, naming the first array in which it differs from the
 # state the run holds.
 THREE_ROWS = "not [3, cardinality]"
@@ -408,13 +409,14 @@ ARRAY_DEFECTS = {
         lambda h, a: _reshape_array(a, "store/0/1/weight", lambda w: w.T.copy()),
         "store/0/1/weight: checkpoint holds shape [8, 2], the run holds shape [2, 8]",
     ),
-    "head-shape": (
-        lambda h, a: _reshape_array(a, "head/weight", lambda w: w.T.copy()),
-        "head/weight: checkpoint holds shape [2, 8], the run holds shape [8, 2]",
+    # Format 9's frozen head: the run takes it from the seed, and no file holds it.
+    "head-weight-extra": (
+        lambda h, a: a.append(["head/weight", np.zeros((8, 2))]),
+        "head/weight: array belongs to no known section",
     ),
-    "head-bias-missing": (
-        lambda h, a: _drop_array(a, "head/bias"),
-        "head/bias: checkpoint holds nothing, the run holds shape [2]",
+    "head-bias-extra": (
+        lambda h, a: a.append(["head/bias", np.zeros(2)]),
+        "head/bias: array belongs to no known section",
     ),
     "commit-slot-shape": (
         lambda h, a: _reshape_array(a, "commit_slots/adam|0/1/weight/m", lambda m: m.T.copy()),
@@ -680,15 +682,15 @@ def test_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
     assert ckpt.read_bytes() == every[-1]
 
 
-def test_resume_refuses_a_format_8_checkpoint(capsys, tmp_path):
+def test_resume_refuses_a_format_9_checkpoint(capsys, tmp_path):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     data = ckpt.read_bytes()
-    ckpt.write_bytes(data.replace(b'"format_version": 9', b'"format_version": 8', 1))
+    ckpt.write_bytes(data.replace(b'"format_version": 10', b'"format_version": 9', 1))
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"runtime error: {ckpt}: checkpoint format version 8 is not 9" in err
+    assert f"runtime error: {ckpt}: checkpoint format version 9 is not 10" in err
 
 
 def test_resume_refuses_a_commit_adam_step_past_one_update_per_commit(capsys, tmp_path):
@@ -1107,6 +1109,42 @@ def test_search_then_retrain_on_a_csv_dataset(capsys, tmp_path):
     metrics = json.loads(out.read_text())
     assert 0.0 <= metrics["test_accuracy"] <= 1.0
     assert metrics["derived"] == json.loads((tmp_path / "result.json").read_text())["derived"]
+
+
+@pytest.mark.parametrize(
+    "rows, empty",
+    [
+        ([], "data split leaves test with no rows: 2 rows split into train 1, val 1, test 0"),
+        (
+            [(0.0, 1.0, "a"), (1.0, 0.0, "b"), (0.5, 0.5, "a")],
+            "data split leaves val with no rows: 3 rows split into train 2, val 0, test 1",
+        ),
+    ],
+    ids=["two-rows", "three-row-csv"],
+)
+def test_every_command_refuses_an_empty_split_part_at_set_up(capsys, tmp_path, rows, empty):
+    # Refused at set-up: retrain and baseline would average an empty part to
+    # NaN, which their JSON output cannot hold.
+    doc = base_doc(total=2)
+    doc["data"]["n"] = 2
+    if rows:
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([("x1", "x2", "label"), *rows])
+        doc["data"] = {"csv_path": str(data), "seed": 3}
+    doc["output"] = {"result_path": str(tmp_path / "result.json")}
+    cfg = write_config(tmp_path, "cfg.json", doc)
+    derived = {"arch": [1], "hyperparameters": {"learning_rate": 0.01, "optimizer": "adam"}}
+    result = write_config(tmp_path, "derived.json", derived)
+    for argv in (
+        ["search", "--config", cfg],
+        ["retrain", "--config", cfg, "--from-result", result],
+        ["baseline", "random", "--config", cfg, "--budget", "2"],
+    ):
+        assert main(argv) == 1, argv[0]
+        out, err = capsys.readouterr()
+        assert err == f"error: {empty}\n" and out == "", argv[0]
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_search_names_a_csv_path_that_is_not_utf8(capsys, tmp_path):

@@ -508,6 +508,65 @@ def test_search_rejects_mismatched_dataset_shape():
     assert "features" in str(err.value)
 
 
+def _three_row_csv(path):
+    path.write_text("x1,x2,label\n0.0,1.0,a\n1.0,0.0,b\n0.5,0.5,a\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(
+            lambda tmp_path: {"generator": "two_moons", "n": 2, "seed": 3},
+            "data split leaves test with no rows: 2 rows split into train 1, val 1, test 0",
+            id="two-rows",
+        ),
+        pytest.param(
+            lambda tmp_path: {"csv_path": _three_row_csv(tmp_path / "d.csv"), "seed": 3},
+            "data split leaves val with no rows: 3 rows split into train 2, val 0, test 1",
+            id="three-row-csv",
+        ),
+    ],
+)
+def test_search_refuses_an_empty_split_part_before_any_step(tmp_path, data, message):
+    log = tmp_path / "events.jsonl"
+    doc = moons_doc(total=2, k=1, output={"log_path": str(log)})
+    config = parse_config({**doc, "data": data(tmp_path)})
+    steps = []
+    with pytest.raises(ConfigError) as err:
+        search(config, audit=lambda phase, step, weights: steps.append(step))
+    assert str(err.value) == message
+    assert steps == [] and not log.exists()
+
+
+def test_a_resumed_run_takes_its_head_from_the_seed(tmp_path):
+    # No step trains the head and no checkpoint holds it, so the head of a
+    # resumed run is the one ``init_weights`` draws from the seed, bit for bit.
+    path = tmp_path / "ck.ckpt"
+    doc = moons_doc(total=6, output={"checkpoint_path": str(path), "checkpoint_interval": 3})
+    config = parse_config(doc)
+
+    def crash(phase, step, weights):
+        if step == 4:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        search(config, audit=crash)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert header["meta_step"] == 3
+    assert not [name for name, _ in header["arrays"] if name.startswith("head/")]
+    heads = []
+
+    def watch(phase, step, weights):
+        heads.append((step, weights.head_weight.tobytes(), weights.head_bias.tobytes()))
+
+    search(config, resume_from=str(path), audit=watch)
+    init = supernet.init_weights(build_space(config.space), RngStream(3, "init"))
+    seeded = (init.head_weight.tobytes(), init.head_bias.tobytes())
+    assert [step for step, *_ in heads] == [3, 3, 4, 4, 5, 5]
+    assert all(tuple(head) == seeded for _, *head in heads)
+
+
 def test_interrupted_run_resumes_to_identical_results(tmp_path):
     def output_for(tag):
         return {
@@ -741,7 +800,7 @@ def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_
     tmp_path, row, value
 ):
     # Warm-up is the first ceil(0.3 * 10) = 3 steps. Until the first update
-    # the controller is the one ``_fresh`` makes, every cell +0.0, so a file
+    # the controller is the one a run starts from, every cell +0.0, so a file
     # saved with any other value at steps 1 to 3 is refused by name; from
     # step 4 on only a replay could tell.
     def table(selection):
@@ -841,7 +900,7 @@ def test_resume_from_the_final_checkpoint_leaves_checkpoint_and_log_bytes(tmp_pa
 
 
 def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
-    # A table-driven run holds no store, head or commit slot, so check_layout
+    # A table-driven run holds no store or commit slot, so check_layout
     # names the first store array that the network checkpoint holds, and the
     # first store array a network run holds that the table-driven one lacks.
     path = str(tmp_path / "ck.ckpt")
@@ -866,7 +925,7 @@ def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
         assert fh.read() == network
     os.remove(path)
     search(config, evaluate_override=table)
-    assert persist.load_checkpoint(path).head_weight is None
+    assert persist.load_checkpoint(path).store == {}
     with pytest.raises(ValueError) as err:
         search(config, resume_from=path)
     assert str(err.value) == (

@@ -430,8 +430,6 @@ def sample_checkpoint():
             v=[np.array([0.5, 0.0]), np.array([1.0, 2.0, 3.0])],
         ),
         store=store,
-        head_weight=np.array([[0.1, 0.2], [0.3, 0.4]]),
-        head_bias=np.array([0.0, 0.0]),
         commit_slots=slots,
         history=_rows([RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)]),
         store_digest=store_digest(store),
@@ -443,8 +441,6 @@ SAMPLE_ARRAYS = [
     "store/0/1/bias",
     "store/0/1/weight",
     "store/1/0/weight",
-    "head/weight",
-    "head/bias",
     "controller/0",
     "controller/1",
     "commit_slots/adam|0/1/weight/m",
@@ -568,7 +564,6 @@ def test_checkpoint_restores_every_field(tmp_path):
         assert [row.tobytes() for row in got] == [row.tobytes() for row in want], name
     for key in original.store:
         assert np.array_equal(loaded.store[key], original.store[key])
-    assert np.array_equal(loaded.head_weight, original.head_weight)
     key = ParamKey(0, 1, "weight")
     slot = loaded.commit_slots["adam", key]
     assert slot["step"] == 3
@@ -612,8 +607,6 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
     assert digest == hashlib.sha256(data[:-64]).hexdigest().encode()
     assert [name for name, _ in header["arrays"]] == SAMPLE_ARRAYS
     want = {f"store/{key.text()}": value for key, value in original.store.items()}
-    want["head/weight"] = original.head_weight
-    want["head/bias"] = original.head_bias
     spans = _spans(header)
     for name, shape in header["arrays"]:
         offset, size = spans[name]
@@ -623,11 +616,11 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
     assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
     logits = loaded.controller.logits
-    arrays = list(loaded.store.values()) + [loaded.head_weight, loaded.head_bias]
+    arrays = list(loaded.store.values())
     arrays += loaded.controller.m + loaded.controller.v
     for _, slot in loaded.commit_slots.items():
         arrays += [v for v in slot.values() if not isinstance(v, int)]
-    assert len(arrays) == 3 + 2 + 4 + 2  # store, head, controller m and v rows, commit m and v
+    assert len(arrays) == 3 + 4 + 2  # store, controller m and v rows, commit m and v
     # Only the controller's Adam step writes the logits: their rows are read-only.
     assert all(arr.flags.writeable for arr in arrays)
     assert not any(z.flags.writeable for z in logits)
@@ -662,13 +655,10 @@ def test_checkpoint_allows_no_network(tmp_path):
     ckpt = sample_checkpoint()
     ckpt.store = {}
     ckpt.store_digest = store_digest({})
-    ckpt.head_weight = None
-    ckpt.head_bias = None
     ckpt.commit_slots = {}
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), ckpt)
     loaded = load_checkpoint(str(path))
-    assert loaded.head_weight is None
     assert loaded.store == {}
 
 
@@ -705,7 +695,7 @@ def _through(header, blob, name):
 
 ARRAY_SITES = [
     "store/0/1/bias",
-    "head/weight",
+    "history/reals",
     "commit_slots/adam|0/1/weight/m",
     "controller/0",
 ]
@@ -847,11 +837,13 @@ def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
 @pytest.mark.parametrize(
     "old, renamed",
     [
-        *(("head/weight", name) for name in [
+        *(("store/0/1/bias", name) for name in [
             "heads/weight", "head", "controller/slots", "commit_slots", "store/0/x/weight",
             "store/0/1", "controller/2", "controller/00", "controller", "history/floats",
             "history",
         ]),
+        # An array added beside the others: format 9's frozen head among them.
+        *((None, name) for name in ["head/weight", "head/bias"]),
         # Decision 0's array under another name, format 8's among them.
         *(("controller/0", name) for name in [
             "controller/logits/0", "controller/slots/adam|0/m", "controller/slots/momentum|0/m",
@@ -863,29 +855,30 @@ def test_checkpoint_names_an_array_of_no_known_section(tmp_path, old, renamed):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    names = [name for name, _ in header["arrays"]]
-    header["arrays"][names.index(old)][0] = renamed
-    _write(path, header, blob)
+    if old is None:
+        _write_arrays(path, header, {renamed: np.zeros((2, 2)), **_arrays(header, blob)})
+    else:
+        names = [name for name, _ in header["arrays"]]
+        header["arrays"][names.index(old)][0] = renamed
+        _write(path, header, blob)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert str(err.value) == f"{path}: {renamed}: array belongs to no known section"
 
 
-@pytest.mark.parametrize("renamed", ["commit_slots/adam|0/1/bias/m"])
-def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, renamed):
+@pytest.mark.parametrize("added", ["commit_slots/adam|0/1/bias/m"])
+def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, added):
     # Which commit slots a file may hold depends on the run, so the loader
     # takes the slot as written and ``check_layout`` names it against the
     # run's state. (A controller array of no decision the loader refuses.)
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    names = [name for name, _ in header["arrays"]]
-    header["arrays"][names.index("head/weight")][0] = renamed
-    _write(path, header, blob)
+    _write_arrays(path, header, {**_arrays(header, blob), added: np.zeros((2, 2))})
     with pytest.raises(ValueError) as err:
         check_layout(str(path), sample_checkpoint(), load_checkpoint(str(path)))
     assert str(err.value) == (
-        f"{path}: {renamed}: checkpoint holds shape [2, 2], the run holds nothing"
+        f"{path}: {added}: checkpoint holds shape [2, 2], the run holds nothing"
     )
 
 
@@ -1186,7 +1179,7 @@ def test_checkpoint_history_of_no_records_round_trips(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("name", ["store/0/1/bias", "head/bias", "controller/1",
+@pytest.mark.parametrize("name", ["store/0/1/bias", "history/reals", "controller/1",
                                   "commit_slots/adam|0/1/weight/v", "history/ints"])
 def test_checkpoint_refuses_an_array_named_twice(tmp_path, name):
     # Read into a dict, the first copy would be dropped without a word.
@@ -1272,9 +1265,17 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     assert "checkpoint digest" in str(err.value)
 
 
+def _format_9(arrays):
+    """``arrays`` in the format-9 layout: the classifier head after the store."""
+    store = {n: a for n, a in arrays.items() if n.startswith("store/")}
+    head = {"head/weight": np.array([[0.1, 0.2], [0.3, 0.4]]), "head/bias": np.zeros(2)}
+    return {**store, **head, **_without(arrays, *store)}
+
+
 def _format_8(arrays):
-    """``arrays`` in the format-8 layout: each ``controller/<d>`` split into
-    its logits and an Adam slot at step 5 by ``adam|<d>``, after all logits."""
+    """Format-9 ``arrays`` in the format-8 layout: each ``controller/<d>``
+    split into its logits and an Adam slot at step 5 by ``adam|<d>``, after
+    all logits."""
     cut = len("controller/")
     controller = {n[cut:]: a for n, a in arrays.items() if n.startswith("controller/")}
     before = {n: a for n, a in arrays.items() if n.startswith(("store/", "head/"))}
@@ -1296,23 +1297,28 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
     # RNG counter. Version 6 holds the logits and the reward history in the
     # header. Version 7 holds them as arrays and each slot's step in the
     # header. Version 8 holds the logits apart from the controller's Adam
-    # slots, each with its own step.
+    # slots, each with its own step. Version 9 holds the frozen head.
     path = tmp_path / "ck.ckpt"
     ckpt = sample_checkpoint()
     save_checkpoint(str(path), ckpt)
     header, blob, _ = _parts(path)
-    arrays = _format_8(_arrays(header, blob))
+    arrays = _format_9(_arrays(header, blob))
+    _write_arrays(path, {**header, "format_version": 9}, arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint format version 9 is not 10"
+    arrays = _format_8(arrays)
     _write_arrays(path, {**header, "format_version": 8}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 8 is not 9"
+    assert str(err.value) == f"{path}: checkpoint format version 8 is not 10"
     steps = {name: int(arr) for name, arr in arrays.items() if name.endswith("/step")}
     header["controller"]["slots"] = {"adam|0": {"step": steps["controller/slots/adam|0/step"]}}
     header["commit_slots"] = {"adam|0/1/weight": {"step": steps["commit_slots/adam|0/1/weight/step"]}}
     _write_arrays(path, {**header, "format_version": 7}, _without(arrays, *steps))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 7 is not 9"
+    assert str(err.value) == f"{path}: checkpoint format version 7 is not 10"
     moved = ("controller/logits/", "history/")
     kept = {name: arr for name, arr in _without(arrays, *steps).items() if not name.startswith(moved)}
     header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
