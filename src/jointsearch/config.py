@@ -164,6 +164,10 @@ class OutputSection:
 
     def __post_init__(self):
         _at_least(self.checkpoint_interval, 0, "output.checkpoint_interval")
+        if self.checkpoint_path is not None and self.log_path is None:
+            raise ConfigError(
+                "output.checkpoint_path needs output.log_path: the checkpoint seals the event log"
+            )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,14 @@ class DataSplit:
     val: Dataset
     test: Dataset
 
+    def __post_init__(self):
+        rows = {name: len(part) for name, part in vars(self).items()}
+        if not all(rows.values()):
+            empty = " and ".join(name for name, count in rows.items() if not count)
+            counts = ", ".join(f"{name} {count}" for name, count in rows.items())
+            what = f"{sum(rows.values())} rows split into {counts}"
+            raise ValueError(f"data split leaves {empty} with no rows: {what}")
+
 
 def _standardize(features: np.ndarray) -> np.ndarray:
     mean = features.mean(axis=0)

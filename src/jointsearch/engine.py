@@ -32,10 +32,23 @@ from .trainstep import TrainerSpec
 
 
 @dataclass
+class RewardRecord:
+    """One scored candidate; ``baseline`` is the controller baseline its
+    advantage was taken against."""
+
+    meta_step: int
+    selection: tuple[int, ...]
+    accuracy: float
+    cost: float
+    reward: float
+    baseline: float = 0.0
+
+
+@dataclass
 class SearchResult:
     derived: DerivedConfig
     final_probabilities: list[np.ndarray]
-    reward_history: list[persist.RewardRecord]
+    reward_history: list[RewardRecord]
     wall_steps: int
 
 
@@ -143,15 +156,10 @@ def setup_run(config: EngineConfig, space: SearchSpace) -> DataSplit:
             f"dataset has {dataset.labels.shape[1]} classes but space.num_classes "
             f"is {space.num_classes}"
         )
-    splits = split(dataset, data.fractions, data.seed)
-    rows = {name: len(part) for name, part in vars(splits).items()}
-    if not all(rows.values()):
-        empty = " and ".join(name for name, count in rows.items() if not count)
-        counts = ", ".join(f"{name} {count}" for name, count in rows.items())
-        raise ConfigError(
-            f"data split leaves {empty} with no rows: {len(dataset)} rows split into {counts}"
-        )
-    return splits
+    try:
+        return split(dataset, data.fractions, data.seed)
+    except ValueError as exc:  # a part with no rows (``DataSplit``)
+        raise ConfigError(str(exc)) from None
 
 
 def _draw_batches(
@@ -167,61 +175,6 @@ def _draw_batches(
     return list(zip(dataset.features[idx], dataset.labels[idx]))
 
 
-def _resumable(
-    config: EngineConfig, space: SearchSpace, path: str, held: persist.Checkpoint
-) -> persist.Checkpoint:
-    """The checkpoint at ``path``, refused unless ``config`` could have
-    written it: its config echo must equal ``config_to_dict(config)`` but for
-    the output paths, and its step must fit the run. Then
-    ``persist.check_layout`` compares its arrays with those the run holds
-    after that many ``meta_step`` calls: the controller and store of ``held``,
-    the run's step-0 state (no store in a table-driven run), and each commit
-    slot of the file that the space could make (a family in
-    ``trainstep.SLOT_FIELDS`` that the space offers, on a store tensor). A
-    commit slot's Adam ``step`` is taken as written if it is at most K per
-    step done, as a key gets at most one update per commit; only a replay
-    could check it exactly. Until the first
-    update, past warm-up, the controller must be ``held``'s bit for bit:
-    every logit and moment ``+0.0``. The history must hold K rows per step
-    before the file's, in step order, each selecting within the space."""
-    ckpt = persist.load_checkpoint(path)
-    echo, ours = ckpt.config_echo, config_to_dict(config)
-    if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
-        raise ConfigError(
-            "checkpoint was produced by a different configuration; "
-            "only output paths may differ on resume"
-        )
-    total, done = config.search.total_meta_steps, ckpt.meta_step
-    persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
-    default = (TrainerSpec().optimizer,)
-    optimizers = {d.name: d.basis for d in space.hyper_decisions}.get("optimizer", default)
-    k, cards = config.search.pairs_per_step, space.cardinalities()
-    for (family, key), slot in ckpt.commit_slots.items():
-        if family in optimizers and family in trainstep.SLOT_FIELDS and key in held.store:
-            made = held.commit_slots[family, key] = trainstep.fresh_slot(family, held.store[key])
-            for name, value in slot.items():  # update counts, bounded by the commits made
-                if type(made.get(name)) is int and type(value) is int:
-                    what = f"holds {value} updates, more than {k} commits in each of {done} steps"
-                    where = f"commit_slots/{family}|{key.text()}/{name}"
-                    persist.check_array(path, value <= k * done, where, what)
-                    made[name] = value
-    persist.check_layout(path, held, ckpt)
-    warmup, state = ctrl.warmup_steps(config.search), ckpt.controller
-    if done <= warmup:  # no update made yet: the controller is ``held``'s, bit for bit
-        for d, rows in enumerate(zip(state.logits, state.m, state.v)):
-            zero = not any(row.any() or np.signbit(row).any() for row in rows)  # signbit: -0.0
-            what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
-            persist.check_array(path, zero, f"controller/{d}", what)
-    # The layout fixed one controller array, so one selection column, per decision.
-    ints, _ = persist.history_columns(ckpt)
-    in_order = np.array_equal(ints[:, 0], np.repeat(np.arange(done), k))
-    what = f"meta-steps are not {k} records per step before {done}"
-    persist.check_array(path, in_order, "history/ints", what)
-    for row in np.flatnonzero((ints[:, 1:] >= cards).any(axis=1))[:1]:  # the first, if any
-        persist.check_array(path, False, "history/ints", f"row {row} selects outside {list(cards)}")
-    return ckpt
-
-
 @dataclass
 class Run:
     """What ``search`` builds once and each ``meta_step`` advances. Without a
@@ -234,36 +187,95 @@ class Run:
     ckpt: persist.Checkpoint
     stream: RngStream  # the controller's
     weights: SuperModelWeights | None
+    history: list[RewardRecord]  # K records per step before ``ckpt.meta_step``
+    log: list[bytes]  # the event log's lines a resumed run keeps, its header first
+
+
+def _resume(run: Run, path: str) -> None:
+    """Advance ``run`` from step 0 to the checkpoint at ``path`` and the
+    records before its step of the log it seals (``persist.resume_events``).
+    Refused unless the run could have written them: the config echo must be
+    ``config_to_dict(config)`` but for the output paths, the step must fit,
+    and each record must hold K candidates and, in a network run, K commits.
+    Replaying those commits without training gives the step-0 state the
+    run's commit slots, Adam's ``step`` the exact count of commits whose view
+    holds the key, and ``persist.check_layout`` compares the file with it.
+    Until the first update, past warm-up, every controller cell is ``+0.0``."""
+    config, space, held = run.config, run.space, run.ckpt
+    ckpt = persist.load_checkpoint(path)
+    echo, ours = ckpt.config_echo, config_to_dict(config)
+    if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
+        raise ConfigError(
+            "checkpoint was produced by a different configuration; "
+            "only output paths may differ on resume"
+        )
+    total, done = config.search.total_meta_steps, ckpt.meta_step
+    persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
+    log = config.output.log_path
+    if log is None:
+        raise ConfigError("a resume reads the run's event log: output.log_path is not set")
+    run.log, records = persist.resume_events(log, run.log[0], ckpt)
+    k, slots = config.search.pairs_per_step, held.commit_slots
+    commits = k if run.weights is not None else 0
+    for record in records:
+        if len(record.candidates) != k or len(record.commits) != commits:
+            raise ValueError(
+                f"{log}: line {record.meta_step + 2}: holds {len(record.candidates)} candidates "
+                f"and {len(record.commits)} commits, not {k} and {commits}"
+            )
+        for c in record.candidates:
+            row = (tuple(c["selection"]), c["accuracy"], c["cost"], c["reward"])
+            run.history.append(RewardRecord(record.meta_step, *row, record.advantage_baseline))
+        for selection in record.commits:
+            view = supernet.sub_view(space, selection)
+            family = trainstep.build_trainer(space, view.selection).optimizer
+            for key in view.keys if family in trainstep.SLOT_FIELDS else ():
+                if (family, key) not in slots:
+                    slots[family, key] = trainstep.fresh_slot(family, held.store[key])
+                for name in trainstep.SLOT_FIELDS[family][0]:
+                    slots[family, key][name] += 1
+    persist.check_layout(path, held, ckpt)
+    warmup, state = ctrl.warmup_steps(config.search), ckpt.controller
+    if done <= warmup:  # no update made yet: the controller is step 0's, bit for bit
+        for d, rows in enumerate(zip(state.logits, state.m, state.v)):
+            zero = not any(row.any() or np.signbit(row).any() for row in rows)  # signbit: -0.0
+            what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
+            persist.check_array(path, zero, f"controller/{d}", what)
+    run.ckpt = ckpt
 
 
 def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None) -> Run:
-    """The run at step 0, or the one the checkpoint at ``resume_from`` holds
-    (``_resumable``), echoing ``config``. Step 0 has uniform controller logits
-    and, when the run trains networks, the store and the head that
-    ``supernet.init_weights`` draws from the seed's ``init`` stream. No step
-    trains the head, so a resumed run takes it from the seed too."""
+    """The run at step 0, or the one the checkpoint at ``resume_from`` and
+    its log hold (``_resume``), echoing ``config``. Step 0 has uniform logits,
+    no reward history, a log of its header alone and, in a network run, the
+    store and head ``supernet.init_weights`` draws from the seed's ``init``
+    stream; no step trains the head, so a resumed run takes it from the seed."""
     space = build_space(config.space)
     splits = setup_run(config, space) if uses_network else None
     seed = config.data.seed
     weights = supernet.init_weights(space, RngStream(seed, "init")) if uses_network else None
     held = persist.Checkpoint({}, 0, ctrl.init_controller(space), weights.store if weights else {})
-    ckpt = held if resume_from is None else _resumable(config, space, resume_from, held)
+    header = (persist.event_header(space.labels(), space.cardinalities()) + "\n").encode()
+    run = Run(config, space, splits, held, RngStream(seed, "controller"), weights, [], [header])
+    if resume_from is not None:
+        _resume(run, resume_from)
     if weights is not None:
-        weights.store = ckpt.store
-    ckpt.config_echo = config_to_dict(config)
+        weights.store = run.ckpt.store
+    run.ckpt.config_echo = config_to_dict(config)
     # ``ctrl.sample`` draws a k x n_decisions block per phase; only networks commit.
     per_step = config.search.pairs_per_step * space.n_decisions * (2 if uses_network else 1)
-    stream = RngStream(seed, "controller", ckpt.meta_step * per_step)
-    return Run(config, space, splits, ckpt, stream, weights)
+    run.stream.counter = run.ckpt.meta_step * per_step
+    return run
 
 
 def meta_step(
     run: Run,
     evaluate_override: Callable[[tuple[int, ...]], tuple[float, float]] | None = None,
     audit: Callable[[str, int, SuperModelWeights | None], None] | None = None,
-) -> list[float]:
+) -> list[tuple[int, ...]]:
     """Run meta-step ``run.ckpt.meta_step``, advance the checkpoint past it,
-    its K rows appended to its reward history, and return the K rewards."""
+    append its K ``RewardRecord`` to ``run.history``, and return its K commit
+    selections (none without a network)."""
     settings, seed, ckpt, weights = run.config.search, run.config.data.seed, run.ckpt, run.weights
     k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
@@ -286,8 +298,10 @@ def meta_step(
     baseline = ctrl.reinforce_update(state, samples, settings, step)
     if audit is not None:
         audit("controller", step, weights)
+    commits = []
     if weights is not None:  # commit: K re-sampled pairs, each one step at lr / K
-        for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
+        commits = ctrl.sample(state, run.stream, k)
+        for i, selection in enumerate(commits):
             view = supernet.sub_view(run.space, selection)
             spec = trainstep.build_trainer(run.space, view.selection, lr)
             spec = replace(spec, learning_rate=spec.learning_rate / k)
@@ -298,10 +312,9 @@ def meta_step(
         if audit is not None:
             audit("commit", step, weights)
 
-    for selection, accuracy, cost, reward in scored:
-        ckpt.history.fromlist([step, *selection, accuracy, cost, reward, baseline])
+    run.history += [RewardRecord(step, *row, baseline) for row in scored]
     ckpt.meta_step = step + 1
-    return [reward for _, reward in samples]
+    return commits
 
 
 def search(
@@ -318,42 +331,48 @@ def search(
     shared store is involved (useful for tabular studies of the controller).
     ``audit`` is called after each phase with (phase, step, weights).
 
-    The whole resumable state is one ``persist.Checkpoint``: ``start_run``
-    builds or loads it, each ``meta_step`` advances it in place by one step
-    (the network weights share its arrays), and each save writes it as it
-    stands with the current config echoed, so output paths may change on
-    resume. The last meta-step always saves; a run with no step left saves
-    once. Its meta-step is the one step counter: the controller's warm-up,
-    its baseline start and its RNG stream position all follow from it. Each
-    meta-step appends one record to the log ``persist.open_events`` opens.
+    The resumable state is one ``persist.Checkpoint`` and the event log:
+    ``start_run`` builds or loads them, and each ``meta_step`` advances the
+    checkpoint in place (the network weights share its arrays), whose record
+    this appends to the log ``persist.open_events`` opens. Each save writes
+    the checkpoint with the current config echoed, so output paths may change
+    on resume, and seals the log by its running SHA-256. The last meta-step
+    always saves; a run with no step left saves once. The meta-step is the
+    one step counter: the controller's warm-up, its baseline start and its
+    RNG stream position all follow from it.
     """
     run = start_run(config, evaluate_override is None, resume_from)
     ckpt, state, total = run.ckpt, run.ckpt.controller, config.search.total_meta_steps
     path, interval = config.output.checkpoint_path, config.output.checkpoint_interval
-    start, resumed = ckpt.meta_step, None if resume_from is None else ckpt
-    with persist.open_events(config.output.log_path, run.space, resumed) as log_fh:
+    start, k = ckpt.meta_step, config.search.pairs_per_step
+
+    def save(digest: str) -> None:
+        ckpt.store_digest, ckpt.log_sha256 = digest, log.sha256.hexdigest()
+        persist.save_checkpoint(path, ckpt)
+
+    with persist.open_events(config.output.log_path, run.log) as log:
         for step in range(start, total):
             t0 = time.monotonic()
-            rewards = meta_step(run, evaluate_override, audit)
+            commits = meta_step(run, evaluate_override, audit)
             # One store digest serves the event record and the checkpoint.
             done = step + 1
             saves = path is not None and (done == total or interval > 0 and done % interval == 0)
-            if log_fh is not None or saves:
+            if log is not None or saves:
                 digest = persist.store_digest(ckpt.store)
-            if log_fh is not None:
-                mean = float(np.mean(rewards))
+            if log is not None:
+                rows = run.history[-k:]
+                scored = [{n: getattr(r, n) for n in persist.CANDIDATE_FIELDS} for r in rows]
+                mean = float(np.mean([r.reward for r in rows]))
                 probs = [p.tolist() for p in ctrl.probabilities(state)]
                 ms = (time.monotonic() - t0) * 1000.0
-                event = persist.EventRecord(step, mean, state.baseline, probs, digest, ms)
-                persist.write_event(log_fh, event)
+                event = [step, scored, rows[0].baseline, mean, state.baseline, probs, commits]
+                persist.write_event(log, persist.EventRecord(*event, digest, ms))
             if saves:
-                ckpt.store_digest = digest
-                persist.save_checkpoint(path, ckpt)
-    if path is not None and start == total:  # no step left: save once
-        ckpt.store_digest = persist.store_digest(ckpt.store)
-        persist.save_checkpoint(path, ckpt)
+                save(digest)
+        if path is not None and start == total:  # no step left: save once
+            save(persist.store_digest(ckpt.store))
     probs = ctrl.probabilities(state)
-    return SearchResult(derive(run.space, probs), probs, persist.reward_records(ckpt), total)
+    return SearchResult(derive(run.space, probs), probs, run.history, total)
 
 
 def _derived_space(space: SearchSpace, arch_choice: Sequence[int]) -> SearchSpace:

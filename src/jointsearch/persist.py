@@ -2,51 +2,48 @@
 
 Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
-bytes: the header on line 1, then one record per line. No event record,
-checkpoint header, controller or reward history number may be
-non-finite: writing one raises ``ValueError``.
+bytes: the header on line 1, then one record per meta-step from step 0. A
+record holds the step's K scored candidates (selection, accuracy, cost,
+reward), the advantage baseline they share and its K commit selections, so
+the log is the search's one record of its rewards. No event record,
+checkpoint header or controller number may be non-finite: writing one raises
+``ValueError``.
 
-A ``Checkpoint`` is the search's whole resumable state: ``engine.search``
-keeps one, advances it in place and saves it as it stands. Its file has three
-parts:
+A ``Checkpoint`` is the search's resumable state beside its log:
+``engine.search`` keeps one, advances it in place and saves it as it stands.
+Its file has three parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, controller baseline, ``store_digest``, and
-   the name and shape of every array in file order. A newline ends the line.
-   The meta-step is the file's one step counter: the controller's warm-up,
-   its Adam step count, whether its baseline exists and the position of the
-   controller's RNG stream all follow from it.
+   version, config echo, meta-step, controller baseline, ``store_digest``,
+   ``log_sha256`` (the SHA-256 of the log's bytes before the meta-step's
+   record, which seals the log) and the name and shape of every array in file
+   order, then a newline. The meta-step is the file's one step counter: the
+   controller's warm-up, its Adam step count, whether its baseline exists and
+   the position of the controller's RNG stream all follow from it.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
    straight from the arrays (see ``_layout``): the store, one
-   ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``), the
-   commit optimizer slots (an array per field, an integer field such as
-   Adam's ``step`` a 0-d one), and the reward history, ``history/ints``
-   (meta-step, then the selection, as whole numbers) and ``history/reals``
-   (accuracy, cost, reward, baseline): the column blocks of the rows that
-   ``Checkpoint.history`` keeps. They restore bit for bit (``-0.0``,
-   subnormals and all); a slot's integer field is restored as an int.
+   ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``) and
+   the commit optimizer slots (an array per field, an integer field such as
+   Adam's ``step`` a 0-d one). They restore bit for bit (``-0.0``, subnormals
+   and all); a slot's integer field is restored as an int.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
 
-``load_checkpoint`` parses the header, refuses any other format version,
-verifies the SHA-256 (so an edit to any byte raises ``ValueError``), checks
-that every shape is a list of non-negative integers and that the arrays tile
-the bytes exactly under distinct names, and verifies ``store_digest`` against
-the restored store. ``ValueError`` names the file and the header field it
-lacks or holds beyond those ``save_checkpoint`` writes, or the array of no
-known section or whose slot is not named ``family|key`` as it writes it. A
-re-sealed file (its SHA-256 recomputed after an edit) is refused, naming the
-field, if its meta-step is not a non-negative integer or its baseline not a
-finite number, and naming the array if a 0-d slot field is not a whole number
-from 1 to 2^53, its controller, history reals or slot arrays are not finite,
-its history integers are not whole and non-negative, its history rows and
-columns disagree with each other or with the number of controller arrays, or
-a controller array is not 3 rows. These checks need nothing of the run.
-Which commit slots, slot fields and arrays a file may hold depends on the
-run, so the loader takes them as written; on resume ``engine`` builds the
-state the run itself holds at that step, and ``check_layout`` compares the
-two. Saving and loading again gives
-identical bytes. Files are written to a temp path and renamed into place.
+``load_checkpoint`` refuses any other format version, verifies the SHA-256
+(so an edit to any byte raises ``ValueError``) and ``store_digest``, and
+checks that the arrays tile the bytes under distinct names with shapes of
+non-negative integers. ``ValueError`` names the file and the header field or
+array at fault: a field missing or beyond those ``save_checkpoint`` writes; a
+meta-step, baseline or ``log_sha256`` that is not a non-negative integer, a
+finite number or 64 lowercase hex digits; an array of no known section or a
+slot not named ``family|key``; a 0-d slot field that is not a whole number
+from 1 to 2^53; a controller or slot array that is not finite; a controller
+array that is not 3 rows. Which commit slots and arrays a file may hold
+depends on the run, so the loader takes them as written; on resume
+``engine`` reads the sealed log back (``resume_events``), builds the state
+the run holds at that step, and ``check_layout`` compares the two. Saving and
+loading again gives identical bytes. Files are written to a temp path and
+renamed into place.
 
 ``store_digest`` is 64-bit BLAKE2b (``hashlib.blake2b(digest_size=8)``),
 written as 16 hex characters. It walks the store in sorted key order and
@@ -55,43 +52,40 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 10 and event logs format version 2. Versions
-1-4 were single JSON documents: version 1 used a 64-bit FNV-1a over decimal
-text, version 2 lacked the reward history, versions 1-3 stored arrays as
-decimal lists and version 4 as base64. Version 5 had version 6's layout but
-also stored the controller's step and baseline flag, the controller's RNG
-counter, and each hyperparameter's ``default_index`` in the config echo.
-Version 6 held the controller logits and the reward history in the header,
-as JSON lists and record objects, so each save re-encoded the whole history.
-Version 7 held the slots' integer fields (Adam's ``step``) in the header.
-Version 8 held the controller's logits and Adam slots apart, each slot with
-its own ``step``, one per decision, all equal to the meta-step's count.
-Version 9 also stored the classifier head (``head/weight``, ``head/bias``),
-which is never trained: ``supernet.init_weights`` draws it from the seed.
-A checkpoint or event log of any other version is rejected with a "format
-version" error; there is no migration.
+Checkpoints are format version 11 and event logs format version 3; a file of
+any other version is refused with a "format version" error, and there is no
+migration. Checkpoint versions 1-4 were single JSON documents (1 hashed
+decimal text with FNV-1a, 2 lacked the reward history, 1-3 held decimal
+arrays and 4 base64 ones); 5 and 6 held the logits and the reward history in
+the header, so each save re-encoded the history, 5 also the controller's
+step, baseline flag and RNG counter and each ``default_index``; 7 held the
+slots' integer fields there; 8 held the controller's Adam slots apart from
+its logits, each with its own ``step``; 9 held the never-trained classifier
+head, which ``supernet.init_weights`` draws from the seed; 10 held the reward
+history as ``history/ints`` and ``history/reals``, which each save rewrote
+and re-hashed. Event log version 2 records held no candidates or commits and
+could start at any step.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import tempfile
-from array import array
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
 from .controller import ControllerState
-from .space import SearchSpace
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 10
-EVENT_LOG_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 11
+EVENT_LOG_FORMAT_VERSION = 3
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
 
@@ -113,12 +107,16 @@ def store_digest(store: Mapping[ParamKey, np.ndarray]) -> str:
 
 @dataclass
 class EventRecord:
-    """One meta-step of the search loop."""
+    """One meta-step: its K scored ``candidates``, their ``advantage_baseline``,
+    the controller after its update, and its K ``commits`` (none without a network)."""
 
     meta_step: int
+    candidates: list[dict]
+    advantage_baseline: float
     mean_reward: float
     baseline: float
     probabilities: list[list[float]]
+    commits: list[list[int]]
     store_digest: str
     wall_ms: float
 
@@ -128,6 +126,7 @@ class EventRecord:
 
 
 _EVENT_FIELDS = [f.name for f in fields(EventRecord)]
+CANDIDATE_FIELDS = ("selection", "accuracy", "cost", "reward")
 
 
 def event_header(labels: Iterable[str], cardinalities: Iterable[int]) -> str:
@@ -135,58 +134,64 @@ def event_header(labels: Iterable[str], cardinalities: Iterable[int]) -> str:
     return json.dumps({"format_version": EVENT_LOG_FORMAT_VERSION, "decisions": decisions})
 
 
-def write_event(fh, record: EventRecord) -> None:
-    fh.write(record.to_json() + "\n")
-    fh.flush()
+@dataclass
+class EventLog:
+    """An open event log and the running SHA-256 of its bytes (``log_sha256``)."""
+
+    fh: BinaryIO
+    sha256: object  # a ``hashlib.sha256``, kept running
 
 
-def truncate_events(path: str, meta_step: int, digest: str) -> int:
-    """Cut the log at ``path`` back to its header and the records of steps
-    before ``meta_step``, leaving the kept lines byte-identical; returns the
-    number of bytes kept. Those records must be one per step from 0, in order,
-    each one ``read_events`` takes, the last carrying ``digest``, the resumed
-    checkpoint's store digest; if not, the log is another run's, and
-    ``ValueError`` names the file and the first step missing or mismatched,
-    cutting nothing, as it does with the "format version" error for a line 1
-    that is JSON but not a version-2 header. The cut is at the first line
-    ``read_events`` refuses or past those records, which also drops a torn
-    final line (or a torn line 1, so a resume at step 0 starts the log afresh).
-    """
-    offset, step = 0, 0
-    with open(path, "r+b") as fh:
-        try:
-            for line, _, record in _event_lines(path, fh):
-                if record is not None:
-                    if step == meta_step or record.meta_step != step:
-                        break
-                    if step == meta_step - 1 and record.store_digest != digest:
-                        break
-                    step += 1
-                offset += len(line)
-        except ValueError as exc:  # a line ``read_events`` refuses ends the records,
-            if isinstance(exc, _VersionError):  # but a log of another version is refused
-                raise
-        if step < meta_step:
-            raise ValueError(f"{path}: event log holds no record of step {step} of the resumed run")
-        fh.truncate(offset)
-    return offset
+def write_event(log: EventLog, record: EventRecord) -> None:
+    line = (record.to_json() + "\n").encode()
+    log.fh.write(line)
+    log.fh.flush()
+    log.sha256.update(line)
 
 
-def open_events(path: str | None, space: SearchSpace, resumed: Checkpoint | None):
-    """The event log at ``path``, open for writing records, in a directory
-    made if missing; a null context when ``path`` is None. A log resumed from
-    ``resumed`` keeps its header and the records before its meta-step
-    (``truncate_events``); a fresh or missing log starts with its header."""
+@contextlib.contextmanager
+def open_events(path: str | None, lines: list[bytes]):
+    """The ``EventLog`` at ``path`` (None when ``path`` is None), in a
+    directory made if missing: ``lines`` (its header line, then the records a
+    resumed run keeps) are written over the start of the file, which is cut
+    after them, so a resumed log, which begins with them, never holds less."""
     if path is None:
-        return contextlib.nullcontext()
+        yield None
+        return
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    kept = 0
-    if resumed is not None and os.path.exists(path):
-        kept = truncate_events(path, resumed.meta_step, resumed.store_digest)
-    fh = open(path, "a" if kept else "w", encoding="utf-8")
-    if not kept:
-        fh.write(event_header(space.labels(), space.cardinalities()) + "\n")
-    return fh
+    kept = b"".join(lines)
+    with open(path, "r+b" if os.path.exists(path) else "wb") as fh:
+        fh.write(kept)
+        fh.truncate()
+        fh.flush()  # the header too is on disk before any save seals it
+        yield EventLog(fh, hashlib.sha256(kept))
+
+
+def resume_events(path: str, header: bytes, ckpt: Checkpoint) -> tuple[list, list]:
+    """The lines of the event log at ``path`` that a resume from ``ckpt``
+    keeps, and their records: line 1, which must be ``header``, then one
+    record per step before ``ckpt.meta_step``, all hashing to
+    ``ckpt.log_sha256``. ``ValueError`` names the log otherwise, for a line
+    ``read_events`` refuses (a log of another version: "format version") and
+    for a log missing after step 0; at step 0 a missing log is ``header``."""
+    step = ckpt.meta_step
+    try:
+        with open(path, "rb") as fh:
+            lines = list(itertools.islice(fh, 1 + step))
+    except FileNotFoundError:
+        if step:
+            raise ValueError(f"{path}: event log is missing at resume step {step}") from None
+        lines = [header]
+    _, records = _parse_events(path, lines)
+    if lines[:1] != [header]:
+        raise ValueError(f"{path}: line 1: event log header is not the one this run writes")
+    if len(records) < step:
+        raise ValueError(f"{path}: event log holds no record of step {len(records)}")
+    if hashlib.sha256(b"".join(lines)).hexdigest() != ckpt.log_sha256:
+        raise ValueError(
+            f"{path}: event log before step {step} does not hash to the checkpoint's log_sha256"
+        )
+    return lines, records
 
 
 def _is_decision(doc) -> bool:
@@ -195,23 +200,18 @@ def _is_decision(doc) -> bool:
     return type(cardinality) is int and cardinality > 0 and isinstance(doc.get("label"), str)
 
 
-class _VersionError(ValueError):
-    """Line 1 of an event log is JSON but not a header of this version."""
-
-
 def read_events(path: str) -> tuple[dict, list[EventRecord]]:
     """Return the header (line 1) and the records (one a line after it) of
     the event log at ``path``. ``ValueError`` names the file if it is not
     UTF-8 text, and the file and the line of an empty file, of the first line
     that is not JSON (a blank line is not), a header whose ``format_version``
-    is not 2 (the "format version" error), that holds other fields than it
+    is not 3 (the "format version" error), that holds other fields than it
     and ``decisions``, or whose ``decisions`` are not objects of exactly a
     ``label`` of letters, digits, ``_`` and ``-`` and a positive integer
-    ``cardinality``, or a record without exactly ``EventRecord``'s fields,
-    whose ``probabilities`` are not one list per decision of its cardinality,
-    whose ``mean_reward``, ``baseline``, probabilities or ``wall_ms`` are not
-    finite numbers, whose ``meta_step`` is not a non-negative integer one past
-    the previous record's (the first may start anywhere), or whose
+    ``cardinality``, or a record without exactly ``EventRecord``'s fields (a
+    candidate's: ``CANDIDATE_FIELDS``), whose ``meta_step`` is not its line
+    number less 2, whose probability rows or selections do not fit the
+    cardinalities, whose other numbers are not finite, or whose
     ``store_digest`` is not 16 lowercase hex digits."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -220,16 +220,14 @@ def read_events(path: str) -> tuple[dict, list[EventRecord]]:
         raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
     if not lines:
         raise ValueError(f"{path}: line 1: event log is empty, without its header")
-    (_, header, _), *rest = _event_lines(path, lines)
-    return header, [record for _, _, record in rest]
+    return _parse_events(path, lines)
 
 
-def _event_lines(path: str, lines: Iterable):
-    """Each of ``lines`` (text or bytes) of the event log at ``path`` with the
-    header of line 1 and the ``EventRecord`` the line holds (None on line 1).
-    ``ValueError`` names the file and the line of the first line that
-    ``read_events`` refuses."""
-    header = shape = previous = None  # each decision's cardinality; the last meta_step
+def _parse_events(path: str, lines: Iterable) -> tuple[dict | None, list[EventRecord]]:
+    """The header and the records of ``lines`` (text or bytes) of the event
+    log at ``path``; ``ValueError`` names the file and the line of the first
+    line that ``read_events`` refuses."""
+    header, shape, records = None, None, []  # shape: each decision's cardinality
     for line_no, line in enumerate(lines, start=1):
         where = f"{path}: line {line_no}"
         try:
@@ -240,7 +238,7 @@ def _event_lines(path: str, lines: Iterable):
             version = doc.get("format_version") if isinstance(doc, dict) else None
             if type(version) is not int or version != EVENT_LOG_FORMAT_VERSION:
                 what = f"event log format version {version!r} is not {EVENT_LOG_FORMAT_VERSION}"
-                raise _VersionError(f"{where}: {what}")
+                raise ValueError(f"{where}: {what}")
             _require(where, doc, "", ("format_version", "decisions"), "event log header")
             decisions = doc["decisions"]
             if not isinstance(decisions, list) or not all(map(_is_decision, decisions)):
@@ -256,7 +254,6 @@ def _event_lines(path: str, lines: Iterable):
                         "letters, digits, '_' and '-'"
                     )
             header, shape = doc, [d["cardinality"] for d in decisions]
-            yield line, header, None
             continue
         try:
             record = EventRecord(**doc)
@@ -265,10 +262,8 @@ def _event_lines(path: str, lines: Iterable):
                 f"{where} is not an event record with exactly the fields {_EVENT_FIELDS}"
             ) from None
         step, digest = record.meta_step, record.store_digest
-        if not _is_count(step):
-            raise ValueError(f"{where}: meta_step {step!r} is not a non-negative integer")
-        if previous is not None and step != previous + 1:
-            raise ValueError(f"{where}: meta_step {step} does not follow {previous}")
+        if type(step) is not int or step != line_no - 2:
+            raise ValueError(f"{where}: meta_step {step!r} is not {line_no - 2}")
         if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{16}", digest)):
             raise ValueError(f"{where}: store_digest {digest!r} is not 16 lowercase hex digits")
         rows = record.probabilities
@@ -280,7 +275,22 @@ def _event_lines(path: str, lines: Iterable):
                 f"{where}: probabilities have row lengths {lengths}, "
                 f"not the decisions' cardinalities {shape}"
             )
+        candidates, commits = record.candidates, record.commits
+        if not (isinstance(candidates, list) and isinstance(commits, list)):
+            raise ValueError(f"{where}: candidates and commits are not lists")
+        for i, candidate in enumerate(candidates):
+            _require(where, candidate, f"candidates.{i}.", CANDIDATE_FIELDS, "event record")
+        named = {f"candidates.{i}.selection": c["selection"] for i, c in enumerate(candidates)}
+        named.update((f"commits.{i}", selection) for i, selection in enumerate(commits))
+        for name, selection in named.items():
+            fits = isinstance(selection, list) and len(selection) == len(shape)
+            if not (fits and all(type(i) is int and 0 <= i < c for i, c in zip(selection, shape))):
+                raise ValueError(
+                    f"{where}: {name} {selection!r} is not one index per decision within {shape}"
+                )
         numbers = {
+            "candidates": [c[n] for c in candidates for n in CANDIDATE_FIELDS[1:]],
+            "advantage_baseline": [record.advantage_baseline],
             "mean_reward": [record.mean_reward],
             "baseline": [record.baseline],
             "probabilities": [p for row in rows for p in row],
@@ -289,8 +299,8 @@ def _event_lines(path: str, lines: Iterable):
         for name, values in numbers.items():
             if not all(map(_is_finite, values)):
                 raise ValueError(f"{where}: field {name} holds a value that is not a finite number")
-        previous = step
-        yield line, header, record
+        records.append(record)
+    return header, records
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +309,17 @@ def _event_lines(path: str, lines: Iterable):
 
 
 @dataclass
-class RewardRecord:
-    """One scored candidate; ``baseline`` is the controller baseline its
-    advantage was taken against."""
-
-    meta_step: int
-    selection: tuple[int, ...]
-    accuracy: float
-    cost: float
-    reward: float
-    baseline: float = 0.0
-
-
-@dataclass
 class Checkpoint:
-    """Resumable search state. ``engine.search`` keeps one as its live state
-    and advances it in place, so each save writes the state as it stands."""
+    """Resumable search state beside the event log: ``engine.search`` advances
+    one in place, and each save writes it as it stands."""
 
     config_echo: dict
     meta_step: int  # meta-steps done
     controller: ControllerState
     store: dict[ParamKey, np.ndarray] = field(default_factory=dict)
     commit_slots: dict = field(default_factory=dict)  # optimizer slots by (family, key)
-    history: array = field(default_factory=lambda: array("d"))  # a row per record before meta_step
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
+    log_sha256: str = ""  # of the event log's bytes before meta_step, kept by the caller
 
 
 def _param_key_parse(text: str) -> ParamKey:
@@ -333,24 +330,11 @@ def _param_key_parse(text: str) -> ParamKey:
 def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     """Every array with its name, in file order: store sorted by key, one
     ``controller/<d>`` per decision (its logits, ``m`` and ``v`` rows),
-    commit slots (``_slot_arrays``), reward history."""
+    commit slots (``_slot_arrays``)."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
     rows = zip(ckpt.controller.logits, ckpt.controller.m, ckpt.controller.v)
     arrays += [(f"controller/{d}", np.stack(three)) for d, three in enumerate(rows)]
-    arrays += _slot_arrays(ckpt.commit_slots)
-    return arrays + list(zip(("history/ints", "history/reals"), history_columns(ckpt)))
-
-
-def history_columns(ckpt: Checkpoint) -> tuple[np.ndarray, np.ndarray]:
-    """Views of ``history/ints`` and ``history/reals``; ``ckpt.history`` cannot grow while held."""
-    rows = np.frombuffer(ckpt.history).reshape(-1, 1 + len(ckpt.controller.logits) + 4)
-    return rows[:, :-4], rows[:, -4:]
-
-
-def reward_records(ckpt: Checkpoint) -> list[RewardRecord]:
-    """One ``RewardRecord`` per row of ``ckpt.history``; a search builds them once."""
-    rows = zip(*(block.tolist() for block in history_columns(ckpt)))
-    return [RewardRecord(int(s), tuple(map(int, sel)), *reals) for (s, *sel), reals in rows]
+    return arrays + _slot_arrays(ckpt.commit_slots)
 
 
 def _slot_arrays(slots: dict) -> list[tuple[str, np.ndarray]]:
@@ -369,7 +353,7 @@ def _slot_arrays(slots: dict) -> list[tuple[str, np.ndarray]]:
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
     atomically replace ``path`` with it. ``ValueError`` names the array, and
-    nothing is written, if the controller or the history holds a non-finite number."""
+    nothing is written, if the controller holds a non-finite number."""
     arrays = _layout(ckpt)
     for name, arr in arrays:
         _check_finite(path, name, arr)
@@ -379,6 +363,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "meta_step": ckpt.meta_step,
         "controller": {"baseline": ckpt.controller.baseline},
         "store_digest": ckpt.store_digest,
+        "log_sha256": ckpt.log_sha256,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
     }
     chunks = [json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii") + b"\n"]
@@ -427,7 +412,9 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-_HEADER_FIELDS = ("format_version", "config", "meta_step", "controller", "store_digest", "arrays")
+_HEADER_FIELDS = (
+    "format_version", "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays"
+)
 
 
 def _require(where: str, doc, prefix: str, names: tuple, what="checkpoint header") -> None:
@@ -457,13 +444,9 @@ def check_array(path: str, ok: bool, name: str, what: str) -> None:
 
 
 def _check_finite(path: str, name: str, arr: np.ndarray) -> None:
-    # The controller and the history reals may hold only finite numbers.
-    ok = not name.startswith(("controller/", "history/reals")) or np.isfinite(arr).all()
+    # The controller may hold only finite numbers.
+    ok = not name.startswith("controller/") or np.isfinite(arr).all()
     check_array(path, ok, name, "holds a value that is not a finite number")
-
-
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0
 
 
 def _is_finite(value) -> bool:
@@ -472,23 +455,6 @@ def _is_finite(value) -> bool:
         return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _history(path: str, arrays: dict[str, np.ndarray], decisions: int) -> array:
-    """The ``Checkpoint.history`` rows of the ``history/ints`` and
-    ``history/reals`` arrays of ``arrays``; ``ValueError`` names the array
-    unless both are there, with one row per record, ``1 + decisions`` and 4
-    columns, and whole non-negative integers."""
-    ints, reals = arrays.get("history/ints"), arrays.get("history/reals")
-    rows = ints.shape[0] if ints is not None and ints.ndim else 0
-    for name, arr, shape in (("ints", ints, (rows, 1 + decisions)), ("reals", reals, (rows, 4))):
-        found = "nothing" if arr is None else f"shape {list(arr.shape)}"
-        ok = arr is not None and arr.shape == shape
-        check_array(path, ok, f"history/{name}", f"checkpoint holds {found}, not {list(shape)}")
-    whole = np.isfinite(ints) & (np.floor(ints) == ints) & ~np.signbit(ints)  # signbit: -0.0
-    what = "holds a value that is not a non-negative integer"
-    check_array(path, whole.all(), "history/ints", what)
-    return array("d", np.hstack((ints, reals)).tobytes())
 
 
 def _slot_field(path: str, name: str, arr: np.ndarray):
@@ -536,9 +502,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     _require(path, header, "", _HEADER_FIELDS)
     controller = header["controller"]
     _require(path, controller, "controller.", ("baseline",))
-    check_field(path, _is_count(header["meta_step"]), "meta_step", "a non-negative integer")
+    step = header["meta_step"]
+    check_field(path, type(step) is int and step >= 0, "meta_step", "a non-negative integer")
     baseline = controller["baseline"]
     check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
+    sha = header["log_sha256"]
+    ok = isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha) is not None
+    check_field(path, ok, "log_sha256", "64 lowercase hex digits")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     slots, store = {}, {}
     controller: list[np.ndarray] = []
@@ -549,24 +519,23 @@ def load_checkpoint(path: str) -> Checkpoint:
             slots.setdefault(key, {})[field_name] = value
         elif name == f"controller/{len(controller)}":
             controller.append(arr)  # one per decision, in order
-        elif name not in ("history/ints", "history/reals"):  # ``_history`` reads those
+        else:
             try:
                 if not name.startswith("store/"):
                     raise ValueError(name)
                 store[_param_key_parse(name[len("store/") :])] = arr
             except ValueError:
                 raise ValueError(f"{path}: {name}: array belongs to no known section") from None
-    history = _history(path, arrays, len(controller))
     if store_digest(store) != header["store_digest"]:
         raise ValueError(f"{path}: store digest mismatch, checkpoint is corrupt")
     return Checkpoint(
         config_echo=header["config"],
-        meta_step=header["meta_step"],
+        meta_step=step,
         controller=_controller(path, controller, baseline),
         store=store,
         commit_slots=slots,
-        history=history,
         store_digest=header["store_digest"],
+        log_sha256=sha,
     )
 
 
@@ -584,11 +553,10 @@ def _controller(path: str, arrays, baseline: float) -> ControllerState:
 def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:
     """Raise ``ValueError`` naming the file and the first array of ``ckpt``
     that ``want`` lacks or holds with another shape or 0-d value, then the
-    first that ``want`` holds and ``ckpt`` lacks. The last two arrays, the
-    reward history, are the file's own and are not compared."""
+    first that ``want`` holds and ``ckpt`` lacks."""
     found, held = (
         {n: f"value {a.item():.17g}" if a.ndim == 0 else f"shape {list(a.shape)}" for n, a in pairs}
-        for pairs in (_layout(ckpt)[:-2], _layout(want)[:-2])
+        for pairs in (_layout(ckpt), _layout(want))
     )
     for name in [*found, *held]:
         if found.get(name) != held.get(name):

@@ -28,15 +28,15 @@
 * ``backward_grads``: ``numerics.backward`` written into new arrays, one per
   weight and bias key, each checked to be written.
 * ``weights_digest``: the store digest of a super-model, or of no store.
-* ``reference_history_arrays``: a checkpoint's ``history/ints`` and
-  ``history/reals`` as first written, converted record by record from a list
-  of ``RewardRecord``; the arrays a save writes from its rows must match
-  them byte for byte.
+* ``unsealed``: a checkpoint file's bytes but its ``log_sha256`` and file
+  digest, which two runs of one config write alike but for the wall-clock
+  times of the event log that ``log_sha256`` seals.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -616,11 +616,8 @@ def weights_digest(weights) -> str:
     return store_digest(weights.store if weights is not None else {})
 
 
-def reference_history_arrays(history, decisions: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``history/ints`` (meta-step, then the selection) and
-    ``history/reals`` (accuracy, cost, reward, baseline) arrays of the reward
-    records ``history`` of a run of ``decisions`` decisions, one row each."""
-    width = 1 + len(history[0].selection) if history else 1 + decisions
-    ints = np.array([(r.meta_step, *r.selection) for r in history], dtype=float)
-    reals = np.array([(r.accuracy, r.cost, r.reward, r.baseline) for r in history], dtype=float)
-    return ints.reshape(len(history), width), reals.reshape(len(history), 4)
+
+def unsealed(data: bytes) -> bytes:
+    """The checkpoint file ``data`` with its ``log_sha256`` blanked and its
+    file digest cut."""
+    return re.sub(rb'"log_sha256": "[0-9a-f]{64}"', b'"log_sha256": ""', data[:-64], count=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ import pytest
 from jointsearch.cli import main
 from jointsearch.config import load_config
 from jointsearch.engine import search
+from jointsearch.space import build_space
+
+from reference import unsealed
 
 
 def base_doc(total=6):
@@ -41,8 +45,12 @@ def write_config(tmp_path, name, doc):
 
 
 def run_search(tmp_path, tag, doc_extra=None, total=6):
+    """Search with ``doc_extra`` output fields; a checkpointed run logs to
+    ``<tag>.events.jsonl`` unless they name another log."""
     doc = base_doc(total)
     doc["output"] = {"result_path": str(tmp_path / f"{tag}.result.json")}
+    if doc_extra and "checkpoint_path" in doc_extra:
+        doc["output"]["log_path"] = str(tmp_path / f"{tag}.events.jsonl")
     if doc_extra:
         for key, value in doc_extra.items():
             doc["output"][key] = value
@@ -390,11 +398,11 @@ ARRAY_DEFECTS = {
     ),
     "commit-slot-step-missing": (
         lambda h, a: _drop_array(a, "commit_slots/adam|0/1/weight/step"),
-        "commit_slots/adam|0/1/weight/step: checkpoint holds nothing, the run holds value 0",
+        "commit_slots/adam|0/1/weight/step: checkpoint holds nothing, the run holds value 2",
     ),
     "commit-slot-step-shape": (
         lambda h, a: _reshape_array(a, "commit_slots/adam|0/1/weight/step", lambda s: s.reshape(1)),
-        "commit_slots/adam|0/1/weight/step: checkpoint holds shape [1], the run holds value 0",
+        "commit_slots/adam|0/1/weight/step: checkpoint holds shape [1], the run holds value 2",
     ),
     # Arrays and their shapes.
     "store-key-renamed": (
@@ -469,7 +477,7 @@ ARRAY_DEFECTS = {
     ),
     "controller-dropped": (
         lambda h, a: _drop_array(a, "controller/2"),
-        "history/ints: checkpoint holds shape [12, 4], not [12, 3]",
+        "controller/2: checkpoint holds nothing, the run holds shape [3, 2]",
     ),
 }
 
@@ -484,40 +492,17 @@ def _set_value(arrays, name, index, value):
     _reshape_array(arrays, name, lambda arr: _edited(arr, index, value))
 
 
-def _history_rows(arrays, edit):
-    for name in ("history/ints", "history/reals"):
-        _reshape_array(arrays, name, edit)
-
-
 def _one_decision(arrays):
-    # Decisions 1 and 2 dropped from the controller and from the selections.
+    # Decisions 1 and 2 dropped from the controller.
     _drop_array(arrays, "controller/1")
     _drop_array(arrays, "controller/2")
-    _reshape_array(arrays, "history/ints", lambda ints: ints[:, :2])
 
 
-def _extra_decision(arrays):
-    arrays.append(["controller/3", np.zeros((3, 2))])
-    _reshape_array(arrays, "history/ints", lambda ints: np.hstack([ints, ints[:, 1:2]]))
-
-
-# Edits of the controller and the reward history, which the file keeps as
-# arrays (one per decision, and one row per record of ``history/ints``: the
-# step, then the selection; and of ``history/reals``: accuracy, cost, reward
-# and baseline), each with the error it must raise. Six steps of two pairs
-# make 12 records. The loader refuses a number that is not finite, a history
-# integer that is not whole and non-negative, and tables whose rows or
-# columns disagree; the resume refuses a controller shaped other than the
-# run's and a history out of step order or selecting outside the space.
-HISTORY_DEFECTS = {
-    "history-accuracy-inf": (
-        lambda h, a: _set_value(a, "history/reals", (1, 0), np.inf),
-        "history/reals: holds a value that is not a finite number",
-    ),
-    "history-accuracy-nan": (
-        lambda h, a: _set_value(a, "history/reals", (0, 0), np.nan),
-        "history/reals: holds a value that is not a finite number",
-    ),
+# Edits of the controller, which the file keeps as one array per decision,
+# each with the error it must raise. The loader refuses a number that is not
+# finite; the resume refuses a controller shaped other than the run's. A
+# format-10 reward history array is of no known section.
+CONTROLLER_DEFECTS = {
     "logits-inf": (
         lambda h, a: _set_value(a, "controller/0", (0, 1), -np.inf),
         "controller/0: holds a value that is not a finite number",
@@ -525,26 +510,6 @@ HISTORY_DEFECTS = {
     "logits-nan": (
         lambda h, a: _set_value(a, "controller/0", (0, 0), np.nan),
         "controller/0: holds a value that is not a finite number",
-    ),
-    "history-ints-missing": (
-        lambda h, a: _drop_array(a, "history/ints"),
-        "history/ints: checkpoint holds nothing, not [0, 4]",
-    ),
-    "history-selection-missing": (
-        lambda h, a: _reshape_array(a, "history/ints", lambda ints: ints[:, :1]),
-        "history/ints: checkpoint holds shape [12, 1], not [12, 4]",
-    ),
-    "history-rows-disagree": (
-        lambda h, a: _reshape_array(a, "history/reals", lambda reals: reals[:-1]),
-        "history/reals: checkpoint holds shape [11, 4], not [12, 4]",
-    ),
-    "history-step-fraction": (
-        lambda h, a: _set_value(a, "history/ints", (0, 0), 0.5),
-        "history/ints: holds a value that is not a non-negative integer",
-    ),
-    "history-selection-negative": (
-        lambda h, a: _set_value(a, "history/ints", (0, 1), -1.0),
-        "history/ints: holds a value that is not a non-negative integer",
     ),
     # The space has three decisions of 2, 3 and 2 candidates.
     "controller-one-decision": (
@@ -560,32 +525,17 @@ HISTORY_DEFECTS = {
         "controller/1: checkpoint holds shape [3, 2], the run holds shape [3, 3]",
     ),
     "controller-extra-decision": (
-        lambda h, a: _extra_decision(a),
+        lambda h, a: a.append(["controller/3", np.zeros((3, 2))]),
         "controller/3: checkpoint holds shape [3, 2], the run holds nothing",
     ),
-    "history-selection": (
-        lambda h, a: _set_value(a, "history/ints", (3, slice(1, None)), 9.0),
-        "history/ints: row 3 selects outside [2, 3, 2]",
-    ),
-    "history-selection-at-cardinality": (  # decision 2 has 2 candidates
-        lambda h, a: _set_value(a, "history/ints", (5, 3), 2.0),
-        "history/ints: row 5 selects outside [2, 3, 2]",
-    ),
-    "history-step-late": (
-        lambda h, a: _set_value(a, "history/ints", (-1, 0), 6.0),
-        "history/ints: meta-steps are not 2 records per step before 6",
-    ),
-    "history-order": (
-        lambda h, a: _history_rows(a, lambda rows: rows[::-1]),
-        "history/ints: meta-steps are not 2 records per step before 6",
-    ),
-    "history-short": (
-        lambda h, a: _history_rows(a, lambda rows: rows[:-1]),
-        "history/ints: meta-steps are not 2 records per step before 6",
-    ),
+    **{
+        f"format-10-{name}": (
+            lambda h, a, n=name: a.append([f"history/{n}", np.zeros((12, 4))]),
+            f"history/{name}: array belongs to no known section",
+        )
+        for name in ("ints", "reals")
+    },
 }
-
-
 def _reseal_arrays(ckpt, edit):
     """Apply ``edit`` to the header and the arrays (a list of [name, array]
     in file order) of checkpoint ``ckpt``, and re-seal it with its store
@@ -614,29 +564,95 @@ def _reseal_arrays(ckpt, edit):
     ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
 
 
-@pytest.mark.parametrize("defect", [*ARRAY_DEFECTS, *HISTORY_DEFECTS])
+@pytest.mark.parametrize("defect", [*ARRAY_DEFECTS, *CONTROLLER_DEFECTS])
 def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys, tmp_path, defect):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
-    edit, expected = {**ARRAY_DEFECTS, **HISTORY_DEFECTS}[defect]
+    edit, expected = {**ARRAY_DEFECTS, **CONTROLLER_DEFECTS}[defect]
     _reseal_arrays(ckpt, edit)
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert "runtime error" in err and f"{ckpt}: " in err and expected in err
 
 
+WITHIN_SPACE = "is not one index per decision within [2, 3, 2]"
+
+# Edits of the record of step 1 (line 3) of a finished run's log, each with
+# the message a resume from a checkpoint re-sealed over the edited log names
+# the line with: the parser's, or, for a well-formed record, the run's count
+# of K = 2 candidates and commits.
+RECORD_DEFECTS = {
+    "candidate-accuracy-nan": (
+        lambda r: r["candidates"][0].update(accuracy=float("nan")),
+        "field candidates holds a value that is not a finite number",
+    ),
+    "candidate-reward-inf": (
+        lambda r: r["candidates"][1].update(reward=float("inf")),
+        "field candidates holds a value that is not a finite number",
+    ),
+    "candidate-selection-at-cardinality": (
+        lambda r: r["candidates"][0].update(selection=[0, 3, 0]),
+        f"candidates.0.selection [0, 3, 0] {WITHIN_SPACE}",
+    ),
+    "candidate-selection-missing": (
+        lambda r: r["candidates"][1].update(selection=[0, 1]),
+        f"candidates.1.selection [0, 1] {WITHIN_SPACE}",
+    ),
+    "commit-selection-negative": (
+        lambda r: r["commits"].__setitem__(1, [0, -1, 0]),
+        f"commits.1 [0, -1, 0] {WITHIN_SPACE}",
+    ),
+    "candidates-short": (
+        lambda r: r["candidates"].pop(),
+        "holds 1 candidates and 2 commits, not 2 and 2",
+    ),
+    "commits-extra": (
+        lambda r: r["commits"].append(r["commits"][0]),
+        "holds 2 candidates and 3 commits, not 2 and 2",
+    ),
+    "step-late": (lambda r: r.update(meta_step=2), "meta_step 2 is not 1"),
+}
+
+
+@pytest.mark.parametrize("defect", RECORD_DEFECTS)
+def test_resume_from_a_checkpoint_resealed_over_a_malformed_log_exits_two(
+    capsys, tmp_path, defect
+):
+    # The checkpoint seals the edited log, so only the records themselves
+    # can refuse it: the resume exits 2 naming the log's line, writing nothing.
+    ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.events.jsonl"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    edit, expected = RECORD_DEFECTS[defect]
+    lines = log.read_text().splitlines(keepends=True)
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record) + "\n"
+    log.write_text("".join(lines))
+    sha = hashlib.sha256(log.read_bytes()).hexdigest()
+    _reseal_arrays(ckpt, lambda h, a: h.update(log_sha256=sha))
+    edited, saved = log.read_bytes(), ckpt.read_bytes()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {log}: line 3: {expected}" in err
+    assert log.read_bytes() == edited and ckpt.read_bytes() == saved
+
+
 def _checkpoint_of_every_step(cfg, ckpt):
     """The bytes of checkpoint file ``ckpt`` after each step of the run of
-    config file ``cfg`` (checkpoint interval 1), the final one last."""
+    config file ``cfg`` (checkpoint interval 1), the final one last, and of
+    the run's event log, whose first lines each of them seals."""
     saved = []
 
     def copy(phase, step, weights):
         if phase == "controller" and step > 0:  # the file holds step - 1's save
             saved.append(ckpt.read_bytes())
 
-    search(load_config(cfg), audit=copy)
-    return saved + [ckpt.read_bytes()]
+    config = load_config(cfg)
+    search(config, audit=copy)
+    with open(config.output.log_path, "rb") as fh:
+        return saved + [ckpt.read_bytes()], fh.read()
 
 
 def test_resume_at_every_step_writes_the_uninterrupted_result_and_checkpoint(tmp_path):
@@ -646,14 +662,15 @@ def test_resume_at_every_step_writes_the_uninterrupted_result_and_checkpoint(tmp
     output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 1}
     code, result, cfg = run_search(tmp_path, "run", doc_extra=output)
     assert code == 0
-    uninterrupted = result.read_bytes(), ckpt.read_bytes()
-    every = _checkpoint_of_every_step(cfg, ckpt)
-    assert every[-1] == uninterrupted[1]
+    uninterrupted = result.read_bytes(), unsealed(ckpt.read_bytes())
+    every, log = _checkpoint_of_every_step(cfg, ckpt)
+    assert unsealed(every[-1]) == uninterrupted[1]
     for done, data in enumerate(every[:-1], start=1):
         ckpt.write_bytes(data)
+        (tmp_path / "run.events.jsonl").write_bytes(log)
         result.unlink()
         assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
-        assert (result.read_bytes(), ckpt.read_bytes()) == uninterrupted, done
+        assert (result.read_bytes(), unsealed(ckpt.read_bytes())) == uninterrupted, done
 
 
 @pytest.mark.parametrize(
@@ -669,7 +686,7 @@ def test_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
     output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 1}
     code, _, cfg = run_search(tmp_path, "run", doc_extra=output)
     assert code == 0
-    every = _checkpoint_of_every_step(cfg, ckpt)
+    every, log = _checkpoint_of_every_step(cfg, ckpt)
     for done in (1, 2):
         ckpt.write_bytes(every[done - 1])
         _reseal_arrays(ckpt, lambda h, a: _set_value(a, "controller/1", (row, 2), value))
@@ -679,36 +696,50 @@ def test_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
         assert f"runtime error: {ckpt}: controller/1: {what}" in err
     ckpt.write_bytes(every[1])
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
-    assert ckpt.read_bytes() == every[-1]
+    assert unsealed(ckpt.read_bytes()) == unsealed(every[-1])
+    assert (tmp_path / "run.events.jsonl").read_bytes() != log  # new wall-clock times
 
 
-def test_resume_refuses_a_format_9_checkpoint(capsys, tmp_path):
+def test_resume_refuses_a_format_10_checkpoint(capsys, tmp_path):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     data = ckpt.read_bytes()
-    ckpt.write_bytes(data.replace(b'"format_version": 10', b'"format_version": 9', 1))
+    ckpt.write_bytes(data.replace(b'"format_version": 11', b'"format_version": 10', 1))
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"runtime error: {ckpt}: checkpoint format version 9 is not 10" in err
+    assert f"runtime error: {ckpt}: checkpoint format version 10 is not 11" in err
 
 
-def test_resume_refuses_a_commit_adam_step_past_one_update_per_commit(capsys, tmp_path):
-    # Each of a step's K = 2 commits updates a key at most once, so after 4
-    # steps no commit Adam step exceeds 8. Within that bound the count is
-    # taken as written: only a replay could check it exactly.
-    ckpt = tmp_path / "run.ckpt"
-    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)}, total=4)
+def test_resume_refuses_a_commit_adam_step_other_than_the_logged_commits_count(capsys, tmp_path):
+    # Replaying the logged commit selections gives each Adam slot's exact
+    # update count: one below it, within the old bound of K updates per
+    # step, is refused by name, as is one above it.
+    from jointsearch.persist import read_events
+    from jointsearch.supernet import sub_view
+
+    ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.events.jsonl"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     pristine = ckpt.read_bytes()
-    steps = [name for name, _ in json.loads(pristine[: pristine.index(b"\n")])["arrays"]]
-    [name, *_] = [n for n in steps if n.startswith("commit_slots/adam|") and n.endswith("/step")]
-    for value, code in ((4 * 2 + 1, 2), (4 * 2, 0)):
+    space = build_space(load_config(cfg).space)
+    adam = 1  # the optimizer decision's index of "adam", its last
+    counts = Counter(
+        key
+        for record in read_events(str(log))[1]
+        for selection in record.commits
+        if selection[-1] == adam
+        for key in sub_view(space, selection).keys
+    )
+    key, count = max(counts.items(), key=lambda item: (item[1], item[0].text()))
+    assert 2 <= count < 6 * 2
+    name = f"commit_slots/adam|{key.text()}/step"
+    for value in (count - 1, count + 1):
         ckpt.write_bytes(pristine)
         _reseal_arrays(ckpt, lambda h, a: _set_value(a, name, (), float(value)))
-        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == code
-    err = capsys.readouterr().err
-    assert f"{ckpt}: {name}: holds 9 updates, more than 2 commits in each of 4 steps" in err
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: {name}: checkpoint holds value {value}, the run holds value {count}" in err
     ckpt.write_bytes(pristine)
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
     assert ckpt.read_bytes() == pristine
@@ -811,7 +842,7 @@ def test_resume_refuses_a_stale_event_log_and_leaves_it_untouched(capsys, tmp_pa
     stale = log.read_bytes()
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"{log}: event log holds no record of step 2 of the resumed run" in err
+    assert f"{log}: event log holds no record of step 2" in err
     assert log.read_bytes() == stale
     # All nine steps, the last of another store, are refused as well.
     lines = complete.decode().splitlines(keepends=True)
@@ -821,7 +852,7 @@ def test_resume_refuses_a_stale_event_log_and_leaves_it_untouched(capsys, tmp_pa
     edited = log.read_bytes()
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"{log}: event log holds no record of step 8 of the resumed run" in err
+    assert f"{log}: event log before step 9 does not hash to the checkpoint's log_sha256" in err
     assert log.read_bytes() == edited
     # The log of the checkpoint's own run resumes, and is kept as it is.
     log.write_bytes(complete)
@@ -834,7 +865,7 @@ def test_resume_refuses_a_log_of_another_format_version_and_changes_neither_file
     capsys, tmp_path, crash_at
 ):
     # Resumed mid-run (from step 4 of 6) and at the end: the log is not kept
-    # and appended to under its version-1 header, but refused.
+    # and appended to under a version-2 header, but refused.
     from jointsearch import engine
     from jointsearch.config import load_config
 
@@ -852,26 +883,29 @@ def test_resume_refuses_a_log_of_another_format_version_and_changes_neither_file
     else:
         with pytest.raises(RuntimeError):
             engine.search(load_config(cfg), audit=crash)
-    log.write_bytes(log.read_bytes().replace(b'"format_version": 2', b'"format_version": 1', 1))
+    log.write_bytes(log.read_bytes().replace(b'"format_version": 3', b'"format_version": 2', 1))
     edited, saved = log.read_bytes(), ckpt.read_bytes()
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"runtime error: {log}: line 1: event log format version 1 is not 2" in err
+    assert f"runtime error: {log}: line 1: event log format version 2 is not 3" in err
     assert log.read_bytes() == edited and ckpt.read_bytes() == saved
 
 
 def test_a_resumed_result_file_is_the_uninterrupted_one_when_an_override_returns_ints(tmp_path):
     # The records hold floats, so the history a resume reads back from the
-    # checkpoint's float64 arrays writes ``1.0`` and ``0.0`` where the
-    # uninterrupted run's records do too, not ``1`` and ``0``.
+    # event log writes ``1.0`` and ``0.0`` where the uninterrupted run's
+    # records do too, not ``1`` and ``0``.
     from jointsearch import cli, engine
-    from jointsearch.space import build_space
 
     def table(selection):
         return int(selection[0] == 1), 0
 
     doc = base_doc(6)
-    doc["output"] = {"checkpoint_path": str(tmp_path / "run.ckpt"), "checkpoint_interval": 2}
+    doc["output"] = {
+        "checkpoint_path": str(tmp_path / "run.ckpt"),
+        "checkpoint_interval": 2,
+        "log_path": str(tmp_path / "events.jsonl"),
+    }
     config = load_config(write_config(tmp_path, "run.cfg.json", doc))
 
     def written(result, name):
@@ -897,7 +931,8 @@ def test_a_resumed_result_file_is_the_uninterrupted_one_when_an_override_returns
 @pytest.mark.parametrize("step", [True, 1.0])
 def test_resume_refuses_a_log_whose_step_is_not_an_integer(capsys, tmp_path, step):
     # ``True == 1`` and ``1.0 == 1``, but ``read_events``, and so ``report``,
-    # refuses either as a meta_step, so the resume must not keep the record.
+    # refuses either as a meta_step, so the resume must not keep the record,
+    # even before the log's hash is compared.
     from jointsearch import engine
     from jointsearch.config import load_config
 
@@ -919,8 +954,139 @@ def test_resume_refuses_a_log_whose_step_is_not_an_integer(capsys, tmp_path, ste
     edited = log.read_bytes()
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"{log}: event log holds no record of step 1 of the resumed run" in err
+    assert f"{log}: line 3: meta_step {step} is not 1" in err
     assert log.read_bytes() == edited
+
+
+def _crashed_at_step_5(tmp_path):
+    """A 6-step run checkpointed every 2 steps, crashed in step 5: its
+    config file, checkpoint (at step 4) and event log (through step 4's
+    record, which the checkpoint does not seal)."""
+    from jointsearch import engine
+
+    log, ckpt = tmp_path / "events.jsonl", tmp_path / "run.ckpt"
+    doc = base_doc(6)
+    doc["output"] = {"log_path": str(log), "checkpoint_path": str(ckpt), "checkpoint_interval": 2}
+    cfg = write_config(tmp_path, "run.cfg.json", doc)
+
+    def crash(phase, step, weights):
+        if (phase, step) == ("controller", 5):
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        engine.search(load_config(cfg), audit=crash)
+    return cfg, ckpt, log
+
+
+def _edit_field(record, field, rng):
+    """``record`` with one well-formed value of ``field`` changed."""
+    if field == "probabilities":
+        row = record[field][rng.index(len(record[field]))]
+        j = rng.index(len(row))
+        row[j] = float(np.nextafter(row[j], 1.0))
+    elif field == "accuracy":
+        candidate = record["candidates"][rng.index(len(record["candidates"]))]
+        candidate[field] = candidate[field] / 2.0 if candidate[field] else 0.5
+    elif field == "commits":
+        selection = record[field][rng.index(len(record[field]))]
+        selection[0] = 1 - selection[0]  # the first decision has 2 candidates
+    else:
+        record[field] += 1.0
+    return record
+
+
+@pytest.mark.parametrize("field", ["probabilities", "accuracy", "commits", "wall_ms"])
+def test_resume_refuses_a_sealed_log_whose_kept_records_were_edited(capsys, tmp_path, field):
+    # A seeded sample of single-field edits of the records before the
+    # checkpoint's step, each well-formed: the log's hash is not the one the
+    # checkpoint seals, so the resume exits 2 naming the log and writes nothing.
+    from jointsearch.numerics import RngStream
+
+    cfg, ckpt, log = _crashed_at_step_5(tmp_path)
+    pristine, saved = log.read_bytes(), ckpt.read_bytes()
+    rng = RngStream(0, f"sealed-log-edits/{field}")
+    for _ in range(3):
+        line = 1 + rng.index(4)  # lines 2 to 5: steps 0 to 3
+        lines = pristine.decode().splitlines(keepends=True)
+        lines[line] = json.dumps(_edit_field(json.loads(lines[line]), field, rng)) + "\n"
+        log.write_text("".join(lines))
+        assert log.read_bytes() != pristine
+        edited = log.read_bytes()
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2, (field, line)
+        err = capsys.readouterr().err
+        assert f"runtime error: {log}: event log before step 4 does not hash" in err, field
+        assert log.read_bytes() == edited and ckpt.read_bytes() == saved
+    log.write_bytes(pristine)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+
+
+@pytest.mark.parametrize("line", [6, 7])
+def test_resume_cuts_a_record_at_or_after_the_checkpoints_step(capsys, tmp_path, line):
+    # Line 6 holds step 4, which the step-4 checkpoint does not seal, and a
+    # torn line 7 follows it: an edit there is cut, and the resume rewrites
+    # the uninterrupted log but for its wall-clock times.
+    cfg, ckpt, log = _crashed_at_step_5(tmp_path)
+    lines = log.read_text().splitlines(keepends=True)
+    if line == 6:
+        lines[5] = json.dumps({**json.loads(lines[5]), "mean_reward": 0.0, "commits": []}) + "\n"
+    else:
+        lines.append('{"meta_step": 5, "candi')
+    log.write_text("".join(lines))
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    reference = tmp_path / "reference.events.jsonl"
+    doc = json.loads(open(cfg).read())
+    doc["output"]["log_path"] = str(reference)
+    doc["output"]["checkpoint_path"] = str(tmp_path / "reference.ckpt")
+    assert main(["search", "--config", write_config(tmp_path, "reference.json", doc)]) == 0
+
+    def timeless(path):
+        return [{**json.loads(l), "wall_ms": None} for l in path.read_text().splitlines()]
+
+    assert timeless(log) == timeless(reference)
+    # The final checkpoint seals the log as the resume rewrote it.
+    sealed = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])["log_sha256"]
+    assert sealed == hashlib.sha256(log.read_bytes()).hexdigest()
+
+
+def test_a_checkpoint_path_without_a_log_path_exits_one(capsys, tmp_path):
+    doc = base_doc(2)
+    doc["output"] = {"checkpoint_path": str(tmp_path / "run.ckpt")}
+    assert main(["search", "--config", write_config(tmp_path, "cfg.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert "output.checkpoint_path needs output.log_path" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    # A resume reads the log, so it needs a log_path too, whatever it writes.
+    ckpt = tmp_path / "run.ckpt"
+    code, _, _ = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)}, total=2)
+    assert code == 0
+    saved = ckpt.read_bytes()
+    doc["output"] = {"result_path": str(tmp_path / "resumed.json")}
+    cfg = write_config(tmp_path, "resume.json", doc)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 1
+    assert "output.log_path is not set" in capsys.readouterr().err
+    assert ckpt.read_bytes() == saved and not (tmp_path / "resumed.json").exists()
+
+
+def test_resume_at_step_3_whose_log_is_deleted_exits_two(capsys, tmp_path):
+    from jointsearch import engine
+
+    log, ckpt = tmp_path / "events.jsonl", tmp_path / "run.ckpt"
+    doc = base_doc(6)
+    doc["output"] = {"log_path": str(log), "checkpoint_path": str(ckpt), "checkpoint_interval": 3}
+    cfg = write_config(tmp_path, "run.cfg.json", doc)
+
+    def crash(phase, step, weights):
+        if step == 4:
+            raise RuntimeError("simulated crash")
+
+    with pytest.raises(RuntimeError):
+        engine.search(load_config(cfg), audit=crash)
+    saved = ckpt.read_bytes()
+    log.unlink()
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {log}: event log is missing at resume step 3" in err
+    assert ckpt.read_bytes() == saved and not log.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1274,23 +1440,23 @@ def _edit_last(field, value, message):
         _add_a_row,
         _widen_a_row,
         None,
-        _edit_last("meta_step", "soon", "'soon' is not a non-negative integer"),
-        _edit_last("meta_step", True, "True is not a non-negative integer"),
-        _edit_last("meta_step", -1, "-1 is not a non-negative integer"),
-        _edit_last("meta_step", 4, "4 does not follow 4"),  # a repeated step
-        _edit_last("meta_step", 6, "6 does not follow 4"),  # a skipped step
+        _edit_last("meta_step", "soon", "'soon' is not 5"),
+        _edit_last("meta_step", True, "True is not 5"),
+        _edit_last("meta_step", -1, "-1 is not 5"),
+        _edit_last("meta_step", 4, "4 is not 5"),  # a repeated step
+        _edit_last("meta_step", 6, "6 is not 5"),  # a skipped step
         _edit_last("store_digest", 7, "7 is not 16 lowercase hex digits"),
         _edit_last("store_digest", "xyz", "'xyz' is not 16 lowercase hex digits"),
-        # Line 1 is the header, of exactly version 2 and its decisions; every
+        # Line 1 is the header, of exactly version 3 and its decisions; every
         # other line is a record.
         *[
             _edit_header(
                 lambda h, v=value: h.update(format_version=v),
-                f"event log format version {value!r} is not 2",
+                f"event log format version {value!r} is not 3",
             )
-            for value in (1, 3, "2", True)
+            for value in (2, 4, "3", True)
         ],
-        _edit_header(lambda h: h.pop("format_version"), "event log format version None is not 2"),
+        _edit_header(lambda h: h.pop("format_version"), "event log format version None is not 3"),
         _edit_header(lambda h: h.update(run=0), "event log header holds an unknown field run"),
         _edit_header(
             lambda h: h["decisions"][2].update(basis=["sgd", "adam"]),

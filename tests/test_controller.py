@@ -470,7 +470,8 @@ def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight
         for step in range(30):
             if step == 15:
                 path = str(tmp_path / f"{case}.ckpt")
-                save_checkpoint(path, Checkpoint({}, step, state, store_digest=store_digest({})))
+                ckpt = Checkpoint({}, step, state, store_digest=store_digest({}), log_sha256="0" * 64)
+                save_checkpoint(path, ckpt)
                 state = load_checkpoint(path).controller
                 assert all(z.base is state.logits[0].base for z in state.logits)
             probs = probabilities(state)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from jointsearch.data import (
+    DataSplit,
     Dataset,
     concat,
     load_csv,
@@ -249,6 +250,24 @@ def test_split_seed_changes_partition_not_sizes():
     assert not np.array_equal(a.train.features, b.train.features)
     again = split(ds, (0.5, 0.25, 0.25), 1)
     assert np.array_equal(a.train.features, again.train.features)
+
+
+@pytest.mark.parametrize(
+    "rows, empty, counts",
+    [(2, "test", "train 1, val 1, test 0"), (1, "train and test", "train 0, val 1, test 0")],
+)
+def test_a_split_with_an_empty_part_is_refused_naming_it(rows, empty, counts):
+    with pytest.raises(ValueError) as err:
+        split(unique_rows_dataset(rows), (0.5, 0.25, 0.25), 0)
+    assert str(err.value) == (
+        f"data split leaves {empty} with no rows: {rows} rows split into {counts}"
+    )
+    full, none = unique_rows_dataset(4), unique_rows_dataset(0)
+    with pytest.raises(ValueError) as err:
+        DataSplit(none, full, full)
+    assert str(err.value) == (
+        "data split leaves train with no rows: 8 rows split into train 0, val 4, test 4"
+    )
 
 
 def test_split_rejects_bad_fractions():

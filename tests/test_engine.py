@@ -1,8 +1,10 @@
 """Engine tests: reward rules, candidate isolation, search invariants, retrain."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jointsearch import controller, persist, supernet
+from jointsearch import controller, engine, persist, supernet
 from jointsearch.config import ConfigError, RewardSection, config_to_dict, parse_config
 from jointsearch.data import concat, split, two_moons
 from jointsearch.engine import (
@@ -37,7 +39,7 @@ from jointsearch.space import (
 )
 from jointsearch.trainstep import TrainerSpec
 
-from reference import taped_train_step, weights_digest
+from reference import taped_train_step, unsealed, weights_digest
 
 
 def tabular_doc(cards, total, k, seed=0, **search_over):
@@ -417,6 +419,14 @@ def test_reward_records_carry_the_baseline_their_update_used(tmp_path):
         # in; later ones use the baseline the previous step left.
         used = records[0].reward if step == 0 else events[step - 1].baseline
         assert [r.baseline for r in records] == [used] * 3
+        # The log holds the same records: its step's candidates and baseline.
+        assert events[step].advantage_baseline == used
+        assert events[step].candidates == [
+            {"selection": list(r.selection), "accuracy": r.accuracy, "cost": r.cost,
+             "reward": r.reward}
+            for r in records
+        ]
+        assert len(events[step].commits) == 3
 
 
 def test_store_digest_invariant_across_controller_phase():
@@ -543,8 +553,8 @@ def test_a_resumed_run_takes_its_head_from_the_seed(tmp_path):
     # No step trains the head and no checkpoint holds it, so the head of a
     # resumed run is the one ``init_weights`` draws from the seed, bit for bit.
     path = tmp_path / "ck.ckpt"
-    doc = moons_doc(total=6, output={"checkpoint_path": str(path), "checkpoint_interval": 3})
-    config = parse_config(doc)
+    output = {"checkpoint_path": str(path), "checkpoint_interval": 3, "log_path": str(tmp_path / "e")}
+    config = parse_config(moons_doc(total=6, output=output))
 
     def crash(phase, step, weights):
         if step == 4:
@@ -666,10 +676,8 @@ def _recording_saves(monkeypatch):
 def test_search_saves_the_final_checkpoint_once(tmp_path, monkeypatch, interval, steps_saved):
     saves = _recording_saves(monkeypatch)
     path = str(tmp_path / "ck.ckpt")
-    config = parse_config(
-        moons_doc(total=5, output={"checkpoint_path": path, "checkpoint_interval": interval})
-    )
-    search(config)
+    output = {"checkpoint_path": path, "checkpoint_interval": interval, "log_path": path + ".log"}
+    search(config := parse_config(moons_doc(total=5, output=output)))
     assert [step for _, step, _ in saves] == steps_saved
     with open(path, "rb") as fh:
         final = fh.read()
@@ -682,8 +690,17 @@ def test_search_saves_the_final_checkpoint_once(tmp_path, monkeypatch, interval,
         assert fh.read() == final
 
 
+def _seals_its_log(config) -> bool:
+    """Whether the run's checkpoint seals its whole event log."""
+    log = Path(config.output.log_path).read_bytes()
+    sealed = persist.load_checkpoint(config.output.checkpoint_path).log_sha256
+    return sealed == hashlib.sha256(log).hexdigest()
+
+
 def test_resume_after_any_crash_writes_the_uninterrupted_final_checkpoint(tmp_path):
-    # One config, so the paths echoed in the checkpoint agree as well.
+    # One config, so the paths echoed in the checkpoint agree as well. The
+    # checkpoint seals its own log, whose wall-clock times differ from the
+    # uninterrupted run's, and all else is the same bytes.
     output = {
         "log_path": str(tmp_path / "events.jsonl"),
         "checkpoint_path": str(tmp_path / "ck.ckpt"),
@@ -704,12 +721,14 @@ def test_resume_after_any_crash_writes_the_uninterrupted_final_checkpoint(tmp_pa
                 search(config, audit=crash)
             search(config, resume_from=output["checkpoint_path"])
             with open(output["checkpoint_path"], "rb") as fh:
-                assert fh.read() == uninterrupted, (crash_phase, crash_step)
+                assert unsealed(fh.read()) == unsealed(uninterrupted), (crash_phase, crash_step)
+            assert _seals_its_log(config)
 
 
-def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
+def _checkpoint_of_every_step(config, **search_kw) -> tuple[list[bytes], bytes]:
     """Run ``config`` (checkpoint interval 1) uninterrupted and return the
-    bytes of its checkpoint after each step, the final one last."""
+    bytes of its checkpoint after each step, the final one last, and of its
+    event log, whose first lines each of them seals."""
     path = config.output.checkpoint_path
     saved = []
 
@@ -720,7 +739,13 @@ def _checkpoint_of_every_step(config, **search_kw) -> list[bytes]:
 
     search(config, audit=copy, **search_kw)
     with open(path, "rb") as fh:
-        return saved + [fh.read()]
+        return saved + [fh.read()], Path(config.output.log_path).read_bytes()
+
+
+def _restore(config, checkpoint: bytes, log: bytes) -> None:
+    """Put back a checkpoint and the event log it was saved beside."""
+    Path(config.output.checkpoint_path).write_bytes(checkpoint)
+    Path(config.output.log_path).write_bytes(log)
 
 
 def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, monkeypatch):
@@ -738,7 +763,7 @@ def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, mon
     # softmax per decision of the checkpoint that step saved, bit for bit.
     path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "n.jsonl")
     output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": log}
-    every = _checkpoint_of_every_step(parse_config(moons_doc(total=4, output=output)))
+    every, _ = _checkpoint_of_every_step(parse_config(moons_doc(total=4, output=output)))
     _, records = read_events(log)
     assert len(records) == len(every) == 4
     for record, data in zip(records, every):
@@ -754,25 +779,26 @@ def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     # optimizer family, so each resume is compared with a controller both
     # untouched and updated, and with commit slots of each family.
     path = str(tmp_path / "ck.ckpt")
-    doc = moons_doc(total=8, k=3, output={"checkpoint_path": path, "checkpoint_interval": 1})
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
+    doc = moons_doc(total=8, k=3, output=output)
     doc["search"]["warmup_fraction"] = 0.3
     basis = ["sgd", "momentum", "adam", "rmsprop"]
     doc["space"]["hyperparameters"].append(
         {"name": "optimizer", "kind": "categorical", "basis": basis}
     )
     config = parse_config(doc)
-    every = _checkpoint_of_every_step(config)
+    every, log = _checkpoint_of_every_step(config)
     final = persist.load_checkpoint(path)
     families = {family for (family, _), _ in final.commit_slots.items()}
     assert families == {"momentum", "adam", "rmsprop"}
     for done, data in enumerate(every, start=1):
-        with open(path, "wb") as fh:
-            fh.write(data)
+        _restore(config, data, log)
         moments = persist.load_checkpoint(path).controller.m
         assert any(row.any() for row in moments) == (done > 3)
         search(config, resume_from=path)
         with open(path, "rb") as fh:
-            assert fh.read() == every[-1], done
+            assert unsealed(fh.read()) == unsealed(every[-1]), done
+        assert _seals_its_log(config)
 
 
 def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
@@ -780,18 +806,18 @@ def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
         return 0.2 + 0.3 * (selection[0] == 2) + 0.1 * selection[1], 1.0
 
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
-    every = _checkpoint_of_every_step(config, evaluate_override=table)
+    every, log = _checkpoint_of_every_step(config, evaluate_override=table)
     for done in range(1, 11):  # warm-up is the first ceil(0.3 * 10) = 3 steps
-        with open(path, "wb") as fh:
-            fh.write(every[done - 1])
+        _restore(config, every[done - 1], log)
         resumed = persist.load_checkpoint(path)
         assert resumed.meta_step == done
         assert any(row.any() for row in resumed.controller.v) == (done > 3)
         search(config, evaluate_override=table, resume_from=path)
         with open(path, "rb") as fh:
-            assert fh.read() == every[-1], done
+            assert unsealed(fh.read()) == unsealed(every[-1]), done
+        assert _seals_its_log(config)
 
 
 @pytest.mark.parametrize("row", ["logits", "m", "v"])
@@ -807,12 +833,11 @@ def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_
         return 0.2 + 0.1 * selection[1], 1.0
 
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
-    every = _checkpoint_of_every_step(config, evaluate_override=table)
+    every, log = _checkpoint_of_every_step(config, evaluate_override=table)
     for done in (1, 2, 3, 4):
-        with open(path, "wb") as fh:
-            fh.write(every[done - 1])
+        _restore(config, every[done - 1], log)
         ckpt = persist.load_checkpoint(path)
         state = ckpt.controller
         rows = {name: [z.copy() for z in getattr(state, name)] for name in ("logits", "m", "v")}
@@ -853,36 +878,51 @@ def test_resume_under_new_output_paths_echoes_them(tmp_path):
     first = config_for("first")
     with pytest.raises(RuntimeError):
         search(first, audit=crash)
+    # The resume reads and continues the log at the new path: it moves with the outputs.
+    shutil.copy(first.output.log_path, moved.output.log_path)
     search(moved, resume_from=first.output.checkpoint_path)
     loaded = persist.load_checkpoint(moved.output.checkpoint_path)
     assert loaded.config_echo["output"] == config_to_dict(moved)["output"]
     with open(moved.output.checkpoint_path, "rb") as fh:
-        assert fh.read() == uninterrupted
+        assert unsealed(fh.read()) == unsealed(uninterrupted)
+    assert _seals_its_log(moved)
 
 
-def test_resumed_run_whose_log_is_missing_logs_the_header_and_the_resumed_steps(tmp_path):
+@pytest.mark.parametrize("total, crash_step", [(6, 4), (0, None)])
+def test_a_resume_needs_its_log_after_step_zero(tmp_path, total, crash_step):
+    # The log holds the reward history: a resume at step 3 without it is
+    # refused and writes nothing; at step 0 a missing log is its header alone.
     output = {
         "log_path": str(tmp_path / "events.jsonl"),
         "checkpoint_path": str(tmp_path / "ck.ckpt"),
         "checkpoint_interval": 3,
     }
-    config = parse_config(moons_doc(total=6, output=output))
-    search(config)
-    header, uninterrupted = read_events(output["log_path"])
+    config = parse_config(moons_doc(total=total, output=output))
 
     def crash(phase, step, weights):
-        if (phase, step) == ("controller", 4):
+        if (phase, step) == ("controller", crash_step):
             raise RuntimeError("simulated crash")
 
-    with pytest.raises(RuntimeError):
-        search(config, audit=crash)
+    if crash_step is None:
+        search(config)
+    else:
+        with pytest.raises(RuntimeError):
+            search(config, audit=crash)
+    saved = Path(output["checkpoint_path"]).read_bytes()
     os.remove(output["log_path"])
-    search(config, resume_from=output["checkpoint_path"])
-    resumed_header, resumed = read_events(output["log_path"])
-    assert resumed_header == header
-    assert [replace(e, wall_ms=0.0) for e in resumed] == [
-        replace(e, wall_ms=0.0) for e in uninterrupted[3:]
-    ]
+    if crash_step is None:
+        search(config, resume_from=output["checkpoint_path"])
+        header = json.loads(event_header(["layer0", "learning_rate"], [2, 3]))
+        assert read_events(output["log_path"]) == (header, [])
+        assert _seals_its_log(config)
+    else:
+        with pytest.raises(ValueError) as err:
+            search(config, resume_from=output["checkpoint_path"])
+        assert str(err.value) == (
+            f"{output['log_path']}: event log is missing at resume step 3"
+        )
+        assert not os.path.exists(output["log_path"])
+    assert Path(output["checkpoint_path"]).read_bytes() == saved
 
 
 def test_resume_from_the_final_checkpoint_leaves_checkpoint_and_log_bytes(tmp_path):
@@ -900,11 +940,11 @@ def test_resume_from_the_final_checkpoint_leaves_checkpoint_and_log_bytes(tmp_pa
 
 
 def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
-    # A table-driven run holds no store or commit slot, so check_layout
-    # names the first store array that the network checkpoint holds, and the
-    # first store array a network run holds that the table-driven one lacks.
-    path = str(tmp_path / "ck.ckpt")
-    doc = moons_doc(total=3, output={"checkpoint_path": path})
+    # A table-driven run commits nothing, so each log record of a network run
+    # holds K commits it does not make, and a network run finds none in the
+    # records of a table-driven one.
+    path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "events.jsonl")
+    doc = moons_doc(total=3, output={"checkpoint_path": path, "log_path": log})
     doc["space"]["hyperparameters"].append(
         {"name": "optimizer", "kind": "categorical", "basis": ["adam"]}
     )
@@ -918,9 +958,7 @@ def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
 
     with pytest.raises(ValueError) as err:
         search(config, evaluate_override=table, resume_from=path)
-    assert str(err.value) == (
-        f"{path}: store/0/1/bias: checkpoint holds shape [8], the run holds nothing"
-    )
+    assert str(err.value) == f"{log}: line 2: holds 2 candidates and 2 commits, not 2 and 0"
     with open(path, "rb") as fh:
         assert fh.read() == network
     os.remove(path)
@@ -928,20 +966,19 @@ def test_table_driven_and_network_runs_refuse_each_others_checkpoints(tmp_path):
     assert persist.load_checkpoint(path).store == {}
     with pytest.raises(ValueError) as err:
         search(config, resume_from=path)
-    assert str(err.value) == (
-        f"{path}: store/0/1/bias: checkpoint holds nothing, the run holds shape [8]"
-    )
+    assert str(err.value) == f"{log}: line 2: holds 2 candidates and 0 commits, not 2 and 2"
 
 
 @pytest.mark.parametrize("run", ["network", "table-driven", "zero-step"])
 def test_saved_checkpoint_loads_and_saves_to_the_same_bytes(tmp_path, run):
     path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "log_path": path + ".log"}
     override = None
     if run == "table-driven":
-        doc = {**tabular_doc([3, 2, 4], total=6, k=3), "output": {"checkpoint_path": path}}
+        doc = {**tabular_doc([3, 2, 4], total=6, k=3), "output": output}
         override = lambda selection: (0.2 + 0.1 * selection[1], 1.0)
     else:
-        doc = moons_doc(total=5 if run == "network" else 0, k=3, output={"checkpoint_path": path})
+        doc = moons_doc(total=5 if run == "network" else 0, k=3, output=output)
         doc["search"]["warmup_fraction"] = 0.2
         doc["space"]["hyperparameters"].append(
             {"name": "optimizer", "kind": "categorical", "basis": ["momentum", "adam"]}
@@ -993,7 +1030,8 @@ def test_table_driven_crash_and_resume_matches_the_uninterrupted_run(tmp_path):
             replace(e, wall_ms=0.0) for e in reference_events
         ], crash_step
         with open(output["checkpoint_path"], "rb") as fh:
-            assert fh.read() == uninterrupted, crash_step
+            assert unsealed(fh.read()) == unsealed(uninterrupted), crash_step
+        assert _seals_its_log(config)
 
 
 @pytest.mark.parametrize("network", [True, False], ids=["network", "table"])
@@ -1007,7 +1045,7 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
 
     steps, k = 5, 3
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     if network:
         doc = moons_doc(total=steps, k=k, output=output, entropy_weight=0.01)
         override = None
@@ -1025,12 +1063,11 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
 
     def stepped(run):
         for step in range(run.ckpt.meta_step, steps):
-            rewards = meta_step(run, override)
+            commits = meta_step(run, override)
             assert run.ckpt.meta_step == step + 1
-            records = persist.reward_records(run.ckpt)[-k:]
-            assert [r.meta_step for r in records] == [step] * k
-            assert rewards == [r.reward for r in records]
-        return end_state(run.ckpt, persist.reward_records(run.ckpt))
+            assert [r.meta_step for r in run.history[-k:]] == [step] * k
+            assert len(commits) == (k if network else 0)
+        return end_state(run.ckpt, run.history)
 
     assert stepped(start_run(config, network, None)) == expected
 
@@ -1050,25 +1087,26 @@ def _table(selection):
 
 
 def test_a_checkpointed_search_builds_each_reward_record_once(tmp_path, monkeypatch):
-    # Each step appends rows and each save writes them: a search saving every
-    # step builds its K x 20 records once, for its result, and a load none.
+    # Each step appends its records, each log record and save reads none
+    # back: a search saving every step builds its K x 20 records once, for
+    # its result, and a resume builds those of the steps before its own.
     built = []
 
-    class Counted(persist.RewardRecord):
+    class Counted(engine.RewardRecord):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr(persist, "RewardRecord", Counted)
+    monkeypatch.setattr(engine, "RewardRecord", Counted)
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     config = parse_config({**tabular_doc([3, 2, 4], total=20, k=3), "output": output})
     result = search(config, evaluate_override=_table)
     assert len(built) == len(result.reward_history) == 3 * 20
     assert all(made is kept for made, kept in zip(built, result.reward_history))
     built.clear()
-    persist.load_checkpoint(path)
-    assert built == []
+    resumed = search(config, evaluate_override=_table, resume_from=path)
+    assert resumed.reward_history == result.reward_history and len(built) == 3 * 20
 
 
 @pytest.mark.parametrize("network, total", [(True, 0), (False, 0), (False, 4)])
@@ -1077,7 +1115,7 @@ def test_checkpoints_without_history_or_store_load_save_and_resume(tmp_path, net
     # holds no store, head or commit slot. Each file loads, saves again to the
     # same bytes, and a resume from it ends on the same file.
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path}
+    output = {"checkpoint_path": path, "log_path": path + ".log"}
     if network:
         doc, override = moons_doc(total=total, output=output), None
     else:
@@ -1087,8 +1125,7 @@ def test_checkpoints_without_history_or_store_load_save_and_resume(tmp_path, net
     data = Path(path).read_bytes()
     header = json.loads(data[: data.index(b"\n")])
     shapes = dict(header["arrays"])
-    records = config.search.pairs_per_step * total
-    assert shapes["history/ints"] == [records, 1 + (2 if network else 3)]  # decisions
+    assert not any(name.startswith("history/") for name in shapes)  # the log holds the rewards
     assert any(name.startswith("store/") for name in shapes) == network
     loaded = persist.load_checkpoint(path)
     again = str(tmp_path / "again.ckpt")
@@ -1099,14 +1136,15 @@ def test_checkpoints_without_history_or_store_load_save_and_resume(tmp_path, net
 
 
 def test_a_checkpoint_save_does_not_reencode_the_history(tmp_path):
-    # The header holds the small fields only: the reward history is two
-    # arrays, so a longer history adds only the digits of their shapes.
+    # The reward history is the log's: a longer run adds no byte to the
+    # arrays, and to the header only the digits of its numbers.
     path = str(tmp_path / "ck.ckpt")
-    output = {"checkpoint_path": path, "checkpoint_interval": 1}
+    output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     doc = {**tabular_doc([3, 2, 4], total=8, k=3, warmup_fraction=0.0), "output": output}
-    every = _checkpoint_of_every_step(parse_config(doc), evaluate_override=_table)
+    every, _ = _checkpoint_of_every_step(parse_config(doc), evaluate_override=_table)
     header_4, header_8 = (every[done - 1].index(b"\n") for done in (4, 8))
-    assert header_8 - header_4 <= 16
+    assert abs(header_8 - header_4) <= 16
+    assert len(every[7]) - header_8 == len(every[3]) - header_4
 
 
 def test_resume_refuses_a_log_whose_step_is_true_and_leaves_it_untouched(tmp_path):
@@ -1134,7 +1172,7 @@ def test_resume_refuses_a_log_whose_step_is_true_and_leaves_it_untouched(tmp_pat
     edited = log.read_bytes()
     with pytest.raises(ValueError) as err:
         search(config, evaluate_override=_table, resume_from=output["checkpoint_path"])
-    assert str(err.value) == f"{log}: event log holds no record of step 1 of the resumed run"
+    assert str(err.value) == f"{log}: line 3: meta_step True is not 1"
     assert log.read_bytes() == edited
 
 
@@ -1159,7 +1197,11 @@ def test_checkpoint_store_digest_agrees_with_event_log(tmp_path, monkeypatch):
 
 
 def test_resume_with_changed_search_section_is_rejected(tmp_path):
-    output = {"checkpoint_path": str(tmp_path / "ck.ckpt"), "checkpoint_interval": 2}
+    output = {
+        "checkpoint_path": str(tmp_path / "ck.ckpt"),
+        "checkpoint_interval": 2,
+        "log_path": str(tmp_path / "events.jsonl"),
+    }
     search(parse_config(moons_doc(total=4, output=output)))
     changed = parse_config(moons_doc(total=9, output=output))
     with pytest.raises(ConfigError) as err:
@@ -1326,6 +1368,22 @@ def test_baseline_budget_one_returns_that_trial():
     assert result.best is result.trials[0]
     with pytest.raises(ValueError):
         random_search_baseline(space, parts, 0, 2, 5)
+
+
+def test_retrain_and_baseline_cannot_be_given_a_split_part_with_no_rows():
+    # A two-row dataset leaves test empty, whose accuracy would be the mean
+    # of nothing: the split is refused as it is made, before either call.
+    space = retrain_space()
+    derived = DerivedConfig((1,), (0.01,))
+    calls = {
+        "retrain": lambda parts: retrain(space, derived, parts, 2),
+        "baseline": lambda parts: random_search_baseline(space, parts, 1, 2, 0),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as err:
+            call(split(two_moons(2, 0.1, 0), (0.5, 0.25, 0.25), 0))
+        expected = "data split leaves test with no rows: 2 rows split into train 1, val 1, test 0"
+        assert str(err.value) == expected, name
 
 
 def test_baseline_trials_are_pure_functions_of_seed_and_index():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from array import array
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,23 +14,18 @@ from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
     EventRecord,
-    RewardRecord,
     check_layout,
     event_header,
     load_checkpoint,
     open_events,
     read_events,
-    reward_records,
+    resume_events,
     save_checkpoint,
     store_digest,
-    truncate_events,
     write_event,
 )
-from jointsearch.space import HyperConfig, LayerConfig, SpaceConfig, build_space
 from jointsearch.supernet import ParamKey
 from jointsearch.trainstep import fresh_slot
-
-from reference import reference_history_arrays
 
 
 def small_store():
@@ -96,30 +91,38 @@ def test_digest_distinguishes_negative_zero():
 
 # The header of a log of ``sample_events``: one decision per probability row.
 SAMPLE_HEADER = event_header(["layer0", "learning_rate"], [2, 3])
+SAMPLE_LINE = SAMPLE_HEADER.encode() + b"\n"  # as the log holds it
 
 
 def sample_events(n):
-    events = []
-    for step in range(n):
-        events.append(
-            EventRecord(
-                meta_step=step,
-                mean_reward=0.5 + 0.01 * step,
-                baseline=0.4 + 0.01 * step,
-                probabilities=[[0.25, 0.75], [0.1, 0.2, 0.7]],
-                store_digest="00" * 8,
-                wall_ms=1.5,
-            )
+    return [
+        EventRecord(
+            meta_step=step,
+            candidates=[
+                {"selection": [1, 0], "accuracy": 0.75, "cost": 16.0, "reward": 0.5 + 0.01 * step},
+                {"selection": [0, 2], "accuracy": 0.5, "cost": 8.0, "reward": 0.5 + 0.01 * step},
+            ],
+            advantage_baseline=0.39 + 0.01 * step,
+            mean_reward=0.5 + 0.01 * step,
+            baseline=0.4 + 0.01 * step,
+            probabilities=[[0.25, 0.75], [0.1, 0.2, 0.7]],
+            commits=[[0, 1], [1, 2]],
+            store_digest="00" * 8,
+            wall_ms=1.5,
         )
-    return events
+        for step in range(n)
+    ]
+
+
+def _log_text(events, header=SAMPLE_HEADER):
+    """The text of an event log of ``header`` (none when None), then ``events``."""
+    lines = ([] if header is None else [header]) + [event.to_json() for event in events]
+    return "".join(line + "\n" for line in lines)
 
 
 def test_event_log_round_trip(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in sample_events(5):
-            write_event(fh, event)
+    path.write_text(_log_text(sample_events(5)))
     header, records = read_events(str(path))
     assert header["decisions"] == [
         {"label": "layer0", "cardinality": 2},
@@ -136,35 +139,33 @@ def test_event_log_round_trip(tmp_path):
 def test_event_log_without_header(tmp_path):
     # Line 1 is the header: a log that starts with a record is refused.
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        for event in sample_events(2):
-            write_event(fh, event)
+    path.write_text(_log_text(sample_events(2), header=None))
     with pytest.raises(ValueError) as err:
         read_events(str(path))
-    assert str(err.value) == f"{path}: line 1: event log format version None is not 2"
+    assert str(err.value) == f"{path}: line 1: event log format version None is not 3"
 
 
-def test_events_are_single_line_json(tmp_path):
+def test_events_are_single_line_json_and_the_log_hash_keeps_running(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        write_event(fh, sample_events(1)[0])
+    with open_events(str(path), [SAMPLE_LINE]) as log:
+        for event in sample_events(2):
+            write_event(log, event)
+            assert log.sha256.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
     raw = path.read_text()
-    assert raw.count("\n") == 1
-    parsed = json.loads(raw)
-    assert parsed["meta_step"] == 0
+    assert raw.count("\n") == 3
+    assert json.loads(raw.splitlines()[2])["meta_step"] == 1
 
 
 def test_event_record_round_trips_through_its_fields(tmp_path):
     path = tmp_path / "events.jsonl"
     events = sample_events(3)
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in events:
-            write_event(fh, event)
+    path.write_text(_log_text(events))
     first = path.read_text().splitlines()[1]
     assert list(json.loads(first)) == [
-        "meta_step", "mean_reward", "baseline", "probabilities", "store_digest", "wall_ms"
+        "meta_step", "candidates", "advantage_baseline", "mean_reward", "baseline",
+        "probabilities", "commits", "store_digest", "wall_ms",
     ]
+    assert list(json.loads(first)["candidates"][0]) == ["selection", "accuracy", "cost", "reward"]
     assert read_events(str(path))[1] == events
 
 
@@ -208,7 +209,7 @@ def test_event_log_that_is_not_utf8_names_the_file(tmp_path):
 )
 def test_event_log_header_decisions_need_a_label_and_a_cardinality(tmp_path, decisions):
     path = tmp_path / "events.jsonl"
-    header = {"format_version": 2, "decisions": decisions}
+    header = {"format_version": 3, "decisions": decisions}
     path.write_text(json.dumps(header) + "\n")
     with pytest.raises(ValueError) as err:
         read_events(str(path))
@@ -222,7 +223,7 @@ def test_event_log_header_decisions_need_a_label_and_a_cardinality(tmp_path, dec
 def test_event_log_header_labels_must_be_able_to_name_a_file(tmp_path, label):
     path = tmp_path / "events.jsonl"
     decisions = [{"label": "layer0", "cardinality": 2}, {"label": label, "cardinality": 3}]
-    header = {"format_version": 2, "decisions": decisions}
+    header = {"format_version": 3, "decisions": decisions}
     path.write_text(json.dumps(header) + "\n")
     with pytest.raises(ValueError) as err:
         read_events(str(path))
@@ -246,10 +247,7 @@ def test_event_record_probabilities_follow_the_header(tmp_path, probabilities, m
     path = tmp_path / "events.jsonl"
     events = sample_events(2)
     events[1].probabilities = probabilities
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in events:
-            write_event(fh, event)
+    path.write_text(_log_text(events))
     with pytest.raises(ValueError) as err:
         read_events(str(path))
     assert str(err.value).startswith(f"{path}: line 3: ")
@@ -262,12 +260,10 @@ def test_event_records_without_a_header_are_refused_at_line_1(tmp_path):
     path = tmp_path / "events.jsonl"
     events = sample_events(3)
     events[2].probabilities = [[0.25, 0.75], [0.5, 0.5]]
-    with open(path, "w") as fh:
-        for event in events:
-            write_event(fh, event)
+    path.write_text(_log_text(events, header=None))
     with pytest.raises(ValueError) as err:
         read_events(str(path))
-    assert str(err.value) == f"{path}: line 1: event log format version None is not 2"
+    assert str(err.value) == f"{path}: line 1: event log format version None is not 3"
 
 
 def _sample_log_lines():
@@ -299,15 +295,15 @@ NO_RECORD = "is not an event record with exactly the fields"
 LOG_DEFECTS = {
     **{
         f"version-{name}": (
-            _edit_header(format_version=value), 1, f"event log format version {value!r} is not 2"
+            _edit_header(format_version=value), 1, f"event log format version {value!r} is not 3"
         )
-        for name, value in [("1", 1), ("3", 3), ("text", "2"), ("true", True), ("float", 2.0)]
+        for name, value in [("2", 2), ("4", 4), ("text", "3"), ("true", True), ("float", 3.0)]
     },
     "version-missing": (
-        _edit_header(format_version=None), 1, "event log format version None is not 2"
+        _edit_header(format_version=None), 1, "event log format version None is not 3"
     ),
     "header-not-an-object": (
-        lambda lines: lines.__setitem__(0, "[2]"), 1, "event log format version None is not 2"
+        lambda lines: lines.__setitem__(0, "[3]"), 1, "event log format version None is not 3"
     ),
     "decisions-missing": (
         _edit_header(decisions=None), 1, "event log header lacks field decisions"
@@ -352,12 +348,12 @@ def test_empty_event_log_is_refused(tmp_path):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("meta_step", "soon", "meta_step 'soon' is not a non-negative integer"),
-        ("meta_step", True, "meta_step True is not a non-negative integer"),
-        ("meta_step", -1, "meta_step -1 is not a non-negative integer"),
-        ("meta_step", 2.0, "meta_step 2.0 is not a non-negative integer"),
-        ("meta_step", 1, "meta_step 1 does not follow 1"),  # a repeated step
-        ("meta_step", 3, "meta_step 3 does not follow 1"),  # a skipped step
+        ("meta_step", "soon", "meta_step 'soon' is not 2"),
+        ("meta_step", True, "meta_step True is not 2"),
+        ("meta_step", -1, "meta_step -1 is not 2"),
+        ("meta_step", 2.0, "meta_step 2.0 is not 2"),
+        ("meta_step", 1, "meta_step 1 is not 2"),  # a repeated step
+        ("meta_step", 3, "meta_step 3 is not 2"),  # a skipped step
         ("store_digest", 7, "store_digest 7 is not 16 lowercase hex digits"),
         ("store_digest", "xyz", "store_digest 'xyz' is not 16 lowercase hex digits"),
         ("store_digest", "AB" * 8, f"store_digest {'AB' * 8!r} is not 16 lowercase hex digits"),
@@ -376,15 +372,91 @@ def test_event_record_steps_follow_on_and_digests_are_hex(tmp_path, field, value
     assert str(err.value) == f"{path}: line 4: {message}"
 
 
-def test_event_log_may_start_at_any_step(tmp_path):
-    # A resumed run whose log went missing logs from its resume step on.
+def test_event_log_starts_at_step_zero(tmp_path):
+    # A run logs every step from 0, a resumed one too: a resume reads them back.
     path = tmp_path / "events.jsonl"
     events = [replace(event, meta_step=event.meta_step + 7) for event in sample_events(3)]
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in events:
-            write_event(fh, event)
-    assert read_events(str(path))[1] == events
+    path.write_text(_log_text(events))
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == f"{path}: line 2: meta_step 7 is not 0"
+
+
+def _candidate(**edits):
+    def edit(record):
+        record["candidates"][1].update(edits)
+        for name in [n for n, v in edits.items() if v is None]:
+            del record["candidates"][1][name]
+    return edit
+
+
+WITHIN = "is not one index per decision within [2, 3]"
+
+# Edits of the candidates and commits of a record, and the message each is refused with.
+CANDIDATE_DEFECTS = {
+    "candidates-not-a-list": (
+        lambda r: r.update(candidates={"0": r["candidates"][0]}),
+        "candidates and commits are not lists",
+    ),
+    "commits-not-a-list": (lambda r: r.update(commits=None), "candidates and commits are not lists"),
+    "candidate-not-an-object": (
+        lambda r: r["candidates"].__setitem__(1, [[0, 2], 0.5, 8.0, 0.5]),
+        "event record lacks field candidates.1.selection",
+    ),
+    "candidate-field-missing": (
+        _candidate(cost=None), "event record lacks field candidates.1.cost"
+    ),
+    "candidate-field-unknown": (
+        _candidate(loss=0.3), "event record holds an unknown field candidates.1.loss"
+    ),
+    "selection-out-of-range": (_candidate(selection=[0, 3]), f"candidates.1.selection [0, 3] {WITHIN}"),
+    "selection-negative": (_candidate(selection=[-1, 0]), f"candidates.1.selection [-1, 0] {WITHIN}"),
+    "selection-short": (_candidate(selection=[0]), f"candidates.1.selection [0] {WITHIN}"),
+    "selection-float": (_candidate(selection=[0, 1.0]), f"candidates.1.selection [0, 1.0] {WITHIN}"),
+    "selection-bool": (_candidate(selection=[True, 0]), f"candidates.1.selection [True, 0] {WITHIN}"),
+    "commit-out-of-range": (
+        lambda r: r["commits"].__setitem__(0, [2, 0]), f"commits.0 [2, 0] {WITHIN}"
+    ),
+    "commit-not-a-list": (lambda r: r["commits"].__setitem__(1, 5), f"commits.1 5 {WITHIN}"),
+    **{
+        f"{name}-{label}": (
+            _candidate(**{name: value}),
+            "field candidates holds a value that is not a finite number",
+        )
+        for name in ("accuracy", "cost", "reward")
+        for label, value in (("text", "0.5"), ("bool", True), ("too-large", 10**400))
+    },
+    **{
+        f"{name}-{label}": (
+            _candidate(**{name: value}),
+            "field candidates holds a value that is not a finite number",
+        )
+        for name in ("accuracy", "cost", "reward")
+        for label, value in (("nan", math.nan), ("inf", math.inf))
+    },
+    "advantage-baseline-text": (
+        lambda r: r.update(advantage_baseline="0.4"),
+        "field advantage_baseline holds a value that is not a finite number",
+    ),
+    "advantage-baseline-nan": (
+        lambda r: r.update(advantage_baseline=math.nan),
+        "field advantage_baseline holds a value that is not a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", CANDIDATE_DEFECTS)
+def test_event_record_candidates_and_commits_follow_the_header(tmp_path, defect):
+    path = tmp_path / "events.jsonl"
+    edit, message = CANDIDATE_DEFECTS[defect]
+    lines = _sample_log_lines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_events(str(path))
+    assert str(err.value) == f"{path}: line 3: {message}"
 
 
 def test_non_finite_event_record_is_not_written(tmp_path):
@@ -407,12 +479,6 @@ def _with_logit(state, d, j, value):
     return ControllerState(logits, state.baseline, state.m, state.v)
 
 
-def _rows(records):
-    """The ``Checkpoint.history`` rows of ``records``, one row each."""
-    rows = ((r.meta_step, *r.selection, r.accuracy, r.cost, r.reward, r.baseline) for r in records)
-    return array("d", [value for row in rows for value in row])
-
-
 def sample_checkpoint():
     store = small_store()
     key = ParamKey(0, 1, "weight")
@@ -431,8 +497,8 @@ def sample_checkpoint():
         ),
         store=store,
         commit_slots=slots,
-        history=_rows([RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)]),
         store_digest=store_digest(store),
+        log_sha256="ab" * 32,
     )
 
 
@@ -446,8 +512,6 @@ SAMPLE_ARRAYS = [
     "commit_slots/adam|0/1/weight/m",
     "commit_slots/adam|0/1/weight/step",
     "commit_slots/adam|0/1/weight/v",
-    "history/ints",
-    "history/reals",
 ]
 
 
@@ -509,16 +573,6 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     "edit, name",
     [
         pytest.param(
-            lambda c: c.history.__setitem__(3, float("nan")),  # the accuracy
-            "history/reals",
-            id="history-accuracy",
-        ),
-        pytest.param(
-            lambda c: c.history.__setitem__(6, float("-inf")),  # the baseline
-            "history/reals",
-            id="history-baseline",
-        ),
-        pytest.param(
             lambda c: setattr(c, "controller", _with_logit(c.controller, 1, 2, float("inf"))),
             "controller/1",
             id="logit",
@@ -553,12 +607,8 @@ def test_checkpoint_restores_every_field(tmp_path):
     assert loaded.meta_step == 4
     assert loaded.controller.baseline == 0.61
     assert loaded.config_echo == original.config_echo
-    assert loaded.history.tobytes() == original.history.tobytes()
-    [record] = reward_records(loaded)
-    assert record == RewardRecord(3, (1, 0), 0.75, 16.0, 0.7, 0.61)
-    assert type(record.meta_step) is int and all(type(i) is int for i in record.selection)
-    assert all(type(v) is float for v in (record.accuracy, record.cost, record.reward))
     assert loaded.store_digest == original.store_digest
+    assert loaded.log_sha256 == original.log_sha256
     for name in ("logits", "m", "v"):  # bit for bit, -0.0 and subnormals too
         got, want = (getattr(state, name) for state in (loaded.controller, original.controller))
         assert [row.tobytes() for row in got] == [row.tobytes() for row in want], name
@@ -695,7 +745,6 @@ def _through(header, blob, name):
 
 ARRAY_SITES = [
     "store/0/1/bias",
-    "history/reals",
     "commit_slots/adam|0/1/weight/m",
     "controller/0",
 ]
@@ -751,7 +800,9 @@ def test_checkpoint_reports_bytes_after_the_last_array(tmp_path):
     assert str(err.value).startswith(f"{path}: {SAMPLE_ARRAYS[-1]}: 8 bytes follow")
 
 
-HEADER_FIELDS = ["config", "meta_step", "controller", "store_digest", "arrays", "controller.baseline"]
+HEADER_FIELDS = [
+    "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays", "controller.baseline"
+]
 
 
 @pytest.mark.parametrize("field", HEADER_FIELDS)
@@ -820,6 +871,17 @@ def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
                 ("too-large", 10**400),
             ]
         ],
+        *[
+            pytest.param(
+                lambda h, v=value: h.update(log_sha256=v),
+                "checkpoint header field log_sha256 is not 64 lowercase hex digits",
+                id=f"log-sha256-{name}",
+            )
+            for name, value in [
+                ("empty", ""), ("short", "ab" * 31), ("long", "ab" * 33), ("upper", "AB" * 32),
+                ("not-hex", "g" * 64), ("number", 7), ("null", None), ("newline", "ab" * 32 + "\n"),
+            ]
+        ],
     ],
 )
 def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
@@ -842,8 +904,9 @@ def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
             "store/0/1", "controller/2", "controller/00", "controller", "history/floats",
             "history",
         ]),
-        # An array added beside the others: format 9's frozen head among them.
-        *((None, name) for name in ["head/weight", "head/bias"]),
+        # An array added beside the others: format 9's frozen head and format
+        # 10's reward history among them.
+        *((None, name) for name in ["head/weight", "head/bias", "history/ints", "history/reals"]),
         # Decision 0's array under another name, format 8's among them.
         *(("controller/0", name) for name in [
             "controller/logits/0", "controller/slots/adam|0/m", "controller/slots/momentum|0/m",
@@ -948,7 +1011,6 @@ def _without(arrays, *names):
     return {name: arr for name, arr in arrays.items() if name not in names}
 
 
-NOT_AN_INTEGER = "holds a value that is not a non-negative integer"
 NOT_FINITE = "holds a value that is not a finite number"
 NOT_THREE_ROWS = "not [3, cardinality]"
 
@@ -959,44 +1021,12 @@ def _renamed(arrays, old, new):
 
 # Edits of ``sample_checkpoint``'s arrays, re-sealed, with the array each
 # names and the error. Its two decisions have 2 and 3 candidates, each one
-# ``controller/<d>`` array of 3 rows (logits, Adam m and v), and its one
-# history record is step 3, selection (1, 0). Besides these arrays' own
-# checks, the loader refuses a controller array that is not 3 rows.
+# ``controller/<d>`` array of 3 rows (logits, Adam m and v). Besides these
+# arrays' own checks, the loader refuses a controller array that is not 3
+# rows; how many controller arrays a file holds ``check_layout`` compares.
 @pytest.mark.parametrize(
     "edit, name, message",
     [
-        *[
-            pytest.param(
-                lambda a, i=index, v=value: _with(a, "history/ints", i, v),
-                "history/ints",
-                NOT_AN_INTEGER,
-                id=f"ints-{label}",
-            )
-            for label, index, value in [
-                ("nan-step", (0, 0), np.nan),
-                ("inf-step", (0, 0), np.inf),
-                ("negative-step", (0, 0), -1.0),
-                ("fraction-step", (0, 0), 2.5),
-                ("nan-index", (0, 1), np.nan),
-                ("negative-index", (0, 2), -1.0),
-                ("negative-zero-index", (0, 2), -0.0),
-                ("fraction-index", (0, 1), 1e-300),
-            ]
-        ],
-        *[
-            pytest.param(
-                lambda a, i=index, v=value: _with(a, "history/reals", i, v),
-                "history/reals",
-                NOT_FINITE,
-                id=f"reals-{label}",
-            )
-            for label, index, value in [
-                ("nan-accuracy", (0, 0), np.nan),
-                ("inf-cost", (0, 1), np.inf),
-                ("inf-reward", (0, 2), -np.inf),
-                ("nan-baseline", (0, 3), np.nan),
-            ]
-        ],
         pytest.param(
             lambda a: _with(a, "controller/0", (0, 1), np.nan),
             "controller/0",
@@ -1008,54 +1038,6 @@ def _renamed(arrays, old, new):
             "controller/1",
             NOT_FINITE,
             id="logits-inf",
-        ),
-        pytest.param(
-            lambda a: {**a, "history/ints": a["history/ints"][:, :2]},
-            "history/ints",
-            "checkpoint holds shape [1, 2], not [1, 3]",
-            id="ints-column-missing",
-        ),
-        pytest.param(
-            lambda a: {**a, "history/ints": a["history/ints"].reshape(-1)},
-            "history/ints",
-            "checkpoint holds shape [3], not [3, 3]",
-            id="ints-flat",
-        ),
-        pytest.param(
-            lambda a: _without(a, "controller/1"),
-            "history/ints",
-            "checkpoint holds shape [1, 3], not [1, 2]",
-            id="controller-missing",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/2": np.zeros((3, 2))},
-            "history/ints",
-            "checkpoint holds shape [1, 3], not [1, 4]",
-            id="controller-of-no-decision",
-        ),
-        pytest.param(
-            lambda a: {**a, "history/reals": np.vstack([a["history/reals"]] * 2)},
-            "history/reals",
-            "checkpoint holds shape [2, 4], not [1, 4]",
-            id="reals-extra-row",
-        ),
-        pytest.param(
-            lambda a: {**a, "history/reals": a["history/reals"][:, 1:]},
-            "history/reals",
-            "checkpoint holds shape [1, 3], not [1, 4]",
-            id="reals-column-missing",
-        ),
-        pytest.param(
-            lambda a: _without(a, "history/reals"),
-            "history/reals",
-            "checkpoint holds nothing, not [1, 4]",
-            id="reals-missing",
-        ),
-        pytest.param(
-            lambda a: _without(a, "history/ints"),
-            "history/ints",
-            "checkpoint holds nothing, not [0, 3]",
-            id="ints-missing",
         ),
         pytest.param(
             lambda a: _moved_last(a, "controller/0"),
@@ -1119,7 +1101,7 @@ def _renamed(arrays, old, new):
         ),
     ],
 )
-def test_checkpoint_names_a_malformed_logits_or_history_array(tmp_path, edit, name, message):
+def test_checkpoint_names_a_malformed_controller_or_slot_array(tmp_path, edit, name, message):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
@@ -1129,58 +1111,9 @@ def test_checkpoint_names_a_malformed_logits_or_history_array(tmp_path, edit, na
     assert str(err.value) == f"{path}: {name}: {message}"
 
 
-# Reals a save must keep bit for bit: signed zeros, subnormals, the
-# smallest normal and the largest finite number.
-EDGE_REALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 2.0**-1022, -1.5, 1.7976931348623157e308)
-
-
-@pytest.mark.parametrize("rows", [0, 1, 9, 200])
-def test_saved_history_arrays_match_the_per_record_reference(tmp_path, rows):
-    # Random records, edge values among them, saved from the checkpoint's rows:
-    # the file's history arrays are the per-record conversion's, byte for byte.
-    rng = RngStream(rows, "history")
-
-    def real():
-        if rng.uniform() < 0.5:
-            return EDGE_REALS[rng.index(len(EDGE_REALS))]
-        return float(rng.normal(()) * 10.0 ** rng.index(9))
-
-    def whole():  # up to 2^53, where a float64 still holds every integer
-        return rng.index(2 ** rng.index(54))
-
-    records = [
-        RewardRecord(whole(), (whole(), whole()), real(), real(), real(), real())
-        for _ in range(rows)
-    ]
-    ckpt = sample_checkpoint()
-    ckpt.history = _rows(records)
-    path = tmp_path / "ck.ckpt"
-    save_checkpoint(str(path), ckpt)
-    header, blob, _ = _parts(path)
-    saved = _arrays(header, blob)
-    ints, reals = reference_history_arrays(records, len(ckpt.controller.logits))
-    for name, want in (("history/ints", ints), ("history/reals", reals)):
-        assert saved[name].shape == want.shape, name
-        assert saved[name].tobytes() == np.ascontiguousarray(want, "<f8").tobytes(), name
-    assert reward_records(load_checkpoint(str(path))) == records
-
-
-def test_checkpoint_history_of_no_records_round_trips(tmp_path):
-    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    ckpt = sample_checkpoint()
-    ckpt.history = array("d")
-    save_checkpoint(str(first), ckpt)
-    header, _, _ = _parts(first)
-    shapes = dict(header["arrays"])
-    assert (shapes["history/ints"], shapes["history/reals"]) == ([0, 3], [0, 4])
-    loaded = load_checkpoint(str(first))
-    assert loaded.history == array("d") and reward_records(loaded) == []
-    save_checkpoint(str(second), loaded)
-    assert first.read_bytes() == second.read_bytes()
-
-
-@pytest.mark.parametrize("name", ["store/0/1/bias", "history/reals", "controller/1",
-                                  "commit_slots/adam|0/1/weight/v", "history/ints"])
+@pytest.mark.parametrize(
+    "name", ["store/0/1/bias", "controller/1", "commit_slots/adam|0/1/weight/v"]
+)
 def test_checkpoint_refuses_an_array_named_twice(tmp_path, name):
     # Read into a dict, the first copy would be dropped without a word.
     path = tmp_path / "ck.ckpt"
@@ -1224,7 +1157,9 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     leaves = list(_leaf_paths(pristine))
     assert ("controller", "baseline") in leaves
     assert ("store_digest",) in leaves
-    assert set(pristine) == {"format_version", "config", "meta_step", "controller", "store_digest", "arrays"}
+    assert set(pristine) == {
+        "format_version", "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays"
+    }
     assert list(pristine["controller"]) == ["baseline"]
     assert ("arrays", 0, 1, 0) in leaves  # a shape
     edits = 0
@@ -1265,8 +1200,15 @@ def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
     assert "checkpoint digest" in str(err.value)
 
 
+def _format_10(arrays):
+    """``arrays`` in the format-10 layout: the reward history, one record of
+    step 3 selecting (1, 0), after the commit slots."""
+    ints, reals = np.array([[3.0, 1.0, 0.0]]), np.array([[0.75, 16.0, 0.7, 0.61]])
+    return {**arrays, "history/ints": ints, "history/reals": reals}
+
+
 def _format_9(arrays):
-    """``arrays`` in the format-9 layout: the classifier head after the store."""
+    """Format-10 ``arrays`` in the format-9 layout: the classifier head after the store."""
     store = {n: a for n, a in arrays.items() if n.startswith("store/")}
     head = {"head/weight": np.array([[0.1, 0.2], [0.3, 0.4]]), "head/bias": np.zeros(2)}
     return {**store, **head, **_without(arrays, *store)}
@@ -1297,35 +1239,44 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
     # RNG counter. Version 6 holds the logits and the reward history in the
     # header. Version 7 holds them as arrays and each slot's step in the
     # header. Version 8 holds the logits apart from the controller's Adam
-    # slots, each with its own step. Version 9 holds the frozen head.
+    # slots, each with its own step. Version 9 holds the frozen head. Version
+    # 10 holds the reward history as arrays and no ``log_sha256``.
     path = tmp_path / "ck.ckpt"
     ckpt = sample_checkpoint()
     save_checkpoint(str(path), ckpt)
     header, blob, _ = _parts(path)
-    arrays = _format_9(_arrays(header, blob))
+    del header["log_sha256"]
+    arrays = _format_10(_arrays(header, blob))
+    _write_arrays(path, {**header, "format_version": 10}, arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint format version 10 is not 11"
+    arrays = _format_9(arrays)
     _write_arrays(path, {**header, "format_version": 9}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 9 is not 10"
+    assert str(err.value) == f"{path}: checkpoint format version 9 is not 11"
     arrays = _format_8(arrays)
     _write_arrays(path, {**header, "format_version": 8}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 8 is not 10"
+    assert str(err.value) == f"{path}: checkpoint format version 8 is not 11"
     steps = {name: int(arr) for name, arr in arrays.items() if name.endswith("/step")}
     header["controller"]["slots"] = {"adam|0": {"step": steps["controller/slots/adam|0/step"]}}
     header["commit_slots"] = {"adam|0/1/weight": {"step": steps["commit_slots/adam|0/1/weight/step"]}}
     _write_arrays(path, {**header, "format_version": 7}, _without(arrays, *steps))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 7 is not 10"
+    assert str(err.value) == f"{path}: checkpoint format version 7 is not 11"
     moved = ("controller/logits/", "history/")
     kept = {name: arr for name, arr in _without(arrays, *steps).items() if not name.startswith(moved)}
     header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
     blob = b"".join(arr.tobytes() for arr in kept.values())
     header["controller"]["logits"] = [z.tolist() for z in ckpt.controller.logits]
-    records = [{**vars(r), "selection": list(r.selection)} for r in reward_records(ckpt)]
-    header["reward_history"] = records
+    header["reward_history"] = [
+        {"meta_step": 3, "selection": [1, 0], "accuracy": 0.75, "cost": 16.0, "reward": 0.7,
+         "baseline": 0.61}
+    ]
     header["controller"].update(step=4, baseline_initialized=True)
     header["rng"] = {"controller": 88}
     for version in (1, 2, 3, 4, 5, 6):
@@ -1340,132 +1291,90 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
             assert f"format version {version}" in str(err.value)
 
 
-def test_truncate_events_keeps_header_and_earlier_steps(tmp_path):
+def _sealed(path, step, lines=None):
+    """A checkpoint at ``step`` sealing the first ``1 + step`` lines of the
+    log at ``path`` (or ``lines``)."""
+    lines = path.read_bytes().splitlines(keepends=True) if lines is None else lines
+    sha = hashlib.sha256(b"".join(lines[: 1 + step])).hexdigest()
+    return replace(sample_checkpoint(), meta_step=step, log_sha256=sha)
+
+
+def test_resume_events_keeps_header_and_earlier_steps_and_open_events_cuts_the_rest(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in sample_events(6):
-            write_event(fh, event)
-        fh.write('{"meta_step": 6, "mean_re')  # torn by a crash mid-write
+    path.write_text(_log_text(sample_events(6)) + '{"meta_step": 6, "candi')  # torn by a crash
     full = path.read_bytes()
-    kept = truncate_events(str(path), 4, "00" * 8)
-    assert kept == len(path.read_bytes())
-    assert full.startswith(path.read_bytes())
-    header, records = read_events(str(path))
-    assert header is not None
-    assert [r.meta_step for r in records] == [0, 1, 2, 3]
+    lines, records = resume_events(str(path), SAMPLE_LINE, _sealed(path, 4))
+    assert path.read_bytes() == full  # reading cuts nothing
+    assert b"".join(lines) == b"".join(full.splitlines(keepends=True)[:5])
+    assert records == sample_events(4)
+    with open_events(str(path), lines) as log:
+        assert path.read_bytes() == b"".join(lines)
+        write_event(log, sample_events(5)[4])
+        assert log.sha256.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert read_events(str(path))[1] == sample_events(5)
 
 
-def test_truncate_events_at_step_zero_keeps_only_the_header(tmp_path):
+def test_resume_events_at_step_zero_keeps_only_the_header_and_takes_a_missing_log_as_it(tmp_path):
     path = tmp_path / "events.jsonl"
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for event in sample_events(3):
-            write_event(fh, event)
-    assert truncate_events(str(path), 0, "unused") == len(SAMPLE_HEADER) + 1
+    path.write_text(_log_text(sample_events(3)))
+    ckpt = _sealed(path, 0)
+    assert resume_events(str(path), SAMPLE_LINE, ckpt) == ([SAMPLE_LINE], [])
+    path.unlink()
+    lines, records = resume_events(str(path), SAMPLE_LINE, ckpt)
+    assert (lines, records) == ([SAMPLE_LINE], [])
+    assert not path.exists()
+    with open_events(str(path), lines):
+        pass
     assert read_events(str(path)) == (json.loads(SAMPLE_HEADER), [])
 
 
-def test_open_events_is_null_without_a_path_and_creates_the_log_directory(tmp_path):
-    rates = HyperConfig("learning_rate", "continuous", (0.01, 0.02, 0.03))
-    layers = (LayerConfig(candidates=("identity",) * 2),)
-    space = build_space(SpaceConfig(2, 2, layers, (rates,)))  # the decisions of sample_events
-    with open_events(None, space, None) as fh:
-        assert fh is None
-    path = str(tmp_path / "a" / "b" / "events.jsonl")
-    with open_events(path, space, None) as fh:
-        write_event(fh, sample_events(1)[0])
-    header, records = read_events(path)
-    assert header == json.loads(event_header(space.labels(), space.cardinalities()))
-    assert records == sample_events(1)
-
-
-def _stale_log(path, steps, digest_of=lambda step: "00" * 8):
-    with open(path, "w") as fh:
-        fh.write(SAMPLE_HEADER + "\n")
-        for step in steps:
-            event = replace(sample_events(1)[0], meta_step=step, store_digest=digest_of(step))
-            write_event(fh, event)
-
-
-def _digest(step):
-    """The store digest step ``step`` of a ``_stale_log`` logs."""
-    return f"{step:016x}"
-
-
-@pytest.mark.parametrize(
-    "steps, meta_step, digest, missing",
-    [
-        ([0, 1], 4, _digest(3), 2),
-        ([], 1, _digest(0), 0),
-        ([0, 2, 3], 3, _digest(2), 1),
-        ([0, 1, 1, 2], 3, _digest(2), 2),
-        ([1, 2], 2, _digest(1), 0),
-        ([0, 1, 2], 2, "ff" * 8, 1),  # step 1 logged another store than the checkpoint's
-    ],
-)
-def test_truncate_events_refuses_a_log_of_another_run_and_cuts_nothing(
-    tmp_path, steps, meta_step, digest, missing
-):
+def test_resume_events_refuses_a_missing_log_after_step_zero(tmp_path):
     path = tmp_path / "events.jsonl"
-    _stale_log(path, steps, _digest)
-    before = path.read_bytes()
+    ckpt = replace(sample_checkpoint(), meta_step=3)
     with pytest.raises(ValueError) as err:
-        truncate_events(str(path), meta_step, digest)
-    expected = f"{path}: event log holds no record of step {missing} of the resumed run"
-    assert str(err.value) == expected
-    assert path.read_bytes() == before
+        resume_events(str(path), SAMPLE_LINE, ckpt)
+    assert str(err.value) == f"{path}: event log is missing at resume step 3"
 
 
-def test_truncate_events_refuses_a_torn_record_before_the_resume_step(tmp_path):
+def test_resume_events_refuses_a_log_it_does_not_seal_and_cuts_nothing(tmp_path):
     path = tmp_path / "events.jsonl"
-    _stale_log(path, [0, 1])
-    with open(path, "a") as fh:
-        fh.write('{"meta_step": 2, "mean_re\n')  # torn by a crash mid-write
-        write_event(fh, replace(sample_events(1)[0], meta_step=3))
+    path.write_text(_log_text(sample_events(4)))
     before = path.read_bytes()
+    ckpt = _sealed(path, 3)
+    lines = before.splitlines(keepends=True)
+    for index, old, new in [
+        (1, b'"wall_ms": 1.5', b'"wall_ms": 1.25'),
+        (2, b'"accuracy": 0.75', b'"accuracy": 0.5'),
+        (3, b'"commits": [[0, 1]', b'"commits": [[1, 1]'),
+    ]:
+        edited = list(lines)
+        edited[index] = lines[index].replace(old, new, 1)
+        assert edited[index] != lines[index]
+        path.write_bytes(b"".join(edited))
+        with pytest.raises(ValueError) as err:
+            resume_events(str(path), SAMPLE_LINE, ckpt)
+        assert str(err.value) == (
+            f"{path}: event log before step 3 does not hash to the checkpoint's log_sha256"
+        )
+    path.write_bytes(b"".join(lines[:3]))
     with pytest.raises(ValueError) as err:
-        truncate_events(str(path), 3, "00" * 8)
-    assert str(err.value) == f"{path}: event log holds no record of step 2 of the resumed run"
-    assert path.read_bytes() == before
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("meta_step", True),
-        ("meta_step", 1.0),
-        ("store_digest", "D" * 16),
-        ("wall_ms", None),
-        ("probabilities", [[0.25, 0.75]]),
-    ],
-)
-def test_truncate_events_keeps_only_records_read_events_takes(tmp_path, field, value):
-    # ``True == 1`` and ``1.0 == 1``, but ``read_events`` refuses both as a
-    # meta_step, so the log is cut before step 1 and the resume refused.
-    path = tmp_path / "events.jsonl"
-    _stale_log(path, [0, 1, 2])
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
-    record[field] = value
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
-    before = path.read_bytes()
+        resume_events(str(path), SAMPLE_LINE, ckpt)
+    assert str(err.value) == f"{path}: event log holds no record of step 2"
+    path.write_bytes(before)
+    other = event_header(["layer0", "rate"], [2, 3])
     with pytest.raises(ValueError) as err:
-        truncate_events(str(path), 2, "00" * 8)
-    assert str(err.value) == f"{path}: event log holds no record of step 1 of the resumed run"
+        resume_events(str(path), other.encode() + b"\n", ckpt)
+    assert str(err.value) == f"{path}: line 1: event log header is not the one this run writes"
     assert path.read_bytes() == before
-    with pytest.raises(ValueError):
-        read_events(str(path))
 
 
 @pytest.mark.parametrize("meta_step", [0, 2])
-@pytest.mark.parametrize("defect", ["version-1", "version-missing", "header-not-an-object"])
-def test_truncate_events_refuses_a_log_of_another_version_and_cuts_nothing(
+@pytest.mark.parametrize("defect", ["version-2", "version-missing", "header-not-an-object"])
+def test_resume_events_refuses_a_log_of_another_version_and_cuts_nothing(
     tmp_path, defect, meta_step
 ):
-    # Line 1 is JSON but not a version-2 header: the log is not kept and
-    # appended to, whatever the step, but refused as it stands.
+    # Line 1 is JSON but not a version-3 header: the log is refused as it
+    # stands, whatever the step.
     path = tmp_path / "events.jsonl"
     edit, _, message = LOG_DEFECTS[defect]
     lines = _sample_log_lines()
@@ -1473,26 +1382,96 @@ def test_truncate_events_refuses_a_log_of_another_version_and_cuts_nothing(
     path.write_text("\n".join(lines) + "\n")
     before = path.read_bytes()
     with pytest.raises(ValueError) as err:
-        truncate_events(str(path), meta_step, "00" * 8)
+        resume_events(str(path), SAMPLE_LINE, _sealed(path, meta_step))
     assert str(err.value) == f"{path}: line 1: {message}"
     assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize(
-    "first",
-    ['{"format_version": 2, "deci', "", "\n" + SAMPLE_HEADER],
-    ids=["torn", "empty", "blank"],
+    "field, value, message",
+    [
+        ("meta_step", True, "meta_step True is not 1"),
+        ("meta_step", 1.0, "meta_step 1.0 is not 1"),
+        ("store_digest", "D" * 16, f"store_digest {'D' * 16!r} is not 16 lowercase hex digits"),
+        ("wall_ms", None, "field wall_ms holds a value that is not a finite number"),
+        ("mean_reward", math.inf, "field mean_reward holds a value that is not a finite number"),
+        (
+            "probabilities",
+            [[0.25, 0.75]],
+            "probabilities have row lengths [2], not the decisions' cardinalities [2, 3]",
+        ),
+        ("commits", [[0, 1], [2, 0]], f"commits.1 [2, 0] {WITHIN}"),
+    ],
 )
-def test_truncate_events_keeps_nothing_of_a_torn_or_empty_line_1(tmp_path, first):
-    # Such a line ends the records, as any line ``read_events`` refuses does:
-    # a resume at step 0 starts the log afresh, and a later one is refused.
+def test_resume_events_refuses_a_kept_record_read_events_refuses(tmp_path, field, value, message):
+    # ``True == 1`` and ``1.0 == 1``, but ``read_events`` refuses both as a
+    # meta_step: even sealed, such a record is refused, and the log kept.
     path = tmp_path / "events.jsonl"
-    records = "".join(event.to_json() + "\n" for event in sample_events(3))
-    path.write_text(first + ("\n" + records if first else ""))
+    lines = _sample_log_lines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
     before = path.read_bytes()
     with pytest.raises(ValueError) as err:
-        truncate_events(str(path), 2, "00" * 8)
-    assert str(err.value) == f"{path}: event log holds no record of step 0 of the resumed run"
+        resume_events(str(path), SAMPLE_LINE, _sealed(path, 3))
+    assert str(err.value) == f"{path}: line 3: {message}"
     assert path.read_bytes() == before
-    assert truncate_events(str(path), 0, "unused") == 0
-    assert path.read_bytes() == b""
+    # A record after the checkpoint's step is not read: it is cut.
+    assert resume_events(str(path), SAMPLE_LINE, _sealed(path, 1))[1] == sample_events(1)
+
+
+@pytest.mark.parametrize("meta_step", [0, 2])
+@pytest.mark.parametrize(
+    "first, message",
+    [
+        ('{"format_version": 3, "deci', "malformed JSON on line 1 ("),
+        ("", "line 1: event log header is not the one this run writes"),
+        ("\n" + SAMPLE_HEADER, "malformed JSON on line 1 ("),
+    ],
+    ids=["torn", "empty", "blank"],
+)
+def test_resume_events_refuses_a_torn_or_empty_line_1_and_cuts_nothing(
+    tmp_path, first, message, meta_step
+):
+    # Line 1 is not the run's header, even at step 0, whose checkpoint seals
+    # the header alone: the log is refused as it stands, not started afresh.
+    path = tmp_path / "events.jsonl"
+    path.write_text(first + ("\n" + _log_text(sample_events(3), header=None) if first else ""))
+    before = path.read_bytes()
+    ckpt = replace(_sealed(path, 0, [SAMPLE_LINE]), meta_step=meta_step)
+    with pytest.raises(ValueError) as err:
+        resume_events(str(path), SAMPLE_LINE, ckpt)
+    assert str(err.value).startswith(f"{path}: {message}")
+    assert path.read_bytes() == before
+
+
+def test_resume_events_refuses_a_torn_record_before_the_resume_step(tmp_path):
+    # A record torn by a crash mid-write, then records of later steps: the
+    # resume is refused at the torn line, whatever the checkpoint seals.
+    path = tmp_path / "events.jsonl"
+    events = sample_events(4)
+    path.write_text(
+        _log_text(events[:2]) + '{"meta_step": 2, "candi\n' + _log_text(events[3:], header=None)
+    )
+    before = path.read_bytes()
+    with pytest.raises(ValueError) as err:
+        resume_events(str(path), SAMPLE_LINE, _sealed(path, 3))
+    assert str(err.value).startswith(f"{path}: malformed JSON on line 4 (")
+    assert path.read_bytes() == before
+    # Before the torn record, the log resumes.
+    assert resume_events(str(path), SAMPLE_LINE, _sealed(path, 2))[1] == sample_events(2)
+
+
+def test_open_events_is_null_without_a_path_and_writes_a_fresh_log_over_any_file(tmp_path):
+    with open_events(None, [b"unused\n"]) as log:
+        assert log is None
+    path = tmp_path / "a" / "b" / "events.jsonl"
+    header = [SAMPLE_LINE]
+    with open_events(str(path), header) as log:
+        write_event(log, sample_events(1)[0])
+    assert read_events(str(path)) == (json.loads(SAMPLE_HEADER), sample_events(1))
+    path.write_text(_log_text(sample_events(3), header=SAMPLE_HEADER.replace("layer0", "x")))
+    with open_events(str(path), header) as log:
+        assert log.sha256.hexdigest() == hashlib.sha256(header[0]).hexdigest()
+    assert path.read_bytes() == header[0]
