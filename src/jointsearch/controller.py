@@ -13,17 +13,19 @@ what the controller has learned and the probabilities of its logits; the
 meta-step, which says whether warm-up is over, whether a baseline exists and
 how many Adam steps the logits have taken, is passed to each update.
 
-The logits, their probabilities and Adam moments are zero-padded tables, one
-row per decision, as wide as the largest cardinality. The probability table
-is computed on first use, one softmax per distinct cardinality (one in all
-when the widths agree), and kept until ``optimizer_step``, the one writer of
-the read-only logit rows, drops it. A phase runs one cumulative sum along the
+The logits (padded with -inf), their probabilities and Adam moments (padded
+with zeros) are tables, one row per decision, as wide as the largest
+cardinality. The probability table is computed on first use, one softmax in
+all when the widths agree or are all below 8, else one per distinct
+cardinality, and kept until ``optimizer_step``, the one writer of the
+read-only logit rows, drops it. A phase runs one cumulative sum along the
 rows, checks the selections in Python, accumulates the K gradients through
 flat cell indices and takes one Adam step on scratch the state owns, where a
 padding cell's zero gradient leaves its zero moments and logit unchanged.
 Each gives the per-decision result bit for bit: numpy reduces each row of a
-C-contiguous table as that row alone, a cumulative sum runs in order, and
-the entropy's dot product stays per row.
+C-contiguous table as that row alone, fewer than 8 numbers in order (so a
+padding exp of 0 adds nothing), a cumulative sum runs in order, and the
+entropy's dot product stays per row.
 """
 from __future__ import annotations
 
@@ -42,33 +44,24 @@ from .trainstep import TrainerSpec, _update
 
 @dataclass
 class ControllerState:
-    """What the controller has learned: ``logits`` by decision, the
-    ``baseline`` and the Adam moments ``m`` and ``v`` by decision (zero when
-    not given). Building one packs each into a padded table, each row then a
-    view of its table, read-only for the logits (build a new state to change
-    them); ``ValueError`` names the field unless the logits are vectors and
-    ``m`` and ``v`` one row per decision of the logits' lengths. Adam's step
-    count is not state: each update sets it from the meta-step."""
+    """What the controller has learned: ``logits`` by decision and the
+    ``baseline``. Building one packs the logits into a padded table beside
+    zero Adam moment tables; ``logits``, ``m`` and ``v`` are then row views
+    by decision, read-only for the logits (build a new state to change
+    them). ``ValueError`` unless the logits are vectors. Adam's step count
+    is not state: each update sets it from the meta-step."""
 
     logits: list[np.ndarray]
     baseline: float = 0.0
-    m: list[np.ndarray] | None = None
-    v: list[np.ndarray] | None = None
 
     def __post_init__(self):
         if any(np.ndim(z) != 1 for z in self.logits):
             raise ValueError("ControllerState logits are not one vector per decision")
         cards = self._cards = tuple(len(z) for z in self.logits)
         self._table, m, v = tables = np.zeros((3, len(cards), max(cards, default=0)))
-        for name, table in zip(("logits", "m", "v"), tables):
-            rows = getattr(self, name)
-            if rows is not None:
-                if len(rows) != len(cards) or any(np.shape(r) != (c,) for r, c in zip(rows, cards)):
-                    what = f"not one row per decision of lengths {list(cards)}"
-                    raise ValueError(f"ControllerState {name} is {what}")
-                for row, r, c in zip(table, rows, cards):
-                    row[:c] = r
-            setattr(self, name, [row[:c] for row, c in zip(table, cards)])
+        for row, z, c in zip(self._table, self.logits, cards):
+            row[:c], row[c:] = z, -np.inf
+        self.logits, self.m, self.v = ([row[:c] for row, c in zip(t, cards)] for t in tables)
         for row in self.logits:
             row.flags.writeable = False
         self._probs = None  # the probability table, once ``_prob_table`` computes it
@@ -86,9 +79,11 @@ def init_controller(space: SearchSpace) -> ControllerState:
 
 def _prob_table(state: ControllerState) -> np.ndarray:
     """The state's read-only probability table, computed once per logit
-    change: one ``softmax`` per distinct cardinality."""
+    change: one ``softmax`` of the whole table when it has no padding or is
+    narrower than 8, else one per distinct cardinality."""
     if state._probs is None:
-        if len(state._groups) == 1:  # one cardinality, so no padding
+        width = state._table.shape[1]
+        if len(state._groups) == 1 or 0 < width < 8:  # no padding, or rows summed in order
             table = softmax(state._table)
         else:
             table = np.zeros_like(state._table)

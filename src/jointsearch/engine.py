@@ -185,6 +185,7 @@ class Run:
     space: SearchSpace
     splits: DataSplit | None
     ckpt: persist.Checkpoint
+    controller: ctrl.ControllerState  # step 0's, or the one the log's updates give
     stream: RngStream  # the controller's
     weights: SuperModelWeights | None
     history: list[RewardRecord]  # K records per step before ``ckpt.meta_step``
@@ -197,50 +198,72 @@ def _resume(run: Run, path: str) -> None:
     Refused unless the run could have written them: the config echo must be
     ``config_to_dict(config)`` but for the output paths, the step must fit,
     and each record must hold K candidates and, in a network run, K commits.
-    Replaying those commits without training gives the step-0 state the
-    run's commit slots, Adam's ``step`` the exact count of commits whose view
-    holds the key, and ``persist.check_layout`` compares the file with it.
-    Until the first update, past warm-up, every controller cell is ``+0.0``."""
-    config, space, held = run.config, run.space, run.ckpt
-    ckpt = persist.load_checkpoint(path)
+    Each record's update is replayed on the controller, from step 0's, and
+    must give the record with no tolerance: each candidate's ``reward`` is
+    ``compute_reward`` of its accuracy and cost, ``advantage_baseline``,
+    ``baseline`` and ``probabilities`` the update's, ``mean_reward`` the
+    rewards' mean, and the last record's ``store_digest`` the checkpoint's.
+    Replaying the commits without training gives the step-0 state the run's
+    commit slots, Adam's ``step`` the exact count of commits whose view holds
+    the key, and ``persist.check_layout`` compares the file with it."""
+    config, space, held, state = run.config, run.space, run.ckpt, run.controller
+    settings, ckpt = config.search, persist.load_checkpoint(path)
     echo, ours = ckpt.config_echo, config_to_dict(config)
     if not isinstance(echo, dict) or {**echo, "output": None} != {**ours, "output": None}:
         raise ConfigError(
             "checkpoint was produced by a different configuration; "
             "only output paths may differ on resume"
         )
-    total, done = config.search.total_meta_steps, ckpt.meta_step
+    total, done = settings.total_meta_steps, ckpt.meta_step
     persist.check_field(path, done <= total, "meta_step", f"an integer in [0, {total}]")
     log = config.output.log_path
     if log is None:
         raise ConfigError("a resume reads the run's event log: output.log_path is not set")
     run.log, records = persist.resume_events(log, run.log[0], ckpt)
-    k, slots = config.search.pairs_per_step, held.commit_slots
+    k, slots = settings.pairs_per_step, held.commit_slots
     commits = k if run.weights is not None else 0
+    counts = {}  # logged commits by selection
     for record in records:
+        step, where = record.meta_step, f"{log}: line {record.meta_step + 2}"
         if len(record.candidates) != k or len(record.commits) != commits:
             raise ValueError(
-                f"{log}: line {record.meta_step + 2}: holds {len(record.candidates)} candidates "
+                f"{where}: holds {len(record.candidates)} candidates "
                 f"and {len(record.commits)} commits, not {k} and {commits}"
             )
-        for c in record.candidates:
-            row = (tuple(c["selection"]), c["accuracy"], c["cost"], c["reward"])
-            run.history.append(RewardRecord(record.meta_step, *row, record.advantage_baseline))
-        for selection in record.commits:
-            view = supernet.sub_view(space, selection)
-            family = trainstep.build_trainer(space, view.selection).optimizer
-            for key in view.keys if family in trainstep.SLOT_FIELDS else ():
-                if (family, key) not in slots:
-                    slots[family, key] = trainstep.fresh_slot(family, held.store[key])
-                for name in trainstep.SLOT_FIELDS[family][0]:
-                    slots[family, key][name] += 1
+        replayed, samples = [], []
+        for i, c in enumerate(record.candidates):
+            try:
+                reward = compute_reward(c["accuracy"], c["cost"], settings.reward)
+            except ValueError as exc:
+                raise ValueError(f"{where}: candidates.{i}: {exc}") from None
+            replayed.append((f"candidates.{i}.reward", c["reward"], reward))
+            samples.append((tuple(c["selection"]), reward))
+            row = (samples[-1][0], c["accuracy"], c["cost"], reward, record.advantage_baseline)
+            run.history.append(RewardRecord(step, *row))
+        advantage = ctrl.reinforce_update(state, samples, settings, step)
+        probs = [p.tolist() for p in ctrl.probabilities(state)]
+        replayed += [
+            ("advantage_baseline", record.advantage_baseline, advantage),
+            ("baseline", record.baseline, state.baseline),
+            ("probabilities", record.probabilities, probs),
+            ("mean_reward", record.mean_reward, float(np.mean([r for _, r in samples]))),
+        ]
+        for name, logged, value in replayed:
+            if logged != value:  # exact: no tolerance
+                raise ValueError(f"{where}: {name} {logged!r} is not the run's {value!r}")
+        for selection in map(tuple, record.commits):
+            counts[selection] = counts.get(selection, 0) + 1
+    for selection, count in counts.items():  # each distinct commit's view and trainer once
+        view = supernet.sub_view(space, selection)
+        family = trainstep.build_trainer(space, view.selection).optimizer
+        for key in view.keys if family in trainstep.SLOT_FIELDS else ():
+            if (family, key) not in slots:
+                slots[family, key] = trainstep.fresh_slot(family, held.store[key])
+            for name in trainstep.SLOT_FIELDS[family][0]:
+                slots[family, key][name] += count
     persist.check_layout(path, held, ckpt)
-    warmup, state = ctrl.warmup_steps(config.search), ckpt.controller
-    if done <= warmup:  # no update made yet: the controller is step 0's, bit for bit
-        for d, rows in enumerate(zip(state.logits, state.m, state.v)):
-            zero = not any(row.any() or np.signbit(row).any() for row in rows)  # signbit: -0.0
-            what = f"is not all +0.0 after {done} steps, none past the {warmup} of warm-up"
-            persist.check_array(path, zero, f"controller/{d}", what)
+    if records and records[-1].store_digest != ckpt.store_digest:  # the step the file saved
+        raise ValueError(f"{log}: line {done + 1}: store_digest is not the checkpoint's")
     run.ckpt = ckpt
 
 
@@ -249,14 +272,16 @@ def start_run(config: EngineConfig, uses_network: bool, resume_from: str | None)
     its log hold (``_resume``), echoing ``config``. Step 0 has uniform logits,
     no reward history, a log of its header alone and, in a network run, the
     store and head ``supernet.init_weights`` draws from the seed's ``init``
-    stream; no step trains the head, so a resumed run takes it from the seed."""
+    stream. No step trains the head, so a resumed run takes it from the seed,
+    and replays the log's controller updates on step 0's controller."""
     space = build_space(config.space)
     splits = setup_run(config, space) if uses_network else None
     seed = config.data.seed
     weights = supernet.init_weights(space, RngStream(seed, "init")) if uses_network else None
-    held = persist.Checkpoint({}, 0, ctrl.init_controller(space), weights.store if weights else {})
+    held = persist.Checkpoint({}, 0, weights.store if weights else {})
     header = (persist.event_header(space.labels(), space.cardinalities()) + "\n").encode()
-    run = Run(config, space, splits, held, RngStream(seed, "controller"), weights, [], [header])
+    state, stream = ctrl.init_controller(space), RngStream(seed, "controller")
+    run = Run(config, space, splits, held, state, stream, weights, [], [header])
     if resume_from is not None:
         _resume(run, resume_from)
     if weights is not None:
@@ -277,7 +302,7 @@ def meta_step(
     append its K ``RewardRecord`` to ``run.history``, and return its K commit
     selections (none without a network)."""
     settings, seed, ckpt, weights = run.config.search, run.config.data.seed, run.ckpt, run.weights
-    k, step, state = settings.pairs_per_step, ckpt.meta_step, ckpt.controller
+    k, step, state = settings.pairs_per_step, ckpt.meta_step, run.controller
     lr, size = settings.default_learning_rate, settings.train_batch_size
     scored = []  # scoring: K sampled pairs, each on its own temporary weights
     for i, selection in enumerate(ctrl.sample(state, run.stream, k)):
@@ -291,8 +316,8 @@ def meta_step(
             accuracy, cost = evaluate_candidate(
                 weights, selection, batches, val, train_rng, learning_rate=lr
             )
-        reward = compute_reward(accuracy, cost, settings.reward)
-        scored.append((selection, float(accuracy), float(cost), reward))
+        accuracy, cost = float(accuracy), float(cost)  # the log holds them as float64
+        scored.append((selection, accuracy, cost, compute_reward(accuracy, cost, settings.reward)))
     # controller: one REINFORCE update from the K rewards
     samples = [(s, r) for s, _, _, r in scored]
     baseline = ctrl.reinforce_update(state, samples, settings, step)
@@ -342,7 +367,7 @@ def search(
     RNG stream position all follow from it.
     """
     run = start_run(config, evaluate_override is None, resume_from)
-    ckpt, state, total = run.ckpt, run.ckpt.controller, config.search.total_meta_steps
+    ckpt, state, total = run.ckpt, run.controller, config.search.total_meta_steps
     path, interval = config.output.checkpoint_path, config.output.checkpoint_interval
     start, k = ckpt.meta_step, config.search.pairs_per_step
 

@@ -4,27 +4,26 @@ Event logs are JSON lines with a fixed key order and shortest-round-trip
 decimal floats, so identical in-memory state always serializes to identical
 bytes: the header on line 1, then one record per meta-step from step 0. A
 record holds the step's K scored candidates (selection, accuracy, cost,
-reward), the advantage baseline they share and its K commit selections, so
-the log is the search's one record of its rewards. No event record,
-checkpoint header or controller number may be non-finite: writing one raises
-``ValueError``.
+reward), the advantage baseline they share, the controller after its update
+and its K commit selections, so the log is the search's one record of its
+rewards and of the controller they train. No event record or checkpoint
+header may hold a non-finite number: writing one raises ``ValueError``.
 
 A ``Checkpoint`` is the search's resumable state beside its log:
 ``engine.search`` keeps one, advances it in place and saves it as it stands.
 Its file has three parts:
 
 1. One line of canonical JSON (sorted keys) with the small fields: format
-   version, config echo, meta-step, controller baseline, ``store_digest``,
-   ``log_sha256`` (the SHA-256 of the log's bytes before the meta-step's
-   record, which seals the log) and the name and shape of every array in file
-   order, then a newline. The meta-step is the file's one step counter: the
-   controller's warm-up, its Adam step count, whether its baseline exists and
-   the position of the controller's RNG stream all follow from it.
+   version, config echo, meta-step, ``store_digest``, ``log_sha256`` (the
+   SHA-256 of the log's bytes before the meta-step's record, which seals the
+   log) and the name and shape of every array in file order, then a newline.
+   The meta-step is the file's one step counter: the position of the
+   controller's RNG stream follows from it. The file holds nothing of the
+   controller, which replaying the sealed log's rewards rebuilds.
 2. Those arrays' little-endian float64 (``<f8``) bytes, back to back, written
-   straight from the arrays (see ``_layout``): the store, one
-   ``controller/<d>`` per decision (rows: logits, Adam ``m`` and ``v``) and
-   the commit optimizer slots (an array per field, an integer field such as
-   Adam's ``step`` a 0-d one). They restore bit for bit (``-0.0``, subnormals
+   straight from the arrays (see ``_layout``): the store and the commit
+   optimizer slots (an array per field, an integer field such as Adam's
+   ``step`` a 0-d one). They restore bit for bit (``-0.0``, subnormals
    and all); a slot's integer field is restored as an int.
 3. The SHA-256 of every byte before it, as 64 hex characters, computed in the
    same pass that writes them.
@@ -34,11 +33,10 @@ Its file has three parts:
 checks that the arrays tile the bytes under distinct names with shapes of
 non-negative integers. ``ValueError`` names the file and the header field or
 array at fault: a field missing or beyond those ``save_checkpoint`` writes; a
-meta-step, baseline or ``log_sha256`` that is not a non-negative integer, a
-finite number or 64 lowercase hex digits; an array of no known section or a
-slot not named ``family|key``; a 0-d slot field that is not a whole number
-from 1 to 2^53; a controller or slot array that is not finite; a controller
-array that is not 3 rows. Which commit slots and arrays a file may hold
+meta-step or ``log_sha256`` that is not a non-negative integer or 64
+lowercase hex digits; an array of no known section or a slot not named
+``family|key``; a 0-d slot field that is not a whole number from 1 to 2^53; a
+slot array that is not finite. Which commit slots and arrays a file may hold
 depends on the run, so the loader takes them as written; on resume
 ``engine`` reads the sealed log back (``resume_events``), builds the state
 the run holds at that step, and ``check_layout`` compares the two. Saving and
@@ -52,7 +50,7 @@ bytes, so it distinguishes ``-0.0`` from ``0.0``, one-ulp neighbours, and the
 same values under a different shape. Event records carry it too; the caller
 computes it once and passes it to both.
 
-Checkpoints are format version 11 and event logs format version 3; a file of
+Checkpoints are format version 12 and event logs format version 3; a file of
 any other version is refused with a "format version" error, and there is no
 migration. Checkpoint versions 1-4 were single JSON documents (1 hashed
 decimal text with FNV-1a, 2 lacked the reward history, 1-3 held decimal
@@ -63,8 +61,10 @@ slots' integer fields there; 8 held the controller's Adam slots apart from
 its logits, each with its own ``step``; 9 held the never-trained classifier
 head, which ``supernet.init_weights`` draws from the seed; 10 held the reward
 history as ``history/ints`` and ``history/reals``, which each save rewrote
-and re-hashed. Event log version 2 records held no candidates or commits and
-could start at any step.
+and re-hashed; 11 held the controller as one ``controller/<d>`` array per
+decision (rows: logits, Adam ``m`` and ``v``) and ``controller.baseline`` in
+the header, which the log's rewards determine. Event log version 2 records
+held no candidates or commits and could start at any step.
 """
 from __future__ import annotations
 
@@ -81,10 +81,9 @@ from typing import BinaryIO, Iterable, Mapping
 
 import numpy as np
 
-from .controller import ControllerState
 from .supernet import ParamKey
 
-CHECKPOINT_FORMAT_VERSION = 11
+CHECKPOINT_FORMAT_VERSION = 12
 EVENT_LOG_FORMAT_VERSION = 3
 _FILE_DIGEST_CHARS = 64  # SHA-256, hex
 
@@ -253,7 +252,8 @@ def _parse_events(path: str, lines: Iterable) -> tuple[dict | None, list[EventRe
                         f"{where}: header decision label {d['label']!r} is not "
                         "letters, digits, '_' and '-'"
                     )
-            header, shape = doc, [d["cardinality"] for d in decisions]
+            shape = [d["cardinality"] for d in decisions]
+            header, ranges = doc, [range(c) for c in shape]  # each decision's indices
             continue
         try:
             record = EventRecord(**doc)
@@ -279,14 +279,15 @@ def _parse_events(path: str, lines: Iterable) -> tuple[dict | None, list[EventRe
         if not (isinstance(candidates, list) and isinstance(commits, list)):
             raise ValueError(f"{where}: candidates and commits are not lists")
         for i, candidate in enumerate(candidates):
-            _require(where, candidate, f"candidates.{i}.", CANDIDATE_FIELDS, "event record")
+            if not (isinstance(candidate, dict) and candidate.keys() == {*CANDIDATE_FIELDS}):
+                _require(where, candidate, f"candidates.{i}.", CANDIDATE_FIELDS, "event record")
         named = {f"candidates.{i}.selection": c["selection"] for i, c in enumerate(candidates)}
         named.update((f"commits.{i}", selection) for i, selection in enumerate(commits))
-        for name, selection in named.items():
-            fits = isinstance(selection, list) and len(selection) == len(shape)
-            if not (fits and all(type(i) is int and 0 <= i < c for i, c in zip(selection, shape))):
+        for name, indices in named.items():
+            fits = isinstance(indices, list) and {*map(type, indices)} <= {int}
+            if not (fits and len(indices) == len(shape) and all(map(range.count, ranges, indices))):
                 raise ValueError(
-                    f"{where}: {name} {selection!r} is not one index per decision within {shape}"
+                    f"{where}: {name} {indices!r} is not one index per decision within {shape}"
                 )
         numbers = {
             "candidates": [c[n] for c in candidates for n in CANDIDATE_FIELDS[1:]],
@@ -296,9 +297,9 @@ def _parse_events(path: str, lines: Iterable) -> tuple[dict | None, list[EventRe
             "probabilities": [p for row in rows for p in row],
             "wall_ms": [record.wall_ms],
         }
-        for name, values in numbers.items():
-            if not all(map(_is_finite, values)):
-                raise ValueError(f"{where}: field {name} holds a value that is not a finite number")
+        if not _all_finite([v for values in numbers.values() for v in values]):  # then name one
+            name = next(name for name, values in numbers.items() if not _all_finite(values))
+            raise ValueError(f"{where}: field {name} holds a value that is not a finite number")
         records.append(record)
     return header, records
 
@@ -315,7 +316,6 @@ class Checkpoint:
 
     config_echo: dict
     meta_step: int  # meta-steps done
-    controller: ControllerState
     store: dict[ParamKey, np.ndarray] = field(default_factory=dict)
     commit_slots: dict = field(default_factory=dict)  # optimizer slots by (family, key)
     store_digest: str = ""  # ``store_digest(store)``, taken by the caller
@@ -328,12 +328,9 @@ def _param_key_parse(text: str) -> ParamKey:
 
 
 def _layout(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
-    """Every array with its name, in file order: store sorted by key, one
-    ``controller/<d>`` per decision (its logits, ``m`` and ``v`` rows),
-    commit slots (``_slot_arrays``)."""
+    """Every array with its name, in file order: store sorted by key, commit
+    slots (``_slot_arrays``)."""
     arrays = [(f"store/{key.text()}", ckpt.store[key]) for key in sorted(ckpt.store)]
-    rows = zip(ckpt.controller.logits, ckpt.controller.m, ckpt.controller.v)
-    arrays += [(f"controller/{d}", np.stack(three)) for d, three in enumerate(rows)]
     return arrays + _slot_arrays(ckpt.commit_slots)
 
 
@@ -352,16 +349,12 @@ def _slot_arrays(slots: dict) -> list[tuple[str, np.ndarray]]:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to a temp file, hashing each byte as it is written, and
-    atomically replace ``path`` with it. ``ValueError`` names the array, and
-    nothing is written, if the controller holds a non-finite number."""
+    atomically replace ``path`` with it."""
     arrays = _layout(ckpt)
-    for name, arr in arrays:
-        _check_finite(path, name, arr)
     header = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": ckpt.config_echo,
         "meta_step": ckpt.meta_step,
-        "controller": {"baseline": ckpt.controller.baseline},
         "store_digest": ckpt.store_digest,
         "log_sha256": ckpt.log_sha256,
         "arrays": [[name, list(arr.shape)] for name, arr in arrays],
@@ -412,9 +405,7 @@ def _read_arrays(path: str, entries, blob: memoryview) -> dict[str, np.ndarray]:
     return arrays
 
 
-_HEADER_FIELDS = (
-    "format_version", "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays"
-)
+_HEADER_FIELDS = ("format_version", "config", "meta_step", "store_digest", "log_sha256", "arrays")
 
 
 def _require(where: str, doc, prefix: str, names: tuple, what="checkpoint header") -> None:
@@ -436,23 +427,10 @@ def check_field(path: str, ok: bool, name: str, what: str) -> None:
         raise ValueError(f"{path}: checkpoint header field {name} is not {what}")
 
 
-def check_array(path: str, ok: bool, name: str, what: str) -> None:
-    """Raise ``ValueError`` naming the file and the array ``name`` unless
-    ``ok``."""
-    if not ok:
-        raise ValueError(f"{path}: {name}: {what}")
-
-
-def _check_finite(path: str, name: str, arr: np.ndarray) -> None:
-    # The controller may hold only finite numbers.
-    ok = not name.startswith("controller/") or np.isfinite(arr).all()
-    check_array(path, ok, name, "holds a value that is not a finite number")
-
-
-def _is_finite(value) -> bool:
-    # A JSON number a float can hold; an int too large for one is not.
+def _all_finite(values) -> bool:
+    # JSON numbers a float can hold: no bool, nor an int too large for one.
     try:
-        return type(value) in (int, float) and math.isfinite(value)
+        return {*map(type, values)} <= {int, float} and all(map(math.isfinite, values))
     except OverflowError:
         return False
 
@@ -471,11 +449,12 @@ def _slot_field(path: str, name: str, arr: np.ndarray):
     except ValueError:
         raise ValueError(f"{path}: {name}: slot name {combined!r} is not family|key") from None
     if arr.ndim:
-        check_array(path, np.isfinite(arr).all(), name, "holds a value that is not a finite number")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: {name}: holds a value that is not a finite number")
         return (family, key), field_name, arr
     value = float(arr)
-    ok = value.is_integer() and 1 <= value <= 2**53
-    check_array(path, ok, name, "holds a value that is not a whole number from 1 to 2^53")
+    if not (value.is_integer() and 1 <= value <= 2**53):
+        raise ValueError(f"{path}: {name}: holds a value that is not a whole number from 1 to 2^53")
     return (family, key), field_name, int(value)
 
 
@@ -500,25 +479,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     if newline < 0 or hashlib.sha256(view[:end]).hexdigest().encode("ascii") != data[end:]:
         raise ValueError(f"{path}: checkpoint digest mismatch, checkpoint is corrupt")
     _require(path, header, "", _HEADER_FIELDS)
-    controller = header["controller"]
-    _require(path, controller, "controller.", ("baseline",))
     step = header["meta_step"]
     check_field(path, type(step) is int and step >= 0, "meta_step", "a non-negative integer")
-    baseline = controller["baseline"]
-    check_field(path, _is_finite(baseline), "controller.baseline", "a finite number")
     sha = header["log_sha256"]
     ok = isinstance(sha, str) and re.fullmatch("[0-9a-f]{64}", sha) is not None
     check_field(path, ok, "log_sha256", "64 lowercase hex digits")
     arrays = _read_arrays(path, header["arrays"], view[newline + 1 : end])
     slots, store = {}, {}
-    controller: list[np.ndarray] = []
     for name, arr in arrays.items():
-        _check_finite(path, name, arr)
         if name.startswith("commit_slots/"):
             key, field_name, value = _slot_field(path, name, arr)
             slots.setdefault(key, {})[field_name] = value
-        elif name == f"controller/{len(controller)}":
-            controller.append(arr)  # one per decision, in order
         else:
             try:
                 if not name.startswith("store/"):
@@ -531,23 +502,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(
         config_echo=header["config"],
         meta_step=step,
-        controller=_controller(path, controller, baseline),
         store=store,
         commit_slots=slots,
         store_digest=header["store_digest"],
         log_sha256=sha,
     )
-
-
-def _controller(path: str, arrays, baseline: float) -> ControllerState:
-    """The controller state of the loaded ``controller/<d>`` ``arrays``.
-    ``ValueError`` names the file and the first array that is not 3 rows
-    (logits, ``m``, ``v``) of one decision."""
-    for d, arr in enumerate(arrays):
-        what = f"checkpoint holds shape {list(arr.shape)}, not [3, cardinality]"
-        check_array(path, arr.ndim == 2 and len(arr) == 3, f"controller/{d}", what)
-    logits, m, v = ([a[i] for a in arrays] for i in range(3))
-    return ControllerState(logits, baseline, m, v)
 
 
 def check_layout(path: str, want: Checkpoint, ckpt: Checkpoint) -> None:

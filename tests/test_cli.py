@@ -270,14 +270,10 @@ VALUE_DEFECTS = {
     "meta-step-past-total": (
         lambda h: h.update(meta_step=7), "field meta_step is not an integer in [0, 6]"
     ),
-    "baseline-nan": (
-        lambda h: h["controller"].update(baseline=float("nan")),
-        "field controller.baseline is not a finite number",
-    ),
-    # JSON integers too large for a float.
-    "baseline-too-large": (
-        lambda h: h["controller"].update(baseline=10**400),
-        "field controller.baseline is not a finite number",
+    # Format 11's controller field: the log's rewards give the controller.
+    "controller-field": (
+        lambda h: h.update(controller={"baseline": 0.5}),
+        "checkpoint header holds an unknown field controller",
     ),
 }
 
@@ -294,8 +290,8 @@ def test_resume_from_resealed_malformed_checkpoint_exits_two(capsys, tmp_path, d
         edit, expected = VALUE_DEFECTS[defect]
         edit(header)
     elif defect == "missing-field":
-        del header["controller"]["baseline"]
-        expected = "lacks field controller.baseline"
+        del header["log_sha256"]
+        expected = "lacks field log_sha256"
     else:
         header["arrays"][-1][0] = "heads/weight"
         expected = "heads/weight: array belongs to no known section"
@@ -343,26 +339,19 @@ def _add_slot(arrays, section, name, fields):
 
 # Edits of a checkpoint's arrays (a list of [name, array] in file order), each
 # re-sealed with its store digest recomputed, and the error each must raise.
-# The store holds 0/1/weight (2, 8) and 0/1/bias (8,); the controller's
-# three decisions have 2, 3 and 2 candidates, each one ``controller/<d>``
-# array of 3 rows: logits, Adam m and v. Each commit slot
+# The store holds 0/1/weight (2, 8) and 0/1/bias (8,). Each commit slot
 # field is an array, an integer field (Adam's step) a 0-d one. The loader
 # refuses a slot named other than family|key, a 0-d field that is not a whole
-# number from 1 to 2^53, a slot or controller array that is not finite, a
-# controller array that is not 3 rows, and an array of no known section
-# (format 9's head among them); it takes the other files, and the
-# resume refuses each, naming the first array in which it differs from the
-# state the run holds.
-THREE_ROWS = "not [3, cardinality]"
+# number from 1 to 2^53, a slot array that is not finite, and an array of no
+# known section (format 9's head, format 10's reward history and format 11's
+# controller among them); it takes the other files, and the resume refuses
+# each, naming the first array in which it differs from the state the run
+# holds.
 ARRAY_DEFECTS = {
     # Slot names and 0-d fields.
     "commit-slot-key": (
         lambda h, a: _rename_commit_slot(a, "adam|0/1/weight", "adam|x/1/weight"),
         "commit_slots/adam|x/1/weight/m: slot name 'adam|x/1/weight' is not family|key",
-    ),
-    "controller-key": (
-        lambda h, a: _rename_arrays(a, "controller/1", "controller/01"),
-        "controller/01: array belongs to no known section",
     ),
     **{
         f"commit-adam-step-{label}": (
@@ -431,24 +420,12 @@ ARRAY_DEFECTS = {
         "commit_slots/adam|0/1/weight/m: checkpoint holds shape [8, 2], "
         "the run holds shape [2, 8]",
     ),
-    "controller-four-rows": (
-        lambda h, a: _reshape_array(a, "controller/0", lambda c: np.vstack([c, c[2]])),
-        f"controller/0: checkpoint holds shape [4, 2], {THREE_ROWS}",
-    ),
-    "controller-two-rows": (
-        lambda h, a: _reshape_array(a, "controller/1", lambda c: c[:2]),
-        f"controller/1: checkpoint holds shape [2, 3], {THREE_ROWS}",
-    ),
-    "controller-vector": (
-        lambda h, a: _reshape_array(a, "controller/2", lambda c: c[0]),
-        f"controller/2: checkpoint holds shape [2], {THREE_ROWS}",
-    ),
     "slot-of-no-tensor": (
         lambda h, a: _rename_commit_slot(a, "adam|0/1/bias", "adam|0/0/bias"),
         "commit_slots/adam|0/0/bias/m: checkpoint holds shape [8], the run holds nothing",
     ),
-    # Slots the run could not have made: the controller keeps no slot apart
-    # from its arrays, and the space offers only sgd and adam.
+    # Slots the run could not have made: the controller keeps none, and the
+    # space offers only sgd and adam.
     "controller-momentum-slot": (
         lambda h, a: _add_slot(a, "controller/slots", "momentum|0", {"buf": np.zeros(2)}),
         "controller/slots/momentum|0/buf: array belongs to no known section",
@@ -463,22 +440,30 @@ ARRAY_DEFECTS = {
         "commit_slots/sgd|0/1/bias/buf: checkpoint holds shape [8], the run holds nothing",
     ),
     # Non-finite moments: a NaN one used to resume, then fail the next save.
-    "controller-m-nan": (
-        lambda h, a: _set_value(a, "controller/0", (1, 0), np.nan),
-        "controller/0: holds a value that is not a finite number",
-    ),
-    "controller-v-inf": (
-        lambda h, a: _set_value(a, "controller/1", (2, 2), np.inf),
-        "controller/1: holds a value that is not a finite number",
-    ),
     "commit-slot-v-inf": (
         lambda h, a: _set_value(a, "commit_slots/adam|0/1/bias/v", 3, np.inf),
         "commit_slots/adam|0/1/bias/v: holds a value that is not a finite number",
     ),
-    "controller-dropped": (
-        lambda h, a: _drop_array(a, "controller/2"),
-        "controller/2: checkpoint holds nothing, the run holds shape [3, 2]",
+    "commit-slot-m-nan": (
+        lambda h, a: _set_value(a, "commit_slots/adam|0/1/weight/m", (1, 0), np.nan),
+        "commit_slots/adam|0/1/weight/m: holds a value that is not a finite number",
     ),
+    # Format 11's controller, one array of 3 rows per decision of 2, 3 and 2
+    # candidates, and format 10's reward history.
+    **{
+        f"format-11-controller-{d}": (
+            lambda h, a, d=d, c=c: a.append([f"controller/{d}", np.zeros((3, c))]),
+            f"controller/{d}: array belongs to no known section",
+        )
+        for d, c in enumerate((2, 3, 2))
+    },
+    **{
+        f"format-10-{name}": (
+            lambda h, a, n=name: a.append([f"history/{n}", np.zeros((12, 4))]),
+            f"history/{name}: array belongs to no known section",
+        )
+        for name in ("ints", "reals")
+    },
 }
 
 
@@ -492,50 +477,6 @@ def _set_value(arrays, name, index, value):
     _reshape_array(arrays, name, lambda arr: _edited(arr, index, value))
 
 
-def _one_decision(arrays):
-    # Decisions 1 and 2 dropped from the controller.
-    _drop_array(arrays, "controller/1")
-    _drop_array(arrays, "controller/2")
-
-
-# Edits of the controller, which the file keeps as one array per decision,
-# each with the error it must raise. The loader refuses a number that is not
-# finite; the resume refuses a controller shaped other than the run's. A
-# format-10 reward history array is of no known section.
-CONTROLLER_DEFECTS = {
-    "logits-inf": (
-        lambda h, a: _set_value(a, "controller/0", (0, 1), -np.inf),
-        "controller/0: holds a value that is not a finite number",
-    ),
-    "logits-nan": (
-        lambda h, a: _set_value(a, "controller/0", (0, 0), np.nan),
-        "controller/0: holds a value that is not a finite number",
-    ),
-    # The space has three decisions of 2, 3 and 2 candidates.
-    "controller-one-decision": (
-        lambda h, a: _one_decision(a),
-        "controller/1: checkpoint holds nothing, the run holds shape [3, 3]",
-    ),
-    "controller-row-width": (
-        lambda h, a: _reshape_array(a, "controller/0", lambda c: np.hstack([c, c[:, :1]])),
-        "controller/0: checkpoint holds shape [3, 3], the run holds shape [3, 2]",
-    ),
-    "controller-row-narrow": (
-        lambda h, a: _reshape_array(a, "controller/1", lambda c: c[:, :2]),
-        "controller/1: checkpoint holds shape [3, 2], the run holds shape [3, 3]",
-    ),
-    "controller-extra-decision": (
-        lambda h, a: a.append(["controller/3", np.zeros((3, 2))]),
-        "controller/3: checkpoint holds shape [3, 2], the run holds nothing",
-    ),
-    **{
-        f"format-10-{name}": (
-            lambda h, a, n=name: a.append([f"history/{n}", np.zeros((12, 4))]),
-            f"history/{name}: array belongs to no known section",
-        )
-        for name in ("ints", "reals")
-    },
-}
 def _reseal_arrays(ckpt, edit):
     """Apply ``edit`` to the header and the arrays (a list of [name, array]
     in file order) of checkpoint ``ckpt``, and re-seal it with its store
@@ -564,12 +505,12 @@ def _reseal_arrays(ckpt, edit):
     ckpt.write_bytes(body + hashlib.sha256(body).hexdigest().encode())
 
 
-@pytest.mark.parametrize("defect", [*ARRAY_DEFECTS, *CONTROLLER_DEFECTS])
+@pytest.mark.parametrize("defect", ARRAY_DEFECTS)
 def test_resume_from_resealed_checkpoint_with_malformed_arrays_exits_two(capsys, tmp_path, defect):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
-    edit, expected = {**ARRAY_DEFECTS, **CONTROLLER_DEFECTS}[defect]
+    edit, expected = ARRAY_DEFECTS[defect]
     _reseal_arrays(ckpt, edit)
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
@@ -639,6 +580,123 @@ def test_resume_from_a_checkpoint_resealed_over_a_malformed_log_exits_two(
     assert log.read_bytes() == edited and ckpt.read_bytes() == saved
 
 
+def _nudged(value):
+    """``value`` one ulp toward zero, or up from zero."""
+    return float(np.nextafter(value, -np.inf if value > 0 else np.inf))
+
+
+def _replay_edit(record, field, rng):
+    """``record`` with one value of ``field`` moved by one ulp: the
+    ``reward`` or ``accuracy`` of a seeded candidate, a seeded probability;
+    ``store_digest`` has its first hex digit changed."""
+    if field in ("reward", "accuracy"):
+        candidate = record["candidates"][rng.index(len(record["candidates"]))]
+        candidate[field] = _nudged(candidate[field])
+    elif field == "probabilities":
+        row = record[field][rng.index(len(record[field]))]
+        j = rng.index(len(row))
+        row[j] = _nudged(row[j])
+    elif field == "store_digest":
+        record[field] = ("1" if record[field][0] == "0" else "0") + record[field][1:]
+    else:
+        record[field] = _nudged(record[field])
+    return record
+
+
+# Each field an edit is made to, and the field the refusal names: in plain
+# mode a candidate's reward is its accuracy, so an edited accuracy is caught
+# by the reward it gives.
+REPLAY_FIELDS = {
+    "reward": "candidates.",
+    "accuracy": "candidates.",
+    "advantage_baseline": "advantage_baseline ",
+    "baseline": "baseline ",
+    "probabilities": "probabilities ",
+    "mean_reward": "mean_reward ",
+    "store_digest": "store_digest ",
+}
+
+
+# Warm-up is the first ceil(0.3 * 6) = 2 steps: the records of steps 0 and 1
+# (lines 2 and 3) leave the logits alone, those of steps 2 to 5 (lines 4 to
+# 7) follow updates. The store digest is compared on the last line alone.
+REPLAY_LINES = {"warm-up": (2, 2), "past-warm-up": (4, 4)}  # first line, count
+
+
+@pytest.mark.parametrize(
+    "field, phase",
+    [
+        (field, phase)
+        for field in REPLAY_FIELDS
+        for phase in REPLAY_LINES
+        if field != "store_digest" or phase == "past-warm-up"
+    ],
+    ids="{0[0]}-{0[1]}".format,
+)
+def test_resume_replays_the_logged_updates_and_refuses_a_record_they_do_not_give(
+    capsys, tmp_path, field, phase
+):
+    # The checkpoint holds no controller: a resume replays each kept record's
+    # update on step 0's and compares the record with it exactly, and the
+    # last record's store digest with the checkpoint's. A seeded one-ulp edit
+    # of a record before the final step-6 checkpoint, inside warm-up or past
+    # it, with the checkpoint re-sealed over the edited log, exits 2 naming
+    # the line and the field, and writes nothing.
+    from jointsearch.numerics import RngStream
+
+    ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.events.jsonl"
+    code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
+    assert code == 0
+    pristine, sealed = log.read_bytes(), ckpt.read_bytes()
+    rng = RngStream(0, f"replay-edits/{field}/{phase}")
+    first, count = REPLAY_LINES[phase]
+    for _ in range(2):
+        line = 7 if field == "store_digest" else first + rng.index(count)
+        lines = pristine.decode().splitlines(keepends=True)
+        lines[line - 1] = json.dumps(_replay_edit(json.loads(lines[line - 1]), field, rng)) + "\n"
+        log.write_text("".join(lines))
+        ckpt.write_bytes(sealed)
+        sha = hashlib.sha256(log.read_bytes()).hexdigest()
+        _reseal_arrays(ckpt, lambda h, a: h.update(log_sha256=sha))
+        edited, saved = log.read_bytes(), ckpt.read_bytes()
+        assert edited != pristine
+        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2, (field, line)
+        err = capsys.readouterr().err
+        assert f"runtime error: {log}: line {line}: {REPLAY_FIELDS[field]}" in err, (field, line)
+        assert log.read_bytes() == edited and ckpt.read_bytes() == saved
+    log.write_bytes(pristine)
+    ckpt.write_bytes(sealed)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    assert ckpt.read_bytes() == sealed and log.read_bytes() == pristine
+
+
+def test_a_later_checkpoint_of_a_log_that_a_resume_rewrote_is_refused(capsys, tmp_path):
+    # A resume from step 3 rewrites the records after its step, with new
+    # wall-clock times, so the log no longer holds what a saved copy of the
+    # same run's step-6 checkpoint seals: resuming from that copy exits 2,
+    # naming the log, and changes neither file. With the old log back it
+    # resumes.
+    ckpt, log = tmp_path / "run.ckpt", tmp_path / "run.events.jsonl"
+    output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 3}
+    code, _, cfg = run_search(tmp_path, "run", doc_extra=output, total=9)
+    assert code == 0
+    every, old = _checkpoint_of_every_step(cfg, ckpt)
+    step_3, step_6 = every[2], every[5]  # the file as steps 3 and 6 begin
+    ckpt.write_bytes(step_3)
+    log.write_bytes(old)
+    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
+    later = tmp_path / "later.ckpt"
+    later.write_bytes(step_6)
+    rewritten = log.read_bytes()
+    assert rewritten != old
+    assert main(["search", "--config", cfg, "--resume", str(later)]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime error: {log}: event log before step 6 does not hash" in err
+    assert log.read_bytes() == rewritten and later.read_bytes() == step_6
+    log.write_bytes(old)
+    assert main(["search", "--config", cfg, "--resume", str(later)]) == 0
+
+
 def _checkpoint_of_every_step(cfg, ckpt):
     """The bytes of checkpoint file ``ckpt`` after each step of the run of
     config file ``cfg`` (checkpoint interval 1), the final one last, and of
@@ -673,42 +731,23 @@ def test_resume_at_every_step_writes_the_uninterrupted_result_and_checkpoint(tmp
         assert (result.read_bytes(), unsealed(ckpt.read_bytes())) == uninterrupted, done
 
 
-@pytest.mark.parametrize(
-    "row, value", [(0, 0.5), (0, -0.0), (1, 2.0**-1074), (1, -0.0), (2, 1.0), (2, -0.0)]
-)
-def test_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
-    capsys, tmp_path, row, value
-):
-    # No update is made inside the warm-up of 2 steps, so the checkpoints of
-    # steps 1 and 2 hold every logit (row 0) and moment (rows 1 and 2) as
-    # +0.0. Any other value re-sealed there, -0.0 too, is refused by name.
-    ckpt = tmp_path / "run.ckpt"
-    output = {"checkpoint_path": str(ckpt), "checkpoint_interval": 1}
-    code, _, cfg = run_search(tmp_path, "run", doc_extra=output)
-    assert code == 0
-    every, log = _checkpoint_of_every_step(cfg, ckpt)
-    for done in (1, 2):
-        ckpt.write_bytes(every[done - 1])
-        _reseal_arrays(ckpt, lambda h, a: _set_value(a, "controller/1", (row, 2), value))
-        assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
-        err = capsys.readouterr().err
-        what = f"is not all +0.0 after {done} steps, none past the 2 of warm-up"
-        assert f"runtime error: {ckpt}: controller/1: {what}" in err
-    ckpt.write_bytes(every[1])
-    assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 0
-    assert unsealed(ckpt.read_bytes()) == unsealed(every[-1])
-    assert (tmp_path / "run.events.jsonl").read_bytes() != log  # new wall-clock times
-
-
-def test_resume_refuses_a_format_10_checkpoint(capsys, tmp_path):
+def _resume_refuses_format(capsys, tmp_path, version):
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     data = ckpt.read_bytes()
-    ckpt.write_bytes(data.replace(b'"format_version": 11', b'"format_version": 10', 1))
+    ckpt.write_bytes(data.replace(b'"format_version": 12', b'"format_version": %d' % version, 1))
     assert main(["search", "--config", cfg, "--resume", str(ckpt)]) == 2
     err = capsys.readouterr().err
-    assert f"runtime error: {ckpt}: checkpoint format version 10 is not 11" in err
+    assert f"runtime error: {ckpt}: checkpoint format version {version} is not 12" in err
+
+
+def test_resume_refuses_a_format_11_checkpoint(capsys, tmp_path):
+    _resume_refuses_format(capsys, tmp_path, 11)  # it held the controller
+
+
+def test_resume_refuses_a_format_10_checkpoint(capsys, tmp_path):
+    _resume_refuses_format(capsys, tmp_path, 10)  # it held the reward history
 
 
 def test_resume_refuses_a_commit_adam_step_other_than_the_logged_commits_count(capsys, tmp_path):
@@ -746,15 +785,15 @@ def test_resume_refuses_a_commit_adam_step_other_than_the_logged_commits_count(c
 
 
 def test_resume_refuses_a_header_field_the_writer_does_not_write(capsys, tmp_path):
-    # A version-7 slot section left in the header, and a controller step
-    # beside the baseline: each is named, and the untouched file resumes.
+    # A version-7 slot section left in the header, and format 11's controller
+    # baseline: each is named, and the untouched file resumes.
     ckpt = tmp_path / "run.ckpt"
     code, _, cfg = run_search(tmp_path, "run", doc_extra={"checkpoint_path": str(ckpt)})
     assert code == 0
     pristine = ckpt.read_bytes()
     edits = {
         "commit_slots": lambda h: h.update(commit_slots={"adam|0/1/weight": {"step": 999}}),
-        "controller.step": lambda h: h["controller"].update(step=7),
+        "controller": lambda h: h.update(controller={"baseline": 0.5}),
     }
     for name, edit in edits.items():
         ckpt.write_bytes(pristine)

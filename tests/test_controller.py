@@ -18,7 +18,6 @@ from jointsearch.controller import (
 )
 from jointsearch.config import SearchSection
 from jointsearch.numerics import RngStream, softmax
-from jointsearch.persist import Checkpoint, load_checkpoint, save_checkpoint, store_digest
 from jointsearch.space import LayerConfig, SpaceConfig, build_space
 
 from reference import (
@@ -65,7 +64,7 @@ def test_init_controller_is_uniform():
     assert np.allclose(probs[0], [1 / 3] * 3, atol=1e-15)
     assert np.allclose(probs[1], [0.25] * 4, atol=1e-15)
     # Only what the controller learns; the meta-step is passed to each update.
-    assert [f.name for f in fields(state)] == ["logits", "baseline", "m", "v"]
+    assert [f.name for f in fields(state)] == ["logits", "baseline"]
 
 
 def test_init_controller_degenerate_decision():
@@ -185,10 +184,12 @@ TABLE_CARDS = (1, 2, 5, 8, 9, 17)
     ids=["1-6", "table", "3x4", "4x9"],
 )
 def test_sample_block_draw_matches_per_draw_reference(widths, decisions):
-    # Mixed widths make padded tables; one softmax per width must give each
-    # row's own bytes, and the table's CDF each row's own picks. Decisions
-    # of one width (3 of 4, as ``tabular-controller``; 4 of 9, wide enough
-    # that numpy sums a row pairwise) take one softmax of the whole table.
+    # Mixed widths make padded tables; one softmax of the whole table (every
+    # width below 8, padded with -inf logits) or one per width (some width
+    # of 8 or more, which numpy sums pairwise) must give each row's own
+    # bytes, and the table's CDF each row's own picks. Decisions of one
+    # width (3 of 4, as ``tabular-controller``; 4 of 9) take one softmax of
+    # the whole table.
     rng = RngStream(0, f"sample-property/{len(widths)}")
     for case in range(200):
         n = 1 + rng.index(7) if decisions is None else decisions
@@ -250,11 +251,14 @@ def test_update_refuses_a_non_finite_reward_before_any_write(step, rewards):
     # Warm-up is the first ceil(0.5 * 10) = 5 steps. Inside it the baseline
     # must not take the rewards before the bad one; past it neither must the
     # logits, their moments or the probability table.
-    m, v = [np.array([0.1, -0.2]), np.array([0.3, 0.0, 0.5])], [np.full(2, 0.5), np.ones(3)]
-    state = ControllerState([np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0])], 0.2, m, v)
+    meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
+    state = ControllerState([np.array([0.5, -0.5]), np.array([1.0, 0.0, -1.0])])
+    for done in (5, 6):  # two updates past warm-up, for moments other than zero
+        reinforce_update(state, [((0, 1), 0.3), ((1, 2), 0.8)], meta, done)
+    state.baseline = 0.2
+    assert all(row.any() for row in state.m + state.v)
     table = controller._prob_table(state)
     before = [row.tobytes() for row in state.logits + state.m + state.v]
-    meta = SearchSection(total_meta_steps=10, warmup_fraction=0.5)
     samples = [((0, 1), rewards[0]), ((1, 2), rewards[1])]
     with pytest.raises(ValueError, match="^reward must be finite$"):
         reinforce_update(state, samples, meta, step)
@@ -401,44 +405,38 @@ def test_update_refuses_an_index_outside_the_cardinality(selection, decision, in
     assert [row.tolist() for row in state.m + state.v] == [[0.0, 0.0], [0.0, 0.0, 0.0]] * 2
 
 
-def test_state_packs_its_moments_into_padded_tables():
-    # ``m`` and ``v`` by decision become rows of the padded tables that the
-    # table's one Adam slot steps; the rows stay views, the padding zero.
-    m, v = [np.full(c, 0.25 + d) for d, c in enumerate((2, 3))], [np.full(2, 0.5), np.ones(3)]
-    state = ControllerState([np.zeros(2), np.zeros(3)], 0.5, m, v)
+def test_state_keeps_its_moments_as_rows_of_padded_tables():
+    # A state starts with zero moments; ``m`` and ``v`` by decision are rows
+    # of the padded tables that the table's one Adam slot steps, which stay
+    # views as updates write them, the padding zero.
+    state = init_controller(space_with_cards([2, 3]))
+    assert [row.tolist() for row in state.m + state.v] == [[0.0, 0.0], [0.0, 0.0, 0.0]] * 2
     slot = state._slot
-    assert slot["m"].tolist() == [[0.25, 0.25, 0.0], [1.25, 1.25, 1.25]]
-    assert slot["v"].tolist() == [[0.5, 0.5, 0.0], [1.0, 1.0, 1.0]]
     assert all(np.shares_memory(row, slot["m"]) for row in state.m)
     assert all(np.shares_memory(row, slot["v"]) for row in state.v)
     # The step count follows from the meta-step: step 3 past a warm-up of 1
     # is the third update, whatever the slot held before.
     search = SearchSection(total_meta_steps=10, warmup_fraction=0.1)
     slot["step"] = 40
-    reinforce_update(state, [((0, 0), 1.0)], search, 3)
+    reinforce_update(state, [((0, 0), 1.0), ((1, 2), 0.25)], search, 3)
     assert slot["step"] == 3
+    assert all(row.all() for row in state.m + state.v)
+    rows = [slot["m"][0, :2], slot["m"][1]]
+    assert [row.tobytes() for row in state.m] == [row.tobytes() for row in rows]
     assert slot["m"][0, 2] == slot["v"][0, 2] == 0.0  # padding stays zero
-    fresh = init_controller(space_with_cards([2, 3]))
-    assert [row.tolist() for row in fresh.m + fresh.v] == [[0.0, 0.0], [0.0, 0.0, 0.0]] * 2
+    assert state._table[0, 2] == -np.inf  # and its logit -inf
 
 
 @pytest.mark.parametrize(
-    "m, v, name",
+    "logits",
     [
-        ([np.zeros(2)], None, "m"),  # a row short
-        (None, [np.zeros(2), np.zeros(3), np.zeros(1)], "v"),  # a row over
-        ([np.zeros(2), np.zeros(2)], None, "m"),  # a row of another length
-        (None, [np.zeros(2), np.zeros((1, 3))], "v"),  # a row not a vector
-        ([np.zeros(2), 0.0], None, "m"),
-        (np.zeros((2, 3)), None, "m"),  # a table, every row as wide as the widest
+        [np.zeros((1, 2))],
+        [np.zeros(2), np.array(0.5)],
+        [np.array(0.5)],
+        [np.zeros(2), np.zeros((3, 1))],  # a row not a vector
+        [np.zeros(3), np.zeros((2, 2, 2))],
     ],
 )
-def test_state_refuses_moments_other_than_one_row_per_decision(m, v, name):
-    with pytest.raises(ValueError, match=f"^ControllerState {name} is not one row per decision "):
-        ControllerState([np.zeros(2), np.zeros(3)], 0.0, m, v)
-
-
-@pytest.mark.parametrize("logits", [[np.zeros((1, 2))], [np.zeros(2), np.array(0.5)]])
 def test_state_refuses_logits_other_than_vectors(logits):
     with pytest.raises(ValueError, match="^ControllerState logits are not one vector per decision"):
         ControllerState(logits)
@@ -446,12 +444,12 @@ def test_state_refuses_logits_other_than_vectors(logits):
 
 @pytest.mark.parametrize("k", [1, 4, 7])
 @pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
-def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight):
+def test_table_update_matches_per_decision_reference(k, entropy_weight):
     """30 steps of the table update beside the per-decision one, bit for bit,
     over spaces mixing every cardinality of ``TABLE_CARDS`` and spaces of
-    one width (3 decisions of 4, as ``tabular-controller``, and 4 of 9); the
-    state makes a checkpoint round trip at step 15, after warm-up (steps 0
-    to 5)."""
+    one width (3 decisions of 4, as ``tabular-controller``, and 4 of 9); at
+    step 15, after warm-up (steps 0 to 5), the state is rebuilt from its
+    starting logits by replaying its updates, as a resume does."""
     search = SearchSection(
         total_meta_steps=30, warmup_fraction=0.2, meta_lr=0.05,
         baseline_momentum=0.9, entropy_weight=entropy_weight,
@@ -466,19 +464,19 @@ def test_table_update_matches_per_decision_reference(tmp_path, k, entropy_weight
         start = [2.0 * rng.normal(c) for c in cards]
         state = ControllerState(logits=[z.copy() for z in start])
         ref = ReferenceController(logits=[z.copy() for z in start])
-        stream = RngStream(case, "ctl")
+        stream, updates = RngStream(case, "ctl"), []
         for step in range(30):
             if step == 15:
-                path = str(tmp_path / f"{case}.ckpt")
-                ckpt = Checkpoint({}, step, state, store_digest=store_digest({}), log_sha256="0" * 64)
-                save_checkpoint(path, ckpt)
-                state = load_checkpoint(path).controller
+                state = ControllerState(logits=[z.copy() for z in start])
+                for done, samples in enumerate(updates):
+                    reinforce_update(state, samples, search, done)
                 assert all(z.base is state.logits[0].base for z in state.logits)
             probs = probabilities(state)
             assert [p.tobytes() for p in probs] == [p.tobytes() for p in ref.probabilities()]
             selections = sample(state, stream, k)
             samples = [(selection, float(rng.uniform())) for selection in selections]
             used = reinforce_update(state, samples, search, step)
+            updates.append(samples)
             assert used == reference_reinforce_update(ref, samples, search, step)
             assert state.baseline == ref.baseline
             where = (case, cards, step)

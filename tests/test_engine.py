@@ -751,25 +751,30 @@ def _restore(config, checkpoint: bytes, log: bytes) -> None:
 def test_a_search_computes_the_probabilities_once_per_logit_change(tmp_path, monkeypatch):
     # Once as the run starts and once after each update, none inside the
     # warm-up of ceil(0.3 * 10) = 3 steps; the commit phase, the event
-    # record, the next scoring phase and the result read those. Each time is
-    # one softmax per distinct cardinality: 3 x (1 + 10 - 3).
+    # record, the next scoring phase and the result read those: 1 + 10 - 3
+    # tables. Each is one softmax when every decision has fewer than 8
+    # candidates, else one per distinct cardinality.
     real, calls = controller.softmax, []
     monkeypatch.setattr(controller, "softmax", lambda z: calls.append(1) or real(z))
     log = str(tmp_path / "t.jsonl")
-    doc = {**tabular_doc([3, 2, 4], total=10, k=3), "output": {"log_path": log}}
-    search(parse_config(doc), evaluate_override=lambda s: (0.2 + 0.1 * s[0], 1.0))
-    assert len(calls) == 24
+    for cards, per_table in (([3, 2, 4], 1), ([9, 2, 8], 3)):
+        calls.clear()
+        doc = {**tabular_doc(cards, total=10, k=3), "output": {"log_path": log}}
+        search(parse_config(doc), evaluate_override=lambda s: (0.2 + 0.1 * s[0], 1.0))
+        assert len(calls) == 8 * per_table, cards
     # Each record of a network search logs the logits its step left, as one
-    # softmax per decision of the checkpoint that step saved, bit for bit.
+    # softmax per decision of the controller that a run resumed from the
+    # checkpoint that step saved replays, bit for bit.
     path, log = str(tmp_path / "ck.ckpt"), str(tmp_path / "n.jsonl")
     output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": log}
-    every, _ = _checkpoint_of_every_step(parse_config(moons_doc(total=4, output=output)))
+    config = parse_config(moons_doc(total=4, output=output))
+    every, _ = _checkpoint_of_every_step(config)
     _, records = read_events(log)
     assert len(records) == len(every) == 4
     for record, data in zip(records, every):
         with open(path, "wb") as fh:
             fh.write(data)
-        state = persist.load_checkpoint(path).controller
+        state = start_run(config, True, path).controller
         assert record.probabilities == [softmax(z).tolist() for z in state.logits]
         assert record.baseline == state.baseline
 
@@ -793,7 +798,7 @@ def test_resume_from_every_step_across_warm_up_and_optimizers(tmp_path):
     assert families == {"momentum", "adam", "rmsprop"}
     for done, data in enumerate(every, start=1):
         _restore(config, data, log)
-        moments = persist.load_checkpoint(path).controller.m
+        moments = start_run(config, True, path).controller.m  # replayed from the log
         assert any(row.any() for row in moments) == (done > 3)
         search(config, resume_from=path)
         with open(path, "rb") as fh:
@@ -811,8 +816,8 @@ def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
     every, log = _checkpoint_of_every_step(config, evaluate_override=table)
     for done in range(1, 11):  # warm-up is the first ceil(0.3 * 10) = 3 steps
         _restore(config, every[done - 1], log)
-        resumed = persist.load_checkpoint(path)
-        assert resumed.meta_step == done
+        resumed = start_run(config, False, path)
+        assert resumed.ckpt.meta_step == done
         assert any(row.any() for row in resumed.controller.v) == (done > 3)
         search(config, evaluate_override=table, resume_from=path)
         with open(path, "rb") as fh:
@@ -820,15 +825,62 @@ def test_table_driven_resume_inside_and_after_warm_up(tmp_path):
         assert _seals_its_log(config)
 
 
-@pytest.mark.parametrize("row", ["logits", "m", "v"])
-@pytest.mark.parametrize("value", [-0.0, 0.25])
-def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_zero(
-    tmp_path, row, value
+def _resealed_over(config, step: int, edit) -> None:
+    """Apply ``edit`` to the record of ``step`` in the run's event log and
+    re-seal the run's checkpoint over the edited log."""
+    log = Path(config.output.log_path)
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[step + 1] = (json.dumps(edit(json.loads(lines[step + 1]))) + "\n").encode()
+    log.write_bytes(b"".join(lines))
+    path = config.output.checkpoint_path
+    ckpt = persist.load_checkpoint(path)
+    ckpt.log_sha256 = hashlib.sha256(b"".join(lines[: 1 + ckpt.meta_step])).hexdigest()
+    persist.save_checkpoint(path, ckpt)
+
+
+def _nudged(value: float) -> float:
+    return float(np.nextafter(value, -np.inf if value > 0 else np.inf))
+
+
+def _nudged_probability(record: dict) -> dict:
+    rows = [list(row) for row in record["probabilities"]]
+    rows[-1][1] = _nudged(rows[-1][1])
+    return {**record, "probabilities": rows}
+
+
+def _candidate_edited(name, value):
+    """An edit of candidate 1's ``name``: ``value`` of its old value."""
+
+    def edit(record):
+        record["candidates"][1][name] = value(record["candidates"][1][name])
+        return record
+
+    return edit
+
+
+@pytest.mark.parametrize("step", [1, 3])
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("candidates.1.reward", _candidate_edited("reward", _nudged)),
+        ("baseline", lambda r: {**r, "baseline": _nudged(r["baseline"])}),
+        (
+            "advantage_baseline",
+            lambda r: {**r, "advantage_baseline": _nudged(r["advantage_baseline"])},
+        ),
+        ("probabilities", _nudged_probability),
+        ("mean_reward", lambda r: {**r, "mean_reward": _nudged(r["mean_reward"])}),
+    ],
+    ids=["reward", "baseline", "advantage-baseline", "probability", "mean-reward"],
+)
+def test_table_driven_resume_refuses_a_record_the_replayed_controller_does_not_write(
+    tmp_path, field, edit, step
 ):
-    # Warm-up is the first ceil(0.3 * 10) = 3 steps. Until the first update
-    # the controller is the one a run starts from, every cell +0.0, so a file
-    # saved with any other value at steps 1 to 3 is refused by name; from
-    # step 4 on only a replay could tell.
+    # Warm-up is the first ceil(0.3 * 10) = 3 steps. The file holds no
+    # controller: a resume replays the logged updates on step 0's and
+    # compares each record with them exactly, so an edit re-sealed into a
+    # record inside warm-up (step 1) or past it (step 3) is refused, naming
+    # the log's line and the field, as the file's controller arrays were.
     def table(selection):
         return 0.2 + 0.1 * selection[1], 1.0
 
@@ -836,23 +888,73 @@ def test_table_driven_resume_inside_warm_up_refuses_a_controller_other_than_all_
     output = {"checkpoint_path": path, "checkpoint_interval": 1, "log_path": path + ".log"}
     config = parse_config({**tabular_doc([3, 2, 4], total=10, k=3), "output": output})
     every, log = _checkpoint_of_every_step(config, evaluate_override=table)
-    for done in (1, 2, 3, 4):
-        _restore(config, every[done - 1], log)
-        ckpt = persist.load_checkpoint(path)
-        state = ckpt.controller
-        rows = {name: [z.copy() for z in getattr(state, name)] for name in ("logits", "m", "v")}
-        rows[row][2][3] = value
-        ckpt.controller = controller.ControllerState(
-            rows["logits"], state.baseline, rows["m"], rows["v"]
-        )
-        persist.save_checkpoint(path, ckpt)
-        if done == 4:
-            search(config, evaluate_override=table, resume_from=path)
-            continue
-        with pytest.raises(ValueError) as err:
-            search(config, evaluate_override=table, resume_from=path)
-        what = f"is not all +0.0 after {done} steps, none past the 3 of warm-up"
-        assert str(err.value) == f"{path}: controller/2: {what}"
+    _restore(config, every[4], log)
+    _resealed_over(config, step, edit)
+    with pytest.raises(ValueError) as err:
+        search(config, evaluate_override=table, resume_from=path)
+    assert str(err.value).startswith(f"{path}.log: line {step + 2}: {field} ")
+    _restore(config, every[4], log)
+    search(config, evaluate_override=table, resume_from=path)
+    assert unsealed(Path(path).read_bytes()) == unsealed(every[-1])
+
+
+@pytest.mark.parametrize("step", [0, 4])
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_candidate_edited("accuracy", _nudged), "candidates.1.reward "),
+        # A one-ulp cost edit can round away in the reward, a larger one not.
+        (_candidate_edited("cost", lambda c: c + 0.5), "candidates.1.reward "),
+        (_candidate_edited("reward", _nudged), "candidates.1.reward "),
+        (_candidate_edited("reward", int), "candidates.1.reward "),  # 0, not 0.x
+        (_candidate_edited("accuracy", lambda a: 1.5), "candidates.1: accuracy must be in [0, 1]"),
+        (_candidate_edited("cost", lambda c: -c), "candidates.1: cost must be finite"),
+    ],
+    ids=["accuracy", "cost", "reward", "reward-int", "accuracy-range", "cost-negative"],
+)
+def test_cost_aware_resume_refuses_a_reward_other_than_its_accuracy_and_cost_give(
+    tmp_path, edit, expected, step
+):
+    # In cost-aware mode a candidate's reward follows from its accuracy and
+    # its cost, so the replay recomputes it: an edit of either re-sealed into
+    # a record of step 0 or step 4 is refused, naming the line and the field.
+    def table(selection):
+        return 0.2 + 0.1 * selection[1], 1.0 + selection[0]
+
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "log_path": path + ".log"}
+    reward = {"mode": "cost_aware", "beta": -0.1, "target_cost": 2.0}
+    doc = tabular_doc([3, 2, 4], total=6, k=3, reward=reward)
+    config = parse_config({**doc, "output": output})
+    search(config, evaluate_override=table)
+    _resealed_over(config, step, edit)
+    with pytest.raises(ValueError) as err:
+        search(config, evaluate_override=table, resume_from=path)
+    assert str(err.value).startswith(f"{path}.log: line {step + 2}: {expected}")
+
+
+def test_a_resume_builds_each_distinct_commits_trainer_once(tmp_path, monkeypatch):
+    # The replay of the logged commits, which rebuilds the commit slots, keeps
+    # each selection's optimizer and store keys: one ``build_trainer`` call
+    # per distinct commit selection, not one per commit.
+    path = str(tmp_path / "ck.ckpt")
+    output = {"checkpoint_path": path, "log_path": path + ".log"}
+    doc = moons_doc(total=8, k=3, output=output)
+    doc["space"]["hyperparameters"].append(
+        {"name": "optimizer", "kind": "categorical", "basis": ["momentum", "adam"]}
+    )
+    config = parse_config(doc)
+    search(config)
+    _, records = read_events(path + ".log")
+    commits = [tuple(selection) for record in records for selection in record.commits]
+    assert len(set(commits)) < len(commits) == 24
+    real, calls = engine.trainstep.build_trainer, []
+    monkeypatch.setattr(
+        engine.trainstep, "build_trainer", lambda *a, **kw: calls.append(a[1]) or real(*a, **kw)
+    )
+    run = start_run(config, True, path)
+    assert run.ckpt.meta_step == 8
+    assert sorted(calls) == sorted(set(commits))
 
 
 def test_resume_under_new_output_paths_echoes_them(tmp_path):
@@ -1054,12 +1156,16 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
         override = table
     config = parse_config(doc)
 
-    def end_state(ckpt, history):
-        logits = [z.tolist() for z in ckpt.controller.logits]
-        return store_digest(ckpt.store), logits, ckpt.controller.baseline, history
+    def end_state(ckpt, state, history):
+        logits = [z.tolist() for z in state.logits]
+        return store_digest(ckpt.store), logits, state.baseline, history
 
     result = search(config, evaluate_override=override)
-    expected = end_state(persist.load_checkpoint(path), result.reward_history)
+    final = start_run(config, network, path)  # the controller replayed from the whole log
+    assert [p.tolist() for p in controller.probabilities(final.controller)] == [
+        p.tolist() for p in result.final_probabilities
+    ]
+    expected = end_state(persist.load_checkpoint(path), final.controller, result.reward_history)
 
     def stepped(run):
         for step in range(run.ckpt.meta_step, steps):
@@ -1067,7 +1173,7 @@ def test_meta_step_calls_end_where_search_does(tmp_path, network):
             assert run.ckpt.meta_step == step + 1
             assert [r.meta_step for r in run.history[-k:]] == [step] * k
             assert len(commits) == (k if network else 0)
-        return end_state(run.ckpt, run.history)
+        return end_state(run.ckpt, run.controller, run.history)
 
     assert stepped(start_run(config, network, None)) == expected
 

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from jointsearch.controller import ControllerState
 from jointsearch.numerics import RngStream
 from jointsearch.persist import (
     Checkpoint,
@@ -471,14 +470,6 @@ def test_non_finite_event_record_is_not_written(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _with_logit(state, d, j, value):
-    """``state`` as a new controller state whose logit ``j`` of decision
-    ``d`` is ``value``: its logit rows are read-only."""
-    logits = [z.copy() for z in state.logits]
-    logits[d][j] = value
-    return ControllerState(logits, state.baseline, state.m, state.v)
-
-
 def sample_checkpoint():
     store = small_store()
     key = ParamKey(0, 1, "weight")
@@ -489,12 +480,6 @@ def sample_checkpoint():
     return Checkpoint(
         config_echo={"search": {"total_meta_steps": 7}},
         meta_step=4,
-        controller=ControllerState(
-            logits=[np.array([0.1, -0.2]), np.array([0.0, 0.5, -0.5])],
-            baseline=0.61,
-            m=[np.array([0.125, -0.0]), np.array([-0.25, 0.0, 2.0**-1074])],
-            v=[np.array([0.5, 0.0]), np.array([1.0, 2.0, 3.0])],
-        ),
         store=store,
         commit_slots=slots,
         store_digest=store_digest(store),
@@ -507,8 +492,6 @@ SAMPLE_ARRAYS = [
     "store/0/1/bias",
     "store/0/1/weight",
     "store/1/0/weight",
-    "controller/0",
-    "controller/1",
     "commit_slots/adam|0/1/weight/m",
     "commit_slots/adam|0/1/weight/step",
     "commit_slots/adam|0/1/weight/v",
@@ -569,33 +552,13 @@ def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "edit, name",
-    [
-        pytest.param(
-            lambda c: setattr(c, "controller", _with_logit(c.controller, 1, 2, float("inf"))),
-            "controller/1",
-            id="logit",
-        ),
-        pytest.param(
-            lambda c: c.controller.m[0].__setitem__(1, float("nan")), "controller/0", id="m"
-        ),
-        pytest.param(
-            lambda c: c.controller.v[1].__setitem__(0, float("-inf")), "controller/1", id="v"
-        ),
-        pytest.param(
-            lambda c: setattr(c.controller, "baseline", float("nan")), None, id="baseline"
-        ),
-    ],
-)
-def test_checkpoint_with_a_non_finite_number_is_not_written(tmp_path, edit, name):
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_with_a_non_finite_header_number_is_not_written(tmp_path, value):
     path = tmp_path / "ck.ckpt"
     ckpt = sample_checkpoint()
-    edit(ckpt)
-    with pytest.raises(ValueError) as err:
+    ckpt.config_echo["search"]["meta_lr"] = value
+    with pytest.raises(ValueError):
         save_checkpoint(str(path), ckpt)
-    if name is not None:
-        assert str(err.value) == f"{path}: {name}: holds a value that is not a finite number"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -605,13 +568,10 @@ def test_checkpoint_restores_every_field(tmp_path):
     save_checkpoint(str(path), original)
     loaded = load_checkpoint(str(path))
     assert loaded.meta_step == 4
-    assert loaded.controller.baseline == 0.61
     assert loaded.config_echo == original.config_echo
     assert loaded.store_digest == original.store_digest
     assert loaded.log_sha256 == original.log_sha256
-    for name in ("logits", "m", "v"):  # bit for bit, -0.0 and subnormals too
-        got, want = (getattr(state, name) for state in (loaded.controller, original.controller))
-        assert [row.tobytes() for row in got] == [row.tobytes() for row in want], name
+    assert not hasattr(loaded, "controller")  # the log's rewards rebuild it
     for key in original.store:
         assert np.array_equal(loaded.store[key], original.store[key])
     key = ParamKey(0, 1, "weight")
@@ -665,21 +625,13 @@ def test_checkpoint_arrays_are_raw_float64(tmp_path):
             assert bytes(blob[offset : offset + size]) == want[name].astype("<f8").tobytes()
     assert sum(size for _, size in spans.values()) == len(blob)
     loaded = load_checkpoint(str(path))
-    logits = loaded.controller.logits
     arrays = list(loaded.store.values())
-    arrays += loaded.controller.m + loaded.controller.v
     for _, slot in loaded.commit_slots.items():
         arrays += [v for v in slot.values() if not isinstance(v, int)]
-    assert len(arrays) == 3 + 4 + 2  # store, controller m and v rows, commit m and v
-    # Only the controller's Adam step writes the logits: their rows are read-only.
-    assert all(arr.flags.writeable for arr in arrays)
-    assert not any(z.flags.writeable for z in logits)
-    for arr in arrays + logits:
+    assert len(arrays) == 3 + 2  # store, commit m and v
+    for arr in arrays:
+        assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
         assert arr.dtype == np.float64 and arr.dtype.isnative
-        assert arr.flags.c_contiguous
-        # Each owns its data or, as the controller's do, views a table that does.
-        owner = arr if arr.flags.owndata else arr.base
-        assert isinstance(owner, np.ndarray) and owner.flags.owndata
 
 
 def test_checkpoint_version_mismatch(tmp_path):
@@ -746,7 +698,7 @@ def _through(header, blob, name):
 ARRAY_SITES = [
     "store/0/1/bias",
     "commit_slots/adam|0/1/weight/m",
-    "controller/0",
+    SAMPLE_ARRAYS[-1],  # the file's own last array, cut from nothing
 ]
 
 
@@ -800,9 +752,7 @@ def test_checkpoint_reports_bytes_after_the_last_array(tmp_path):
     assert str(err.value).startswith(f"{path}: {SAMPLE_ARRAYS[-1]}: 8 bytes follow")
 
 
-HEADER_FIELDS = [
-    "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays", "controller.baseline"
-]
+HEADER_FIELDS = ["config", "meta_step", "store_digest", "log_sha256", "arrays"]
 
 
 @pytest.mark.parametrize("field", HEADER_FIELDS)
@@ -811,11 +761,7 @@ def test_checkpoint_names_a_missing_header_field(tmp_path, field):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    *parents, name = field.split(".")
-    owner = header
-    for part in parents:
-        owner = owner[part]
-    del owner[name]
+    del header[field]
     _write(path, header, blob)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
@@ -827,9 +773,9 @@ def test_checkpoint_names_a_missing_header_field(tmp_path, field):
     [
         ("commit_slots", {"adam|0/1/weight": {"step": 999}}),  # a version-7 leftover
         ("slots", {}),
-        ("controller.step", 7),
-        ("controller.slots", {}),
-        ("controller.logits", [[0.1, -0.2]]),
+        ("controller", {"baseline": 0.61}),  # format 11's
+        ("controller", {}),
+        ("baseline", 0.61),
     ],
 )
 def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
@@ -838,11 +784,7 @@ def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    *parents, name = field.split(".")
-    owner = header
-    for part in parents:
-        owner = owner[part]
-    owner[name] = value
+    header[field] = value
     _write(path, header, blob)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
@@ -862,17 +804,6 @@ def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
         ],
         *[
             pytest.param(
-                lambda h, v=value: h["controller"].update(baseline=v),
-                "checkpoint header field controller.baseline is not a finite number",
-                id=f"baseline-{name}",
-            )
-            for name, value in [
-                ("nan", float("nan")), ("inf", float("inf")), ("text", "0.61"), ("bool", False),
-                ("too-large", 10**400),
-            ]
-        ],
-        *[
-            pytest.param(
                 lambda h, v=value: h.update(log_sha256=v),
                 "checkpoint header field log_sha256 is not 64 lowercase hex digits",
                 id=f"log-sha256-{name}",
@@ -880,6 +811,18 @@ def test_checkpoint_names_an_unknown_header_field(tmp_path, field, value):
             for name, value in [
                 ("empty", ""), ("short", "ab" * 31), ("long", "ab" * 33), ("upper", "AB" * 32),
                 ("not-hex", "g" * 64), ("number", 7), ("null", None), ("newline", "ab" * 32 + "\n"),
+            ]
+        ],
+        # The loader compares the store digest with the one it computes.
+        *[
+            pytest.param(
+                lambda h, e=edit: h.update(store_digest=e(h["store_digest"])),
+                "store digest mismatch, checkpoint is corrupt",
+                id=f"store-digest-{name}",
+            )
+            for name, edit in [
+                ("empty", lambda d: ""), ("upper", str.upper), ("other", lambda d: "0" * 16),
+                ("number", lambda d: int(d, 16)), ("null", lambda d: None),
             ]
         ],
     ],
@@ -904,11 +847,14 @@ def test_checkpoint_names_a_malformed_header_field(tmp_path, edit, message):
             "store/0/1", "controller/2", "controller/00", "controller", "history/floats",
             "history",
         ]),
-        # An array added beside the others: format 9's frozen head and format
-        # 10's reward history among them.
-        *((None, name) for name in ["head/weight", "head/bias", "history/ints", "history/reals"]),
-        # Decision 0's array under another name, format 8's among them.
-        *(("controller/0", name) for name in [
+        # An array added beside the others: format 9's frozen head, format
+        # 10's reward history and format 11's controller among them.
+        *((None, name) for name in [
+            "head/weight", "head/bias", "history/ints", "history/reals", "controller/0",
+            "controller/1",
+        ]),
+        # Format 8's and other names of a controller array.
+        *(("store/1/0/weight", name) for name in [
             "controller/logits/0", "controller/slots/adam|0/m", "controller/slots/momentum|0/m",
             "controller/+0", "controller/m", "controller/0/m",
         ]),
@@ -933,7 +879,7 @@ def test_checkpoint_names_an_array_of_no_known_section(tmp_path, old, renamed):
 def test_checkpoint_loads_a_slot_of_any_key_and_the_layout_names_it(tmp_path, added):
     # Which commit slots a file may hold depends on the run, so the loader
     # takes the slot as written and ``check_layout`` names it against the
-    # run's state. (A controller array of no decision the loader refuses.)
+    # run's state. (A controller array the loader refuses: no file holds one.)
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
@@ -1003,116 +949,32 @@ def _with(arrays, name, index, value):
     return {**arrays, name: arr}
 
 
-def _moved_last(arrays, name):
-    return {**_without(arrays, name), name: arrays[name]}
-
-
 def _without(arrays, *names):
     return {name: arr for name, arr in arrays.items() if name not in names}
 
 
-NOT_FINITE = "holds a value that is not a finite number"
-NOT_THREE_ROWS = "not [3, cardinality]"
-
-
-def _renamed(arrays, old, new):
-    return {new if name == old else name: arr for name, arr in arrays.items()}
-
-
-# Edits of ``sample_checkpoint``'s arrays, re-sealed, with the array each
-# names and the error. Its two decisions have 2 and 3 candidates, each one
-# ``controller/<d>`` array of 3 rows (logits, Adam m and v). Besides these
-# arrays' own checks, the loader refuses a controller array that is not 3
-# rows; how many controller arrays a file holds ``check_layout`` compares.
+# A commit slot array re-sealed with a value that is not finite, which the
+# loader refuses by name.
 @pytest.mark.parametrize(
-    "edit, name, message",
+    "name, index, value",
     [
-        pytest.param(
-            lambda a: _with(a, "controller/0", (0, 1), np.nan),
-            "controller/0",
-            NOT_FINITE,
-            id="logits-nan",
-        ),
-        pytest.param(
-            lambda a: _with(a, "controller/1", (0, 2), -np.inf),
-            "controller/1",
-            NOT_FINITE,
-            id="logits-inf",
-        ),
-        pytest.param(
-            lambda a: _moved_last(a, "controller/0"),
-            "controller/1",
-            "array belongs to no known section",
-            id="controller-out-of-order",
-        ),
-        pytest.param(
-            lambda a: _with(a, "controller/0", (1, 1), np.nan),
-            "controller/0",
-            NOT_FINITE,
-            id="m-nan",
-        ),
-        pytest.param(
-            lambda a: _with(a, "controller/1", (2, 0), np.inf),
-            "controller/1",
-            NOT_FINITE,
-            id="v-inf",
-        ),
-        pytest.param(
-            lambda a: _with(a, "commit_slots/adam|0/1/weight/v", (1, 2), np.inf),
-            "commit_slots/adam|0/1/weight/v",
-            NOT_FINITE,
-            id="commit-slot-inf",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/0": a["controller/0"][0]},
-            "controller/0",
-            f"checkpoint holds shape [2], {NOT_THREE_ROWS}",
-            id="controller-vector",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/1": np.array(0.5)},
-            "controller/1",
-            f"checkpoint holds shape [], {NOT_THREE_ROWS}",
-            id="controller-scalar",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/1": a["controller/1"][:2]},
-            "controller/1",
-            f"checkpoint holds shape [2, 3], {NOT_THREE_ROWS}",
-            id="controller-two-rows",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/0": np.vstack([a["controller/0"], np.zeros(2)])},
-            "controller/0",
-            f"checkpoint holds shape [4, 2], {NOT_THREE_ROWS}",
-            id="controller-four-rows",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/1": a["controller/1"][:, :, None]},
-            "controller/1",
-            f"checkpoint holds shape [3, 3, 1], {NOT_THREE_ROWS}",
-            id="controller-3-d",
-        ),
-        pytest.param(
-            lambda a: {**a, "controller/0": np.zeros((0, 2))},
-            "controller/0",
-            f"checkpoint holds shape [0, 2], {NOT_THREE_ROWS}",
-            id="controller-no-rows",
-        ),
+        ("commit_slots/adam|0/1/weight/v", (1, 2), np.inf),
+        ("commit_slots/adam|0/1/weight/m", (0, 0), np.nan),
+        ("commit_slots/adam|0/1/weight/m", (1, 1), -np.inf),
     ],
 )
-def test_checkpoint_names_a_malformed_controller_or_slot_array(tmp_path, edit, name, message):
+def test_checkpoint_names_a_non_finite_slot_array(tmp_path, name, index, value):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
-    _write_arrays(path, header, edit(_arrays(header, blob)))
+    _write_arrays(path, header, _with(_arrays(header, blob), name, index, value))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: {name}: {message}"
+    assert str(err.value) == f"{path}: {name}: holds a value that is not a finite number"
 
 
 @pytest.mark.parametrize(
-    "name", ["store/0/1/bias", "controller/1", "commit_slots/adam|0/1/weight/v"]
+    "name", ["store/0/1/bias", "store/1/0/weight", "commit_slots/adam|0/1/weight/v"]
 )
 def test_checkpoint_refuses_an_array_named_twice(tmp_path, name):
     # Read into a dict, the first copy would be dropped without a word.
@@ -1155,12 +1017,10 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
     save_checkpoint(str(path), sample_checkpoint())
     pristine, blob, digest = _parts(path)
     leaves = list(_leaf_paths(pristine))
-    assert ("controller", "baseline") in leaves
     assert ("store_digest",) in leaves
     assert set(pristine) == {
-        "format_version", "config", "meta_step", "controller", "store_digest", "log_sha256", "arrays"
+        "format_version", "config", "meta_step", "store_digest", "log_sha256", "arrays"
     }
-    assert list(pristine["controller"]) == ["baseline"]
     assert ("arrays", 0, 1, 0) in leaves  # a shape
     edits = 0
     for leaf in leaves:
@@ -1184,20 +1044,34 @@ def test_checkpoint_rejects_an_edit_of_any_leaf(tmp_path):
                 load_checkpoint(str(path))
             assert "digest" in str(err.value), name
             edits += 1
-    assert edits > 50
+    assert edits == len(leaves) + len(blob) // 8 > 40  # every leaf and every float64
 
 
-def test_checkpoint_rejects_edited_logits_and_reset_step(tmp_path):
+def test_checkpoint_rejects_an_edited_slot_and_reset_step(tmp_path):
     path = tmp_path / "ck.ckpt"
     save_checkpoint(str(path), sample_checkpoint())
     header, blob, digest = _parts(path)
-    offset, _ = _spans(header)["controller/1"]
+    offset, _ = _spans(header)["commit_slots/adam|0/1/weight/m"]
     blob[offset + 16 : offset + 24] = np.array([5.0], dtype="<f8").tobytes()
     header["meta_step"] = 0
     _write(path, header, blob, digest)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
     assert "checkpoint digest" in str(err.value)
+
+
+# Format 11's controller for ``sample_checkpoint``'s two decisions, one
+# ``controller/<d>`` array each (rows: logits, Adam m and v), and its baseline.
+FORMAT_11_CONTROLLER = {
+    "controller/0": np.array([[0.1, -0.2], [0.125, -0.0], [0.5, 0.0]]),
+    "controller/1": np.array([[0.0, 0.5, -0.5], [-0.25, 0.0, 2.0**-1074], [1.0, 2.0, 3.0]]),
+}
+
+
+def _format_11(arrays):
+    """``arrays`` in the format-11 layout: the controller after the store."""
+    store = {n: a for n, a in arrays.items() if n.startswith("store/")}
+    return {**store, **FORMAT_11_CONTROLLER, **_without(arrays, *store)}
 
 
 def _format_10(arrays):
@@ -1240,39 +1114,45 @@ def test_checkpoint_rejects_earlier_versions(tmp_path):
     # header. Version 7 holds them as arrays and each slot's step in the
     # header. Version 8 holds the logits apart from the controller's Adam
     # slots, each with its own step. Version 9 holds the frozen head. Version
-    # 10 holds the reward history as arrays and no ``log_sha256``.
+    # 10 holds the reward history as arrays and no ``log_sha256``. Version 11
+    # holds the controller: an array per decision and the baseline.
     path = tmp_path / "ck.ckpt"
-    ckpt = sample_checkpoint()
-    save_checkpoint(str(path), ckpt)
+    save_checkpoint(str(path), sample_checkpoint())
     header, blob, _ = _parts(path)
+    header["controller"] = {"baseline": 0.61}
+    arrays = _format_11(_arrays(header, blob))
+    _write_arrays(path, {**header, "format_version": 11}, arrays)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value) == f"{path}: checkpoint format version 11 is not 12"
     del header["log_sha256"]
-    arrays = _format_10(_arrays(header, blob))
+    arrays = _format_10(arrays)
     _write_arrays(path, {**header, "format_version": 10}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 10 is not 11"
+    assert str(err.value) == f"{path}: checkpoint format version 10 is not 12"
     arrays = _format_9(arrays)
     _write_arrays(path, {**header, "format_version": 9}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 9 is not 11"
+    assert str(err.value) == f"{path}: checkpoint format version 9 is not 12"
     arrays = _format_8(arrays)
     _write_arrays(path, {**header, "format_version": 8}, arrays)
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 8 is not 11"
+    assert str(err.value) == f"{path}: checkpoint format version 8 is not 12"
     steps = {name: int(arr) for name, arr in arrays.items() if name.endswith("/step")}
     header["controller"]["slots"] = {"adam|0": {"step": steps["controller/slots/adam|0/step"]}}
     header["commit_slots"] = {"adam|0/1/weight": {"step": steps["commit_slots/adam|0/1/weight/step"]}}
     _write_arrays(path, {**header, "format_version": 7}, _without(arrays, *steps))
     with pytest.raises(ValueError) as err:
         load_checkpoint(str(path))
-    assert str(err.value) == f"{path}: checkpoint format version 7 is not 11"
+    assert str(err.value) == f"{path}: checkpoint format version 7 is not 12"
     moved = ("controller/logits/", "history/")
     kept = {name: arr for name, arr in _without(arrays, *steps).items() if not name.startswith(moved)}
     header["arrays"] = [[name, list(arr.shape)] for name, arr in kept.items()]
     blob = b"".join(arr.tobytes() for arr in kept.values())
-    header["controller"]["logits"] = [z.tolist() for z in ckpt.controller.logits]
+    header["controller"]["logits"] = [a[0].tolist() for a in FORMAT_11_CONTROLLER.values()]
     header["reward_history"] = [
         {"meta_step": 3, "selection": [1, 0], "accuracy": 0.75, "cost": 16.0, "reward": 0.7,
          "baseline": 0.61}
